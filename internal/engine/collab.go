@@ -231,7 +231,7 @@ func (s *Site) startJoinAttempt(h *Handle, local *object, remoteSite vtime.SiteI
 	st.retryFn = func(r int) {
 		s.startJoinAttempt(h, local, remoteSite, remoteObj, assoc, relName, r)
 	}
-	s.txns[vt] = st
+	s.trackTxn(st)
 	h.markApplied()
 	if s.obs.TraceEnabled() {
 		if retries == 0 {

@@ -71,10 +71,15 @@ func TestFig45UpdatePropagation(t *testing.T) {
 	// Exactly 3 protocol messages leave site 2 before commit: one
 	// CONFIRM-READ (site 1), two WRITEs (sites 3, 4); then COMMITs to
 	// the 3 involved sites. Total 6.
-	msgs := h.site(2).Stats().MessagesSent - msgsBefore
-	if msgs != 6 {
-		t.Errorf("site 2 sent %d messages, want 6 (1 CONFIRM-READ + 2 WRITE + 3 COMMIT)", msgs)
-	}
+	// The COMMITs are counted when the batch that decided T flushes its
+	// outbox, which can be after Wait returns.
+	sent := func() uint64 { return h.site(2).Stats().MessagesSent - msgsBefore }
+	h.eventually(2*time.Second, "T's 6 messages counted", func() bool { return sent() >= 6 })
+	defer func() {
+		if msgs := sent(); msgs != 6 {
+			t.Errorf("site 2 sent %d messages, want 6 (1 CONFIRM-READ + 2 WRITE + 3 COMMIT)", msgs)
+		}
+	}()
 
 	// All replicas converge.
 	h.eventually(2*time.Second, "replica convergence", func() bool {

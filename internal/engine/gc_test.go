@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -113,4 +115,138 @@ func TestOutcomeTableDrivesLateUpdates(t *testing.T) {
 	h.eventually(2*time.Second, "late update applied as committed", func() bool {
 		return h.committedInt(3, refs[3]) == 77
 	})
+}
+
+func TestVTHeapPopsInOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var h vtHeap
+	var want []vtime.VT
+	for i := 0; i < 500; i++ {
+		// Few distinct times, so ties fall to the site and duplicates occur.
+		vt := vtime.VT{Time: uint64(rng.Intn(60)), Site: vtime.SiteID(1 + rng.Intn(3))}
+		h.push(vt)
+		want = append(want, vt)
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i].Less(want[j]) })
+	for i, w := range want {
+		if got := h.pop(); got != w {
+			t.Fatalf("pop %d = %v, want %v", i, got, w)
+		}
+	}
+	if len(h) != 0 {
+		t.Fatalf("%d entries left after popping everything pushed", len(h))
+	}
+}
+
+// TestGCFloorHeapsMatchScan checks the heap-driven floor against its
+// definition — a scan of every transaction state — while transactions
+// from three sites are in every stage of their life, and that a floor
+// computation leaves no decided state at or below the floor behind.
+func TestGCFloorHeapsMatchScan(t *testing.T) {
+	h := newHarness(t, 3, transport.Config{Latency: time.Millisecond, Jitter: time.Millisecond})
+	refs := h.joined(KindInt, "x", int64(0), 1, 2, 3)
+	if _, err := h.site(1).AttachView([]ObjRef{refs[1]}, Pessimistic, (&recorder{}).fns()); err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(i int) {
+		s := h.site(i)
+		_ = s.call(func() {
+			want := s.clock.Now()
+			for vt, st := range s.txns {
+				if !st.decided() && vt.LessEq(want) {
+					want = vtime.JustBelow(vt)
+				}
+			}
+			if got := s.decidedFloor(); got != want {
+				t.Errorf("site %d: decidedFloor = %v, a scan of %d states gives %v", i, got, len(s.txns), want)
+			}
+			s.invalidateGCFloor()
+			floor := s.combinedGCFloor()
+			for vt, st := range s.txns {
+				if st.decided() && vt.LessEq(floor) {
+					t.Errorf("site %d: decided %v survived a floor of %v", i, vt, floor)
+				}
+			}
+		})
+	}
+
+	// Blind writes: in flight at every site at once, but never in
+	// conflict, so no retry storm can outrun the endpoints' buffers.
+	var handles []*Handle
+	for k := 0; k < 150; k++ {
+		i := 1 + k%3
+		handles = append(handles, h.site(i).Submit(&Txn{Name: "set", Execute: func(tx *Tx) error {
+			return tx.Write(refs[i], int64(k))
+		}}))
+		if k%5 == 0 {
+			check(1 + (k/5)%3)
+		}
+	}
+	for _, hd := range handles {
+		select {
+		case res := <-hd.Done():
+			if !res.Committed {
+				t.Fatalf("blind write: %+v", res)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("transaction never decided")
+		}
+	}
+	h.eventually(5*time.Second, "all sites quiescent", func() bool {
+		return h.noPendingTxns(1) && h.noPendingTxns(2) && h.noPendingTxns(3)
+	})
+	for i := 1; i <= 3; i++ {
+		check(i)
+		s := h.site(i)
+		_ = s.call(func() {
+			if n := len(s.undecidedVTs); n != 0 {
+				t.Errorf("site %d: %d entries left in the undecided heap at quiescence", i, n)
+			}
+		})
+	}
+}
+
+// TestSelfFloorHeapMatchesScan checks bumpSelfFloor's heap against its
+// definition: the own-origin sync floor stops just below the earliest
+// own transaction still executing or waiting.
+func TestSelfFloorHeapMatchesScan(t *testing.T) {
+	h, _ := walHarness(t, 2, Options{})
+	refs := h.joined(KindInt, "x", int64(0), 1, 2)
+
+	check := func(i int) {
+		s := h.site(i)
+		_ = s.call(func() {
+			want := s.maxOwnDecided
+			for vt, st := range s.txns {
+				if st.origin == s.id && (st.status == txnExecuting || st.status == txnWaiting) && vt.Time-1 < want {
+					want = vt.Time - 1
+				}
+			}
+			if prev := s.syncFloors[s.id]; prev > want {
+				want = prev // the floor never moves back
+			}
+			s.bumpSelfFloor(0)
+			if got := s.syncFloors[s.id]; got != want {
+				t.Errorf("site %d: own sync floor = %d, a scan of %d states gives %d", i, got, len(s.txns), want)
+			}
+		})
+	}
+
+	var handles []*Handle
+	for k := 0; k < 120; k++ {
+		i := 1 + k%2
+		handles = append(handles, h.site(i).Submit(&Txn{Name: "set", Execute: func(tx *Tx) error {
+			return tx.Write(refs[i], int64(k))
+		}}))
+		if k%4 == 0 {
+			check(1 + (k/4)%2)
+		}
+	}
+	for _, hd := range handles {
+		hd.Wait()
+	}
+	for i := 1; i <= 2; i++ {
+		check(i)
+	}
 }

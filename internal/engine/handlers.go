@@ -18,7 +18,7 @@ func (s *Site) ensureTxn(vt vtime.VT, origin vtime.SiteID) *txnState {
 		return st
 	}
 	st := &txnState{vt: vt, origin: origin, status: txnApplied}
-	s.txns[vt] = st
+	s.trackTxn(st)
 	return st
 }
 

@@ -11,6 +11,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"decaf/internal/history"
 	"decaf/internal/ids"
@@ -568,12 +569,13 @@ func (o *object) forEachDescendant(fn func(*object)) {
 // to o itself and to any enclosing composite (a view attached to a
 // composite receives notifications for changes to its children, §2.5).
 func (o *object) attachedProxies() []*viewProxy {
+	if o.parent == nil {
+		return o.proxies // callers only read it
+	}
 	var out []*viewProxy
-	seen := map[*viewProxy]bool{}
 	for cur := o; cur != nil; cur = cur.parent {
 		for _, p := range cur.proxies {
-			if !seen[p] {
-				seen[p] = true
+			if !slices.Contains(out, p) {
 				out = append(out, p)
 			}
 		}

@@ -215,6 +215,20 @@ type Site struct {
 	objects map[ids.ObjectID]*object
 	nextSeq uint64
 	txns    map[vtime.VT]*txnState
+	// undecidedVTs and decidedVTs let the GC floor be found without
+	// scanning txns. Every VT entered into txns is pushed on
+	// undecidedVTs (trackTxn); decidedFloor moves the entries below the
+	// first undecided transaction over to decidedVTs, and
+	// combinedGCFloor retires those states once the floor passes them.
+	// Entries are deleted lazily: one whose state is gone is dropped
+	// when it reaches the top. ownOpenVTs holds the own-origin VTs among
+	// them, for bumpSelfFloor.
+	undecidedVTs vtHeap
+	decidedVTs   vtHeap
+	ownOpenVTs   vtHeap
+	// proxies are the attached view proxies (AttachView adds, Detach
+	// removes), for snapshotFloor.
+	proxies []*viewProxy
 	// outcomes retains summary outcomes so that late update messages are
 	// treated correctly (paper §3.1).
 	outcomes map[vtime.VT]bool
@@ -1178,16 +1192,32 @@ func (s *Site) newReqID() uint64 {
 	return s.nextReq
 }
 
+// trackTxn enters st into txns under its VT.
+func (s *Site) trackTxn(st *txnState) {
+	s.txns[st.vt] = st
+	s.undecidedVTs.push(st.vt)
+	if st.origin == s.id && s.wal != nil {
+		s.ownOpenVTs.push(st.vt)
+	}
+}
+
 // decidedFloor returns the largest VT below which every transaction known
 // at this site is decided; histories and reservations may be pruned below
 // it (subject to outstanding snapshot floors).
 func (s *Site) decidedFloor() vtime.VT {
 	floor := s.clock.Now()
-	for vt, st := range s.txns {
-		if st.status == txnApplied || st.status == txnWaiting || st.status == txnExecuting {
+	for len(s.undecidedVTs) > 0 {
+		vt := s.undecidedVTs[0]
+		st, ok := s.txns[vt]
+		if ok && !st.decided() {
 			if vt.LessEq(floor) {
 				floor = vtime.JustBelow(vt)
 			}
+			break
+		}
+		s.undecidedVTs.pop()
+		if ok {
+			s.decidedVTs.push(vt)
 		}
 	}
 	return floor
@@ -1197,11 +1227,9 @@ func (s *Site) decidedFloor() vtime.VT {
 // still read, across all proxies at this site.
 func (s *Site) snapshotFloor() vtime.VT {
 	floor := s.clock.Now()
-	for _, o := range s.objects {
-		for _, p := range o.proxies {
-			if f, ok := p.minSnapshotVT(); ok && f.Less(floor) {
-				floor = f
-			}
+	for _, p := range s.proxies {
+		if f, ok := p.minSnapshotVT(); ok && f.Less(floor) {
+			floor = f
 		}
 	}
 	return floor
@@ -1226,11 +1254,10 @@ func (s *Site) combinedGCFloor() vtime.VT {
 	// Retire decided transaction states below the floor. They are kept
 	// only so late/duplicate messages can find them, and the outcomes
 	// map already answers those; without this sweep s.txns grows with
-	// every transaction ever seen and decidedFloor's scan turns the
-	// commit hot path quadratic in transaction count.
-	for _, vt := range sortedVTs(s.txns) {
-		st := s.txns[vt]
-		if (st.status == txnCommitted || st.status == txnAborted) && vt.LessEq(floor) {
+	// every transaction ever seen.
+	for len(s.decidedVTs) > 0 && s.decidedVTs[0].LessEq(floor) {
+		vt := s.decidedVTs.pop()
+		if st, ok := s.txns[vt]; ok && st.decided() {
 			delete(s.txns, vt)
 		}
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"decaf/internal/history"
@@ -426,7 +427,7 @@ func (s *Site) execute(txn *Txn, h *Handle, retries int) {
 		involved:     map[vtime.SiteID]bool{s.id: true},
 		retries:      retries,
 	}
-	s.txns[vt] = st
+	s.trackTxn(st)
 
 	if s.obs.TraceEnabled() {
 		if retries == 0 {
@@ -499,17 +500,21 @@ func (s *Site) finishExecution(st *txnState) {
 }
 
 // appliedObjects returns the distinct objects this transaction modified
-// locally.
+// locally. (One or two, several times per decision: a scan of the result
+// beats a map per call.)
 func (st *txnState) appliedObjects() []*object {
 	var out []*object
-	seen := map[*object]bool{}
 	for _, a := range st.applied {
-		if !seen[a.obj] {
-			seen[a.obj] = true
+		if !slices.Contains(out, a.obj) {
 			out = append(out, a.obj)
 		}
 	}
 	return out
+}
+
+// decided reports whether the transaction's outcome is known here.
+func (st *txnState) decided() bool {
+	return st.status == txnCommitted || st.status == txnAborted
 }
 
 // perSiteMsg accumulates the single message sent to one destination site

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"decaf/internal/history"
@@ -134,14 +135,18 @@ func (h *ViewHandle) Detach() {
 		// (or armed) in the notifier never reach the detached view.
 		h.p.latestGen.Add(1)
 		for _, o := range h.p.attached {
-			for i, p := range o.proxies {
-				if p == h.p {
-					o.proxies = append(o.proxies[:i], o.proxies[i+1:]...)
-					break
-				}
-			}
+			o.proxies = removeProxy(o.proxies, h.p)
 		}
+		h.s.proxies = removeProxy(h.s.proxies, h.p)
 	})
+}
+
+// removeProxy removes the first occurrence of p from list, in place.
+func removeProxy(list []*viewProxy, p *viewProxy) []*viewProxy {
+	if i := slices.Index(list, p); i >= 0 {
+		return slices.Delete(list, i, i+1)
+	}
+	return list
 }
 
 // AttachView attaches a view to the given model objects (paper §2.5:
@@ -164,6 +169,9 @@ func (s *Site) AttachView(refs []ObjRef, mode ViewMode, fns ViewFuncs) (*ViewHan
 			}
 			p.attached = append(p.attached, r.o)
 			r.o.proxies = append(r.o.proxies, p)
+		}
+		if len(p.attached) > 0 {
+			s.proxies = append(s.proxies, p)
 		}
 		switch mode {
 		case Pessimistic:
@@ -305,11 +313,9 @@ func (p *viewProxy) minSnapshotVT() (vtime.VT, bool) {
 // proxiesOf collects the distinct view proxies observing any of objs.
 func proxiesOf(objs []*object, mode ViewMode) []*viewProxy {
 	var out []*viewProxy
-	seen := map[*viewProxy]bool{}
 	for _, o := range objs {
 		for _, p := range o.attachedProxies() {
-			if p.mode == mode && !p.detached && !seen[p] {
-				seen[p] = true
+			if p.mode == mode && !p.detached && !slices.Contains(out, p) {
 				out = append(out, p)
 			}
 		}
@@ -320,6 +326,9 @@ func proxiesOf(objs []*object, mode ViewMode) []*viewProxy {
 // scheduleOptimistic notifies optimistic proxies that attached objects
 // changed (a local execution, a remote update, or a rollback).
 func (s *Site) scheduleOptimistic(objs []*object) {
+	if len(s.proxies) == 0 {
+		return
+	}
 	for _, p := range proxiesOf(objs, Optimistic) {
 		p.runOptimistic()
 	}
@@ -329,6 +338,9 @@ func (s *Site) scheduleOptimistic(objs []*object) {
 // this site: pessimistic snapshots are created, optimistic transient
 // states re-examined.
 func (s *Site) onLocalCommit(objs []*object, vt vtime.VT) {
+	if len(s.proxies) == 0 {
+		return
+	}
 	for _, p := range proxiesOf(objs, Pessimistic) {
 		p.onCommitted(vt)
 	}
@@ -341,6 +353,9 @@ func (s *Site) onLocalCommit(objs []*object, vt vtime.VT) {
 // snapshot against the reverted state; pessimistic proxies retry guesses
 // that were waiting on the aborted transaction.
 func (s *Site) onLocalAbort(objs []*object) {
+	if len(s.proxies) == 0 {
+		return
+	}
 	for _, p := range proxiesOf(objs, Optimistic) {
 		p.rerunAfterAbort()
 	}

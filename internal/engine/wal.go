@@ -181,17 +181,18 @@ func (s *Site) bumpSelfFloor(t uint64) {
 		s.maxOwnDecided = t
 	}
 	cand := s.maxOwnDecided
-	// Pure min-reduction: iteration order cannot affect the result.
-	for vt, st := range s.txns {
-		if st.origin != s.id {
-			continue
+	// The earliest own transaction still executing or waiting holds the
+	// floor; entries that have left those states are dropped as they
+	// surface (see trackTxn).
+	for len(s.ownOpenVTs) > 0 {
+		vt := s.ownOpenVTs[0]
+		if st, ok := s.txns[vt]; ok && (st.status == txnExecuting || st.status == txnWaiting) {
+			if vt.Time-1 < cand {
+				cand = vt.Time - 1
+			}
+			break
 		}
-		if st.status != txnExecuting && st.status != txnWaiting {
-			continue
-		}
-		if vt.Time-1 < cand {
-			cand = vt.Time - 1
-		}
+		s.ownOpenVTs.pop()
 	}
 	if cand > s.syncFloors[s.id] {
 		s.syncFloors[s.id] = cand

@@ -370,11 +370,7 @@ func TestChaosFlapExactlyOnceFIFO(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		st := b.Stats()
-		if p := func() *tcpPeer {
-			b.mu.Lock()
-			defer b.mu.Unlock()
-			return b.conns[1]
-		}(); p != nil && p.ackedSeq.Load() >= count && st.FailureEvents == 0 {
+		if p := peerOf(b, 1); p != nil && p.ackedSeq.Load() >= count && st.FailureEvents == 0 {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)

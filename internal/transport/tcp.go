@@ -33,6 +33,15 @@ import (
 // queued while a flush was in progress rides the next frame, so N queued
 // protocol messages cost one syscall.
 //
+// Acks ride data. The cumulative ack is written in front of the next
+// data frame to the peer; a standalone ack frame goes out only when the
+// ack-delay timer fires with debt outstanding, when the debt reaches a
+// quarter of the retransmit window, or at the start of a connection or
+// peer incarnation. An arriving ack wakes the writer only if it is
+// blocked on a full window; otherwise the writer prunes on its next
+// wake-up for real work. Two-way traffic therefore costs one frame, one
+// flush and one writer wake-up per message (DESIGN.md §7).
+//
 // Resilience. A connection error does not declare the peer dead: the
 // writer goroutine redials with exponential backoff + jitter (or waits
 // for the peer to dial back in) while accepted envelopes stay queued.
@@ -164,13 +173,21 @@ type TCPOptions struct {
 	// noticed (and the suspicion clock started) without waiting for the
 	// next protocol message. 0 disables probing.
 	ProbeInterval time.Duration
-	// AckTimeout bounds how long a writer sits on unacknowledged
-	// envelopes before presuming the connection silently died (a kill
-	// can land after a flush reached the socket buffer but before the
-	// peer read it, leaving no error on either side) and reconnecting to
-	// retransmit (default 1s; negative: never).
+	// AckTimeout is the period of the writer's stale check: a connection
+	// on which envelopes sit unacknowledged and the peer's cumulative ack
+	// has not advanced for a whole period is presumed to have died
+	// silently (a kill can land after a flush reached the socket buffer
+	// but before the peer read it, leaving no error on either side), and
+	// the writer reconnects to retransmit — within 2×AckTimeout of the
+	// flush (default 1s; negative: never). It also sets how long an ack
+	// owed to the peer may wait for a data frame to ride on:
+	// AckTimeout/8 (125ms when the stale check is disabled), so both ends
+	// of a connection should agree on it.
 	AckTimeout time.Duration
 	// WriteTimeout bounds one frame flush (default 10s; negative: none).
+	// The socket deadline is re-armed only when less than half of it
+	// remains, so a wedged flush fails after between WriteTimeout/2 and
+	// WriteTimeout.
 	WriteTimeout time.Duration
 	// Faults, when non-nil, injects faults for tests and benchmarks:
 	// refused dials, killed connections, dropped or delayed frames.
@@ -211,6 +228,21 @@ func (o TCPOptions) withDefaults() TCPOptions {
 	return o
 }
 
+// ackDelay is how long an owed ack waits for a data frame to ride on
+// before it is sent alone: an eighth of the sender's stale-check period,
+// so a one-way flow is acknowledged well inside it.
+func (o TCPOptions) ackDelay() time.Duration {
+	if o.AckTimeout <= 0 {
+		return 125 * time.Millisecond
+	}
+	return o.AckTimeout / 8
+}
+
+// ackBatch is the ack debt (delivered envelopes not yet acknowledged)
+// at which the ack stops waiting: a quarter of the retransmit window, so
+// a one-way flow can never fill the sender's window.
+func (o TCPOptions) ackBatch() uint64 { return uint64(o.RetainLimit / 4) }
+
 // TCPStats is a snapshot of an endpoint's resilience counters.
 type TCPStats struct {
 	// MessagesDropped counts inbound message events dropped because the
@@ -234,6 +266,11 @@ type TCPStats struct {
 	Retransmits uint64
 	// Keepalives counts idle-probe frames sent.
 	Keepalives uint64
+	// AckFrames counts standalone ack frames: acks flushed without a data
+	// frame behind them (acks that ride a data frame are not counted).
+	AckFrames uint64
+	// Flushes counts socket flushes, one write syscall each.
+	Flushes uint64
 	// FailureEvents and RecoveryEvents count emitted control events.
 	FailureEvents  uint64
 	RecoveryEvents uint64
@@ -249,6 +286,8 @@ type tcpStatCounters struct {
 	reconnects      *obs.Counter
 	retransmits     *obs.Counter
 	keepalives      *obs.Counter
+	ackFrames       *obs.Counter
+	flushes         *obs.Counter
 	failureEvents   *obs.Counter
 	recoveryEvents  *obs.Counter
 }
@@ -256,16 +295,23 @@ type tcpStatCounters struct {
 // newTCPMetrics registers (or fetches) the transport's counters on reg.
 func newTCPMetrics(reg *obs.Registry) tcpStatCounters {
 	return tcpStatCounters{
-		messagesDropped: reg.Counter("decaf_transport_messages_dropped_total", "inbound message events dropped on a full event buffer"),
+		messagesDropped: messagesDroppedCounter(reg),
 		sendQueueDrops:  reg.Counter("decaf_transport_send_queue_drops_total", "envelopes dropped on a full live-peer outbound queue"),
 		unencodable:     reg.Counter("decaf_transport_unencodable_total", "envelopes dropped because the message could not be encoded"),
 		abandoned:       reg.Counter("decaf_transport_abandoned_total", "accepted envelopes discarded when a peer was declared failed"),
 		reconnects:      reg.Counter("decaf_transport_reconnects_total", "connections re-established to previously connected peers"),
 		retransmits:     reg.Counter("decaf_transport_retransmits_total", "unacknowledged envelopes re-sent after a reconnect"),
 		keepalives:      reg.Counter("decaf_transport_keepalives_total", "idle-probe frames sent"),
+		ackFrames:       reg.Counter("decaf_transport_ack_frames_total", "standalone ack frames sent (acks riding a data frame excluded)"),
+		flushes:         reg.Counter("decaf_transport_flushes_total", "socket flushes"),
 		failureEvents:   reg.Counter("decaf_transport_failure_events_total", "EventSiteFailed control events emitted"),
 		recoveryEvents:  reg.Counter("decaf_transport_recovery_events_total", "EventSiteRecovered control events emitted"),
 	}
+}
+
+// messagesDroppedCounter is the drop counter both transports report under.
+func messagesDroppedCounter(reg *obs.Registry) *obs.Counter {
+	return reg.Counter("decaf_transport_messages_dropped_total", "inbound message events dropped on a full event buffer")
 }
 
 // tcpEnvelope is the legacy gob-framed envelope.
@@ -330,7 +376,7 @@ type tcpPeer struct {
 	addr string // dial address; empty when adopted from an inbound conn
 
 	queue    chan tcpOut
-	kick     chan struct{} // wakes the writer: ack to send/received, conn change
+	kick     chan struct{} // wakes the writer: ack owed, window reopened, conn change
 	stop     chan struct{}
 	stopOnce sync.Once
 
@@ -343,8 +389,20 @@ type tcpPeer struct {
 	inc uint64
 
 	// ackedSeq is the highest cumulative ack received from the peer for
-	// our envelopes (this peer session's incarnation only).
-	ackedSeq atomic.Uint64
+	// our envelopes (this peer session's incarnation only). The writer
+	// sets windowBlocked while it waits on a full retransmit window: only
+	// then does an arriving ack wake it.
+	ackedSeq      atomic.Uint64
+	windowBlocked atomic.Bool
+
+	// ackSent is the cumulative sequence the writer last acknowledged to
+	// the peer; recvSeq - ackSent is the ack debt. ackTimer bounds how
+	// long a debt waits for a data frame to ride on, staleTimer is the
+	// writer's check for a silently dead connection. Both timers belong
+	// to the writer; read loops only look at ackTimer's armed flag.
+	ackSent    atomic.Uint64
+	ackTimer   periodTimer
+	staleTimer periodTimer
 
 	// lastSeq mirrors the writer's highest assigned sequence number and
 	// retainedCount its retransmit-window depth; both feed scrape-time
@@ -441,33 +499,45 @@ func (t *TCP) registerObs() {
 // debugState snapshots per-peer transport state for the debug server.
 func (t *TCP) debugState() any {
 	t.mu.Lock()
-	defer t.mu.Unlock()
+	conns := make([]*tcpPeer, 0, len(t.conns))
+	for _, p := range t.conns {
+		conns = append(conns, p)
+	}
+	var failed []string
+	for site := range t.failed {
+		failed = append(failed, site.String())
+	}
+	closed := t.closed
+	t.mu.Unlock()
+
+	// Outside t.mu: ackDebt takes the peer's delivery lock, which a read
+	// loop holds while it takes t.mu to deliver.
 	peers := map[string]any{}
-	for site, p := range t.conns {
+	for _, p := range conns {
 		last := p.lastSeq.Load()
 		acked := p.ackedSeq.Load()
 		lag := uint64(0)
 		if last > acked {
 			lag = last - acked
 		}
-		peers[site.String()] = map[string]any{
+		peers[p.site.String()] = map[string]any{
 			"queue_depth":        len(p.queue),
 			"retained_envelopes": p.retainedCount.Load(),
 			"last_seq":           last,
 			"acked_seq":          acked,
 			"ack_lag":            lag,
+			"ack_debt":           p.ackDebt(),
+			"ack_timer_armed":    p.ackTimer.armed.Load(),
+			"stale_timer_armed":  p.staleTimer.armed.Load(),
+			"window_blocked":     p.windowBlocked.Load(),
 		}
-	}
-	var failed []string
-	for site := range t.failed {
-		failed = append(failed, site.String())
 	}
 	return map[string]any{
 		"site":               t.site.String(),
 		"events_queue_depth": len(t.events),
 		"peers":              peers,
 		"failed_sites":       failed,
-		"closed":             t.closed,
+		"closed":             closed,
 	}
 }
 
@@ -492,6 +562,8 @@ func (t *TCP) Stats() TCPStats {
 		Reconnects:      t.stats.reconnects.Value(),
 		Retransmits:     t.stats.retransmits.Value(),
 		Keepalives:      t.stats.keepalives.Value(),
+		AckFrames:       t.stats.ackFrames.Value(),
+		Flushes:         t.stats.flushes.Value(),
 		FailureEvents:   t.stats.failureEvents.Value(),
 		RecoveryEvents:  t.stats.recoveryEvents.Value(),
 	}
@@ -667,7 +739,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 			}
 			rest := body[used:]
 			i := uint64(0)
-			delivered := false
+			delivered := uint64(0) // highest sequence this frame delivered
 			for len(rest) > 0 {
 				envFrom, sentAt, msg, used, err := decodeEnvelope(rest)
 				if err != nil {
@@ -680,12 +752,12 @@ func (t *TCP) readLoop(conn net.Conn) {
 				if peer != nil {
 					if peer.acceptAndDeliver(connInc, seq,
 						Event{Kind: EventMessage, From: envFrom, SentAt: sentAt, Msg: msg}) {
-						delivered = true
+						delivered = seq
 					}
 				}
 			}
-			if delivered {
-				peer.kickWriter() // schedule an ack
+			if delivered > 0 {
+				peer.ackOwed(delivered)
 			}
 		default:
 			return // protocol error
@@ -932,6 +1004,16 @@ func (p *tcpPeer) acceptAndDeliver(connInc, seq uint64, ev Event) bool {
 	return true
 }
 
+// ackDebt is the number of envelopes delivered from the peer and not yet
+// acknowledged to it.
+func (p *tcpPeer) ackDebt() uint64 {
+	_, recv := p.recvState()
+	if sent := p.ackSent.Load(); recv > sent {
+		return recv - sent
+	}
+	return 0
+}
+
 // recvState snapshots the ack the writer owes the peer: the incarnation
 // whose envelopes we have been delivering and the cumulative sequence.
 func (p *tcpPeer) recvState() (inc, seq uint64) {
@@ -940,7 +1022,20 @@ func (p *tcpPeer) recvState() (inc, seq uint64) {
 	return p.remoteInc, p.recvSeq
 }
 
+// ackOwed is called by a read loop that delivered envelopes up to seq.
+// The ack normally rides the writer's next data frame, and the armed ack
+// timer bounds the wait, so the writer is woken only to arm that timer
+// or because the debt has reached ackBatch.
+func (p *tcpPeer) ackOwed(seq uint64) {
+	sent := p.ackSent.Load()
+	if !p.ackTimer.armed.Load() || (seq > sent && seq-sent >= p.t.opts.ackBatch()) {
+		p.kickWriter()
+	}
+}
+
 // handleAck applies a cumulative ack from the peer for our envelopes.
+// The writer prunes its window on its next wake-up for real work; it is
+// woken here only when a full window is what it waits on.
 func (p *tcpPeer) handleAck(cum uint64) {
 	for {
 		cur := p.ackedSeq.Load()
@@ -948,10 +1043,60 @@ func (p *tcpPeer) handleAck(cum uint64) {
 			return
 		}
 		if p.ackedSeq.CompareAndSwap(cur, cum) {
-			p.kickWriter()
+			if p.windowBlocked.Load() {
+				p.kickWriter()
+			}
 			return
 		}
 	}
+}
+
+// periodTimer is a reusable timer that is armed at most once per period:
+// arm does nothing while a period is running, so a hot path can ask for
+// it on every pass at the cost of one flag test. arm, fired and disarm
+// belong to the goroutine that receives from C; armed may be read from
+// any goroutine.
+type periodTimer struct {
+	t     *time.Timer
+	armed atomic.Bool
+}
+
+// arm starts a period of d unless one is running.
+func (pt *periodTimer) arm(d time.Duration) {
+	if pt.armed.Load() {
+		return
+	}
+	if pt.t == nil {
+		pt.t = time.NewTimer(d)
+	} else {
+		pt.t.Reset(d) // the last period's tick was received (fired) or drained (disarm)
+	}
+	pt.armed.Store(true)
+}
+
+// C is the channel the period's end arrives on (nil before the first arm).
+func (pt *periodTimer) C() <-chan time.Time {
+	if pt.t == nil {
+		return nil
+	}
+	return pt.t.C
+}
+
+// fired records that the period's tick was received from C.
+func (pt *periodTimer) fired() { pt.armed.Store(false) }
+
+// disarm cancels a running period.
+func (pt *periodTimer) disarm() {
+	if !pt.armed.Load() {
+		return
+	}
+	if !pt.t.Stop() {
+		select {
+		case <-pt.t.C:
+		default:
+		}
+	}
+	pt.armed.Store(false)
 }
 
 // peerFor returns (creating if necessary) the sender record for site.
@@ -1177,22 +1322,33 @@ func (p *tcpPeer) establish() (net.Conn, bool) {
 // unacknowledged tail, so accepted envelopes survive link flaps. Only an
 // exhausted suspicion policy abandons the queue and declares the peer
 // failed.
+//
+// The loop wakes for work, not for bookkeeping: the ack it owes the peer
+// rides its next data frame (see ackNow below for when it goes alone),
+// acks it receives are applied when it next has something to send, and
+// its timers and write deadline persist across iterations.
 func (p *tcpPeer) writeLoop() {
 	t := p.t
 	defer t.wg.Done()
 	opts := t.opts
 	retainLimit := opts.RetainLimit
+	ackDelay, ackBatch := opts.ackDelay(), opts.ackBatch()
+	defer p.ackTimer.disarm()
+	defer p.staleTimer.disarm()
 
 	var (
 		retained      []outRec
 		sentIdx       int
 		nextSeq       uint64 = 1
-		ackInc        uint64 // peer incarnation the last sent ack was for
-		ackSent       uint64
+		ackInc        uint64 // peer incarnation acked on this connection (0: none yet)
+		staleMark     uint64 // ackedSeq when staleTimer was armed
+		deadline      time.Time
 		conn          net.Conn
 		bw            *bufio.Writer
 		everConnected bool
 		hdr           [4]byte
+		// Why the last idle wait ended; consumed by the flush that follows.
+		ackFired, sendProbe bool
 	)
 
 	var probeCh <-chan time.Time
@@ -1300,6 +1456,24 @@ func (p *tcpPeer) writeLoop() {
 		return true
 	}
 
+	// flush pushes the buffered frames to the socket. The write deadline
+	// is re-armed only when less than half of it remains, so a wedged
+	// flush still fails within WriteTimeout without a deadline update per
+	// flush.
+	flush := func() bool {
+		if bw.Buffered() == 0 {
+			return true // an injected drop took the only frame
+		}
+		if opts.WriteTimeout > 0 {
+			if now := time.Now(); deadline.Sub(now) < opts.WriteTimeout/2 {
+				deadline = now.Add(opts.WriteTimeout)
+				conn.SetWriteDeadline(deadline)
+			}
+		}
+		t.stats.flushes.Add(1)
+		return bw.Flush() == nil
+	}
+
 	isBroken := func() bool {
 		p.mu.Lock()
 		defer p.mu.Unlock()
@@ -1329,13 +1503,16 @@ func (p *tcpPeer) writeLoop() {
 			}
 			everConnected = true
 			sentIdx = 0 // the whole unacked tail rides the new connection
-			if opts.WriteTimeout > 0 {
-				conn.SetWriteDeadline(time.Now().Add(opts.WriteTimeout))
-			}
+			// The ack last written may have died with the old connection,
+			// and retransmits the peer deduplicates raise no new debt: every
+			// connection starts with a cumulative ack.
+			ackInc = 0
+			deadline = time.Time{}
+			p.staleTimer.disarm() // the retransmit gets a whole period
 			hello := append(scratch[:0], frameHello)
 			hello = binary.AppendUvarint(hello, uint64(t.site))
 			hello = binary.AppendUvarint(hello, p.inc)
-			if !writeFrame(hello) || bw.Flush() != nil {
+			if !writeFrame(hello) || !flush() {
 				dropConn()
 				continue
 			}
@@ -1344,26 +1521,39 @@ func (p *tcpPeer) writeLoop() {
 
 		pruneAcked()
 		rInc, recv := p.recvState()
-		ackDue := func() bool { return rInc != ackInc || recv > ackSent }
-		sendProbe := false
-		if sentIdx == len(retained) && !ackDue() {
-			// Idle: block until there is something to do. If envelopes
-			// sit unacknowledged, bound the wait — a missing ack means
-			// the connection silently died (the peer acks every data
-			// frame promptly), so reconnect and retransmit.
-			var ackCh <-chan time.Time
-			var ackTimer *time.Timer
-			if len(retained) > 0 && opts.AckTimeout > 0 {
-				ackTimer = time.NewTimer(opts.AckTimeout)
-				ackCh = ackTimer.C
+		// An ack is due when the peer has not heard of everything we
+		// delivered. It rides the next data frame; it goes alone (ackNow)
+		// when the ack timer fired, when the debt reached ackBatch, or
+		// when this connection has not acked the peer's incarnation yet.
+		ackSent := p.ackSent.Load() // only this goroutine stores it
+		ackDue := rInc != 0 && (rInc != ackInc || recv > ackSent)
+		ackNow := ackDue && (rInc != ackInc || ackFired || recv-ackSent >= ackBatch)
+		if sentIdx == len(retained) && !ackNow && !sendProbe {
+			// Idle: block until there is something to do.
+			ackFired = false
+			if ackDue {
+				p.ackTimer.arm(ackDelay)
+			}
+			// If envelopes sit unacknowledged, check once per AckTimeout
+			// that the peer's ack has moved: it acks within its ack delay,
+			// so a period without progress means the connection silently
+			// died — reconnect and retransmit.
+			if len(retained) > 0 && opts.AckTimeout > 0 && !p.staleTimer.armed.Load() {
+				staleMark = p.ackedSeq.Load()
+				p.staleTimer.arm(opts.AckTimeout)
 			}
 			// Only take new envelopes while the retransmit window has
-			// room: a full window must drain via acks (or hit AckTimeout)
+			// room: a full window must drain via acks (or be found stale)
 			// before intake resumes, or retained would grow unboundedly
 			// against a peer that reads frames but withholds acks.
 			intake := p.queue
 			if len(retained) >= retainLimit {
-				intake = nil
+				// Ask handleAck for a wake-up, then look again: an ack that
+				// landed before the flag was up woke nobody.
+				p.windowBlocked.Store(true)
+				if pruneAcked(); len(retained) >= retainLimit {
+					intake = nil
+				}
 			}
 			stale := false
 			select {
@@ -1372,26 +1562,21 @@ func (p *tcpPeer) writeLoop() {
 			case <-p.kick:
 			case <-probeCh:
 				sendProbe = true
-			case <-ackCh:
-				stale = true
+			case <-p.ackTimer.C():
+				p.ackTimer.fired()
+				ackFired = true
+			case <-p.staleTimer.C():
+				p.staleTimer.fired()
+				pruneAcked()
+				stale = len(retained) > 0 && p.ackedSeq.Load() == staleMark
 			case <-p.stop:
-				if ackTimer != nil {
-					ackTimer.Stop()
-				}
 				return
 			}
-			if ackTimer != nil {
-				ackTimer.Stop()
-			}
-			if stale || isBroken() {
+			p.windowBlocked.Store(false)
+			if stale {
 				dropConn()
-				continue
 			}
-			pruneAcked()
-			rInc, recv = p.recvState()
-			if !sendProbe && sentIdx == len(retained) && !ackDue() {
-				continue // spurious wakeup
-			}
+			continue
 		}
 		// Coalesce whatever else is already queued into this flush.
 		for len(retained) < retainLimit && len(retained)-sentIdx < opts.MaxBatch {
@@ -1408,15 +1593,15 @@ func (p *tcpPeer) writeLoop() {
 		if d := opts.Faults.frameDelay(); d > 0 {
 			time.Sleep(d)
 		}
-		if opts.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(opts.WriteTimeout))
-		}
 		ok := true
-		if rInc != 0 && ackDue() {
+		if ackDue {
 			ack := append(scratch[:0], frameAck)
 			ack = binary.AppendUvarint(ack, rInc)
 			ack = binary.AppendUvarint(ack, recv)
 			ok = writeFrame(ack)
+			if sentIdx == end {
+				t.stats.ackFrames.Add(1)
+			}
 		}
 		if ok && sentIdx < end {
 			if opts.Faults.dropFrame(p.site) {
@@ -1429,19 +1614,20 @@ func (p *tcpPeer) writeLoop() {
 				ok = writeFrame(buildParts(head, retained[sentIdx:end])...)
 			}
 		}
-		if ok && sendProbe && sentIdx == end && !ackDue() {
+		if ok && sendProbe && sentIdx == end && !ackDue {
 			ok = writeFrame() // empty keepalive frame
 			t.stats.keepalives.Add(1)
 		}
-		if ok {
-			ok = bw.Flush() == nil
-		}
-		if !ok {
+		if !ok || !flush() {
 			dropConn()
 			continue // retained is intact; establish retransmits it
 		}
-		ackInc, ackSent = rInc, recv
+		if ackDue {
+			ackInc = rInc
+			p.ackSent.Store(recv)
+		}
 		sentIdx = end
+		ackFired, sendProbe = false, false
 		resetProbe()
 	}
 }

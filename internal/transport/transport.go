@@ -20,11 +20,14 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"decaf/internal/obs"
 	"decaf/internal/vtime"
 	"decaf/internal/wire"
 )
@@ -190,6 +193,8 @@ type Network struct {
 	vdue      map[linkKey]time.Duration     // guarded by mu; per-pair FIFO clamp under cfg.Clock
 	closed    bool                          // guarded by mu
 	wg        sync.WaitGroup
+
+	dropped atomic.Uint64 // message events lost to a full endpoint buffer
 }
 
 type linkKey struct {
@@ -456,6 +461,26 @@ func (n *Network) Alive(site vtime.SiteID) bool {
 	return ok && !n.dead[site]
 }
 
+// Dropped counts the events endpoints of this network discarded because
+// their delivery buffer (Config.QueueSize) was full. Nothing retransmits
+// them: a site that was dropped on has fallen behind for good.
+func (n *Network) Dropped() uint64 { return n.dropped.Load() }
+
+// Observe makes site's endpoint count its drops on o as well, under the
+// name a TCP endpoint given the same observer uses.
+func (n *Network) Observe(site vtime.SiteID, o *obs.Observer) {
+	n.mu.Lock()
+	ep := n.endpoints[site]
+	n.mu.Unlock()
+	if ep == nil || o == nil {
+		return
+	}
+	c := messagesDroppedCounter(o.Metrics())
+	ep.mu.Lock()
+	ep.dropped = c
+	ep.mu.Unlock()
+}
+
 // Partition blocks message delivery in both directions between a and b.
 // Unlike Kill, no failure notification is generated (a silent partition).
 func (n *Network) Partition(a, b vtime.SiteID) {
@@ -581,8 +606,10 @@ type memEndpoint struct {
 	site   vtime.SiteID
 	events chan Event
 
-	mu     sync.Mutex
-	closed bool // guarded by mu
+	mu         sync.Mutex
+	closed     bool         // guarded by mu
+	dropped    *obs.Counter // guarded by mu; nil until Network.Observe
+	dropLogged bool         // guarded by mu
 }
 
 var (
@@ -616,16 +643,27 @@ func (ep *memEndpoint) Events() <-chan Event { return ep.events }
 
 func (ep *memEndpoint) deliver(ev Event) {
 	ep.mu.Lock()
-	defer ep.mu.Unlock()
 	if ep.closed {
+		ep.mu.Unlock()
 		return
 	}
 	// Blocking send under the lock would deadlock with kill(); the
 	// buffer is large and the engine drains continuously, so a full
-	// buffer indicates a stuck site — drop, as a real network would.
+	// buffer indicates a stuck site — drop, as a real network would,
+	// and count it as the TCP endpoint does.
+	first := false
 	select {
 	case ep.events <- ev:
 	default:
+		ep.net.dropped.Add(1)
+		ep.dropped.Inc()
+		first = !ep.dropLogged
+		ep.dropLogged = true
+	}
+	ep.mu.Unlock()
+	if first {
+		slog.Warn("transport: delivery buffer full, event dropped (first drop at this endpoint; Network.Dropped counts them all)",
+			"site", ep.site.String(), "queue_size", cap(ep.events))
 	}
 }
 
