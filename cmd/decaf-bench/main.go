@@ -15,27 +15,10 @@
 //	e6  commit latency vs network size: DECAF vs GVT sweep (§5.1.3)
 //	e7  responsiveness: replicated vs centralized architecture (§1)
 //	e8  ablations: delegated commit (§3.1) and eager confirmation (§5.1.2)
-//	e9  transport hot path: binary codec vs gob, batched vs legacy TCP
-//	e10 transport resilience: committed txn/s across injected link flaps
-//	e11 observability overhead: instrumented vs uninstrumented hot path
-//	e12 engine scaling: batched loop + sharded commit pipeline throughput
-//	e13 commutative fast path: local-commit adds vs guessed RMW latency
-//	e14 anti-entropy catch-up: offline site resyncs from the primary's WAL
 //
-// e9 additionally writes its results to -transport-out (default
-// BENCH_transport.json), e10 to -resilience-out (default
-// BENCH_resilience.json), e11 to -obs-out (default BENCH_obs.json),
-// e12 to -engine-out (default BENCH_engine.json), e13 to
-// -fastpath-out (default BENCH_fastpath.json), and e14 to
-// -antientropy-out (default BENCH_antientropy.json) so the numbers are
-// diffable across revisions. e11 fails (exit 1) when the measured
-// hot-path overhead exceeds the 3% budget of DESIGN.md §9; e12 fails
-// when pipelined submission commits less than 2x the serial throughput
-// (enforced on machines with enough cores); e13 fails when fast-path
-// p50 latency reaches the simulated one-way delay at t=5ms or when any
-// run fails to converge; e14 fails when a resync misses exact
-// convergence, runs a spurious failover, skips the parked-transaction
-// resubmission, or exceeds the per-missed-update catch-up gate.
+// Performance of the implementation itself (transport, engine, fast path,
+// observability cost) is measured by the benchmark under benchmark/
+// (`bash benchmark/run.sh`), not here.
 package main
 
 import (
@@ -51,17 +34,11 @@ import (
 
 func main() {
 	var (
-		exp            = flag.String("exp", "all", "comma-separated experiments (e1..e10) or 'all'")
-		lat            = flag.Duration("t", 10*time.Millisecond, "base one-way network latency t")
-		quick          = flag.Bool("quick", false, "smaller sweeps and fewer trials")
-		seed           = flag.Int64("seed", 1, "workload random seed")
-		transportOut   = flag.String("transport-out", "BENCH_transport.json", "where e9 writes its JSON report ('' disables)")
-		resilienceOut  = flag.String("resilience-out", "BENCH_resilience.json", "where e10 writes its JSON report ('' disables)")
-		obsOut         = flag.String("obs-out", "BENCH_obs.json", "where e11 writes its JSON report ('' disables)")
-		engineOut      = flag.String("engine-out", "BENCH_engine.json", "where e12 writes its JSON report ('' disables)")
-		fastpathOut    = flag.String("fastpath-out", "BENCH_fastpath.json", "where e13 writes its JSON report ('' disables)")
-		antientropyOut = flag.String("antientropy-out", "BENCH_antientropy.json", "where e14 writes its JSON report ('' disables)")
-		debugAddr      = flag.String("debug-addr", "", "serve /metrics, /debug/decaf/{state,trace} and pprof on this address (instruments site 1 of each experiment)")
+		exp       = flag.String("exp", "all", "comma-separated experiments (e1..e8) or 'all'")
+		lat       = flag.Duration("t", 10*time.Millisecond, "base one-way network latency t")
+		quick     = flag.Bool("quick", false, "smaller sweeps and fewer trials")
+		seed      = flag.Int64("seed", 1, "workload random seed")
+		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/decaf/{state,trace} and pprof on this address (instruments site 1 of each experiment)")
 	)
 	flag.Parse()
 
@@ -79,7 +56,7 @@ func main() {
 
 	selected := map[string]bool{}
 	if *exp == "all" {
-		for _, e := range []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14"} {
+		for _, e := range []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8"} {
 			selected[e] = true
 		}
 	} else {
@@ -117,127 +94,6 @@ func main() {
 		{"e6", func() (*bench.Table, error) { return bench.E6Scalability(scaleCfg) }},
 		{"e7", func() (*bench.Table, error) { return bench.E7Responsiveness(latCfg) }},
 		{"e8", func() (*bench.Table, error) { return bench.E8Ablations(latCfg) }},
-		{"e9", func() (*bench.Table, error) {
-			rounds, window := 20000, 2*time.Second
-			if *quick {
-				rounds, window = 2000, 500*time.Millisecond
-			}
-			codec, err := bench.MeasureCodec(rounds)
-			if err != nil {
-				return nil, err
-			}
-			tput, err := bench.MeasureTCPThroughput(window, 8)
-			if err != nil {
-				return nil, err
-			}
-			if *transportOut != "" {
-				if err := bench.WriteTransportJSON(*transportOut, codec, tput); err != nil {
-					return nil, err
-				}
-			}
-			return bench.TransportTable(codec, tput), nil
-		}},
-		{"e10", func() (*bench.Table, error) {
-			window := 2 * time.Second
-			if *quick {
-				window = 500 * time.Millisecond
-			}
-			res, err := bench.MeasureResilience(window, 8, 100*time.Millisecond)
-			if err != nil {
-				return nil, err
-			}
-			if *resilienceOut != "" {
-				if err := bench.WriteResilienceJSON(*resilienceOut, res); err != nil {
-					return nil, err
-				}
-			}
-			return bench.ResilienceTable(res), nil
-		}},
-		{"e11", func() (*bench.Table, error) {
-			txns, trials := 2000, 5
-			if *quick {
-				txns, trials = 400, 3
-			}
-			res, err := bench.MeasureObsOverhead(txns, trials)
-			if err != nil {
-				return nil, err
-			}
-			if *obsOut != "" {
-				if err := bench.WriteObsJSON(*obsOut, res); err != nil {
-					return nil, err
-				}
-			}
-			if !res.Pass {
-				return bench.ObsTable(res), fmt.Errorf(
-					"obs overhead %.2f%% exceeds %.0f%% gate", res.OverheadPct, res.GatePct)
-			}
-			return bench.ObsTable(res), nil
-		}},
-		{"e12", func() (*bench.Table, error) {
-			txns, trials := 4000, 5
-			if *quick {
-				txns, trials = 800, 3
-			}
-			res, err := bench.MeasureEngineScaling(txns, trials)
-			if err != nil {
-				return nil, err
-			}
-			if *engineOut != "" {
-				if err := bench.WriteEngineJSON(*engineOut, res); err != nil {
-					return nil, err
-				}
-			}
-			// The run fails only when the gate was enforced AND missed;
-			// below GateMinCores the result is advisory (Pass=false there
-			// records that the gate claim is unsupported, not that it
-			// failed).
-			if res.GateEnforced && !res.Pass {
-				return bench.EngineTable(res), fmt.Errorf(
-					"speedup %.2fx vs PR4 baseline below %.1fx gate", res.BaselineSpeedup, res.Gate)
-			}
-			return bench.EngineTable(res), nil
-		}},
-		{"e13", func() (*bench.Table, error) {
-			txns := 60
-			if *quick {
-				txns = 30
-			}
-			res, err := bench.MeasureFastpath(txns)
-			if err != nil {
-				return nil, err
-			}
-			if *fastpathOut != "" {
-				if err := bench.WriteFastpathJSON(*fastpathOut, res); err != nil {
-					return nil, err
-				}
-			}
-			if !res.Pass {
-				return bench.FastpathTable(res), fmt.Errorf(
-					"fast-path p50 not below t at t=%.0fms, or a run failed to converge", res.GateLatencyMS)
-			}
-			return bench.FastpathTable(res), nil
-		}},
-		{"e14", func() (*bench.Table, error) {
-			backlogs := []int{100, 400, 1600}
-			if *quick {
-				backlogs = []int{50, 200}
-			}
-			res, err := bench.MeasureAntiEntropy(backlogs)
-			if err != nil {
-				return nil, err
-			}
-			if *antientropyOut != "" {
-				if err := bench.WriteAntiEntropyJSON(*antientropyOut, res); err != nil {
-					return nil, err
-				}
-			}
-			if !res.Pass {
-				return bench.AntiEntropyTable(res), fmt.Errorf(
-					"anti-entropy catch-up missed the gate (convergence, resubmission, zero failovers, %.1fms/update)",
-					res.GateNsPerUpdate/1e6)
-			}
-			return bench.AntiEntropyTable(res), nil
-		}},
 	}
 
 	fmt.Println("DECAF evaluation harness — reproducing Strom et al., \"Concurrency Control and")

@@ -76,14 +76,6 @@ type Options struct {
 	// DisableEagerConfirm turns off the eager snapshot confirmation
 	// (paper §5.1.2) — an ablation switch.
 	DisableEagerConfirm bool
-	// DisableFastPath turns off the commutative fast path — an ablation
-	// switch: purely commutative transactions (Add, List.InsertAfter)
-	// then commit via the ordinary guess/confirm protocol.
-	DisableFastPath bool
-	// CommitWorkers sizes the engine's sharded commit pipeline (0 uses
-	// GOMAXPROCS; values <= 1 keep remote-write handling fully serial on
-	// the event loop).
-	CommitWorkers int
 	// NotifyQueueLimit bounds the view/abort notification queue; past
 	// it, notifications are dropped and counted rather than blocking
 	// the engine (0 uses engine.DefaultNotifyQueueLimit).
@@ -140,8 +132,6 @@ func NewSite(ep transport.Endpoint, opts Options) *Site {
 		RetryDelay:          opts.RetryDelay,
 		DisableDelegation:   opts.DisableDelegation,
 		DisableEagerConfirm: opts.DisableEagerConfirm,
-		DisableFastPath:     opts.DisableFastPath,
-		CommitWorkers:       opts.CommitWorkers,
 		NotifyQueueLimit:    opts.NotifyQueueLimit,
 		Observer:            opts.Observer,
 	})}

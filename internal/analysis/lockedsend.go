@@ -18,8 +18,8 @@ import (
 // needing that mutex for as long as the peer is slow, and can deadlock
 // outright when the unblocking party needs the same lock. The check is
 // intraprocedural and syntax-ordered (best effort across branches);
-// deliberate blocking-under-lock (the legacy transport's documented
-// synchronous path) is suppressed with //decaf:ignore lockedsend.
+// deliberate blocking-under-lock is suppressed with
+// //decaf:ignore lockedsend.
 func LockedSend() *Analyzer {
 	a := &Analyzer{
 		Name: "lockedsend",

@@ -13,7 +13,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -189,17 +188,6 @@ func waitCommittedInt(o *decaf.Int, want int64, timeout time.Duration) (time.Tim
 		time.Sleep(50 * time.Microsecond)
 	}
 	return time.Time{}, fmt.Errorf("value %d never committed", want)
-}
-
-// percentile returns the p-th percentile of the (unsorted) samples.
-func percentile(samples []time.Duration, p float64) time.Duration {
-	if len(samples) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p * float64(len(sorted)-1))
-	return sorted[idx]
 }
 
 // mean returns the arithmetic mean of the samples.

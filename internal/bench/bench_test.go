@@ -206,12 +206,6 @@ func TestHelpers(t *testing.T) {
 	if got := mean(samples); got != 2 {
 		t.Errorf("mean = %v", got)
 	}
-	if got := percentile(samples, 0.5); got != 2 {
-		t.Errorf("p50 = %v", got)
-	}
-	if got := percentile(nil, 0.5); got != 0 {
-		t.Errorf("empty percentile = %v", got)
-	}
 }
 
 func TestClusterHelpers(t *testing.T) {

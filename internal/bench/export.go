@@ -1,10 +1,6 @@
 package bench
 
-import (
-	"encoding/json"
-	"os"
-	"time"
-)
+import "time"
 
 // Thin exported wrappers so the repository-root `go test -bench` harness
 // can reuse the experiment bodies without duplicating them.
@@ -31,70 +27,4 @@ func RunE7DecafForBench(t time.Duration, trials int) (time.Duration, error) {
 // centralized architecture.
 func RunE7CentralizedForBench(t time.Duration, trials int) (time.Duration, error) {
 	return runE7Centralized(t, trials)
-}
-
-// TransportReport is the persisted form of the transport benchmarks
-// (BENCH_transport.json at the repo root).
-type TransportReport struct {
-	Codec      CodecResult      `json:"codec"`
-	Throughput ThroughputResult `json:"tcp_loopback"`
-}
-
-// WriteTransportJSON writes the transport benchmark report to path.
-func WriteTransportJSON(path string, c CodecResult, t ThroughputResult) error {
-	data, err := json.MarshalIndent(TransportReport{Codec: c, Throughput: t}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// WriteResilienceJSON writes the E10 resilience report to path
-// (BENCH_resilience.json at the repo root).
-func WriteResilienceJSON(path string, r ResilienceResult) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// WriteObsJSON writes the E11 observability-overhead report to path
-// (BENCH_obs.json at the repo root).
-func WriteObsJSON(path string, r ObsOverheadResult) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// WriteEngineJSON writes the E12 engine-scaling report to path
-// (BENCH_engine.json at the repo root).
-func WriteEngineJSON(path string, r EngineScalingResult) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// WriteFastpathJSON writes the E13 commutative fast-path report to path
-// (BENCH_fastpath.json at the repo root).
-func WriteFastpathJSON(path string, r FastpathResult) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// WriteAntiEntropyJSON writes the E14 anti-entropy catch-up report to
-// path (BENCH_antientropy.json at the repo root).
-func WriteAntiEntropyJSON(path string, r AntiEntropyResult) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -43,10 +43,14 @@ var (
 
 // CreateObject creates a standalone model object at this site with the
 // given kind, description, and initial value (nil selects the kind's zero
-// value). Composites ignore the initial value.
+// value). Composites ignore the initial value; a scalar's must fit its
+// kind (ErrWrongKind otherwise), which keeps every value that can enter a
+// history inside the set the wire codec encodes.
 func (s *Site) CreateObject(kind Kind, desc string, initial any) (ObjRef, error) {
-	if initial == nil {
+	if initial == nil || kind == KindList || kind == KindTuple {
 		initial = defaultValue(kind)
+	} else if err := checkValueKind(kind, initial); err != nil {
+		return ObjRef{}, err
 	}
 	var ref ObjRef
 	err := s.call(func() {

@@ -28,7 +28,7 @@ type Invitation struct {
 
 // CreateAssociation creates an association model object at this site.
 func (s *Site) CreateAssociation(desc string) (ObjRef, error) {
-	return s.CreateObject(KindAssociation, desc, []wire.Relationship(nil))
+	return s.CreateObject(KindAssociation, desc, nil)
 }
 
 // Invite creates the external token for an association.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"log/slog"
 	"os"
@@ -135,6 +136,11 @@ func TestLocalOnlyTransaction(t *testing.T) {
 	}
 	if got := h.committedInt(1, ref); got != 42 {
 		t.Fatalf("value = %d, want 42", got)
+	}
+	// An initial value outside the kind's type (here untyped int, which the
+	// wire codec cannot carry in a JoinReply) never enters a history.
+	if _, err := h.site(1).CreateObject(KindInt, "y", 7); !errors.Is(err, ErrWrongKind) {
+		t.Fatalf("CreateObject(KindInt, int) err = %v, want ErrWrongKind", err)
 	}
 }
 

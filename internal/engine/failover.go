@@ -94,19 +94,6 @@ func (rs *repairState) cancelTimers() {
 	}
 }
 
-// legacyRepairState tracks an epoch-based repair coordinated by an
-// old-protocol peer (wire compatibility; this engine no longer initiates
-// them).
-type legacyRepairState struct {
-	epoch       uint64
-	failed      vtime.SiteID
-	coordinator vtime.SiteID
-	graphVT     vtime.VT
-	survivors   []vtime.SiteID
-	acks        map[vtime.SiteID]bool
-	commitSet   map[vtime.VT]bool
-}
-
 // parkedRetry is a transaction retry deferred until graph repair.
 type parkedRetry struct {
 	txn     *Txn
@@ -188,7 +175,6 @@ func (s *Site) handleSiteRecovered(f vtime.SiteID) {
 		rs.cancelTimers()
 		delete(s.repairs, f)
 	}
-	delete(s.legacyRepairs, f)
 	delete(s.repairDecided, f)
 	s.log.Info("site recovered", "site", f.String())
 	// Retries parked against the recovered primary can run again (if a
@@ -794,93 +780,6 @@ func (s *Site) installRepairedGraphs(v wire.RepairValue) {
 			s.log.Debug("repair install failed", "obj", o.id.String(), "err", err.Error())
 		}
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Legacy epoch-based repair (wire compatibility with older peers).
-// ---------------------------------------------------------------------------
-
-// handleRepairPropose answers an old-protocol repair proposal with the
-// outcomes this site knows for transactions involving the failed site.
-func (s *Site) handleRepairPropose(m wire.RepairPropose) {
-	s.log.Debug("legacy repair propose", "from", m.From.String(), "epoch", m.Epoch)
-	if cur := s.legacyRepairs[m.FailedSite]; cur != nil &&
-		(cur.epoch > m.Epoch || (cur.epoch == m.Epoch && cur.coordinator != m.From)) {
-		// Stale epoch — or an equal-epoch proposal from a DIFFERENT
-		// coordinator. Two sites with divergent failure suspicions can
-		// each open epoch 1 believing they are the lowest survivor;
-		// acking both would let two conflicting decisions commit.
-		// First proposer wins the epoch; the loser retries higher.
-		return
-	}
-	s.legacyRepairs[m.FailedSite] = &legacyRepairState{
-		epoch:       m.Epoch,
-		failed:      m.FailedSite,
-		coordinator: m.From,
-		graphVT:     m.GraphVT,
-		survivors:   m.Survivors,
-	}
-	s.send(m.From, wire.RepairAck{
-		EpochN:         m.Epoch,
-		FailedSite:     m.FailedSite,
-		From:           s.id,
-		KnownCommitted: s.knownCommitsFor(m.FailedSite),
-	})
-}
-
-// handleRepairAck gathers survivor knowledge for an old-protocol repair
-// this site coordinates. The engine no longer initiates legacy repairs,
-// so in practice this only fires for states restored from older peers.
-func (s *Site) handleRepairAck(m wire.RepairAck) {
-	rs := s.legacyRepairs[m.FailedSite]
-	if rs == nil || rs.coordinator != s.id || rs.epoch != m.EpochN {
-		return
-	}
-	if rs.acks == nil {
-		rs.acks = map[vtime.SiteID]bool{}
-	}
-	if rs.commitSet == nil {
-		rs.commitSet = map[vtime.VT]bool{}
-	}
-	rs.acks[m.From] = true
-	for _, vt := range m.KnownCommitted {
-		rs.commitSet[vt] = true
-	}
-	for _, site := range rs.survivors {
-		if !rs.acks[site] && !s.failed[site] {
-			return // still waiting
-		}
-	}
-	commit := sortedVTs(rs.commitSet)
-	for _, site := range rs.survivors {
-		s.send(site, wire.RepairDecide{
-			EpochN:     rs.epoch,
-			FailedSite: rs.failed,
-			From:       s.id,
-			GraphVT:    rs.graphVT,
-			Commit:     commit,
-		})
-	}
-}
-
-// handleRepairDecide applies an old-protocol repair decision. It settles
-// the repair exactly like a consensus decision, cancelling any racing
-// local instance.
-func (s *Site) handleRepairDecide(m wire.RepairDecide) {
-	s.log.Debug("legacy repair decide", "from", m.From.String())
-	if cur := s.legacyRepairs[m.FailedSite]; cur != nil && cur.epoch > m.EpochN {
-		return
-	}
-	delete(s.legacyRepairs, m.FailedSite)
-	if rs, ok := s.repairs[m.FailedSite]; ok {
-		rs.cancelTimers()
-		delete(s.repairs, m.FailedSite)
-	}
-	s.recordRepairDecision(wire.RepairValue{
-		FailedSite: m.FailedSite,
-		GraphVT:    m.GraphVT,
-		Commit:     m.Commit,
-	})
 }
 
 // writeGraphUpdate records a replication-graph update inside a

@@ -6,7 +6,6 @@ import (
 
 	"decaf/internal/transport"
 	"decaf/internal/vtime"
-	"decaf/internal/wire"
 )
 
 // TestCommitQueryPrunesNewlyFailedSite pins the two-failure commit-query
@@ -57,54 +56,6 @@ func TestCommitQueryPrunesNewlyFailedSite(t *testing.T) {
 	})
 }
 
-// TestLegacyRepairRejectsEqualEpochFromDifferentCoordinator pins the
-// split-brain bug in the old epoch-based repair protocol: the staleness
-// check was `cur.epoch > m.Epoch` only, so when divergent failure
-// suspicions made two sites each open epoch 1 as self-appointed
-// coordinator, an acceptor would ack both and two conflicting decisions
-// could commit. At equal epoch the first coordinator must win.
-func TestLegacyRepairRejectsEqualEpochFromDifferentCoordinator(t *testing.T) {
-	h := newHarness(t, 4, transport.Config{})
-	s := h.site(1)
-	f := vtime.SiteID(9) // a site this harness never created
-
-	propose := func(epoch uint64, from vtime.SiteID) {
-		_ = s.call(func() {
-			s.handleRepairPropose(wire.RepairPropose{
-				Epoch:      epoch,
-				FailedSite: f,
-				From:       from,
-				GraphVT:    vtime.VT{Time: 10 + epoch, Site: from},
-				Survivors:  []vtime.SiteID{1, from},
-			})
-		})
-	}
-	coordinator := func() vtime.SiteID {
-		var c vtime.SiteID
-		_ = s.call(func() {
-			if rs := s.legacyRepairs[f]; rs != nil {
-				c = rs.coordinator
-			}
-		})
-		return c
-	}
-
-	propose(1, 2)
-	if c := coordinator(); c != 2 {
-		t.Fatalf("after first proposal: coordinator = %v, want 2", c)
-	}
-	// Equal epoch from a different coordinator: must be rejected.
-	propose(1, 3)
-	if c := coordinator(); c != 2 {
-		t.Fatalf("equal-epoch proposal from a different coordinator was accepted: coordinator = %v, want 2", c)
-	}
-	// A strictly higher epoch supersedes regardless of coordinator.
-	propose(2, 3)
-	if c := coordinator(); c != 3 {
-		t.Fatalf("higher-epoch proposal was not accepted: coordinator = %v, want 3", c)
-	}
-}
-
 // TestRecoveredSiteRepairStateCleared: a site recovering after being
 // repaired out must rejoin like a restarted site — no stale repair
 // instance, decided-repair record, or parked-retry state may survive at
@@ -141,7 +92,7 @@ func TestRecoveredSiteRepairStateCleared(t *testing.T) {
 			clean := true
 			_ = s.call(func() {
 				_, decided := s.repairDecided[1]
-				if s.failed[1] || s.repairs[1] != nil || s.legacyRepairs[1] != nil || decided || len(s.parked) != 0 {
+				if s.failed[1] || s.repairs[1] != nil || decided || len(s.parked) != 0 {
 					clean = false
 				}
 			})

@@ -11,23 +11,17 @@ import (
 
 // DescribeCheckpoint renders a human-readable summary of a persisted
 // checkpoint without loading it into a site (the decaf-inspect tool).
-// Both the current wire-codec format and legacy v1 gob checkpoints are
-// accepted.
 func DescribeCheckpoint(r io.Reader) (string, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return "", fmt.Errorf("engine: read checkpoint: %w", err)
 	}
-	version := checkpointVersionV1
-	if wire.IsCheckpoint(data) {
-		version = wire.CheckpointVersion
-	}
-	cp, err := decodeAnyCheckpoint(data)
+	cp, err := wire.DecodeCheckpoint(data)
 	if err != nil {
-		return "", err
+		return "", fmt.Errorf("engine: %w", err)
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "checkpoint of site %s (format v%d)\n", cp.Site, version)
+	fmt.Fprintf(&b, "checkpoint of site %s (format v%d)\n", cp.Site, wire.CheckpointVersion)
 	fmt.Fprintf(&b, "clock %s, next object seq %d, %d top-level objects\n",
 		cp.Clock, cp.NextSeq, len(cp.Objects))
 	if cp.Seq != 0 {

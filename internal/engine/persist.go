@@ -1,13 +1,10 @@
 package engine
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 
 	"decaf/internal/history"
-	"decaf/internal/ids"
 	"decaf/internal/repgraph"
 	"decaf/internal/vtime"
 	"decaf/internal/wire"
@@ -22,10 +19,8 @@ import (
 // graph, and the site's clock and sequence counters. Restore loads a
 // checkpoint into a fresh site with the same site ID.
 //
-// Format: version 2 uses the internal/wire hand codec (deterministic
-// bytes, no gob type registry); version-1 gob checkpoints are still
-// loaded — the stream is sniffed via wire.IsCheckpoint, which can never
-// misfire because a gob stream cannot start with 0x00.
+// Format: the internal/wire checkpoint codec (deterministic bytes behind
+// a magic + version prefix; anything else is rejected with an error).
 //
 // Semantics: a checkpoint captures committed state only — in-flight
 // optimistic state is deliberately excluded (it would be undone on abort
@@ -35,47 +30,6 @@ import (
 // On a WAL-attached site, Checkpoint also appends a covering RecordMark
 // so Recover knows where the checkpoint's log coverage ends (DESIGN.md
 // §13).
-
-// checkpointVersionV1 is the legacy gob format, still readable.
-const checkpointVersionV1 = 1
-
-// objCheckpoint is one persisted model object (v1 gob format).
-type objCheckpoint struct {
-	ID      ids.ObjectID
-	Kind    wire.ChildKind
-	Desc    string
-	Value   any      // scalar value or []wire.Relationship; nil for composites
-	ValueVT vtime.VT // VT of the committed value
-	Graph   repgraph.Wire
-	GraphVT vtime.VT
-	// Children carries composite structure, recursively.
-	Children []childCheckpoint
-}
-
-// childCheckpoint is one embedded child with its identity tags (v1 gob
-// format).
-type childCheckpoint struct {
-	Tag      wire.ElemTag // list element tag (zero for tuple entries)
-	Key      string       // tuple key (empty for list elements)
-	InsertVT vtime.VT
-	Kind     wire.ChildKind
-	Value    any
-	ValueVT  vtime.VT
-	Children []childCheckpoint
-}
-
-// siteCheckpoint is the serialized site (v1 gob format).
-type siteCheckpoint struct {
-	Version uint32
-	Site    vtime.SiteID
-	NextSeq uint64
-	Clock   vtime.VT
-	Objects []objCheckpoint
-}
-
-func init() {
-	gob.Register(siteCheckpoint{})
-}
 
 // Checkpoint writes the site's committed state to w. On a WAL-attached
 // site it also appends the covering marker to the log, inside the same
@@ -186,16 +140,15 @@ func checkpointChildren(o *object) []wire.CheckpointChild {
 	return out
 }
 
-// Restore loads a checkpoint (either format version) into this (fresh,
-// same-ID) site.
+// Restore loads a checkpoint into this (fresh, same-ID) site.
 func (s *Site) Restore(r io.Reader) error {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return fmt.Errorf("engine: read checkpoint: %w", err)
 	}
-	cp, err := decodeAnyCheckpoint(data)
+	cp, err := wire.DecodeCheckpoint(data)
 	if err != nil {
-		return err
+		return fmt.Errorf("engine: %w", err)
 	}
 	if cp.Site != s.id {
 		return fmt.Errorf("engine: checkpoint is for site %s, this site is %s", cp.Site, s.id)
@@ -206,60 +159,6 @@ func (s *Site) Restore(r io.Reader) error {
 		return err
 	}
 	return restoreErr
-}
-
-// decodeAnyCheckpoint sniffs and decodes either checkpoint format.
-func decodeAnyCheckpoint(data []byte) (wire.Checkpoint, error) {
-	if wire.IsCheckpoint(data) {
-		cp, err := wire.DecodeCheckpoint(data)
-		if err != nil {
-			return wire.Checkpoint{}, fmt.Errorf("engine: %w", err)
-		}
-		return cp, nil
-	}
-	var v1 siteCheckpoint
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&v1); err != nil {
-		return wire.Checkpoint{}, fmt.Errorf("engine: decode checkpoint: %w", err)
-	}
-	if v1.Version != checkpointVersionV1 {
-		return wire.Checkpoint{}, fmt.Errorf("engine: checkpoint version %d unsupported", v1.Version)
-	}
-	return v1Checkpoint(v1), nil
-}
-
-// v1Checkpoint lifts a legacy gob checkpoint into the current form.
-// Legacy checkpoints carry no WAL marker and no floors.
-func v1Checkpoint(v1 siteCheckpoint) wire.Checkpoint {
-	cp := wire.Checkpoint{Site: v1.Site, NextSeq: v1.NextSeq, Clock: v1.Clock}
-	for _, oc := range v1.Objects {
-		cp.Objects = append(cp.Objects, wire.CheckpointObject{
-			ID:       oc.ID,
-			Kind:     oc.Kind,
-			Desc:     oc.Desc,
-			Value:    oc.Value,
-			ValueVT:  oc.ValueVT,
-			Graph:    oc.Graph,
-			GraphVT:  oc.GraphVT,
-			Children: v1Children(oc.Children),
-		})
-	}
-	return cp
-}
-
-func v1Children(children []childCheckpoint) []wire.CheckpointChild {
-	var out []wire.CheckpointChild
-	for _, cc := range children {
-		out = append(out, wire.CheckpointChild{
-			Tag:      cc.Tag,
-			Key:      cc.Key,
-			InsertVT: cc.InsertVT,
-			Kind:     cc.Kind,
-			Value:    cc.Value,
-			ValueVT:  cc.ValueVT,
-			Children: v1Children(cc.Children),
-		})
-	}
-	return out
 }
 
 // restoreCheckpointState loads cp into the site, inside the loop. Shared

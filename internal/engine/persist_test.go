@@ -2,13 +2,11 @@ package engine
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
-	"decaf/internal/ids"
 	"decaf/internal/transport"
 	"decaf/internal/vtime"
 	"decaf/internal/wire"
@@ -289,69 +287,6 @@ func TestCheckpointDeterministic(t *testing.T) {
 		if !bytes.Equal(first.Bytes(), buf.Bytes()) {
 			t.Fatalf("checkpoint %d is not byte-identical to the first (nondeterministic encode order)", i+2)
 		}
-	}
-}
-
-// TestRestoreV1GobCheckpoint pins cross-version compatibility: a legacy
-// version-1 gob checkpoint (written before the wire-codec migration)
-// still loads into the current engine, and the version sniffing
-// distinguishes the two formats on real streams.
-func TestRestoreV1GobCheckpoint(t *testing.T) {
-	v1 := siteCheckpoint{
-		Version: checkpointVersionV1,
-		Site:    1,
-		NextSeq: 3,
-		Clock:   vtime.VT{Time: 40, Site: 1},
-		Objects: []objCheckpoint{
-			{ID: ids.ObjectID{Site: 1, Seq: 1}, Kind: KindInt, Desc: "n",
-				Value: int64(42), ValueVT: vtime.VT{Time: 7, Site: 1}},
-			{ID: ids.ObjectID{Site: 1, Seq: 2}, Kind: KindTuple, Desc: "cfg",
-				Children: []childCheckpoint{
-					{Key: "name", InsertVT: vtime.VT{Time: 9, Site: 1},
-						Kind: KindString, Value: "hello", ValueVT: vtime.VT{Time: 9, Site: 1}},
-				}},
-		},
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v1); err != nil {
-		t.Fatal(err)
-	}
-	if wire.IsCheckpoint(buf.Bytes()) {
-		t.Fatal("gob v1 checkpoint misidentified as v2")
-	}
-
-	net := transport.NewNetwork(transport.Config{})
-	defer net.Close()
-	ep, _ := net.Endpoint(1)
-	s := NewSite(ep, Options{})
-	s.Start()
-	defer s.Stop()
-	if err := s.Restore(&buf); err != nil {
-		t.Fatal(err)
-	}
-	r, ok := s.Object(ids.ObjectID{Site: 1, Seq: 1})
-	if !ok {
-		t.Fatal("scalar missing after v1 restore")
-	}
-	if v, _ := s.ReadCommitted(r); v != int64(42) {
-		t.Fatalf("restored scalar = %v, want 42", v)
-	}
-	tup, ok := s.Object(ids.ObjectID{Site: 1, Seq: 2})
-	if !ok {
-		t.Fatal("tuple missing after v1 restore")
-	}
-	got, _ := s.ReadCommitted(tup)
-	if m, ok := got.(map[string]any); !ok || m["name"] != "hello" {
-		t.Fatalf("restored tuple = %#v", got)
-	}
-
-	// Re-checkpointing the restored site writes the current format.
-	var buf2 bytes.Buffer
-	if err := s.Checkpoint(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !wire.IsCheckpoint(buf2.Bytes()) {
-		t.Fatal("re-checkpoint is not in the v2 format")
 	}
 }
 

@@ -246,10 +246,6 @@ type Site struct {
 	// repairs tracks in-flight consensus-backed graph repairs after
 	// site failures (one single-decree instance per failed site).
 	repairs map[vtime.SiteID]*repairState
-	// legacyRepairs tracks epoch-based repairs coordinated by
-	// old-protocol peers (wire compatibility; this engine no longer
-	// initiates them).
-	legacyRepairs map[vtime.SiteID]*legacyRepairState
 	// repairDecided retains decided graph repairs so duplicate or late
 	// consensus traffic is answered without re-running the protocol.
 	// Cleared when the failed site recovers (a later failure starts a
@@ -487,7 +483,6 @@ func NewSite(ep transport.Endpoint, opts Options) *Site {
 		joins:          map[uint64]*joinState{},
 		promotes:       map[uint64]*promoteState{},
 		repairs:        map[vtime.SiteID]*repairState{},
-		legacyRepairs:  map[vtime.SiteID]*legacyRepairState{},
 		repairDecided:  map[vtime.SiteID]wire.RepairValue{},
 		commitQueries:  map[vtime.VT]*queryState{},
 		failed:         map[vtime.SiteID]bool{},
@@ -1165,12 +1160,6 @@ func (s *Site) handleMessage(from vtime.SiteID, msg wire.Message) {
 		s.handleCommitQuery(from, m)
 	case wire.CommitQueryReply:
 		s.handleCommitQueryReply(m)
-	case wire.RepairPropose:
-		s.handleRepairPropose(m)
-	case wire.RepairAck:
-		s.handleRepairAck(m)
-	case wire.RepairDecide:
-		s.handleRepairDecide(m)
 	case wire.RepairPrepare:
 		s.handleRepairPrepare(m)
 	case wire.RepairPromise:

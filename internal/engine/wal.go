@@ -233,9 +233,9 @@ func (s *Site) Recover(r io.Reader) error {
 			return fmt.Errorf("engine: read checkpoint: %w", err)
 		}
 		if len(data) > 0 {
-			cp, err = decodeAnyCheckpoint(data)
+			cp, err = wire.DecodeCheckpoint(data)
 			if err != nil {
-				return err
+				return fmt.Errorf("engine: %w", err)
 			}
 			if cp.Site != s.id {
 				return fmt.Errorf("engine: checkpoint is for site %s, this site is %s", cp.Site, s.id)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -230,8 +231,19 @@ func TestWALRecoverWithoutCheckpoint(t *testing.T) {
 // parks as an optimistic tail), heals, and syncs. The secondary's
 // parked transaction must resolve through normal §3 confirmation and
 // both sites must converge on the same committed value with no
-// failover run.
+// failover run. The 1600-write backlog runs under the same deadlines as
+// the single write (catch-up takes ~20 ms of them while it is linear in
+// the backlog), so a sync path that degenerates with backlog size fails
+// here.
 func TestAntiEntropyConvergence(t *testing.T) {
+	for _, backlog := range []int{1, 1600} {
+		t.Run(fmt.Sprintf("backlog=%d", backlog), func(t *testing.T) {
+			testAntiEntropyConvergence(t, backlog)
+		})
+	}
+}
+
+func testAntiEntropyConvergence(t *testing.T, backlog int) {
 	h, _ := walHarness(t, 2, Options{})
 	refs := h.joined(KindInt, "shared", int64(0), 1, 2)
 
@@ -249,9 +261,12 @@ func TestAntiEntropyConvergence(t *testing.T) {
 	}
 	h.net.Partition(1, 2)
 
-	// Primary-side write commits locally during the partition.
-	if res := h.setInt(1, refs[1], 100); res.Err != nil || !res.Committed {
-		t.Fatalf("primary write during partition: %+v", res)
+	// Primary-side writes commit locally during the partition.
+	last := int64(100 + backlog - 1)
+	for v := int64(100); v <= last; v++ {
+		if res := h.setInt(1, refs[1], v); res.Err != nil || !res.Committed {
+			t.Fatalf("primary write %d during partition: %+v", v, res)
+		}
 	}
 	// Secondary-side read-write transaction parks waiting for the
 	// unreachable primary (a blind write would take the commutative
@@ -292,7 +307,7 @@ func TestAntiEntropyConvergence(t *testing.T) {
 	h.eventually(3*time.Second, "sites converged after anti-entropy", func() bool {
 		a := h.committedInt(1, refs[1])
 		b := h.committedInt(2, refs[2])
-		return a == b && (a == 100 || a == 200)
+		return a == b && (a == last || a == 200)
 	})
 
 	st1, st2 := h.site(1).Stats(), h.site(2).Stats()
@@ -306,8 +321,9 @@ func TestAntiEntropyConvergence(t *testing.T) {
 	if st2.SyncResubmits == 0 {
 		t.Fatal("parked transaction was not resubmitted")
 	}
-	if st1.SyncRecordsApplied+st2.SyncRecordsApplied == 0 {
-		t.Fatal("no WAL records exchanged during anti-entropy")
+	if st2.SyncRecordsApplied < uint64(backlog) {
+		t.Fatalf("anti-entropy applied %d WAL records at the returning site, want the backlog of %d",
+			st2.SyncRecordsApplied, backlog)
 	}
 }
 

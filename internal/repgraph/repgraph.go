@@ -432,7 +432,7 @@ func (g *Graph) String() string {
 	return b.String()
 }
 
-// Wire is the flattened, gob-friendly form of a Graph.
+// Wire is the flattened form of a Graph that the wire codec encodes.
 type Wire struct {
 	Nodes  []WireNode
 	Edges  []WireEdge

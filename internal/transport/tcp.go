@@ -3,7 +3,6 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -92,7 +91,7 @@ const dialTimeout = 10 * time.Second
 // connection but stopped reading looks like a broken link after this.
 const defaultWriteTimeout = 10 * time.Second
 
-// Frame payload kinds (batched protocol only).
+// Frame payload kinds.
 const (
 	frameHello byte = 0x01
 	frameData  byte = 0x02
@@ -192,12 +191,6 @@ type TCPOptions struct {
 	// Faults, when non-nil, injects faults for tests and benchmarks:
 	// refused dials, killed connections, dropped or delayed frames.
 	Faults *Faults
-	// Legacy selects the pre-batching protocol: gob encoding with a
-	// synchronous blocking write per Send under a per-peer mutex, and
-	// the original first-error fail-stop verdict (no reconnect). It is
-	// retained as a measurement baseline and differential oracle for the
-	// benchmarks; both ends of a connection must agree on the mode.
-	Legacy bool
 	// Observer receives the endpoint's resilience counters and debug
 	// state. Pass the same Observer as the site's engine so one scrape
 	// covers both layers. nil selects obs.Nop() (counters still back
@@ -314,13 +307,6 @@ func messagesDroppedCounter(reg *obs.Registry) *obs.Counter {
 	return reg.Counter("decaf_transport_messages_dropped_total", "inbound message events dropped on a full event buffer")
 }
 
-// tcpEnvelope is the legacy gob-framed envelope.
-type tcpEnvelope struct {
-	From   vtime.SiteID
-	SentAt vtime.VT
-	Msg    wire.Message
-}
-
 // tcpOut is one queued outbound message.
 type tcpOut struct {
 	sentAt vtime.VT
@@ -367,8 +353,7 @@ type TCP struct {
 var _ Endpoint = (*TCP)(nil)
 
 // tcpPeer is the outbound side of one peer: a bounded queue drained by a
-// writer goroutine (batched mode), or a mutex-guarded gob encoder
-// (legacy mode). It also carries the per-peer sequencing state used for
+// writer goroutine. It also carries the per-peer sequencing state used for
 // dedup and acknowledgement of inbound traffic.
 type tcpPeer struct {
 	t    *TCP
@@ -421,10 +406,9 @@ type tcpPeer struct {
 	recvSeq   uint64 // guarded by deliverMu
 
 	mu      sync.Mutex
-	conn    net.Conn     // guarded by mu; connection the writer currently owns
-	pending net.Conn     // guarded by mu; freshly adopted inbound conn awaiting writer pickup
-	broken  bool         // guarded by mu; read side observed an error on conn
-	enc     *gob.Encoder // guarded by mu; legacy mode only
+	conn    net.Conn // guarded by mu; connection the writer currently owns
+	pending net.Conn // guarded by mu; freshly adopted inbound conn awaiting writer pickup
+	broken  bool     // guarded by mu; read side observed an error on conn
 }
 
 // ListenTCP starts a TCP endpoint for site on addr with default options.
@@ -641,8 +625,7 @@ var framePool = sync.Pool{
 // connection is then registered for outbound sends, so a site can reply
 // to peers that are not in its static address book (invitees dial the
 // inviter; replies reuse the same connection). A read error is reported
-// to the peer's writer, which owns the reconnect/suspicion decision; in
-// legacy mode it is an immediate fail-stop verdict, as originally.
+// to the peer's writer, which owns the reconnect/suspicion decision.
 func (t *TCP) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer conn.Close()
@@ -655,9 +638,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 			return
 		}
 		t.opts.Faults.untrack(from, conn)
-		if t.opts.Legacy {
-			t.reportFailure(from)
-		} else if peer != nil {
+		if peer != nil {
 			peer.noteBroken(conn)
 		}
 	}()
@@ -668,18 +649,6 @@ func (t *TCP) readLoop(conn net.Conn) {
 		from, seen = site, true
 		peer = t.adoptConn(site, conn)
 		t.opts.Faults.track(site, conn)
-	}
-
-	if t.opts.Legacy {
-		dec := gob.NewDecoder(conn)
-		for {
-			var env tcpEnvelope
-			if err := dec.Decode(&env); err != nil {
-				return
-			}
-			identify(env.From)
-			t.deliver(Event{Kind: EventMessage, From: env.From, SentAt: env.SentAt, Msg: env.Msg})
-		}
 	}
 
 	br := bufio.NewReaderSize(conn, 64<<10)
@@ -813,10 +782,6 @@ func (t *TCP) adoptConn(from vtime.SiteID, conn net.Conn) *tcpPeer {
 	}
 	recovered := false
 	if t.failed[from] {
-		if t.opts.Legacy {
-			t.mu.Unlock()
-			return nil
-		}
 		delete(t.failed, from)
 		recovered = true
 	}
@@ -824,22 +789,10 @@ func (t *TCP) adoptConn(from vtime.SiteID, conn net.Conn) *tcpPeer {
 	if !ok {
 		p = t.newPeer(from, t.peers[from])
 		t.conns[from] = p
-		if t.opts.Legacy {
-			// sendLegacy reads p.conn/p.enc under p.mu from arbitrary
-			// goroutines, so installing them must take the same lock
-			// (t.mu alone does not order these writes with sendLegacy).
-			// Safe against lock inversion: no path holds p.mu while
-			// taking t.mu.
-			p.mu.Lock()
-			p.conn = conn
-			p.enc = gob.NewEncoder(conn)
-			p.mu.Unlock()
-		} else {
-			p.offerConn(conn)
-			t.wg.Add(1)
-			go p.writeLoop()
-		}
-	} else if !t.opts.Legacy {
+		p.offerConn(conn)
+		t.wg.Add(1)
+		go p.writeLoop()
+	} else {
 		p.offerConn(conn)
 	}
 	t.mu.Unlock()
@@ -905,8 +858,7 @@ func (t *TCP) deliverControl(ev Event) {
 }
 
 // reportFailure emits a single EventSiteFailed per peer and tears down
-// its sender. In batched mode it is only called once the suspicion
-// policy is exhausted.
+// its sender. It is only called once the suspicion policy is exhausted.
 func (t *TCP) reportFailure(site vtime.SiteID) {
 	t.mu.Lock()
 	if t.closed || t.failed[site] {
@@ -1117,22 +1069,17 @@ func (t *TCP) peerFor(site vtime.SiteID) (*tcpPeer, error) {
 	}
 	p := t.newPeer(site, addr)
 	t.conns[site] = p
-	if !t.opts.Legacy {
-		t.wg.Add(1)
-		go p.writeLoop()
-	}
+	t.wg.Add(1)
+	go p.writeLoop()
 	return p, nil
 }
 
-// Send implements Endpoint. In batched mode it only enqueues: the
-// caller's goroutine never blocks on a dial or a socket write.
+// Send implements Endpoint. It only enqueues: the caller's goroutine
+// never blocks on a dial or a socket write.
 func (t *TCP) Send(to vtime.SiteID, sentAt vtime.VT, msg wire.Message) error {
 	p, err := t.peerFor(to)
 	if err != nil {
 		return err
-	}
-	if t.opts.Legacy {
-		return t.sendLegacy(p, to, sentAt, msg)
 	}
 	select {
 	case <-p.stop:
@@ -1155,19 +1102,13 @@ func (t *TCP) Send(to vtime.SiteID, sentAt vtime.VT, msg wire.Message) error {
 
 // SendBatch implements BatchSender: one peer lookup for the whole
 // batch, then the per-message enqueue semantics of Send (including its
-// overflow drops). Legacy mode falls back to sequential blocking sends.
+// overflow drops).
 func (t *TCP) SendBatch(to vtime.SiteID, sentAt vtime.VT, msgs []wire.Message) error {
 	p, err := t.peerFor(to)
 	if err != nil {
 		return err
 	}
 	for _, msg := range msgs {
-		if t.opts.Legacy {
-			if err := t.sendLegacy(p, to, sentAt, msg); err != nil {
-				return err
-			}
-			continue
-		}
 		select {
 		case <-p.stop:
 			return ErrSiteDown
@@ -1181,37 +1122,6 @@ func (t *TCP) SendBatch(to vtime.SiteID, sentAt vtime.VT, msgs []wire.Message) e
 		default:
 			t.stats.sendQueueDrops.Add(1)
 		}
-	}
-	return nil
-}
-
-// sendLegacy is the pre-batching path: dial if needed, then a blocking
-// gob encode straight onto the socket under the peer mutex.
-func (t *TCP) sendLegacy(p *tcpPeer, to vtime.SiteID, sentAt vtime.VT, msg wire.Message) error {
-	p.mu.Lock()
-	if p.conn == nil {
-		//decaf:ignore lockedsend legacy mode dials and writes under the peer mutex by design (pre-batching measurement baseline)
-		conn, err := net.DialTimeout("tcp", p.addr, dialTimeout)
-		if err != nil {
-			p.mu.Unlock()
-			t.reportFailure(to)
-			return fmt.Errorf("transport: dial %s: %w", p.addr, errors.Join(ErrSiteDown, err))
-		}
-		p.conn = conn
-		p.enc = gob.NewEncoder(conn)
-		p.mu.Unlock()
-		if !t.startReadLoop(conn) {
-			conn.Close()
-			return ErrSiteDown
-		}
-		p.mu.Lock()
-	}
-	//decaf:ignore lockedsend legacy mode writes synchronously under the peer mutex by design (pre-batching measurement baseline)
-	err := p.enc.Encode(tcpEnvelope{From: t.site, SentAt: sentAt, Msg: msg})
-	p.mu.Unlock()
-	if err != nil {
-		t.reportFailure(to)
-		return fmt.Errorf("transport: send to %s: %w", to, errors.Join(ErrSiteDown, err))
 	}
 	return nil
 }

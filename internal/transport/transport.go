@@ -9,8 +9,9 @@
 //     network injects exactly that parameter, which is how the
 //     experiments reproduce the paper's latency results.
 //
-//   - TCP, a real transport using net + encoding/gob, for running
-//     collaborating applications as separate OS processes.
+//   - TCP, a real transport framing the internal/wire binary codec over
+//     net, for running collaborating applications as separate OS
+//     processes.
 //
 // Both present the same Endpoint interface and fail-stop failure
 // notifications (paper §3.4: "the underlying communication infrastructure

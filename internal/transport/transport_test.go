@@ -471,37 +471,6 @@ func TestTCPOverflowOnDeadPeer(t *testing.T) {
 	}
 }
 
-func TestTCPLegacyInterop(t *testing.T) {
-	// The legacy gob protocol (measurement baseline) still works when
-	// both ends select it.
-	a, err := ListenTCPOptions(1, "127.0.0.1:0", nil, TCPOptions{Legacy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := ListenTCPOptions(2, "127.0.0.1:0", map[vtime.SiteID]string{1: a.Addr().String()}, TCPOptions{Legacy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	a.SetPeerAddr(2, b.Addr().String())
-
-	if err := b.Send(1, vtime.VT{Time: 5, Site: 2}, msg(11)); err != nil {
-		t.Fatal(err)
-	}
-	ev := recvOne(t, a, 2*time.Second)
-	if ev.From != 2 || ev.Msg.(wire.Outcome).TxnVT.Time != 11 {
-		t.Fatalf("event = %+v", ev)
-	}
-	if err := a.Send(2, vtime.Zero, msg(12)); err != nil {
-		t.Fatal(err)
-	}
-	ev = recvOne(t, b, 2*time.Second)
-	if ev.Msg.(wire.Outcome).TxnVT.Time != 12 {
-		t.Fatalf("reply = %+v", ev)
-	}
-}
-
 func TestTCPBatchedConcurrentSenders(t *testing.T) {
 	// Many goroutines sending to the same peer: all messages arrive,
 	// none duplicated, and the endpoint survives the race detector.

@@ -1,10 +1,6 @@
 package wire
 
-import (
-	"encoding/gob"
-
-	"decaf/internal/vtime"
-)
+import "decaf/internal/vtime"
 
 // Messages for the baseline systems the paper compares against:
 //
@@ -87,11 +83,3 @@ func (CenEcho) isMessage() {}
 
 // Kind implements Message.
 func (CenEcho) Kind() string { return "CEN-ECHO" }
-
-func init() {
-	gob.Register(GVTUpdate{})
-	gob.Register(GVTAck{})
-	gob.Register(GVTToken{})
-	gob.Register(CenWrite{})
-	gob.Register(CenEcho{})
-}

@@ -9,17 +9,16 @@ import (
 	"decaf/internal/vtime"
 )
 
-// Checkpoint codec (paper §5.3, DESIGN.md §13). Version 2 moves
-// checkpoints off encoding/gob onto the hand codec; the engine still
-// loads version-1 gob checkpoints (the stream is sniffed: a v2
-// checkpoint starts with a 0x00 byte, which no gob stream can — gob's
-// leading message-length uvarint is always nonzero).
+// Checkpoint codec (paper §5.3, DESIGN.md §13): the hand codec behind a
+// magic + version prefix. The magic starts with 0x00, which no gob stream
+// can (gob's leading message-length uvarint is nonzero), so a version-1
+// checkpoint, which was a gob stream, fails the magic check with an error.
 
 // CheckpointVersion is the current on-disk checkpoint format version.
 const CheckpointVersion = 2
 
-// checkpointMagic prefixes a v2 checkpoint: 0x00 (gob-impossible
-// sentinel), "DCAFCP", then the format version byte.
+// checkpointMagic prefixes a checkpoint: 0x00, "DCAFCP", then the format
+// version byte.
 var checkpointMagic = [8]byte{0x00, 'D', 'C', 'A', 'F', 'C', 'P', CheckpointVersion}
 
 // Checkpoint is a serialized site: every top-level model object with its
@@ -59,11 +58,6 @@ type CheckpointChild struct {
 	Value    any
 	ValueVT  vtime.VT
 	Children []CheckpointChild
-}
-
-// IsCheckpoint reports whether b starts with the v2 checkpoint magic.
-func IsCheckpoint(b []byte) bool {
-	return len(b) >= len(checkpointMagic) && [8]byte(b[:8]) == checkpointMagic
 }
 
 // AppendCheckpoint encodes cp onto b.
@@ -124,7 +118,7 @@ func EncodeCheckpoint(cp Checkpoint) ([]byte, error) {
 
 // DecodeCheckpoint decodes a v2 checkpoint from b (the whole buffer).
 func DecodeCheckpoint(b []byte) (Checkpoint, error) {
-	if !IsCheckpoint(b) {
+	if len(b) < len(checkpointMagic) || [8]byte(b[:8]) != checkpointMagic {
 		return Checkpoint{}, fmt.Errorf("wire: not a v%d checkpoint", CheckpointVersion)
 	}
 	r := &reader{b: b, off: len(checkpointMagic)}

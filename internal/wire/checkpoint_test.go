@@ -49,9 +49,6 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsCheckpoint(b) {
-		t.Fatal("encoded checkpoint not recognized by IsCheckpoint")
-	}
 	got, err := DecodeCheckpoint(b)
 	if err != nil {
 		t.Fatal(err)
@@ -76,9 +73,10 @@ func TestCheckpointCodecDeterministic(t *testing.T) {
 	}
 }
 
-// TestCheckpointMagicDisjointFromGob pins the version-sniffing invariant:
-// a gob stream can never start with 0x00 (its leading message-length
-// uvarint is nonzero), so IsCheckpoint never misfires on a v1 checkpoint.
+// TestCheckpointMagicDisjointFromGob pins why the magic starts with 0x00:
+// a gob stream never does (its leading message-length uvarint is nonzero),
+// so a version-1 checkpoint, which was a gob stream, is rejected with an
+// error rather than misread.
 func TestCheckpointMagicDisjointFromGob(t *testing.T) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(struct{ X int }{1}); err != nil {
@@ -87,8 +85,8 @@ func TestCheckpointMagicDisjointFromGob(t *testing.T) {
 	if buf.Bytes()[0] == 0 {
 		t.Fatal("gob stream starts with 0x00; magic sniffing is unsound")
 	}
-	if IsCheckpoint(buf.Bytes()) {
-		t.Fatal("gob stream misidentified as v2 checkpoint")
+	if _, err := DecodeCheckpoint(buf.Bytes()); err == nil {
+		t.Fatal("gob stream decoded as a checkpoint")
 	}
 	if _, err := DecodeCheckpoint(nil); err == nil {
 		t.Fatal("DecodeCheckpoint(nil) should fail")

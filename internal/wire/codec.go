@@ -2,14 +2,15 @@ package wire
 
 // Hand-rolled binary codec for the DECAF wire protocol.
 //
-// The TCP transport originally gob-encoded every message. Gob is driven by
-// reflection and ships type descriptors, which makes the per-message CPU
-// and byte cost large relative to the payload for the small, frequent
-// messages this protocol exchanges (WRITE / CONFIRM / COMMIT). This codec
-// encodes each registered message type by hand with encoding/binary
+// A reflection-driven encoding (gob ships type descriptors with the data)
+// costs much CPU and many bytes relative to the payload of the small,
+// frequent messages this protocol exchanges (WRITE / CONFIRM / COMMIT).
+// This codec encodes each message type by hand with encoding/binary
 // varints: one tag byte selects the message type, fixed layouts follow.
-// Gob remains the differential oracle in tests and the fallback encoding
-// for dynamically typed payload values outside the registered scalar set.
+// Message types and dynamically typed payload values are closed sets, so
+// there is no escape encoding: a value outside the set is an encode error,
+// an unknown tag a decode error. Gob is the tests' differential oracle
+// (compare with `go test ./internal/wire -run '^$' -bench 'Encode|Decode'`).
 //
 // Layout conventions:
 //
@@ -18,17 +19,14 @@ package wire
 //   - float64 is 8 little-endian bytes of its IEEE-754 bits
 //   - strings and byte blobs are length-prefixed (uvarint count + bytes)
 //   - slices are a uvarint count followed by the elements; a zero count
-//     decodes as a nil slice (matching gob's empty/nil normalization)
+//     decodes as a nil slice
 //   - dynamically typed values (OpSet.Value, ChildDecl.Value,
 //     JoinReply.BValue, baseline payloads) carry a one-byte value tag
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
-	"sync"
 
 	"decaf/internal/consensus"
 	"decaf/internal/ids"
@@ -36,7 +34,9 @@ import (
 	"decaf/internal/vtime"
 )
 
-// Message type tags. Stable: these are the on-the-wire protocol.
+// Message type tags. Stable: these are the on-the-wire protocol, and WAL
+// records and pinned simulator traces carry them. A retired tag keeps its
+// slot so no surviving tag changes value, and is never reassigned.
 const (
 	tagWrite byte = iota + 1
 	tagConfirmRead
@@ -48,9 +48,9 @@ const (
 	tagPromoteReply
 	tagCommitQuery
 	tagCommitQueryReply
-	tagRepairPropose
-	tagRepairAck
-	tagRepairDecide
+	_ // 11: retired with the epoch repair protocol (REPAIR-PROPOSE)
+	_ // 12: retired (REPAIR-ACK)
+	_ // 13: retired (REPAIR-DECIDE)
 	tagGVTUpdate
 	tagGVTAck
 	tagGVTToken
@@ -64,11 +64,7 @@ const (
 	tagRepairAccept
 	tagRepairAccepted
 	tagRepairLearn
-
-	// tagGobMessage escapes to a gob-encoded message: a length-prefixed
-	// gob stream. Used only for message types the hand codec does not
-	// know, so protocol extensions keep working before they get a layout.
-	tagGobMessage byte = 0xFF
+	// 0xFF: retired (gob-encoded message escape); decodes as an unknown tag.
 )
 
 // Operation tags.
@@ -95,16 +91,8 @@ const (
 	valTrue
 	valSnapshot
 	valRelationships
-
-	// valGob escapes to a length-prefixed gob blob for values outside the
-	// registered scalar set.
-	valGob byte = 0xFF
+	// 0xFF: retired (gob-encoded value escape); decodes as an unknown tag.
 )
-
-// gobBufPool recycles scratch buffers for the gob escape hatches.
-var gobBufPool = sync.Pool{
-	New: func() any { return new(bytes.Buffer) },
-}
 
 // ---------------------------------------------------------------------------
 // Append-style encoding.
@@ -210,7 +198,7 @@ func appendGraph(b []byte, g repgraph.Wire) []byte {
 	return appendObj(b, g.Anchor)
 }
 
-func appendSnapshot(b []byte, s CompositeSnapshot) []byte {
+func appendSnapshot(b []byte, s CompositeSnapshot) ([]byte, error) {
 	var err error
 	b = binary.AppendUvarint(b, uint64(s.Kind))
 	b = appendBool(b, s.IsSorted)
@@ -218,21 +206,19 @@ func appendSnapshot(b []byte, s CompositeSnapshot) []byte {
 	for _, e := range s.Elems {
 		b = appendTag(b, e.Tag)
 		b = appendString(b, e.Key)
-		b, err = appendChildDecl(b, e.Child)
-		if err != nil {
-			// ChildDecl values are scalars; the gob escape below absorbs
-			// anything else, so this cannot fail in practice. Encode nil
-			// to keep the stream well-formed.
-			b = append(b, valNil)
+		if b, err = appendChildDecl(b, e.Child); err != nil {
+			return b, err
 		}
 		if e.Nested != nil {
 			b = appendBool(b, true)
-			b = appendSnapshot(b, *e.Nested)
+			if b, err = appendSnapshot(b, *e.Nested); err != nil {
+				return b, err
+			}
 		} else {
 			b = appendBool(b, false)
 		}
 	}
-	return b
+	return b, nil
 }
 
 func appendRelationships(b []byte, rels []Relationship) []byte {
@@ -249,8 +235,9 @@ func appendRelationships(b []byte, rels []Relationship) []byte {
 	return b
 }
 
-// appendValue encodes a dynamically typed payload value. The registered
-// scalar set gets compact layouts; anything else escapes to gob.
+// appendValue encodes a dynamically typed payload value. The value set is
+// closed (the engine admits nothing else into a history); anything outside
+// it is an encode error.
 func appendValue(b []byte, v any) ([]byte, error) {
 	switch v := v.(type) {
 	case nil:
@@ -271,31 +258,13 @@ func appendValue(b []byte, v any) ([]byte, error) {
 		return append(b, valFalse), nil
 	case CompositeSnapshot:
 		b = append(b, valSnapshot)
-		return appendSnapshot(b, v), nil
+		return appendSnapshot(b, v)
 	case []Relationship:
 		b = append(b, valRelationships)
 		return appendRelationships(b, v), nil
 	default:
-		blob, err := gobValueBlob(v)
-		if err != nil {
-			return b, fmt.Errorf("wire: encode value %T: %w", v, err)
-		}
-		b = append(b, valGob)
-		b = binary.AppendUvarint(b, uint64(len(blob)))
-		return append(b, blob...), nil
+		return b, fmt.Errorf("wire: unsupported value type %T", v)
 	}
-}
-
-// gobValueBlob gob-encodes a value wrapped so interface dynamics survive.
-func gobValueBlob(v any) ([]byte, error) {
-	buf := gobBufPool.Get().(*bytes.Buffer)
-	defer gobBufPool.Put(buf)
-	buf.Reset()
-	wrap := struct{ V any }{V: v}
-	if err := gob.NewEncoder(buf).Encode(&wrap); err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), buf.Bytes()...), nil
 }
 
 func appendChildDecl(b []byte, c ChildDecl) ([]byte, error) {
@@ -501,26 +470,6 @@ func AppendMessage(b []byte, m Message) ([]byte, error) {
 		b = appendSite(b, m.From)
 		b = appendBool(b, m.Known)
 		return appendBool(b, m.Committed), nil
-	case RepairPropose:
-		b = append(b, tagRepairPropose)
-		b = binary.AppendUvarint(b, m.Epoch)
-		b = appendSite(b, m.FailedSite)
-		b = appendSite(b, m.From)
-		b = appendVT(b, m.GraphVT)
-		return appendSites(b, m.Survivors), nil
-	case RepairAck:
-		b = append(b, tagRepairAck)
-		b = binary.AppendUvarint(b, m.EpochN)
-		b = appendSite(b, m.FailedSite)
-		b = appendSite(b, m.From)
-		return appendVTs(b, m.KnownCommitted), nil
-	case RepairDecide:
-		b = append(b, tagRepairDecide)
-		b = binary.AppendUvarint(b, m.EpochN)
-		b = appendSite(b, m.FailedSite)
-		b = appendSite(b, m.From)
-		b = appendVT(b, m.GraphVT)
-		return appendVTs(b, m.Commit), nil
 	case RepairPrepare:
 		b = append(b, tagRepairPrepare)
 		b = appendSite(b, m.FailedSite)
@@ -586,27 +535,10 @@ func AppendMessage(b []byte, m Message) ([]byte, error) {
 		b = appendString(b, m.Name)
 		return appendValue(b, m.Value)
 	default:
-		// Unknown message type: gob escape so protocol extensions that
-		// have not been given a hand layout yet still travel.
-		blob, gerr := gobMessageBlob(m)
-		if gerr != nil {
-			return b, fmt.Errorf("wire: encode message %T: %w", m, gerr)
-		}
-		b = append(b, tagGobMessage)
-		b = binary.AppendUvarint(b, uint64(len(blob)))
-		return append(b, blob...), nil
+		// Message is sealed (isMessage) and every implementation has an arm
+		// above: reaching here is a missing arm, i.e. a bug, or a nil message.
+		return b, fmt.Errorf("wire: unsupported message type %T", m)
 	}
-}
-
-func gobMessageBlob(m Message) ([]byte, error) {
-	buf := gobBufPool.Get().(*bytes.Buffer)
-	defer gobBufPool.Put(buf)
-	buf.Reset()
-	wrap := struct{ M Message }{M: m}
-	if err := gob.NewEncoder(buf).Encode(&wrap); err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), buf.Bytes()...), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -893,18 +825,6 @@ func (r *reader) value() any {
 		return r.snapshot()
 	case valRelationships:
 		return r.relationships()
-	case valGob:
-		n := r.count()
-		blob := r.bytes_(n)
-		if r.err != nil {
-			return nil
-		}
-		var wrap struct{ V any }
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&wrap); err != nil {
-			r.fail(fmt.Errorf("wire: decode gob value: %w", err))
-			return nil
-		}
-		return wrap.V
 	default:
 		r.fail(fmt.Errorf("wire: unknown value tag %d", t))
 		return nil
@@ -1056,21 +976,6 @@ func DecodeMessage(b []byte) (Message, int, error) {
 		m = CommitQuery{TxnVT: r.vt(), From: r.site()}
 	case tagCommitQueryReply:
 		m = CommitQueryReply{TxnVT: r.vt(), From: r.site(), Known: r.bool_(), Committed: r.bool_()}
-	case tagRepairPropose:
-		m = RepairPropose{
-			Epoch: r.uvarint(), FailedSite: r.site(), From: r.site(),
-			GraphVT: r.vt(), Survivors: r.sites(),
-		}
-	case tagRepairAck:
-		m = RepairAck{
-			EpochN: r.uvarint(), FailedSite: r.site(), From: r.site(),
-			KnownCommitted: r.vts(),
-		}
-	case tagRepairDecide:
-		m = RepairDecide{
-			EpochN: r.uvarint(), FailedSite: r.site(), From: r.site(),
-			GraphVT: r.vt(), Commit: r.vts(),
-		}
 	case tagRepairPrepare:
 		m = RepairPrepare{
 			FailedSite: r.site(), From: r.site(), Ballot: r.ballot(),
@@ -1108,17 +1013,6 @@ func DecodeMessage(b []byte) (Message, int, error) {
 		m = CenWrite{Seq: r.uvarint(), From: r.site(), Name: r.string_(), Value: r.value()}
 	case tagCenEcho:
 		m = CenEcho{Seq: r.uvarint(), Name: r.string_(), Value: r.value()}
-	case tagGobMessage:
-		n := r.count()
-		blob := r.bytes_(n)
-		if r.err == nil {
-			var wrap struct{ M Message }
-			if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&wrap); err != nil {
-				r.fail(fmt.Errorf("wire: decode gob message: %w", err))
-			} else {
-				m = wrap.M
-			}
-		}
 	default:
 		return nil, 0, fmt.Errorf("wire: unknown message tag %d", t)
 	}

@@ -245,9 +245,12 @@ func (g *gen) update() Update {
 	return Update{Target: g.obj(), Path: g.path(), ReadVT: g.vt(), GraphVT: g.vt(), Op: g.op()}
 }
 
+// numMessageTypes is the number of message types gen.message cycles over.
+const numMessageTypes = 23
+
 // message produces a random instance of the i-th message type.
 func (g *gen) message(i int) Message {
-	switch i % 26 {
+	switch i % numMessageTypes {
 	case 0:
 		w := Write{TxnVT: g.vt(), Origin: g.site(), NeedsConfirm: g.rng.Intn(2) == 0, Checks: g.checks()}
 		for j := 0; j < 1+g.rng.Intn(4); j++ {
@@ -282,44 +285,35 @@ func (g *gen) message(i int) Message {
 		return CommitQueryReply{TxnVT: g.vt(), From: g.site(),
 			Known: g.rng.Intn(2) == 0, Committed: g.rng.Intn(2) == 0}
 	case 10:
-		return RepairPropose{Epoch: g.rng.Uint64(), FailedSite: g.site(), From: g.site(),
-			GraphVT: g.vt(), Survivors: g.sites()}
-	case 11:
-		return RepairAck{EpochN: g.rng.Uint64(), FailedSite: g.site(), From: g.site(),
-			KnownCommitted: g.vts()}
-	case 12:
-		return RepairDecide{EpochN: g.rng.Uint64(), FailedSite: g.site(), From: g.site(),
-			GraphVT: g.vt(), Commit: g.vts()}
-	case 13:
 		return GVTUpdate{VT: g.vt(), From: g.site(), Name: g.str(), Value: g.scalar()}
-	case 14:
+	case 11:
 		return GVTAck{VT: g.vt(), From: g.site()}
-	case 15:
+	case 12:
 		return GVTToken{Round: g.rng.Uint64(), Min: g.vt(), MinValid: g.rng.Intn(2) == 0, GVT: g.vt()}
-	case 16:
+	case 13:
 		return CenWrite{Seq: g.rng.Uint64(), From: g.site(), Name: g.str(), Value: g.scalar()}
-	case 17:
+	case 14:
 		return CenEcho{Seq: g.rng.Uint64(), Name: g.str(), Value: g.scalar()}
-	case 18:
+	case 15:
 		return SyncRequest{From: g.site(), ReqID: g.rng.Uint64(), Floors: g.syncFloors()}
-	case 19:
+	case 16:
 		return SyncUpdates{From: g.site(), ReqID: g.rng.Uint64(),
 			WantReply: g.rng.Intn(2) == 0, Floors: g.syncFloors(), Records: g.blobs()}
-	case 20:
+	case 17:
 		return RepairPrepare{FailedSite: g.site(), From: g.site(),
 			Ballot: g.ballot(), Members: g.sites()}
-	case 21:
+	case 18:
 		return RepairPromise{FailedSite: g.site(), From: g.site(),
 			Ballot: g.ballot(), OK: g.rng.Intn(2) == 0, Promised: g.ballot(),
 			HasAccepted: g.rng.Intn(2) == 0, AcceptedBallot: g.ballot(),
 			Accepted: g.repairValue(), KnownCommitted: g.vts()}
-	case 22:
+	case 19:
 		return RepairAccept{FailedSite: g.site(), From: g.site(),
 			Ballot: g.ballot(), Value: g.repairValue(), Members: g.sites()}
-	case 23:
+	case 20:
 		return RepairAccepted{FailedSite: g.site(), From: g.site(),
 			Ballot: g.ballot(), OK: g.rng.Intn(2) == 0, Promised: g.ballot()}
-	case 24:
+	case 21:
 		return RepairLearn{FailedSite: g.site(), From: g.site(),
 			Ballot: g.ballot(), Value: g.repairValue()}
 	default:
@@ -375,7 +369,7 @@ func (g *gen) blobs() [][]byte {
 func TestBinaryCodecDifferential(t *testing.T) {
 	g := &gen{rng: rand.New(rand.NewSource(7))}
 	const perType = 50
-	for i := 0; i < 26*perType; i++ {
+	for i := 0; i < numMessageTypes*perType; i++ {
 		m := g.message(i)
 		want := gobRoundTrip(t, m)
 		got := binRoundTrip(t, m)
@@ -432,9 +426,6 @@ func TestBinaryCodecFixedMessages(t *testing.T) {
 		PromoteReply{ReqID: 4, From: 3, OK: true, Child: target},
 		CommitQuery{TxnVT: vt, From: 4},
 		CommitQueryReply{TxnVT: vt, From: 4, Known: true, Committed: false},
-		RepairPropose{Epoch: 3, FailedSite: 9, From: 1, GraphVT: vt, Survivors: []vtime.SiteID{1, 2}},
-		RepairAck{EpochN: 3, FailedSite: 9, From: 2, KnownCommitted: []vtime.VT{vt}},
-		RepairDecide{EpochN: 3, FailedSite: 9, From: 1, GraphVT: vt, Commit: []vtime.VT{vt}},
 		RepairPrepare{FailedSite: 9, From: 1, Ballot: consensus.Ballot{Round: 2, Site: 1},
 			Members: []vtime.SiteID{1, 2, 3}},
 		RepairPromise{FailedSite: 9, From: 2, Ballot: consensus.Ballot{Round: 2, Site: 1},
@@ -521,7 +512,9 @@ func TestBinaryCodecTruncation(t *testing.T) {
 }
 
 // TestBinaryCodecCorruptInput throws random bytes at the decoder; it must
-// return an error or a message, never panic or over-read.
+// return an error or a message, never panic or over-read. The retired
+// tags — messages 11-13 (as old peers encoded them) and 0xFF, value 0xFF —
+// must be errors.
 func TestBinaryCodecCorruptInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 2000; i++ {
@@ -532,16 +525,59 @@ func TestBinaryCodecCorruptInput(t *testing.T) {
 			t.Fatalf("decode of junk %x returned m=%v n=%d without error", b, m, n)
 		}
 	}
+	gobValue, err := AppendMessage(nil, GVTUpdate{VT: vtime.VT{Time: 1, Site: 1}, From: 1, Name: "m"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gobValue[len(gobValue)-1] = 0xFF // the value tag is the last byte
+	for _, b := range append(retiredEncodings(),
+		[]byte{0xFF, 0x01, 0x02}, // message escape: length-prefixed blob
+		append(gobValue, 0x01, 0x02),
+	) {
+		if m, _, err := DecodeMessage(b); err == nil {
+			t.Errorf("decode of retired encoding %x returned %#v without error", b, m)
+		}
+	}
 }
 
-// TestBinaryCodecGobFallbackValue checks that a dynamic value outside the
-// registered scalar set survives via the gob escape hatch.
-func TestBinaryCodecGobFallbackValue(t *testing.T) {
-	gob.Register(map[string]int64{})
-	m := GVTUpdate{VT: vtime.VT{Time: 1, Site: 1}, From: 1, Name: "m",
-		Value: map[string]int64{"a": 1, "b": 2}}
-	got := binRoundTrip(t, m).(GVTUpdate)
-	if !reflect.DeepEqual(got.Value, m.Value) {
-		t.Fatalf("fallback value mismatch: got %#v want %#v", got.Value, m.Value)
+// TestMessageTagsStable pins the numeric value of every message tag:
+// WAL records, anti-entropy transfers and pinned simulator traces carry
+// them, so retiring a message must not renumber its neighbours.
+func TestMessageTagsStable(t *testing.T) {
+	want := map[byte]byte{
+		tagWrite: 1, tagConfirmRead: 2, tagConfirm: 3, tagOutcome: 4,
+		tagJoinRequest: 5, tagJoinReply: 6, tagPromoteQuery: 7, tagPromoteReply: 8,
+		tagCommitQuery: 9, tagCommitQueryReply: 10,
+		tagGVTUpdate: 14, tagGVTAck: 15, tagGVTToken: 16, tagCenWrite: 17, tagCenEcho: 18,
+		tagFastWrite: 19, tagSyncRequest: 20, tagSyncUpdates: 21,
+		tagRepairPrepare: 22, tagRepairPromise: 23, tagRepairAccept: 24,
+		tagRepairAccepted: 25, tagRepairLearn: 26,
+	}
+	if len(want) != numMessageTypes {
+		t.Fatalf("tag table pins %d tags, gen.message knows %d message types", len(want), numMessageTypes)
+	}
+	for got, w := range want {
+		if got != w {
+			t.Errorf("tag with pinned value %d is now %d", w, got)
+		}
+	}
+}
+
+// TestBinaryCodecRejectsUnsupportedValue checks that a dynamic value
+// outside the closed value set is an encode error wherever it hides.
+func TestBinaryCodecRejectsUnsupportedValue(t *testing.T) {
+	bad := map[string]int64{"a": 1}
+	vt := vtime.VT{Time: 1, Site: 1}
+	for _, m := range []Message{
+		GVTUpdate{VT: vt, From: 1, Name: "m", Value: bad},
+		Write{TxnVT: vt, Origin: 1, Updates: []Update{{Op: OpSet{Value: int(3)}}}},
+		JoinReply{TxnVT: vt, BValue: CompositeSnapshot{Kind: KindList, Elems: []SnapshotElem{
+			{Child: ChildDecl{Kind: KindList}, Nested: &CompositeSnapshot{Kind: KindList,
+				Elems: []SnapshotElem{{Child: ChildDecl{Kind: KindInt, Value: bad}}}}},
+		}}},
+	} {
+		if b, err := EncodeMessage(m); err == nil {
+			t.Errorf("%s with an unsupported value encoded to %x", m.Kind(), b)
+		}
 	}
 }

@@ -3,12 +3,14 @@
 // summary transaction outcomes (COMMIT / ABORT), the collaboration-join
 // protocol, and the failure-handling messages of paper §3.4.
 //
-// All messages are gob-encodable so the same protocol runs over the
-// in-memory simulated network and the TCP transport.
+// Message and Op are sealed interfaces and dynamically typed payload
+// values come from a closed set (nil, int64, float64, string, bool,
+// CompositeSnapshot, []Relationship), so the hand-written binary codec in
+// codec.go covers everything a site can send; the in-memory simulated
+// network passes the same values by reference.
 package wire
 
 import (
-	"encoding/gob"
 	"fmt"
 
 	"decaf/internal/consensus"
@@ -579,65 +581,10 @@ func (CommitQueryReply) isMessage() {}
 // Kind implements Message.
 func (CommitQueryReply) Kind() string { return "COMMIT-QUERY-REPLY" }
 
-// RepairPropose starts (or restarts, with a higher Epoch) the survivor
-// consensus that commits a replication-graph update after the graph's
-// primary site failed (paper §3.4). The coordinator is the lowest
-// surviving site; survivors respond with RepairAck.
-type RepairPropose struct {
-	Epoch      uint64
-	FailedSite vtime.SiteID
-	From       vtime.SiteID
-	// GraphVT is the common virtual time at which the repaired graphs
-	// will be applied.
-	GraphVT vtime.VT
-	// Survivors lists the sites participating in this repair round.
-	Survivors []vtime.SiteID
-}
-
-func (RepairPropose) isMessage() {}
-
-// Kind implements Message.
-func (RepairPropose) Kind() string { return "REPAIR-PROPOSE" }
-
-// RepairAck is a survivor's acknowledgement, carrying the outcomes it
-// knows for transactions that conflict with the repair.
-type RepairAck struct {
-	EpochN     uint64
-	FailedSite vtime.SiteID
-	From       vtime.SiteID
-	// KnownCommitted lists in-flight transactions this site knows to
-	// have committed.
-	KnownCommitted []vtime.VT
-}
-
-func (RepairAck) isMessage() {}
-
-// Kind implements Message.
-func (RepairAck) Kind() string { return "REPAIR-ACK" }
-
-// RepairDecide completes the repair: every survivor commits the listed
-// transactions, aborts every other in-flight transaction involving the
-// failed site, and applies the graph update at GraphVT.
-type RepairDecide struct {
-	EpochN     uint64
-	FailedSite vtime.SiteID
-	From       vtime.SiteID
-	GraphVT    vtime.VT
-	Commit     []vtime.VT
-}
-
-func (RepairDecide) isMessage() {}
-
-// Kind implements Message.
-func (RepairDecide) Kind() string { return "REPAIR-DECIDE" }
-
 // ---------------------------------------------------------------------------
-// Consensus-backed graph repair (DESIGN.md §14).
-//
-// The legacy RepairPropose/RepairAck/RepairDecide exchange above is a
-// one-shot epoch protocol kept for wire compatibility. New sites run the
-// single-decree consensus below (internal/consensus): any survivor can
-// take over a stalled repair with a higher ballot, and a quorum of the
+// Consensus-backed graph repair (DESIGN.md §14): a single-decree
+// consensus (internal/consensus) per failed site. Any survivor can take
+// over a stalled repair with a higher ballot, and a quorum of the
 // pre-failure membership must accept before a repair commits.
 // ---------------------------------------------------------------------------
 
@@ -739,58 +686,6 @@ func (RepairLearn) isMessage() {}
 
 // Kind implements Message.
 func (RepairLearn) Kind() string { return "REPAIR-LEARN" }
-
-// ---------------------------------------------------------------------------
-// Gob registration.
-// ---------------------------------------------------------------------------
-
-// RegisterGob registers every message and operation type with
-// encoding/gob. Safe to call more than once (gob.Register panics only on
-// inconsistent re-registration).
-func RegisterGob() {
-	gob.Register(Write{})
-	gob.Register(FastWrite{})
-	gob.Register(ConfirmRead{})
-	gob.Register(Confirm{})
-	gob.Register(Outcome{})
-	gob.Register(JoinRequest{})
-	gob.Register(JoinReply{})
-	gob.Register(CommitQuery{})
-	gob.Register(CommitQueryReply{})
-	gob.Register(PromoteQuery{})
-	gob.Register(PromoteReply{})
-	gob.Register(RepairPropose{})
-	gob.Register(RepairAck{})
-	gob.Register(RepairDecide{})
-	gob.Register(RepairPrepare{})
-	gob.Register(RepairPromise{})
-	gob.Register(RepairAccept{})
-	gob.Register(RepairAccepted{})
-	gob.Register(RepairLearn{})
-	gob.Register(SyncRequest{})
-	gob.Register(SyncUpdates{})
-
-	gob.Register(OpSet{})
-	gob.Register(OpAdd{})
-	gob.Register(OpListInsert{})
-	gob.Register(OpListInsertAfter{})
-	gob.Register(OpAssocInsert{})
-	gob.Register(OpListRemove{})
-	gob.Register(OpTupleSet{})
-	gob.Register(OpTupleRemove{})
-	gob.Register(OpGraph{})
-	gob.Register(OpAssoc{})
-
-	// Scalar value payloads.
-	gob.Register(int64(0))
-	gob.Register(float64(0))
-	gob.Register("")
-	gob.Register(false)
-	gob.Register(CompositeSnapshot{})
-	gob.Register([]Relationship(nil))
-}
-
-func init() { RegisterGob() }
 
 // CompositeSnapshot is the structured value of a composite object shipped
 // in JoinReply: enough to reconstruct the composite and its children.
