@@ -197,6 +197,7 @@ func (s *Site) handleFastWrite(from vtime.SiteID, m wire.FastWrite) {
 	}
 	s.trace(obs.EvApply, m.TxnVT, m.Origin, "fastpath")
 
+	applied0 := len(st.applied)
 	for _, upd := range m.Updates {
 		upd := upd
 		if s.applyUpdate(st, upd, history.Committed) {
@@ -212,8 +213,9 @@ func (s *Site) handleFastWrite(from vtime.SiteID, m wire.FastWrite) {
 		}
 	}
 	st.status = txnCommitted
-	s.scheduleOptimistic(st.appliedObjects())
-	s.onLocalCommit(st.appliedObjects(), m.TxnVT)
+	fresh := st.appliedSince(applied0)
+	s.scheduleOptimistic(fresh, m.TxnVT)
+	s.onLocalCommit(fresh, m.TxnVT)
 	s.resolveRC(m.TxnVT, true)
 	s.demoteGuessesFor(st.appliedObjects(), m.TxnVT)
 	s.trace(obs.EvCommit, m.TxnVT, m.Origin, "fastpath")

@@ -63,6 +63,7 @@ func (s *Site) handleWrite(from vtime.SiteID, m wire.Write) {
 		status = history.Committed
 	}
 
+	applied0 := len(st.applied)
 	blocked := 0
 	for _, upd := range m.Updates {
 		upd := upd
@@ -82,9 +83,10 @@ func (s *Site) handleWrite(from vtime.SiteID, m wire.Write) {
 			}
 		}
 	}
-	s.scheduleOptimistic(st.appliedObjects())
+	fresh := st.appliedSince(applied0)
+	s.scheduleOptimistic(fresh, m.TxnVT)
 	if committedAlready {
-		s.onLocalCommit(st.appliedObjects(), m.TxnVT)
+		s.onLocalCommit(fresh, m.TxnVT)
 		st.status = txnCommitted
 	}
 
@@ -797,10 +799,19 @@ func (s *Site) drainPending(root *object) {
 			if known, ok := s.outcomes[p.txnVT]; ok && known {
 				status = history.Committed
 			}
-			s.applyOp(st, root, p.upd.Path, p.upd.Op, status)
-			s.scheduleOptimistic([]*object{root})
+			applied0 := len(st.applied)
+			if !s.applyOp(st, root, p.upd.Path, p.upd.Op, status) {
+				// The path resolves but the op still waits on structure
+				// (a list insert whose After element has not arrived):
+				// park it again, or this replica loses it for good
+				// (simulation profile views, seed 95).
+				root.pending = append(root.pending, p)
+				continue
+			}
+			fresh := st.appliedSince(applied0)
+			s.scheduleOptimistic(fresh, p.txnVT)
 			if status == history.Committed {
-				s.onLocalCommit(st.appliedObjects(), p.txnVT)
+				s.onLocalCommit(fresh, p.txnVT)
 			}
 			if st.blockedRemaining > 0 {
 				st.blockedRemaining--

@@ -51,6 +51,9 @@ type writeTask struct {
 	// committed on arrival, with the demotion sweep run at finish time.
 	fast   bool
 	stripe int
+	// applied0 is len(st.applied) at staging: what this message applies
+	// is st.applied[applied0:].
+	applied0 int
 
 	// Results written by the worker, read by the loop after the join
 	// barrier.
@@ -136,6 +139,7 @@ func (s *Site) stageWrite(from vtime.SiteID, m wire.Write) bool {
 		status:           status,
 		committedAlready: committedAlready,
 		stripe:           stripe,
+		applied0:         len(st.applied),
 	})
 	s.stagedVTs[m.TxnVT] = true
 	return true
@@ -289,16 +293,16 @@ func (s *Site) flushWrites() {
 	}
 }
 
-// finishWrite completes a staged Write on the loop: optimistic view
-// scheduling, commit bookkeeping for already-decided transactions, and
-// the primary verdict (delegated decision or Confirm back to the
-// origin). This mirrors the serial handleWrite epilogue with blocked
-// always zero.
+// finishWrite completes a staged Write on the loop: marking the views
+// dirty, commit bookkeeping for already-decided transactions, and the
+// primary verdict (delegated decision or Confirm back to the origin).
+// This mirrors the serial handleWrite epilogue with blocked always zero.
 func (s *Site) finishWrite(t *writeTask) {
 	st, m := t.st, t.m
-	s.scheduleOptimistic(st.appliedObjects())
+	fresh := st.appliedSince(t.applied0)
+	s.scheduleOptimistic(fresh, m.TxnVT)
 	if t.committedAlready {
-		s.onLocalCommit(st.appliedObjects(), m.TxnVT)
+		s.onLocalCommit(fresh, m.TxnVT)
 		st.status = txnCommitted
 	}
 	if t.fast {

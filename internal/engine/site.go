@@ -229,6 +229,10 @@ type Site struct {
 	// proxies are the attached view proxies (AttachView adds, Detach
 	// removes), for snapshotFloor.
 	proxies []*viewProxy
+	// dirtyViews are the proxies with view work queued during the
+	// current batch, in the order they were first marked; settleViews
+	// empties it at batch end.
+	dirtyViews []*viewProxy
 	// outcomes retains summary outcomes so that late update messages are
 	// treated correctly (paper §3.1).
 	outcomes map[vtime.VT]bool
@@ -676,12 +680,12 @@ func (s *Site) drainCalls() {
 func (s *Site) Quiescent() bool {
 	quiet := false
 	if err := s.call(func() {
-		// The outbox/staged checks matter when this probe is drained
-		// into the middle of an active batch: sends staged by earlier
-		// stimuli of that batch only reach the transport at batch end,
-		// so the site is not quiescent until they flush.
+		// The outbox/staged/dirty-view checks matter when this probe is
+		// drained into the middle of an active batch: sends and view work
+		// queued by earlier stimuli of that batch only happen at batch
+		// end, so the site is not quiescent until they have.
 		quiet = len(s.calls) == 0 && len(s.ep.Events()) == 0 &&
-			len(s.outbox) == 0 && len(s.staged) == 0
+			len(s.outbox) == 0 && len(s.staged) == 0 && len(s.dirtyViews) == 0
 	}); err != nil {
 		return s.notifier.idle()
 	}
@@ -758,8 +762,9 @@ func (s *Site) Stats() Stats {
 
 // loop is the site's event loop: it owns all site state. Each wakeup
 // processes a batch: the blocking stimulus plus up to maxBatch-1
-// already-queued ones, then the batch epilogue runs staged writes
-// through the shard pipeline and flushes coalesced outbound messages.
+// already-queued ones, then the batch epilogue (endBatch) runs staged
+// writes through the shard pipeline, flushes coalesced outbound
+// messages, and settles the views.
 func (s *Site) loop() {
 	defer close(s.done)
 	defer s.stopWorkers()
@@ -820,11 +825,19 @@ func (s *Site) beginBatch() {
 	s.gcFloorValid = false
 }
 
-// endBatch runs the batch epilogue: staged writes, then the coalesced
-// outbox.
+// endBatch runs the batch epilogue: staged writes; the coalesced outbox,
+// which carries the batch's decisions (Confirms, Outcomes); the view work
+// the batch queued; the CONFIRM-READs that view work sent; the WAL sync.
+// Decisions leave before the views are settled because view notification
+// is local to the viewing site (paper §4) and nothing a peer waits for
+// depends on it (DESIGN.md §10).
 func (s *Site) endBatch(n int) {
 	s.flushWrites()
 	s.flushOutbox()
+	if len(s.dirtyViews) > 0 {
+		s.settleViews()
+		s.flushOutbox()
+	}
 	if s.wal != nil {
 		// Under SyncBatch the WAL amortizes one fsync per event batch;
 		// SyncAlways/SyncNever make this a no-op.

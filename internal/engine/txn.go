@@ -481,7 +481,7 @@ func (s *Site) finishExecution(st *txnState) {
 
 	// Optimistic views see the update as soon as it executes locally
 	// (paper §4.1).
-	s.scheduleOptimistic(st.appliedObjects())
+	s.scheduleOptimistic(st.appliedObjects(), st.vt)
 
 	// A transaction made purely of commutative ops commits here and now —
 	// no guess, no reservation, no confirm round-trip.
@@ -503,8 +503,14 @@ func (s *Site) finishExecution(st *txnState) {
 // locally. (One or two, several times per decision: a scan of the result
 // beats a map per call.)
 func (st *txnState) appliedObjects() []*object {
+	return st.appliedSince(0)
+}
+
+// appliedSince is appliedObjects over st.applied[from:]: what one
+// message (or one drained indirect update) newly applied.
+func (st *txnState) appliedSince(from int) []*object {
 	var out []*object
-	for _, a := range st.applied {
+	for _, a := range st.applied[from:] {
 		if !slices.Contains(out, a.obj) {
 			out = append(out, a.obj)
 		}
@@ -955,6 +961,9 @@ func (s *Site) abortTxn(st *txnState, reason string) {
 	s.outcomes[st.vt] = false
 	s.walLocalAbort(st)
 	st.sentMsgs = nil
+	// Collected before the undo empties st.applied: the views watching
+	// these objects must rerun against the reverted state.
+	objs := st.appliedObjects()
 	s.undoApplied(st)
 	s.releaseReservations(st)
 	for _, site := range sortedSites(st.involved) {
@@ -963,7 +972,7 @@ func (s *Site) abortTxn(st *txnState, reason string) {
 		}
 	}
 	s.resolveRC(st.vt, false)
-	s.onLocalAbort(st.appliedObjects())
+	s.onLocalAbort(objs)
 	s.stats.ConflictAborts.Add(1)
 	s.trace(obs.EvAbort, st.vt, 0, reason)
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"slices"
 	"sync/atomic"
 
@@ -27,7 +28,8 @@ const (
 )
 
 // SnapshotData is the immutable state snapshot delivered to a view's
-// update callback. It is safe to retain and read from any goroutine.
+// update callback. It is safe to retain and read from any goroutine; its
+// map and slices are shared with the engine, so they must not be written.
 type SnapshotData struct {
 	// TS is the snapshot's virtual time.
 	TS vtime.VT
@@ -54,10 +56,11 @@ type ViewFuncs struct {
 // snapshot is the engine-internal snapshot object (paper §4: "For every
 // view notification initiated, a snapshot object is created").
 type snapshot struct {
-	ts       vtime.VT
-	gen      uint64
-	values   map[ids.ObjectID]any
-	versions map[*object]vtime.VT
+	ts     vtime.VT
+	gen    uint64
+	values map[ids.ObjectID]any
+	// versions are the attached objects' state tokens, in attach order.
+	versions []vtime.VT
 	changed  []ids.ObjectID
 	// pendingChecks counts outstanding remote RL confirmations.
 	pendingChecks int
@@ -108,14 +111,25 @@ type viewProxy struct {
 	// snapshot").
 	cur *snapshot
 	// lastVersions tracks the per-object state identity at the last
-	// notification, for change lists and lost-update accounting.
-	lastVersions map[*object]vtime.VT
+	// notification, in attach order, for change lists.
+	lastVersions []vtime.VT
 	everNotified bool
 
 	// snaps are the pessimistic proxy's uncommitted snapshots in VT
 	// order; lastNotifiedVT is the paper's field of the same name.
 	snaps          []*snapshot
 	lastNotifiedVT vtime.VT
+	// lostVT is the last straggler counted as a lost update, so one
+	// transaction counts once however many attached objects it wrote.
+	lostVT vtime.VT
+
+	// Work queued for the batch's settleViews: dirty means the proxy is
+	// on Site.dirtyViews, rerun that a rollback reverted attached state
+	// (optimistic), committed the VTs that committed on attached objects
+	// during the batch (pessimistic, in arrival order).
+	dirty     bool
+	rerun     bool
+	committed []vtime.VT
 }
 
 // ViewHandle identifies an attached view for later detachment.
@@ -157,10 +171,9 @@ func (s *Site) AttachView(refs []ObjRef, mode ViewMode, fns ViewFuncs) (*ViewHan
 		return nil, errInvalidView
 	}
 	p := &viewProxy{
-		site:         s,
-		mode:         mode,
-		fns:          fns,
-		lastVersions: map[*object]vtime.VT{},
+		site: s,
+		mode: mode,
+		fns:  fns,
 	}
 	err := s.call(func() {
 		for _, r := range refs {
@@ -173,6 +186,7 @@ func (s *Site) AttachView(refs []ObjRef, mode ViewMode, fns ViewFuncs) (*ViewHan
 		if len(p.attached) > 0 {
 			s.proxies = append(s.proxies, p)
 		}
+		p.lastVersions = make([]vtime.VT, len(p.attached))
 		switch mode {
 		case Pessimistic:
 			// Start from the latest committed state.
@@ -184,7 +198,7 @@ func (s *Site) AttachView(refs []ObjRef, mode ViewMode, fns ViewFuncs) (*ViewHan
 				ts = ts.Max(o.latestCommittedVT())
 			}
 			p.lastNotifiedVT = ts
-			p.deliverPessimistic(p.buildSnapshot(ts, true, true))
+			p.deliverPessimistic(p.buildSnapshot(ts, true))
 		default:
 			p.runOptimistic()
 		}
@@ -247,41 +261,58 @@ func (o *object) collectPendingAt(at vtime.VT, into map[vtime.VT]bool) {
 }
 
 // buildSnapshot materializes a snapshot of the proxy's attached objects at
-// ts.
-func (p *viewProxy) buildSnapshot(ts vtime.VT, committedOnly, markAllChanged bool) *snapshot {
+// ts. Its change list names every object on the first notification, and
+// afterwards those whose state token moved since the last one — or whose
+// value moved under the same token: a merge (Add) inserted or rolled
+// back below an object's newest version changes the values above it
+// without adding a version there.
+func (p *viewProxy) buildSnapshot(ts vtime.VT, committedOnly bool) *snapshot {
 	// A new snapshot can lower the GC floor below the batch cache.
 	p.site.invalidateGCFloor()
-	snap := &snapshot{
-		ts:       ts,
-		values:   make(map[ids.ObjectID]any, len(p.attached)),
-		versions: make(map[*object]vtime.VT, len(p.attached)),
-		rcDeps:   map[vtime.VT]bool{},
-		wall:     p.site.obs.NowNanos(),
-	}
-	for _, o := range p.attached {
-		snap.values[o.id] = o.readValue(ts, committedOnly)
-		snap.versions[o] = o.stateTokenAt(ts, committedOnly)
-		if !committedOnly {
-			o.collectPendingAt(ts, snap.rcDeps)
-		}
-	}
-	for _, o := range p.attached {
-		if markAllChanged || snap.versions[o] != p.lastVersions[o] {
+	snap := &snapshot{ts: ts, wall: p.site.obs.NowNanos()}
+	p.materialize(snap, committedOnly)
+	for i, o := range p.attached {
+		if !p.everNotified || snap.versions[i] != p.lastVersions[i] ||
+			(p.cur != nil && !sameValue(snap.values[o.id], p.cur.values[o.id])) {
 			snap.changed = append(snap.changed, o.id)
 		}
 	}
 	return snap
 }
 
-// data converts a snapshot into its immutable user-facing form.
-func (snap *snapshot) data(committed bool) SnapshotData {
-	vals := make(map[ids.ObjectID]any, len(snap.values))
-	for k, v := range snap.values {
-		vals[k] = v
+// sameValue reports whether two materialized values are equal, without
+// reflection for the scalar kinds.
+func sameValue(a, b any) bool {
+	switch a.(type) {
+	case int64, float64, string, bool, nil:
+		return a == b
 	}
-	changed := make([]ids.ObjectID, len(snap.changed))
-	copy(changed, snap.changed)
-	return SnapshotData{TS: snap.ts, Values: vals, Changed: changed, Committed: committed}
+	return reflect.DeepEqual(a, b)
+}
+
+// materialize reads the attached objects' values and state tokens at
+// snap.ts into fresh maps (and, for optimistic reads, the pending
+// transactions they depend on).
+func (p *viewProxy) materialize(snap *snapshot, committedOnly bool) {
+	snap.values = make(map[ids.ObjectID]any, len(p.attached))
+	snap.versions = make([]vtime.VT, len(p.attached))
+	if !committedOnly {
+		snap.rcDeps = map[vtime.VT]bool{}
+	}
+	for i, o := range p.attached {
+		snap.values[o.id] = o.readValue(snap.ts, committedOnly)
+		snap.versions[i] = o.stateTokenAt(snap.ts, committedOnly)
+		if !committedOnly {
+			o.collectPendingAt(snap.ts, snap.rcDeps)
+		}
+	}
+}
+
+// data converts a snapshot into its user-facing form. It shares the
+// snapshot's value map and change list, which are never written after
+// they are built (materialize and deliverPessimistic replace them).
+func (snap *snapshot) data(committed bool) SnapshotData {
+	return SnapshotData{TS: snap.ts, Values: snap.values, Changed: snap.changed, Committed: committed}
 }
 
 // minSnapshotVT reports the lowest VT any of the proxy's live snapshots
@@ -307,66 +338,126 @@ func (p *viewProxy) minSnapshotVT() (vtime.VT, bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Site-level scheduling hooks (called from the event loop).
+// Site-level scheduling hooks (called from the event loop). They only
+// record what changed; settleViews does the view work once per batch,
+// after the batch's decisions have left (DESIGN.md §10).
 // ---------------------------------------------------------------------------
 
-// proxiesOf collects the distinct view proxies observing any of objs.
-func proxiesOf(objs []*object, mode ViewMode) []*viewProxy {
-	var out []*viewProxy
-	for _, o := range objs {
-		for _, p := range o.attachedProxies() {
-			if p.mode == mode && !p.detached && !slices.Contains(out, p) {
-				out = append(out, p)
-			}
-		}
+// markDirty queues p for the batch's settleViews.
+func (s *Site) markDirty(p *viewProxy) {
+	if !p.dirty {
+		p.dirty = true
+		s.dirtyViews = append(s.dirtyViews, p)
 	}
-	return out
 }
 
-// scheduleOptimistic notifies optimistic proxies that attached objects
-// changed (a local execution, a remote update, or a rollback).
-func (s *Site) scheduleOptimistic(objs []*object) {
+// scheduleOptimistic marks the optimistic proxies observing objs dirty
+// after transaction vt wrote them (a local execution or a remote update).
+// A straggler — a write below a newer version of the same object — is
+// one the view never shows, however its snapshots are scheduled: it is
+// counted as a lost update here, where it is applied (paper §5.1.2), so
+// coalescing cannot hide or invent one. (A write below the snapshot's TS
+// to an object with nothing newer is shown by the next snapshot, so it
+// is not lost.) Callers pass only the objects vt newly wrote, so a
+// redundant trigger (a duplicate delivery) counts nothing.
+func (s *Site) scheduleOptimistic(objs []*object, vt vtime.VT) {
 	if len(s.proxies) == 0 {
 		return
 	}
-	for _, p := range proxiesOf(objs, Optimistic) {
-		p.runOptimistic()
+	for _, o := range objs {
+		straggler := vt.Less(o.latestVT())
+		for _, p := range o.attachedProxies() {
+			if p.mode != Optimistic || p.detached {
+				continue
+			}
+			if straggler && p.lostVT != vt {
+				p.lostVT = vt
+				s.stats.LostUpdates.Add(1)
+			}
+			s.markDirty(p)
+		}
 	}
 }
 
-// onLocalCommit reacts to a transaction's updates becoming committed at
-// this site: pessimistic snapshots are created, optimistic transient
-// states re-examined.
+// onLocalCommit records that transaction vt's updates to objs committed
+// at this site: each pessimistic proxy observing them queues vt for a
+// snapshot.
 func (s *Site) onLocalCommit(objs []*object, vt vtime.VT) {
 	if len(s.proxies) == 0 {
 		return
 	}
-	for _, p := range proxiesOf(objs, Pessimistic) {
-		p.onCommitted(vt)
-	}
-	for _, p := range proxiesOf(objs, Pessimistic) {
-		p.retryPending()
+	for _, o := range objs {
+		for _, p := range o.attachedProxies() {
+			if p.mode != Pessimistic || p.detached {
+				continue
+			}
+			if n := len(p.committed); n == 0 || p.committed[n-1] != vt {
+				p.committed = append(p.committed, vt)
+			}
+			s.markDirty(p)
+		}
 	}
 }
 
-// onLocalAbort reacts to a rollback: optimistic proxies rerun their
-// snapshot against the reverted state; pessimistic proxies retry guesses
-// that were waiting on the aborted transaction.
+// onLocalAbort records a rollback of objs: optimistic proxies rerun
+// their snapshot against the reverted state, pessimistic proxies retry
+// guesses that were waiting on the aborted transaction.
 func (s *Site) onLocalAbort(objs []*object) {
 	if len(s.proxies) == 0 {
 		return
 	}
-	for _, p := range proxiesOf(objs, Optimistic) {
-		p.rerunAfterAbort()
+	for _, o := range objs {
+		for _, p := range o.attachedProxies() {
+			if p.detached {
+				continue
+			}
+			if p.mode == Optimistic {
+				p.rerun = true
+			}
+			s.markDirty(p)
+		}
 	}
-	for _, p := range proxiesOf(objs, Pessimistic) {
-		p.retryPending()
+}
+
+// settleViews runs the view work queued during the batch, once per dirty
+// proxy. An optimistic proxy builds one snapshot of the current state,
+// however many updates the batch applied (paper §4.1: optimistic views
+// are lossy). A pessimistic proxy places a snapshot at every committed
+// VT of the batch, in VT order, before it checks any of them: a
+// permanent local RL denial does not hold a snapshot (it relies on the
+// earlier commit's own snapshot to revise it), so checking a later VT
+// before an earlier one of the same batch has its snapshot would deliver
+// the later snapshot and lose the earlier one.
+func (s *Site) settleViews() {
+	for _, p := range s.dirtyViews {
+		p.dirty = false
+		switch {
+		case p.detached:
+		case p.mode == Pessimistic:
+			p.settlePessimistic()
+		default:
+			p.settleOptimistic()
+		}
 	}
+	clear(s.dirtyViews)
+	s.dirtyViews = s.dirtyViews[:0]
 }
 
 // ---------------------------------------------------------------------------
 // Optimistic proxy (paper §4.1).
 // ---------------------------------------------------------------------------
+
+// settleOptimistic brings the optimistic proxy up to date once per batch
+// (paper §4.1: after a rollback the snapshot reruns with a new tS).
+func (p *viewProxy) settleOptimistic() {
+	if p.rerun {
+		p.rerun = false
+		if p.cur != nil {
+			p.site.stats.SnapshotReruns.Add(1)
+		}
+	}
+	p.runOptimistic()
+}
 
 // runOptimistic creates and schedules a fresh optimistic snapshot at the
 // greatest VT of the attached objects' current values.
@@ -378,18 +469,10 @@ func (p *viewProxy) runOptimistic() {
 	for _, o := range p.attached {
 		ts = ts.Max(o.latestVT())
 	}
-	snap := p.buildSnapshot(ts, false, !p.everNotified)
-
-	if p.cur != nil && p.cur.ts == snap.ts && versionsEqual(p.cur.versions, snap.versions) {
-		// The triggering update did not change the observed state: a
-		// straggler older than the current snapshot — a lost update
-		// (paper §5.1.2) — or a redundant trigger.
-		if p.everNotified {
-			p.site.stats.LostUpdates.Add(1)
-		}
-		return
-	}
+	snap := p.buildSnapshot(ts, false)
 	if len(snap.changed) == 0 && p.everNotified {
+		// The batch did not change the observed state: its updates were
+		// stragglers (counted where they were applied) or redundant.
 		return
 	}
 
@@ -397,9 +480,7 @@ func (p *viewProxy) runOptimistic() {
 	snap.gen = p.gen
 	p.cur = snap
 	p.everNotified = true
-	for o, v := range snap.versions {
-		p.lastVersions[o] = v
-	}
+	copy(p.lastVersions, snap.versions)
 	p.latestGen.Store(snap.gen)
 
 	s := p.site
@@ -446,19 +527,6 @@ func (p *viewProxy) armOptDelivery() {
 	p.optQueued.Store(false)
 }
 
-// versionsEqual compares per-object state tokens.
-func versionsEqual(a, b map[*object]vtime.VT) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
 // requestOptimisticGuesses registers the snapshot's RC and RL guesses
 // (paper §4.1).
 func (p *viewProxy) requestOptimisticGuesses(snap *snapshot) {
@@ -494,8 +562,8 @@ func (p *viewProxy) requestOptimisticGuesses(snap *snapshot) {
 	// RL guesses: for each attached object read below ts, the interval
 	// up to ts must be write-free at the object's primary copy.
 	checksBySite := map[vtime.SiteID][]wire.ReadCheck{}
-	for _, o := range p.attached {
-		v := snap.versions[o]
+	for i, o := range p.attached {
+		v := snap.versions[i]
 		if !v.Less(snap.ts) {
 			continue // read the value written at ts itself: no RL guess
 		}
@@ -568,41 +636,48 @@ func (p *viewProxy) checkOptimisticCommit(snap *snapshot) {
 	})
 }
 
-// rerunAfterAbort recomputes the optimistic snapshot after a rollback
-// reverted attached state (paper §4.1: rerun with a new tS).
-func (p *viewProxy) rerunAfterAbort() {
-	if p.cur == nil {
-		p.runOptimistic()
-		return
-	}
-	p.site.stats.SnapshotReruns.Add(1)
-	p.runOptimistic()
-}
-
 // ---------------------------------------------------------------------------
 // Pessimistic proxy (paper §4.2).
 // ---------------------------------------------------------------------------
 
-// onCommitted reacts to a committed update at VT cvt touching an attached
-// object: a snapshot is created at cvt and later snapshots are revised.
-func (p *viewProxy) onCommitted(cvt vtime.VT) {
-	if p.detached {
-		return
+// settlePessimistic turns the batch's committed VTs into snapshots and
+// checks them (see settleViews for why all are placed first). Every
+// snapshot from the earliest insertion on is re-checked — its preceding
+// boundary changed (paper §4.2) — as is any earlier one stalled on a
+// transient denial that this batch's commits or aborts may have cleared.
+// A snapshot reads its values only when delivered (deliverPessimistic).
+func (p *viewProxy) settlePessimistic() {
+	// An insertion shifts the later snapshots up, never below the
+	// smallest index inserted so far, so from covers all of them.
+	from := len(p.snaps)
+	for _, vt := range p.committed {
+		if i, ok := p.insertSnapshot(vt); ok && i < from {
+			from = i
+		}
 	}
+	p.committed = p.committed[:0]
+	for i, sn := range p.snaps {
+		if i >= from || (sn.transientWait && sn.pendingChecks == 0) {
+			p.recheck(i)
+		}
+	}
+	p.tryDeliver()
+}
+
+// insertSnapshot places a snapshot at committed VT cvt in VT order and
+// returns its index; an existing snapshot at cvt is reused (a later
+// message of the same transaction committed more of it). ok is false
+// when cvt is at or below the notification watermark: a committed
+// straggler there would violate monotonicity, reservations prevent it
+// (§4.2), so it was already covered by a delivered snapshot.
+func (p *viewProxy) insertSnapshot(cvt vtime.VT) (idx int, ok bool) {
 	if cvt.LessEq(p.lastNotifiedVT) {
-		// A committed straggler below the notification watermark would
-		// violate monotonicity; reservations prevent this (§4.2), so
-		// this indicates it was already covered by a delivered snapshot.
-		return
+		return 0, false
 	}
-	idx := len(p.snaps)
+	idx = len(p.snaps)
 	for i, sn := range p.snaps {
 		if sn.ts == cvt {
-			// Refresh and revise from here (values may now include the
-			// newly committed straggler).
-			p.reviseFrom(i)
-			p.tryDeliver()
-			return
+			return i, true
 		}
 		if cvt.Less(sn.ts) {
 			idx = i
@@ -611,29 +686,19 @@ func (p *viewProxy) onCommitted(cvt vtime.VT) {
 	}
 	// A new snapshot can lower the GC floor below the batch cache.
 	p.site.invalidateGCFloor()
-	snap := &snapshot{ts: cvt, rcDeps: map[vtime.VT]bool{}, wall: p.site.obs.NowNanos()}
-	p.snaps = append(p.snaps, nil)
-	copy(p.snaps[idx+1:], p.snaps[idx:])
-	p.snaps[idx] = snap
-	// Revise the new snapshot and every later one (their preceding-VT
-	// boundary changed, paper §4.2).
-	p.reviseFrom(idx)
-	p.tryDeliver()
+	p.snaps = slices.Insert(p.snaps, idx, &snapshot{ts: cvt, wall: p.site.obs.NowNanos()})
+	return idx, true
 }
 
-// reviseFrom rebuilds values and re-requests guesses for snaps[i:].
-func (p *viewProxy) reviseFrom(i int) {
-	for ; i < len(p.snaps); i++ {
-		snap := p.snaps[i]
-		snap.checkEpoch++
-		snap.pendingChecks = 0
-		snap.confirmed = false
-		snap.transientWait = false
-		rebuilt := p.buildSnapshot(snap.ts, true, false)
-		snap.values = rebuilt.values
-		snap.versions = rebuilt.versions
-		p.requestPessimisticGuesses(i)
-	}
+// recheck re-requests snaps[i]'s RL guesses, invalidating replies to
+// earlier requests.
+func (p *viewProxy) recheck(i int) {
+	snap := p.snaps[i]
+	snap.checkEpoch++
+	snap.pendingChecks = 0
+	snap.confirmed = false
+	snap.transientWait = false
+	p.requestPessimisticGuesses(i)
 }
 
 // prevBoundary returns the VT preceding snaps[i]: the previous snapshot's
@@ -689,8 +754,8 @@ func (p *viewProxy) requestPessimisticGuesses(i int) {
 					snap.transientWait = true
 				}
 				// A permanent local denial means a committed update in
-				// the interval: its own onCommitted will insert an
-				// earlier snapshot and revise us.
+				// the interval: its own snapshot, placed before this one
+				// by settlePessimistic, revises us.
 				continue
 			}
 			continue
@@ -714,7 +779,11 @@ func (p *viewProxy) requestPessimisticGuesses(i int) {
 			}
 			if c.OK {
 				snap.pendingChecks--
-				p.tryDeliver()
+				if !p.dirty {
+					// A dirty proxy delivers in settleViews, once the
+					// batch's commits have their snapshots.
+					p.tryDeliver()
+				}
 				return
 			}
 			if c.Transient {
@@ -740,22 +809,6 @@ func (p *viewProxy) contains(snap *snapshot) bool {
 	return false
 }
 
-// retryPending re-requests guesses for snapshots stalled on transient
-// denials (an in-flight transaction settled).
-func (p *viewProxy) retryPending() {
-	for i, sn := range p.snaps {
-		if sn.transientWait && sn.pendingChecks == 0 {
-			sn.transientWait = false
-			sn.checkEpoch++
-			rebuilt := p.buildSnapshot(sn.ts, true, false)
-			sn.values = rebuilt.values
-			sn.versions = rebuilt.versions
-			p.requestPessimisticGuesses(i)
-		}
-	}
-	p.tryDeliver()
-}
-
 // tryDeliver notifies committed snapshots in VT order (paper §4.2:
 // "When one or more snapshots commit, the view is notified, once for each
 // committed snapshot, in VT sequence").
@@ -772,21 +825,21 @@ func (p *viewProxy) tryDeliver() {
 
 // deliverPessimistic sends one committed snapshot to the view.
 func (p *viewProxy) deliverPessimistic(snap *snapshot) {
+	if snap.values == nil {
+		// Read once, on delivery: the checks that cleared the snapshot
+		// hold (prev, ts) free of commits, so its committed state cannot
+		// have changed since, however often it was re-checked.
+		p.materialize(snap, true)
+	}
 	// Compute the change list against the previously notified state.
 	snap.changed = nil
 	first := !p.everNotified
-	for _, o := range p.attached {
-		v := snap.versions[o]
-		if first || v != p.lastVersions[o] {
-			snap.changed = append(snap.changed, o.id)
-		}
-		p.lastVersions[o] = v
-	}
-	if snap.versions == nil {
-		for _, o := range p.attached {
+	for i, o := range p.attached {
+		if first || snap.versions[i] != p.lastVersions[i] {
 			snap.changed = append(snap.changed, o.id)
 		}
 	}
+	copy(p.lastVersions, snap.versions)
 	p.everNotified = true
 	p.lastNotifiedVT = snap.ts
 	data := snap.data(true)

@@ -8,6 +8,7 @@ import (
 	"decaf/internal/ids"
 	"decaf/internal/transport"
 	"decaf/internal/vtime"
+	"decaf/internal/wire"
 )
 
 // recorder is a test view capturing notifications.
@@ -179,22 +180,18 @@ func TestPessimisticMonotonicLossless(t *testing.T) {
 func TestOptimisticViewRollbackRerun(t *testing.T) {
 	// An optimistic view that saw state from an aborted transaction gets
 	// a superseding notification with the reverted state (paper §4.1).
-	net := transport.NewNetwork(transport.Config{})
-	defer net.Close()
-	ep1, _ := net.Endpoint(1)
-	ep2, _ := net.Endpoint(2)
-	s1 := NewSite(ep1, Options{MaxRetries: 1})
-	s2 := NewSite(ep2, Options{MaxRetries: 1})
-	s1.Start()
-	s2.Start()
-	defer s1.Stop()
-	defer s2.Stop()
+	// The primary's denial reaches the origin as the delegate's Outcome,
+	// or, with delegation off, as a Confirm (abortTxn).
+	t.Run("delegate", func(t *testing.T) { testOptimisticViewRollbackRerun(t, Options{MaxRetries: 1}) })
+	t.Run("confirm", func(t *testing.T) {
+		testOptimisticViewRollbackRerun(t, Options{MaxRetries: 1, DisableDelegation: true})
+	})
+}
 
-	ref1, _ := s1.CreateObject(KindInt, "x", int64(1))
-	ref2, _ := s2.CreateObject(KindInt, "x", int64(1))
-	if res := s2.JoinObject(ref2, 1, ref1.ID()).Wait(); !res.Committed {
-		t.Fatalf("join: %+v", res)
-	}
+func testOptimisticViewRollbackRerun(t *testing.T, opts Options) {
+	h := newHarnessOpts(t, 2, transport.Config{}, opts)
+	refs := h.joined(KindInt, "x", int64(1), 1, 2)
+	s1, s2, ref1, ref2 := h.site(1), h.site(2), refs[1], refs[2]
 
 	rec := &recorder{}
 	if _, err := s2.AttachView([]ObjRef{ref2}, Optimistic, rec.fns()); err != nil {
@@ -382,5 +379,262 @@ func TestFig8PessimisticStraggler(t *testing.T) {
 		if !ups[i-1].TS.Less(ups[i].TS) {
 			t.Fatalf("pessimistic notifications out of order: %v then %v", ups[i-1].TS, ups[i].TS)
 		}
+	}
+}
+
+// ---------------------------------------------------------------------------
+// View work settles once per event-loop batch, after the batch's
+// decisions have left (settleViews).
+// ---------------------------------------------------------------------------
+
+// sendProbe wraps an in-memory endpoint and calls onBatch, on the sending
+// site's event loop, with every batch handed to SendBatch.
+type sendProbe struct {
+	transport.Endpoint
+	onBatch func(msgs []wire.Message)
+}
+
+func (e *sendProbe) SendBatch(to vtime.SiteID, sentAt vtime.VT, msgs []wire.Message) error {
+	e.onBatch(msgs)
+	return e.Endpoint.(transport.BatchSender).SendBatch(to, sentAt, msgs)
+}
+
+// remoteWrite is a Write from origin 2 to ref's replica at site s, at VT
+// vt. A delegated write asks the receiving primary to decide it.
+func remoteWrite(s *Site, ref ObjRef, vt vtime.VT, op wire.Op, delegated bool) wire.Write {
+	var graphVT vtime.VT
+	_ = s.call(func() { graphVT = ref.o.graphVT })
+	w := wire.Write{TxnVT: vt, Origin: 2, Updates: []wire.Update{{
+		Target: ref.ID(), ReadVT: vt, GraphVT: graphVT, Op: op,
+	}}}
+	if delegated {
+		w.NeedsConfirm = true
+		w.Delegate = &wire.Delegation{Sites: []vtime.SiteID{2}}
+	}
+	return w
+}
+
+// deliverBatch hands ws to site 1 as one event-loop batch from site 2 and
+// waits until the batch, its view work included, has settled.
+func (h *harness) deliverBatch(ws ...wire.Write) {
+	h.t.Helper()
+	s := h.site(1)
+	_ = s.call(func() {
+		for _, w := range ws {
+			s.handleMessage(2, w)
+		}
+	})
+	h.eventually(3*time.Second, "site 1 quiescent", s.Quiescent)
+}
+
+func TestDelegateOutcomeLeavesBeforePessimisticSnapshot(t *testing.T) {
+	// Site 2 is the primary of x and hosts a pessimistic view on it, so it
+	// decides site 1's write as delegate (paper §3.1) and also has to
+	// notify the view. The decision must reach the transport before the
+	// batch's view work builds the snapshot: nothing the origin waits for
+	// depends on that snapshot.
+	type sent struct {
+		vt          vtime.VT
+		notifiedTo  vtime.VT // the view's lastNotifiedVT at send time
+		snapshotted bool     // a snapshot at vt existed at send time
+	}
+	var (
+		mu    sync.Mutex
+		sends []sent
+		view  *ViewHandle
+	)
+	probe := func(msgs []wire.Message) {
+		mu.Lock()
+		defer mu.Unlock()
+		if view == nil {
+			return
+		}
+		for _, m := range msgs {
+			o, ok := m.(wire.Outcome)
+			if !ok || !o.Committed {
+				continue
+			}
+			rec := sent{vt: o.TxnVT, notifiedTo: view.p.lastNotifiedVT}
+			for _, sn := range view.p.snaps {
+				rec.snapshotted = rec.snapshotted || sn.ts == o.TxnVT
+			}
+			sends = append(sends, rec)
+		}
+	}
+	h := &harness{t: t, net: transport.NewNetwork(transport.Config{}), sites: map[vtime.SiteID]*Site{}}
+	for id := vtime.SiteID(1); id <= 2; id++ {
+		var ep transport.Endpoint
+		ep, _ = h.net.Endpoint(id)
+		if id == 2 {
+			ep = &sendProbe{Endpoint: ep, onBatch: probe}
+		}
+		h.sites[id] = NewSite(ep, Options{})
+		h.sites[id].Start()
+	}
+	t.Cleanup(func() {
+		h.site(1).Stop()
+		h.site(2).Stop()
+		h.net.Close()
+	})
+	refs := h.joined(KindInt, "x", int64(0), 2, 1)
+
+	rec := &recorder{}
+	vh, err := h.site(2).AttachView([]ObjRef{refs[2]}, Pessimistic, rec.fns())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	view = vh
+	mu.Unlock()
+
+	res := h.site(1).Submit(&Txn{Execute: func(tx *Tx) error { return tx.Write(refs[1], int64(7)) }}).Wait()
+	if !res.Committed {
+		t.Fatalf("write: %+v", res)
+	}
+	h.eventually(3*time.Second, "the pessimistic notification", func() bool {
+		ups, _ := rec.snapshot()
+		return len(ups) == 2 && ups[1].TS == res.VT
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	found := false
+	for _, s := range sends {
+		if s.vt != res.VT {
+			continue
+		}
+		found = true
+		if s.snapshotted || res.VT.LessEq(s.notifiedTo) {
+			t.Fatalf("the delegate's Outcome for %s left after the view's snapshot was built (snapshot pending %v, notified up to %s)",
+				res.VT, s.snapshotted, s.notifiedTo)
+		}
+	}
+	if !found {
+		t.Fatalf("no Outcome for %s passed SendBatch at the delegate", res.VT)
+	}
+}
+
+func TestPessimisticBatchSettlesInVTOrder(t *testing.T) {
+	// Two remote writes on x commit at its primary in one batch, the later
+	// VT first. Settling them in arrival order would check b's snapshot
+	// while a is already committed inside (prev, b): a permanent local
+	// denial, which holds nothing, so b would be delivered and a then fall
+	// below the watermark, never notified. In VT order each is notified
+	// once, a before b (paper §4.2 guarantees 1 and 2).
+	h := newHarness(t, 2, transport.Config{})
+	x := h.joined(KindInt, "x", int64(0), 1, 2)[1]
+	rec := &recorder{}
+	if _, err := h.site(1).AttachView([]ObjRef{x}, Pessimistic, rec.fns()); err != nil {
+		t.Fatal(err)
+	}
+	a := vtime.VT{Time: 1 << 20, Site: 2}
+	b := vtime.VT{Time: 1<<20 + 1, Site: 2}
+	h.deliverBatch(
+		remoteWrite(h.site(1), x, b, wire.OpSet{Value: int64(22)}, true),
+		remoteWrite(h.site(1), x, a, wire.OpSet{Value: int64(11)}, true),
+	)
+
+	ups, _ := rec.snapshot()
+	if len(ups) != 3 {
+		t.Fatalf("pessimistic view heard %d notifications after the attach, want 2 (one per commit): %+v", len(ups)-1, ups)
+	}
+	for i, want := range []struct {
+		ts vtime.VT
+		v  int64
+	}{{a, 11}, {b, 22}} {
+		u := ups[i+1]
+		if u.TS != want.ts || u.Values[x.ID()] != want.v {
+			t.Fatalf("notification %d = %s:%v, want %s:%d", i+1, u.TS, u.Values[x.ID()], want.ts, want.v)
+		}
+	}
+}
+
+func TestRemoteAppliesCoalesceIntoOneOptimisticBuild(t *testing.T) {
+	// k remote updates applied in one batch leave the optimistic view one
+	// snapshot to build, of the newest state (paper §4.1: optimistic
+	// views are lossy). The serial write path applies and finishes each
+	// write in turn, so a build per apply would show the view k states.
+	h := newHarnessOpts(t, 2, transport.Config{}, Options{CommitWorkers: 1})
+	x := h.joined(KindInt, "x", int64(0), 1, 2)[1]
+	rec := &recorder{}
+	if _, err := h.site(1).AttachView([]ObjRef{x}, Optimistic, rec.fns()); err != nil {
+		t.Fatal(err)
+	}
+	h.deliverBatch()
+	before := h.site(1).Stats().OptNotifications
+
+	const k = 5
+	var writes []wire.Write
+	for i := 1; i <= k; i++ {
+		writes = append(writes, remoteWrite(h.site(1), x, vtime.VT{Time: 1<<20 + uint64(i), Site: 2}, wire.OpSet{Value: int64(i)}, false))
+	}
+	h.deliverBatch(writes...)
+
+	if n := h.site(1).Stats().OptNotifications - before; n != 1 {
+		t.Fatalf("%d remote applies in one batch built %d optimistic snapshots, want 1", k, n)
+	}
+	if v, _ := rec.lastValue(x.ID()); v != int64(k) {
+		t.Fatalf("optimistic view shows %v, want the newest value %d", v, k)
+	}
+}
+
+func TestLostUpdateCountedWhereApplied(t *testing.T) {
+	// A straggler — a remote write below a newer version of the same
+	// object — is a lost update (paper §5.1.2), counted once when it is
+	// applied. A redundant trigger (the same write delivered again) is
+	// not, nor is a write below the view's snapshot to an object with
+	// nothing newer (the next snapshot shows it), and a newer write
+	// settled in the same batch does not hide one.
+	h := newHarness(t, 2, transport.Config{})
+	x := h.joined(KindInt, "x", int64(0), 1, 2)[1]
+	y := h.joined(KindInt, "y", int64(0), 1, 2)[1]
+	if _, err := h.site(1).AttachView([]ObjRef{x, y}, Optimistic, (&recorder{}).fns()); err != nil {
+		t.Fatal(err)
+	}
+	at := func(tick uint64, v int64) wire.Write {
+		return remoteWrite(h.site(1), x, vtime.VT{Time: 1<<20 + tick, Site: 2}, wire.OpSet{Value: v}, false)
+	}
+	lost := func(ws ...wire.Write) uint64 {
+		before := h.site(1).Stats().LostUpdates
+		h.deliverBatch(ws...)
+		return h.site(1).Stats().LostUpdates - before
+	}
+	newer, straggler := at(20, 2), at(10, 1)
+	if n := lost(newer); n != 0 {
+		t.Fatalf("a write above the view's snapshot counted %d lost updates", n)
+	}
+	if n := lost(straggler); n != 1 {
+		t.Fatalf("a straggler counted %d lost updates, want 1", n)
+	}
+	if n := lost(remoteWrite(h.site(1), y, vtime.VT{Time: 1<<20 + 5, Site: 2}, wire.OpSet{Value: int64(5)}, false)); n != 0 {
+		t.Fatalf("a write below the view's snapshot to an object with nothing newer counted %d lost updates", n)
+	}
+	for _, dup := range []wire.Write{straggler, newer} {
+		if n := lost(dup); n != 0 {
+			t.Fatalf("a redundant trigger (duplicate of %s) counted %d lost updates", dup.TxnVT, n)
+		}
+	}
+	// The view shows tick 20. A straggler at 15 settled together with a
+	// newer write at 40 is still lost, though the batch's one rebuild
+	// changes what the view shows.
+	if n := lost(at(40, 4), at(15, 3)); n != 1 {
+		t.Fatalf("a straggler settled with a newer write counted %d lost updates, want 1", n)
+	}
+}
+
+func TestOptimisticViewSeesMergeBelowNewestVersion(t *testing.T) {
+	// An increment applied below an object's newest version changes the
+	// value at that version without adding a version there: the state
+	// token is unchanged, the value is not, and the optimistic view must
+	// be told.
+	h := newHarness(t, 2, transport.Config{})
+	x := h.joined(KindInt, "x", int64(0), 1, 2)[1]
+	rec := &recorder{}
+	if _, err := h.site(1).AttachView([]ObjRef{x}, Optimistic, rec.fns()); err != nil {
+		t.Fatal(err)
+	}
+	h.deliverBatch(remoteWrite(h.site(1), x, vtime.VT{Time: 1<<20 + 2, Site: 2}, wire.OpAdd{Delta: int64(10)}, false))
+	h.deliverBatch(remoteWrite(h.site(1), x, vtime.VT{Time: 1<<20 + 1, Site: 2}, wire.OpAdd{Delta: int64(5)}, false))
+	if v, _ := rec.lastValue(x.ID()); v != int64(15) {
+		t.Fatalf("optimistic view shows %v after both increments, want 15", v)
 	}
 }

@@ -124,6 +124,8 @@ type world struct {
 	killed  []vtime.SiteID
 	offline vtime.SiteID
 	pending []*pendingTxn
+	// views holds each site's view notifications (Views profiles only).
+	views map[vtime.SiteID]*viewLog
 }
 
 // Run executes one simulated run and checks every invariant. It is safe
@@ -189,6 +191,7 @@ func Run(p Profile, seed int64, inspect ...func(sites map[vtime.SiteID]*engine.S
 			RetryDelay:      p.RetryDelay,
 			MaxRetries:      p.MaxRetries,
 			DisableFastPath: p.DisableFastPath,
+			DisableGC:       p.Views, // see Profile.Views
 			// Pin the commit pipeline width: the default is GOMAXPROCS,
 			// which would make behavior machine-shaped.
 			CommitWorkers: 2,
@@ -228,6 +231,12 @@ func Run(p Profile, seed int64, inspect ...func(sites map[vtime.SiteID]*engine.S
 	if err != nil {
 		res.Err = err
 		return res
+	}
+	if p.Views {
+		if err := w.attachViews(refs); err != nil {
+			res.Err = err
+			return res
+		}
 	}
 
 	w.scheduleWorkload(refs)
@@ -638,7 +647,7 @@ func (w *world) check(refs map[string][]engine.ObjRef) error {
 	// site, and current == committed (no optimistic residue survives
 	// quiescence — an abandoned residual here is exactly the kind of
 	// interleaving bug the sweep exists to catch).
-	for _, name := range []string{"reg", "ctr", "lst"} {
+	for _, name := range sharedObjects {
 		bysite := refs[name]
 		want := ""
 		for i := 1; i <= w.profile.Sites; i++ {
@@ -699,6 +708,11 @@ func (w *world) check(refs map[string][]engine.ObjRef) error {
 		if parked == 0 {
 			problems = append(problems, "offline: no failover was parked (suspicion never reached the engine)")
 		}
+	}
+
+	// 6. The paper's §4 view contracts (Views profiles).
+	if w.views != nil {
+		problems = append(problems, w.checkViews(refs)...)
 	}
 
 	if len(problems) == 0 {

@@ -81,6 +81,17 @@ type Profile struct {
 	// 3/4 span and anti-entropy syncs (DESIGN.md §13). Every site gets
 	// its own WAL; the run must converge with zero failovers run.
 	Offline bool
+
+	// Views attaches, once set-up has drained, a pessimistic and an
+	// optimistic view over all three shared objects at every site, and
+	// checks the paper's §4 view contracts at quiescence (views.go).
+	// Notifications are recorded outside the replay trace. GC is off in
+	// these runs: the GC floor trusts the local clock, so a Write stamped
+	// below it (a lagging origin) can still arrive and pass RL/NC against
+	// pruned history and reservations, committing under a pessimistic
+	// snapshot already delivered above it — a known open bug outside the
+	// view protocol that the exactly-once check would report.
+	Views bool
 }
 
 // withDefaults fills zero fields with workable values.
@@ -169,6 +180,23 @@ func Profiles() []Profile {
 			Latency: 4 * time.Millisecond, Jitter: 6 * time.Millisecond,
 			Duplicate: 0.06, RetryDelay: 2 * time.Millisecond,
 			Ops: 24, Crash: true, Flap: true,
+			DisableFastPath: true,
+		},
+		{
+			// View contracts (paper §4): every site watches every shared
+			// object through a pessimistic and an optimistic view while
+			// the mixed workload runs under jitter, duplicates and a
+			// latency flap, so commits reach each viewer out of VT order
+			// and several land in one event-loop batch. The fast path is
+			// off (and GC, see Views) because of a known open bug outside
+			// the view protocol that the exactly-once check would report:
+			// no primary orders a fast-path commit against a pessimistic
+			// snapshot's RL check, so one can reach a viewer below its
+			// notification watermark, unheard.
+			Name: "views", Sites: 3,
+			Latency: 5 * time.Millisecond, Jitter: 5 * time.Millisecond,
+			Duplicate: 0.05, RetryDelay: 2 * time.Millisecond,
+			Ops: 30, Flap: true, Views: true,
 			DisableFastPath: true,
 		},
 	}

@@ -37,6 +37,12 @@ func TestSimReplay(t *testing.T) {
 		// Regressions: seeds that found real engine bugs (DESIGN.md §12).
 		{"fastpath-faulty", 93}, // drainPending re-entrancy stack overflow
 		{"nofast", 107},         // duplicated Write re-folded into GC merge base
+		// View contracts (§4), both regressions: an increment below the
+		// newest version left the optimistic view stale (seed 39), and
+		// drainPending dropped a list insert whose After element had not
+		// arrived, so one replica diverged (seed 95).
+		{"views", 39},
+		{"views", 95},
 	}
 	for _, tc := range cases {
 		tc := tc
