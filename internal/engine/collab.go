@@ -535,7 +535,7 @@ func (s *Site) handleJoinReply(m wire.JoinReply) {
 		if m.Retryable {
 			// An ordinary concurrency-control conflict: undo and retry
 			// with a fresh virtual time, like any other transaction.
-			s.abortTxn(st, fmt.Sprintf("join conflict: %s", m.Reason))
+			s.decide(st, false, fmt.Sprintf("join conflict: %s", m.Reason))
 			return
 		}
 		s.abortJoin(st, fmt.Sprintf("join denied: %s", m.Reason))
@@ -681,12 +681,8 @@ func lastTag(lst *object) wire.ElemTag {
 // abortJoin aborts an in-flight join transaction (no retry: joins surface
 // their failure to the caller).
 func (s *Site) abortJoin(st *txnState, reason string) {
-	st.txn = nil // suppress automatic retry
-	st.retryFn = nil
-	s.abortTxn(st, reason)
-	if st.handle != nil {
-		st.handle.finish(Result{Err: fmt.Errorf("%w: %s", ErrAborted, reason), VT: st.vt})
-	}
+	st.retryFn = nil // suppress automatic retry
+	s.decide(st, false, reason)
 }
 
 // LeaveRelationship removes obj from its replica relationship: the

@@ -119,19 +119,17 @@ func (s *Site) tryFastPath(st *txnState) bool {
 			}
 		}
 	}
-	s.commitFastPath(st)
+	st.fast = true
+	s.decide(st, true, "")
 	return true
 }
 
-// commitFastPath commits st locally at its VT stamp and ships the updates
-// as already-confirmed FastWrites — no reservation, no confirm exchange,
-// no summary outcome.
-func (s *Site) commitFastPath(st *txnState) {
-	st.status = txnCommitted
-	s.outcomes[st.vt] = true
-	st.commitApplied()
-	s.walLocalFastWrite(st)
-
+// shipFastWrites sends a fast-path commit to the other replicas as
+// already-confirmed FastWrites (merging it straight into any sibling
+// replica at this site): the FastWrite is both the update and the
+// decision, so there is no reservation, no confirm exchange and no
+// summary outcome.
+func (s *Site) shipFastWrites(st *txnState) {
 	out := map[vtime.SiteID][]wire.Update{}
 	for _, w := range st.writes {
 		root := w.obj.replicationRoot()
@@ -164,62 +162,16 @@ func (s *Site) commitFastPath(st *txnState) {
 		}
 	}
 	for _, site := range sortedSites(out) {
-		st.involved[site] = true
 		s.trace(obs.EvPropagate, st.vt, site, "fastpath")
 		s.send(site, wire.FastWrite{TxnVT: st.vt, Origin: s.id, Updates: out[site]})
 	}
-
-	s.resolveRC(st.vt, true)
-	s.onLocalCommit(st.appliedObjects(), st.vt)
-	s.demoteGuessesFor(st.appliedObjects(), st.vt)
-	s.stats.Commits.Add(1)
-	s.stats.FastpathCommits.Add(1)
-	s.trace(obs.EvCommit, st.vt, 0, "fastpath")
-	s.stats.CommitLatencyVT.Observe(float64(s.clock.Now().Time - st.vt.Time))
-	if st.handle != nil {
-		s.obs.ObserveSince(s.stats.CommitLatency, st.handle.submittedWall)
-		st.handle.finish(Result{Committed: true, Retries: st.retries, VT: st.vt})
-	}
-	s.gcTxnObjects(st)
 }
 
 // handleFastWrite applies a remote fast-path transaction: the updates are
-// already confirmed, so they merge in as committed versions immediately.
-// An update blocked on unseen structure (a list insert whose After element
-// has not arrived) parks on the root's pending queue like any indirect
-// update; drainPending later applies it as committed because the outcome
-// is recorded first.
-func (s *Site) handleFastWrite(from vtime.SiteID, m wire.FastWrite) {
-	s.outcomes[m.TxnVT] = true
-	st := s.ensureTxn(m.TxnVT, m.Origin)
-	if st.appliedWall == 0 {
-		st.appliedWall = s.obs.NowNanos()
-	}
-	s.trace(obs.EvApply, m.TxnVT, m.Origin, "fastpath")
-
-	applied0 := len(st.applied)
-	for _, upd := range m.Updates {
-		upd := upd
-		if s.applyUpdate(st, upd, history.Committed) {
-			s.stats.UpdatesApplied.Add(1)
-			continue
-		}
-		if root := s.objects[upd.Target]; root != nil {
-			root.pending = append(root.pending, pendingIndirect{
-				txnVT:  m.TxnVT,
-				origin: m.Origin,
-				upd:    upd,
-			})
-		}
-	}
-	st.status = txnCommitted
-	fresh := st.appliedSince(applied0)
-	s.scheduleOptimistic(fresh, m.TxnVT)
-	s.onLocalCommit(fresh, m.TxnVT)
-	s.resolveRC(m.TxnVT, true)
-	s.demoteGuessesFor(st.appliedObjects(), m.TxnVT)
-	s.trace(obs.EvCommit, m.TxnVT, m.Origin, "fastpath")
-	s.gcTxnObjects(st)
+// already confirmed, so they merge in as committed versions at once (see
+// handleWrite).
+func (s *Site) handleFastWrite(m wire.FastWrite) {
+	s.handleWrite(wire.Write{TxnVT: m.TxnVT, Origin: m.Origin, Updates: m.Updates}, true)
 }
 
 // demoteGuessesFor finds open RL reservations on the given objects whose
@@ -240,7 +192,7 @@ func (s *Site) demoteGuessesFor(objs []*object, vt vtime.VT) {
 			reason := fmt.Sprintf("demoted: fast-path commit %s inside reserved interval of %s", vt, owner)
 			s.stats.FastpathDemotions.Add(1)
 			if st2, ok := s.txns[owner]; ok && st2.origin == s.id && st2.status == txnWaiting {
-				s.abortTxn(st2, reason)
+				s.decide(st2, false, reason)
 				continue
 			}
 			if owner.Site != s.id {
@@ -271,7 +223,7 @@ func (s *Site) demoteGuessesFor(objs []*object, vt vtime.VT) {
 				continue
 			}
 			s.stats.FastpathDemotions.Add(1)
-			s.abortTxn(st2, fmt.Sprintf("demoted: fast-path commit %s inside read interval of %s", vt, v.VT))
+			s.decide(st2, false, fmt.Sprintf("demoted: fast-path commit %s inside read interval of %s", vt, v.VT))
 		}
 	}
 }

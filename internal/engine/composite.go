@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"decaf/internal/history"
+	"decaf/internal/vtime"
 	"decaf/internal/wire"
 )
 
@@ -103,14 +104,10 @@ func (tx *Tx) ListInsert(ref ObjRef, idx int, decl wire.ChildDecl) (ObjRef, erro
 	var after wire.ElemTag
 	if idx > 0 {
 		after = l.elems[vis[idx-1]].tag
-		// The insert is causally ordered after the element it follows:
-		// if that element's inserting transaction is still pending, this
-		// transaction must not commit unless it does (an RC guess on the
-		// structural dependency, paper §3.2.1). Remote replicas block
-		// the new element until the earlier one arrives.
-		if v, ok := l.hist.Get(l.elems[vis[idx-1]].insertVT); ok && v.Status == history.Pending && v.VT != tx.st.vt {
-			tx.st.rcDeps[v.VT] = true
-		}
+		// The insert is causally ordered after the element it follows.
+		// Remote replicas block the new element until the earlier one
+		// arrives.
+		tx.dependOnInsert(l, l.elems[vis[idx-1]].insertVT)
 	}
 	op := wire.OpListInsert{
 		Tag:   wire.ElemTag{VT: tx.st.vt, N: tx.countInsertsBy(w)},
@@ -170,11 +167,9 @@ func (tx *Tx) ListInsertAfter(ref ObjRef, after wire.ElemTag, decl wire.ChildDec
 			return ObjRef{}, fmt.Errorf("%w: no element tagged %s", ErrNoSuchElement, after)
 		}
 		// Causal dependency on a still-pending anchor routes this
-		// transaction through the guessed path (RC guess, paper §3.2.1);
-		// an anchor from committed state keeps it fast-path eligible.
-		if v, ok := l.hist.Get(ale.insertVT); ok && v.Status == history.Pending && v.VT != tx.st.vt {
-			tx.st.rcDeps[v.VT] = true
-		}
+		// transaction through the guessed path; an anchor from committed
+		// state keeps it fast-path eligible.
+		tx.dependOnInsert(l, ale.insertVT)
 	}
 	w := tx.ensureCompositeWrite(l)
 	op := wire.OpListInsertAfter{
@@ -218,6 +213,7 @@ func (tx *Tx) ListRemove(ref ObjRef, idx int) error {
 	if idx < 0 || idx >= len(vis) {
 		return fmt.Errorf("%w: remove index %d of %d", ErrNoSuchElement, idx, len(vis))
 	}
+	tx.dependOnInsert(l, l.elems[vis[idx]].insertVT)
 	w := tx.ensureCompositeWrite(l)
 	op := wire.OpListRemove{Tag: l.elems[vis[idx]].tag}
 	w.ops = append(w.ops, op)
@@ -297,6 +293,7 @@ func (tx *Tx) TupleRemove(ref ObjRef, key string) error {
 	if ent == nil {
 		return fmt.Errorf("%w: key %q", ErrNoSuchElement, key)
 	}
+	tx.dependOnInsert(t, ent.insertVT)
 	w := tx.ensureCompositeWrite(t)
 	// Of pins the exact entry being removed so a concurrent re-set of
 	// the key at another site is not clobbered (add-wins).
@@ -304,6 +301,18 @@ func (tx *Tx) TupleRemove(ref ObjRef, key string) error {
 	w.ops = append(w.ops, op)
 	tx.applyLocalOp(t, op)
 	return nil
+}
+
+// dependOnInsert makes the transaction an RC guess on the one that
+// inserted an element of comp at insertVT, while that insert is pending
+// (paper §3.2.1): an op naming the element must not commit unless the
+// element does. A remove without the guess outlives an aborted insert,
+// and the primary, which no longer has the element, parks the remove
+// for good, so its origin never hears a verdict.
+func (tx *Tx) dependOnInsert(comp *object, insertVT vtime.VT) {
+	if v, ok := comp.hist.Get(insertVT); ok && v.Status == history.Pending && v.VT != tx.st.vt {
+		tx.st.rcDeps[v.VT] = true
+	}
 }
 
 // validDecl vets a child declaration.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"decaf/internal/transport"
+	"decaf/internal/vtime"
 	"decaf/internal/wire"
 )
 
@@ -89,6 +90,65 @@ func TestListRemoveRollsBackOnAbort(t *testing.T) {
 	v, _ := h.site(1).ReadCommitted(lst)
 	if !reflect.DeepEqual(v, []any{int64(1)}) {
 		t.Fatalf("list = %v, want element restored", v)
+	}
+}
+
+func TestRemoveOfAbortedInsertIsDecided(t *testing.T) {
+	// Site 3 removes an element whose insert (a, from site 2) is still
+	// pending there, while the composite's newest version (b) is
+	// committed. Then a aborts. Site 1, the primary, never had the
+	// element: a remove that did not depend on a would wait there for a's
+	// insert forever, and so would its origin. It must abort with a and
+	// leave its Handle decided.
+	a := vtime.VT{Time: 1 << 20, Site: 2}
+	b := vtime.VT{Time: 1<<20 + 1, Site: 2}
+	elem := wire.ElemTag{VT: a}
+	str := wire.ChildDecl{Kind: KindString, Value: "v"}
+	cases := []struct {
+		kind   Kind
+		insert [2]wire.Op // at a, then at b
+		remove func(tx *Tx, c ObjRef) error
+	}{
+		{KindList, [2]wire.Op{wire.OpListInsert{Tag: elem, Child: str}, wire.OpListInsert{Tag: wire.ElemTag{VT: b}, After: elem, Child: str}},
+			func(tx *Tx, l ObjRef) error {
+				n, err := tx.ListLen(l)
+				if err != nil {
+					return err
+				}
+				for i := 0; i < n; i++ {
+					if tag, _ := tx.ListTagAt(l, i); tag == elem {
+						return tx.ListRemove(l, i)
+					}
+				}
+				return ErrNoSuchElement
+			}},
+		{KindTuple, [2]wire.Op{wire.OpTupleSet{Key: "a", Child: str}, wire.OpTupleSet{Key: "b", Child: str}},
+			func(tx *Tx, tup ObjRef) error { return tx.TupleRemove(tup, "a") }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			h := newHarness(t, 3, transport.Config{})
+			c := h.joined(tc.kind, "C", nil, 1, 3)[3]
+			s := h.site(3)
+			insertA := remoteWrite(s, c, a, tc.insert[0], false)
+			insertB := remoteWrite(s, c, b, tc.insert[1], false)
+			_ = s.call(func() {
+				s.handleMessage(2, insertA)
+				s.handleMessage(2, insertB)
+				s.handleMessage(2, wire.Outcome{TxnVT: b, Committed: true})
+			})
+			hd := s.Submit(&Txn{Execute: func(tx *Tx) error { return tc.remove(tx, c) }})
+			<-hd.Applied()
+			_ = s.call(func() { s.handleMessage(2, wire.Outcome{TxnVT: a, Committed: false}) })
+			select {
+			case res := <-hd.Done():
+				if res.Committed {
+					t.Fatalf("removal of an element whose insert aborted committed: %+v", res)
+				}
+			case <-time.After(3 * time.Second):
+				t.Fatal("the removal was never decided")
+			}
+		})
 	}
 }
 

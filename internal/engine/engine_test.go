@@ -27,6 +27,13 @@ func newHarness(t *testing.T, n int, cfg transport.Config) *harness {
 // newHarnessOpts builds a harness with explicit site options.
 func newHarnessOpts(t *testing.T, n int, cfg transport.Config, opts Options) *harness {
 	t.Helper()
+	return newHarnessWrapped(t, n, cfg, opts, nil)
+}
+
+// newHarnessWrapped is newHarnessOpts with each site's endpoint passed
+// through wrap (when non-nil) before the site is built on it.
+func newHarnessWrapped(t *testing.T, n int, cfg transport.Config, opts Options, wrap func(transport.Endpoint) transport.Endpoint) *harness {
+	t.Helper()
 	h := &harness{t: t, net: transport.NewNetwork(cfg), sites: map[vtime.SiteID]*Site{}}
 	var logger *slog.Logger
 	if os.Getenv("DECAF_DEBUG") != "" {
@@ -37,6 +44,9 @@ func newHarnessOpts(t *testing.T, n int, cfg transport.Config, opts Options) *ha
 		ep, err := h.net.Endpoint(id)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if wrap != nil {
+			ep = wrap(ep)
 		}
 		opts.Logger = logger
 		s := NewSite(ep, opts)
@@ -77,12 +87,13 @@ func (h *harness) joined(kind Kind, desc string, initial any, sites ...int) map[
 		refs[i] = r
 	}
 	// Joins commit at their origin before every member has applied the
-	// final merged graph; wait until all members agree so tests start
-	// from a settled topology.
+	// final merged graph and heard the commit; wait until all members
+	// agree and have decided everything, so tests start from a settled
+	// topology (a view attached earlier would still hear a join).
 	h.eventually(3*time.Second, "replica graphs converged", func() bool {
 		for _, i := range sites {
 			got, err := h.site(i).ReplicaSites(refs[i])
-			if err != nil || len(got) != len(sites) {
+			if err != nil || len(got) != len(sites) || h.site(i).PendingUndecided() != 0 {
 				return false
 			}
 		}

@@ -96,9 +96,8 @@ func (rs *repairState) cancelTimers() {
 
 // parkedRetry is a transaction retry deferred until graph repair.
 type parkedRetry struct {
-	txn     *Txn
-	handle  *Handle
-	retries int
+	retry  func()
+	handle *Handle
 }
 
 // handleSiteFailure reacts to a fail-stop notification.
@@ -112,8 +111,10 @@ func (s *Site) handleSiteFailure(f vtime.SiteID) {
 	// (1) Resolve in-flight transactions originated at the failed site.
 	// Iteration is VT-sorted so the resulting message schedule is
 	// deterministic (see order.go).
+	// (Deciding one transaction can retire others from s.txns: look
+	// each up again.)
 	for _, vt := range sortedVTs(s.txns) {
-		if st := s.txns[vt]; st.origin == f && st.status == txnApplied {
+		if st, ok := s.txns[vt]; ok && st.origin == f && st.status == txnApplied {
 			s.startCommitQuery(vt, st)
 		}
 	}
@@ -131,13 +132,13 @@ func (s *Site) handleSiteFailure(f vtime.SiteID) {
 	}
 	// (2) Abort local transactions waiting on the failed site.
 	for _, vt := range sortedVTs(s.txns) {
-		st := s.txns[vt]
-		if st.origin != s.id || st.status != txnWaiting {
+		st, ok := s.txns[vt]
+		if !ok || st.origin != s.id || st.status != txnWaiting {
 			continue
 		}
 		if st.waitConfirms[f] || st.delegatedTo == f {
 			st.parkOnAbort = true
-			s.abortTxn(st, fmt.Sprintf("primary site %s failed", f))
+			s.decide(st, false, fmt.Sprintf("primary site %s failed", f))
 		}
 	}
 	// (3) Repair replication graphs containing the failed site.
@@ -203,7 +204,7 @@ func (s *Site) startCommitQuery(vt vtime.VT, st *txnState) {
 	if len(waiting) == 0 {
 		// No one else to ask: no COMMIT can exist (the origin died
 		// before distributing one we'd have seen); abort.
-		s.decideOrphan(vt, false)
+		s.decideOrphan(st, false)
 		return
 	}
 	s.commitQueries[vt] = &queryState{st: st, waiting: waiting}
@@ -215,11 +216,9 @@ func (s *Site) startCommitQuery(vt vtime.VT, st *txnState) {
 // decideOrphan settles one orphaned transaction with an explicit,
 // WAL-logged outcome (the record makes crash recovery uniform: replay
 // sees the decision like any other).
-func (s *Site) decideOrphan(vt vtime.VT, committed bool) {
-	delete(s.commitQueries, vt)
-	out := wire.Outcome{TxnVT: vt, Committed: committed}
-	s.walLogOutcome(out)
-	s.handleOutcome(out)
+func (s *Site) decideOrphan(st *txnState, committed bool) {
+	delete(s.commitQueries, st.vt)
+	s.decide(st, committed, "orphan")
 }
 
 // maybeFinishCommitQuery completes a query whose waiting set shrank:
@@ -227,11 +226,11 @@ func (s *Site) decideOrphan(vt vtime.VT, committed bool) {
 // to ask.
 func (s *Site) maybeFinishCommitQuery(vt vtime.VT, q *queryState) {
 	if q.committed {
-		s.decideOrphan(vt, true)
+		s.decideOrphan(q.st, true)
 		return
 	}
 	if len(q.waiting) == 0 {
-		s.decideOrphan(vt, false)
+		s.decideOrphan(q.st, false)
 	}
 }
 
@@ -251,7 +250,7 @@ func (s *Site) handleCommitQueryReply(m wire.CommitQueryReply) {
 	delete(q.waiting, m.From)
 	if m.Known && !m.Committed {
 		// A known abort decides immediately.
-		s.decideOrphan(m.TxnVT, false)
+		s.decideOrphan(q.st, false)
 		return
 	}
 	if m.Known && m.Committed {
@@ -740,10 +739,9 @@ func (s *Site) applyRepairDecision(v wire.RepairValue) {
 	// Decide conflicting in-flight transactions, each with an explicit
 	// WAL-logged outcome so crash recovery replays the same decisions.
 	for _, vt := range sortedVTs(s.txns) {
-		if st := s.txns[vt]; st.status != txnApplied || vt.Site != f {
-			continue
+		if st, ok := s.txns[vt]; ok && st.status == txnApplied && vt.Site == f {
+			s.decideOrphan(st, inCommit[vt])
 		}
-		s.decideOrphan(vt, inCommit[vt])
 	}
 	s.installRepairedGraphs(v)
 	s.unparkRetries()
@@ -820,15 +818,8 @@ func (s *Site) unparkRetries() {
 	s.parked = nil
 	s.stats.ParkedRetries.Set(0)
 	for _, p := range parked {
-		p := p
 		s.stats.Retries.Add(1)
-		s.doOrDrop(
-			func() { s.execute(p.txn, p.handle, p.retries) },
-			func() {
-				if p.handle != nil {
-					p.handle.finish(Result{Err: ErrSiteStopped})
-				}
-			},
-		)
+		h := p.handle
+		s.doOrDrop(p.retry, func() { h.finish(Result{Err: ErrSiteStopped}) })
 	}
 }

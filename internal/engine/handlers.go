@@ -22,169 +22,187 @@ func (s *Site) ensureTxn(vt vtime.VT, origin vtime.SiteID) *txnState {
 	return st
 }
 
-// handleWrite applies a remote transaction's updates; when this site hosts
-// a primary copy it additionally validates the RL/NC guesses and confirms
-// (or, as delegate, decides the whole transaction).
-func (s *Site) handleWrite(from vtime.SiteID, m wire.Write) {
-	// resendOutcome answers a confirm request from an already-recorded
-	// decision: a resubmitted Write (anti-entropy recovery of a lost
-	// confirmation, DESIGN.md §13) must not be re-validated — the
-	// re-check could spuriously deny a transaction that is committed
-	// system-wide. The origin treats the Outcome as the decision.
-	resendOutcome := func(committed bool) {
-		if m.Delegate != nil {
-			for _, site := range m.Delegate.Sites {
-				s.send(site, wire.Outcome{TxnVT: m.TxnVT, Committed: committed})
-			}
-			return
-		}
-		s.send(m.Origin, wire.Outcome{TxnVT: m.TxnVT, Committed: committed})
+// handleWrite applies a remote transaction's updates on the serial path
+// (fast: a FastWrite, committed on arrival); when this site hosts a
+// primary copy it also validates the RL/NC guesses and confirms (or, as
+// delegate, decides the whole transaction). Staged writes run the same
+// three steps, split across the shard pipeline (shards.go).
+func (s *Site) handleWrite(m wire.Write, fast bool) {
+	if t := s.openWrite(m, fast); t != nil {
+		s.runWriteTask(t)
+		s.finishWrite(t)
 	}
-	if known, ok := s.outcomes[m.TxnVT]; ok && !known {
-		// Already aborted: ignore late updates (paper §3.1), but answer
-		// a confirm request so a resubmitted origin un-wedges.
+}
+
+// openWrite is the prologue every arriving Write and FastWrite shares,
+// serial or staged, on the loop: it drops the late updates of an aborted
+// transaction (paper §3.1), finds or creates the transaction's state here
+// and notes what the message asks of this site. It returns nil when there
+// is nothing to apply.
+func (s *Site) openWrite(m wire.Write, fast bool) *writeTask {
+	if fast {
+		// Committed on arrival. Recorded before anything applies, so an
+		// update that blocks on unseen structure still applies as
+		// committed when drainPending releases it.
+		s.outcomes[m.TxnVT] = true
+	}
+	committed, decided := s.outcomes[m.TxnVT]
+	if decided && !committed {
+		// Answer a confirm request anyway, so a resubmitting origin
+		// un-wedges.
 		if m.NeedsConfirm {
-			resendOutcome(false)
+			s.resendOutcome(m, false)
 		}
-		return
-	}
-	committedAlready := false
-	if known, ok := s.outcomes[m.TxnVT]; ok && known {
-		committedAlready = true // late updates of a committed txn
+		return nil
 	}
 	st := s.ensureTxn(m.TxnVT, m.Origin)
 	if st.appliedWall == 0 {
 		st.appliedWall = s.obs.NowNanos()
 	}
-	s.trace(obs.EvApply, m.TxnVT, m.Origin, "")
-
-	status := history.Pending
-	if committedAlready {
-		status = history.Committed
+	if fast {
+		st.fast = true
+		s.trace(obs.EvApply, m.TxnVT, m.Origin, "fastpath")
+	} else {
+		s.trace(obs.EvApply, m.TxnVT, m.Origin, "")
 	}
+	if m.Delegate != nil {
+		st.informs = m.Delegate.Sites
+	}
+	t := &writeTask{m: m, st: st, status: history.Pending, applied0: len(st.applied)}
+	if decided {
+		t.status = history.Committed // late updates of a committed transaction
+	}
+	return t
+}
 
-	applied0 := len(st.applied)
-	blocked := 0
-	for _, upd := range m.Updates {
-		upd := upd
-		ok := s.applyUpdate(st, upd, status)
-		if ok {
+// runWriteTask applies a write's updates and, unless one of them blocked,
+// runs the primary checks it owes. Staged, it runs on a shard worker while
+// the event loop is parked at the join barrier: loop-owned maps are
+// read-only here, and every mutation lands in the task's stripe (object
+// histories and reservations) or the task's own txnState. Staged updates
+// never block (their paths are empty), so only the serial path parks one.
+func (s *Site) runWriteTask(t *writeTask) {
+	for _, upd := range t.m.Updates {
+		if s.applyUpdate(t.st, upd, t.status) {
 			s.stats.UpdatesApplied.Add(1)
+			continue
 		}
-		if !ok {
-			blocked++
-			root := s.objects[upd.Target]
-			if root != nil {
-				root.pending = append(root.pending, pendingIndirect{
-					txnVT:  m.TxnVT,
-					origin: m.Origin,
-					upd:    upd,
-				})
-			}
+		t.blocked++
+		if root := s.objects[upd.Target]; root != nil {
+			root.pending = append(root.pending, pendingIndirect{txnVT: t.m.TxnVT, origin: t.m.Origin, upd: upd})
 		}
 	}
-	fresh := st.appliedSince(applied0)
-	s.scheduleOptimistic(fresh, m.TxnVT)
-	if committedAlready {
-		s.onLocalCommit(fresh, m.TxnVT)
-		st.status = txnCommitted
+	if t.blocked == 0 {
+		s.checkWrite(t)
 	}
+}
 
+// checkWrite runs the primary checks a write asks for, unless its
+// transaction is already decided.
+func (s *Site) checkWrite(t *writeTask) {
+	if t.m.NeedsConfirm && t.status == history.Pending {
+		t.verdict, t.reason = s.validateAsPrimary(t.st, t.m.TxnVT, t.m.Updates, t.m.Checks)
+	}
+}
+
+// finishWrite is the epilogue every Write and FastWrite shares, on the
+// loop and in arrival order: it marks the views that must see the new
+// updates, settles a transaction whose commit this site already knew, and
+// answers the primary check.
+func (s *Site) finishWrite(t *writeTask) {
+	st, m := t.st, t.m
+	committed := t.status == history.Committed
+	s.noteApplied(st.appliedSince(t.applied0), m.TxnVT, committed)
+	if committed {
+		s.learn(m.TxnVT, true)
+		if m.NeedsConfirm {
+			s.resendOutcome(m, true)
+		}
+		return
+	}
 	if !m.NeedsConfirm {
 		return
 	}
-	if committedAlready {
-		resendOutcome(true)
-		return
-	}
-
-	decide := func() {
-		ok, _, reason := s.validateAsPrimary(st, m.TxnVT, m.Updates, m.Checks)
-		if !ok {
-			s.log.Debug("primary denial", "txn", m.TxnVT.String(), "reason", reason)
-		}
-		if s.obs.TraceEnabled() {
-			verdict := "ok"
-			if !ok {
-				verdict = reason
-			}
-			s.trace(obs.EvPrimaryCheck, m.TxnVT, m.Origin, verdict)
-			if ok && len(st.reservedObjs) > 0 {
-				s.trace(obs.EvReserve, m.TxnVT, 0, strconv.Itoa(len(st.reservedObjs))+" objects")
-			}
-		}
-		if m.Delegate != nil {
-			// Delegated commit (paper §3.1): this single remote primary
-			// site decides the transaction and informs every involved
-			// site directly.
-			s.decideAsDelegate(st, m, ok)
-			return
-		}
-		s.send(m.Origin, wire.Confirm{TxnVT: m.TxnVT, From: s.id, OK: ok, Reason: reason})
-	}
-	if blocked > 0 {
+	if t.blocked > 0 {
 		// Structural ops for some paths have not arrived; the check (and
 		// any delegation) must wait until propagation unblocks
 		// (paper §3.2.1).
-		st.blockedRemaining = blocked
-		st.onUnblocked = decide
+		st.blockedRemaining = t.blocked
+		st.onUnblocked = func() {
+			s.checkWrite(t)
+			s.answerWrite(t)
+		}
 		return
 	}
-	decide()
+	s.answerWrite(t)
 }
 
-// decideAsDelegate commits or aborts the whole transaction at the single
-// remote primary site on the origin's behalf.
-func (s *Site) decideAsDelegate(st *txnState, m wire.Write, ok bool) {
-	s.outcomes[m.TxnVT] = ok
-	// The delegate is the deciding site: the decision must be durable
-	// here even though no Outcome message ever arrives on its wire.
-	s.walAppendMsg(m.TxnVT, wire.Outcome{TxnVT: m.TxnVT, Committed: ok})
-	if s.obs.TraceEnabled() {
-		detail := "commit"
-		if !ok {
-			detail = "abort"
-		}
-		s.trace(obs.EvDelegatedCommit, m.TxnVT, m.Origin, detail)
+// answerWrite delivers a primary's verdict on a write: a delegate decides
+// the whole transaction on the origin's behalf (paper §3.1), any other
+// primary confirms or denies to the origin.
+func (s *Site) answerWrite(t *writeTask) {
+	st, m := t.st, t.m
+	if !t.verdict {
+		s.log.Debug("primary denial", "txn", m.TxnVT.String(), "reason", t.reason)
 	}
-	if ok {
-		st.commitApplied()
-		st.status = txnCommitted
-		for _, site := range m.Delegate.Sites {
-			s.send(site, wire.Outcome{TxnVT: m.TxnVT, Committed: true})
+	if s.obs.TraceEnabled() {
+		verdict := "ok"
+		if !t.verdict {
+			verdict = t.reason
 		}
-		s.resolveRC(m.TxnVT, true)
-		s.onLocalCommit(st.appliedObjects(), m.TxnVT)
-		s.gcTxnObjects(st)
+		s.trace(obs.EvPrimaryCheck, m.TxnVT, m.Origin, verdict)
+		if t.verdict && len(st.reservedObjs) > 0 {
+			s.trace(obs.EvReserve, m.TxnVT, 0, strconv.Itoa(len(st.reservedObjs))+" objects")
+		}
+	}
+	if m.Delegate != nil {
+		s.decide(st, t.verdict, t.reason)
 		return
 	}
-	objs := st.appliedObjects()
-	s.undoApplied(st)
-	s.releaseReservations(st)
-	st.status = txnAborted
-	for _, site := range m.Delegate.Sites {
-		s.send(site, wire.Outcome{TxnVT: m.TxnVT, Committed: false})
+	s.send(m.Origin, wire.Confirm{TxnVT: m.TxnVT, From: s.id, OK: t.verdict, Reason: t.reason})
+}
+
+// resendOutcome answers a confirm request from an already-recorded
+// decision: a resubmitted Write (anti-entropy recovery of a lost
+// confirmation, DESIGN.md §13) must not be re-validated — the re-check
+// could spuriously deny a transaction that is committed system-wide. The
+// origin treats the Outcome as the decision.
+func (s *Site) resendOutcome(m wire.Write, committed bool) {
+	to := []vtime.SiteID{m.Origin}
+	if m.Delegate != nil {
+		to = m.Delegate.Sites
 	}
-	s.resolveRC(m.TxnVT, false)
-	s.onLocalAbort(objs)
+	for _, site := range to {
+		s.send(site, wire.Outcome{TxnVT: m.TxnVT, Committed: committed})
+	}
+}
+
+// noteApplied marks the views that must see updates transaction vt just
+// applied here: optimistic views see every update, pessimistic views a
+// committed one.
+func (s *Site) noteApplied(objs []*object, vt vtime.VT, committed bool) {
+	s.scheduleOptimistic(objs, vt)
+	if committed {
+		s.onLocalCommit(objs, vt)
+	}
 }
 
 // validateAsPrimary runs the RL/NC checks this site is responsible for
 // within one transaction message: updates whose target's primary copy
 // lives here, plus explicit read checks.
-func (s *Site) validateAsPrimary(st *txnState, vt vtime.VT, updates []wire.Update, checks []wire.ReadCheck) (ok, transient bool, reason string) {
+func (s *Site) validateAsPrimary(st *txnState, vt vtime.VT, updates []wire.Update, checks []wire.ReadCheck) (ok bool, reason string) {
 	// Authorization monitors vet remote access before any guess check
 	// (paper 1); a denial aborts the transaction at its origin.
 	if err := s.authorizeUpdates(updates, st.origin); err != nil {
-		return false, false, err.Error()
+		return false, err.Error()
 	}
 	if err := s.authorizeChecks(checks, st.origin); err != nil {
-		return false, false, err.Error()
+		return false, err.Error()
 	}
 	for _, upd := range updates {
 		root, exists := s.objects[upd.Target]
 		if !exists {
-			return false, false, fmt.Sprintf("unknown object %s", upd.Target)
+			return false, fmt.Sprintf("unknown object %s", upd.Target)
 		}
 		if _, isGraph := upd.Op.(wire.OpGraph); isGraph {
 			// Graph updates validate at the primary of the PREVIOUS
@@ -201,10 +219,10 @@ func (s *Site) validateAsPrimary(st *txnState, vt vtime.VT, updates []wire.Updat
 			}
 			iv := vtime.Interval{Lo: upd.GraphVT, Hi: vt}
 			if groot.graphHist.HasVersionIn(iv, vt) {
-				return false, false, fmt.Sprintf("RL: graph change in %s for %s", iv, groot.id)
+				return false, fmt.Sprintf("RL: graph change in %s for %s", iv, groot.id)
 			}
 			if groot.graphRes.Conflicts(vt, vt) {
-				return false, false, fmt.Sprintf("NC: graph reservation conflict at %s on %s", vt, groot.id)
+				return false, fmt.Sprintf("NC: graph reservation conflict at %s on %s", vt, groot.id)
 			}
 			groot.graphRes.Reserve(iv, vt)
 			st.reservedObjs = append(st.reservedObjs, groot)
@@ -219,7 +237,7 @@ func (s *Site) validateAsPrimary(st *txnState, vt vtime.VT, updates []wire.Updat
 		if len(upd.Path) > 0 {
 			child, removed, blocked := root.resolvePath(upd.Path)
 			if removed {
-				return false, false, fmt.Sprintf("path %s removed", upd.Path)
+				return false, fmt.Sprintf("path %s removed", upd.Path)
 			}
 			if blocked || child == nil {
 				// The structural op is part of this same transaction
@@ -234,20 +252,20 @@ func (s *Site) validateAsPrimary(st *txnState, vt vtime.VT, updates []wire.Updat
 		}
 		okc, reasonc := s.primaryCheck(target, root, upd.ReadVT, upd.GraphVT, vt, true, false)
 		if !okc {
-			return false, false, reasonc
+			return false, reasonc
 		}
 		st.reservedObjs = append(st.reservedObjs, target)
 	}
 	for _, c := range checks {
-		okc, tr, reasonc := s.runReadCheck(c, vt)
+		okc, _, reasonc := s.runReadCheck(c, vt)
 		if !okc {
-			return false, tr, reasonc
+			return false, reasonc
 		}
 		if obj := s.resolveCheckTarget(c.Target, c.Path); obj != nil {
 			st.reservedObjs = append(st.reservedObjs, obj)
 		}
 	}
-	return true, false, ""
+	return true, ""
 }
 
 // isStructuralOp reports whether op changes composite structure (and thus
@@ -292,17 +310,7 @@ func (s *Site) runReadCheck(c wire.ReadCheck, vt vtime.VT) (ok, transient bool, 
 		}
 		target = child
 	}
-	okc, reasonc := s.primaryCheckOpts(target, root, c.ReadVT, c.GraphVT, vt, false, c.CommittedOnly, c.NoReserve)
-	if !okc {
-		return false, isTransientReason(reasonc), reasonc
-	}
-	return true, false, ""
-}
-
-// isTransientReason reports whether a denial reason marks a transient
-// condition.
-func isTransientReason(reason string) bool {
-	return len(reason) >= 10 && reason[:10] == "transient:"
+	return s.primaryCheckOpts(target, root, c.ReadVT, c.GraphVT, vt, false, c.CommittedOnly, c.NoReserve)
 }
 
 // handleConfirmRead validates RL guesses on behalf of a remote reader
@@ -382,106 +390,7 @@ func (s *Site) handleConfirm(m wire.Confirm) {
 		}
 		st.earlyConfirms[m.From] = false
 	}
-	s.abortTxn(st, fmt.Sprintf("denied by %s: %s", m.From, m.Reason))
-}
-
-// handleOutcome records and applies a summary COMMIT/ABORT.
-func (s *Site) handleOutcome(m wire.Outcome) {
-	s.outcomes[m.TxnVT] = m.Committed
-	st, ok := s.txns[m.TxnVT]
-	if !ok {
-		// Updates not yet arrived; they will be applied with the
-		// recorded outcome (paper §3.1).
-		s.resolveRC(m.TxnVT, m.Committed)
-		return
-	}
-	switch st.status {
-	case txnApplied:
-		if m.Committed {
-			st.commitApplied()
-			st.status = txnCommitted
-			s.resolveRC(m.TxnVT, true)
-			s.onLocalCommit(st.appliedObjects(), m.TxnVT)
-			s.obs.ObserveSince(s.stats.RemoteCommitLatency, st.appliedWall)
-			s.trace(obs.EvCommit, m.TxnVT, st.origin, "remote")
-			s.gcTxnObjects(st)
-			if st.hasGraphOp {
-				s.unparkRetries()
-				s.afterGraphCommit(st)
-			}
-		} else {
-			objs := st.appliedObjects()
-			s.undoApplied(st)
-			s.releaseReservations(st)
-			st.status = txnAborted
-			s.resolveRC(m.TxnVT, false)
-			s.onLocalAbort(objs)
-			s.trace(obs.EvAbort, m.TxnVT, st.origin, "remote")
-		}
-	case txnWaiting:
-		// Originating site of a delegated transaction: the delegate
-		// decided.
-		if st.origin != s.id {
-			return
-		}
-		if m.Committed {
-			st.status = txnCommitted
-			st.commitApplied()
-			// The incoming Outcome is already logged; this adds the
-			// synthesized Write with our own updates and bumps the floor.
-			s.walLocalCommit(st, false)
-			st.sentMsgs = nil
-			s.resolveRC(m.TxnVT, true)
-			s.onLocalCommit(st.appliedObjects(), m.TxnVT)
-			s.stats.Commits.Add(1)
-			s.trace(obs.EvCommit, m.TxnVT, 0, "delegated")
-			s.stats.CommitLatencyVT.Observe(float64(s.clock.Now().Time - st.vt.Time))
-			if st.handle != nil {
-				s.obs.ObserveSince(s.stats.CommitLatency, st.handle.submittedWall)
-				st.handle.finish(Result{Committed: true, Retries: st.retries, VT: st.vt})
-			}
-			s.gcTxnObjects(st)
-		} else {
-			// Delegate denied: undo and retry. The delegate has already
-			// informed the other involved sites.
-			if s.wal != nil {
-				s.bumpSelfFloor(st.vt.Time)
-			}
-			st.sentMsgs = nil
-			objs := st.appliedObjects()
-			s.undoApplied(st)
-			s.releaseReservations(st)
-			st.status = txnAborted
-			s.resolveRC(m.TxnVT, false)
-			s.onLocalAbort(objs)
-			s.stats.ConflictAborts.Add(1)
-			s.trace(obs.EvAbort, m.TxnVT, 0, "delegate denied")
-			if st.txn == nil || st.handle == nil {
-				return
-			}
-			if st.retries+1 > s.opts.MaxRetries {
-				st.handle.finish(Result{Err: fmt.Errorf("%w (%d attempts)", ErrTooManyRetries, st.retries+1), Retries: st.retries, VT: st.vt})
-				return
-			}
-			s.stats.Retries.Add(1)
-			s.trace(obs.EvReExecute, m.TxnVT, 0, "")
-			txn, h, retries := st.txn, st.handle, st.retries+1
-			s.doOrDrop(
-				func() { s.execute(txn, h, retries) },
-				func() { h.finish(Result{Err: ErrSiteStopped}) },
-			)
-		}
-	default:
-		// Already decided locally; nothing to do.
-	}
-}
-
-// gcTxnObjects prunes histories of the objects a committed transaction
-// touched.
-func (s *Site) gcTxnObjects(st *txnState) {
-	for _, o := range st.appliedObjects() {
-		s.maybeGC(o)
-	}
+	s.decide(st, false, fmt.Sprintf("denied by %s: %s", m.From, m.Reason))
 }
 
 // applyUpdate applies one update from a remote transaction. It returns
@@ -808,11 +717,7 @@ func (s *Site) drainPending(root *object) {
 				root.pending = append(root.pending, p)
 				continue
 			}
-			fresh := st.appliedSince(applied0)
-			s.scheduleOptimistic(fresh, p.txnVT)
-			if status == history.Committed {
-				s.onLocalCommit(fresh, p.txnVT)
-			}
+			s.noteApplied(st.appliedSince(applied0), p.txnVT, status == history.Committed)
 			if st.blockedRemaining > 0 {
 				st.blockedRemaining--
 				if st.blockedRemaining == 0 && st.onUnblocked != nil {

@@ -1,13 +1,10 @@
 package engine
 
 import (
-	"strconv"
 	"sync"
 
 	"decaf/internal/history"
 	"decaf/internal/ids"
-	"decaf/internal/obs"
-	"decaf/internal/vtime"
 	"decaf/internal/wire"
 )
 
@@ -39,24 +36,24 @@ func stripeOf(id ids.ObjectID) int {
 	return int(h % numStripes)
 }
 
-// writeTask is one staged remote Write: applied and validated on a
-// shard worker, finished (views, delegation, confirms) on the loop.
+// writeTask is one arriving Write (or FastWrite) on its way through the
+// shared prologue (openWrite), the apply-and-check step (runWriteTask, on
+// a shard worker when staged) and the epilogue on the loop (finishWrite).
 type writeTask struct {
-	from             vtime.SiteID
-	m                wire.Write
-	st               *txnState
-	status           history.Status
-	committedAlready bool
-	// fast marks a staged FastWrite (m is its Write-shaped equivalent):
-	// committed on arrival, with the demotion sweep run at finish time.
-	fast   bool
+	m  wire.Write
+	st *txnState
+	// status is Committed when the decision was known on arrival (a
+	// FastWrite, or late updates of a committed transaction).
+	status history.Status
 	stripe int
 	// applied0 is len(st.applied) at staging: what this message applies
 	// is st.applied[applied0:].
 	applied0 int
+	// blocked counts updates parked on structure not yet received.
+	blocked int
 
-	// Results written by the worker, read by the loop after the join
-	// barrier.
+	// The primary verdict, when one is owed: written by the worker, read
+	// by the loop after the join barrier.
 	verdict bool
 	reason  string
 }
@@ -100,10 +97,10 @@ func (s *Site) stopWorkers() {
 }
 
 // stageWrite queues an eligible Write for the batch's fork-join run,
-// performing the loop-owned prologue (outcome lookup, txnState
-// creation, apply trace) so the worker touches only stripe-owned state.
-// It returns false when the message must take the serial path.
-func (s *Site) stageWrite(from vtime.SiteID, m wire.Write) bool {
+// after the loop-owned prologue (openWrite), so the worker touches only
+// stripe-owned state. It returns false when the message must take the
+// serial path.
+func (s *Site) stageWrite(m wire.Write) bool {
 	if s.workers <= 1 || s.inFlush || s.authorizer != nil {
 		return false
 	}
@@ -116,68 +113,11 @@ func (s *Site) stageWrite(from vtime.SiteID, m wire.Write) bool {
 		// txnState across workers; land the first run before staging.
 		s.flushWrites()
 	}
-	if known, ok := s.outcomes[m.TxnVT]; ok && !known {
-		return true // already aborted: ignore late updates (paper §3.1)
+	if t := s.openWrite(m, false); t != nil {
+		t.stripe = stripe
+		s.staged = append(s.staged, t)
+		s.stagedVTs[m.TxnVT] = true
 	}
-	committedAlready := false
-	if known, ok := s.outcomes[m.TxnVT]; ok && known {
-		committedAlready = true
-	}
-	st := s.ensureTxn(m.TxnVT, m.Origin)
-	if st.appliedWall == 0 {
-		st.appliedWall = s.obs.NowNanos()
-	}
-	s.trace(obs.EvApply, m.TxnVT, m.Origin, "")
-	status := history.Pending
-	if committedAlready {
-		status = history.Committed
-	}
-	s.staged = append(s.staged, &writeTask{
-		from:             from,
-		m:                m,
-		st:               st,
-		status:           status,
-		committedAlready: committedAlready,
-		stripe:           stripe,
-		applied0:         len(st.applied),
-	})
-	s.stagedVTs[m.TxnVT] = true
-	return true
-}
-
-// stageFastWrite queues an eligible FastWrite for the batch's fork-join
-// run. Fast-path transactions are committed on arrival, so the task
-// carries no confirm work; the loop-owned prologue records the outcome
-// before workers touch histories, letting blocked-update bookkeeping (not
-// possible for eligible shapes anyway) and drainPending see it committed.
-func (s *Site) stageFastWrite(from vtime.SiteID, m wire.FastWrite) bool {
-	if s.workers <= 1 || s.inFlush || s.authorizer != nil {
-		return false
-	}
-	w := wire.Write{TxnVT: m.TxnVT, Origin: m.Origin, Updates: m.Updates}
-	stripe, ok := s.writeStripe(w)
-	if !ok {
-		return false
-	}
-	if s.stagedVTs[m.TxnVT] {
-		s.flushWrites()
-	}
-	s.outcomes[m.TxnVT] = true
-	st := s.ensureTxn(m.TxnVT, m.Origin)
-	if st.appliedWall == 0 {
-		st.appliedWall = s.obs.NowNanos()
-	}
-	s.trace(obs.EvApply, m.TxnVT, m.Origin, "fastpath")
-	s.staged = append(s.staged, &writeTask{
-		from:             from,
-		m:                w,
-		st:               st,
-		status:           history.Committed,
-		committedAlready: true,
-		fast:             true,
-		stripe:           stripe,
-	})
-	s.stagedVTs[m.TxnVT] = true
 	return true
 }
 
@@ -231,24 +171,6 @@ func (s *Site) writeStripe(m wire.Write) (int, bool) {
 	return stripe, true
 }
 
-// runWriteTask applies and validates one staged Write. It runs on a
-// shard worker (or inline on the loop) while the event loop is parked
-// at the join barrier: loop-owned maps are read-only here, and all
-// mutations land in the task's stripe (object histories/reservations)
-// or the task's own txnState.
-func (s *Site) runWriteTask(t *writeTask) {
-	for _, upd := range t.m.Updates {
-		// Eligible updates never block (empty path, no structure), so
-		// the pending bookkeeping of the serial path cannot trigger.
-		if s.applyUpdate(t.st, upd, t.status) {
-			s.stats.UpdatesApplied.Add(1)
-		}
-	}
-	if t.m.NeedsConfirm {
-		t.verdict, _, t.reason = s.validateAsPrimary(t.st, t.m.TxnVT, t.m.Updates, t.m.Checks)
-	}
-}
-
 // flushWrites is the pipeline's flush point: fork staged tasks across
 // the occupied stripes, park at the join barrier, then finish each task
 // on the loop in arrival order. Serial-path handlers call it before
@@ -291,46 +213,4 @@ func (s *Site) flushWrites() {
 	for _, t := range tasks {
 		s.finishWrite(t)
 	}
-}
-
-// finishWrite completes a staged Write on the loop: marking the views
-// dirty, commit bookkeeping for already-decided transactions, and the
-// primary verdict (delegated decision or Confirm back to the origin).
-// This mirrors the serial handleWrite epilogue with blocked always zero.
-func (s *Site) finishWrite(t *writeTask) {
-	st, m := t.st, t.m
-	fresh := st.appliedSince(t.applied0)
-	s.scheduleOptimistic(fresh, m.TxnVT)
-	if t.committedAlready {
-		s.onLocalCommit(fresh, m.TxnVT)
-		st.status = txnCommitted
-	}
-	if t.fast {
-		s.resolveRC(m.TxnVT, true)
-		s.demoteGuessesFor(st.appliedObjects(), m.TxnVT)
-		s.trace(obs.EvCommit, m.TxnVT, m.Origin, "fastpath")
-		s.gcTxnObjects(st)
-		return
-	}
-	if !m.NeedsConfirm {
-		return
-	}
-	if !t.verdict {
-		s.log.Debug("primary denial", "txn", m.TxnVT.String(), "reason", t.reason)
-	}
-	if s.obs.TraceEnabled() {
-		verdict := "ok"
-		if !t.verdict {
-			verdict = t.reason
-		}
-		s.trace(obs.EvPrimaryCheck, m.TxnVT, m.Origin, verdict)
-		if t.verdict && len(st.reservedObjs) > 0 {
-			s.trace(obs.EvReserve, m.TxnVT, 0, strconv.Itoa(len(st.reservedObjs))+" objects")
-		}
-	}
-	if m.Delegate != nil {
-		s.decideAsDelegate(st, m, t.verdict)
-		return
-	}
-	s.send(m.Origin, wire.Confirm{TxnVT: m.TxnVT, From: s.id, OK: t.verdict, Reason: t.reason})
 }

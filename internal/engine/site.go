@@ -1120,12 +1120,12 @@ func (s *Site) handleEvent(ev transport.Event) {
 func (s *Site) handleMessage(from vtime.SiteID, msg wire.Message) {
 	if m, ok := msg.(wire.Write); ok {
 		s.walLogWrite(m)
-		if s.stageWrite(from, m) {
+		if s.stageWrite(m) {
 			return
 		}
 		s.flushWrites()
 		s.stats.SerialWrites.Inc()
-		s.handleWrite(from, m)
+		s.handleWrite(m, false)
 		return
 	}
 	if m, ok := msg.(wire.FastWrite); ok {
@@ -1145,7 +1145,7 @@ func (s *Site) handleMessage(from vtime.SiteID, msg wire.Message) {
 		s.walLogFastWrite(m)
 		s.flushWrites()
 		s.stats.SerialWrites.Inc()
-		s.handleFastWrite(from, m)
+		s.handleFastWrite(m)
 		return
 	}
 	s.flushWrites()
@@ -1156,7 +1156,7 @@ func (s *Site) handleMessage(from vtime.SiteID, msg wire.Message) {
 		s.handleConfirm(m)
 	case wire.Outcome:
 		s.walLogOutcome(m)
-		s.handleOutcome(m)
+		s.learn(m.TxnVT, m.Committed)
 	case wire.SyncRequest:
 		s.handleSyncRequest(from, m)
 	case wire.SyncUpdates:

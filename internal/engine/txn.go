@@ -185,6 +185,12 @@ type txnState struct {
 	// graphObjs are the local objects whose graphs this transaction
 	// changed (drives direct-child refresh after commit, §3.2.2).
 	graphObjs []*object
+	// fast marks a commutative fast-path transaction (commute.go),
+	// committed where it executed and on arrival everywhere else.
+	fast bool
+	// informs, at a delegate, lists the sites the origin asked it to
+	// tell the decision (paper §3.1 delegated commit).
+	informs []vtime.SiteID
 
 	// State kept at every site that applied updates.
 	applied []appliedUpdate
@@ -492,7 +498,7 @@ func (s *Site) finishExecution(st *txnState) {
 	s.propagate(st)
 
 	if st.denied {
-		s.abortTxn(st, st.deniedReason)
+		s.decide(st, false, st.deniedReason)
 		return
 	}
 	s.registerRCDeps(st)
@@ -820,35 +826,37 @@ func (s *Site) checkReadAtPrimary(root *object, primaryNode ids.ObjectID, path w
 //     containing tT;
 //   - on success both intervals are reserved write-free.
 //
-// The boolean result is the verdict; the string carries the denial reason
-// ("transient:" prefix marks transient denials).
+// The boolean result is the verdict; the string carries the denial reason.
 func (s *Site) primaryCheck(target, graphHolder *object, readVT, graphVT, vt vtime.VT, isWrite, committedOnly bool) (bool, string) {
-	return s.primaryCheckOpts(target, graphHolder, readVT, graphVT, vt, isWrite, committedOnly, false)
+	ok, _, reason := s.primaryCheckOpts(target, graphHolder, readVT, graphVT, vt, isWrite, committedOnly, false)
+	return ok, reason
 }
 
 // primaryCheckOpts is primaryCheck with reservation control (noReserve:
-// answer the check without reserving — optimistic view snapshots).
-func (s *Site) primaryCheckOpts(target, graphHolder *object, readVT, graphVT, vt vtime.VT, isWrite, committedOnly, noReserve bool) (bool, string) {
+// answer the check without reserving — optimistic view snapshots). It
+// also reports whether a denial is transient: a committedOnly check that
+// found only a pending update, which may yet abort.
+func (s *Site) primaryCheckOpts(target, graphHolder *object, readVT, graphVT, vt vtime.VT, isWrite, committedOnly, noReserve bool) (ok, transient bool, reason string) {
 	valIv := vtime.Interval{Lo: readVT, Hi: vt}
 	if committedOnly {
 		if target.hist.HasCommittedIn(valIv, vt) {
-			return false, fmt.Sprintf("RL: committed update in %s for %s", valIv, target.id)
+			return false, false, fmt.Sprintf("RL: committed update in %s for %s", valIv, target.id)
 		}
 		if target.hist.HasVersionIn(valIv, vt) {
-			return false, fmt.Sprintf("transient: pending update in %s for %s", valIv, target.id)
+			return false, true, fmt.Sprintf("transient: pending update in %s for %s", valIv, target.id)
 		}
 	} else if target.hist.HasVersionIn(valIv, vt) {
-		return false, fmt.Sprintf("RL: update in %s for %s", valIv, target.id)
+		return false, false, fmt.Sprintf("RL: update in %s for %s", valIv, target.id)
 	}
 
 	groot := graphHolder.replicationRoot()
 	graphIv := vtime.Interval{Lo: graphVT, Hi: vt}
 	if groot.graphHist.HasVersionIn(graphIv, vt) {
-		return false, fmt.Sprintf("RL: graph change in %s for %s", graphIv, groot.id)
+		return false, false, fmt.Sprintf("RL: graph change in %s for %s", graphIv, groot.id)
 	}
 	if isWrite {
 		if target.res.Conflicts(vt, vt) {
-			return false, fmt.Sprintf("NC: write at %s conflicts with reservation on %s", vt, target.id)
+			return false, false, fmt.Sprintf("NC: write at %s conflicts with reservation on %s", vt, target.id)
 		}
 		// Graph reservations are NOT checked here: they assert the
 		// interval free of GRAPH updates, which a value write does not
@@ -860,7 +868,7 @@ func (s *Site) primaryCheckOpts(target, graphHolder *object, readVT, graphVT, vt
 		target.res.Reserve(valIv, vt)
 		groot.graphRes.Reserve(graphIv, vt)
 	}
-	return true, ""
+	return true, false, ""
 }
 
 // registerRCDeps wires the transaction's RC guesses to this site's
@@ -885,12 +893,12 @@ func (s *Site) registerRCDeps(st *txnState) {
 				delete(st.rcDeps, dep)
 				s.checkTxnComplete(st)
 			} else {
-				s.abortTxn(st, fmt.Sprintf("RC: txn %s aborted", dep))
+				s.decide(st, false, fmt.Sprintf("RC: txn %s aborted", dep))
 			}
 		})
 	}
 	if st.denied {
-		s.abortTxn(st, st.deniedReason)
+		s.decide(st, false, st.deniedReason)
 	}
 }
 
@@ -905,164 +913,5 @@ func (s *Site) checkTxnComplete(st *txnState) {
 	if len(st.waitConfirms) > 0 || len(st.rcDeps) > 0 || st.extraPending > 0 {
 		return
 	}
-	s.commitTxn(st)
-}
-
-// commitTxn finalizes a transaction at its originating site and broadcasts
-// the summary COMMIT.
-func (s *Site) commitTxn(st *txnState) {
-	st.status = txnCommitted
-	s.outcomes[st.vt] = true
-	st.commitApplied()
-	s.walLocalCommit(st, true)
-	st.sentMsgs = nil
-	for _, site := range sortedSites(st.involved) {
-		if site != s.id {
-			s.send(site, wire.Outcome{TxnVT: st.vt, Committed: true})
-		}
-	}
-	s.resolveRC(st.vt, true)
-	s.onLocalCommit(st.appliedObjects(), st.vt)
-	s.stats.Commits.Add(1)
-	s.trace(obs.EvCommit, st.vt, 0, "")
-	s.stats.CommitLatencyVT.Observe(float64(s.clock.Now().Time - st.vt.Time))
-	if st.handle != nil {
-		s.obs.ObserveSince(s.stats.CommitLatency, st.handle.submittedWall)
-	}
-	if st.hasGraphOp {
-		s.unparkRetries()
-		s.afterGraphCommit(st)
-	}
-	if st.handle != nil {
-		st.handle.finish(Result{Committed: true, Retries: st.retries, VT: st.vt})
-	}
-}
-
-// afterGraphCommit refreshes direct-propagation children of composites
-// whose replica sets just changed (paper §3.2.2: "The parent node
-// notifies the collaborating embedded node of all changes to its replica
-// graph").
-func (s *Site) afterGraphCommit(st *txnState) {
-	for _, o := range st.graphObjs {
-		if o.isComposite() {
-			s.refreshDirectChildren(o)
-		}
-	}
-}
-
-// abortTxn undoes a transaction at its originating site, broadcasts the
-// summary ABORT, and schedules automatic re-execution (paper §2.4).
-func (s *Site) abortTxn(st *txnState, reason string) {
-	if st.status == txnAborted || st.status == txnCommitted {
-		return
-	}
-	s.log.Debug("abort", "txn", st.vt.String(), "reason", reason)
-	st.status = txnAborted
-	s.outcomes[st.vt] = false
-	s.walLocalAbort(st)
-	st.sentMsgs = nil
-	// Collected before the undo empties st.applied: the views watching
-	// these objects must rerun against the reverted state.
-	objs := st.appliedObjects()
-	s.undoApplied(st)
-	s.releaseReservations(st)
-	for _, site := range sortedSites(st.involved) {
-		if site != s.id {
-			s.send(site, wire.Outcome{TxnVT: st.vt, Committed: false})
-		}
-	}
-	s.resolveRC(st.vt, false)
-	s.onLocalAbort(objs)
-	s.stats.ConflictAborts.Add(1)
-	s.trace(obs.EvAbort, st.vt, 0, reason)
-
-	// Automatic re-execution at the originating site.
-	if st.retryFn != nil {
-		if st.retries+1 > s.opts.MaxRetries {
-			if st.handle != nil {
-				st.handle.finish(Result{Err: fmt.Errorf("%w (%d attempts)", ErrTooManyRetries, st.retries+1), Retries: st.retries, VT: st.vt})
-			}
-			return
-		}
-		s.stats.Retries.Add(1)
-		s.trace(obs.EvReExecute, st.vt, 0, "")
-		retry, attempts, rh := st.retryFn, st.retries+1, st.handle
-		s.doOrDrop(
-			func() { retry(attempts) },
-			func() {
-				if rh != nil {
-					rh.finish(Result{Err: ErrSiteStopped})
-				}
-			},
-		)
-		return
-	}
-	if st.txn == nil {
-		// Protocol-level transactions without a retry path surface the
-		// failure to the caller.
-		if st.handle != nil {
-			st.handle.finish(Result{Err: fmt.Errorf("%w: %s", ErrAborted, reason), Retries: st.retries, VT: st.vt})
-		}
-		return
-	}
-	if st.handle == nil {
-		return
-	}
-	if st.retries+1 > s.opts.MaxRetries {
-		st.handle.finish(Result{Err: fmt.Errorf("%w (%d attempts)", ErrTooManyRetries, st.retries+1), Retries: st.retries, VT: st.vt})
-		return
-	}
-	if st.parkOnAbort {
-		// The transaction depends on a failed primary site: defer the
-		// retry until the graph repair commits (paper §3.4: "it is
-		// retried later after the graph update has committed").
-		s.parked = append(s.parked, parkedRetry{txn: st.txn, handle: st.handle, retries: st.retries + 1})
-		s.stats.ParkedRetries.Set(int64(len(s.parked)))
-		return
-	}
-	s.stats.Retries.Add(1)
-	s.trace(obs.EvReExecute, st.vt, 0, "")
-	txn, h, retries := st.txn, st.handle, st.retries+1
-	resubmit := func() {
-		s.doOrDrop(
-			func() { s.execute(txn, h, retries) },
-			func() { h.finish(Result{Err: ErrSiteStopped}) },
-		)
-	}
-	if d := s.opts.RetryDelay; d > 0 {
-		// Through the injectable scheduler, never a raw timer: under the
-		// deterministic simulation the retry delay is a virtual-clock
-		// event like any message delivery, so retry timing is part of
-		// the explored, replayable schedule.
-		s.opts.Scheduler.AfterFunc(d, resubmit)
-	} else {
-		resubmit()
-	}
-}
-
-// undoApplied rolls back locally applied updates in reverse order.
-func (s *Site) undoApplied(st *txnState) {
-	for i := len(st.applied) - 1; i >= 0; i-- {
-		st.applied[i].undo()
-	}
-	st.applied = nil
-}
-
-// releaseReservations frees primary-copy reservations held by st at this
-// site.
-func (s *Site) releaseReservations(st *txnState) {
-	for _, obj := range st.reservedObjs {
-		obj.res.Release(st.vt)
-		obj.replicationRoot().graphRes.Release(st.vt)
-	}
-	st.reservedObjs = nil
-}
-
-// resolveRC fires the RC continuations waiting on vt's outcome.
-func (s *Site) resolveRC(vt vtime.VT, committed bool) {
-	waiters := s.rcWaiters[vt]
-	delete(s.rcWaiters, vt)
-	for _, w := range waiters {
-		w(committed)
-	}
+	s.decide(st, true, "")
 }

@@ -748,9 +748,9 @@ func (p *viewProxy) requestPessimisticGuesses(i int) {
 			if target == nil {
 				continue
 			}
-			ok, reason := s.primaryCheck(target, root, prev, root.graphVT, snap.ts, false, true)
+			ok, transient, _ := s.primaryCheckOpts(target, root, prev, root.graphVT, snap.ts, false, true, false)
 			if !ok {
-				if isTransientReason(reason) {
+				if transient {
 					snap.transientWait = true
 				}
 				// A permanent local denial means a committed update in

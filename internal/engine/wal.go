@@ -86,18 +86,13 @@ func (s *Site) walLogRepair(v wire.RepairValue) {
 	s.walAppendMsg(v.GraphVT, wire.RepairLearn{FailedSite: v.FailedSite, From: s.id, Value: v})
 }
 
-// walLocalCommit logs a locally originated commit: the Outcome record
-// and a synthesized Write carrying this site's own updates (they never
-// passed through handleMessage, so nothing else logs them). logOutcome
-// is false when the decision arrived on the wire (delegated commit) and
-// was therefore already logged by walLogOutcome.
-func (s *Site) walLocalCommit(st *txnState, logOutcome bool) {
-	if s.wal == nil || st.origin != s.id {
-		return
-	}
-	if logOutcome {
-		s.walAppendMsg(st.vt, wire.Outcome{TxnVT: st.vt, Committed: true})
-	}
+// walOwnUpdates logs the updates a transaction committed at its origin
+// applied there at execution: they never passed through handleMessage,
+// so nothing else logs them. The record is the one replay expects — a
+// FastWrite for a fast-path commit, a Write otherwise. The decision
+// itself is logged where it is made (decide) or received
+// (handleMessage); a FastWrite is its own.
+func (s *Site) walOwnUpdates(st *txnState) {
 	var updates []wire.Update
 	for _, w := range st.writes {
 		root := w.obj.replicationRoot()
@@ -115,47 +110,14 @@ func (s *Site) walLocalCommit(st *txnState, logOutcome bool) {
 			})
 		}
 	}
-	if len(updates) > 0 {
-		s.walAppendMsg(st.vt, wire.Write{TxnVT: st.vt, Origin: s.id, Updates: updates})
-	}
-	s.bumpSelfFloor(st.vt.Time)
-}
-
-// walLocalFastWrite logs a local fast-path commit as a synthesized
-// FastWrite targeting this site's own replicas.
-func (s *Site) walLocalFastWrite(st *txnState) {
-	if s.wal == nil || st.origin != s.id {
+	if len(updates) == 0 {
 		return
 	}
-	var updates []wire.Update
-	for _, w := range st.writes {
-		root := w.obj.replicationRoot()
-		path := w.obj.pathFromRoot()
-		for _, op := range w.ops {
-			updates = append(updates, wire.Update{
-				Target:  root.id,
-				Path:    path,
-				ReadVT:  w.readVT,
-				GraphVT: w.graphVT,
-				Op:      op,
-			})
-		}
+	var rec wire.Message = wire.Write{TxnVT: st.vt, Origin: s.id, Updates: updates}
+	if st.fast {
+		rec = wire.FastWrite{TxnVT: st.vt, Origin: s.id, Updates: updates}
 	}
-	if len(updates) > 0 {
-		s.walAppendMsg(st.vt, wire.FastWrite{TxnVT: st.vt, Origin: s.id, Updates: updates})
-	}
-	s.bumpSelfFloor(st.vt.Time)
-}
-
-// walLocalAbort logs a locally decided abort so anti-entropy can ship
-// the decision to peers that applied the optimistic updates before the
-// partition.
-func (s *Site) walLocalAbort(st *txnState) {
-	if s.wal == nil || st.origin != s.id {
-		return
-	}
-	s.walAppendMsg(st.vt, wire.Outcome{TxnVT: st.vt, Committed: false})
-	s.bumpSelfFloor(st.vt.Time)
+	s.walAppendMsg(st.vt, rec)
 }
 
 // noteOwnDecided records an own-origin decision time observed during
@@ -325,9 +287,9 @@ func (s *Site) replayWAL(cpSeq uint64) error {
 			m.NeedsConfirm = false
 			m.Delegate = nil
 			m.Checks = nil
-			s.handleWrite(m.Origin, m)
+			s.handleWrite(m, false)
 		case wire.FastWrite:
-			s.handleFastWrite(m.Origin, m)
+			s.handleFastWrite(m)
 		case wire.RepairLearn:
 			// Re-install the repaired graphs at the decided common VT and
 			// remember the decision, exactly as the live protocol did.

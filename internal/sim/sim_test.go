@@ -43,6 +43,18 @@ func TestSimReplay(t *testing.T) {
 		// arrived, so one replica diverged (seed 95).
 		{"views", 39},
 		{"views", 95},
+		// A delegated denial: S1, deciding S2's 6@s2 as its delegate,
+		// denies it, and S2 re-executes after RetryDelay, a virtual-clock
+		// event like any other (it used to re-execute at once).
+		{"contend", 7},
+		// Transactions left undecided (DESIGN.md §12, bug 8): an origin
+		// resubmits its Writes after reconnecting, the primary has
+		// already aborted the transaction, and a staged copy used to be
+		// dropped unanswered where a serial one was answered.
+		{"offline", 27},
+		{"offline", 191},
+		{"offline", 200},
+		{"offline", 211},
 	}
 	for _, tc := range cases {
 		tc := tc
