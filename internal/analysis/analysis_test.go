@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"flag"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -202,6 +204,38 @@ func TestBareIgnoreWarning(t *testing.T) {
 	for _, d := range res.Diags {
 		if strings.Contains(d.Pos.Filename, "suppressed") {
 			t.Errorf("suppressed finding leaked: %s", d)
+		}
+	}
+}
+
+// TestFastpathTableNamesLiveFunctions keeps the fastpath table honest:
+// every name it forbids must be a function the engine or the history
+// package declares, so deleting or renaming a validation entry point
+// cannot leave the table guarding a name nothing calls.
+func TestFastpathTableNamesLiveFunctions(t *testing.T) {
+	declared := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, dir := range []string{"../engine", "../history"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range files {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, name, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, fd := range funcDecls(f) {
+				declared[fd.Name.Name] = true
+			}
+		}
+	}
+	for name := range fastpathForbidden {
+		if !declared[name] {
+			t.Errorf("fastpathForbidden names %s, which internal/engine and internal/history do not declare", name)
 		}
 	}
 }

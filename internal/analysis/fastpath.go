@@ -12,16 +12,11 @@ import (
 // the classification in tryFastPath has been broken (or the fast path
 // has quietly grown a round-trip and stopped being fast).
 var fastpathForbidden = map[string]string{
-	"Reserve":             "reservation table write",
-	"Conflicts":           "NC reservation check",
-	"rememberReservation": "RL reservation bookkeeping",
-	"primaryCheck":        "RL/NC guess validation",
-	"primaryCheckOpts":    "RL/NC guess validation",
-	"checkWriteAtPrimary": "RL/NC guess validation",
-	"checkReadAtPrimary":  "RL guess validation",
-	"validateAsPrimary":   "remote guess validation",
-	"runReadCheck":        "RL guess validation",
-	"propagate":           "guessed-path confirm exchange",
+	"Reserve":        "reservation table write",
+	"Conflicts":      "NC reservation check",
+	"checkAtPrimary": "RL/NC guess validation",
+	"checkGuess":     "RL/NC guess validation",
+	"propagate":      "guessed-path confirm exchange",
 }
 
 // Fastpath flags calls into the reservation/confirm machinery from

@@ -11,15 +11,15 @@ func (reservations) Intersecting(vt uint64) []uint64 { return nil }
 
 type site struct{ res reservations }
 
-func (s *site) propagate()                  {}
-func (s *site) primaryCheck(vt uint64) bool { return true }
+func (s *site) propagate()                    {}
+func (s *site) checkAtPrimary(vt uint64) bool { return true }
 
 func (s *site) badReserve() {
 	s.res.Reserve(1, 2)
 }
 
 func (s *site) badCheckThenPropagate() bool {
-	if !s.primaryCheck(7) {
+	if !s.checkAtPrimary(7) {
 		return false
 	}
 	s.propagate()

@@ -5,7 +5,7 @@ package fastpath
 
 func (s *site) slowPathMayReserve() bool {
 	s.res.Reserve(10, 20)
-	if !s.primaryCheck(21) {
+	if !s.checkAtPrimary(21) {
 		return false
 	}
 	s.propagate()

@@ -286,30 +286,26 @@ func (s *Site) propagateAssocUpdate(st *txnState, assoc *object, readVT vtime.VT
 	}
 	primaryNode, _ := g.Primary()
 	primarySite, _ := g.SiteOf(primaryNode)
+	upd := wire.Update{ReadVT: readVT, GraphVT: assoc.graphVT, Op: wire.OpAssoc{Relationships: rels}}
 	for _, node := range g.Nodes() {
 		nodeSite, _ := g.SiteOf(node)
 		if node == assoc.id {
 			continue
 		}
 		st.involved[nodeSite] = true
+		upd.Target = node
 		s.send(nodeSite, wire.Write{
-			TxnVT:  st.vt,
-			Origin: s.id,
-			Updates: []wire.Update{{
-				Target:  node,
-				ReadVT:  readVT,
-				GraphVT: assoc.graphVT,
-				Op:      wire.OpAssoc{Relationships: rels},
-			}},
+			TxnVT:        st.vt,
+			Origin:       s.id,
+			Updates:      []wire.Update{upd},
 			NeedsConfirm: nodeSite == primarySite,
 		})
 	}
 	if primarySite == s.id {
-		if ok, reason := s.primaryCheck(assoc, assoc, readVT, assoc.graphVT, st.vt, true, false); !ok {
+		upd.Target = primaryNode
+		if v := s.checkAtPrimary(st, st.vt, []wire.Update{upd}, nil); !v.ok {
 			st.denied = true
-			st.deniedReason = reason
-		} else {
-			st.reservedObjs = append(st.reservedObjs, assoc)
+			st.deniedReason = v.reason
 		}
 	} else {
 		st.waitConfirms[primarySite] = true
@@ -406,31 +402,24 @@ func (s *Site) handleJoinRequest(from vtime.SiteID, m wire.JoinRequest) {
 		deny(fmt.Sprintf("graph merge: %v", err))
 		return
 	}
+	op := wire.OpGraph{Graph: merged.ToWire()}
 
 	// Apply the merged graph to B locally (optimistically) and ship it to
 	// B's former replicas; gB's primary confirms directly to A.
-	s.applyOp(st, b, nil, wire.OpGraph{Graph: merged.ToWire()}, history.Pending)
+	s.applyOp(st, b, nil, op, history.Pending)
 
 	primaryNode, _ := oldGraph.Primary()
 	primarySite, _ := oldGraph.SiteOf(primaryNode)
+	upd := wire.Update{Target: primaryNode, ReadVT: oldGraphVT, GraphVT: oldGraphVT, Op: op}
 	if primarySite == s.id {
 		// gB's primary is B's own site: validate here, BEFORE any
 		// propagation, and fold the verdict into the reply (no separate
 		// confirmation message).
-		groot := b.replicationRoot()
-		iv := vtime.Interval{Lo: oldGraphVT, Hi: m.TxnVT}
-		if groot.graphHist.HasVersionIn(iv, m.TxnVT) {
+		if v := s.checkAtPrimary(st, m.TxnVT, []wire.Update{upd}, nil); !v.ok {
 			s.undoApplied(st)
-			denyRetryable(fmt.Sprintf("RL: graph change in %s", iv))
+			denyRetryable(v.reason)
 			return
 		}
-		if groot.graphRes.Conflicts(m.TxnVT, m.TxnVT) {
-			s.undoApplied(st)
-			denyRetryable("NC: graph reservation conflict")
-			return
-		}
-		groot.graphRes.Reserve(iv, m.TxnVT)
-		st.reservedObjs = append(st.reservedObjs, b)
 	}
 	var confirmSites []vtime.SiteID
 	for _, node := range oldGraph.Nodes() {
@@ -440,19 +429,15 @@ func (s *Site) handleJoinRequest(from vtime.SiteID, m wire.JoinRequest) {
 		}
 		if nodeSite == s.id {
 			if sib, okSib := s.objects[node]; okSib {
-				s.applyOp(st, sib, nil, wire.OpGraph{Graph: merged.ToWire()}, history.Pending)
+				s.applyOp(st, sib, nil, op, history.Pending)
 			}
 			continue
 		}
+		upd.Target = node
 		s.send(nodeSite, wire.Write{
-			TxnVT:  m.TxnVT,
-			Origin: m.Origin, // confirmations flow to the joiner
-			Updates: []wire.Update{{
-				Target:  node,
-				ReadVT:  oldGraphVT,
-				GraphVT: oldGraphVT,
-				Op:      wire.OpGraph{Graph: merged.ToWire()},
-			}},
+			TxnVT:        m.TxnVT,
+			Origin:       m.Origin, // confirmations flow to the joiner
+			Updates:      []wire.Update{upd},
 			NeedsConfirm: nodeSite == primarySite,
 		})
 		if nodeSite == primarySite {
@@ -467,7 +452,7 @@ func (s *Site) handleJoinRequest(from vtime.SiteID, m wire.JoinRequest) {
 		OK:              true,
 		BObj:            m.BObj,
 		BValue:          snapshotValue(b),
-		GraphB:          merged.ToWire(),
+		GraphB:          op.Graph,
 		PendingGraphTxn: pendingGraphTxn,
 		ConfirmSites:    confirmSites,
 	})
@@ -579,13 +564,11 @@ func (s *Site) handleJoinReply(m wire.JoinReply) {
 		}
 	}
 	if primarySite == s.id && hasPrim && oldGraph.NumNodes() > 1 {
-		iv := vtime.Interval{Lo: oldGraphVT, Hi: st.vt}
-		if local.graphHist.HasVersionIn(iv, st.vt) || local.graphRes.Conflicts(st.vt, st.vt) {
-			s.abortJoin(st, "gA primary denied graph update")
+		upd := wire.Update{Target: primaryNode, ReadVT: oldGraphVT, GraphVT: oldGraphVT, Op: wire.OpGraph{Graph: m.GraphB}}
+		if v := s.checkAtPrimary(st, st.vt, []wire.Update{upd}, nil); !v.ok {
+			s.abortJoin(st, "gA primary denied graph update: "+v.reason)
 			return
 		}
-		local.graphRes.Reserve(iv, st.vt)
-		st.reservedObjs = append(st.reservedObjs, local)
 	}
 
 	// Every member of the merged graph is involved in the outcome.

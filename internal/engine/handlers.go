@@ -98,11 +98,22 @@ func (s *Site) runWriteTask(t *writeTask) {
 }
 
 // checkWrite runs the primary checks a write asks for, unless its
-// transaction is already decided.
+// transaction is already decided. Authorization monitors vet remote
+// access before any guess check (paper §1); a denial aborts the
+// transaction at its origin.
 func (s *Site) checkWrite(t *writeTask) {
-	if t.m.NeedsConfirm && t.status == history.Pending {
-		t.verdict, t.reason = s.validateAsPrimary(t.st, t.m.TxnVT, t.m.Updates, t.m.Checks)
+	if !t.m.NeedsConfirm || t.status != history.Pending {
+		return
 	}
+	err := s.authorizeUpdates(t.m.Updates, t.st.origin)
+	if err == nil {
+		err = s.authorizeChecks(t.m.Checks, t.st.origin)
+	}
+	if err != nil {
+		t.verdict = verdict{reason: err.Error()}
+		return
+	}
+	t.verdict = s.checkAtPrimary(t.st, t.m.TxnVT, t.m.Updates, t.m.Checks)
 }
 
 // finishWrite is the epilogue every Write and FastWrite shares, on the
@@ -141,25 +152,32 @@ func (s *Site) finishWrite(t *writeTask) {
 // the whole transaction on the origin's behalf (paper §3.1), any other
 // primary confirms or denies to the origin.
 func (s *Site) answerWrite(t *writeTask) {
-	st, m := t.st, t.m
-	if !t.verdict {
-		s.log.Debug("primary denial", "txn", m.TxnVT.String(), "reason", t.reason)
+	st, m, v := t.st, t.m, t.verdict
+	if !v.ok {
+		s.log.Debug("primary denial", "txn", m.TxnVT.String(), "reason", v.reason)
 	}
-	if s.obs.TraceEnabled() {
-		verdict := "ok"
-		if !t.verdict {
-			verdict = t.reason
-		}
-		s.trace(obs.EvPrimaryCheck, m.TxnVT, m.Origin, verdict)
-		if t.verdict && len(st.reservedObjs) > 0 {
-			s.trace(obs.EvReserve, m.TxnVT, 0, strconv.Itoa(len(st.reservedObjs))+" objects")
-		}
-	}
+	s.traceCheck(m.TxnVT, m.Origin, v, len(st.reservedObjs))
 	if m.Delegate != nil {
-		s.decide(st, t.verdict, t.reason)
+		s.decide(st, v.ok, v.reason)
 		return
 	}
-	s.send(m.Origin, wire.Confirm{TxnVT: m.TxnVT, From: s.id, OK: t.verdict, Reason: t.reason})
+	s.send(m.Origin, wire.Confirm{TxnVT: m.TxnVT, From: s.id, OK: v.ok, Transient: v.transient, Reason: v.reason})
+}
+
+// traceCheck records a primary's verdict on transaction vt, requested by
+// origin (0: this site), and on success the objects it holds reserved.
+func (s *Site) traceCheck(vt vtime.VT, origin vtime.SiteID, v verdict, reserved int) {
+	if !s.obs.TraceEnabled() {
+		return
+	}
+	if !v.ok {
+		s.trace(obs.EvPrimaryCheck, vt, origin, v.reason)
+		return
+	}
+	s.trace(obs.EvPrimaryCheck, vt, origin, "ok")
+	if reserved > 0 {
+		s.trace(obs.EvReserve, vt, 0, strconv.Itoa(reserved)+" objects")
+	}
 }
 
 // resendOutcome answers a confirm request from an already-recorded
@@ -187,164 +205,24 @@ func (s *Site) noteApplied(objs []*object, vt vtime.VT, committed bool) {
 	}
 }
 
-// validateAsPrimary runs the RL/NC checks this site is responsible for
-// within one transaction message: updates whose target's primary copy
-// lives here, plus explicit read checks.
-func (s *Site) validateAsPrimary(st *txnState, vt vtime.VT, updates []wire.Update, checks []wire.ReadCheck) (ok bool, reason string) {
-	// Authorization monitors vet remote access before any guess check
-	// (paper 1); a denial aborts the transaction at its origin.
-	if err := s.authorizeUpdates(updates, st.origin); err != nil {
-		return false, err.Error()
-	}
-	if err := s.authorizeChecks(checks, st.origin); err != nil {
-		return false, err.Error()
-	}
-	for _, upd := range updates {
-		root, exists := s.objects[upd.Target]
-		if !exists {
-			return false, fmt.Sprintf("unknown object %s", upd.Target)
-		}
-		if _, isGraph := upd.Op.(wire.OpGraph); isGraph {
-			// Graph updates validate at the primary of the PREVIOUS
-			// graph (the new graph has already been applied
-			// optimistically) against the graph history and graph
-			// reservations only (paper §3.3).
-			groot := root.replicationRoot()
-			if oldV, okOld := groot.graphHist.At(upd.GraphVT); okOld {
-				if og, okG := oldV.Value.(*repgraph.Graph); okG {
-					if pn, has := og.Primary(); has && pn != root.id {
-						continue // another site validates this graph
-					}
-				}
-			}
-			iv := vtime.Interval{Lo: upd.GraphVT, Hi: vt}
-			if groot.graphHist.HasVersionIn(iv, vt) {
-				return false, fmt.Sprintf("RL: graph change in %s for %s", iv, groot.id)
-			}
-			if groot.graphRes.Conflicts(vt, vt) {
-				return false, fmt.Sprintf("NC: graph reservation conflict at %s on %s", vt, groot.id)
-			}
-			groot.graphRes.Reserve(iv, vt)
-			st.reservedObjs = append(st.reservedObjs, groot)
-			continue
-		}
-		g, _ := root.currentGraph()
-		primaryNode, has := g.Primary()
-		if !has || primaryNode != root.id {
-			continue // another site validates this object
-		}
-		target := root
-		if len(upd.Path) > 0 {
-			child, removed, blocked := root.resolvePath(upd.Path)
-			if removed {
-				return false, fmt.Sprintf("path %s removed", upd.Path)
-			}
-			if blocked || child == nil {
-				// The structural op is part of this same transaction
-				// and was just applied; a still-blocked path here means
-				// out-of-order structure, handled by the caller.
-				continue
-			}
-			target = child
-		}
-		if isStructuralOp(upd.Op) {
-			target = targetForStructural(root, upd)
-		}
-		okc, reasonc := s.primaryCheck(target, root, upd.ReadVT, upd.GraphVT, vt, true, false)
-		if !okc {
-			return false, reasonc
-		}
-		st.reservedObjs = append(st.reservedObjs, target)
-	}
-	for _, c := range checks {
-		okc, _, reasonc := s.runReadCheck(c, vt)
-		if !okc {
-			return false, reasonc
-		}
-		if obj := s.resolveCheckTarget(c.Target, c.Path); obj != nil {
-			st.reservedObjs = append(st.reservedObjs, obj)
-		}
-	}
-	return true, ""
-}
-
-// isStructuralOp reports whether op changes composite structure (and thus
-// validates against the composite itself rather than a child).
-func isStructuralOp(op wire.Op) bool {
-	switch op.(type) {
-	case wire.OpListInsert, wire.OpListInsertAfter, wire.OpListRemove, wire.OpTupleSet, wire.OpTupleRemove:
-		return true
-	default:
-		return false
-	}
-}
-
-// targetForStructural resolves the composite a structural op applies to:
-// the root itself (empty path) or the composite at the path.
-func targetForStructural(root *object, upd wire.Update) *object {
-	if len(upd.Path) == 0 {
-		return root
-	}
-	child, _, _ := root.resolvePath(upd.Path)
-	if child == nil {
-		return root
-	}
-	return child
-}
-
-// runReadCheck validates one RL read-check at this primary site,
-// reserving the interval on success.
-func (s *Site) runReadCheck(c wire.ReadCheck, vt vtime.VT) (ok, transient bool, reason string) {
-	root, exists := s.objects[c.Target]
-	if !exists {
-		return false, false, fmt.Sprintf("unknown object %s", c.Target)
-	}
-	target := root
-	if len(c.Path) > 0 {
-		child, removed, blocked := root.resolvePath(c.Path)
-		if removed {
-			return false, false, fmt.Sprintf("path %s removed", c.Path)
-		}
-		if blocked || child == nil {
-			return false, true, fmt.Sprintf("transient: path %s not yet present", c.Path)
-		}
-		target = child
-	}
-	return s.primaryCheckOpts(target, root, c.ReadVT, c.GraphVT, vt, false, c.CommittedOnly, c.NoReserve)
-}
-
 // handleConfirmRead validates RL guesses on behalf of a remote reader
 // (a transaction's read set, a view snapshot, or a join step).
 func (s *Site) handleConfirmRead(from vtime.SiteID, m wire.ConfirmRead) {
+	var v verdict
 	if err := s.authorizeChecks(m.Checks, m.Origin); err != nil {
-		s.send(m.Origin, wire.Confirm{TxnVT: m.TxnVT, ReqID: m.ReqID, From: s.id, OK: false, Reason: err.Error()})
-		return
-	}
-	allOK := true
-	anyTransient := false
-	reason := ""
-	st := s.txns[m.TxnVT] // may be nil; reservations then tracked per object
-	for _, c := range m.Checks {
-		ok, tr, r := s.runReadCheck(c, m.TxnVT)
-		if !ok {
-			allOK = false
-			anyTransient = anyTransient || tr
-			reason = r
-			break
-		}
-		if st != nil {
-			if obj := s.resolveCheckTarget(c.Target, c.Path); obj != nil {
-				st.reservedObjs = append(st.reservedObjs, obj)
-			}
-		}
+		v.reason = err.Error()
+	} else {
+		// Reservations are tracked only where the transaction has state
+		// here (nil for a view snapshot).
+		v = s.checkAtPrimary(s.txns[m.TxnVT], m.TxnVT, nil, m.Checks)
 	}
 	s.send(m.Origin, wire.Confirm{
 		TxnVT:     m.TxnVT,
 		ReqID:     m.ReqID,
 		From:      s.id,
-		OK:        allOK,
-		Transient: anyTransient,
-		Reason:    reason,
+		OK:        v.ok,
+		Transient: v.transient,
+		Reason:    v.reason,
 	})
 }
 

@@ -54,8 +54,7 @@ type writeTask struct {
 
 	// The primary verdict, when one is owed: written by the worker, read
 	// by the loop after the join barrier.
-	verdict bool
-	reason  string
+	verdict verdict
 }
 
 // shardJob hands one stripe's ordered task run to a worker.

@@ -538,8 +538,10 @@ type perSiteMsg struct {
 }
 
 // propagate builds and sends the per-site messages for st and performs
-// the primary-copy checks that fall to this site.
+// the primary-copy checks that fall to this site: the entries it would
+// send to itself go to checkAtPrimary instead.
 func (s *Site) propagate(st *txnState) {
+	var self perSiteMsg
 	out := map[vtime.SiteID]*perSiteMsg{}
 	sitemsg := func(site vtime.SiteID) *perSiteMsg {
 		m, ok := out[site]
@@ -592,14 +594,14 @@ func (s *Site) propagate(st *txnState) {
 			}
 		}
 		if primarySite == s.id {
-			// This site hosts the primary copy: validate RL and NC here.
-			if ok, reason := s.checkWriteAtPrimary(root, primaryNode, path, w, st.vt); !ok {
-				st.denied = true
-				st.deniedReason = reason
-				s.trace(obs.EvPrimaryCheck, st.vt, 0, reason)
-			} else {
-				s.trace(obs.EvPrimaryCheck, st.vt, 0, "ok")
-				s.rememberReservation(st, root, primaryNode, path)
+			for _, op := range w.ops {
+				self.updates = append(self.updates, wire.Update{
+					Target:  primaryNode,
+					Path:    path,
+					ReadVT:  w.readVT,
+					GraphVT: w.graphVT,
+					Op:      op,
+				})
 			}
 		} else if s.failed[primarySite] {
 			// The primary site failed and its graph is not yet repaired:
@@ -619,28 +621,31 @@ func (s *Site) propagate(st *txnState) {
 		if g.NumNodes() <= 1 {
 			continue // unreplicated object: nothing to confirm
 		}
-		path := r.obj.pathFromRoot()
 		primaryNode, _ := g.Primary()
 		primarySite, _ := g.SiteOf(primaryNode)
+		c := wire.ReadCheck{
+			Target:  primaryNode,
+			Path:    r.obj.pathFromRoot(),
+			ReadVT:  r.readVT,
+			GraphVT: r.graphVT,
+		}
 		if primarySite == s.id {
-			if ok, reason := s.checkReadAtPrimary(root, primaryNode, path, r, st.vt); !ok {
-				st.denied = true
-				st.deniedReason = reason
-				s.trace(obs.EvPrimaryCheck, st.vt, 0, reason)
-			} else {
-				s.trace(obs.EvPrimaryCheck, st.vt, 0, "ok")
-				s.rememberReservation(st, root, primaryNode, path)
-			}
+			self.checks = append(self.checks, c)
 			continue
 		}
 		m := sitemsg(primarySite)
-		m.checks = append(m.checks, wire.ReadCheck{
-			Target:  primaryNode,
-			Path:    path,
-			ReadVT:  r.readVT,
-			GraphVT: r.graphVT,
-		})
+		m.checks = append(m.checks, c)
 		m.needsConfirm = true
+	}
+
+	if len(self.updates) > 0 || len(self.checks) > 0 {
+		reserved := len(st.reservedObjs)
+		v := s.checkAtPrimary(st, st.vt, self.updates, self.checks)
+		s.traceCheck(st.vt, 0, v, len(st.reservedObjs)-reserved)
+		if !v.ok {
+			st.denied = true
+			st.deniedReason = v.reason
+		}
 	}
 
 	// Record involvement and who must confirm. Fan-out below iterates in
@@ -727,148 +732,6 @@ func (s *Site) applySiblingWrite(st *txnState, node ids.ObjectID, path wire.Path
 	for _, op := range w.ops {
 		s.applyOp(st, target, path, op, history.Pending)
 	}
-}
-
-// rememberReservation records that st holds reservations on the resolved
-// primary object so an abort can release them.
-func (s *Site) rememberReservation(st *txnState, root *object, primaryNode ids.ObjectID, path wire.Path) {
-	if obj := s.resolveCheckTarget(primaryNode, path); obj != nil {
-		st.reservedObjs = append(st.reservedObjs, obj)
-		if s.obs.TraceEnabled() {
-			s.trace(obs.EvReserve, st.vt, 0, obj.id.String())
-		}
-	}
-}
-
-// resolveCheckTarget resolves the object a primary-copy check refers to:
-// the primary node itself, or the child at path below it.
-func (s *Site) resolveCheckTarget(node ids.ObjectID, path wire.Path) *object {
-	o, ok := s.objects[node]
-	if !ok {
-		return nil
-	}
-	if len(path) == 0 {
-		return o
-	}
-	child, _, _ := o.resolvePath(path)
-	return child
-}
-
-// checkWriteAtPrimary performs the RL and NC guess checks for a write at
-// this site's primary copy, reserving the intervals on success.
-func (s *Site) checkWriteAtPrimary(root *object, primaryNode ids.ObjectID, path wire.Path, w *writeRec, vt vtime.VT) (bool, string) {
-	primaryRoot, ok := s.objects[primaryNode]
-	if !ok {
-		return false, fmt.Sprintf("primary node %s unknown at %s", primaryNode, s.id)
-	}
-	if len(w.ops) == 1 {
-		if _, isGraph := w.ops[0].(wire.OpGraph); isGraph {
-			// Graph updates validate against graph history and graph
-			// reservations only.
-			groot := primaryRoot.replicationRoot()
-			iv := vtime.Interval{Lo: w.graphVT, Hi: vt}
-			if groot.graphHist.HasVersionIn(iv, vt) {
-				return false, fmt.Sprintf("RL: graph change in %s for %s", iv, groot.id)
-			}
-			if groot.graphRes.Conflicts(vt, vt) {
-				return false, fmt.Sprintf("NC: graph reservation conflict at %s on %s", vt, groot.id)
-			}
-			groot.graphRes.Reserve(iv, vt)
-			return true, ""
-		}
-	}
-	target := primaryRoot
-	if len(path) > 0 {
-		child, removed, blocked := primaryRoot.resolvePath(path)
-		if removed {
-			return false, fmt.Sprintf("path %s removed at primary", path)
-		}
-		if blocked || child == nil {
-			// The structural op is in this same transaction (write to a
-			// freshly embedded child at the origin): the target is the
-			// local object itself when origin == primary, otherwise the
-			// message path covers it. Fall back to the write's object.
-			target = w.obj
-		} else {
-			target = child
-		}
-	}
-	return s.primaryCheck(target, primaryRoot, w.readVT, w.graphVT, vt, true, false)
-}
-
-// checkReadAtPrimary performs the RL guess check for a read.
-func (s *Site) checkReadAtPrimary(root *object, primaryNode ids.ObjectID, path wire.Path, r *readRec, vt vtime.VT) (bool, string) {
-	primaryRoot, ok := s.objects[primaryNode]
-	if !ok {
-		return false, fmt.Sprintf("primary node %s unknown at %s", primaryNode, s.id)
-	}
-	target := primaryRoot
-	if len(path) > 0 {
-		child, removed, blocked := primaryRoot.resolvePath(path)
-		if removed {
-			return false, fmt.Sprintf("path %s removed at primary", path)
-		}
-		if blocked || child == nil {
-			return false, fmt.Sprintf("path %s not yet present at primary", path)
-		}
-		target = child
-	}
-	return s.primaryCheck(target, primaryRoot, r.readVT, r.graphVT, vt, false, false)
-}
-
-// primaryCheck is the core primary-copy validation (paper §3.1):
-//
-//   - RL: no version other than the transaction's own exists in (tR, tT]
-//     (for committedOnly checks: no committed version in (tR, tT), and a
-//     pending version is a transient denial);
-//   - graph RL: no graph change in (tG, tT];
-//   - NC (writes only): no other transaction reserved an interval
-//     containing tT;
-//   - on success both intervals are reserved write-free.
-//
-// The boolean result is the verdict; the string carries the denial reason.
-func (s *Site) primaryCheck(target, graphHolder *object, readVT, graphVT, vt vtime.VT, isWrite, committedOnly bool) (bool, string) {
-	ok, _, reason := s.primaryCheckOpts(target, graphHolder, readVT, graphVT, vt, isWrite, committedOnly, false)
-	return ok, reason
-}
-
-// primaryCheckOpts is primaryCheck with reservation control (noReserve:
-// answer the check without reserving — optimistic view snapshots). It
-// also reports whether a denial is transient: a committedOnly check that
-// found only a pending update, which may yet abort.
-func (s *Site) primaryCheckOpts(target, graphHolder *object, readVT, graphVT, vt vtime.VT, isWrite, committedOnly, noReserve bool) (ok, transient bool, reason string) {
-	valIv := vtime.Interval{Lo: readVT, Hi: vt}
-	if committedOnly {
-		if target.hist.HasCommittedIn(valIv, vt) {
-			return false, false, fmt.Sprintf("RL: committed update in %s for %s", valIv, target.id)
-		}
-		if target.hist.HasVersionIn(valIv, vt) {
-			return false, true, fmt.Sprintf("transient: pending update in %s for %s", valIv, target.id)
-		}
-	} else if target.hist.HasVersionIn(valIv, vt) {
-		return false, false, fmt.Sprintf("RL: update in %s for %s", valIv, target.id)
-	}
-
-	groot := graphHolder.replicationRoot()
-	graphIv := vtime.Interval{Lo: graphVT, Hi: vt}
-	if groot.graphHist.HasVersionIn(graphIv, vt) {
-		return false, false, fmt.Sprintf("RL: graph change in %s for %s", graphIv, groot.id)
-	}
-	if isWrite {
-		if target.res.Conflicts(vt, vt) {
-			return false, false, fmt.Sprintf("NC: write at %s conflicts with reservation on %s", vt, target.id)
-		}
-		// Graph reservations are NOT checked here: they assert the
-		// interval free of GRAPH updates, which a value write does not
-		// violate. Graph updates have their own NC check in the OpGraph
-		// validation paths.
-	}
-
-	if !noReserve {
-		target.res.Reserve(valIv, vt)
-		groot.graphRes.Reserve(graphIv, vt)
-	}
-	return true, false, ""
 }
 
 // registerRCDeps wires the transaction's RC guesses to this site's

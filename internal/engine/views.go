@@ -743,30 +743,24 @@ func (p *viewProxy) requestPessimisticGuesses(i int) {
 		}
 		primaryNode, _ := g.Primary()
 		primarySite, _ := g.SiteOf(primaryNode)
-		if primarySite == s.id {
-			target := s.resolveCheckTarget(primaryNode, o.pathFromRoot())
-			if target == nil {
-				continue
-			}
-			ok, transient, _ := s.primaryCheckOpts(target, root, prev, root.graphVT, snap.ts, false, true, false)
-			if !ok {
-				if transient {
-					snap.transientWait = true
-				}
-				// A permanent local denial means a committed update in
-				// the interval: its own snapshot, placed before this one
-				// by settlePessimistic, revises us.
-				continue
-			}
-			continue
-		}
-		checksBySite[primarySite] = append(checksBySite[primarySite], wire.ReadCheck{
+		c := wire.ReadCheck{
 			Target:        primaryNode,
 			Path:          o.pathFromRoot(),
 			ReadVT:        prev,
 			GraphVT:       root.graphVT,
 			CommittedOnly: true,
-		})
+		}
+		if primarySite == s.id {
+			// A permanent local denial holds nothing: a committed update
+			// in the interval has its own snapshot, placed before this
+			// one by settlePessimistic, which revises us; a removed path
+			// has nothing left to check.
+			if v := s.checkAtPrimary(nil, snap.ts, nil, []wire.ReadCheck{c}); v.transient {
+				snap.transientWait = true
+			}
+			continue
+		}
+		checksBySite[primarySite] = append(checksBySite[primarySite], c)
 	}
 	// Site-sorted for the same reason as requestOptimisticGuesses.
 	for _, site := range sortedSites(checksBySite) {

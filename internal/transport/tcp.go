@@ -1077,32 +1077,11 @@ func (t *TCP) peerFor(site vtime.SiteID) (*tcpPeer, error) {
 // Send implements Endpoint. It only enqueues: the caller's goroutine
 // never blocks on a dial or a socket write.
 func (t *TCP) Send(to vtime.SiteID, sentAt vtime.VT, msg wire.Message) error {
-	p, err := t.peerFor(to)
-	if err != nil {
-		return err
-	}
-	select {
-	case <-p.stop:
-		return ErrSiteDown
-	case p.queue <- tcpOut{sentAt: sentAt, msg: msg}:
-		return nil
-	default:
-	}
-	// Queue full. A dead peer (writer already stopped) is an error; a
-	// live but congested one drops silently, matching the simulated
-	// network's bounded-buffer semantics.
-	select {
-	case <-p.stop:
-		return ErrSiteDown
-	default:
-		t.stats.sendQueueDrops.Add(1)
-		return nil
-	}
+	return t.SendBatch(to, sentAt, []wire.Message{msg})
 }
 
 // SendBatch implements BatchSender: one peer lookup for the whole
-// batch, then the per-message enqueue semantics of Send (including its
-// overflow drops).
+// batch, then each message is enqueued without blocking.
 func (t *TCP) SendBatch(to vtime.SiteID, sentAt vtime.VT, msgs []wire.Message) error {
 	p, err := t.peerFor(to)
 	if err != nil {
@@ -1116,6 +1095,9 @@ func (t *TCP) SendBatch(to vtime.SiteID, sentAt vtime.VT, msgs []wire.Message) e
 			continue
 		default:
 		}
+		// Queue full. A dead peer (writer already stopped) is an error; a
+		// live but congested one drops silently, matching the simulated
+		// network's bounded-buffer semantics.
 		select {
 		case <-p.stop:
 			return ErrSiteDown

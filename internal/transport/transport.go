@@ -323,37 +323,6 @@ func (n *Network) dispatch(from, to vtime.SiteID, ev Event, delay time.Duration)
 	}
 }
 
-// send enqueues a message for delivery.
-func (n *Network) send(from, to vtime.SiteID, sentAt vtime.VT, msg wire.Message) error {
-	n.mu.Lock()
-	if n.dead[from] {
-		n.mu.Unlock()
-		return ErrSiteDown
-	}
-	if n.dead[to] {
-		n.mu.Unlock()
-		return ErrSiteDown
-	}
-	if _, ok := n.endpoints[to]; !ok {
-		n.mu.Unlock()
-		return ErrUnknownSite
-	}
-	if n.blocked[linkKey{from, to}] {
-		// Partitioned: silently dropped, like a real network.
-		n.mu.Unlock()
-		return nil
-	}
-	n.mu.Unlock()
-
-	if n.cfg.Faults.dropFrame(to) {
-		// Injected loss: silently dropped, like a partitioned link.
-		return nil
-	}
-	ev := Event{Kind: EventMessage, From: from, SentAt: sentAt, Msg: msg}
-	n.dispatch(from, to, ev, n.latency(from, to)+n.cfg.Faults.frameDelay())
-	return nil
-}
-
 // sendBatch enqueues a batch of messages for delivery: one pass over
 // the link-state checks and one link lookup for the whole batch, with
 // per-message fault injection and jitter (FIFO order is preserved by
@@ -621,13 +590,7 @@ var (
 func (ep *memEndpoint) Site() vtime.SiteID { return ep.site }
 
 func (ep *memEndpoint) Send(to vtime.SiteID, sentAt vtime.VT, msg wire.Message) error {
-	ep.mu.Lock()
-	if ep.closed {
-		ep.mu.Unlock()
-		return ErrSiteDown
-	}
-	ep.mu.Unlock()
-	return ep.net.send(ep.site, to, sentAt, msg)
+	return ep.SendBatch(to, sentAt, []wire.Message{msg})
 }
 
 func (ep *memEndpoint) SendBatch(to vtime.SiteID, sentAt vtime.VT, msgs []wire.Message) error {
