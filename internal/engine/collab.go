@@ -240,9 +240,9 @@ func (s *Site) startJoinAttempt(h *Handle, local *object, remoteSite vtime.SiteI
 		s.trace(obs.EvExecute, vt, 0, "attempt "+strconv.Itoa(retries+1))
 	}
 
-	// Step 1: read and optimistically update the association value
-	// (treated like any other read+update, confirmed by the
-	// association's primary copy).
+	// Step 1: read and optimistically update the association value, an
+	// ordinary write on the association, shipped with the join's other
+	// writes and confirmed by the association's primary copy.
 	if assoc != nil {
 		cur, ok := assoc.hist.Current()
 		readVT := vtime.Zero
@@ -258,8 +258,9 @@ func (s *Site) startJoinAttempt(h *Handle, local *object, remoteSite vtime.SiteI
 				rels[i].Members = append(rels[i].Members, wire.Member{Site: s.id, Obj: local.id, Desc: local.desc})
 			}
 		}
-		s.applyOp(st, assoc, nil, wire.OpAssoc{Relationships: rels}, history.Pending)
-		s.propagateAssocUpdate(st, assoc, readVT, rels)
+		w := &writeRec{obj: assoc, readVT: readVT, graphVT: assoc.graphVT, ops: []wire.Op{wire.OpAssoc{Relationships: rels}}}
+		st.writes = append(st.writes, w)
+		s.applyOpRead(st, assoc, nil, w.ops[0], history.Pending, readVT)
 	}
 
 	// Step 2: the remote call to B carrying gA.
@@ -275,41 +276,6 @@ func (s *Site) startJoinAttempt(h *Handle, local *object, remoteSite vtime.SiteI
 		GraphA: local.graph.ToWire(),
 	})
 	st.involved[remoteSite] = true
-}
-
-// propagateAssocUpdate sends the association-value update to the
-// association's replicas with confirmation from its primary.
-func (s *Site) propagateAssocUpdate(st *txnState, assoc *object, readVT vtime.VT, rels []wire.Relationship) {
-	g := assoc.graph
-	if g == nil || g.NumNodes() <= 1 {
-		return
-	}
-	primaryNode, _ := g.Primary()
-	primarySite, _ := g.SiteOf(primaryNode)
-	upd := wire.Update{ReadVT: readVT, GraphVT: assoc.graphVT, Op: wire.OpAssoc{Relationships: rels}}
-	for _, node := range g.Nodes() {
-		nodeSite, _ := g.SiteOf(node)
-		if node == assoc.id {
-			continue
-		}
-		st.involved[nodeSite] = true
-		upd.Target = node
-		s.send(nodeSite, wire.Write{
-			TxnVT:        st.vt,
-			Origin:       s.id,
-			Updates:      []wire.Update{upd},
-			NeedsConfirm: nodeSite == primarySite,
-		})
-	}
-	if primarySite == s.id {
-		upd.Target = primaryNode
-		if v := s.checkAtPrimary(st, st.vt, []wire.Update{upd}, nil); !v.ok {
-			st.denied = true
-			st.deniedReason = v.reason
-		}
-	} else {
-		st.waitConfirms[primarySite] = true
-	}
 }
 
 // handleJoinRequest runs B's side of the join (paper §3.3): merge gA and
@@ -404,44 +370,36 @@ func (s *Site) handleJoinRequest(from vtime.SiteID, m wire.JoinRequest) {
 	}
 	op := wire.OpGraph{Graph: merged.ToWire()}
 
-	// Apply the merged graph to B locally (optimistically) and ship it to
-	// B's former replicas; gB's primary confirms directly to A.
+	// Apply the merged graph to B locally (optimistically) and address it
+	// to B's former replicas as a write on the joiner's behalf; gB's
+	// primary confirms directly to A.
 	s.applyOp(st, b, nil, op, history.Pending)
-
-	primaryNode, _ := oldGraph.Primary()
-	primarySite, _ := oldGraph.SiteOf(primaryNode)
-	upd := wire.Update{Target: primaryNode, ReadVT: oldGraphVT, GraphVT: oldGraphVT, Op: op}
+	w := &writeRec{obj: b, readVT: oldGraphVT, graphVT: oldGraphVT, ops: []wire.Op{op}, targetGraph: oldGraph}
+	var out fanout
+	primary, primarySite, path := s.address(st, w, history.Pending, &out)
 	if primarySite == s.id {
-		// gB's primary is B's own site: validate here, BEFORE any
-		// propagation, and fold the verdict into the reply (no separate
+		// gB's primary is B's own site: validate here, before anything
+		// leaves, and fold the verdict into the reply (no separate
 		// confirmation message).
-		if v := s.checkAtPrimary(st, m.TxnVT, []wire.Update{upd}, nil); !v.ok {
+		if v := s.checkAtPrimary(st, m.TxnVT, w.appendUpdates(nil, primary, path), nil); !v.ok {
 			s.undoApplied(st)
 			denyRetryable(v.reason)
 			return
 		}
 	}
 	var confirmSites []vtime.SiteID
-	for _, node := range oldGraph.Nodes() {
-		nodeSite, _ := oldGraph.SiteOf(node)
-		if node == b.id || nodeSite == m.Origin {
-			continue
+	for _, sm := range out {
+		if sm.site == m.Origin {
+			continue // it would land on the joiner's own transaction
 		}
-		if nodeSite == s.id {
-			if sib, okSib := s.objects[node]; okSib {
-				s.applyOp(st, sib, nil, op, history.Pending)
-			}
-			continue
-		}
-		upd.Target = node
-		s.send(nodeSite, wire.Write{
+		s.send(sm.site, wire.Write{
 			TxnVT:        m.TxnVT,
 			Origin:       m.Origin, // confirmations flow to the joiner
-			Updates:      []wire.Update{upd},
-			NeedsConfirm: nodeSite == primarySite,
+			Updates:      sm.updates,
+			NeedsConfirm: sm.needsConfirm,
 		})
-		if nodeSite == primarySite {
-			confirmSites = append(confirmSites, nodeSite)
+		if sm.needsConfirm {
+			confirmSites = append(confirmSites, sm.site)
 		}
 	}
 
@@ -515,7 +473,6 @@ func (s *Site) handleJoinReply(m wire.JoinReply) {
 	if st.status != txnWaiting {
 		return
 	}
-	st.extraPending--
 	if !m.OK {
 		if m.Retryable {
 			// An ordinary concurrency-control conflict: undo and retry
@@ -527,73 +484,39 @@ func (s *Site) handleJoinReply(m wire.JoinReply) {
 		return
 	}
 
-	merged := repgraph.FromWire(m.GraphB)
+	// Apply the merged graph and B's value locally; both are writes
+	// addressed to A's former replicas (gA), confirmed by gA's primary.
 	local := js.local
-	oldGraph := local.graph
-	oldGraphVT := local.graphVT
-
-	// Apply merged graph and B's value locally.
-	s.applyOp(st, local, nil, wire.OpGraph{Graph: m.GraphB}, history.Pending)
+	gA, gAVT := local.graph, local.graphVT
+	graphOp := wire.OpGraph{Graph: m.GraphB}
+	s.applyOp(st, local, nil, graphOp, history.Pending)
 	s.applyJoinedValue(st, local, m.BValue)
-
-	// Propagate graph + value to A's former replicas, confirmed by gA's
-	// primary.
-	primaryNode, hasPrim := oldGraph.Primary()
-	var primarySite vtime.SiteID = s.id
-	if hasPrim {
-		primarySite, _ = oldGraph.SiteOf(primaryNode)
-	}
-	for _, node := range oldGraph.Nodes() {
-		nodeSite, _ := oldGraph.SiteOf(node)
-		if node == local.id {
-			continue
-		}
-		st.involved[nodeSite] = true
-		updates := []wire.Update{
-			{Target: node, ReadVT: oldGraphVT, GraphVT: oldGraphVT, Op: wire.OpGraph{Graph: m.GraphB}},
-			{Target: node, ReadVT: st.vt, GraphVT: oldGraphVT, Op: valueOpFor(local.kind, m.BValue)},
-		}
-		s.send(nodeSite, wire.Write{
-			TxnVT:        st.vt,
-			Origin:       s.id,
-			Updates:      updates,
-			NeedsConfirm: nodeSite == primarySite,
-		})
-		if nodeSite == primarySite {
-			st.waitConfirms[nodeSite] = true
-		}
-	}
-	if primarySite == s.id && hasPrim && oldGraph.NumNodes() > 1 {
-		upd := wire.Update{Target: primaryNode, ReadVT: oldGraphVT, GraphVT: oldGraphVT, Op: wire.OpGraph{Graph: m.GraphB}}
-		if v := s.checkAtPrimary(st, st.vt, []wire.Update{upd}, nil); !v.ok {
-			s.abortJoin(st, "gA primary denied graph update: "+v.reason)
-			return
-		}
-	}
+	st.writes = append(st.writes,
+		&writeRec{obj: local, readVT: gAVT, graphVT: gAVT, ops: []wire.Op{graphOp}, targetGraph: gA},
+		&writeRec{obj: local, readVT: st.vt, graphVT: gAVT, ops: []wire.Op{valueOpFor(m.BValue)}, targetGraph: gA})
 
 	// Every member of the merged graph is involved in the outcome.
-	for _, site := range merged.Sites() {
+	for _, site := range repgraph.FromWire(m.GraphB).Sites() {
 		st.involved[site] = true
 	}
-	// Wait for the confirmations B requested on our behalf.
+	// Wait for the confirmations B requested on our behalf, unless they
+	// raced ahead of the reply.
 	for _, site := range m.ConfirmSites {
-		if site != s.id {
-			st.waitConfirms[site] = true
-		}
-	}
-	// Apply any confirms that raced ahead of the reply (sorted: the
-	// deny-abort below must pick the same site deterministically).
-	for _, from := range sortedSites(st.earlyConfirms) {
-		if st.earlyConfirms[from] {
-			delete(st.waitConfirms, from)
-		} else {
-			s.abortJoin(st, fmt.Sprintf("denied by %s", from))
-			return
+		if !st.earlyConfirms[site] {
+			s.awaitConfirm(st, site)
 		}
 	}
 	// RC guess on B's uncommitted graph (paper §3.3).
 	if !m.PendingGraphTxn.IsZero() {
 		st.rcDeps[m.PendingGraphTxn] = true
+	}
+	// Shipped while extraPending still counts the reply, so a join is
+	// never delegated.
+	s.propagate(st)
+	st.extraPending--
+	if st.denied {
+		s.decide(st, false, st.deniedReason)
+		return
 	}
 	s.registerRCDeps(st)
 	s.checkTxnComplete(st)
@@ -612,7 +535,7 @@ func (s *Site) applyJoinedValue(st *txnState, local *object, value any) {
 }
 
 // valueOpFor wraps a joined value in the right op for further propagation.
-func valueOpFor(kind Kind, value any) wire.Op {
+func valueOpFor(value any) wire.Op {
 	if rels, ok := value.([]wire.Relationship); ok {
 		return wire.OpAssoc{Relationships: rels}
 	}
@@ -661,8 +584,9 @@ func lastTag(lst *object) wire.ElemTag {
 	return lst.elems[vis[len(vis)-1]].tag
 }
 
-// abortJoin aborts an in-flight join transaction (no retry: joins surface
-// their failure to the caller).
+// abortJoin fails an in-flight join after a JoinReply no retry can fix (an
+// unknown object, an unauthorized join, a merge error): the join surfaces
+// the failure to its caller. A concurrency-control denial retries.
 func (s *Site) abortJoin(st *txnState, reason string) {
 	st.retryFn = nil // suppress automatic retry
 	s.decide(st, false, reason)

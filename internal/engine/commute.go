@@ -21,8 +21,11 @@ package engine
 //
 // INVARIANT (enforced by the decaf-vet fastpath analyzer): functions in
 // this file never call into the reservation/confirm machinery — no
-// Reserve, no Conflicts, no primaryCheck*, no validateAsPrimary, no
-// propagate. The fast path stays fast, and honest, by construction.
+// Reserve, no Conflicts, no checkAtPrimary, no checkGuess, no propagate.
+// The fast path stays fast, and honest, by construction. It does call
+// address, which every sender shares (ship.go): address only says where
+// a write goes and applies sibling replicas; it validates and reserves
+// nothing.
 
 import (
 	"fmt"
@@ -130,40 +133,13 @@ func (s *Site) tryFastPath(st *txnState) bool {
 // decision, so there is no reservation, no confirm exchange and no
 // summary outcome.
 func (s *Site) shipFastWrites(st *txnState) {
-	out := map[vtime.SiteID][]wire.Update{}
+	var out fanout
 	for _, w := range st.writes {
-		root := w.obj.replicationRoot()
-		g := root.graph
-		path := w.obj.pathFromRoot()
-		for _, node := range g.Nodes() {
-			nodeSite, _ := g.SiteOf(node)
-			if node == root.id {
-				continue // applied during execution
-			}
-			if nodeSite == s.id {
-				// A sibling replica at this very site: merge directly,
-				// already committed.
-				if target, ok := s.objects[node]; ok {
-					for _, op := range w.ops {
-						s.applyOpRead(st, target, path, op, history.Committed, w.readVT)
-					}
-				}
-				continue
-			}
-			for _, op := range w.ops {
-				out[nodeSite] = append(out[nodeSite], wire.Update{
-					Target:  node,
-					Path:    path,
-					ReadVT:  w.readVT,
-					GraphVT: w.graphVT,
-					Op:      op,
-				})
-			}
-		}
+		s.address(st, w, history.Committed, &out)
 	}
-	for _, site := range sortedSites(out) {
-		s.trace(obs.EvPropagate, st.vt, site, "fastpath")
-		s.send(site, wire.FastWrite{TxnVT: st.vt, Origin: s.id, Updates: out[site]})
+	for _, m := range out {
+		s.trace(obs.EvPropagate, st.vt, m.site, "fastpath")
+		s.send(m.site, wire.FastWrite{TxnVT: st.vt, Origin: s.id, Updates: m.updates})
 	}
 }
 

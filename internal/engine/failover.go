@@ -316,9 +316,6 @@ func (s *Site) repairGraphsFor(f vtime.SiteID) {
 	s.startConsensusRepair(f, sortedSites(consensusSites))
 }
 
-// RemoveSiteDryRun is declared in repgraph; see graph_dryrun.go for the
-// engine-side helper.
-
 // startConsensusRepair creates the consensus instance for repairing f's
 // graphs (idempotent). The lowest live member proposes immediately;
 // everyone else arms a rank-staggered takeover timer so a dead or
@@ -330,15 +327,7 @@ func (s *Site) startConsensusRepair(f vtime.SiteID, members []vtime.SiteID) {
 	if s.repairs[f] != nil {
 		return
 	}
-	rs := &repairState{
-		failed:      f,
-		inst:        consensus.New[wire.RepairValue](s.id, members),
-		commitKnown: map[vtime.VT]bool{},
-	}
-	for _, vt := range s.knownCommitsFor(f) {
-		rs.commitKnown[vt] = true
-	}
-	s.repairs[f] = rs
+	rs := s.newRepair(f, members)
 	s.log.Debug("repair instance", "failed", f.String(), "members", fmt.Sprint(rs.inst.Members()), "quorum", rs.inst.Quorum())
 	if s.lowestLiveMember(rs.inst.Members()) == s.id {
 		s.repairPropose(rs)
@@ -355,6 +344,14 @@ func (s *Site) ensureRepair(f vtime.SiteID, members []vtime.SiteID) *repairState
 	if rs := s.repairs[f]; rs != nil {
 		return rs
 	}
+	rs := s.newRepair(f, members)
+	s.armRepairTimer(rs, s.repairTakeoverDelayFor(rs))
+	return rs
+}
+
+// newRepair installs the repair instance for f over members, seeded with
+// the commits this site knows f originated.
+func (s *Site) newRepair(f vtime.SiteID, members []vtime.SiteID) *repairState {
 	rs := &repairState{
 		failed:      f,
 		inst:        consensus.New[wire.RepairValue](s.id, members),
@@ -364,7 +361,6 @@ func (s *Site) ensureRepair(f vtime.SiteID, members []vtime.SiteID) *repairState
 		rs.commitKnown[vt] = true
 	}
 	s.repairs[f] = rs
-	s.armRepairTimer(rs, s.repairTakeoverDelayFor(rs))
 	return rs
 }
 

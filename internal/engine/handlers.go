@@ -261,13 +261,6 @@ func (s *Site) handleConfirm(m wire.Confirm) {
 		s.checkTxnComplete(st)
 		return
 	}
-	if st.extraPending > 0 {
-		// Join in flight: record the denial; handleJoinReply aborts.
-		if st.earlyConfirms == nil {
-			st.earlyConfirms = map[vtime.SiteID]bool{}
-		}
-		st.earlyConfirms[m.From] = false
-	}
 	s.decide(st, false, fmt.Sprintf("denied by %s: %s", m.From, m.Reason))
 }
 

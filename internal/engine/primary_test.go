@@ -210,8 +210,10 @@ var pcColumns = []pcColumn{
 		return seen{ok: c.OK, transient: c.Transient, reason: c.Reason}, e.valueReserves(target), nil
 	}},
 	{"association", func(e *pcEnv, row pcRow, target *object) (seen, []string, func()) {
+		// The join's membership update: a write on the association.
 		st := e.originTxn()
-		e.s.propagateAssocUpdate(st, target, pcRead, nil)
+		st.writes = []*writeRec{{obj: target, readVT: pcRead, graphVT: target.graphVT, ops: []wire.Op{wire.OpAssoc{}}}}
+		e.s.propagate(st)
 		return seenReason(!st.denied, st.deniedReason), e.valueReserves(target), func() { e.s.decide(st, false, "abort") }
 	}},
 	{"join-invitee", func(e *pcEnv, row pcRow, target *object) (seen, []string, func()) {
@@ -235,6 +237,8 @@ var pcColumns = []pcColumn{
 		e.s.handleJoinReply(wire.JoinReply{TxnVT: pcVT, ReqID: 1, From: 3, OK: true, BObj: b, BValue: int64(5),
 			GraphB: merged.ToWire(), ConfirmSites: []vtime.SiteID{3}})
 		if st.status == txnWaiting {
+			// The joined value is a blind write: its interval (tT, tT] is
+			// empty, so only the graph is reserved.
 			return seen{ok: true}, []string{"x.graph"}, func() { e.s.decide(st, false, "abort") }
 		}
 		res := <-st.handle.Done()
@@ -275,7 +279,7 @@ func TestPrimaryCheckSites(t *testing.T) {
 			want: [8]string{"P", "P", "P", "P", "P", "", "", "P"}},
 		{name: "NC", target: "x", plant: func(e *pcEnv, o *object) {
 			o.res.Reserve(vtime.Interval{Lo: pcRead, Hi: pcOwner}, pcOwner)
-		}, want: [8]string{"P", "ok", "P", "ok", "P", "", "", "ok"}},
+		}, want: [8]string{"P", "ok", "P", "ok", "P", "", "P", "ok"}},
 		// The association, the join and the view read the graph they
 		// validate against when they check: no graph change can follow it.
 		{name: "graph-RL", target: "x", plant: func(e *pcEnv, o *object) {

@@ -76,13 +76,21 @@ func (s *Site) startPromote(child *object, h *Handle) {
 		s.adoptDirectGraph(child, repgraph.NewGraph(child.id, s.id), nil, h)
 		return
 	}
+	s.queryCounterparts(child, g, nil, h)
+}
 
+// queryCounterparts collects child's counterpart at every other replica
+// site of its tree's graph g (a PromoteQuery addressed through g's node
+// there, with child's path), then assembles and distributes the direct
+// graph, merged with keep when refreshing one.
+func (s *Site) queryCounterparts(child *object, g, keep *repgraph.Graph, h *Handle) {
 	anchorSite, _ := g.PrimarySite()
 	ps := &promoteState{
 		child:      child,
 		handle:     h,
 		waiting:    map[vtime.SiteID]bool{},
 		collected:  map[vtime.SiteID]ids.ObjectID{s.id: child.id},
+		keep:       keep,
 		anchorSite: anchorSite,
 	}
 	path := child.pathFromContainer()
@@ -201,40 +209,11 @@ func (s *Site) adoptDirectGraph(child *object, g *repgraph.Graph, keep *repgraph
 // a child's primary copy initiates (one refresher per child).
 func (s *Site) refreshDirectChildren(root *object) {
 	root.forEachDescendant(func(o *object) {
-		if o == root || o.graph == nil || o.parent == nil {
+		if o == root || o.graph == nil || o.parent == nil || root.graph == nil {
 			return
 		}
-		primary, ok := o.graph.PrimarySite()
-		if !ok || primary != s.id {
-			return
-		}
-		child := o
-		rootGraph := root.graph
-		if rootGraph == nil {
-			return
-		}
-		anchorSite, _ := rootGraph.PrimarySite()
-		ps := &promoteState{
-			child:      child,
-			handle:     newHandle(),
-			waiting:    map[vtime.SiteID]bool{},
-			collected:  map[vtime.SiteID]ids.ObjectID{s.id: child.id},
-			keep:       child.graph.Clone(),
-			anchorSite: anchorSite,
-		}
-		path := child.pathFromContainer()
-		for _, node := range rootGraph.Nodes() {
-			nodeSite, _ := rootGraph.SiteOf(node)
-			if nodeSite == s.id {
-				continue
-			}
-			reqID := s.newReqID()
-			ps.waiting[nodeSite] = true
-			s.promotes[reqID] = ps
-			s.send(nodeSite, wire.PromoteQuery{ReqID: reqID, Origin: s.id, Target: node, Path: path})
-		}
-		if len(ps.waiting) == 0 {
-			s.finishPromote(ps)
+		if primary, ok := o.graph.PrimarySite(); ok && primary == s.id {
+			s.queryCounterparts(o, root.graph, o.graph.Clone(), newHandle())
 		}
 	})
 }

@@ -7,7 +7,6 @@ import (
 	"strconv"
 
 	"decaf/internal/history"
-	"decaf/internal/ids"
 	"decaf/internal/obs"
 	"decaf/internal/repgraph"
 	"decaf/internal/vtime"
@@ -169,8 +168,8 @@ type txnState struct {
 	// extraPending counts additional completion predicates used by the
 	// join protocol (paper §3.3) before the transaction may commit.
 	extraPending int
-	// earlyConfirms records confirmations that arrived before the join
-	// reply told us to expect them (site -> verdict).
+	// earlyConfirms records the sites whose confirmation arrived before
+	// the join reply told us to expect it. (A denial decides at once.)
 	earlyConfirms map[vtime.SiteID]bool
 	// retryFn, when set, re-executes protocol-level transactions (joins)
 	// after a concurrency-control abort, instead of the standard
@@ -527,211 +526,6 @@ func (st *txnState) appliedSince(from int) []*object {
 // decided reports whether the transaction's outcome is known here.
 func (st *txnState) decided() bool {
 	return st.status == txnCommitted || st.status == txnAborted
-}
-
-// perSiteMsg accumulates the single message sent to one destination site
-// for this transaction.
-type perSiteMsg struct {
-	updates      []wire.Update
-	checks       []wire.ReadCheck
-	needsConfirm bool
-}
-
-// propagate builds and sends the per-site messages for st and performs
-// the primary-copy checks that fall to this site: the entries it would
-// send to itself go to checkAtPrimary instead.
-func (s *Site) propagate(st *txnState) {
-	var self perSiteMsg
-	out := map[vtime.SiteID]*perSiteMsg{}
-	sitemsg := func(site vtime.SiteID) *perSiteMsg {
-		m, ok := out[site]
-		if !ok {
-			m = &perSiteMsg{}
-			out[site] = m
-		}
-		return m
-	}
-
-	for _, w := range st.writes {
-		root := w.obj.replicationRoot()
-		g := root.graph
-		if w.targetGraph != nil {
-			g = w.targetGraph
-		}
-		path := w.obj.pathFromRoot()
-		if w.pathOverride != nil {
-			path = *w.pathOverride
-		}
-		primaryNode, hasPrimary := g.Primary()
-		var primarySite vtime.SiteID
-		if hasPrimary {
-			primarySite, _ = g.SiteOf(primaryNode)
-		} else {
-			primarySite = s.id
-		}
-		for _, node := range g.Nodes() {
-			nodeSite, _ := g.SiteOf(node)
-			if node == root.id {
-				continue // applied during execution
-			}
-			if nodeSite == s.id {
-				// A sibling replica at this very site: apply directly.
-				s.applySiblingWrite(st, node, path, w)
-				continue
-			}
-			m := sitemsg(nodeSite)
-			for _, op := range w.ops {
-				m.updates = append(m.updates, wire.Update{
-					Target:  node,
-					Path:    path,
-					ReadVT:  w.readVT,
-					GraphVT: w.graphVT,
-					Op:      op,
-				})
-			}
-			if nodeSite == primarySite {
-				m.needsConfirm = true
-			}
-		}
-		if primarySite == s.id {
-			for _, op := range w.ops {
-				self.updates = append(self.updates, wire.Update{
-					Target:  primaryNode,
-					Path:    path,
-					ReadVT:  w.readVT,
-					GraphVT: w.graphVT,
-					Op:      op,
-				})
-			}
-		} else if s.failed[primarySite] {
-			// The primary site failed and its graph is not yet repaired:
-			// abort now, retry after the repair commits (paper §3.4).
-			st.denied = true
-			st.deniedReason = fmt.Sprintf("primary site %s failed", primarySite)
-			st.parkOnAbort = true
-		}
-	}
-
-	for _, r := range st.reads {
-		if r.absorbed {
-			continue
-		}
-		root := r.obj.replicationRoot()
-		g := root.graph
-		if g.NumNodes() <= 1 {
-			continue // unreplicated object: nothing to confirm
-		}
-		primaryNode, _ := g.Primary()
-		primarySite, _ := g.SiteOf(primaryNode)
-		c := wire.ReadCheck{
-			Target:  primaryNode,
-			Path:    r.obj.pathFromRoot(),
-			ReadVT:  r.readVT,
-			GraphVT: r.graphVT,
-		}
-		if primarySite == s.id {
-			self.checks = append(self.checks, c)
-			continue
-		}
-		m := sitemsg(primarySite)
-		m.checks = append(m.checks, c)
-		m.needsConfirm = true
-	}
-
-	if len(self.updates) > 0 || len(self.checks) > 0 {
-		reserved := len(st.reservedObjs)
-		v := s.checkAtPrimary(st, st.vt, self.updates, self.checks)
-		s.traceCheck(st.vt, 0, v, len(st.reservedObjs)-reserved)
-		if !v.ok {
-			st.denied = true
-			st.deniedReason = v.reason
-		}
-	}
-
-	// Record involvement and who must confirm. Fan-out below iterates in
-	// sorted site order so the emitted message schedule is a function of
-	// state, not map iteration order (see order.go).
-	order := sortedSites(out)
-	for _, site := range order {
-		st.involved[site] = true
-		if out[site].needsConfirm {
-			st.waitConfirms[site] = true
-		}
-	}
-
-	// Delegated commit (paper §3.1): exactly one remote primary site, no
-	// RC guesses, and that site receives updates.
-	var delegate vtime.SiteID
-	if !s.opts.DisableDelegation && len(st.waitConfirms) == 1 && len(st.rcDeps) == 0 && st.extraPending == 0 {
-		for site := range st.waitConfirms {
-			if m := out[site]; len(m.updates) > 0 {
-				delegate = site
-			}
-		}
-	}
-
-	record := func(site vtime.SiteID, msg wire.Message) {
-		if s.wal == nil {
-			return
-		}
-		if st.sentMsgs == nil {
-			st.sentMsgs = map[vtime.SiteID][]wire.Message{}
-		}
-		st.sentMsgs[site] = append(st.sentMsgs[site], msg)
-	}
-	for _, site := range order {
-		m := out[site]
-		if len(m.updates) > 0 {
-			msg := wire.Write{
-				TxnVT:        st.vt,
-				Origin:       s.id,
-				Updates:      m.updates,
-				Checks:       m.checks,
-				NeedsConfirm: m.needsConfirm,
-			}
-			if site == delegate {
-				var others []vtime.SiteID
-				for _, inv := range sortedSites(st.involved) {
-					if inv != site {
-						others = append(others, inv)
-					}
-				}
-				msg.Delegate = &wire.Delegation{Sites: others}
-				st.delegatedTo = site
-				delete(st.waitConfirms, site)
-			}
-			if s.obs.TraceEnabled() {
-				detail := ""
-				switch {
-				case site == delegate:
-					detail = "delegate"
-				case m.needsConfirm:
-					detail = "confirm"
-				}
-				s.trace(obs.EvPropagate, st.vt, site, detail)
-			}
-			record(site, msg)
-			s.send(site, msg)
-		} else if len(m.checks) > 0 {
-			s.trace(obs.EvPropagate, st.vt, site, "confirm")
-			cr := wire.ConfirmRead{TxnVT: st.vt, Origin: s.id, Checks: m.checks}
-			record(site, cr)
-			s.send(site, cr)
-		}
-	}
-}
-
-// applySiblingWrite applies a write to another replica hosted at this same
-// site (two joined objects living in one application).
-func (s *Site) applySiblingWrite(st *txnState, node ids.ObjectID, path wire.Path, w *writeRec) {
-	target, ok := s.objects[node]
-	if !ok {
-		s.log.Warn("sibling replica missing", "node", node.String())
-		return
-	}
-	for _, op := range w.ops {
-		s.applyOp(st, target, path, op, history.Pending)
-	}
 }
 
 // registerRCDeps wires the transaction's RC guesses to this site's

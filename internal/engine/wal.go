@@ -92,23 +92,17 @@ func (s *Site) walLogRepair(v wire.RepairValue) {
 // FastWrite for a fast-path commit, a Write otherwise. The decision
 // itself is logged where it is made (decide) or received
 // (handleMessage); a FastWrite is its own.
+//
+// A join (the one transaction with a retryFn) is not logged: anti-entropy
+// would ship its record to gB's replicas, which the join never addressed
+// (DESIGN.md §17).
 func (s *Site) walOwnUpdates(st *txnState) {
+	if st.retryFn != nil {
+		return
+	}
 	var updates []wire.Update
 	for _, w := range st.writes {
-		root := w.obj.replicationRoot()
-		path := w.obj.pathFromRoot()
-		if w.pathOverride != nil {
-			path = *w.pathOverride
-		}
-		for _, op := range w.ops {
-			updates = append(updates, wire.Update{
-				Target:  root.id,
-				Path:    path,
-				ReadVT:  w.readVT,
-				GraphVT: w.graphVT,
-				Op:      op,
-			})
-		}
+		updates = w.appendUpdates(updates, w.obj.replicationRoot().id, w.path())
 	}
 	if len(updates) == 0 {
 		return
