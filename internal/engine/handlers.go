@@ -22,11 +22,28 @@ func (s *Site) ensureTxn(vt vtime.VT, origin vtime.SiteID) *txnState {
 	return st
 }
 
-// handleWrite applies a remote transaction's updates on the serial path
+// writeTask is one arriving Write (or FastWrite) on its way through
+// handleWrite. A Write whose updates block on structure not yet received
+// keeps it in the deferred check (finishWrite).
+type writeTask struct {
+	m  wire.Write
+	st *txnState
+	// status is Committed when the decision was known on arrival (a
+	// FastWrite, or late updates of a committed transaction).
+	status history.Status
+	// applied0 is len(st.applied) on arrival: what this message applies
+	// is st.applied[applied0:].
+	applied0 int
+	// blocked counts updates parked on structure not yet received.
+	blocked int
+	// verdict is the primary verdict, when one is owed.
+	verdict verdict
+}
+
+// handleWrite applies a remote transaction's updates on the event loop
 // (fast: a FastWrite, committed on arrival); when this site hosts a
 // primary copy it also validates the RL/NC guesses and confirms (or, as
-// delegate, decides the whole transaction). Staged writes run the same
-// three steps, split across the shard pipeline (shards.go).
+// delegate, decides the whole transaction).
 func (s *Site) handleWrite(m wire.Write, fast bool) {
 	if t := s.openWrite(m, fast); t != nil {
 		s.runWriteTask(t)
@@ -34,11 +51,10 @@ func (s *Site) handleWrite(m wire.Write, fast bool) {
 	}
 }
 
-// openWrite is the prologue every arriving Write and FastWrite shares,
-// serial or staged, on the loop: it drops the late updates of an aborted
-// transaction (paper §3.1), finds or creates the transaction's state here
-// and notes what the message asks of this site. It returns nil when there
-// is nothing to apply.
+// openWrite is the prologue of every arriving Write and FastWrite: it
+// drops the late updates of an aborted transaction (paper §3.1), finds or
+// creates the transaction's state here and notes what the message asks of
+// this site. It returns nil when there is nothing to apply.
 func (s *Site) openWrite(m wire.Write, fast bool) *writeTask {
 	if fast {
 		// Committed on arrival. Recorded before anything applies, so an
@@ -76,11 +92,7 @@ func (s *Site) openWrite(m wire.Write, fast bool) *writeTask {
 }
 
 // runWriteTask applies a write's updates and, unless one of them blocked,
-// runs the primary checks it owes. Staged, it runs on a shard worker while
-// the event loop is parked at the join barrier: loop-owned maps are
-// read-only here, and every mutation lands in the task's stripe (object
-// histories and reservations) or the task's own txnState. Staged updates
-// never block (their paths are empty), so only the serial path parks one.
+// runs the primary checks it owes.
 func (s *Site) runWriteTask(t *writeTask) {
 	for _, upd := range t.m.Updates {
 		if s.applyUpdate(t.st, upd, t.status) {
@@ -116,10 +128,9 @@ func (s *Site) checkWrite(t *writeTask) {
 	t.verdict = s.checkAtPrimary(t.st, t.m.TxnVT, t.m.Updates, t.m.Checks)
 }
 
-// finishWrite is the epilogue every Write and FastWrite shares, on the
-// loop and in arrival order: it marks the views that must see the new
-// updates, settles a transaction whose commit this site already knew, and
-// answers the primary check.
+// finishWrite is the epilogue of every Write and FastWrite: it marks the
+// views that must see the new updates, settles a transaction whose commit
+// this site already knew, and answers the primary check.
 func (s *Site) finishWrite(t *writeTask) {
 	st, m := t.st, t.m
 	committed := t.status == history.Committed

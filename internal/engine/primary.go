@@ -34,9 +34,7 @@ type verdict struct {
 // is validated wherever it is addressed.
 //
 // Reservations are recorded on st so an abort releases them; st is nil
-// for a view snapshot, whose reservations belong to no transaction. Staged
-// Writes run this on a shard worker: it reads loop-owned maps and writes
-// only its targets' histories and reservations and st.
+// for a view snapshot, whose reservations belong to no transaction.
 func (s *Site) checkAtPrimary(st *txnState, vt vtime.VT, updates []wire.Update, checks []wire.ReadCheck) verdict {
 	for _, u := range updates {
 		root, ok := s.objects[u.Target]

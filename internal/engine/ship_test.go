@@ -26,8 +26,7 @@ var (
 
 // psEnv is site 1 built by hand and never started, as in TestPrimaryCheckSites:
 // the test goroutine is its event loop, and what it sends waits in its
-// outbox. It runs the serial write path, so a Write it sends to itself
-// shows in Stats.SerialWrites.
+// outbox. A Write it sends to itself shows in Stats.SerialWrites.
 type psEnv struct {
 	s *Site
 }
@@ -40,7 +39,7 @@ func newPSEnv(t *testing.T, withWAL bool) *psEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{CommitWorkers: 1, Observer: obs.New()}
+	opts := Options{Observer: obs.New()}
 	if withWAL {
 		l, err := wal.Open(t.TempDir(), wal.Options{Sync: wal.SyncNever})
 		if err != nil {

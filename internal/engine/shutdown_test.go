@@ -2,6 +2,8 @@ package engine
 
 import (
 	"errors"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -165,5 +167,120 @@ func TestSubmitAfterStopSettlesHandle(t *testing.T) {
 	}
 	if res := s.JoinObject(ref, 2, ref.ID()).Wait(); !errors.Is(res.Err, ErrSiteStopped) {
 		t.Fatalf("JoinObject after Stop: got %+v, want ErrSiteStopped", res)
+	}
+}
+
+// TestSubmitRacingStopSettles submits from several goroutines while Stop
+// runs. A Submit that is still posting when Stop has already drained the
+// call queue must not leave its call queued where nothing runs it or its
+// drop hook: every returned Handle settles.
+func TestSubmitRacingStopSettles(t *testing.T) {
+	const cycles, submitters = 3000, 8
+	for c := 0; c < cycles; c++ {
+		s, net := startLoneSite(t, Options{})
+		ref, err := s.CreateObject(KindInt, "x", int64(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles := make([][]*Handle, submitters)
+		var (
+			wg        sync.WaitGroup
+			submitted atomic.Int64
+		)
+		for g := range handles {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				// Keep posting until Stop has begun: the last Submit of
+				// each submitter races it.
+				for {
+					select {
+					case <-s.stop:
+						return
+					default:
+					}
+					v := int64(len(handles[g]))
+					handles[g] = append(handles[g], s.Submit(&Txn{Execute: func(tx *Tx) error { return tx.Write(ref, v) }}))
+					submitted.Add(1)
+				}
+			}()
+		}
+		for submitted.Load() < 4*submitters {
+			runtime.Gosched()
+		}
+		s.Stop()
+		wg.Wait()
+		deadline := time.After(10 * time.Second)
+		for g, hs := range handles {
+			for k, h := range hs {
+				select {
+				case <-h.Done():
+				case <-deadline:
+					t.Fatalf("cycle %d: submitter %d's Handle %d never settled", c, g, k)
+				}
+			}
+		}
+		net.Close()
+	}
+}
+
+// TestStopWhileFlooded stops a site while a peer floods it with Writes.
+// The event loop notices Stop only between batches, so this checks that a
+// batch still ends under a saturated intake: Stop returns within a second,
+// and the peer, the primary of the object it writes, settles every
+// Handle.
+func TestStopWhileFlooded(t *testing.T) {
+	h := newHarness(t, 2, transport.Config{})
+	refs := h.joined(KindInt, "x", int64(0), 2, 1)
+	if p, err := h.site(2).PrimarySite(refs[2]); err != nil || p != 2 {
+		t.Fatalf("primary = %v (%v), want site 2", p, err)
+	}
+
+	const submitters = 4
+	var (
+		flooding atomic.Bool
+		wg       sync.WaitGroup
+	)
+	flooding.Store(true)
+	defer flooding.Store(false) // a failed check must not leave the flood running
+	handles := make([][]*Handle, submitters)
+	for g := range handles {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := int64(0); flooding.Load(); k++ {
+				handles[g] = append(handles[g], h.site(2).Submit(&Txn{Execute: func(tx *Tx) error { return tx.Write(refs[2], k) }}))
+			}
+		}()
+	}
+	h.eventually(10*time.Second, "site 1 applying the flood", func() bool {
+		return h.site(1).Stats().UpdatesApplied > 500
+	})
+
+	stopped := make(chan struct{})
+	go func() {
+		h.site(1).Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(time.Second):
+		t.Fatal("Stop did not return within 1s under a flooded intake")
+	}
+	flooding.Store(false)
+	wg.Wait()
+
+	deadline := time.After(10 * time.Second)
+	for g, hs := range handles {
+		for k, hd := range hs {
+			select {
+			case res := <-hd.Done():
+				if !res.Committed {
+					t.Errorf("submitter %d txn %d: %+v", g, k, res)
+				}
+			case <-deadline:
+				t.Fatalf("submitter %d's Handle %d of %d never settled", g, k, len(hs))
+			}
+		}
 	}
 }

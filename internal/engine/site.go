@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,12 +43,6 @@ type Options struct {
 	// purely commutative transactions then go through the ordinary
 	// guess/confirm protocol like everything else).
 	DisableFastPath bool
-	// CommitWorkers sizes the sharded commit pipeline: remote writes
-	// over disjoint top-level objects are validated and applied on this
-	// many goroutines (one of which is the event loop itself), striped
-	// by object ID. 0 means GOMAXPROCS; values <= 1 keep the pipeline
-	// fully serial on the event loop.
-	CommitWorkers int
 	// NotifyQueueLimit bounds the view/abort notification queue. The
 	// queue grows on demand (the event loop never blocks on a slow
 	// consumer); past the limit new notifications are dropped and
@@ -102,8 +95,9 @@ const DefaultMaxRetries = 100
 const DefaultNotifyQueueLimit = 1 << 20
 
 // maxBatch bounds how many stimuli (calls + transport events) one event
-// loop wakeup drains before flushing staged writes and coalesced
-// messages. The bound keeps Stop responsive under a saturated intake.
+// loop wakeup drains before flushing coalesced messages and settling
+// views. Stop is noticed between batches, so the bound also keeps it
+// responsive under a saturated intake.
 const maxBatch = 256
 
 // Stats are the site's monotonic event counters, readable via Site.Stats.
@@ -293,18 +287,6 @@ type Site struct {
 	outbox      map[vtime.SiteID][]wire.Message
 	outboxOrder []vtime.SiteID
 
-	// Sharded commit pipeline (see shards.go). staged holds the current
-	// batch's parallel-eligible remote writes; stagedVTs prevents two
-	// messages of one transaction sharing a fork-join run; inFlush makes
-	// re-entrant message handling (loopback sends from a finishing
-	// write) fall back to the serial path. Loop-confined.
-	staged    []*writeTask
-	stagedVTs map[vtime.VT]bool
-	inFlush   bool
-	workers   int
-	shardJobs chan shardJob
-	workerWG  sync.WaitGroup
-
 	// gcFloor caches the combined decided/snapshot GC floor for the
 	// current loop batch (the quadratic-floors fix: one O(txns+objects)
 	// pass per batch instead of one per object per commit).
@@ -364,11 +346,10 @@ type siteMetrics struct {
 	SyncResubmits         *obs.Counter
 	WALAppendErrors       *obs.Counter
 
-	// Hot-path pipeline counters.
+	// Event-loop counters.
 	Batches         *obs.Counter // event-loop batches processed
 	BatchEvents     *obs.Counter // stimuli drained across all batches
-	ShardedWrites   *obs.Counter // remote writes through the shard pipeline
-	SerialWrites    *obs.Counter // remote writes on the serial path
+	SerialWrites    *obs.Counter // remote writes applied on the event loop
 	CoalescedSends  *obs.Counter // messages sent piggybacked on a batch send
 	GCFloorReuse    *obs.Counter // GC floor served from the batch cache
 	NotifyEnqueued  *obs.Counter
@@ -420,8 +401,7 @@ func newSiteMetrics(reg *obs.Registry) siteMetrics {
 
 		Batches:         reg.Counter("decaf_engine_batches_total", "event-loop batches processed"),
 		BatchEvents:     reg.Counter("decaf_engine_batch_events_total", "calls and transport events drained across all batches"),
-		ShardedWrites:   reg.Counter("decaf_engine_sharded_writes_total", "remote writes handled by the sharded commit pipeline"),
-		SerialWrites:    reg.Counter("decaf_engine_serial_writes_total", "remote writes handled serially on the event loop"),
+		SerialWrites:    reg.Counter("decaf_engine_serial_writes_total", "remote writes applied on the event loop"),
 		CoalescedSends:  reg.Counter("decaf_engine_coalesced_sends_total", "outbound messages piggybacked on a coalesced batch send"),
 		GCFloorReuse:    reg.Counter("decaf_engine_gc_floor_reuse_total", "GC floor computations served from the per-batch cache"),
 		NotifyEnqueued:  reg.Counter("decaf_notify_enqueued_total", "user callbacks accepted by the notifier queue"),
@@ -462,13 +442,6 @@ func NewSite(ep transport.Endpoint, opts Options) *Site {
 	if opts.Scheduler == nil {
 		opts.Scheduler = transport.WallClock{}
 	}
-	workers := opts.CommitWorkers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > numStripes {
-		workers = numStripes
-	}
 	s := &Site{
 		id:             ep.Site(),
 		clock:          vtime.NewClock(ep.Site()),
@@ -495,8 +468,6 @@ func NewSite(ep transport.Endpoint, opts Options) *Site {
 		disconnected:   map[vtime.SiteID]bool{},
 		parkedFailures: map[vtime.SiteID]func(){},
 		outbox:         map[vtime.SiteID][]wire.Message{},
-		stagedVTs:      map[vtime.VT]bool{},
-		workers:        workers,
 		obs:            observer,
 		stats:          newSiteMetrics(observer.Metrics()),
 	}
@@ -523,7 +494,6 @@ func (s *Site) registerObs() {
 	// Queue depths are safe to read from any goroutine.
 	reg.GaugeFunc("decaf_engine_calls_queue_depth", "pending event-loop calls", func() float64 { return float64(len(s.calls)) })
 	reg.GaugeFunc("decaf_engine_notifier_queue_depth", "pending view/user callbacks", func() float64 { return float64(s.notifier.depth()) })
-	reg.GaugeFunc("decaf_engine_commit_workers", "goroutines serving the sharded commit pipeline", func() float64 { return float64(s.workers) })
 	if s.wal != nil {
 		// wal.Stats reads atomics, so scrapes never touch the event loop.
 		reg.GaugeFunc("decaf_wal_records", "records in the write-ahead log", func() float64 { return float64(s.wal.Stats().Records) })
@@ -599,7 +569,6 @@ func (s *Site) collectDebugState() map[string]any {
 		"attached_views":       views,
 		"calls_queue_depth":    len(s.calls),
 		"notifier_queue_depth": s.notifier.depth(),
-		"commit_workers":       s.workers,
 	}
 }
 
@@ -626,12 +595,10 @@ func (s *Site) Observer() *obs.Observer { return s.obs }
 // ID returns the site identifier.
 func (s *Site) ID() vtime.SiteID { return s.id }
 
-// Start launches the event loop, the shard workers, and the notifier
-// goroutine.
+// Start launches the event loop and the notifier goroutine.
 func (s *Site) Start() {
 	s.startOnce.Do(func() {
 		s.started.Store(true)
-		s.startWorkers()
 		go s.loop()
 		go s.notifyLoop()
 	})
@@ -680,12 +647,12 @@ func (s *Site) drainCalls() {
 func (s *Site) Quiescent() bool {
 	quiet := false
 	if err := s.call(func() {
-		// The outbox/staged/dirty-view checks matter when this probe is
-		// drained into the middle of an active batch: sends and view work
-		// queued by earlier stimuli of that batch only happen at batch
-		// end, so the site is not quiescent until they have.
+		// The outbox/dirty-view checks matter when this probe is drained
+		// into the middle of an active batch: sends and view work queued
+		// by earlier stimuli of that batch only happen at batch end, so
+		// the site is not quiescent until they have.
 		quiet = len(s.calls) == 0 && len(s.ep.Events()) == 0 &&
-			len(s.outbox) == 0 && len(s.staged) == 0 && len(s.dirtyViews) == 0
+			len(s.outbox) == 0 && len(s.dirtyViews) == 0
 	}); err != nil {
 		return s.notifier.idle()
 	}
@@ -760,14 +727,13 @@ func (s *Site) Stats() Stats {
 	}
 }
 
-// loop is the site's event loop: it owns all site state. Each wakeup
-// processes a batch: the blocking stimulus plus up to maxBatch-1
-// already-queued ones, then the batch epilogue (endBatch) runs staged
-// writes through the shard pipeline, flushes coalesced outbound
-// messages, and settles the views.
+// loop is the site's event loop: it owns all site state and does all of
+// the site's protocol work on one goroutine. Each wakeup processes a
+// batch: the blocking stimulus plus already-queued ones, then the batch
+// epilogue (endBatch) flushes coalesced outbound messages and settles
+// the views.
 func (s *Site) loop() {
 	defer close(s.done)
-	defer s.stopWorkers()
 	events := s.ep.Events()
 	for {
 		select {
@@ -791,19 +757,21 @@ func (s *Site) loop() {
 }
 
 // drainBatch consumes already-queued stimuli without blocking, then
-// closes out the batch. n counts stimuli handled so far.
+// closes out the batch. n counts stimuli handled so far. Each step takes
+// at most one call and then at most one event, each through a
+// single-channel non-blocking receive: unlike a multi-way select, it
+// takes no channel lock when the channel is empty. Stop is not polled
+// here; the loop notices it at the next batch boundary.
 func (s *Site) drainBatch(events <-chan transport.Event, n int) {
 	for n < maxBatch {
+		before := n
 		select {
-		case <-s.stop:
-			s.endBatch(n)
-			return
 		case c := <-s.calls:
-			// Posted closures may read any object, so staged writes
-			// must land first.
-			s.flushWrites()
 			c.fn()
 			n++
+		default:
+		}
+		select {
 		case ev, ok := <-events:
 			if !ok {
 				s.endBatch(n)
@@ -812,8 +780,9 @@ func (s *Site) drainBatch(events <-chan transport.Event, n int) {
 			s.handleEvent(ev)
 			n++
 		default:
-			s.endBatch(n)
-			return
+		}
+		if n == before {
+			break
 		}
 	}
 	s.endBatch(n)
@@ -825,14 +794,13 @@ func (s *Site) beginBatch() {
 	s.gcFloorValid = false
 }
 
-// endBatch runs the batch epilogue: staged writes; the coalesced outbox,
-// which carries the batch's decisions (Confirms, Outcomes); the view work
-// the batch queued; the CONFIRM-READs that view work sent; the WAL sync.
-// Decisions leave before the views are settled because view notification
-// is local to the viewing site (paper §4) and nothing a peer waits for
-// depends on it (DESIGN.md §10).
+// endBatch runs the batch epilogue: the coalesced outbox, which carries
+// the batch's decisions (Confirms, Outcomes); the view work the batch
+// queued; the CONFIRM-READs that view work sent; the WAL sync. Decisions
+// leave before the views are settled because view notification is local
+// to the viewing site (paper §4) and nothing a peer waits for depends on
+// it (DESIGN.md §10).
 func (s *Site) endBatch(n int) {
-	s.flushWrites()
 	s.flushOutbox()
 	if len(s.dirtyViews) > 0 {
 		s.settleViews()
@@ -997,12 +965,21 @@ func (s *Site) post(c loopCall) bool {
 	}
 	select {
 	case s.calls <- c:
-		return true
 	case <-s.stop:
 		return false
 	case <-s.done:
 		return false
 	}
+	select {
+	case <-s.done:
+		// With stop and done both closed the send above could still win
+		// the select, after Stop had drained the queue. Nothing would
+		// ever run c or its onDrop then, so drain here too: each queued
+		// call is received, and settled, exactly once.
+		s.drainCalls()
+	default:
+	}
+	return true
 }
 
 // call posts fn into the event loop and waits for it to run. It returns
@@ -1090,7 +1067,6 @@ func (s *Site) handleEvent(ev transport.Event) {
 		s.clock.Observe(ev.SentAt)
 		s.handleMessage(ev.From, ev.Msg)
 	case transport.EventSiteFailed:
-		s.flushWrites()
 		if s.disconnected[ev.Failed] {
 			// Offline mode (DESIGN.md §13): the peer is known to be
 			// disconnected, not failed. Park the failover instead of
@@ -1102,7 +1078,6 @@ func (s *Site) handleEvent(ev transport.Event) {
 		s.stats.FailoversRun.Inc()
 		s.handleSiteFailure(ev.Failed)
 	case transport.EventSiteRecovered:
-		s.flushWrites()
 		s.unparkFailure(ev.Failed)
 		delete(s.disconnected, ev.Failed)
 		s.handleSiteRecovered(ev.Failed)
@@ -1114,21 +1089,14 @@ func (s *Site) handleEvent(ev transport.Event) {
 	}
 }
 
-// handleMessage dispatches a protocol message inside the loop. Writes
-// may stage into the shard pipeline; every other kind first forces
-// staged writes to land, preserving arrival order at the state level.
+// handleMessage dispatches a protocol message inside the loop.
 func (s *Site) handleMessage(from vtime.SiteID, msg wire.Message) {
-	if m, ok := msg.(wire.Write); ok {
+	switch m := msg.(type) {
+	case wire.Write:
 		s.walLogWrite(m)
-		if s.stageWrite(m) {
-			return
-		}
-		s.flushWrites()
 		s.stats.SerialWrites.Inc()
 		s.handleWrite(m, false)
-		return
-	}
-	if m, ok := msg.(wire.FastWrite); ok {
+	case wire.FastWrite:
 		if _, decided := s.outcomes[m.TxnVT]; decided {
 			// A fast-path transaction ships exactly one FastWrite per
 			// destination, so a recorded outcome means this copy is a
@@ -1143,13 +1111,8 @@ func (s *Site) handleMessage(from vtime.SiteID, msg wire.Message) {
 		// Log after the duplicate guard so a replayed log never carries
 		// the same FastWrite twice (its ops are not idempotent).
 		s.walLogFastWrite(m)
-		s.flushWrites()
 		s.stats.SerialWrites.Inc()
 		s.handleFastWrite(m)
-		return
-	}
-	s.flushWrites()
-	switch m := msg.(type) {
 	case wire.ConfirmRead:
 		s.handleConfirmRead(from, m)
 	case wire.Confirm:

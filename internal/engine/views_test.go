@@ -551,9 +551,9 @@ func TestPessimisticBatchSettlesInVTOrder(t *testing.T) {
 func TestRemoteAppliesCoalesceIntoOneOptimisticBuild(t *testing.T) {
 	// k remote updates applied in one batch leave the optimistic view one
 	// snapshot to build, of the newest state (paper §4.1: optimistic
-	// views are lossy). The serial write path applies and finishes each
-	// write in turn, so a build per apply would show the view k states.
-	h := newHarnessOpts(t, 2, transport.Config{}, Options{CommitWorkers: 1})
+	// views are lossy). The event loop applies and finishes each write in
+	// turn, so a build per apply would show the view k states.
+	h := newHarnessOpts(t, 2, transport.Config{}, Options{})
 	x := h.joined(KindInt, "x", int64(0), 1, 2)[1]
 	rec := &recorder{}
 	if _, err := h.site(1).AttachView([]ObjRef{x}, Optimistic, rec.fns()); err != nil {

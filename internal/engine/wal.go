@@ -45,7 +45,7 @@ func (s *Site) walAppendMsg(vt vtime.VT, msg wire.Message) {
 	}
 }
 
-// walLogWrite logs a received Write before it is staged or applied.
+// walLogWrite logs a received Write before it is applied.
 func (s *Site) walLogWrite(m wire.Write) {
 	if s.wal == nil {
 		return

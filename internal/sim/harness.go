@@ -192,9 +192,6 @@ func Run(p Profile, seed int64, inspect ...func(sites map[vtime.SiteID]*engine.S
 			MaxRetries:      p.MaxRetries,
 			DisableFastPath: p.DisableFastPath,
 			DisableGC:       p.Views, // see Profile.Views
-			// Pin the commit pipeline width: the default is GOMAXPROCS,
-			// which would make behavior machine-shaped.
-			CommitWorkers: 2,
 		}
 		if p.Offline {
 			dir, err := os.MkdirTemp("", "decaf-sim-wal-")
@@ -289,7 +286,7 @@ func msgName(m wire.Message) string {
 }
 
 // settle waits (in wall-clock time) until every site's event loop is
-// parked over empty queues with nothing staged. Between two clock
+// parked over empty queues with no batch work pending. Between two clock
 // events this always terminates: sites only regain work when the
 // harness fires the next event.
 func (w *world) settle() error {
