@@ -5,8 +5,8 @@
 // graphs.
 //
 // With -live it inspects a running site instead, fetching and rendering
-// the /debug/decaf/state dump of a debug server started with -debug-addr
-// (decaf-bench, decaf-chat) or decaf.ServeDebug.
+// the /debug/decaf/state dump of a debug server started with decaf-chat
+// -debug-addr or decaf.ServeDebug.
 //
 // Usage:
 //

@@ -16,6 +16,13 @@
 // event trace — the exact interleaving, step by step:
 //
 //	decaf-sim -replay -profile nofast -seed 107
+//
+// Paper mode reproduces the paper's §5 evaluation (E1–E8) in virtual
+// time, where one hop costs exactly the one-way delay t, prints one
+// table per experiment, and exits 1 if any row misses its model. The
+// output is a pure function of the code: two runs are byte-identical.
+//
+//	decaf-sim -paper
 package main
 
 import (
@@ -41,9 +48,13 @@ func main() {
 		profile   = flag.String("profile", "", "profile name for -replay")
 		seed      = flag.Int64("seed", 1, "seed for -replay")
 		gvtSeeds  = flag.Int("gvt-seeds", 0, "additionally run this many seeds of the GVT ring simulation")
+		paper     = flag.Bool("paper", false, "print the paper's section 5 tables (E1-E8) in virtual time; exit 1 if any row misses its model")
 	)
 	flag.Parse()
 
+	if *paper {
+		os.Exit(runPaper())
+	}
 	if *replay {
 		os.Exit(runReplay(*profile, *seed))
 	}
@@ -65,6 +76,30 @@ func runReplay(name string, seed int64) int {
 		return 1
 	}
 	fmt.Println("ok")
+	return 0
+}
+
+func runPaper() int {
+	fmt.Println("DECAF: the paper's section 5 evaluation in virtual time (one hop costs exactly t)")
+	tabs, err := sim.PaperTables()
+	var misses []string
+	rows := 0
+	for _, t := range tabs {
+		t.Fprint(os.Stdout)
+		rows += len(t.Rows)
+		misses = append(misses, t.Misses()...)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "paper: %v\n", err)
+		return 1
+	}
+	fmt.Printf("\npaper: %d tables, %d rows, %d misses\n", len(tabs), rows, len(misses))
+	for _, m := range misses {
+		fmt.Printf("MISS %s\n", m)
+	}
+	if len(misses) > 0 {
+		return 1
+	}
 	return 0
 }
 

@@ -70,12 +70,6 @@ type Options struct {
 	// RetryDelay inserts a pause before re-executing a conflicted
 	// transaction (default: immediate, as in the paper).
 	RetryDelay time.Duration
-	// DisableDelegation turns off the delegated-commit optimization
-	// (paper §3.1) — an ablation switch.
-	DisableDelegation bool
-	// DisableEagerConfirm turns off the eager snapshot confirmation
-	// (paper §5.1.2) — an ablation switch.
-	DisableEagerConfirm bool
 	// NotifyQueueLimit bounds the view/abort notification queue; past
 	// it, notifications are dropped and counted rather than blocking
 	// the engine (0 uses engine.DefaultNotifyQueueLimit).
@@ -127,13 +121,11 @@ type Site struct {
 // and ready for use.
 func NewSite(ep transport.Endpoint, opts Options) *Site {
 	s := &Site{eng: engine.NewSite(ep, engine.Options{
-		Logger:              opts.Logger,
-		MaxRetries:          opts.MaxRetries,
-		RetryDelay:          opts.RetryDelay,
-		DisableDelegation:   opts.DisableDelegation,
-		DisableEagerConfirm: opts.DisableEagerConfirm,
-		NotifyQueueLimit:    opts.NotifyQueueLimit,
-		Observer:            opts.Observer,
+		Logger:           opts.Logger,
+		MaxRetries:       opts.MaxRetries,
+		RetryDelay:       opts.RetryDelay,
+		NotifyQueueLimit: opts.NotifyQueueLimit,
+		Observer:         opts.Observer,
 	})}
 	s.eng.Start()
 	return s

@@ -14,14 +14,71 @@ import (
 	"decaf/internal/wire"
 )
 
+// loop is the event loop a Server and a Client share: it hands every
+// message to handle and runs Quiescent probes, one at a time.
+type loop struct {
+	ep    transport.Endpoint
+	calls chan func()
+	stop  sync.Once
+	done  chan struct{}
+}
+
+// start runs the loop over ep, handing every message to handle.
+func (l *loop) start(ep transport.Endpoint, handle func(wire.Message)) {
+	l.ep, l.calls, l.done = ep, make(chan func()), make(chan struct{})
+	go l.run(handle)
+}
+
+func (l *loop) run(handle func(wire.Message)) {
+	defer close(l.done)
+	events := l.ep.Events()
+	for {
+		select {
+		case fn := <-l.calls:
+			fn()
+		case ev, ok := <-events:
+			if !ok {
+				return
+			}
+			if ev.Kind == transport.EventMessage {
+				handle(ev.Msg)
+			}
+		}
+	}
+}
+
+// Quiescent reports whether the event loop is parked over an empty
+// intake queue. Messages still in flight in the transport do not count;
+// the deterministic simulation harness (internal/sim) owns those. The
+// probe round-trips through the loop, so a message is either visibly
+// queued or fully handled. A stopped loop is quiescent.
+func (l *loop) Quiescent() bool {
+	quiet := false
+	ch := make(chan struct{})
+	select {
+	case l.calls <- func() { quiet = len(l.ep.Events()) == 0; close(ch) }:
+	case <-l.done:
+		return true
+	}
+	select {
+	case <-ch:
+		return quiet
+	case <-l.done:
+		return true
+	}
+}
+
+// Stop shuts the loop down.
+func (l *loop) Stop() {
+	l.stop.Do(func() { _ = l.ep.Close() })
+	<-l.done
+}
+
 // Server owns the authoritative state and echoes every update to all
 // clients.
 type Server struct {
-	ep      transport.Endpoint
+	loop
 	clients []vtime.SiteID
-
-	stop sync.Once
-	done chan struct{}
 
 	mu    sync.Mutex
 	state map[string]any
@@ -31,32 +88,24 @@ type Server struct {
 // client site.
 func NewServer(ep transport.Endpoint, clients []vtime.SiteID) *Server {
 	s := &Server{
-		ep:      ep,
 		clients: append([]vtime.SiteID(nil), clients...),
-		done:    make(chan struct{}),
 		state:   map[string]any{},
 	}
-	go s.loop()
+	s.start(ep, s.handle)
 	return s
 }
 
-func (s *Server) loop() {
-	defer close(s.done)
-	for ev := range s.ep.Events() {
-		if ev.Kind != transport.EventMessage {
-			continue
-		}
-		m, ok := ev.Msg.(wire.CenWrite)
-		if !ok {
-			continue
-		}
-		s.mu.Lock()
-		s.state[m.Name] = m.Value
-		s.mu.Unlock()
-		echo := wire.CenEcho{Seq: m.Seq, Name: m.Name, Value: m.Value}
-		for _, c := range s.clients {
-			_ = s.ep.Send(c, vtime.Zero, echo)
-		}
+func (s *Server) handle(msg wire.Message) {
+	m, ok := msg.(wire.CenWrite)
+	if !ok {
+		return
+	}
+	s.mu.Lock()
+	s.state[m.Name] = m.Value
+	s.mu.Unlock()
+	echo := wire.CenEcho{Seq: m.Seq, Name: m.Name, Value: m.Value}
+	for _, c := range s.clients {
+		_ = s.ep.Send(c, vtime.Zero, echo)
 	}
 }
 
@@ -67,20 +116,11 @@ func (s *Server) Get(name string) any {
 	return s.state[name]
 }
 
-// Stop shuts the server down.
-func (s *Server) Stop() {
-	s.stop.Do(func() { _ = s.ep.Close() })
-	<-s.done
-}
-
 // Client is a GUI instance in the non-replicated architecture: it holds
 // no authoritative state and sees its own actions only via server echoes.
 type Client struct {
-	ep     transport.Endpoint
+	loop
 	server vtime.SiteID
-
-	stopOnce sync.Once
-	done     chan struct{}
 
 	mu      sync.Mutex
 	view    map[string]any
@@ -92,38 +132,30 @@ type Client struct {
 // NewClient creates (and starts) a client of the central server.
 func NewClient(ep transport.Endpoint, server vtime.SiteID) *Client {
 	c := &Client{
-		ep:      ep,
 		server:  server,
-		done:    make(chan struct{}),
 		view:    map[string]any{},
 		waiters: map[uint64]chan struct{}{},
 	}
-	go c.loop()
+	c.start(ep, c.handle)
 	return c
 }
 
-func (c *Client) loop() {
-	defer close(c.done)
-	for ev := range c.ep.Events() {
-		if ev.Kind != transport.EventMessage {
-			continue
-		}
-		m, ok := ev.Msg.(wire.CenEcho)
-		if !ok {
-			continue
-		}
-		c.mu.Lock()
-		c.view[m.Name] = m.Value
-		w := c.waiters[m.Seq]
-		delete(c.waiters, m.Seq)
-		cb := c.onEcho
-		c.mu.Unlock()
-		if w != nil {
-			close(w)
-		}
-		if cb != nil {
-			cb(m.Name, m.Value)
-		}
+func (c *Client) handle(msg wire.Message) {
+	m, ok := msg.(wire.CenEcho)
+	if !ok {
+		return
+	}
+	c.mu.Lock()
+	c.view[m.Name] = m.Value
+	w := c.waiters[m.Seq]
+	delete(c.waiters, m.Seq)
+	cb := c.onEcho
+	c.mu.Unlock()
+	if w != nil {
+		close(w)
+	}
+	if cb != nil {
+		cb(m.Name, m.Value)
 	}
 }
 
@@ -157,10 +189,4 @@ func (c *Client) Get(name string) any {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.view[name]
-}
-
-// Stop shuts the client down.
-func (c *Client) Stop() {
-	c.stopOnce.Do(func() { _ = c.ep.Close() })
-	<-c.done
 }

@@ -104,3 +104,17 @@ func TestCentralizedEchoCallback(t *testing.T) {
 		t.Fatal("peer echo callback never fired")
 	}
 }
+
+// TestQuiescent pins what the virtual-time harness relies on: an idle
+// loop and a stopped one both report quiescent, without blocking.
+func TestQuiescent(t *testing.T) {
+	srv, cs := setup(t, 1, 0)
+	if !srv.Quiescent() || !cs[0].Quiescent() {
+		t.Fatal("idle server or client not quiescent")
+	}
+	srv.Stop()
+	cs[0].Stop()
+	if !srv.Quiescent() || !cs[0].Quiescent() {
+		t.Fatal("stopped server or client not quiescent")
+	}
+}

@@ -14,9 +14,7 @@ package gvt
 
 import (
 	"sync"
-	"sync/atomic"
 
-	"decaf/internal/obs"
 	"decaf/internal/transport"
 	"decaf/internal/vtime"
 	"decaf/internal/wire"
@@ -65,16 +63,6 @@ type Site struct {
 	onCommit  func(name string, value any, vt vtime.VT) // guarded by mu
 	startOnce sync.Once
 	stopOnce  sync.Once
-
-	// Observability (optional; see SetObserver). Counters are nil-safe,
-	// so an unobserved site pays one predictable branch per bump. The
-	// atomic mirrors carry loop-confined values to scrape-time gauges.
-	tokens       *obs.Counter
-	commits      *obs.Counter
-	gvtTime      atomic.Uint64
-	clockTime    atomic.Uint64
-	uncommittedN atomic.Int64
-	started      atomic.Bool
 }
 
 // NewSite creates a group member. ring lists every member in token order
@@ -92,62 +80,6 @@ func NewSite(ep transport.Endpoint, ring []vtime.SiteID) *Site {
 	}
 }
 
-// SetObserver wires the site into an observability bundle. Call before
-// Start. Pass the same Observer as the process's other layers so one
-// scrape covers everything.
-func (s *Site) SetObserver(o *obs.Observer) {
-	if o == nil {
-		return
-	}
-	reg := o.Metrics()
-	s.tokens = reg.Counter("decaf_gvt_token_rounds_total",
-		"GVT sweep token rounds handled by this site.")
-	s.commits = reg.Counter("decaf_gvt_commits_total",
-		"Updates committed by the GVT sweep at this site.")
-	reg.GaugeFunc("decaf_gvt_uncommitted_depth",
-		"Updates applied but not yet committed by the GVT sweep.",
-		func() float64 { return float64(s.uncommittedN.Load()) })
-	reg.GaugeFunc("decaf_gvt_lag_ticks",
-		"Local clock minus GVT estimate, in virtual-time ticks.",
-		func() float64 {
-			return float64(s.clockTime.Load()) - float64(s.gvtTime.Load())
-		})
-	o.RegisterStateSource("gvt", s.debugState)
-}
-
-// debugState snapshots loop-confined state for /debug/decaf/state.
-func (s *Site) debugState() any {
-	if !s.started.Load() {
-		return map[string]any{"running": false}
-	}
-	var out map[string]any
-	ch := make(chan struct{})
-	s.do(func() {
-		byOrigin := map[string]int{}
-		for _, e := range s.uncommitted {
-			byOrigin[e.origin.String()]++
-		}
-		out = map[string]any{
-			"running":               true,
-			"site":                  s.id.String(),
-			"clock":                 s.clock.Now().String(),
-			"gvt":                   s.gvt.String(),
-			"token_round":           s.tokenSeen,
-			"ring_size":             len(s.ring),
-			"uncommitted":           len(s.uncommitted),
-			"uncommitted_by_origin": byOrigin,
-			"committed_registers":   len(s.committed),
-		}
-		close(ch)
-	})
-	select {
-	case <-ch:
-	case <-s.done:
-		return map[string]any{"running": false}
-	}
-	return out
-}
-
 // OnCommit registers a callback invoked (on the event loop) whenever an
 // update commits at this site — the analogue of a pessimistic view
 // notification.
@@ -161,7 +93,6 @@ func (s *Site) OnCommit(fn func(name string, value any, vt vtime.VT)) {
 // sweep token.
 func (s *Site) Start() {
 	s.startOnce.Do(func() {
-		s.started.Store(true)
 		go s.loop()
 		if len(s.ring) > 1 && s.ring[0] == s.id {
 			// Inject via handleToken so the head contributes its own
@@ -224,7 +155,6 @@ func (s *Site) Write(name string, value any) *Pending {
 		if len(s.ring) <= 1 {
 			// Degenerate single-member group: no sweep needed.
 			s.gvt = vt
-			s.gvtTime.Store(s.gvt.Time)
 		}
 		s.tryCommit()
 	})
@@ -292,7 +222,6 @@ func (s *Site) insert(e *entry) {
 	s.uncommitted = append(s.uncommitted, nil)
 	copy(s.uncommitted[i+1:], s.uncommitted[i:])
 	s.uncommitted[i] = e
-	s.uncommittedN.Store(int64(len(s.uncommitted)))
 }
 
 func (s *Site) handle(msg wire.Message) {
@@ -319,13 +248,10 @@ func (s *Site) handleToken(tok wire.GVTToken) {
 		return // stale duplicate
 	}
 	s.tokenSeen = tok.Round
-	s.tokens.Inc()
-	s.clockTime.Store(s.clock.Now().Time)
 
 	// Adopt the sweep's last result.
 	if s.gvt.Less(tok.GVT) {
 		s.gvt = tok.GVT
-		s.gvtTime.Store(s.gvt.Time)
 		s.tryCommit()
 	}
 
@@ -386,7 +312,6 @@ func (s *Site) tryCommit() {
 			continue
 		}
 		s.committed[e.name] = e.value
-		s.commits.Inc()
 		if cb != nil {
 			cb(e.name, e.value, e.vt)
 		}
@@ -398,5 +323,4 @@ func (s *Site) tryCommit() {
 		}
 	}
 	s.uncommitted = kept
-	s.uncommittedN.Store(int64(len(s.uncommitted)))
 }

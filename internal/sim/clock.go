@@ -1,6 +1,7 @@
 // Package sim is the deterministic simulation harness: a seeded
 // virtual-time scheduler over the simulated transport.Network, a
-// workload/fault driver, and an interleaving explorer.
+// workload/fault driver, an interleaving explorer, and the paper's §5
+// evaluation (E1–E8) in virtual time (paper.go).
 //
 // The core idea (after "Experiments in Model-Checking Optimistic
 // Replication Algorithms", PAPERS.md) is to make a whole multi-site run

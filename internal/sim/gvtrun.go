@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
 	"time"
 
@@ -54,9 +53,9 @@ func RunGVT(p GVTProfile, seed int64) (res Result) {
 	// the caller sees, even on early-error returns.
 	res = Result{Profile: "gvt/" + p.Name, Seed: seed}
 
-	clock := NewClock()
+	ls := &lockstep{clock: NewClock()}
+	clock := ls.clock
 	var trace strings.Builder
-	steps := 0
 	net := transport.NewNetwork(transport.Config{
 		Latency: p.Latency,
 		Jitter:  p.Jitter,
@@ -65,13 +64,13 @@ func RunGVT(p GVTProfile, seed int64) (res Result) {
 		OnDeliver: func(to vtime.SiteID, ev transport.Event) {
 			if ev.Kind == transport.EventMessage {
 				fmt.Fprintf(&trace, "%5d %9s S%d->S%d %s sent=%s\n",
-					steps, clock.Now(), ev.From, to, msgName(ev.Msg), ev.SentAt)
+					ls.steps, clock.Now(), ev.From, to, msgName(ev.Msg), ev.SentAt)
 			}
 		},
 	})
 	defer net.Close()
 	defer func() {
-		res.Steps = steps
+		res.Steps = ls.steps
 		res.Trace = trace.String()
 	}()
 
@@ -87,6 +86,7 @@ func RunGVT(p GVTProfile, seed int64) (res Result) {
 			return res
 		}
 		sites[i] = gvt.NewSite(ep, ring)
+		ls.members = append(ls.members, sites[i])
 	}
 	for i := 1; i <= p.Sites; i++ {
 		sites[i].Start()
@@ -96,28 +96,6 @@ func RunGVT(p GVTProfile, seed int64) (res Result) {
 			sites[i].Stop()
 		}
 	}()
-
-	settle := func() error {
-		// Liveness watchdog: decides when a wedged run is declared dead,
-		// never what a live run computes.
-		deadline := time.Now().Add(settleTimeout) //decaf:ignore wallclock liveness watchdog; never feeds simulation state
-		for {
-			quiet := true
-			for i := 1; i <= p.Sites; i++ {
-				if !sites[i].Quiescent() {
-					quiet = false
-					break
-				}
-			}
-			if quiet {
-				return nil
-			}
-			if time.Now().After(deadline) { //decaf:ignore wallclock liveness watchdog; never feeds simulation state
-				return fmt.Errorf("sim: gvt sites never quiesced at step %d", steps)
-			}
-			runtime.Gosched()
-		}
-	}
 
 	// Schedule the writes at seeded virtual times.
 	rng := rand.New(rand.NewSource(seed ^ 0x5bf03635))
@@ -135,7 +113,7 @@ func RunGVT(p GVTProfile, seed int64) (res Result) {
 		n := i
 		clock.AfterFunc(at, func() {
 			fmt.Fprintf(&trace, "%5d %9s WRITE S%d %s=%d n=%d\n",
-				steps, clock.Now(), site, name, val, n)
+				ls.steps, clock.Now(), site, name, val, n)
 			pendings = append(pendings, &pendingWrite{p: sites[site].Write(name, val)})
 		})
 	}
@@ -168,39 +146,29 @@ func RunGVT(p GVTProfile, seed int64) (res Result) {
 		}
 		return true
 	}
-	done := false
-	for !done {
-		if err := settle(); err != nil {
-			res.Err = err
-			return res
-		}
+	var regressed error
+	err := ls.until("convergence", func() bool {
 		for i := 1; i <= p.Sites; i++ {
 			g := sites[i].GVT()
 			if g.Less(last[i]) {
-				res.Err = fmt.Errorf("sim: GVT regressed at S%d: %s -> %s (step %d)",
-					i, last[i], g, steps)
-				return res
+				regressed = fmt.Errorf("sim: GVT regressed at S%d: %s -> %s (step %d)",
+					i, last[i], g, ls.steps)
+				return true
 			}
 			last[i] = g
 		}
-		if converged() {
-			done = true
-			break
-		}
-		steps++
-		if !clock.Step() {
-			steps--
-			res.Err = fmt.Errorf("sim: gvt clock drained before convergence (step %d)", steps)
-			return res
-		}
-		if steps > maxSteps {
-			res.Err = fmt.Errorf("sim: gvt step budget exceeded before convergence")
-			return res
-		}
+		return converged()
+	})
+	if err == nil {
+		err = regressed
+	}
+	if err != nil {
+		res.Err = err
+		return res
 	}
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "steps=%d", steps)
+	fmt.Fprintf(&b, "steps=%d", ls.steps)
 	for _, name := range regs {
 		fmt.Fprintf(&b, " %s=%#v", name, sites[1].ReadCommitted(name))
 	}

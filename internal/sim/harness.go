@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -17,17 +16,6 @@ import (
 	"decaf/internal/wal"
 	"decaf/internal/wire"
 )
-
-// settleTimeout bounds (in wall-clock time) how long the harness waits
-// for every site to quiesce between virtual-clock steps. A run that
-// trips it is stuck — a deadlock or an event loop spinning without
-// scheduling clock work — and fails with the current step for replay.
-const settleTimeout = 10 * time.Second
-
-// maxSteps bounds the number of virtual-clock events per run, the
-// virtual-time analogue of a watchdog: a retry livelock or a message
-// storm that never drains fails loudly instead of hanging the sweep.
-const maxSteps = 200_000
 
 // Result is the outcome of one simulated run.
 type Result struct {
@@ -111,15 +99,14 @@ func (p *pendingTxn) poll() bool {
 // for every site to go quiescent, then fires the next — so the whole
 // run is a deterministic function of (profile, seed).
 type world struct {
+	lockstep
 	profile Profile
 	seed    int64
-	clock   *Clock
 	net     *transport.Network
 	faults  *transport.Faults
 	sites   map[vtime.SiteID]*engine.Site
 	rng     *rand.Rand
 
-	steps   int
 	trace   strings.Builder
 	killed  []vtime.SiteID
 	offline vtime.SiteID
@@ -139,11 +126,11 @@ type world struct {
 func Run(p Profile, seed int64, inspect ...func(sites map[vtime.SiteID]*engine.Site, refs map[string][]engine.ObjRef)) (res Result) {
 	p = p.withDefaults()
 	w := &world{
-		profile: p,
-		seed:    seed,
-		clock:   NewClock(),
-		faults:  transport.NewFaults(),
-		sites:   map[vtime.SiteID]*engine.Site{},
+		lockstep: lockstep{clock: NewClock()},
+		profile:  p,
+		seed:     seed,
+		faults:   transport.NewFaults(),
+		sites:    map[vtime.SiteID]*engine.Site{},
 		// Decorrelate the workload stream from the network's jitter
 		// stream (which NewNetwork seeds with the raw seed).
 		rng: rand.New(rand.NewSource(seed ^ 0x5bf03635)),
@@ -215,6 +202,7 @@ func Run(p Profile, seed int64, inspect ...func(sites map[vtime.SiteID]*engine.S
 		s := engine.NewSite(ep, opts)
 		s.Start()
 		w.sites[id] = s
+		w.members = append(w.members, s)
 	}
 	defer func() {
 		// ID-sorted so shutdown (which can surface latent races and
@@ -285,79 +273,6 @@ func msgName(m wire.Message) string {
 	return strings.TrimPrefix(fmt.Sprintf("%T", m), "wire.")
 }
 
-// settle waits (in wall-clock time) until every site's event loop is
-// parked over empty queues with no batch work pending. Between two clock
-// events this always terminates: sites only regain work when the
-// harness fires the next event.
-func (w *world) settle() error {
-	// The watchdog deadline is a liveness check on the host, not
-	// simulation state: it only decides when a wedged run is declared
-	// dead, never what a live run computes.
-	deadline := time.Now().Add(settleTimeout) //decaf:ignore wallclock liveness watchdog; never feeds simulation state
-	for {
-		quiet := true
-		for i := 1; i <= w.profile.Sites; i++ {
-			if !w.sites[vtime.SiteID(i)].Quiescent() {
-				quiet = false
-				break
-			}
-		}
-		if quiet {
-			return nil
-		}
-		if time.Now().After(deadline) { //decaf:ignore wallclock liveness watchdog; never feeds simulation state
-			return fmt.Errorf("sim: sites never quiesced at step %d (wedged event loop?)", w.steps)
-		}
-		runtime.Gosched()
-	}
-}
-
-// stepOne fires the next virtual-clock event; false when the clock has
-// drained.
-func (w *world) stepOne() bool {
-	w.steps++
-	if w.clock.Step() {
-		return true
-	}
-	w.steps--
-	return false
-}
-
-// driveUntil alternates settle and single steps until cond holds;
-// cond is evaluated only at quiescent points.
-func (w *world) driveUntil(what string, cond func() bool) error {
-	for {
-		if err := w.settle(); err != nil {
-			return err
-		}
-		if cond() {
-			return nil
-		}
-		if !w.stepOne() {
-			return fmt.Errorf("sim: clock drained before %s (step %d)", what, w.steps)
-		}
-		if w.steps > maxSteps {
-			return fmt.Errorf("sim: step budget exceeded waiting for %s", what)
-		}
-	}
-}
-
-// drain runs the schedule to exhaustion: settle, fire, repeat until the
-// clock is empty and every site is quiescent.
-func (w *world) drain() error {
-	for {
-		if err := w.settle(); err != nil {
-			return err
-		}
-		if !w.stepOne() {
-			return nil
-		}
-		if w.steps > maxSteps {
-			return fmt.Errorf("sim: step budget exceeded (livelock?)")
-		}
-	}
-}
-
 // setup creates the three shared objects at site 1 and joins every
 // other site into their replica relationships, driving the clock until
 // the replication graphs converge everywhere. The setup traffic is part
@@ -386,7 +301,7 @@ func (w *world) setup() (map[string][]engine.ObjRef, error) {
 				return nil, fmt.Errorf("sim: create %s at S%d: %w", obj.name, i, err)
 			}
 			join := &pendingTxn{site: id, h: w.sites[id].JoinObject(r, 1, first.ID())}
-			if err := w.driveUntil("join decision", join.poll); err != nil {
+			if err := w.until("join decision", join.poll); err != nil {
 				return nil, err
 			}
 			if join.res.Err != nil || !join.res.Committed {
@@ -398,7 +313,7 @@ func (w *world) setup() (map[string][]engine.ObjRef, error) {
 	}
 	// Joins commit at their origin before every member has applied the
 	// merged graph; drive until all members agree.
-	err := w.driveUntil("replica graphs converged", func() bool {
+	err := w.until("replica graphs converged", func() bool {
 		for _, bysite := range refs {
 			for i := 1; i <= w.profile.Sites; i++ {
 				got, err := w.sites[vtime.SiteID(i)].ReplicaSites(bysite[i])

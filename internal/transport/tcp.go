@@ -795,11 +795,11 @@ func (t *TCP) adoptConn(from vtime.SiteID, conn net.Conn) *tcpPeer {
 	} else {
 		p.offerConn(conn)
 	}
-	t.mu.Unlock()
 	if recovered {
 		t.stats.recoveryEvents.Add(1)
 		t.deliverControl(Event{Kind: EventSiteRecovered, Failed: from})
 	}
+	t.mu.Unlock()
 	return p
 }
 
@@ -841,13 +841,10 @@ func (t *TCP) deliver(ev Event) {
 }
 
 // deliverControl queues a failure/recovery event for lossless delivery.
+// The caller holds t.mu and has checked t.closed, so events queue in the
+// order the failed set changes: a peer that redials as soon as
+// reportFailure closes its link is reported failed before recovered.
 func (t *TCP) deliverControl(ev Event) {
-	t.mu.Lock()
-	closed := t.closed
-	t.mu.Unlock()
-	if closed {
-		return
-	}
 	t.ctrlMu.Lock()
 	t.ctrlQ = append(t.ctrlQ, ev)
 	t.ctrlMu.Unlock()
@@ -870,12 +867,12 @@ func (t *TCP) reportFailure(site vtime.SiteID) {
 	if ok {
 		delete(t.conns, site)
 	}
+	t.stats.failureEvents.Add(1)
+	t.deliverControl(Event{Kind: EventSiteFailed, Failed: site})
 	t.mu.Unlock()
 	if ok {
 		p.shutdown()
 	}
-	t.stats.failureEvents.Add(1)
-	t.deliverControl(Event{Kind: EventSiteFailed, Failed: site})
 }
 
 // shutdown stops the peer's writer and closes its connections.

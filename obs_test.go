@@ -16,8 +16,8 @@ import (
 // attached and checks the three debug endpoints end to end: Prometheus
 // metrics carry the transaction and view counters, /debug/decaf/state
 // reports a running engine, and /debug/decaf/trace shows a committed
-// VT-stamped span. This is the same wiring the -debug-addr flags of
-// decaf-bench and decaf-chat use.
+// VT-stamped span. This is the same wiring decaf-chat's -debug-addr flag
+// uses.
 func TestDebugServerSmoke(t *testing.T) {
 	o := decaf.NewObserver()
 	srv, err := decaf.ServeDebug("127.0.0.1:0", o)
