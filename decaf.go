@@ -213,10 +213,6 @@ func (n *SimNetwork) Partition(a, b SiteID) { n.inner.Partition(a, b) }
 // Heal removes a partition.
 func (n *SimNetwork) Heal(a, b SiteID) { n.inner.Heal(a, b) }
 
-// Dropped counts the messages lost because a site's delivery buffer was
-// full (a site that stopped draining); nothing retransmits them.
-func (n *SimNetwork) Dropped() uint64 { return n.inner.Dropped() }
-
 // Close shuts the network down.
 func (n *SimNetwork) Close() { n.inner.Close() }
 

@@ -92,6 +92,16 @@ func (c *Clock) AfterFunc(d time.Duration, fn func()) (cancel func()) {
 	}
 }
 
+// At schedules fn to run at virtual time due, like AfterFunc; a due time
+// already past reads as Now().
+func (c *Clock) At(due time.Duration, fn func()) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	heap.Push(&c.heap, &event{due: max(due, c.now), seq: c.seq, fn: fn})
+	c.seq++
+	c.live++
+}
+
 // Step pops the earliest scheduled event, advances virtual time to its
 // due instant, and runs it. It reports false (without side effects)
 // when no events remain.

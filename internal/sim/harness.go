@@ -459,11 +459,7 @@ func (w *world) scheduleFaults() {
 				w.sites[id].SetPeerDisconnected(victim, true)
 				w.sites[victim].SetPeerDisconnected(id, true)
 			}
-			// Suspect's dispatch path statically reaches the real-timer
-			// memLink pump, but only on the clock==nil branch; the
-			// harness always injects the virtual clock.
-			//decaf:ignore wallclock virtual clock configured; real-time branch unreachable
-			w.net.Suspect(victim) //decaf:ignore timers virtual clock configured; real-time branch unreachable
+			w.net.Suspect(victim)
 		})
 		w.clock.AfterFunc(3*p.Span/4, func() {
 			w.tracef("RECONNECT S%d", victim)
@@ -479,23 +475,18 @@ func (w *world) scheduleFaults() {
 			// The recovery report reaches every peer, which unparks the
 			// deferred failover and starts an anti-entropy session with
 			// the returning site.
-			//decaf:ignore wallclock virtual clock configured; real-time branch unreachable
-			w.net.Unsuspect(victim) //decaf:ignore timers virtual clock configured; real-time branch unreachable
+			w.net.Unsuspect(victim)
 		})
 	}
 }
 
 // kill crashes victim now: records it, then detaches it from the
-// network (which also drops the victim's in-flight messages at their
-// delivery time and reports the failure to every peer).
+// network (which drops the messages in flight to the victim, delivers
+// the ones it sent, and then reports the failure to every peer).
 func (w *world) kill(victim vtime.SiteID) {
 	w.tracef("KILL S%d", victim)
 	w.killed = append(w.killed, victim)
-	// Kill's dispatch path statically reaches the real-timer memLink
-	// pump, but only on the clock==nil branch; the harness always
-	// injects the virtual clock.
-	//decaf:ignore wallclock virtual clock configured; real-time branch unreachable
-	w.net.Kill(victim) //decaf:ignore timers virtual clock configured; real-time branch unreachable
+	w.net.Kill(victim)
 }
 
 // alive reports whether site survived the run.

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"decaf/internal/obs"
 	"decaf/internal/vtime"
 	"decaf/internal/wire"
 )
@@ -262,38 +261,4 @@ func TestAckPeriodTimer(t *testing.T) {
 	case <-time.After(20 * time.Millisecond):
 	}
 	pt.disarm()
-}
-
-// TestNetworkCountsFullBufferDrops: an endpoint that stops draining loses
-// what overflows its buffer, and both the network and the site's
-// observer say so.
-func TestNetworkCountsFullBufferDrops(t *testing.T) {
-	const queue, sent = 4, 10
-	n := NewNetwork(Config{QueueSize: queue})
-	defer n.Close()
-	a, err := n.Endpoint(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.Endpoint(2); err != nil {
-		t.Fatal(err)
-	}
-	o := obs.New()
-	n.Observe(2, o)
-
-	for i := uint64(0); i < sent; i++ {
-		if err := a.Send(2, vtime.Zero, msg(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for n.Dropped() < sent-queue && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := n.Dropped(); got != sent-queue {
-		t.Fatalf("Dropped = %d, want %d", got, sent-queue)
-	}
-	if v, ok := o.Metrics().Value("decaf_transport_messages_dropped_total"); !ok || v != sent-queue {
-		t.Fatalf("decaf_transport_messages_dropped_total = %v (registered %v), want %d", v, ok, sent-queue)
-	}
 }

@@ -642,4 +642,19 @@ func TestChaosNetworkFaultDropDelay(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 50*time.Millisecond {
 		t.Fatalf("delayed frame arrived after %v, want >= 50ms", elapsed)
 	}
+
+	// A zero-delay message never overtakes a delayed one on its link.
+	faults.DelayFrames(60 * time.Millisecond)
+	if err := a.Send(2, vtime.Zero, msg(4)); err != nil {
+		t.Fatal(err)
+	}
+	faults.DelayFrames(0)
+	if err := a.Send(2, vtime.Zero, msg(5)); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []uint64{4, 5} {
+		if got := recvOne(t, b, time.Second).Msg.(wire.Outcome).TxnVT.Time; got != want {
+			t.Fatalf("got message %d, want %d", got, want)
+		}
+	}
 }

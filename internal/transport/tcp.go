@@ -288,7 +288,7 @@ type tcpStatCounters struct {
 // newTCPMetrics registers (or fetches) the transport's counters on reg.
 func newTCPMetrics(reg *obs.Registry) tcpStatCounters {
 	return tcpStatCounters{
-		messagesDropped: messagesDroppedCounter(reg),
+		messagesDropped: reg.Counter("decaf_transport_messages_dropped_total", "inbound message events dropped on a full event buffer"),
 		sendQueueDrops:  reg.Counter("decaf_transport_send_queue_drops_total", "envelopes dropped on a full live-peer outbound queue"),
 		unencodable:     reg.Counter("decaf_transport_unencodable_total", "envelopes dropped because the message could not be encoded"),
 		abandoned:       reg.Counter("decaf_transport_abandoned_total", "accepted envelopes discarded when a peer was declared failed"),
@@ -300,11 +300,6 @@ func newTCPMetrics(reg *obs.Registry) tcpStatCounters {
 		failureEvents:   reg.Counter("decaf_transport_failure_events_total", "EventSiteFailed control events emitted"),
 		recoveryEvents:  reg.Counter("decaf_transport_recovery_events_total", "EventSiteRecovered control events emitted"),
 	}
-}
-
-// messagesDroppedCounter is the drop counter both transports report under.
-func messagesDroppedCounter(reg *obs.Registry) *obs.Counter {
-	return reg.Counter("decaf_transport_messages_dropped_total", "inbound message events dropped on a full event buffer")
 }
 
 // tcpOut is one queued outbound message.

@@ -21,8 +21,8 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"log/slog"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -55,8 +55,8 @@ const (
 
 // Event is something an endpoint receives: a message or a failure /
 // recovery notification. Failure and recovery are control events: the
-// TCP transport delivers them losslessly (they are never dropped on a
-// full event buffer, unlike messages).
+// TCP transport delivers them losslessly (unlike its messages, they are
+// never dropped on a full event buffer); the in-memory Network drops none.
 type Event struct {
 	Kind EventKind
 	// From is the sending site (EventMessage).
@@ -96,33 +96,114 @@ type BatchSender interface {
 	SendBatch(to vtime.SiteID, sentAt vtime.VT, msgs []wire.Message) error
 }
 
-// Clock abstracts deferred scheduling for the simulated Network. Now
-// returns the current time as an offset (monotonic, origin arbitrary);
-// AfterFunc schedules fn at Now()+d and returns a cancel. The default
-// real-time implementation is WallClock; the deterministic simulation
-// harness (internal/sim) injects its virtual event-queue clock so every
-// message delay becomes a seeded, replayable schedule decision.
+// Clock schedules the simulated Network's deliveries. Now returns the
+// current time as an offset (monotonic, origin arbitrary); At runs fn at
+// the absolute time due, after every event scheduled earlier for that
+// instant. The simulation harness (internal/sim) injects its virtual
+// clock, so every message delay becomes a seeded, replayable decision.
 type Clock interface {
 	Now() time.Duration
-	AfterFunc(d time.Duration, fn func()) (cancel func())
+	At(due time.Duration, fn func())
 }
 
-// WallClock is the real-time Clock: AfterFunc uses a runtime timer. It
-// is also the engine's default retry Scheduler — the engine itself
-// constructs no timers (enforced by the decaf-vet timers analyzer), so
-// the one real-timer fallback lives here with the transport's other
-// timing machinery.
+// WallClock is the engine's default retry Scheduler: AfterFunc on a
+// runtime timer. The engine itself constructs no timers (enforced by
+// the decaf-vet timers analyzer), so this real-timer fallback lives
+// here with the transport's other timing machinery.
 type WallClock struct{}
-
-var wallEpoch = time.Now()
-
-// Now returns the monotonic offset since process start.
-func (WallClock) Now() time.Duration { return time.Since(wallEpoch) }
 
 // AfterFunc schedules fn on a real timer.
 func (WallClock) AfterFunc(d time.Duration, fn func()) (cancel func()) {
 	t := time.AfterFunc(d, fn)
 	return func() { t.Stop() }
+}
+
+// wallEpoch is the origin of realClock.Now.
+var wallEpoch = time.Now()
+
+// realClock is the Clock of a Network given none: events ordered by
+// (due, schedule order), fired by one goroutine on one runtime timer,
+// started by the first At and stopped by close.
+type realClock struct {
+	mu      sync.Mutex
+	events  []clockEvent  // guarded by mu; sorted by due, ties in schedule order
+	running bool          // guarded by mu
+	closed  bool          // guarded by mu
+	wake    chan struct{} // buffered: a new earliest event, never blocks At
+	stop    chan struct{}
+	done    chan struct{}
+}
+
+type clockEvent struct {
+	due time.Duration
+	fn  func()
+}
+
+func (c *realClock) Now() time.Duration { return time.Since(wallEpoch) }
+
+func (c *realClock) At(due time.Duration, fn func()) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return
+	}
+	if !c.running {
+		c.running = true
+		go c.run()
+	}
+	// After every event due no later; the FIFO clamp makes most an append.
+	i := sort.Search(len(c.events), func(i int) bool { return c.events[i].due > due })
+	c.events = slices.Insert(c.events, i, clockEvent{due, fn})
+	if i == 0 {
+		select {
+		case c.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// run fires due events until close. A stale timer tick or wake-up only
+// costs one more look at the queue.
+func (c *realClock) run() {
+	defer close(c.done)
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
+	for {
+		c.mu.Lock()
+		now := c.Now()
+		n := sort.Search(len(c.events), func(i int) bool { return c.events[i].due > now })
+		fire := c.events[:n:n]
+		c.events = c.events[n:]
+		if n == 0 && len(c.events) > 0 {
+			timer.Reset(c.events[0].due - now)
+		}
+		c.mu.Unlock()
+		for _, ev := range fire {
+			ev.fn()
+		}
+		if n > 0 {
+			continue
+		}
+		select {
+		case <-timer.C:
+		case <-c.wake:
+		case <-c.stop:
+			return
+		}
+	}
+}
+
+// close discards the pending events and stops the goroutine.
+func (c *realClock) close() {
+	c.mu.Lock()
+	running := c.running && !c.closed
+	c.closed = true
+	c.events = nil
+	c.mu.Unlock()
+	if running {
+		close(c.stop)
+		<-c.done
+	}
 }
 
 // ErrSiteDown is returned by Send when the destination site has failed or
@@ -137,7 +218,8 @@ var ErrUnknownSite = errors.New("transport: unknown destination site")
 // In-memory simulated network.
 // ---------------------------------------------------------------------------
 
-// Config parameterizes a simulated Network.
+// Config parameterizes a simulated Network. LatencyFn and OnDeliver may
+// run under the network's lock: they must not call back into it.
 type Config struct {
 	// Latency is the base one-way point-to-point message latency — the
 	// paper's t. Zero means immediate delivery.
@@ -150,18 +232,18 @@ type Config struct {
 	Seed int64
 	// LatencyFn, when non-nil, overrides Latency per ordered site pair.
 	LatencyFn func(from, to vtime.SiteID) time.Duration
-	// QueueSize is the per-endpoint delivery buffer (default 4096).
+	// QueueSize is the capacity of each endpoint's Events channel
+	// (default 4096). Events that find it full wait, in order, in an
+	// unbounded per-endpoint backlog: nothing is dropped.
 	QueueSize int
 	// Faults, when non-nil, injects network faults: DropFrames loses
 	// individual messages in flight and DelayFrames slows every message
 	// down (each simulated message is one frame). Dial- and
 	// connection-level faults have no meaning here and are ignored.
 	Faults *Faults
-	// Clock, when non-nil, replaces the real-timer delivery pump with
-	// scheduled events on the given clock: no link goroutines, no
-	// time.Timer sleeps — every delivery is an event the clock's owner
-	// fires explicitly. Per-pair FIFO order is still preserved via the
-	// due-time clamp. This is how internal/sim makes a whole run a
+	// Clock, when non-nil, replaces the network's real-time clock: every
+	// delayed delivery is then an event the clock's owner fires
+	// explicitly. This is how internal/sim makes a whole run a
 	// deterministic function of Seed.
 	Clock Clock
 	// Duplicate, when > 0, re-delivers each message with the given
@@ -169,8 +251,7 @@ type Config struct {
 	// retransmit arriving out of band. The original copies still arrive
 	// in FIFO order; the duplicate is extra and may arrive after newer
 	// messages, which the engine's outcome/ dedup bookkeeping must (and
-	// does) tolerate. Requires Clock (it exists for the simulation
-	// harness; the real-timer path ignores it).
+	// does) tolerate. The simulation harness uses it.
 	Duplicate float64
 	// OnDeliver, when non-nil, observes every event at the moment the
 	// network hands it to the destination endpoint (after latency,
@@ -181,25 +262,50 @@ type Config struct {
 
 // Network is an in-memory simulated network. Endpoints attach with
 // Endpoint; Kill simulates a fail-stop site crash; Partition/Heal simulate
-// connectivity loss.
+// connectivity loss. Every event goes through dispatch.
 type Network struct {
-	cfg Config
+	cfg   Config
+	clock Clock // cfg.Clock, or the network's own realClock
 
-	mu        sync.Mutex
-	rng       *rand.Rand                    // guarded by mu
-	endpoints map[vtime.SiteID]*memEndpoint // guarded by mu
-	links     map[linkKey]*memLink          // guarded by mu
-	dead      map[vtime.SiteID]bool         // guarded by mu
-	blocked   map[linkKey]bool              // guarded by mu; partitioned ordered pairs
-	vdue      map[linkKey]time.Duration     // guarded by mu; per-pair FIFO clamp under cfg.Clock
-	closed    bool                          // guarded by mu
-	wg        sync.WaitGroup
+	mu sync.Mutex
+	st netState // guarded by mu
+}
 
-	dropped atomic.Uint64 // message events lost to a full endpoint buffer
+// netState is what Network.mu guards; helpers under the lock take it.
+type netState struct {
+	rng       *rand.Rand
+	endpoints map[vtime.SiteID]*memEndpoint
+	dead      map[vtime.SiteID]bool
+	blocked   map[linkKey]bool // partitioned ordered pairs
+	pairs     map[linkKey]*pair
+	closed    bool
 }
 
 type linkKey struct {
 	from, to vtime.SiteID
+}
+
+// pair is one ordered site pair: its destination and FIFO state.
+type pair struct {
+	from, to vtime.SiteID
+	ep       *memEndpoint
+	// due is the latest due time given to the pair's events: later ones
+	// are clamped to it. Read and written under Network.mu.
+	due time.Duration
+	// pending counts the pair's scheduled events the endpoint has not
+	// yet accepted; while it is non-zero nothing is delivered inline.
+	pending atomic.Int32
+}
+
+// pair returns the pair from -> to, whose destination is attached.
+func (st *netState) pair(from, to vtime.SiteID) *pair {
+	key := linkKey{from, to}
+	p := st.pairs[key]
+	if p == nil {
+		p = &pair{from: from, to: to, ep: st.endpoints[to]}
+		st.pairs[key] = p
+	}
+	return p
 }
 
 // NewNetwork creates a simulated network.
@@ -207,15 +313,17 @@ func NewNetwork(cfg Config) *Network {
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = 4096
 	}
-	return &Network{
-		cfg:       cfg,
+	clock := cfg.Clock
+	if clock == nil {
+		clock = &realClock{wake: make(chan struct{}, 1), stop: make(chan struct{}), done: make(chan struct{})}
+	}
+	return &Network{cfg: cfg, clock: clock, st: netState{
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		endpoints: map[vtime.SiteID]*memEndpoint{},
-		links:     map[linkKey]*memLink{},
 		dead:      map[vtime.SiteID]bool{},
 		blocked:   map[linkKey]bool{},
-		vdue:      map[linkKey]time.Duration{},
-	}
+		pairs:     map[linkKey]*pair{},
+	}}
 }
 
 // Endpoint attaches site to the network and returns its endpoint.
@@ -223,167 +331,109 @@ func NewNetwork(cfg Config) *Network {
 func (n *Network) Endpoint(site vtime.SiteID) (Endpoint, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.closed {
+	if n.st.closed {
 		return nil, errors.New("transport: network closed")
 	}
-	if _, ok := n.endpoints[site]; ok {
+	if _, ok := n.st.endpoints[site]; ok {
 		return nil, fmt.Errorf("transport: site %s already attached", site)
 	}
 	ep := &memEndpoint{
 		net:    n,
 		site:   site,
 		events: make(chan Event, n.cfg.QueueSize),
+		stop:   make(chan struct{}),
 	}
-	n.endpoints[site] = ep
-	delete(n.dead, site)
+	n.st.endpoints[site] = ep
+	delete(n.st.dead, site)
 	return ep, nil
 }
 
 // latency computes the one-way delay for a message from -> to, including
-// jitter.
-func (n *Network) latency(from, to vtime.SiteID) time.Duration {
+// jitter. The caller holds n.mu.
+func (n *Network) latency(st *netState, from, to vtime.SiteID) time.Duration {
 	d := n.cfg.Latency
 	if n.cfg.LatencyFn != nil {
 		d = n.cfg.LatencyFn(from, to)
 	}
 	if n.cfg.Jitter > 0 {
-		n.mu.Lock()
-		d += time.Duration(n.rng.Int63n(int64(n.cfg.Jitter)))
-		n.mu.Unlock()
+		d += time.Duration(st.rng.Int63n(int64(n.cfg.Jitter)))
 	}
 	return d
 }
 
-// link returns (creating if needed) the FIFO delivery link from -> to.
-func (n *Network) link(from, to vtime.SiteID) *memLink {
-	key := linkKey{from, to}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if l, ok := n.links[key]; ok {
-		return l
-	}
-	l := &memLink{
-		net:  n,
-		to:   to,
-		ch:   make(chan queuedEvent, 1024),
-		stop: make(chan struct{}),
-	}
-	n.links[key] = l
-	n.wg.Add(1)
-	go l.run(&n.wg)
-	return l
-}
-
-// deliver hands an event to the destination endpoint if it is alive.
-func (n *Network) deliver(to vtime.SiteID, ev Event) {
-	if n.cfg.OnDeliver != nil {
-		n.cfg.OnDeliver(to, ev)
-	}
-	n.mu.Lock()
-	ep, ok := n.endpoints[to]
-	n.mu.Unlock()
-	if !ok {
+// dispatch delivers ev over p after delay, in per-pair FIFO order; now is
+// the clock's time and the caller holds n.mu. An event due at once on an
+// idle pair goes to the endpoint inline, on the caller's goroutine; any
+// other becomes a clock event at its clamped due time.
+func (n *Network) dispatch(st *netState, p *pair, now time.Duration, ev Event, delay time.Duration) {
+	if st.closed {
 		return
 	}
-	ep.deliver(ev)
-}
-
-// dispatch schedules ev for delivery to `to` after delay, preserving
-// per-ordered-pair FIFO order. With a virtual clock configured the
-// delivery becomes a clock event (fired by the simulation driver);
-// otherwise it goes through the link's real-timer pump goroutine.
-func (n *Network) dispatch(from, to vtime.SiteID, ev Event, delay time.Duration) {
-	clk := n.cfg.Clock
-	if clk == nil {
-		n.link(from, to).enqueue(ev, delay)
-		return
-	}
-	key := linkKey{from, to}
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return
-	}
-	now := clk.Now()
-	due := now + delay
-	// Clamp to preserve FIFO when jitter would reorder; events at equal
-	// due times fire in schedule order, so `due == last` keeps FIFO too.
-	if last, ok := n.vdue[key]; ok && due < last {
-		due = last
-	}
-	n.vdue[key] = due
+	due := max(now+delay, p.due)
+	p.due = due
 	// Duplicate-within-policy: an extra copy lands one more latency draw
-	// later, out of band (it does not advance the FIFO clamp).
-	dup := ev.Kind == EventMessage && n.cfg.Duplicate > 0 && n.rng.Float64() < n.cfg.Duplicate
-	n.mu.Unlock()
-
-	clk.AfterFunc(due-now, func() { n.deliver(to, ev) })
+	// later, out of band (no clamp, not pending).
+	dup := ev.Kind == EventMessage && n.cfg.Duplicate > 0 && st.rng.Float64() < n.cfg.Duplicate
+	if due <= now && p.pending.Load() == 0 {
+		p.ep.deliver(ev)
+	} else {
+		p.pending.Add(1)
+		n.clock.At(due, func() {
+			p.ep.deliver(ev)
+			p.pending.Add(-1)
+		})
+	}
 	if dup {
-		clk.AfterFunc(due-now+n.latency(from, to), func() { n.deliver(to, ev) })
+		n.clock.At(due+n.latency(st, p.from, p.to), func() { p.ep.deliver(ev) })
 	}
 }
 
-// sendBatch enqueues a batch of messages for delivery: one pass over
-// the link-state checks and one link lookup for the whole batch, with
-// per-message fault injection and jitter (FIFO order is preserved by
-// the link's due-time clamp).
+// sendBatch sends msgs under one hold of n.mu: the link-state checks,
+// pair lookup and clock reading once, fault injection and jitter per
+// message.
 func (n *Network) sendBatch(from, to vtime.SiteID, sentAt vtime.VT, msgs []wire.Message) error {
 	n.mu.Lock()
-	if n.dead[from] || n.dead[to] {
-		n.mu.Unlock()
+	defer n.mu.Unlock()
+	if n.st.closed || n.st.dead[from] || n.st.dead[to] {
 		return ErrSiteDown
 	}
-	if _, ok := n.endpoints[to]; !ok {
-		n.mu.Unlock()
+	if _, ok := n.st.endpoints[to]; !ok {
 		return ErrUnknownSite
 	}
-	if n.blocked[linkKey{from, to}] {
-		// Partitioned: silently dropped, like a real network.
-		n.mu.Unlock()
-		return nil
+	if n.st.blocked[linkKey{from, to}] {
+		return nil // partitioned: silently dropped, like a real network
 	}
-	n.mu.Unlock()
-
+	p, now := n.st.pair(from, to), n.clock.Now()
 	for _, msg := range msgs {
 		if n.cfg.Faults.dropFrame(to) {
 			continue // injected loss, per message
 		}
 		ev := Event{Kind: EventMessage, From: from, SentAt: sentAt, Msg: msg}
-		n.dispatch(from, to, ev, n.latency(from, to)+n.cfg.Faults.frameDelay())
+		n.dispatch(&n.st, p, now, ev, n.latency(&n.st, from, to)+n.cfg.Faults.frameDelay())
 	}
 	return nil
 }
 
-// Kill simulates a fail-stop crash of site: its endpoint stops receiving,
-// all its in-flight messages are dropped at delivery time, and every other
-// attached site receives an EventSiteFailed notification after one network
-// latency (the failure detector's report).
+// Kill simulates a fail-stop crash of site: its endpoint stops
+// receiving (messages to it, in flight or later, are dropped), and every
+// other attached site receives an EventSiteFailed notification after one
+// network latency (the failure detector's report). Messages the site
+// sent before it died still arrive, ahead of the notification.
 func (n *Network) Kill(site vtime.SiteID) {
 	n.mu.Lock()
-	if n.dead[site] || n.closed {
+	if n.st.dead[site] {
 		n.mu.Unlock()
 		return
 	}
-	n.dead[site] = true
-	ep := n.endpoints[site]
-	var others []vtime.SiteID
-	for s := range n.endpoints {
-		if s != site && !n.dead[s] {
-			others = append(others, s)
-		}
-	}
+	n.st.dead[site] = true
+	ep := n.st.endpoints[site]
 	n.mu.Unlock()
-	// Deterministic notification order: the RNG draws and schedule slots
-	// below must not depend on map iteration order.
-	sort.Slice(others, func(i, j int) bool { return others[i] < others[j] })
-
 	if ep != nil {
-		ep.kill()
+		ep.kill() // waits for its pump: not under n.mu
 	}
-	for _, s := range others {
-		ev := Event{Kind: EventSiteFailed, Failed: site}
-		n.dispatch(site, s, ev, n.latency(site, s))
-	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.notifyOthers(&n.st, site, EventSiteFailed)
 }
 
 // Suspect delivers an EventSiteFailed report for site to every other
@@ -391,35 +441,35 @@ func (n *Network) Kill(site vtime.SiteID) {
 // a silent partition (a weakly connected peer, DESIGN.md §13). The
 // suspected site keeps running and its links stay usable, subject to
 // any Partition in effect.
-func (n *Network) Suspect(site vtime.SiteID) {
-	n.notifyOthers(site, EventSiteFailed)
-}
+func (n *Network) Suspect(site vtime.SiteID) { n.report(site, EventSiteFailed) }
 
 // Unsuspect delivers an EventSiteRecovered report for site to every
 // other live site: the suspicion was premature — the peer reconnected.
-func (n *Network) Unsuspect(site vtime.SiteID) {
-	n.notifyOthers(site, EventSiteRecovered)
+func (n *Network) Unsuspect(site vtime.SiteID) { n.report(site, EventSiteRecovered) }
+
+// report fans a control event about a live site out to the others.
+func (n *Network) report(site vtime.SiteID, kind EventKind) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if !n.st.dead[site] {
+		n.notifyOthers(&n.st, site, kind)
+	}
 }
 
-// notifyOthers fans a control event about site out to every other live
-// site, in deterministic ID order (same reasoning as Kill).
-func (n *Network) notifyOthers(site vtime.SiteID, kind EventKind) {
-	n.mu.Lock()
-	if n.dead[site] || n.closed {
-		n.mu.Unlock()
-		return
-	}
+// notifyOthers dispatches a control event about site to every other
+// live site, in ID order: the RNG draws and schedule slots must not
+// depend on map iteration order. The caller holds n.mu.
+func (n *Network) notifyOthers(st *netState, site vtime.SiteID, kind EventKind) {
 	var others []vtime.SiteID
-	for s := range n.endpoints {
-		if s != site && !n.dead[s] {
+	for s := range st.endpoints {
+		if s != site && !st.dead[s] {
 			others = append(others, s)
 		}
 	}
-	n.mu.Unlock()
-	sort.Slice(others, func(i, j int) bool { return others[i] < others[j] })
+	slices.Sort(others)
+	now := n.clock.Now()
 	for _, s := range others {
-		ev := Event{Kind: kind, Failed: site}
-		n.dispatch(site, s, ev, n.latency(site, s))
+		n.dispatch(st, st.pair(site, s), now, Event{Kind: kind, Failed: site}, n.latency(st, site, s))
 	}
 }
 
@@ -427,28 +477,20 @@ func (n *Network) notifyOthers(site vtime.SiteID, kind EventKind) {
 func (n *Network) Alive(site vtime.SiteID) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	_, ok := n.endpoints[site]
-	return ok && !n.dead[site]
+	_, ok := n.st.endpoints[site]
+	return ok && !n.st.dead[site]
 }
 
-// Dropped counts the events endpoints of this network discarded because
-// their delivery buffer (Config.QueueSize) was full. Nothing retransmits
-// them: a site that was dropped on has fallen behind for good.
-func (n *Network) Dropped() uint64 { return n.dropped.Load() }
-
-// Observe makes site's endpoint count its drops on o as well, under the
-// name a TCP endpoint given the same observer uses.
+// Observe exports the depth of site's inbound backlog (the events that
+// found its Events channel full) on o.
 func (n *Network) Observe(site vtime.SiteID, o *obs.Observer) {
 	n.mu.Lock()
-	ep := n.endpoints[site]
+	ep := n.st.endpoints[site]
 	n.mu.Unlock()
 	if ep == nil || o == nil {
 		return
 	}
-	c := messagesDroppedCounter(o.Metrics())
-	ep.mu.Lock()
-	ep.dropped = c
-	ep.mu.Unlock()
+	o.Metrics().GaugeFunc("decaf_transport_inbound_backlog", "inbound events waiting for room in the endpoint's event channel", ep.backlogLen)
 }
 
 // Partition blocks message delivery in both directions between a and b.
@@ -456,117 +498,39 @@ func (n *Network) Observe(site vtime.SiteID, o *obs.Observer) {
 func (n *Network) Partition(a, b vtime.SiteID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.blocked[linkKey{a, b}] = true
-	n.blocked[linkKey{b, a}] = true
+	n.st.blocked[linkKey{a, b}] = true
+	n.st.blocked[linkKey{b, a}] = true
 }
 
 // Heal removes a partition between a and b.
 func (n *Network) Heal(a, b vtime.SiteID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	delete(n.blocked, linkKey{a, b})
-	delete(n.blocked, linkKey{b, a})
+	delete(n.st.blocked, linkKey{a, b})
+	delete(n.st.blocked, linkKey{b, a})
 }
 
-// Close shuts the network down: all links stop, all endpoint channels
-// close. Safe to call once.
+// Close shuts the network down: undelivered events are discarded, the
+// clock stops (if the network owns it), all endpoint channels close.
+// Safe to call more than once.
 func (n *Network) Close() {
 	n.mu.Lock()
-	if n.closed {
+	if n.st.closed {
 		n.mu.Unlock()
 		return
 	}
-	n.closed = true
-	links := make([]*memLink, 0, len(n.links))
-	for _, l := range n.links {
-		links = append(links, l)
-	}
-	eps := make([]*memEndpoint, 0, len(n.endpoints))
-	for _, ep := range n.endpoints {
+	n.st.closed = true
+	eps := make([]*memEndpoint, 0, len(n.st.endpoints))
+	for _, ep := range n.st.endpoints {
 		eps = append(eps, ep)
 	}
 	n.mu.Unlock()
 
-	for _, l := range links {
-		l.close()
+	if c, ok := n.clock.(*realClock); ok {
+		c.close()
 	}
-	n.wg.Wait()
 	for _, ep := range eps {
 		ep.kill()
-	}
-}
-
-// queuedEvent is an event with its delivery deadline.
-type queuedEvent struct {
-	ev  Event
-	due time.Time
-}
-
-// memLink is a FIFO delivery pipe for one ordered site pair. A dedicated
-// goroutine sleeps until each message's due time, preserving send order
-// even when jitter varies per message.
-type memLink struct {
-	net  *Network
-	to   vtime.SiteID
-	ch   chan queuedEvent
-	stop chan struct{}
-
-	mu      sync.Mutex
-	lastDue time.Time // guarded by mu
-	closed  bool      // guarded by mu
-}
-
-func (l *memLink) enqueue(ev Event, delay time.Duration) {
-	due := time.Now().Add(delay)
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return
-	}
-	// Clamp to preserve FIFO when jitter would reorder.
-	if due.Before(l.lastDue) {
-		due = l.lastDue
-	}
-	l.lastDue = due
-	l.mu.Unlock()
-
-	select {
-	case l.ch <- queuedEvent{ev: ev, due: due}:
-	case <-l.stop:
-	}
-}
-
-func (l *memLink) close() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return
-	}
-	l.closed = true
-	close(l.stop)
-}
-
-func (l *memLink) run(wg *sync.WaitGroup) {
-	defer wg.Done()
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for {
-		select {
-		case q := <-l.ch:
-			if wait := time.Until(q.due); wait > 0 {
-				timer.Reset(wait)
-				select {
-				case <-timer.C:
-				case <-l.stop:
-					return
-				}
-			}
-			l.net.deliver(l.to, q.ev)
-		case <-l.stop:
-			return
-		}
 	}
 }
 
@@ -575,11 +539,12 @@ type memEndpoint struct {
 	net    *Network
 	site   vtime.SiteID
 	events chan Event
+	stop   chan struct{} // closed by kill: a pump blocked on events returns
 
-	mu         sync.Mutex
-	closed     bool         // guarded by mu
-	dropped    *obs.Counter // guarded by mu; nil until Network.Observe
-	dropLogged bool         // guarded by mu
+	mu      sync.Mutex
+	closed  bool          // guarded by mu
+	backlog []Event       // guarded by mu; events that found events full, oldest first
+	pumping chan struct{} // guarded by mu; non-nil while a pump drains backlog, closed when it exits
 }
 
 var (
@@ -594,50 +559,91 @@ func (ep *memEndpoint) Send(to vtime.SiteID, sentAt vtime.VT, msg wire.Message) 
 }
 
 func (ep *memEndpoint) SendBatch(to vtime.SiteID, sentAt vtime.VT, msgs []wire.Message) error {
-	ep.mu.Lock()
-	if ep.closed {
-		ep.mu.Unlock()
-		return ErrSiteDown
-	}
-	ep.mu.Unlock()
 	return ep.net.sendBatch(ep.site, to, sentAt, msgs)
 }
 
 func (ep *memEndpoint) Events() <-chan Event { return ep.events }
 
+// deliver accepts ev: onto the Events channel when it has room and no
+// older event is waiting, into the backlog otherwise. A pump goroutine
+// exists exactly while the backlog is non-empty.
 func (ep *memEndpoint) deliver(ev Event) {
-	ep.mu.Lock()
-	if ep.closed {
-		ep.mu.Unlock()
-		return
+	if ep.net.cfg.OnDeliver != nil {
+		ep.net.cfg.OnDeliver(ep.site, ev)
 	}
-	// Blocking send under the lock would deadlock with kill(); the
-	// buffer is large and the engine drains continuously, so a full
-	// buffer indicates a stuck site — drop, as a real network would,
-	// and count it as the TCP endpoint does.
-	first := false
-	select {
-	case ep.events <- ev:
-	default:
-		ep.net.dropped.Add(1)
-		ep.dropped.Inc()
-		first = !ep.dropLogged
-		ep.dropLogged = true
-	}
-	ep.mu.Unlock()
-	if first {
-		slog.Warn("transport: delivery buffer full, event dropped (first drop at this endpoint; Network.Dropped counts them all)",
-			"site", ep.site.String(), "queue_size", cap(ep.events))
-	}
-}
-
-func (ep *memEndpoint) kill() {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	if ep.closed {
 		return
 	}
+	if len(ep.backlog) == 0 {
+		select {
+		case ep.events <- ev:
+			return
+		default:
+		}
+	}
+	ep.backlog = append(ep.backlog, ev)
+	if ep.pumping == nil {
+		ep.pumping = make(chan struct{})
+		go ep.pump(ep.pumping)
+	}
+}
+
+// pump moves the backlog onto the Events channel in order. The head
+// leaves the backlog only once sent, so deliver cannot overtake it.
+func (ep *memEndpoint) pump(done chan struct{}) {
+	defer close(done)
+	sent := false
+	for {
+		ep.mu.Lock()
+		if ep.closed {
+			ep.mu.Unlock()
+			return
+		}
+		if sent {
+			ep.backlog[0] = Event{}
+			ep.backlog = ep.backlog[1:]
+		}
+		if len(ep.backlog) == 0 {
+			ep.backlog = nil
+			ep.pumping = nil
+			ep.mu.Unlock()
+			return
+		}
+		ev := ep.backlog[0]
+		ep.mu.Unlock()
+		select {
+		case ep.events <- ev:
+			sent = true
+		case <-ep.stop:
+			return
+		}
+	}
+}
+
+func (ep *memEndpoint) backlogLen() float64 {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	return float64(len(ep.backlog))
+}
+
+// kill closes the endpoint: it stops the pump, discards the backlog and
+// closes the Events channel, once.
+func (ep *memEndpoint) kill() {
+	ep.mu.Lock()
+	if ep.closed {
+		ep.mu.Unlock()
+		return
+	}
 	ep.closed = true
+	ep.backlog = nil
+	pumping := ep.pumping
+	ep.mu.Unlock()
+	close(ep.stop)
+	if pumping != nil {
+		<-pumping
+	}
 	close(ep.events)
 }
 

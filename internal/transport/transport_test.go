@@ -2,10 +2,13 @@ package transport
 
 import (
 	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"decaf/internal/obs"
 	"decaf/internal/vtime"
 	"decaf/internal/wire"
 )
@@ -171,25 +174,29 @@ func TestNetworkKill(t *testing.T) {
 
 func TestNetworkKillOrderingBeforeFailureNotice(t *testing.T) {
 	// Messages sent before the kill must be delivered before the failure
-	// notification on the same link (fail-stop semantics).
-	n := NewNetwork(Config{Latency: 5 * time.Millisecond})
-	defer n.Close()
-	a, _ := n.Endpoint(1)
-	b, _ := n.Endpoint(2)
-	_ = b
+	// notification on the same link (fail-stop semantics), whether they
+	// wait on the clock or are handed over inline at zero latency.
+	for _, lat := range []time.Duration{5 * time.Millisecond, 0} {
+		t.Run(lat.String(), func(t *testing.T) {
+			n := NewNetwork(Config{Latency: lat})
+			defer n.Close()
+			a, _ := n.Endpoint(1)
+			b, _ := n.Endpoint(2)
 
-	if err := a.Send(2, vtime.Zero, msg(1)); err != nil {
-		t.Fatal(err)
-	}
-	n.Kill(1)
+			if err := a.Send(2, vtime.Zero, msg(1)); err != nil {
+				t.Fatal(err)
+			}
+			n.Kill(1)
 
-	ev1 := recvOne(t, b, time.Second)
-	if ev1.Kind != EventMessage {
-		t.Fatalf("first event = %+v, want the message", ev1)
-	}
-	ev2 := recvOne(t, b, time.Second)
-	if ev2.Kind != EventSiteFailed || ev2.Failed != 1 {
-		t.Fatalf("second event = %+v, want SiteFailed(1)", ev2)
+			ev1 := recvOne(t, b, time.Second)
+			if ev1.Kind != EventMessage {
+				t.Fatalf("first event = %+v, want the message", ev1)
+			}
+			ev2 := recvOne(t, b, time.Second)
+			if ev2.Kind != EventSiteFailed || ev2.Failed != 1 {
+				t.Fatalf("second event = %+v, want SiteFailed(1)", ev2)
+			}
+		})
 	}
 }
 
@@ -230,6 +237,70 @@ func TestNetworkCloseIdempotent(t *testing.T) {
 	if _, err := n.Endpoint(5); err == nil {
 		t.Fatal("attach after close succeeded")
 	}
+}
+
+// pumps counts the live backlog pump goroutines.
+func pumps() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "(*memEndpoint).pump(")
+}
+
+// waitFor polls cond for up to two seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestNetworkSpillsFullBufferInOrder: an endpoint that stops draining
+// loses nothing. What overflows its channel waits in the backlog, whose
+// depth the observer's gauge reports, and arrives in order once the
+// endpoint drains. Killing an endpoint with a backlog closes its channel
+// once and leaves no pump behind.
+func TestNetworkSpillsFullBufferInOrder(t *testing.T) {
+	const queue, sent = 4, 10
+	n := NewNetwork(Config{QueueSize: queue})
+	defer n.Close()
+	a, _ := n.Endpoint(1)
+	b, _ := n.Endpoint(2)
+	c, _ := n.Endpoint(3)
+	o := obs.New()
+	n.Observe(2, o)
+	backlog := func() float64 {
+		v, _ := o.Metrics().Value("decaf_transport_inbound_backlog")
+		return v
+	}
+
+	for i := uint64(0); i < sent; i++ {
+		if err := a.Send(2, vtime.Zero, msg(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := backlog(); got != sent-queue {
+		t.Fatalf("backlog = %v, want %d", got, sent-queue)
+	}
+	for i := uint64(0); i < sent; i++ {
+		if got := recvOne(t, b, time.Second).Msg.(wire.Outcome).TxnVT.Time; got != i {
+			t.Fatalf("message %d arrived as %d", i, got)
+		}
+	}
+	waitFor(t, "an empty backlog and no pump", func() bool { return backlog() == 0 && pumps() == 0 })
+
+	for i := uint64(0); i < sent; i++ {
+		if err := a.Send(3, vtime.Zero, msg(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "one pump for the backlog", func() bool { return pumps() == 1 })
+	n.Kill(3)
+	n.Kill(3)
+	_ = c.Close()
+	for range c.Events() {
+	}
+	waitFor(t, "the pump to exit", func() bool { return pumps() == 0 })
 }
 
 func TestTCPBasicExchange(t *testing.T) {
