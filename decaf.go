@@ -70,10 +70,6 @@ type Options struct {
 	// RetryDelay inserts a pause before re-executing a conflicted
 	// transaction (default: immediate, as in the paper).
 	RetryDelay time.Duration
-	// NotifyQueueLimit bounds the view/abort notification queue; past
-	// it, notifications are dropped and counted rather than blocking
-	// the engine (0 uses engine.DefaultNotifyQueueLimit).
-	NotifyQueueLimit int
 	// Observer receives the site's metrics, VT-stamped trace events, and
 	// debug state (nil: counters still count, tracing and wall-clock
 	// timing are off). Share one Observer with the site's transport
@@ -121,11 +117,10 @@ type Site struct {
 // and ready for use.
 func NewSite(ep transport.Endpoint, opts Options) *Site {
 	s := &Site{eng: engine.NewSite(ep, engine.Options{
-		Logger:           opts.Logger,
-		MaxRetries:       opts.MaxRetries,
-		RetryDelay:       opts.RetryDelay,
-		NotifyQueueLimit: opts.NotifyQueueLimit,
-		Observer:         opts.Observer,
+		Logger:     opts.Logger,
+		MaxRetries: opts.MaxRetries,
+		RetryDelay: opts.RetryDelay,
+		Observer:   opts.Observer,
 	})}
 	s.eng.Start()
 	return s

@@ -395,6 +395,7 @@ func (s *Site) handleJoinRequest(from vtime.SiteID, m wire.JoinRequest) {
 		s.send(sm.site, wire.Write{
 			TxnVT:        m.TxnVT,
 			Origin:       m.Origin, // confirmations flow to the joiner
+			Floor:        s.combinedGCFloor(),
 			Updates:      sm.updates,
 			NeedsConfirm: sm.needsConfirm,
 		})

@@ -139,7 +139,7 @@ func (s *Site) shipFastWrites(st *txnState) {
 	}
 	for _, m := range out {
 		s.trace(obs.EvPropagate, st.vt, m.site, "fastpath")
-		s.send(m.site, wire.FastWrite{TxnVT: st.vt, Origin: s.id, Updates: m.updates})
+		s.send(m.site, wire.FastWrite{TxnVT: st.vt, Origin: s.id, Floor: s.combinedGCFloor(), Updates: m.updates})
 	}
 }
 

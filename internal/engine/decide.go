@@ -110,15 +110,8 @@ func (s *Site) settle(st *txnState, committed bool, reason string) {
 			s.unparkRetries()
 			s.afterGraphCommit(st)
 		}
-		// Not where an origin decided a guessed transaction itself
-		// (ROADMAP item 1(d)): the GC floor runs ahead of Writes still
-		// in flight from lagging peers, and pruning here as well lets
-		// such a Write pass NC and RL checks it otherwise fails
-		// (simulation seeds contend 3, fastpath-faulty 5, nofast 4).
-		if !origin || st.fast || st.delegatedTo != 0 {
-			for _, o := range objs {
-				s.maybeGC(o)
-			}
+		for _, o := range objs {
+			s.maybeGC(o)
 		}
 	} else {
 		s.onLocalAbort(objs)

@@ -106,6 +106,8 @@ func (s *Site) handleSiteFailure(f vtime.SiteID) {
 		return
 	}
 	s.failed[f] = true
+	// Should f come back, it holds GC floors at zero until heard again.
+	delete(s.peerFloors, f)
 	s.log.Info("site failed", "failed", f.String())
 
 	// (1) Resolve in-flight transactions originated at the failed site.

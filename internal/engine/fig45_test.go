@@ -18,8 +18,7 @@ import (
 // checks RL and NC for Z (and NC for Y) and reserves; site 2 collects both
 // confirmations and sends COMMIT to all other involved sites.
 func TestFig45UpdatePropagation(t *testing.T) {
-	// GC disabled so the reservation tables can be inspected afterwards.
-	h := newHarnessOpts(t, 4, transport.Config{Latency: 2 * time.Millisecond}, Options{DisableGC: true})
+	h := newHarness(t, 4, transport.Config{Latency: 2 * time.Millisecond})
 
 	// W, X rooted (anchored) at site 1, replicated at 1, 2, 3.
 	w := h.joined(KindInt, "W", int64(4), 1, 2, 3)
@@ -100,7 +99,10 @@ func TestFig45UpdatePropagation(t *testing.T) {
 	})
 
 	// Site 1 (primary of W, X) holds write-free reservations from T's
-	// confirmed reads; site 4 (primary of Y, Z) from its writes.
+	// confirmed reads; site 4 (primary of Y, Z) from its writes. GC is
+	// on, but a primary prunes only below the floors its graph's members
+	// announced, and site 2 announced its last one on T's own messages,
+	// below T.
 	var res1, res4 int
 	_ = h.site(1).call(func() {
 		res1 = w[1].o.res.Len() + x[1].o.res.Len()

@@ -3,11 +3,15 @@ package engine
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
+	"decaf/internal/history"
+	"decaf/internal/ids"
 	"decaf/internal/transport"
 	"decaf/internal/vtime"
+	"decaf/internal/wire"
 )
 
 // Garbage-collection behaviour (paper §3: "Histories are garbage-collected
@@ -43,19 +47,56 @@ func TestHistoriesStayBoundedUnderSustainedLoad(t *testing.T) {
 	}
 }
 
-func TestDisableGCRetainsHistory(t *testing.T) {
-	h := newHarnessOpts(t, 1, transport.Config{}, Options{DisableGC: true})
-	ref, _ := h.site(1).CreateObject(KindInt, "x", int64(0))
-	const writes = 20
-	for k := 1; k <= writes; k++ {
-		if res := h.setInt(1, ref, int64(k)); !res.Committed {
-			t.Fatal("write failed")
-		}
+// TestPrimaryGCWaitsForLaggingWriter pins the floor a primary prunes at.
+// Site 1 is x's primary; x is replicated at sites 2 and 3. Site 3's
+// read-modify-write A (0 -> 1 at 1001@s3) is confirmed and commits, which
+// moves site 1's own floor past 1001. Site 2's clock lags: its
+// read-modify-write Q (0 -> 1 at 51@s2) reaches the primary only now. Q
+// and A both read the initial value, so Q must be denied: A's reservation
+// (0, 1001] holds 51. Pruned at site 1's own floor, that reservation and
+// every version below 1001 are gone, Q passes RL and NC, and one of the
+// two increments is lost. Site 2 has announced no floor above 51, so the
+// primary keeps both.
+func TestPrimaryGCWaitsForLaggingWriter(t *testing.T) {
+	e := newPCEnv(t)
+	s, x := e.s, e.objs["x"]
+	g := x.graph.Clone()
+	peer3 := ids.ObjectID{Site: 3, Seq: x.id.Seq}
+	g.AddNode(peer3, 3)
+	if err := g.AddEdge(x.id, peer3); err != nil {
+		t.Fatal(err)
 	}
-	var histLen int
-	_ = h.site(1).call(func() { histLen = ref.o.hist.Len() })
-	if histLen != writes+1 { // initial version + every write
-		t.Fatalf("history = %d versions, want %d", histLen, writes+1)
+	if err := x.graphHist.Insert(vtime.VT{Time: 6, Site: 1}, g, history.Committed); err != nil {
+		t.Fatal(err)
+	}
+	x.refreshGraph()
+	deliver := func(from vtime.SiteID, at vtime.VT, m wire.Message) {
+		s.beginBatch()
+		s.handleEvent(transport.Event{Kind: transport.EventMessage, From: from, SentAt: at, Msg: m})
+	}
+	increment := func(origin vtime.SiteID, vt, floor vtime.VT) wire.Write {
+		return wire.Write{TxnVT: vt, Origin: origin, Floor: floor, NeedsConfirm: true,
+			Updates: []wire.Update{{Target: x.id, ReadVT: vtime.Zero, GraphVT: x.graphVT, Op: wire.OpSet{Value: int64(1)}}}}
+	}
+
+	a := vtime.VT{Time: 1001, Site: 3}
+	deliver(3, a, increment(3, a, vtime.VT{Time: 1000, Site: 3}))
+	if c := lastSent[wire.Confirm](e, 3); !c.OK {
+		t.Fatalf("A denied: %s", c.Reason)
+	}
+	deliver(3, vtime.VT{Time: 1002, Site: 3}, wire.Outcome{TxnVT: a, Committed: true})
+	if floor := s.combinedGCFloor(); !a.LessEq(floor) {
+		t.Fatalf("site 1's own floor %s is not past A at %s", floor, a)
+	}
+
+	q := vtime.VT{Time: 51, Site: 2}
+	deliver(2, q, increment(2, q, vtime.VT{Time: 50, Site: 2}))
+	c := lastSent[wire.Confirm](e, 2)
+	if c.OK || !strings.HasPrefix(c.Reason, "NC:") {
+		t.Fatalf("lagging Q at %s: confirm %+v, want an NC denial against A's reservation (0, %s]", q, c, a)
+	}
+	if got := s.peerFloors[2]; got != (vtime.VT{Time: 50, Site: 2}) {
+		t.Errorf("site 2's floor heard = %s, want 50@s2", got)
 	}
 }
 

@@ -191,6 +191,7 @@ func (s *Site) propagate(st *txnState) {
 			msg := wire.Write{
 				TxnVT:        st.vt,
 				Origin:       s.id,
+				Floor:        s.combinedGCFloor(),
 				Updates:      m.updates,
 				Checks:       m.checks,
 				NeedsConfirm: m.needsConfirm,
@@ -220,7 +221,7 @@ func (s *Site) propagate(st *txnState) {
 			s.send(site, msg)
 		} else if len(m.checks) > 0 {
 			s.trace(obs.EvPropagate, st.vt, site, "confirm")
-			cr := wire.ConfirmRead{TxnVT: st.vt, Origin: s.id, Checks: m.checks}
+			cr := wire.ConfirmRead{TxnVT: st.vt, Origin: s.id, Floor: s.combinedGCFloor(), Checks: m.checks}
 			record(site, cr)
 			s.send(site, cr)
 		}

@@ -13,16 +13,22 @@ import (
 )
 
 // startLoneSite builds one started site on its own network.
-func startLoneSite(t *testing.T, opts Options) (*Site, *transport.Network) {
+func startLoneSite(t *testing.T) (*Site, *transport.Network) {
+	t.Helper()
+	s, net := newLoneSite(t)
+	s.Start()
+	return s, net
+}
+
+// newLoneSite builds a single site on its own network, not yet started.
+func newLoneSite(t *testing.T) (*Site, *transport.Network) {
 	t.Helper()
 	net := transport.NewNetwork(transport.Config{})
 	ep, err := net.Endpoint(vtime.SiteID(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSite(ep, opts)
-	s.Start()
-	return s, net
+	return NewSite(ep, Options{}), net
 }
 
 // TestStopDrainsNotifications is the regression test for the shutdown
@@ -37,7 +43,7 @@ func startLoneSite(t *testing.T, opts Options) (*Site, *transport.Network) {
 func TestStopDrainsNotifications(t *testing.T) {
 	const cycles = 1000
 	for c := 0; c < cycles; c++ {
-		s, net := startLoneSite(t, Options{})
+		s, net := startLoneSite(t)
 		ref, err := s.CreateObject(KindInt, "x", int64(0))
 		if err != nil {
 			t.Fatal(err)
@@ -79,7 +85,9 @@ func TestStopDrainsNotifications(t *testing.T) {
 // of blocking, so a slow re-entrant callback plus a tiny queue limit
 // must still make progress and surface the drops on the counter.
 func TestNotifierBackpressureNoDeadlock(t *testing.T) {
-	s, net := startLoneSite(t, Options{NotifyQueueLimit: 2})
+	s, net := newLoneSite(t)
+	s.notifier.limit = 2
+	s.Start()
 	defer func() {
 		s.Stop()
 		net.Close()
@@ -141,7 +149,7 @@ func TestNotifierBackpressureNoDeadlock(t *testing.T) {
 // leaving the returned Handle waiting forever. Every handle-producing
 // API must now settle the handle with ErrSiteStopped.
 func TestSubmitAfterStopSettlesHandle(t *testing.T) {
-	s, net := startLoneSite(t, Options{})
+	s, net := startLoneSite(t)
 	defer net.Close()
 	ref, err := s.CreateObject(KindInt, "x", int64(0))
 	if err != nil {
@@ -177,7 +185,7 @@ func TestSubmitAfterStopSettlesHandle(t *testing.T) {
 func TestSubmitRacingStopSettles(t *testing.T) {
 	const cycles, submitters = 3000, 8
 	for c := 0; c < cycles; c++ {
-		s, net := startLoneSite(t, Options{})
+		s, net := startLoneSite(t)
 		ref, err := s.CreateObject(KindInt, "x", int64(0))
 		if err != nil {
 			t.Fatal(err)

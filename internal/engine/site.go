@@ -27,9 +27,6 @@ type Options struct {
 	// The paper re-executes immediately; a small delay can be used to
 	// damp livelock under extreme contention.
 	RetryDelay time.Duration
-	// DisableGC retains full histories and reservations (useful for
-	// tests that inspect them).
-	DisableGC bool
 	// DisableDelegation turns off the delegated-commit optimization of
 	// paper §3.1 (ablation: every transaction then commits via the
 	// origin's summary broadcast, costing remote observers 3t even with
@@ -43,12 +40,6 @@ type Options struct {
 	// purely commutative transactions then go through the ordinary
 	// guess/confirm protocol like everything else).
 	DisableFastPath bool
-	// NotifyQueueLimit bounds the view/abort notification queue. The
-	// queue grows on demand (the event loop never blocks on a slow
-	// consumer); past the limit new notifications are dropped and
-	// counted on decaf_notify_dropped_total. 0 means
-	// DefaultNotifyQueueLimit.
-	NotifyQueueLimit int
 	// Observer receives the site's metrics, trace events, and debug
 	// state. nil selects obs.Nop(): counters still count (Stats reads
 	// them) but tracing and wall-clock timing are off. One Observer
@@ -88,8 +79,10 @@ type Scheduler interface {
 // DefaultMaxRetries bounds automatic transaction re-execution.
 const DefaultMaxRetries = 100
 
-// DefaultNotifyQueueLimit bounds the notification queue when Options
-// leaves NotifyQueueLimit zero. It is deliberately deep: dropping a
+// DefaultNotifyQueueLimit bounds the view/abort notification queue. The
+// queue grows on demand (the event loop never blocks on a slow consumer);
+// past the limit new notifications are dropped and counted on
+// decaf_notify_dropped_total. It is deliberately deep: dropping a
 // notification loses a view update for the application, so the limit
 // exists only to keep a wedged consumer from consuming all memory.
 const DefaultNotifyQueueLimit = 1 << 20
@@ -271,6 +264,10 @@ type Site struct {
 	// decided (logged) outcome; the self floor is this minus any still
 	// undecided own transaction below it.
 	maxOwnDecided uint64
+	// peerFloors holds the highest GC floor each peer has announced on
+	// a Write, FastWrite or ConfirmRead (hearFloor). A primary prunes an
+	// object only below the floors of its graph's members (gcFloorFor).
+	peerFloors map[vtime.SiteID]vtime.VT
 	// disconnected marks peers the application declared offline-not-
 	// failed (SetPeerDisconnected); their failure events park instead of
 	// triggering §3.4 failover.
@@ -428,9 +425,6 @@ func NewSite(ep transport.Endpoint, opts Options) *Site {
 	if opts.MaxRetries <= 0 {
 		opts.MaxRetries = DefaultMaxRetries
 	}
-	if opts.NotifyQueueLimit <= 0 {
-		opts.NotifyQueueLimit = DefaultNotifyQueueLimit
-	}
 	logger := opts.Logger
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
@@ -465,6 +459,7 @@ func NewSite(ep transport.Endpoint, opts Options) *Site {
 		failed:         map[vtime.SiteID]bool{},
 		wal:            opts.WAL,
 		syncFloors:     map[vtime.SiteID]uint64{},
+		peerFloors:     map[vtime.SiteID]vtime.VT{},
 		disconnected:   map[vtime.SiteID]bool{},
 		parkedFailures: map[vtime.SiteID]func(){},
 		outbox:         map[vtime.SiteID][]wire.Message{},
@@ -478,7 +473,7 @@ func NewSite(ep transport.Endpoint, opts Options) *Site {
 	}
 	s.notifier = &notifyQueue{
 		wake:      make(chan struct{}, 1),
-		limit:     opts.NotifyQueueLimit,
+		limit:     DefaultNotifyQueueLimit,
 		enqueued:  s.stats.NotifyEnqueued,
 		delivered: s.stats.NotifyDelivered,
 		dropped:   s.stats.NotifyDropped,
@@ -554,6 +549,10 @@ func (s *Site) collectDebugState() map[string]any {
 	for _, site := range sortedSites(s.failed) {
 		failedSites = append(failedSites, site.String())
 	}
+	peerFloors := map[string]string{}
+	for _, site := range sortedSites(s.peerFloors) {
+		peerFloors[site.String()] = s.peerFloors[site].String()
+	}
 	return map[string]any{
 		"site":                 s.id.String(),
 		"clock":                s.clock.Now().String(),
@@ -561,6 +560,7 @@ func (s *Site) collectDebugState() map[string]any {
 		"txns_by_status":       byStatus,
 		"reservations":         reservations,
 		"outcomes_retained":    len(s.outcomes),
+		"peer_gc_floors":       peerFloors,
 		"rc_waiters":           len(s.rcWaiters),
 		"confirm_waiters":      len(s.confirmWaiters),
 		"parked_retries":       len(s.parked),
@@ -1093,10 +1093,12 @@ func (s *Site) handleEvent(ev transport.Event) {
 func (s *Site) handleMessage(from vtime.SiteID, msg wire.Message) {
 	switch m := msg.(type) {
 	case wire.Write:
+		s.hearFloor(from, m.Floor)
 		s.walLogWrite(m)
 		s.stats.SerialWrites.Inc()
 		s.handleWrite(m, false)
 	case wire.FastWrite:
+		s.hearFloor(from, m.Floor)
 		if _, decided := s.outcomes[m.TxnVT]; decided {
 			// A fast-path transaction ships exactly one FastWrite per
 			// destination, so a recorded outcome means this copy is a
@@ -1114,6 +1116,7 @@ func (s *Site) handleMessage(from vtime.SiteID, msg wire.Message) {
 		s.stats.SerialWrites.Inc()
 		s.handleFastWrite(m)
 	case wire.ConfirmRead:
+		s.hearFloor(from, m.Floor)
 		s.handleConfirmRead(from, m)
 	case wire.Confirm:
 		s.handleConfirm(m)
@@ -1167,8 +1170,9 @@ func (s *Site) trackTxn(st *txnState) {
 }
 
 // decidedFloor returns the largest VT below which every transaction known
-// at this site is decided; histories and reservations may be pruned below
-// it (subject to outstanding snapshot floors).
+// at this site is decided. It bounds what this site can still ask a
+// primary to check, not what its peers can: a lagging peer may still send
+// a Write below it, so a primary prunes lower (gcFloorFor).
 func (s *Site) decidedFloor() vtime.VT {
 	floor := s.clock.Now()
 	for len(s.undecidedVTs) > 0 {
@@ -1235,12 +1239,44 @@ func (s *Site) invalidateGCFloor() {
 	s.gcFloorValid = false
 }
 
+// hearFloor records the GC floor a peer announced on a Write, FastWrite
+// or ConfirmRead. Floors only rise: a peer's earlier, lower floor still
+// bounds every request it sends later.
+func (s *Site) hearFloor(from vtime.SiteID, floor vtime.VT) {
+	if s.peerFloors[from].Less(floor) {
+		s.peerFloors[from] = floor
+	}
+}
+
+// gcFloorFor returns the VT below which o's histories and reservations
+// may be pruned. A replica prunes at this site's own floor. The primary
+// validates every Write and ConfirmRead for o, so it prunes only below
+// what each live member of o's graph has announced as well: a member not
+// heard from yet, or parked offline, holds the floor where it is; a
+// failed member no longer sends and drops out.
+func (s *Site) gcFloorFor(o *object) vtime.VT {
+	floor := s.combinedGCFloor()
+	g, _ := o.currentGraph()
+	if g == nil {
+		return floor
+	}
+	if p, ok := g.PrimarySite(); !ok || p != s.id {
+		return floor
+	}
+	g.EachSite(func(site vtime.SiteID) {
+		if site == s.id || s.failed[site] {
+			return
+		}
+		if f := s.peerFloors[site]; f.Less(floor) {
+			floor = f
+		}
+	})
+	return floor
+}
+
 // maybeGC prunes the given object's histories and reservations.
 func (s *Site) maybeGC(o *object) {
-	if s.opts.DisableGC {
-		return
-	}
-	floor := s.combinedGCFloor()
+	floor := s.gcFloorFor(o)
 	o.hist.GC(floor)
 	o.graphHist.GC(floor)
 	o.res.GCBelow(floor)

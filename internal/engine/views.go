@@ -607,7 +607,7 @@ func (p *viewProxy) requestOptimisticGuesses(snap *snapshot) {
 			// will reach this site and trigger a superseding
 			// notification (paper §4.1).
 		}
-		s.send(site, wire.ConfirmRead{TxnVT: snap.ts, Origin: s.id, ReqID: reqID, Checks: checks})
+		s.send(site, wire.ConfirmRead{TxnVT: snap.ts, Origin: s.id, Floor: s.combinedGCFloor(), ReqID: reqID, Checks: checks})
 	}
 }
 
@@ -789,7 +789,7 @@ func (p *viewProxy) requestPessimisticGuesses(i int) {
 			// interval at the primary and will reach this site, insert
 			// an earlier snapshot, and revise this one. Nothing to do.
 		}
-		s.send(site, wire.ConfirmRead{TxnVT: snap.ts, Origin: s.id, ReqID: reqID, Checks: checks})
+		s.send(site, wire.ConfirmRead{TxnVT: snap.ts, Origin: s.id, Floor: s.combinedGCFloor(), ReqID: reqID, Checks: checks})
 	}
 }
 

@@ -337,8 +337,8 @@ func (h *History) Versions() []Version {
 // after abort"). Specifically it drops every version older than the latest
 // committed version that is itself older than `floor`. Versions at or
 // above floor are retained because a straggling snapshot may still read
-// them; callers pass the minimum VT any outstanding snapshot could use,
-// or the latest committed VT to keep only that.
+// them; callers pass the minimum VT any outstanding snapshot or any RL
+// check could still use, or the latest committed VT to keep only that.
 //
 // It returns the number of versions discarded. The latest committed
 // version is always retained.

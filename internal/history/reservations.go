@@ -89,9 +89,10 @@ func (r *Reservations) Release(owner vtime.VT) int {
 }
 
 // GCBelow discards reservations whose entire interval lies at or below
-// floor; no future transaction can be assigned a VT in that region once
-// every transaction at or below floor is decided. It returns the number
-// discarded.
+// floor. A reservation only matters to an NC check at a VT inside it, so
+// the caller must pass a floor below which no check can still arrive: at
+// a primary, the lowest GC floor its replica graph's members have
+// announced, not merely its own. It returns the number discarded.
 func (r *Reservations) GCBelow(floor vtime.VT) int {
 	if len(r.rs) == 0 {
 		return 0

@@ -243,6 +243,16 @@ func (g *Graph) NumEdges() int {
 	return n
 }
 
+// EachSite calls fn with the site of every node, in no particular order
+// and once per node, so a site hosting several replicas is visited more
+// than once. It suits order-independent folds, such as a minimum, that
+// Sites would make allocate.
+func (g *Graph) EachSite(fn func(vtime.SiteID)) {
+	for _, s := range g.nodes {
+		fn(s)
+	}
+}
+
 // Sites returns the distinct sites hosting replicas, in ascending order.
 func (g *Graph) Sites() []vtime.SiteID {
 	set := map[vtime.SiteID]bool{}

@@ -178,7 +178,6 @@ func Run(p Profile, seed int64, inspect ...func(sites map[vtime.SiteID]*engine.S
 			RetryDelay:      p.RetryDelay,
 			MaxRetries:      p.MaxRetries,
 			DisableFastPath: p.DisableFastPath,
-			DisableGC:       p.Views, // see Profile.Views
 		}
 		if p.Offline {
 			dir, err := os.MkdirTemp("", "decaf-sim-wal-")

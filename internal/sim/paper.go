@@ -56,14 +56,10 @@ type Table struct {
 type Row struct {
 	Cells []string
 	Miss  string
-	// Known names a deviation the row shows that is reported, not gated:
-	// an open bug listed under EXPERIMENTS.md "Known deviations".
-	Known string
 }
 
-func (t *Table) add(miss []string, cells ...string) *Row {
+func (t *Table) add(miss []string, cells ...string) {
 	t.Rows = append(t.Rows, Row{Cells: cells, Miss: strings.Join(miss, "; ")})
-	return &t.Rows[len(t.Rows)-1]
 }
 
 // Misses lists every row that misses its model, one line each.
@@ -87,18 +83,15 @@ func (t *Table) Fprint(w io.Writer) {
 		if r.Miss != "" {
 			verdict = "MISS: " + r.Miss
 		}
-		if r.Known != "" {
-			verdict += " (known: " + r.Known + ")"
-		}
 		fmt.Fprintf(tw, "  %s\t%s\n", strings.Join(r.Cells, "\t"), verdict)
 	}
 	tw.Flush()
 }
 
-// PaperTables runs E1–E8 in order, E5 with the engine's default GC.
+// PaperTables runs E1–E8 in order.
 func PaperTables() ([]*Table, error) {
 	var out []*Table
-	for _, run := range []func() (*Table, error){E1, E2, E3, E4, func() (*Table, error) { return E5(false) }, E6, E7, E8} {
+	for _, run := range []func() (*Table, error){E1, E2, E3, E4, E5, E6, E7, E8} {
 		t, err := run()
 		if err != nil {
 			return out, err
@@ -544,8 +537,8 @@ type load struct {
 // of one shared Int x (primary at site 1). Party i submits txn(i, x at
 // i, n) at the n-th arrival of a Poisson process of rates[i-1] per
 // virtual second, for length.
-func runLoad(t time.Duration, opts engine.Options, rates [2]float64, length time.Duration, txn func(site int, x engine.ObjRef, n int64) *engine.Txn) (r load, err error) {
-	c, err := newCluster(2, t, opts)
+func runLoad(t time.Duration, rates [2]float64, length time.Duration, txn func(site int, x engine.ObjRef, n int64) *engine.Txn) (r load, err error) {
+	c, err := newCluster(2, t, engine.Options{})
 	if err != nil {
 		return r, err
 	}
@@ -629,7 +622,7 @@ func E4() (*Table, error) {
 			rates = []float64{1, 5, 20, 50}
 		}
 		for _, rate := range rates {
-			r, err := runLoad(t, engine.Options{}, [2]float64{rate, rate}, time.Duration(float64(loadSpan)/rate),
+			r, err := runLoad(t, [2]float64{rate, rate}, time.Duration(float64(loadSpan)/rate),
 				func(site int, x engine.ObjRef, n int64) *engine.Txn { return write(2*n+int64(site), x) })
 			if err != nil {
 				return nil, fmt.Errorf("E4 t=%s rate=%g: %w", t, rate, err)
@@ -652,21 +645,20 @@ func E4() (*Table, error) {
 // E5 reproduces the third §5.2.2 benchmark: party A read-modify-writes
 // one object once per second; a party B at a third of that rate keeps
 // rollbacks below 2%, and faster B rates make them grow. Every increment
-// must survive: lost increments (commits minus the final value) are
-// gated at 0 with disableGC; with GC on they are reported, not gated
-// (ROADMAP item 1(b)).
-func E5(disableGC bool) (*Table, error) {
+// must survive: lost increments (commits minus the final value) are gated
+// at 0.
+func E5() (*Table, error) {
 	tab := &Table{
 		Title: "E5: rollback rate for read-write transactions (paper 5.2.2)",
-		Note: fmt.Sprintf("party A at 1/s, party B at the given rate (Poisson, seed %d), %.0f virtual s per row, GC off: %v;\n"+
-			"gates: rollback%% < 2 at B = 1/3 and t = 10 ms, rollback%% at B = 4 above B = 1/3 at every t, 0 lost increments with GC off",
-			loadSeed, loadSpan.Seconds(), disableGC),
+		Note: fmt.Sprintf("party A at 1/s, party B at the given rate (Poisson, seed %d), %.0f virtual s per row;\n"+
+			"gates: rollback%% < 2 at B = 1/3 and t = 10 ms, rollback%% at B = 4 above B = 1/3 at every t, 0 lost increments",
+			loadSeed, loadSpan.Seconds()),
 		Columns: []string{"t (ms)", "B (/s)", "commits", "rollbacks", "rollback%", "inconsistencies", "lost increments"},
 	}
 	for _, t := range loadT {
 		var slowest float64
 		for _, b := range []float64{1.0 / 3, 1, 2, 4} {
-			r, err := runLoad(t, engine.Options{DisableGC: disableGC}, [2]float64{1, b}, loadSpan,
+			r, err := runLoad(t, [2]float64{1, b}, loadSpan,
 				func(_ int, x engine.ObjRef, _ int64) *engine.Txn { return increment(x) })
 			if err != nil {
 				return nil, fmt.Errorf("E5 t=%s B=%g: %w", t, b, err)
@@ -682,14 +674,11 @@ func E5(disableGC bool) (*Table, error) {
 			if b < 1 {
 				slowest = rollbacks
 			}
-			if lostIncs != 0 && disableGC {
+			if lostIncs != 0 {
 				miss = append(miss, fmt.Sprintf("%d lost increments, model 0", lostIncs))
 			}
-			row := tab.add(miss, msCell(t), fmt.Sprintf("%.2f", b), fmt.Sprint(r.commits), fmt.Sprint(r.aborts),
+			tab.add(miss, msCell(t), fmt.Sprintf("%.2f", b), fmt.Sprint(r.commits), fmt.Sprint(r.aborts),
 				fmt.Sprintf("%.2f%%", rollbacks), fmt.Sprint(r.inconsistencies), fmt.Sprint(lostIncs))
-			if lostIncs != 0 && !disableGC {
-				row.Known = "GC loses increments, ROADMAP item 1(b)"
-			}
 		}
 	}
 	return tab, nil

@@ -9,9 +9,7 @@ import (
 // TestPaperSection5 gates the paper's §5 claims in virtual time: every
 // row of E1–E8 must land on its model (exact multiples of t for the
 // latency experiments, the paper's thresholds for the load
-// experiments). E5 runs with GC off, where every increment must
-// survive; the GC-on table `decaf-sim -paper` prints reports the
-// increments ROADMAP item 1(b) still loses.
+// experiments; E5 also gates 0 lost increments).
 func TestPaperSection5(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -22,7 +20,7 @@ func TestPaperSection5(t *testing.T) {
 		{"E2", 4, E2},
 		{"E3", len(sweepT), E3},
 		{"E4", 3 + len(loadT), E4},
-		{"E5", 4 * len(loadT), func() (*Table, error) { return E5(true) }},
+		{"E5", 4 * len(loadT), E5},
 		{"E6", 5, E6},
 		{"E7", 2, E7},
 		{"E8", 4, E8},

@@ -85,12 +85,7 @@ type Profile struct {
 	// Views attaches, once set-up has drained, a pessimistic and an
 	// optimistic view over all three shared objects at every site, and
 	// checks the paper's §4 view contracts at quiescence (views.go).
-	// Notifications are recorded outside the replay trace. GC is off in
-	// these runs: the GC floor trusts the local clock, so a Write stamped
-	// below it (a lagging origin) can still arrive and pass RL/NC against
-	// pruned history and reservations, committing under a pessimistic
-	// snapshot already delivered above it — a known open bug outside the
-	// view protocol that the exactly-once check would report.
+	// Notifications are recorded outside the replay trace.
 	Views bool
 }
 
@@ -188,8 +183,8 @@ func Profiles() []Profile {
 			// the mixed workload runs under jitter, duplicates and a
 			// latency flap, so commits reach each viewer out of VT order
 			// and several land in one event-loop batch. The fast path is
-			// off (and GC, see Views) because of a known open bug outside
-			// the view protocol that the exactly-once check would report:
+			// off because of a known open bug outside the view protocol
+			// that the exactly-once check would report:
 			// no primary orders a fast-path commit against a pessimistic
 			// snapshot's RL check, so one can reach a viewer below its
 			// notification watermark, unheard.

@@ -55,6 +55,14 @@ func TestSimReplay(t *testing.T) {
 		{"offline", 191},
 		{"offline", 200},
 		{"offline", 211},
+		// A primary pruned at its own GC floor, below a Write still in
+		// flight from a peer whose clock lagged (DESIGN.md §6): the Write
+		// passed RL and NC against history and reservations already
+		// gone. Seed 630 diverged replicas (ctr 7870 against 6899); seed
+		// 99, with GC on, left a pessimistic view that never heard a
+		// commit.
+		{"offline", 630},
+		{"views", 99},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -357,6 +357,7 @@ func AppendMessage(b []byte, m Message) ([]byte, error) {
 		b = append(b, tagWrite)
 		b = appendVT(b, m.TxnVT)
 		b = appendSite(b, m.Origin)
+		b = appendVT(b, m.Floor)
 		b = binary.AppendUvarint(b, uint64(len(m.Updates)))
 		for _, u := range m.Updates {
 			if b, err = appendUpdate(b, u); err != nil {
@@ -379,6 +380,7 @@ func AppendMessage(b []byte, m Message) ([]byte, error) {
 		b = append(b, tagFastWrite)
 		b = appendVT(b, m.TxnVT)
 		b = appendSite(b, m.Origin)
+		b = appendVT(b, m.Floor)
 		b = binary.AppendUvarint(b, uint64(len(m.Updates)))
 		for _, u := range m.Updates {
 			if b, err = appendUpdate(b, u); err != nil {
@@ -407,6 +409,7 @@ func AppendMessage(b []byte, m Message) ([]byte, error) {
 		b = append(b, tagConfirmRead)
 		b = appendVT(b, m.TxnVT)
 		b = appendSite(b, m.Origin)
+		b = appendVT(b, m.Floor)
 		b = binary.AppendUvarint(b, m.ReqID)
 		b = binary.AppendUvarint(b, uint64(len(m.Checks)))
 		for _, c := range m.Checks {
@@ -918,7 +921,7 @@ func DecodeMessage(b []byte) (Message, int, error) {
 	var m Message
 	switch t := r.byte_(); t {
 	case tagWrite:
-		w := Write{TxnVT: r.vt(), Origin: r.site()}
+		w := Write{TxnVT: r.vt(), Origin: r.site(), Floor: r.vt()}
 		if n := r.count(); n > 0 {
 			w.Updates = make([]Update, n)
 			for i := range w.Updates {
@@ -932,7 +935,7 @@ func DecodeMessage(b []byte) (Message, int, error) {
 		}
 		m = w
 	case tagFastWrite:
-		w := FastWrite{TxnVT: r.vt(), Origin: r.site()}
+		w := FastWrite{TxnVT: r.vt(), Origin: r.site(), Floor: r.vt()}
 		if n := r.count(); n > 0 {
 			w.Updates = make([]Update, n)
 			for i := range w.Updates {
@@ -948,7 +951,7 @@ func DecodeMessage(b []byte) (Message, int, error) {
 			Floors: r.syncFloors(), Records: r.byteSlices(),
 		}
 	case tagConfirmRead:
-		m = ConfirmRead{TxnVT: r.vt(), Origin: r.site(), ReqID: r.uvarint(), Checks: r.checks()}
+		m = ConfirmRead{TxnVT: r.vt(), Origin: r.site(), Floor: r.vt(), ReqID: r.uvarint(), Checks: r.checks()}
 	case tagConfirm:
 		m = Confirm{
 			TxnVT: r.vt(), ReqID: r.uvarint(), From: r.site(),

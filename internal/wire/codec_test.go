@@ -252,7 +252,7 @@ const numMessageTypes = 23
 func (g *gen) message(i int) Message {
 	switch i % numMessageTypes {
 	case 0:
-		w := Write{TxnVT: g.vt(), Origin: g.site(), NeedsConfirm: g.rng.Intn(2) == 0, Checks: g.checks()}
+		w := Write{TxnVT: g.vt(), Origin: g.site(), Floor: g.vt(), NeedsConfirm: g.rng.Intn(2) == 0, Checks: g.checks()}
 		for j := 0; j < 1+g.rng.Intn(4); j++ {
 			w.Updates = append(w.Updates, g.update())
 		}
@@ -261,7 +261,7 @@ func (g *gen) message(i int) Message {
 		}
 		return w
 	case 1:
-		return ConfirmRead{TxnVT: g.vt(), Origin: g.site(), ReqID: g.rng.Uint64(), Checks: g.checks()}
+		return ConfirmRead{TxnVT: g.vt(), Origin: g.site(), Floor: g.vt(), ReqID: g.rng.Uint64(), Checks: g.checks()}
 	case 2:
 		return Confirm{TxnVT: g.vt(), ReqID: g.rng.Uint64(), From: g.site(),
 			OK: g.rng.Intn(2) == 0, Transient: g.rng.Intn(2) == 0, Reason: g.str()}
@@ -317,7 +317,7 @@ func (g *gen) message(i int) Message {
 		return RepairLearn{FailedSite: g.site(), From: g.site(),
 			Ballot: g.ballot(), Value: g.repairValue()}
 	default:
-		w := FastWrite{TxnVT: g.vt(), Origin: g.site()}
+		w := FastWrite{TxnVT: g.vt(), Origin: g.site(), Floor: g.vt()}
 		for j := 0; j < 1+g.rng.Intn(4); j++ {
 			w.Updates = append(w.Updates, g.update())
 		}
@@ -389,6 +389,7 @@ func TestBinaryCodecFixedMessages(t *testing.T) {
 		Write{
 			TxnVT:  vt,
 			Origin: 2,
+			Floor:  vtime.VT{Time: 90, Site: 2},
 			Updates: []Update{
 				{Target: target, ReadVT: vtime.VT{Time: 40, Site: 1}, Op: OpSet{Value: int64(9)}},
 				{Target: target, Path: Path{{IsKey: true, Key: "john"}, {Tag: ElemTag{VT: vt, N: 1}}}, Op: OpSet{Value: "x"}},
@@ -402,6 +403,7 @@ func TestBinaryCodecFixedMessages(t *testing.T) {
 		FastWrite{
 			TxnVT:  vt,
 			Origin: 2,
+			Floor:  vtime.VT{Time: 90, Site: 2},
 			Updates: []Update{
 				{Target: target, ReadVT: vt, Op: OpAdd{Delta: int64(3)}},
 				{Target: target, ReadVT: vt, Op: OpAdd{Delta: 1.5}},
@@ -409,7 +411,7 @@ func TestBinaryCodecFixedMessages(t *testing.T) {
 				{Target: target, Op: OpAssocInsert{Rel: Relationship{Name: "r", Members: []Member{{Site: 1, Obj: target, Desc: "d"}}}}},
 			},
 		},
-		ConfirmRead{TxnVT: vt, Origin: 2, ReqID: 9, Checks: []ReadCheck{{Target: target, ReadVT: vt}}},
+		ConfirmRead{TxnVT: vt, Origin: 2, Floor: vtime.VT{Time: 90, Site: 2}, ReqID: 9, Checks: []ReadCheck{{Target: target, ReadVT: vt}}},
 		Confirm{TxnVT: vt, ReqID: 9, From: 3, OK: false, Transient: true, Reason: "pending straggler"},
 		Outcome{TxnVT: vt, Committed: true},
 		JoinRequest{TxnVT: vt, Origin: 2, ReqID: 1, AObj: target, BObj: ids.ObjectID{Site: 1, Seq: 2}, GraphA: sampleGraph()},

@@ -48,6 +48,7 @@ func seedMessages() []Message {
 		Write{
 			TxnVT:  fvt(3, 1),
 			Origin: 1,
+			Floor:  fvt(2, 1),
 			Updates: []Update{{
 				Target: fobj(2, 5), Path: path,
 				ReadVT: fvt(1, 1), GraphVT: fvt(2, 2),
@@ -70,7 +71,8 @@ func seedMessages() []Message {
 				}}},
 			},
 		},
-		ConfirmRead{TxnVT: fvt(4, 1), Origin: 1, ReqID: 77, Checks: []ReadCheck{{Target: fobj(2, 5), Path: path, ReadVT: fvt(2, 2), GraphVT: fvt(1, 1)}}},
+		FastWrite{TxnVT: fvt(10, 2), Origin: 2, Floor: fvt(8, 2), Updates: []Update{{Target: fobj(1, 1), Op: OpAdd{Delta: int64(3)}}}},
+		ConfirmRead{TxnVT: fvt(4, 1), Origin: 1, Floor: fvt(3, 1), ReqID: 77, Checks: []ReadCheck{{Target: fobj(2, 5), Path: path, ReadVT: fvt(2, 2), GraphVT: fvt(1, 1)}}},
 		Confirm{TxnVT: fvt(4, 1), ReqID: 77, From: 2, OK: false, Transient: true, Reason: "pending version in interval"},
 		Outcome{TxnVT: fvt(4, 1), Committed: true},
 		JoinRequest{TxnVT: fvt(6, 3), Origin: 3, ReqID: 9, AObj: fobj(3, 1), BObj: fobj(1, 1), GraphA: graph},

@@ -340,6 +340,11 @@ type Write struct {
 	TxnVT   vtime.VT
 	Origin  vtime.SiteID
 	Updates []Update
+	// Floor is the sender's GC floor when it built the message: no
+	// validation request it sends later is stamped below it, so the
+	// primaries it writes to may prune below it (DESIGN.md §6). Zero
+	// carries no information (a relayed sync record).
+	Floor vtime.VT
 	// Checks carries RL read-checks for objects this site is primary
 	// for; piggybacked on the Write when the site receives updates too.
 	Checks []ReadCheck
@@ -365,6 +370,8 @@ type FastWrite struct {
 	TxnVT   vtime.VT
 	Origin  vtime.SiteID
 	Updates []Update
+	// Floor is the sender's GC floor, as in Write.
+	Floor vtime.VT
 }
 
 func (FastWrite) isMessage() {}
@@ -422,6 +429,8 @@ type ConfirmRead struct {
 	Origin vtime.SiteID
 	ReqID  uint64
 	Checks []ReadCheck
+	// Floor is the sender's GC floor, as in Write.
+	Floor vtime.VT
 }
 
 func (ConfirmRead) isMessage() {}
