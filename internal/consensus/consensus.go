@@ -103,10 +103,8 @@ type Step[V any] struct {
 	Sends []Send[V]
 
 	// PromiseQuorum: this call completed a phase-1 quorum for the
-	// local proposer's current ballot. The embedder decides when to
-	// call AcceptValue (e.g. immediately, or after a short grace so
-	// stragglers' promises — and any state piggybacked on them — are
-	// folded in).
+	// local proposer's current ballot; the embedder calls AcceptValue.
+	// Later promises for the same attempt do not re-fire it.
 	PromiseQuorum bool
 
 	// Preempted: the local proposer's current attempt was refused by
@@ -184,16 +182,6 @@ func (in *Instance[V]) Proposing() bool { return in.phase != 0 }
 // Ballot returns the local proposer's current ballot (zero if it has
 // never proposed).
 func (in *Instance[V]) Ballot() Ballot { return in.ballot }
-
-// HasPromiseQuorum reports whether the current attempt holds a phase-1
-// quorum (it keeps holding it while stragglers' promises arrive).
-func (in *Instance[V]) HasPromiseQuorum() bool {
-	return in.phase >= 1 && len(in.promises) >= in.Quorum()
-}
-
-// Promised reports whether member id has granted a promise for the
-// current attempt.
-func (in *Instance[V]) Promised(id vtime.SiteID) bool { return in.promises[id] }
 
 func (in *Instance[V]) isMember(id vtime.SiteID) bool {
 	for _, m := range in.members {

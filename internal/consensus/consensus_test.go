@@ -56,8 +56,7 @@ func (b *bus) drain() {
 		st := inst.Handle(env.from, env.msg)
 		b.steps = append(b.steps, stepRecord{at: env.to, step: st})
 		b.enqueue(env.to, st.Sends)
-		// The embedding layer accepts immediately on promise quorum in
-		// these tests (no straggler grace).
+		// The embedding layer accepts on the promise-quorum edge.
 		if st.PromiseQuorum {
 			b.enqueue(env.to, inst.AcceptValue("v@"+env.to.String()))
 		}
@@ -183,16 +182,19 @@ func TestTakeoverAdoptsAcceptedValue(t *testing.T) {
 
 	// Phase 1: proposer 1 prepares, gathers promises from 1 and 2.
 	prepares := insts[1].Propose()
+	quorum := false
 	for _, s := range prepares {
 		if s.To == 3 {
 			continue // site 3 never hears from proposer 1
 		}
 		st := insts[s.To].Handle(1, s.Msg)
 		for _, r := range st.Sends {
-			insts[1].Handle(s.To, r.Msg)
+			if insts[1].Handle(s.To, r.Msg).PromiseQuorum {
+				quorum = true
+			}
 		}
 	}
-	if !insts[1].HasPromiseQuorum() {
+	if !quorum {
 		t.Fatal("proposer 1 should hold a promise quorum")
 	}
 
@@ -300,8 +302,7 @@ func TestDuplicateDelivery(t *testing.T) {
 	if st.PromiseQuorum {
 		t.Fatal("2 distinct promisers + self-less dupes should not be a quorum of 3")
 	}
-	p.Handle(1, promise)
-	if !p.HasPromiseQuorum() {
+	if !p.Handle(1, promise).PromiseQuorum {
 		t.Fatal("3 distinct promisers should be a quorum")
 	}
 	p.AcceptValue("v")
@@ -371,10 +372,12 @@ func TestNonMemberPromisesIgnored(t *testing.T) {
 	p := New[string](1, []vtime.SiteID{1, 2, 3})
 	p.Propose()
 	promise := Msg[string]{Kind: Promise, Ballot: p.Ballot(), OK: true}
-	p.Handle(9, promise)
-	p.Handle(10, promise)
-	p.Handle(11, promise)
-	if p.HasPromiseQuorum() {
-		t.Fatal("non-member promises counted toward quorum")
+	for _, from := range []vtime.SiteID{9, 10, 11} {
+		if p.Handle(from, promise).PromiseQuorum {
+			t.Fatal("non-member promises counted toward quorum")
+		}
+	}
+	if p.AcceptValue("v") != nil {
+		t.Fatal("AcceptValue went to phase 2 on non-member promises")
 	}
 }

@@ -111,7 +111,6 @@ func (tx *Tx) ListInsert(ref ObjRef, idx int, decl wire.ChildDecl) (ObjRef, erro
 	}
 	op := wire.OpListInsert{
 		Tag:   wire.ElemTag{VT: tx.st.vt, N: tx.countInsertsBy(w)},
-		Index: idx,
 		Child: decl,
 		After: after,
 	}

@@ -36,8 +36,9 @@ import (
 // at most one value can be chosen. Any survivor can take over a stalled
 // repair with a higher ballot (rank-staggered takeover timers), which is
 // what fixes the coordinator-death stall of the old epoch protocol. The
-// decided value carries the resolved outcomes of the failed originator's
-// in-flight transactions, so parked retries resume exactly once.
+// decided value is only the failed site and the virtual time at which
+// the repaired graphs apply; the failed originator's in-flight
+// transactions are settled by duty 1's commit queries alone.
 
 // Repair timing. All delays route through the injectable Scheduler so
 // the deterministic simulator explores them as virtual-clock events.
@@ -50,10 +51,6 @@ const (
 	// repairRetryDelay is the base backoff before a proposer retries a
 	// stalled or preempted attempt at a higher ballot.
 	repairRetryDelay = 100 * time.Millisecond
-	// repairGraceDelay is how long a proposer holding a promise quorum
-	// waits for straggler promises (whose KnownCommitted sets piggyback
-	// commit knowledge) before sending the Accept round.
-	repairGraceDelay = 25 * time.Millisecond
 )
 
 // queryState tracks an outstanding commit-query for one orphaned
@@ -69,28 +66,16 @@ type queryState struct {
 type repairState struct {
 	failed vtime.SiteID
 	inst   *consensus.Instance[wire.RepairValue]
-	// commitKnown accumulates the union of every member's known COMMIT
-	// outcomes for the failed site's in-flight transactions (merged from
-	// RepairPromise piggybacks); the proposal commits exactly this set.
-	commitKnown map[vtime.VT]bool
 	// attempts counts proposal attempts (for retry backoff).
-	attempts int
-	// acceptSent dedupes the phase-2 trigger (quorum edge, grace timer,
-	// and the all-live-promised early exit can all fire).
-	acceptSent  bool
+	attempts    int
 	cancelTimer func()
-	cancelGrace func()
 }
 
-// cancelTimers stops the retry/takeover and grace timers, if armed.
-func (rs *repairState) cancelTimers() {
+// stopTimer stops the retry/takeover timer, if armed.
+func (rs *repairState) stopTimer() {
 	if rs.cancelTimer != nil {
 		rs.cancelTimer()
 		rs.cancelTimer = nil
-	}
-	if rs.cancelGrace != nil {
-		rs.cancelGrace()
-		rs.cancelGrace = nil
 	}
 }
 
@@ -175,7 +160,7 @@ func (s *Site) handleSiteRecovered(f vtime.SiteID) {
 	}
 	delete(s.failed, f)
 	if rs, ok := s.repairs[f]; ok {
-		rs.cancelTimers()
+		rs.stopTimer()
 		delete(s.repairs, f)
 	}
 	delete(s.repairDecided, f)
@@ -212,6 +197,17 @@ func (s *Site) startCommitQuery(vt vtime.VT, st *txnState) {
 	s.commitQueries[vt] = &queryState{st: st, waiting: waiting}
 	for _, site := range sortedSites(waiting) {
 		s.send(site, wire.CommitQuery{TxnVT: vt, From: s.id})
+	}
+}
+
+// queryLateOrphan starts the commit query for a transaction whose
+// updates applied here only after its originator was declared failed
+// (relayed by anti-entropy, say): handleSiteFailure queried just the
+// orphans present at the time. It runs once the updates have applied,
+// since the query asks the replicas of the objects they touched.
+func (s *Site) queryLateOrphan(st *txnState) {
+	if s.failed[st.origin] && st.status == txnApplied && s.commitQueries[st.vt] == nil {
+		s.startCommitQuery(st.vt, st)
 	}
 }
 
@@ -351,31 +347,11 @@ func (s *Site) ensureRepair(f vtime.SiteID, members []vtime.SiteID) *repairState
 	return rs
 }
 
-// newRepair installs the repair instance for f over members, seeded with
-// the commits this site knows f originated.
+// newRepair installs the repair instance for f over members.
 func (s *Site) newRepair(f vtime.SiteID, members []vtime.SiteID) *repairState {
-	rs := &repairState{
-		failed:      f,
-		inst:        consensus.New[wire.RepairValue](s.id, members),
-		commitKnown: map[vtime.VT]bool{},
-	}
-	for _, vt := range s.knownCommitsFor(f) {
-		rs.commitKnown[vt] = true
-	}
+	rs := &repairState{failed: f, inst: consensus.New[wire.RepairValue](s.id, members)}
 	s.repairs[f] = rs
 	return rs
-}
-
-// knownCommitsFor lists (VT-sorted) the committed outcomes this site
-// knows for transactions originated at f.
-func (s *Site) knownCommitsFor(f vtime.SiteID) []vtime.VT {
-	var known []vtime.VT
-	for _, vt := range sortedVTs(s.outcomes) {
-		if s.outcomes[vt] && vt.Site == f {
-			known = append(known, vt)
-		}
-	}
-	return known
 }
 
 // lowestLiveMember returns the first member this site does not suspect
@@ -417,10 +393,7 @@ func (s *Site) repairRetryDelayFor(rs *repairState) time.Duration {
 // into the event loop and no-ops if the repair instance was replaced or
 // decided in the meantime.
 func (s *Site) armRepairTimer(rs *repairState, d time.Duration) {
-	if rs.cancelTimer != nil {
-		rs.cancelTimer()
-		rs.cancelTimer = nil
-	}
+	rs.stopTimer()
 	if s.repairs[rs.failed] != rs {
 		return
 	}
@@ -454,11 +427,6 @@ func (s *Site) repairTimerFired(f vtime.SiteID, rs *repairState) {
 // repairPropose starts (or restarts) a proposal attempt for rs at a
 // ballot above everything observed, and re-arms the retry timer.
 func (s *Site) repairPropose(rs *repairState) {
-	rs.acceptSent = false
-	if rs.cancelGrace != nil {
-		rs.cancelGrace()
-		rs.cancelGrace = nil
-	}
 	s.stats.RepairBallots.Inc()
 	sends := rs.inst.Propose()
 	if sends == nil {
@@ -474,9 +442,8 @@ func (s *Site) repairPropose(rs *repairState) {
 }
 
 // sendRepairMsg translates one kernel message into its wire form and
-// sends it. Promise grants piggyback this site's known COMMIT outcomes
-// for the failed site's in-flight transactions; Prepare and Accept carry
-// the member set so receivers can instantiate identical acceptors.
+// sends it. Prepare and Accept carry the member set so receivers can
+// instantiate identical acceptors.
 func (s *Site) sendRepairMsg(rs *repairState, to vtime.SiteID, m consensus.Msg[wire.RepairValue]) {
 	f := rs.failed
 	switch m.Kind {
@@ -492,7 +459,6 @@ func (s *Site) sendRepairMsg(rs *repairState, to vtime.SiteID, m consensus.Msg[w
 			HasAccepted:    m.HasAccepted,
 			AcceptedBallot: m.AcceptedBallot,
 			Accepted:       m.Value,
-			KnownCommitted: s.knownCommitsFor(f),
 		})
 	case consensus.Accept:
 		s.send(to, wire.RepairAccept{FailedSite: f, From: s.id, Ballot: m.Ballot, Value: m.Value, Members: rs.inst.Members()})
@@ -517,91 +483,22 @@ func (s *Site) stepRepair(rs *repairState, st consensus.Step[wire.RepairValue]) 
 		// A member is promised to a higher ballot: another survivor took
 		// over. Back off and retry in case the new leader also dies.
 		s.stats.RepairQuorumFailures.Inc()
-		rs.acceptSent = false
-		if rs.cancelGrace != nil {
-			rs.cancelGrace()
-			rs.cancelGrace = nil
-		}
 		rs.attempts++
 		s.armRepairTimer(rs, s.repairRetryDelayFor(rs))
 		return
 	}
 	if st.PromiseQuorum {
-		if s.allLivePromised(rs) {
-			s.repairAccept(rs)
-			return
-		}
-		// Quorum reached but stragglers remain: give their promises (and
-		// the commit knowledge piggybacked on them) a short grace.
-		s.armRepairGrace(rs)
+		s.repairAccept(rs)
 	}
-}
-
-// allLivePromised reports whether every member this site believes alive
-// has promised the current attempt.
-func (s *Site) allLivePromised(rs *repairState) bool {
-	for _, m := range rs.inst.Members() {
-		if !s.failed[m] && !rs.inst.Promised(m) {
-			return false
-		}
-	}
-	return true
-}
-
-// armRepairGrace arms the phase-2 grace timer (once per attempt).
-func (s *Site) armRepairGrace(rs *repairState) {
-	if rs.cancelGrace != nil {
-		return
-	}
-	f := rs.failed
-	rs.cancelGrace = s.opts.Scheduler.AfterFunc(repairGraceDelay, func() {
-		s.do(func() {
-			if s.repairs[f] != rs {
-				return
-			}
-			rs.cancelGrace = nil
-			s.repairAccept(rs)
-		})
-	})
 }
 
 // repairAccept moves the current attempt to phase 2 with this site's
-// proposal: drop f, keep the live members, commit exactly the union of
-// COMMIT outcomes gathered from the promise quorum. If a promise carried
-// a previously accepted value, the kernel adopts that instead (Paxos
-// safety — a possibly chosen value is never overwritten).
+// proposal: drop f from its graphs at a fresh virtual time. If a promise
+// carried a previously accepted value, the kernel adopts that instead
+// (Paxos safety — a possibly chosen value is never overwritten).
 func (s *Site) repairAccept(rs *repairState) {
-	if rs.acceptSent {
-		return
-	}
-	if _, done := rs.inst.Decided(); done {
-		return
-	}
-	if s.repairs[rs.failed] != rs {
-		return
-	}
-	var live []vtime.SiteID
-	for _, m := range rs.inst.Members() {
-		if !s.failed[m] {
-			live = append(live, m)
-		}
-	}
-	v := wire.RepairValue{
-		FailedSite: rs.failed,
-		GraphVT:    s.clock.Next(),
-		Survivors:  live,
-		Commit:     sortedVTs(rs.commitKnown),
-	}
-	sends := rs.inst.AcceptValue(v)
-	if sends == nil {
-		return
-	}
-	rs.acceptSent = true
-	if rs.cancelGrace != nil {
-		rs.cancelGrace()
-		rs.cancelGrace = nil
-	}
-	for _, sd := range sends {
+	v := wire.RepairValue{FailedSite: rs.failed, GraphVT: s.clock.Next()}
+	for _, sd := range rs.inst.AcceptValue(v) {
 		s.sendRepairMsg(rs, sd.To, sd.Msg)
 	}
 }
@@ -620,17 +517,11 @@ func (s *Site) handleRepairPrepare(m wire.RepairPrepare) {
 	}))
 }
 
-// handleRepairPromise is consensus phase 1b at the proposer. The
-// piggybacked KnownCommitted set is merged BEFORE the kernel step, so a
-// quorum-completing promise's knowledge is already folded into the
-// proposal built on the quorum edge.
+// handleRepairPromise is consensus phase 1b at the proposer.
 func (s *Site) handleRepairPromise(m wire.RepairPromise) {
 	rs := s.repairs[m.FailedSite]
 	if rs == nil {
 		return
-	}
-	for _, vt := range m.KnownCommitted {
-		rs.commitKnown[vt] = true
 	}
 	s.stepRepair(rs, rs.inst.Handle(m.From, consensus.Msg[wire.RepairValue]{
 		Kind:           consensus.Promise,
@@ -641,12 +532,6 @@ func (s *Site) handleRepairPromise(m wire.RepairPromise) {
 		AcceptedBallot: m.AcceptedBallot,
 		Value:          m.Accepted,
 	}))
-	// A straggler promise after the quorum edge: once every live member
-	// has promised there is nothing to wait for — cut the grace short.
-	if s.repairs[m.FailedSite] == rs && rs.inst.Proposing() && !rs.acceptSent &&
-		rs.inst.HasPromiseQuorum() && s.allLivePromised(rs) {
-		s.repairAccept(rs)
-	}
 }
 
 // handleRepairAccept is consensus phase 2a at an acceptor.
@@ -706,7 +591,7 @@ func (s *Site) finishRepair(rs *repairState) {
 	if s.repairs[rs.failed] == rs {
 		delete(s.repairs, rs.failed)
 	}
-	rs.cancelTimers()
+	rs.stopTimer()
 	s.recordRepairDecision(v)
 }
 
@@ -719,28 +604,16 @@ func (s *Site) recordRepairDecision(v wire.RepairValue) {
 	s.applyRepairDecision(v)
 }
 
-// applyRepairDecision executes a decided repair: log it durably, settle
-// the failed originator's in-flight transactions (commit iff in the
-// decided Commit set), install the repaired graphs at the common virtual
-// time, resume parked retries, and cascade into repairs that the new
-// graphs now make possible.
+// applyRepairDecision executes a decided repair: log it durably, install
+// the repaired graphs at the common virtual time, resume parked retries,
+// and cascade into repairs that the new graphs now make possible. The
+// failed originator's in-flight transactions are not touched here: their
+// commit queries decide them.
 func (s *Site) applyRepairDecision(v wire.RepairValue) {
 	f := v.FailedSite
-	s.log.Debug("repair decided", "failed", f.String(), "graphVT", v.GraphVT.String(), "commits", len(v.Commit))
+	s.log.Debug("repair decided", "failed", f.String(), "graphVT", v.GraphVT.String())
 	s.clock.Observe(v.GraphVT)
 	s.walLogRepair(v)
-
-	inCommit := map[vtime.VT]bool{}
-	for _, vt := range v.Commit {
-		inCommit[vt] = true
-	}
-	// Decide conflicting in-flight transactions, each with an explicit
-	// WAL-logged outcome so crash recovery replays the same decisions.
-	for _, vt := range sortedVTs(s.txns) {
-		if st, ok := s.txns[vt]; ok && st.status == txnApplied && vt.Site == f {
-			s.decideOrphan(st, inCommit[vt])
-		}
-	}
 	s.installRepairedGraphs(v)
 	s.unparkRetries()
 	// Cascade: the repaired graphs may hand the primary role to another

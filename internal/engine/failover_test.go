@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"decaf/internal/transport"
 	"decaf/internal/vtime"
+	"decaf/internal/wire"
 )
 
 func TestFailureNotificationMarksSite(t *testing.T) {
@@ -201,4 +203,45 @@ func TestTxnWaitingOnFailedPrimaryRetriesAfterRepair(t *testing.T) {
 		v2, _ := h.site(2).ReadCommitted(refs[2])
 		return v1 == int64(123) && v2 == int64(123)
 	})
+}
+
+// TestLateOrphanFromFailedOriginIsQueried: a Write can reach a survivor
+// after its origin was declared failed (relayed by anti-entropy, say).
+// No commit query was started for it at failure time, so it must get
+// one once its updates apply, or it stays undecided for good.
+func TestLateOrphanFromFailedOriginIsQueried(t *testing.T) {
+	e := newPCEnv(t)
+	s, x := e.s, e.objs["x"]
+	deliver := func(ev transport.Event) {
+		s.beginBatch()
+		s.handleEvent(ev)
+	}
+	// Site 3 hosts no replica here, so its failure repairs nothing.
+	deliver(transport.Event{Kind: transport.EventSiteFailed, Failed: 3})
+
+	vt := vtime.VT{Time: 51, Site: 3}
+	deliver(transport.Event{Kind: transport.EventMessage, From: 3, SentAt: vt, Msg: wire.Write{
+		TxnVT: vt, Origin: 3, NeedsConfirm: true,
+		Updates: []wire.Update{{Target: x.id, GraphVT: x.graphVT, Op: wire.OpSet{Value: int64(7)}}},
+	}})
+	if s.commitQueries[vt] == nil {
+		t.Fatalf("late orphan %s: no commit query open (status %v)", vt, s.txns[vt].status)
+	}
+	if q := lastSent[wire.CommitQuery](e, 2); q.TxnVT != vt {
+		t.Fatalf("CommitQuery to site 2 = %+v, want one for %s", q, vt)
+	}
+	want := []string{vtime.SiteID(2).String()}
+	if got := s.collectDebugState()["orphan_queries"].(map[string][]string)[vt.String()]; !slices.Equal(got, want) {
+		t.Fatalf("orphan_queries[%s] = %v, want %v", vt, got, want)
+	}
+
+	// Site 2 never saw a COMMIT: the orphan aborts.
+	deliver(transport.Event{Kind: transport.EventMessage, From: 2, SentAt: vtime.VT{Time: 60, Site: 2},
+		Msg: wire.CommitQueryReply{TxnVT: vt, From: 2}})
+	if committed, decided := s.outcomes[vt]; !decided || committed {
+		t.Fatalf("late orphan %s: outcome (committed %v, decided %v), want an abort", vt, committed, decided)
+	}
+	if len(s.commitQueries) != 0 {
+		t.Fatalf("commit queries left open: %v", s.commitQueries)
+	}
 }

@@ -142,21 +142,23 @@ func (s *Site) finishWrite(t *writeTask) {
 		}
 		return
 	}
-	if !m.NeedsConfirm {
-		return
-	}
 	if t.blocked > 0 {
-		// Structural ops for some paths have not arrived; the check (and
-		// any delegation) must wait until propagation unblocks
-		// (paper §3.2.1).
-		st.blockedRemaining = t.blocked
-		st.onUnblocked = func() {
-			s.checkWrite(t)
-			s.answerWrite(t)
+		if m.NeedsConfirm {
+			// Structural ops for some paths have not arrived; the check
+			// (and any delegation) must wait until propagation unblocks
+			// (paper §3.2.1).
+			st.blockedRemaining = t.blocked
+			st.onUnblocked = func() {
+				s.checkWrite(t)
+				s.answerWrite(t)
+			}
 		}
-		return
+		return // drainPending queries a late orphan once it applies
 	}
-	s.answerWrite(t)
+	if m.NeedsConfirm {
+		s.answerWrite(t)
+	}
+	s.queryLateOrphan(st)
 }
 
 // answerWrite delivers a primary's verdict on a write: a delegate decides
@@ -336,9 +338,8 @@ func (s *Site) applyOpRead(st *txnState, target *object, path wire.Path, op wire
 		}
 		st.applied = append(st.applied, appliedUpdate{obj: obj, undo: func() { obj.hist.Abort(vt) }})
 	case wire.OpListInsertAfter:
-		// Position comes solely from the After anchor and tag order, so
-		// receivers can reuse the index-op applier, which already ignores
-		// the (origin-only) Index field.
+		// Position comes solely from the After anchor and tag order, as
+		// for the index op, so receivers reuse its applier.
 		eq := wire.OpListInsert{Tag: o.Tag, Child: o.Child, After: o.After}
 		if !s.applyListInsert(st, obj, eq, status) {
 			return false // the After element's insert not yet received
@@ -607,6 +608,9 @@ func (s *Site) drainPending(root *object) {
 					st.onUnblocked = nil
 					cont()
 				}
+			}
+			if st.blockedRemaining == 0 {
+				s.queryLateOrphan(st)
 			}
 			progress = true
 		}

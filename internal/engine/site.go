@@ -553,6 +553,15 @@ func (s *Site) collectDebugState() map[string]any {
 	for _, site := range sortedSites(s.peerFloors) {
 		peerFloors[site.String()] = s.peerFloors[site].String()
 	}
+	// Each open commit query and the survivors it still waits on.
+	orphanQueries := map[string][]string{}
+	for _, vt := range sortedVTs(s.commitQueries) {
+		waiting := []string{}
+		for _, site := range sortedSites(s.commitQueries[vt].waiting) {
+			waiting = append(waiting, site.String())
+		}
+		orphanQueries[vt.String()] = waiting
+	}
 	return map[string]any{
 		"site":                 s.id.String(),
 		"clock":                s.clock.Now().String(),
@@ -565,6 +574,7 @@ func (s *Site) collectDebugState() map[string]any {
 		"confirm_waiters":      len(s.confirmWaiters),
 		"parked_retries":       len(s.parked),
 		"repairs_in_flight":    len(s.repairs),
+		"orphan_queries":       orphanQueries,
 		"failed_sites":         failedSites,
 		"attached_views":       views,
 		"calls_queue_depth":    len(s.calls),

@@ -76,9 +76,10 @@ func (s *Site) walLogOutcome(m wire.Outcome) {
 }
 
 // walLogRepair logs a decided graph repair as a RepairLearn record. On
-// replay the record restores the repaired graphs and marks the decided
-// Commit set, so a recovered site never re-litigates a repair its
-// pre-crash incarnation already applied.
+// replay the record restores the repaired graphs and the repairDecided
+// latch, so a recovered site never re-litigates a repair its pre-crash
+// incarnation already applied. Orphans the repair's failed site left
+// behind were decided by commit queries and logged as Outcomes.
 func (s *Site) walLogRepair(v wire.RepairValue) {
 	if s.wal == nil {
 		return
@@ -236,13 +237,6 @@ func (s *Site) replayWAL(cpSeq uint64) error {
 		case wire.FastWrite:
 			s.outcomes[m.TxnVT] = true
 			s.noteOwnDecided(m.TxnVT)
-		case wire.RepairLearn:
-			// A decided repair commits exactly its Commit set; the abort
-			// decisions for the rest were logged as explicit Outcomes.
-			for _, vt := range m.Value.Commit {
-				s.outcomes[vt] = true
-				s.noteOwnDecided(vt)
-			}
 		}
 		return nil
 	})

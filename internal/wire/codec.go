@@ -138,9 +138,7 @@ func appendBallot(b []byte, bal consensus.Ballot) []byte {
 
 func appendRepairValue(b []byte, v RepairValue) []byte {
 	b = appendSite(b, v.FailedSite)
-	b = appendVT(b, v.GraphVT)
-	b = appendSites(b, v.Survivors)
-	return appendVTs(b, v.Commit)
+	return appendVT(b, v.GraphVT)
 }
 
 func appendSyncFloors(b []byte, floors []SyncFloor) []byte {
@@ -148,14 +146,6 @@ func appendSyncFloors(b []byte, floors []SyncFloor) []byte {
 	for _, f := range floors {
 		b = appendSite(b, f.Site)
 		b = binary.AppendUvarint(b, f.Time)
-	}
-	return b
-}
-
-func appendVTs(b []byte, vts []vtime.VT) []byte {
-	b = binary.AppendUvarint(b, uint64(len(vts)))
-	for _, v := range vts {
-		b = appendVT(b, v)
 	}
 	return b
 }
@@ -289,7 +279,6 @@ func appendOp(b []byte, op Op) ([]byte, error) {
 	case OpListInsert:
 		b = append(b, opTagListInsert)
 		b = appendTag(b, op.Tag)
-		b = binary.AppendVarint(b, int64(op.Index))
 		var err error
 		b, err = appendChildDecl(b, op.Child)
 		if err != nil {
@@ -488,8 +477,7 @@ func AppendMessage(b []byte, m Message) ([]byte, error) {
 		b = appendBallot(b, m.Promised)
 		b = appendBool(b, m.HasAccepted)
 		b = appendBallot(b, m.AcceptedBallot)
-		b = appendRepairValue(b, m.Accepted)
-		return appendVTs(b, m.KnownCommitted), nil
+		return appendRepairValue(b, m.Accepted), nil
 	case RepairAccept:
 		b = append(b, tagRepairAccept)
 		b = appendSite(b, m.FailedSite)
@@ -705,25 +693,8 @@ func (r *reader) byteSlices() [][]byte {
 	return out
 }
 
-func (r *reader) vts() []vtime.VT {
-	n := r.count()
-	if n == 0 {
-		return nil
-	}
-	out := make([]vtime.VT, n)
-	for i := range out {
-		out[i] = r.vt()
-	}
-	return out
-}
-
 func (r *reader) repairValue() RepairValue {
-	return RepairValue{
-		FailedSite: r.site(),
-		GraphVT:    r.vt(),
-		Survivors:  r.sites(),
-		Commit:     r.vts(),
-	}
+	return RepairValue{FailedSite: r.site(), GraphVT: r.vt()}
 }
 
 func (r *reader) obj() ids.ObjectID {
@@ -869,7 +840,6 @@ func (r *reader) op() Op {
 	case opTagListInsert:
 		return OpListInsert{
 			Tag:   r.tag(),
-			Index: int(r.varint()),
 			Child: r.childDecl(),
 			After: r.tag(),
 		}
@@ -989,7 +959,6 @@ func DecodeMessage(b []byte) (Message, int, error) {
 			FailedSite: r.site(), From: r.site(), Ballot: r.ballot(),
 			OK: r.bool_(), Promised: r.ballot(), HasAccepted: r.bool_(),
 			AcceptedBallot: r.ballot(), Accepted: r.repairValue(),
-			KnownCommitted: r.vts(),
 		}
 	case tagRepairAccept:
 		m = RepairAccept{

@@ -105,18 +105,6 @@ func (g *gen) sites() []vtime.SiteID {
 	return out
 }
 
-func (g *gen) vts() []vtime.VT {
-	n := g.rng.Intn(5)
-	if n == 0 {
-		return nil
-	}
-	out := make([]vtime.VT, n)
-	for i := range out {
-		out[i] = g.vt()
-	}
-	return out
-}
-
 func (g *gen) graph() repgraph.Wire {
 	gr := repgraph.NewGraph(g.obj(), g.site())
 	for i := 0; i < g.rng.Intn(4); i++ {
@@ -195,7 +183,7 @@ func (g *gen) op() Op {
 	case 0:
 		return OpSet{Value: g.value()}
 	case 1:
-		return OpListInsert{Tag: g.tag(), Index: g.rng.Intn(100) - 50, Child: g.childDecl(), After: g.tag()}
+		return OpListInsert{Tag: g.tag(), Child: g.childDecl(), After: g.tag()}
 	case 2:
 		return OpListRemove{Tag: g.tag()}
 	case 3:
@@ -306,7 +294,7 @@ func (g *gen) message(i int) Message {
 		return RepairPromise{FailedSite: g.site(), From: g.site(),
 			Ballot: g.ballot(), OK: g.rng.Intn(2) == 0, Promised: g.ballot(),
 			HasAccepted: g.rng.Intn(2) == 0, AcceptedBallot: g.ballot(),
-			Accepted: g.repairValue(), KnownCommitted: g.vts()}
+			Accepted: g.repairValue()}
 	case 19:
 		return RepairAccept{FailedSite: g.site(), From: g.site(),
 			Ballot: g.ballot(), Value: g.repairValue(), Members: g.sites()}
@@ -330,7 +318,7 @@ func (g *gen) ballot() consensus.Ballot {
 }
 
 func (g *gen) repairValue() RepairValue {
-	return RepairValue{FailedSite: g.site(), GraphVT: g.vt(), Survivors: g.sites(), Commit: g.vts()}
+	return RepairValue{FailedSite: g.site(), GraphVT: g.vt()}
 }
 
 func (g *gen) syncFloors() []SyncFloor {
@@ -393,7 +381,7 @@ func TestBinaryCodecFixedMessages(t *testing.T) {
 			Updates: []Update{
 				{Target: target, ReadVT: vtime.VT{Time: 40, Site: 1}, Op: OpSet{Value: int64(9)}},
 				{Target: target, Path: Path{{IsKey: true, Key: "john"}, {Tag: ElemTag{VT: vt, N: 1}}}, Op: OpSet{Value: "x"}},
-				{Target: target, Op: OpListInsert{Tag: ElemTag{VT: vt, N: 2}, Index: 1, Child: ChildDecl{Kind: KindString, Value: "v"}}},
+				{Target: target, Op: OpListInsert{Tag: ElemTag{VT: vt, N: 2}, Child: ChildDecl{Kind: KindString, Value: "v"}}},
 				{Target: target, Op: OpGraph{Graph: sampleGraph()}},
 			},
 			Checks:       []ReadCheck{{Target: target, ReadVT: vt, CommittedOnly: true, NoReserve: true}},
@@ -432,16 +420,15 @@ func TestBinaryCodecFixedMessages(t *testing.T) {
 			Members: []vtime.SiteID{1, 2, 3}},
 		RepairPromise{FailedSite: 9, From: 2, Ballot: consensus.Ballot{Round: 2, Site: 1},
 			OK: true, HasAccepted: true, AcceptedBallot: consensus.Ballot{Round: 1, Site: 2},
-			Accepted:       RepairValue{FailedSite: 9, GraphVT: vt, Survivors: []vtime.SiteID{1, 2}, Commit: []vtime.VT{vt}},
-			KnownCommitted: []vtime.VT{vt}},
+			Accepted: RepairValue{FailedSite: 9, GraphVT: vt}},
 		RepairPromise{FailedSite: 9, From: 2, Ballot: consensus.Ballot{Round: 1, Site: 1},
 			OK: false, Promised: consensus.Ballot{Round: 3, Site: 2}},
 		RepairAccept{FailedSite: 9, From: 1, Ballot: consensus.Ballot{Round: 2, Site: 1},
-			Value:   RepairValue{FailedSite: 9, GraphVT: vt, Survivors: []vtime.SiteID{1, 2}},
+			Value:   RepairValue{FailedSite: 9, GraphVT: vt},
 			Members: []vtime.SiteID{1, 2, 3}},
 		RepairAccepted{FailedSite: 9, From: 3, Ballot: consensus.Ballot{Round: 2, Site: 1}, OK: true},
 		RepairLearn{FailedSite: 9, From: 1, Ballot: consensus.Ballot{Round: 2, Site: 1},
-			Value: RepairValue{FailedSite: 9, GraphVT: vt, Survivors: []vtime.SiteID{1, 2}, Commit: []vtime.VT{vt}}},
+			Value: RepairValue{FailedSite: 9, GraphVT: vt}},
 		GVTUpdate{VT: vt, From: 2, Name: "x", Value: int64(5)},
 		GVTAck{VT: vt, From: 2},
 		GVTToken{Round: 8, Min: vt, MinValid: true, GVT: vtime.VT{Time: 90, Site: 1}},

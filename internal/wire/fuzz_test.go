@@ -61,7 +61,7 @@ func seedMessages() []Message {
 		Write{
 			TxnVT: fvt(9, 2), Origin: 2,
 			Updates: []Update{
-				{Target: fobj(1, 1), Op: OpListInsert{Tag: tag, Index: 1, Child: ChildDecl{Kind: KindFloat, Value: float64(1.5)}, After: tag}},
+				{Target: fobj(1, 1), Op: OpListInsert{Tag: tag, Child: ChildDecl{Kind: KindFloat, Value: float64(1.5)}, After: tag}},
 				{Target: fobj(1, 1), Op: OpListRemove{Tag: tag}},
 				{Target: fobj(1, 1), Op: OpTupleSet{Key: "k", Child: ChildDecl{Kind: KindBool, Value: true}, At: fvt(8, 2)}},
 				{Target: fobj(1, 1), Op: OpTupleRemove{Key: "k", Of: fvt(5, 1)}},
@@ -90,16 +90,15 @@ func seedMessages() []Message {
 			Members: []vtime.SiteID{2, 3, 4}},
 		RepairPromise{FailedSite: 1, From: 3, Ballot: consensus.Ballot{Round: 1, Site: 2},
 			OK: true, HasAccepted: true, AcceptedBallot: consensus.Ballot{Round: 1, Site: 3},
-			Accepted:       RepairValue{FailedSite: 1, GraphVT: fvt(20, 3), Survivors: []vtime.SiteID{2, 3}, Commit: []vtime.VT{fvt(18, 1)}},
-			KnownCommitted: []vtime.VT{fvt(18, 1), fvt(19, 1)}},
+			Accepted: RepairValue{FailedSite: 1, GraphVT: fvt(20, 3)}},
 		RepairPromise{FailedSite: 1, From: 3, Ballot: consensus.Ballot{Round: 1, Site: 2},
 			OK: false, Promised: consensus.Ballot{Round: 2, Site: 4}},
 		RepairAccept{FailedSite: 1, From: 2, Ballot: consensus.Ballot{Round: 1, Site: 2},
-			Value:   RepairValue{FailedSite: 1, GraphVT: fvt(20, 2), Survivors: []vtime.SiteID{2, 3, 4}, Commit: []vtime.VT{fvt(18, 1)}},
+			Value:   RepairValue{FailedSite: 1, GraphVT: fvt(20, 2)},
 			Members: []vtime.SiteID{2, 3, 4}},
 		RepairAccepted{FailedSite: 1, From: 4, Ballot: consensus.Ballot{Round: 1, Site: 2}, OK: true},
 		RepairLearn{FailedSite: 1, From: 2, Ballot: consensus.Ballot{Round: 1, Site: 2},
-			Value: RepairValue{FailedSite: 1, GraphVT: fvt(20, 2), Survivors: []vtime.SiteID{2, 3, 4}, Commit: []vtime.VT{fvt(18, 1)}}},
+			Value: RepairValue{FailedSite: 1, GraphVT: fvt(20, 2)}},
 	}
 }
 

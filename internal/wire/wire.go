@@ -105,15 +105,13 @@ type ChildDecl struct {
 
 // OpListInsert inserts a new child into a list object. Tag is the unique
 // element tag (the inserting transaction's VT plus an ordinal for multiple
-// inserts by one transaction); Index is the position at the originating
-// site, disambiguated at receivers by the tags of preceding elements.
+// inserts by one transaction).
 type OpListInsert struct {
 	Tag   ElemTag
-	Index int
 	Child ChildDecl
 	// After identifies the element the insert follows (zero tag = list
-	// head). Receivers position by After rather than raw index when
-	// concurrent structural updates reordered indices.
+	// head): the origin resolves its index to After, and every replica
+	// positions the insert by After and tag order.
 	After ElemTag
 }
 
@@ -121,7 +119,7 @@ func (OpListInsert) isOp() {}
 
 // Describe implements Op.
 func (o OpListInsert) Describe() string {
-	return fmt.Sprintf("list-insert(%v@%d)", o.Tag, o.Index)
+	return fmt.Sprintf("list-insert(%v after %v)", o.Tag, o.After)
 }
 
 // OpListInsertAfter inserts a new child into a list at a stable position:
@@ -597,18 +595,15 @@ func (CommitQueryReply) Kind() string { return "COMMIT-QUERY-REPLY" }
 // pre-failure membership must accept before a repair commits.
 // ---------------------------------------------------------------------------
 
-// RepairValue is the value a repair instance decides: the virtual time
-// at which the repaired graphs apply, the surviving member set, and the
-// resolved outcomes of the failed site's in-flight transactions (every
-// listed VT commits; every other in-flight transaction of the failed
-// originator aborts). One instance exists per failed site; the decided
-// value is identical at every survivor, so parked retries resume against
-// the same repaired graphs everywhere.
+// RepairValue is the value a repair instance decides: the failed site
+// and the virtual time at which the graphs it was primary of drop it.
+// One instance exists per failed site; the decided value is identical at
+// every survivor, so parked retries resume against the same repaired
+// graphs everywhere. It settles no transactions: the failed site's
+// in-flight transactions are decided by commit queries (paper §3.4).
 type RepairValue struct {
 	FailedSite vtime.SiteID
 	GraphVT    vtime.VT
-	Survivors  []vtime.SiteID
-	Commit     []vtime.VT
 }
 
 // RepairPrepare is consensus phase 1a: a survivor claims Ballot for the
@@ -629,11 +624,8 @@ func (RepairPrepare) isMessage() {}
 func (RepairPrepare) Kind() string { return "REPAIR-PREPARE" }
 
 // RepairPromise is consensus phase 1b. A grant (OK) carries any value
-// the acceptor already accepted under an earlier ballot, plus the
-// acceptor's commit knowledge for the failed site's in-flight
-// transactions (KnownCommitted) so the eventual proposal commits a
-// transaction iff ANY promising survivor saw its COMMIT (paper §3.4).
-// A refusal reports Promised, the ballot the acceptor is bound to.
+// the acceptor already accepted under an earlier ballot; a refusal
+// reports Promised, the ballot the acceptor is bound to.
 type RepairPromise struct {
 	FailedSite     vtime.SiteID
 	From           vtime.SiteID
@@ -643,7 +635,6 @@ type RepairPromise struct {
 	HasAccepted    bool
 	AcceptedBallot consensus.Ballot
 	Accepted       RepairValue
-	KnownCommitted []vtime.VT
 }
 
 func (RepairPromise) isMessage() {}

@@ -122,7 +122,7 @@ func TestGobRoundTripOps(t *testing.T) {
 		OpSet{Value: 2.5},
 		OpSet{Value: "s"},
 		OpSet{Value: true},
-		OpListInsert{Tag: ElemTag{VT: vt, N: 2}, Index: 1, Child: ChildDecl{Kind: KindString, Value: "v"}, After: ElemTag{VT: vt, N: 1}},
+		OpListInsert{Tag: ElemTag{VT: vt, N: 2}, Child: ChildDecl{Kind: KindString, Value: "v"}, After: ElemTag{VT: vt, N: 1}},
 		OpListRemove{Tag: ElemTag{VT: vt}},
 		OpTupleSet{Key: "k", Child: ChildDecl{Kind: KindList}},
 		OpTupleRemove{Key: "k"},
