@@ -217,9 +217,11 @@ func ListenTCP(site SiteID, addr string, peers map[SiteID]string) (*transport.TC
 	return transport.ListenTCP(site, addr, peers)
 }
 
-// TCPOptions tunes a TCP endpoint: queue and batch sizes, the suspicion
-// policy governing reconnect backoff and failure escalation, keepalive
-// probing, and fault injection. See transport.TCPOptions.
+// TCPOptions tunes a TCP endpoint: retransmit window and batch sizes,
+// the suspicion policy governing reconnect backoff and failure
+// escalation, keepalive probing, and fault injection. Queues are
+// unbounded: nothing a live peer accepted is dropped. See
+// transport.TCPOptions.
 type TCPOptions = transport.TCPOptions
 
 // SuspicionPolicy controls when connection trouble with a peer escalates

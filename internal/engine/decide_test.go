@@ -83,7 +83,7 @@ func (e loggedEndpoint) Send(to vtime.SiteID, sentAt vtime.VT, msg wire.Message)
 
 func (e loggedEndpoint) SendBatch(to vtime.SiteID, sentAt vtime.VT, msgs []wire.Message) error {
 	e.log.add(e.Site(), to, msgs...)
-	return e.Endpoint.(transport.BatchSender).SendBatch(to, sentAt, msgs)
+	return e.Endpoint.SendBatch(to, sentAt, msgs)
 }
 
 // newLoggedHarness builds an n-site harness whose sends are recorded.

@@ -1035,36 +1035,25 @@ func (s *Site) send(to vtime.SiteID, msg wire.Message) {
 }
 
 // flushOutbox transmits the batch's coalesced messages, one transport
-// handoff per peer when the endpoint supports batching.
+// handoff per peer.
 func (s *Site) flushOutbox() {
 	if len(s.outboxOrder) == 0 {
 		return
 	}
 	now := s.clock.Now()
-	batcher, canBatch := s.ep.(transport.BatchSender)
 	for _, to := range s.outboxOrder {
 		msgs := s.outbox[to]
 		delete(s.outbox, to)
 		if len(msgs) == 0 || s.failed[to] {
 			continue
 		}
-		if canBatch {
-			if err := batcher.SendBatch(to, now, msgs); err != nil {
-				s.log.Debug("send failed", "to", to.String(), "batch", len(msgs), "err", err)
-				continue
-			}
-			s.stats.MessagesSent.Add(uint64(len(msgs)))
-			if len(msgs) > 1 {
-				s.stats.CoalescedSends.Add(uint64(len(msgs) - 1))
-			}
+		if err := s.ep.SendBatch(to, now, msgs); err != nil {
+			s.log.Debug("send failed", "to", to.String(), "batch", len(msgs), "err", err)
 			continue
 		}
-		for _, msg := range msgs {
-			if err := s.ep.Send(to, now, msg); err != nil {
-				s.log.Debug("send failed", "to", to.String(), "kind", msg.Kind(), "err", err)
-				continue
-			}
-			s.stats.MessagesSent.Add(1)
+		s.stats.MessagesSent.Add(uint64(len(msgs)))
+		if len(msgs) > 1 {
+			s.stats.CoalescedSends.Add(uint64(len(msgs) - 1))
 		}
 	}
 	s.outboxOrder = s.outboxOrder[:0]

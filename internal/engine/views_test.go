@@ -396,7 +396,7 @@ type sendProbe struct {
 
 func (e *sendProbe) SendBatch(to vtime.SiteID, sentAt vtime.VT, msgs []wire.Message) error {
 	e.onBatch(msgs)
-	return e.Endpoint.(transport.BatchSender).SendBatch(to, sentAt, msgs)
+	return e.Endpoint.SendBatch(to, sentAt, msgs)
 }
 
 // remoteWrite is a Write from origin 2 to ref's replica at site s, at VT

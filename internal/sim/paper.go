@@ -757,9 +757,13 @@ func runE6GVT(n int) (span, error) {
 			return span{}, err
 		}
 		s := gvt.NewSite(ep, ring)
-		s.Start()
 		sites = append(sites, s)
 		l.members = append(l.members, s)
+	}
+	// Start only once every member is attached: the head injects the
+	// token at once, and a send to a site not yet attached is lost.
+	for _, s := range sites {
+		s.Start()
 	}
 	if err := l.until("warm-up write", fired(sites[1].Write("x", int64(0)).Done())); err != nil {
 		return span{}, err

@@ -479,11 +479,12 @@ func TestResilienceRecreatedSenderFreshIncarnation(t *testing.T) {
 }
 
 // TestResilienceFullRetainWindowStopsIntake pins the documented bound:
-// when the retransmit window is full, the writer stops pulling from the
+// when the retransmit window is full, the writer stops taking from the
 // queue even on the idle path. The peer here is a raw sink that reads
 // frames but never acks, so without the gate the writer would keep
 // draining the queue and retained (and the wire) would grow without
-// bound.
+// bound. What the writer does not take waits in the queue: nothing is
+// dropped.
 func TestResilienceFullRetainWindowStopsIntake(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -514,7 +515,6 @@ func TestResilienceFullRetainWindowStopsIntake(t *testing.T) {
 	b, err := ListenTCPOptions(2, "127.0.0.1:0",
 		map[vtime.SiteID]string{1: ln.Addr().String()},
 		TCPOptions{
-			QueueSize:   retain,
 			MaxBatch:    4,
 			RetainLimit: retain,
 			AckTimeout:  -1, // never presume the silent peer dead
@@ -556,16 +556,15 @@ func TestResilienceFullRetainWindowStopsIntake(t *testing.T) {
 	}
 
 	// Phase 1: fill the retransmit window (acks never come). The writer
-	// pulls exactly RetainLimit envelopes, sends them, and parks.
-	send(100, 0)
+	// takes exactly RetainLimit envelopes, sends them, and parks.
+	const first = 100
+	send(first, 0)
 	quiet := waitQuiet()
-	drops := b.Stats().SendQueueDrops
 
 	// Phase 2: with the window full and fully sent, the writer's idle
-	// path must not pull — new envelopes can only occupy the queue's
-	// free slots (at most QueueSize) and the rest are shed; nothing new
-	// may reach the wire. An ungated writer drains the queue and keeps
-	// sending, growing the sink.
+	// path must not take — the burst waits in the queue behind phase 1's
+	// remainder, and nothing new may reach the wire. An ungated writer
+	// drains the queue and keeps sending, growing the sink.
 	const burst = 100
 	send(burst, 1000)
 	time.Sleep(200 * time.Millisecond)
@@ -573,8 +572,12 @@ func TestResilienceFullRetainWindowStopsIntake(t *testing.T) {
 	if n := sunk.Load(); n != quiet {
 		t.Fatalf("sink grew from %d to %d bytes: writer pulled past a full retransmit window", quiet, n)
 	}
-	if got := st.SendQueueDrops - drops; got < burst-retain {
-		t.Fatalf("queue drops grew by %d, want >= %d: writer made room it must not have", got, burst-retain)
+	peer := b.debugState().(map[string]any)["peers"].(map[string]any)[vtime.SiteID(1).String()].(map[string]any)
+	if got := peer["queue_depth"]; got != first+burst-retain {
+		t.Fatalf("queue_depth = %v, want %d: the queue must hold everything the window did not take", got, first+burst-retain)
+	}
+	if st.Abandoned != 0 || st.Unencodable != 0 {
+		t.Fatalf("envelopes were dropped: %+v", st)
 	}
 	if st.FailureEvents != 0 {
 		t.Fatalf("withheld acks escalated to failure: %+v", st)

@@ -27,10 +27,12 @@ import (
 //	envelope:= from uvarint | sentAt.Time uvarint | sentAt.Site uvarint
 //	           | message (self-delimiting, wire.AppendMessage)
 //
-// Each peer has a bounded outbound queue drained by a dedicated writer
-// goroutine: Send never blocks on a socket write, and every envelope
-// queued while a flush was in progress rides the next frame, so N queued
-// protocol messages cost one syscall.
+// Each peer has an unbounded outbound queue drained by a dedicated
+// writer goroutine: Send never blocks on a dial or a socket write, and
+// every envelope queued while a flush was in progress rides the next
+// frame, so N queued protocol messages cost one syscall. The writer takes
+// from the queue only while the retransmit window has room, so
+// RetainLimit bounds what is in flight.
 //
 // Acks ride data. The cumulative ack is written in front of the next
 // data frame to the peer; a standalone ack frame goes out only when the
@@ -57,10 +59,13 @@ import (
 // cannot prune undelivered envelopes. Only when the configurable
 // suspicion policy is exhausted (dial-attempt budget spent or the
 // downtime window passed) does the endpoint emit EventSiteFailed, and if
-// the peer later reconnects it emits EventSiteRecovered. Control events
-// (failure/recovery) are delivered losslessly; message events may still
-// be dropped when the receiver is stuck with a full event buffer, as on
-// a congested network.
+// the peer later reconnects it emits EventSiteRecovered.
+//
+// Delivery is lossless. Received messages and control events go through
+// one inbox in arrival order, and an event loop that falls behind makes
+// the inbox's backlog grow rather than losing what was already acked.
+// An envelope is discarded only when its endpoint closes or its peer is
+// declared failed (counted as Abandoned).
 
 // maxFrame bounds a frame payload: a corrupt or hostile length prefix
 // must not provoke an unbounded allocation.
@@ -71,17 +76,13 @@ const maxFrame = 64 << 20
 // the payload never reaches the receiver's maxFrame kill threshold.
 const maxDataBytes = maxFrame - 16
 
-// defaultQueueSize is the per-peer outbound queue bound, mirroring the
-// simulated network's default QueueSize.
-const defaultQueueSize = 4096
-
 // defaultMaxBatch bounds how many envelopes coalesce into one frame.
 const defaultMaxBatch = 512
 
 // defaultRetainLimit bounds the per-peer retransmit window (encoded
 // envelopes held until acked). It also caps how many envelopes can be in
-// flight before the writer must wait for an ack, so it is sized well
-// above QueueSize to keep the pipe full at loopback message rates.
+// flight before the writer must wait for an ack, so it is sized to keep
+// the pipe full at loopback message rates.
 const defaultRetainLimit = 32768
 
 // dialTimeout bounds a single connection attempt.
@@ -156,11 +157,9 @@ func (p SuspicionPolicy) backoff(attempt int) time.Duration {
 
 // TCPOptions tune a TCP endpoint. The zero value gives the defaults.
 type TCPOptions struct {
-	// QueueSize bounds each peer's outbound queue (default 4096).
-	QueueSize int
 	// RetainLimit bounds each peer's unacknowledged retransmit window —
 	// envelopes stay encoded in memory until the peer acks them, and the
-	// writer stops pulling from the queue when the window is full
+	// writer stops taking from the outbound queue when the window is full
 	// (default 32768, which also sets the max envelopes in flight).
 	RetainLimit int
 	// MaxBatch bounds envelopes per flushed frame (default 512).
@@ -199,9 +198,6 @@ type TCPOptions struct {
 }
 
 func (o TCPOptions) withDefaults() TCPOptions {
-	if o.QueueSize <= 0 {
-		o.QueueSize = defaultQueueSize
-	}
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = defaultMaxBatch
 	}
@@ -238,13 +234,11 @@ func (o TCPOptions) ackBatch() uint64 { return uint64(o.RetainLimit / 4) }
 
 // TCPStats is a snapshot of an endpoint's resilience counters.
 type TCPStats struct {
-	// MessagesDropped counts inbound message events dropped because the
-	// receiver's event buffer was full (control events are never
-	// dropped).
+	// MessagesDropped and SendQueueDrops are always 0: the transport
+	// drops nothing it accepted (Abandoned counts what a failed peer
+	// leaves behind). Kept for benchmark/check.go.
 	MessagesDropped uint64
-	// SendQueueDrops counts envelopes Send dropped because a live peer's
-	// outbound queue was full (congestion shedding).
-	SendQueueDrops uint64
+	SendQueueDrops  uint64
 	// Unencodable counts envelopes dropped because the message could not
 	// be encoded.
 	Unencodable uint64
@@ -272,33 +266,29 @@ type TCPStats struct {
 // tcpStatCounters holds the endpoint's registered obs counter handles
 // (lock-free atomics); TCPStats is a thin snapshot over them.
 type tcpStatCounters struct {
-	messagesDropped *obs.Counter
-	sendQueueDrops  *obs.Counter
-	unencodable     *obs.Counter
-	abandoned       *obs.Counter
-	reconnects      *obs.Counter
-	retransmits     *obs.Counter
-	keepalives      *obs.Counter
-	ackFrames       *obs.Counter
-	flushes         *obs.Counter
-	failureEvents   *obs.Counter
-	recoveryEvents  *obs.Counter
+	unencodable    *obs.Counter
+	abandoned      *obs.Counter
+	reconnects     *obs.Counter
+	retransmits    *obs.Counter
+	keepalives     *obs.Counter
+	ackFrames      *obs.Counter
+	flushes        *obs.Counter
+	failureEvents  *obs.Counter
+	recoveryEvents *obs.Counter
 }
 
 // newTCPMetrics registers (or fetches) the transport's counters on reg.
 func newTCPMetrics(reg *obs.Registry) tcpStatCounters {
 	return tcpStatCounters{
-		messagesDropped: reg.Counter("decaf_transport_messages_dropped_total", "inbound message events dropped on a full event buffer"),
-		sendQueueDrops:  reg.Counter("decaf_transport_send_queue_drops_total", "envelopes dropped on a full live-peer outbound queue"),
-		unencodable:     reg.Counter("decaf_transport_unencodable_total", "envelopes dropped because the message could not be encoded"),
-		abandoned:       reg.Counter("decaf_transport_abandoned_total", "accepted envelopes discarded when a peer was declared failed"),
-		reconnects:      reg.Counter("decaf_transport_reconnects_total", "connections re-established to previously connected peers"),
-		retransmits:     reg.Counter("decaf_transport_retransmits_total", "unacknowledged envelopes re-sent after a reconnect"),
-		keepalives:      reg.Counter("decaf_transport_keepalives_total", "idle-probe frames sent"),
-		ackFrames:       reg.Counter("decaf_transport_ack_frames_total", "standalone ack frames sent (acks riding a data frame excluded)"),
-		flushes:         reg.Counter("decaf_transport_flushes_total", "socket flushes"),
-		failureEvents:   reg.Counter("decaf_transport_failure_events_total", "EventSiteFailed control events emitted"),
-		recoveryEvents:  reg.Counter("decaf_transport_recovery_events_total", "EventSiteRecovered control events emitted"),
+		unencodable:    reg.Counter("decaf_transport_unencodable_total", "envelopes dropped because the message could not be encoded"),
+		abandoned:      reg.Counter("decaf_transport_abandoned_total", "accepted envelopes discarded when a peer was declared failed"),
+		reconnects:     reg.Counter("decaf_transport_reconnects_total", "connections re-established to previously connected peers"),
+		retransmits:    reg.Counter("decaf_transport_retransmits_total", "unacknowledged envelopes re-sent after a reconnect"),
+		keepalives:     reg.Counter("decaf_transport_keepalives_total", "idle-probe frames sent"),
+		ackFrames:      reg.Counter("decaf_transport_ack_frames_total", "standalone ack frames sent (acks riding a data frame excluded)"),
+		flushes:        reg.Counter("decaf_transport_flushes_total", "socket flushes"),
+		failureEvents:  reg.Counter("decaf_transport_failure_events_total", "EventSiteFailed control events emitted"),
+		recoveryEvents: reg.Counter("decaf_transport_recovery_events_total", "EventSiteRecovered control events emitted"),
 	}
 }
 
@@ -321,13 +311,12 @@ type outRec struct {
 // §3.4), and a failed peer that comes back surfaces as
 // EventSiteRecovered.
 type TCP struct {
-	site   vtime.SiteID
-	ln     net.Listener
-	events chan Event
-	opts   TCPOptions
-	obs    *obs.Observer
-	stats  tcpStatCounters
-	stopCh chan struct{}
+	site  vtime.SiteID
+	ln    net.Listener
+	in    *inbox
+	opts  TCPOptions
+	obs   *obs.Observer
+	stats tcpStatCounters
 
 	mu      sync.Mutex
 	peers   map[vtime.SiteID]string   // guarded by mu
@@ -336,28 +325,21 @@ type TCP struct {
 	failed  map[vtime.SiteID]bool     // guarded by mu
 	closed  bool                      // guarded by mu
 	wg      sync.WaitGroup
-
-	// ctrlQ holds pending control events (failure/recovery); a dedicated
-	// pump goroutine delivers them with a blocking send so they are
-	// never lost to a full event buffer.
-	ctrlMu   sync.Mutex
-	ctrlQ    []Event // guarded by ctrlMu
-	ctrlKick chan struct{}
 }
 
 var _ Endpoint = (*TCP)(nil)
 
-// tcpPeer is the outbound side of one peer: a bounded queue drained by a
-// writer goroutine. It also carries the per-peer sequencing state used for
-// dedup and acknowledgement of inbound traffic.
+// tcpPeer is the outbound side of one peer: an unbounded queue drained by
+// a writer goroutine. It also carries the per-peer sequencing state used
+// for dedup and acknowledgement of inbound traffic.
 type tcpPeer struct {
 	t    *TCP
 	site vtime.SiteID
 	addr string // dial address; empty when adopted from an inbound conn
 
-	queue    chan tcpOut
+	queued   chan struct{} // wakes the writer: the queue became non-empty
 	kick     chan struct{} // wakes the writer: ack owed, window reopened, conn change
-	stop     chan struct{}
+	stop     chan struct{} // closed once the writer must stop; SendBatch then refuses
 	stopOnce sync.Once
 
 	// inc identifies this peer session. The writer numbers envelopes
@@ -401,6 +383,7 @@ type tcpPeer struct {
 	recvSeq   uint64 // guarded by deliverMu
 
 	mu      sync.Mutex
+	queue   []tcpOut // guarded by mu; accepted envelopes the writer has not taken yet
 	conn    net.Conn // guarded by mu; connection the writer currently owns
 	pending net.Conn // guarded by mu; freshly adopted inbound conn awaiting writer pickup
 	broken  bool     // guarded by mu; read side observed an error on conn
@@ -428,22 +411,19 @@ func ListenTCPOptions(site vtime.SiteID, addr string, peers map[vtime.SiteID]str
 		observer = obs.Nop()
 	}
 	t := &TCP{
-		site:     site,
-		ln:       ln,
-		peers:    book,
-		events:   make(chan Event, 4096),
-		opts:     opts.withDefaults(),
-		obs:      observer,
-		stats:    newTCPMetrics(observer.Metrics()),
-		stopCh:   make(chan struct{}),
-		conns:    map[vtime.SiteID]*tcpPeer{},
-		failed:   map[vtime.SiteID]bool{},
-		ctrlKick: make(chan struct{}, 1),
+		site:   site,
+		ln:     ln,
+		peers:  book,
+		in:     newInbox(4096),
+		opts:   opts.withDefaults(),
+		obs:    observer,
+		stats:  newTCPMetrics(observer.Metrics()),
+		conns:  map[vtime.SiteID]*tcpPeer{},
+		failed: map[vtime.SiteID]bool{},
 	}
 	t.registerObs()
-	t.wg.Add(2)
+	t.wg.Add(1)
 	go t.acceptLoop()
-	go t.ctrlLoop()
 	return t, nil
 }
 
@@ -452,13 +432,14 @@ func ListenTCPOptions(site vtime.SiteID, addr string, peers map[vtime.SiteID]str
 func (t *TCP) registerObs() {
 	reg := t.obs.Metrics()
 	reg.GaugeFunc("decaf_transport_events_queue_depth", "inbound events awaiting the site's event loop", func() float64 {
-		return float64(len(t.events))
+		return float64(len(t.in.events))
 	})
+	t.in.observe(reg)
 	reg.GaugeFunc("decaf_transport_send_queue_depth", "outbound envelopes queued across all peers", func() float64 {
 		n := 0
 		t.mu.Lock()
 		for _, p := range t.conns {
-			n += len(p.queue)
+			n += p.queueLen()
 		}
 		t.mu.Unlock()
 		return float64(n)
@@ -489,8 +470,8 @@ func (t *TCP) debugState() any {
 	closed := t.closed
 	t.mu.Unlock()
 
-	// Outside t.mu: ackDebt takes the peer's delivery lock, which a read
-	// loop holds while it takes t.mu to deliver.
+	// Outside t.mu: the per-peer reads take each peer's own locks, and a
+	// scrape need not hold up Send and the read loops' adoptConn meanwhile.
 	peers := map[string]any{}
 	for _, p := range conns {
 		last := p.lastSeq.Load()
@@ -500,7 +481,7 @@ func (t *TCP) debugState() any {
 			lag = last - acked
 		}
 		peers[p.site.String()] = map[string]any{
-			"queue_depth":        len(p.queue),
+			"queue_depth":        p.queueLen(),
 			"retained_envelopes": p.retainedCount.Load(),
 			"last_seq":           last,
 			"acked_seq":          acked,
@@ -513,7 +494,8 @@ func (t *TCP) debugState() any {
 	}
 	return map[string]any{
 		"site":               t.site.String(),
-		"events_queue_depth": len(t.events),
+		"events_queue_depth": len(t.in.events),
+		"inbound_backlog":    t.in.backlogLen(),
 		"peers":              peers,
 		"failed_sites":       failed,
 		"closed":             closed,
@@ -527,24 +509,22 @@ func (t *TCP) Addr() net.Addr { return t.ln.Addr() }
 func (t *TCP) Site() vtime.SiteID { return t.site }
 
 // Events implements Endpoint.
-func (t *TCP) Events() <-chan Event { return t.events }
+func (t *TCP) Events() <-chan Event { return t.in.events }
 
 // Stats returns a snapshot of the endpoint's resilience counters. It is
 // a thin read over the obs registry: the same counters serve Stats and
 // /metrics.
 func (t *TCP) Stats() TCPStats {
 	return TCPStats{
-		MessagesDropped: t.stats.messagesDropped.Value(),
-		SendQueueDrops:  t.stats.sendQueueDrops.Value(),
-		Unencodable:     t.stats.unencodable.Value(),
-		Abandoned:       t.stats.abandoned.Value(),
-		Reconnects:      t.stats.reconnects.Value(),
-		Retransmits:     t.stats.retransmits.Value(),
-		Keepalives:      t.stats.keepalives.Value(),
-		AckFrames:       t.stats.ackFrames.Value(),
-		Flushes:         t.stats.flushes.Value(),
-		FailureEvents:   t.stats.failureEvents.Value(),
-		RecoveryEvents:  t.stats.recoveryEvents.Value(),
+		Unencodable:    t.stats.unencodable.Value(),
+		Abandoned:      t.stats.abandoned.Value(),
+		Reconnects:     t.stats.reconnects.Value(),
+		Retransmits:    t.stats.retransmits.Value(),
+		Keepalives:     t.stats.keepalives.Value(),
+		AckFrames:      t.stats.ackFrames.Value(),
+		Flushes:        t.stats.flushes.Value(),
+		FailureEvents:  t.stats.failureEvents.Value(),
+		RecoveryEvents: t.stats.recoveryEvents.Value(),
 	}
 }
 
@@ -574,35 +554,6 @@ func (t *TCP) acceptLoop() {
 		t.wg.Add(1)
 		t.mu.Unlock()
 		go t.readLoop(conn)
-	}
-}
-
-// ctrlLoop delivers queued control events with a blocking send, so
-// failure/recovery notifications are lossless even when the receiver's
-// event buffer is full of messages.
-func (t *TCP) ctrlLoop() {
-	defer t.wg.Done()
-	for {
-		select {
-		case <-t.ctrlKick:
-		case <-t.stopCh:
-			return
-		}
-		for {
-			t.ctrlMu.Lock()
-			if len(t.ctrlQ) == 0 {
-				t.ctrlMu.Unlock()
-				break
-			}
-			ev := t.ctrlQ[0]
-			t.ctrlQ = t.ctrlQ[1:]
-			t.ctrlMu.Unlock()
-			select {
-			case t.events <- ev:
-			case <-t.stopCh:
-				return
-			}
-		}
 	}
 }
 
@@ -792,7 +743,9 @@ func (t *TCP) adoptConn(from vtime.SiteID, conn net.Conn) *tcpPeer {
 	}
 	if recovered {
 		t.stats.recoveryEvents.Add(1)
-		t.deliverControl(Event{Kind: EventSiteRecovered, Failed: from})
+		// Under t.mu, like reportFailure's: events queue in the order the
+		// failed set changes.
+		t.in.deliver(Event{Kind: EventSiteRecovered, Failed: from})
 	}
 	t.mu.Unlock()
 	return p
@@ -800,13 +753,13 @@ func (t *TCP) adoptConn(from vtime.SiteID, conn net.Conn) *tcpPeer {
 
 func (t *TCP) newPeer(site vtime.SiteID, addr string) *tcpPeer {
 	return &tcpPeer{
-		t:     t,
-		site:  site,
-		addr:  addr,
-		inc:   randInc(),
-		queue: make(chan tcpOut, t.opts.QueueSize),
-		kick:  make(chan struct{}, 1),
-		stop:  make(chan struct{}),
+		t:      t,
+		site:   site,
+		addr:   addr,
+		inc:    randInc(),
+		queued: make(chan struct{}, 1),
+		kick:   make(chan struct{}, 1),
+		stop:   make(chan struct{}),
 	}
 }
 
@@ -817,35 +770,6 @@ func randInc() uint64 {
 		if inc := rand.Uint64(); inc != 0 {
 			return inc
 		}
-	}
-}
-
-// deliver hands a message event to the receiver; a full buffer drops it,
-// as a congested network would, and counts the drop.
-func (t *TCP) deliver(ev Event) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return
-	}
-	select {
-	case t.events <- ev:
-	default:
-		t.stats.messagesDropped.Add(1)
-	}
-}
-
-// deliverControl queues a failure/recovery event for lossless delivery.
-// The caller holds t.mu and has checked t.closed, so events queue in the
-// order the failed set changes: a peer that redials as soon as
-// reportFailure closes its link is reported failed before recovered.
-func (t *TCP) deliverControl(ev Event) {
-	t.ctrlMu.Lock()
-	t.ctrlQ = append(t.ctrlQ, ev)
-	t.ctrlMu.Unlock()
-	select {
-	case t.ctrlKick <- struct{}{}:
-	default:
 	}
 }
 
@@ -863,7 +787,9 @@ func (t *TCP) reportFailure(site vtime.SiteID) {
 		delete(t.conns, site)
 	}
 	t.stats.failureEvents.Add(1)
-	t.deliverControl(Event{Kind: EventSiteFailed, Failed: site})
+	// Under t.mu, before the sender is torn down: a peer that redials as
+	// soon as its link closes is reported failed before recovered.
+	t.in.deliver(Event{Kind: EventSiteFailed, Failed: site})
 	t.mu.Unlock()
 	if ok {
 		p.shutdown()
@@ -872,7 +798,7 @@ func (t *TCP) reportFailure(site vtime.SiteID) {
 
 // shutdown stops the peer's writer and closes its connections.
 func (p *tcpPeer) shutdown() {
-	p.stopOnce.Do(func() { close(p.stop) })
+	p.stopSending()
 	p.mu.Lock()
 	conn, pending := p.conn, p.pending
 	p.conn, p.pending = nil, nil
@@ -944,7 +870,7 @@ func (p *tcpPeer) acceptAndDeliver(connInc, seq uint64, ev Event) bool {
 		return false
 	}
 	p.recvSeq = seq
-	p.t.deliver(ev)
+	p.t.in.deliver(ev)
 	return true
 }
 
@@ -1072,32 +998,43 @@ func (t *TCP) Send(to vtime.SiteID, sentAt vtime.VT, msg wire.Message) error {
 	return t.SendBatch(to, sentAt, []wire.Message{msg})
 }
 
-// SendBatch implements BatchSender: one peer lookup for the whole
-// batch, then each message is enqueued without blocking.
+// SendBatch implements BatchSender: one peer lookup and one queue lock
+// for the whole batch. The queue is unbounded, so nothing is refused
+// while the peer is live; a peer whose writer has stopped (declared
+// failed, or the endpoint closed) returns ErrSiteDown.
 func (t *TCP) SendBatch(to vtime.SiteID, sentAt vtime.VT, msgs []wire.Message) error {
 	p, err := t.peerFor(to)
 	if err != nil {
 		return err
 	}
+	p.mu.Lock()
+	select {
+	case <-p.stop:
+		p.mu.Unlock()
+		return ErrSiteDown
+	default:
+	}
+	wake := len(p.queue) == 0
 	for _, msg := range msgs {
+		p.queue = append(p.queue, tcpOut{sentAt: sentAt, msg: msg})
+	}
+	p.mu.Unlock()
+	if wake {
 		select {
-		case <-p.stop:
-			return ErrSiteDown
-		case p.queue <- tcpOut{sentAt: sentAt, msg: msg}:
-			continue
+		case p.queued <- struct{}{}:
 		default:
-		}
-		// Queue full. A dead peer (writer already stopped) is an error; a
-		// live but congested one drops silently, matching the simulated
-		// network's bounded-buffer semantics.
-		select {
-		case <-p.stop:
-			return ErrSiteDown
-		default:
-			t.stats.sendQueueDrops.Add(1)
 		}
 	}
 	return nil
+}
+
+// stopSending stops the writer and makes SendBatch refuse from now on.
+func (p *tcpPeer) stopSending() { p.stopOnce.Do(func() { close(p.stop) }) }
+
+func (p *tcpPeer) queueLen() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.queue)
 }
 
 // startReadLoop launches a read loop for a dialed connection (peers
@@ -1200,8 +1137,9 @@ func (p *tcpPeer) establish() (net.Conn, bool) {
 	}
 }
 
-// writeLoop drains the peer queue into batched, sequenced frames. Every
-// envelope is retained until the peer acknowledges it; on a connection
+// writeLoop drains the peer queue into batched, sequenced frames, taking
+// from it only while the retransmit window has room. Every envelope is
+// retained until the peer acknowledges it; on a connection
 // error the loop reconnects (establish) and retransmits the
 // unacknowledged tail, so accepted envelopes survive link flaps. Only an
 // exhausted suspicion policy abandons the queue and declares the peer
@@ -1272,18 +1210,14 @@ func (p *tcpPeer) writeLoop() {
 	}
 
 	// abandon counts everything still accepted but undeliverable, then
-	// escalates to the fail-stop verdict.
+	// escalates to the fail-stop verdict. SendBatch refuses first, so the
+	// count is final.
 	abandon := func() {
-		n := uint64(len(retained))
-	drain:
-		for {
-			select {
-			case <-p.queue:
-				n++
-			default:
-				break drain
-			}
-		}
+		p.stopSending()
+		p.mu.Lock()
+		n := uint64(len(retained) + len(p.queue))
+		p.queue = nil
+		p.mu.Unlock()
 		if n > 0 {
 			t.stats.abandoned.Add(n)
 		}
@@ -1306,6 +1240,31 @@ func (p *tcpPeer) writeLoop() {
 		p.lastSeq.Store(nextSeq)
 		nextSeq++
 		p.retainedCount.Store(int64(len(retained)))
+	}
+
+	// take moves queued envelopes into the retransmit window: no more than
+	// keep it within RetainLimit and the unsent tail within one frame. The
+	// rest stays queued. Encoding happens outside p.mu, and the two
+	// buffers swap places so a drained queue costs no allocation.
+	var taken []tcpOut
+	take := func() {
+		n := min(retainLimit-len(retained), opts.MaxBatch-(len(retained)-sentIdx))
+		if n <= 0 {
+			return
+		}
+		p.mu.Lock()
+		if len(p.queue) <= n {
+			taken, p.queue = p.queue, taken[:0]
+		} else {
+			taken = append(taken[:0], p.queue[:n]...)
+			clear(p.queue[:n])
+			p.queue = p.queue[n:]
+		}
+		p.mu.Unlock()
+		for i, e := range taken {
+			enqueueOut(e)
+			taken[i] = tcpOut{}
+		}
 	}
 
 	pruneAcked := func() {
@@ -1404,6 +1363,7 @@ func (p *tcpPeer) writeLoop() {
 		}
 
 		pruneAcked()
+		take()
 		rInc, recv := p.recvState()
 		// An ack is due when the peer has not heard of everything we
 		// delivered. It rides the next data frame; it goes alone (ackNow)
@@ -1426,23 +1386,22 @@ func (p *tcpPeer) writeLoop() {
 				staleMark = p.ackedSeq.Load()
 				p.staleTimer.arm(opts.AckTimeout)
 			}
-			// Only take new envelopes while the retransmit window has
-			// room: a full window must drain via acks (or be found stale)
-			// before intake resumes, or retained would grow unboundedly
-			// against a peer that reads frames but withholds acks.
-			intake := p.queue
+			// take stops at a full retransmit window: it must drain via
+			// acks (or be found stale) before the queue moves again, or
+			// retained would grow unboundedly against a peer that reads
+			// frames but withholds acks.
 			if len(retained) >= retainLimit {
 				// Ask handleAck for a wake-up, then look again: an ack that
 				// landed before the flag was up woke nobody.
 				p.windowBlocked.Store(true)
-				if pruneAcked(); len(retained) >= retainLimit {
-					intake = nil
+				if pruneAcked(); len(retained) < retainLimit {
+					p.windowBlocked.Store(false)
+					continue
 				}
 			}
 			stale := false
 			select {
-			case e := <-intake:
-				enqueueOut(e)
+			case <-p.queued:
 			case <-p.kick:
 			case <-probeCh:
 				sendProbe = true
@@ -1462,17 +1421,6 @@ func (p *tcpPeer) writeLoop() {
 			}
 			continue
 		}
-		// Coalesce whatever else is already queued into this flush.
-		for len(retained) < retainLimit && len(retained)-sentIdx < opts.MaxBatch {
-			select {
-			case e := <-p.queue:
-				enqueueOut(e)
-				continue
-			default:
-			}
-			break
-		}
-
 		end := batchEnd(retained, sentIdx, opts.MaxBatch, maxDataBytes)
 		if d := opts.Faults.frameDelay(); d > 0 {
 			time.Sleep(d)
@@ -1545,7 +1493,7 @@ func buildParts(head []byte, recs []outRec) [][]byte {
 }
 
 // Close implements Endpoint: stops the listener, closes all connections,
-// and closes the events channel after all loops exit.
+// and closes the inbox after all loops exit.
 func (t *TCP) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -1562,7 +1510,6 @@ func (t *TCP) Close() error {
 	t.inbound = nil
 	t.mu.Unlock()
 
-	close(t.stopCh)
 	err := t.ln.Close()
 	for _, p := range conns {
 		p.shutdown()
@@ -1571,9 +1518,6 @@ func (t *TCP) Close() error {
 		c.Close()
 	}
 	t.wg.Wait()
-
-	t.mu.Lock()
-	close(t.events)
-	t.mu.Unlock()
+	t.in.close()
 	return err
 }

@@ -13,9 +13,11 @@
 //     net, for running collaborating applications as separate OS
 //     processes.
 //
-// Both present the same Endpoint interface and fail-stop failure
-// notifications (paper §3.4: "the underlying communication infrastructure
-// provides notification of such failures ... as fail-stop failures").
+// Both present the same Endpoint interface, the same delivery rule —
+// nothing accepted is dropped until the endpoint closes or the peer is
+// declared failed — and fail-stop failure notifications (paper §3.4:
+// "the underlying communication infrastructure provides notification of
+// such failures ... as fail-stop failures").
 package transport
 
 import (
@@ -54,9 +56,7 @@ const (
 )
 
 // Event is something an endpoint receives: a message or a failure /
-// recovery notification. Failure and recovery are control events: the
-// TCP transport delivers them losslessly (unlike its messages, they are
-// never dropped on a full event buffer); the in-memory Network drops none.
+// recovery notification (a control event).
 type Event struct {
 	Kind EventKind
 	// From is the sending site (EventMessage).
@@ -79,19 +79,24 @@ type Endpoint interface {
 	// error; sends lost to partitions are silently dropped (the network
 	// gives no feedback, as on a real LAN).
 	Send(to vtime.SiteID, sentAt vtime.VT, msg wire.Message) error
-	// Events returns the endpoint's delivery channel. The channel is
-	// closed when the endpoint itself is closed or its site is killed.
+	BatchSender
+	// Events returns the endpoint's delivery channel. Nothing the
+	// endpoint accepts is dropped before it closes or its site is killed:
+	// messages and control events share the channel in arrival order, and
+	// events that find it full wait, in order, in an unbounded backlog.
+	// The channel is closed when the endpoint itself is closed or its
+	// site is killed.
 	Events() <-chan Event
 	// Close detaches the endpoint.
 	Close() error
 }
 
-// BatchSender is an optional Endpoint extension: SendBatch transmits
-// several messages to one destination with a single transport handoff.
-// The engine uses it to coalesce the outbound messages of one event-loop
-// batch per peer. Semantics match len(msgs) sequential Send calls:
-// per-message fault injection and latency jitter still apply, and FIFO
-// delivery order is preserved.
+// BatchSender is the Endpoint method that transmits several messages to
+// one destination with a single transport handoff. The engine uses it to
+// coalesce the outbound messages of one event-loop batch per peer.
+// Semantics match len(msgs) sequential Send calls: per-message fault
+// injection and latency jitter still apply, and FIFO delivery order is
+// preserved.
 type BatchSender interface {
 	SendBatch(to vtime.SiteID, sentAt vtime.VT, msgs []wire.Message) error
 }
@@ -233,8 +238,8 @@ type Config struct {
 	// LatencyFn, when non-nil, overrides Latency per ordered site pair.
 	LatencyFn func(from, to vtime.SiteID) time.Duration
 	// QueueSize is the capacity of each endpoint's Events channel
-	// (default 4096). Events that find it full wait, in order, in an
-	// unbounded per-endpoint backlog: nothing is dropped.
+	// (default 4096). It bounds no delivery: events that find the
+	// channel full wait, in order, in the endpoint's unbounded backlog.
 	QueueSize int
 	// Faults, when non-nil, injects network faults: DropFrames loses
 	// individual messages in flight and DelayFrames slows every message
@@ -337,12 +342,7 @@ func (n *Network) Endpoint(site vtime.SiteID) (Endpoint, error) {
 	if _, ok := n.st.endpoints[site]; ok {
 		return nil, fmt.Errorf("transport: site %s already attached", site)
 	}
-	ep := &memEndpoint{
-		net:    n,
-		site:   site,
-		events: make(chan Event, n.cfg.QueueSize),
-		stop:   make(chan struct{}),
-	}
+	ep := &memEndpoint{net: n, site: site, in: newInbox(n.cfg.QueueSize)}
 	n.st.endpoints[site] = ep
 	delete(n.st.dead, site)
 	return ep, nil
@@ -429,7 +429,7 @@ func (n *Network) Kill(site vtime.SiteID) {
 	ep := n.st.endpoints[site]
 	n.mu.Unlock()
 	if ep != nil {
-		ep.kill() // waits for its pump: not under n.mu
+		ep.in.close() // waits for its pump: not under n.mu
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -490,7 +490,7 @@ func (n *Network) Observe(site vtime.SiteID, o *obs.Observer) {
 	if ep == nil || o == nil {
 		return
 	}
-	o.Metrics().GaugeFunc("decaf_transport_inbound_backlog", "inbound events waiting for room in the endpoint's event channel", ep.backlogLen)
+	ep.in.observe(o.Metrics())
 }
 
 // Partition blocks message delivery in both directions between a and b.
@@ -530,27 +530,18 @@ func (n *Network) Close() {
 		c.close()
 	}
 	for _, ep := range eps {
-		ep.kill()
+		ep.in.close()
 	}
 }
 
 // memEndpoint is a site's attachment to a Network.
 type memEndpoint struct {
-	net    *Network
-	site   vtime.SiteID
-	events chan Event
-	stop   chan struct{} // closed by kill: a pump blocked on events returns
-
-	mu      sync.Mutex
-	closed  bool          // guarded by mu
-	backlog []Event       // guarded by mu; events that found events full, oldest first
-	pumping chan struct{} // guarded by mu; non-nil while a pump drains backlog, closed when it exits
+	net  *Network
+	site vtime.SiteID
+	in   *inbox
 }
 
-var (
-	_ Endpoint    = (*memEndpoint)(nil)
-	_ BatchSender = (*memEndpoint)(nil)
-)
+var _ Endpoint = (*memEndpoint)(nil)
 
 func (ep *memEndpoint) Site() vtime.SiteID { return ep.site }
 
@@ -562,89 +553,14 @@ func (ep *memEndpoint) SendBatch(to vtime.SiteID, sentAt vtime.VT, msgs []wire.M
 	return ep.net.sendBatch(ep.site, to, sentAt, msgs)
 }
 
-func (ep *memEndpoint) Events() <-chan Event { return ep.events }
+func (ep *memEndpoint) Events() <-chan Event { return ep.in.events }
 
-// deliver accepts ev: onto the Events channel when it has room and no
-// older event is waiting, into the backlog otherwise. A pump goroutine
-// exists exactly while the backlog is non-empty.
+// deliver hands ev to the endpoint's inbox, after the OnDeliver hook.
 func (ep *memEndpoint) deliver(ev Event) {
 	if ep.net.cfg.OnDeliver != nil {
 		ep.net.cfg.OnDeliver(ep.site, ev)
 	}
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	if ep.closed {
-		return
-	}
-	if len(ep.backlog) == 0 {
-		select {
-		case ep.events <- ev:
-			return
-		default:
-		}
-	}
-	ep.backlog = append(ep.backlog, ev)
-	if ep.pumping == nil {
-		ep.pumping = make(chan struct{})
-		go ep.pump(ep.pumping)
-	}
-}
-
-// pump moves the backlog onto the Events channel in order. The head
-// leaves the backlog only once sent, so deliver cannot overtake it.
-func (ep *memEndpoint) pump(done chan struct{}) {
-	defer close(done)
-	sent := false
-	for {
-		ep.mu.Lock()
-		if ep.closed {
-			ep.mu.Unlock()
-			return
-		}
-		if sent {
-			ep.backlog[0] = Event{}
-			ep.backlog = ep.backlog[1:]
-		}
-		if len(ep.backlog) == 0 {
-			ep.backlog = nil
-			ep.pumping = nil
-			ep.mu.Unlock()
-			return
-		}
-		ev := ep.backlog[0]
-		ep.mu.Unlock()
-		select {
-		case ep.events <- ev:
-			sent = true
-		case <-ep.stop:
-			return
-		}
-	}
-}
-
-func (ep *memEndpoint) backlogLen() float64 {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	return float64(len(ep.backlog))
-}
-
-// kill closes the endpoint: it stops the pump, discards the backlog and
-// closes the Events channel, once.
-func (ep *memEndpoint) kill() {
-	ep.mu.Lock()
-	if ep.closed {
-		ep.mu.Unlock()
-		return
-	}
-	ep.closed = true
-	ep.backlog = nil
-	pumping := ep.pumping
-	ep.mu.Unlock()
-	close(ep.stop)
-	if pumping != nil {
-		<-pumping
-	}
-	close(ep.events)
+	ep.in.deliver(ev)
 }
 
 func (ep *memEndpoint) Close() error {

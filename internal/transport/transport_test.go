@@ -242,65 +242,93 @@ func TestNetworkCloseIdempotent(t *testing.T) {
 // pumps counts the live backlog pump goroutines.
 func pumps() int {
 	buf := make([]byte, 1<<20)
-	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "(*memEndpoint).pump(")
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "(*inbox).pump(")
 }
 
-// waitFor polls cond for up to two seconds.
+// waitFor polls cond for up to five seconds.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
-	for deadline := time.Now().Add(2 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 	}
 }
 
-// TestNetworkSpillsFullBufferInOrder: an endpoint that stops draining
-// loses nothing. What overflows its channel waits in the backlog, whose
-// depth the observer's gauge reports, and arrives in order once the
-// endpoint drains. Killing an endpoint with a backlog closes its channel
-// once and leaves no pump behind.
+// TestNetworkSpillsFullBufferInOrder: on either transport, an endpoint
+// that stops draining loses nothing. What overflows its channel waits in
+// the backlog, whose depth the observer's gauge reports, and arrives in
+// order once the endpoint drains. Closing an endpoint with a backlog
+// closes its channel once and leaves no pump behind. The TCP pair's
+// small retransmit window makes the burst wait in the sender's queue
+// too.
 func TestNetworkSpillsFullBufferInOrder(t *testing.T) {
-	const queue, sent = 4, 10
-	n := NewNetwork(Config{QueueSize: queue})
-	defer n.Close()
-	a, _ := n.Endpoint(1)
-	b, _ := n.Endpoint(2)
-	c, _ := n.Endpoint(3)
-	o := obs.New()
-	n.Observe(2, o)
-	backlog := func() float64 {
-		v, _ := o.Metrics().Value("decaf_transport_inbound_backlog")
-		return v
-	}
+	for _, tc := range []struct {
+		name string
+		// pair attaches a sender and a receiver whose backlog gauge is on o.
+		pair func(t *testing.T, o *obs.Observer) (from, to Endpoint)
+	}{
+		{"mem", func(t *testing.T, o *obs.Observer) (Endpoint, Endpoint) {
+			n := NewNetwork(Config{QueueSize: 4})
+			t.Cleanup(n.Close)
+			a, _ := n.Endpoint(1)
+			b, _ := n.Endpoint(2)
+			n.Observe(2, o)
+			return a, b
+		}},
+		{"tcp", func(t *testing.T, o *obs.Observer) (Endpoint, Endpoint) {
+			opts := TCPOptions{MaxBatch: 4, RetainLimit: 8}
+			bOpts := opts
+			bOpts.Observer = o
+			b, err := ListenTCPOptions(2, "127.0.0.1:0", nil, bOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { b.Close() })
+			a, err := ListenTCPOptions(1, "127.0.0.1:0", map[vtime.SiteID]string{2: b.Addr().String()}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { a.Close() })
+			return a, b
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := obs.New()
+			from, to := tc.pair(t, o)
+			backlog := func() float64 {
+				v, _ := o.Metrics().Value("decaf_transport_inbound_backlog")
+				return v
+			}
+			room := cap(to.Events())
+			sent := uint64(room + 64)
+			burst := func() {
+				t.Helper()
+				for i := uint64(0); i < sent; i++ {
+					if err := from.Send(2, vtime.Zero, msg(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
 
-	for i := uint64(0); i < sent; i++ {
-		if err := a.Send(2, vtime.Zero, msg(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := backlog(); got != sent-queue {
-		t.Fatalf("backlog = %v, want %d", got, sent-queue)
-	}
-	for i := uint64(0); i < sent; i++ {
-		if got := recvOne(t, b, time.Second).Msg.(wire.Outcome).TxnVT.Time; got != i {
-			t.Fatalf("message %d arrived as %d", i, got)
-		}
-	}
-	waitFor(t, "an empty backlog and no pump", func() bool { return backlog() == 0 && pumps() == 0 })
+			burst()
+			waitFor(t, "the overflow in the backlog", func() bool { return backlog() == float64(sent)-float64(room) })
+			for i := uint64(0); i < sent; i++ {
+				if got := recvOne(t, to, time.Second).Msg.(wire.Outcome).TxnVT.Time; got != i {
+					t.Fatalf("message %d arrived as %d", i, got)
+				}
+			}
+			waitFor(t, "an empty backlog and no pump", func() bool { return backlog() == 0 && pumps() == 0 })
 
-	for i := uint64(0); i < sent; i++ {
-		if err := a.Send(3, vtime.Zero, msg(i)); err != nil {
-			t.Fatal(err)
-		}
+			burst()
+			waitFor(t, "one pump for the backlog", func() bool { return pumps() == 1 })
+			_ = to.Close()
+			_ = to.Close()
+			for range to.Events() {
+			}
+			waitFor(t, "the pump to exit", func() bool { return pumps() == 0 })
+		})
 	}
-	waitFor(t, "one pump for the backlog", func() bool { return pumps() == 1 })
-	n.Kill(3)
-	n.Kill(3)
-	_ = c.Close()
-	for range c.Events() {
-	}
-	waitFor(t, "the pump to exit", func() bool { return pumps() == 0 })
 }
 
 func TestTCPBasicExchange(t *testing.T) {
@@ -468,8 +496,8 @@ func TestTCPBatchedBurstFIFO(t *testing.T) {
 
 func TestTCPSendDoesNotBlockOnSlowPeer(t *testing.T) {
 	// A peer that accepts the connection but never reads must not block
-	// the sender's goroutine: once the socket and queue fill, Send drops
-	// silently (live-peer overflow policy) and returns promptly.
+	// the sender's goroutine: once the socket fills, Send keeps queueing
+	// behind the stalled writer and returns promptly.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -483,9 +511,7 @@ func TestTCPSendDoesNotBlockOnSlowPeer(t *testing.T) {
 		}
 	}()
 
-	a, err := ListenTCPOptions(1, "127.0.0.1:0",
-		map[vtime.SiteID]string{2: ln.Addr().String()},
-		TCPOptions{QueueSize: 16})
+	a, err := ListenTCP(1, "127.0.0.1:0", map[vtime.SiteID]string{2: ln.Addr().String()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +521,7 @@ func TestTCPSendDoesNotBlockOnSlowPeer(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		// Far more data than the socket buffers plus queue can hold.
+		// Far more data than the socket buffers can hold.
 		for i := 0; i < 5000; i++ {
 			if err := a.Send(2, vtime.Zero, payload); err != nil {
 				return // ErrSiteDown also proves we did not block
@@ -517,7 +543,7 @@ func TestTCPSendDoesNotBlockOnSlowPeer(t *testing.T) {
 func TestTCPOverflowOnDeadPeer(t *testing.T) {
 	// Once a peer has failed, sends report ErrSiteDown rather than
 	// silently dropping.
-	a, err := ListenTCPOptions(1, "127.0.0.1:0", nil, TCPOptions{QueueSize: 4})
+	a, err := ListenTCP(1, "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
