@@ -17,7 +17,7 @@
 //
 //	decaf-sim -replay -profile nofast -seed 107
 //
-// Paper mode reproduces the paper's §5 evaluation (E1–E8) in virtual
+// Paper mode reproduces the paper's §5 evaluation (E1–E7) in virtual
 // time, where one hop costs exactly the one-way delay t, prints one
 // table per experiment, and exits 1 if any row misses its model. The
 // output is a pure function of the code: two runs are byte-identical.
@@ -48,7 +48,7 @@ func main() {
 		profile   = flag.String("profile", "", "profile name for -replay")
 		seed      = flag.Int64("seed", 1, "seed for -replay")
 		gvtSeeds  = flag.Int("gvt-seeds", 0, "additionally run this many seeds of the GVT ring simulation")
-		paper     = flag.Bool("paper", false, "print the paper's section 5 tables (E1-E8) in virtual time; exit 1 if any row misses its model")
+		paper     = flag.Bool("paper", false, "print the paper's section 5 tables (E1-E7) in virtual time; exit 1 if any row misses its model")
 	)
 	flag.Parse()
 

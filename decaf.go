@@ -67,9 +67,6 @@ type Options struct {
 	// MaxRetries bounds automatic re-execution after conflicts
 	// (default engine.DefaultMaxRetries).
 	MaxRetries int
-	// RetryDelay inserts a pause before re-executing a conflicted
-	// transaction (default: immediate, as in the paper).
-	RetryDelay time.Duration
 	// Observer receives the site's metrics, VT-stamped trace events, and
 	// debug state (nil: counters still count, tracing and wall-clock
 	// timing are off). Share one Observer with the site's transport
@@ -119,7 +116,6 @@ func NewSite(ep transport.Endpoint, opts Options) *Site {
 	s := &Site{eng: engine.NewSite(ep, engine.Options{
 		Logger:     opts.Logger,
 		MaxRetries: opts.MaxRetries,
-		RetryDelay: opts.RetryDelay,
 		Observer:   opts.Observer,
 	})}
 	s.eng.Start()

@@ -157,7 +157,7 @@ func (s *Site) settle(st *txnState, committed bool, reason string) {
 // §2.4): a protocol transaction without a retry path fails; a
 // transaction out of attempts fails; one that depends on a failed
 // primary parks until the graph repair commits (§3.4); any other
-// re-executes after RetryDelay.
+// re-executes at once.
 func (s *Site) retry(st *txnState, reason string) {
 	h := st.handle
 	if h == nil {
@@ -187,18 +187,7 @@ func (s *Site) retry(st *txnState, reason string) {
 	}
 	s.stats.Retries.Add(1)
 	s.trace(obs.EvReExecute, st.vt, 0, "")
-	resubmit := func() {
-		s.doOrDrop(again, func() { h.finish(Result{Err: ErrSiteStopped}) })
-	}
-	if d := s.opts.RetryDelay; d > 0 {
-		// Through the injectable scheduler, never a raw timer: under the
-		// deterministic simulation the retry delay is a virtual-clock
-		// event like any message delivery, so retry timing is part of
-		// the explored, replayable schedule.
-		s.opts.Scheduler.AfterFunc(d, resubmit)
-		return
-	}
-	resubmit()
+	s.doOrDrop(again, func() { h.finish(Result{Err: ErrSiteStopped}) })
 }
 
 // isOrigin reports whether st is this site's own execution of the

@@ -124,24 +124,26 @@ func (r *recordingScheduler) take() []time.Duration {
 // and once aborted, and checks the same observables in every row: the
 // role site's Stats and accounting identities, the Handle's result, what
 // a pessimistic view at the role site hears, the Outcomes the role site
-// sends, and the delays handed to the Scheduler.
+// sends, and that nothing is handed to the Scheduler (a retry re-executes
+// at once).
 //
 // Site 2 originates every transaction; x's primary copy is at site 1, so
-// site 1 decides as delegate unless delegation is off; site 3 is a further
-// replica. An aborted row has site 1 deny site 2's first write, so its
-// first attempt aborts and its retry commits. The fast path has no abort:
-// nothing can deny a commutative transaction.
+// site 1 decides as delegate; site 3 is a further replica. A transaction
+// that also writes y, whose primary copy is at site 3, has two remote
+// primaries, so its origin decides it. An aborted row has site 1 deny
+// site 2's first write, so its first attempt aborts and its retry
+// commits. The fast path has no abort: nothing can deny a commutative
+// transaction.
 func TestDecisionRoles(t *testing.T) {
 	const (
-		write  = "write"  // site 2 writes x
-		add    = "add"    // site 2 adds to x: the commutative fast path
-		orphan = "orphan" // site 2 fails before anyone hears its decision
+		write     = "write"      // site 2 writes x
+		writeBoth = "write-both" // site 2 writes x and y: the origin decides
+		add       = "add"        // site 2 adds to x: the commutative fast path
+		orphan    = "orphan"     // site 2 fails before anyone hears its decision
 	)
-	noDelegation := Options{DisableDelegation: true}
 	cases := []struct {
 		name string
 		role int
-		opts Options
 		run  string
 		// deny aborts the first attempt; for an orphan it means no
 		// survivor saw a COMMIT.
@@ -149,18 +151,14 @@ func TestDecisionRoles(t *testing.T) {
 
 		commits, aborts, fastpath uint64
 		outcomes                  []string
-		scheduled                 []time.Duration
 	}{
-		{name: "origin-confirmed/commit", role: 2, opts: noDelegation, run: write,
+		{name: "origin-confirmed/commit", role: 2, run: writeBoth,
 			commits: 1, outcomes: []string{"→1 commit", "→3 commit"}},
-		{name: "origin-confirmed/abort", role: 2, opts: noDelegation, run: write, deny: true,
+		{name: "origin-confirmed/abort", role: 2, run: writeBoth, deny: true,
 			commits: 1, aborts: 1, outcomes: []string{"→1 abort", "→3 abort", "→1 commit", "→3 commit"}},
 		{name: "origin-delegated/commit", role: 2, run: write, commits: 1},
+		// The delegate's denial reaches the origin as an Outcome.
 		{name: "origin-delegated/abort", role: 2, run: write, deny: true, commits: 1, aborts: 1},
-		// The delegate's denial reaches the origin as an Outcome; the
-		// retry still waits RetryDelay, on the injected Scheduler.
-		{name: "origin-delegated/abort/retry-delay", role: 2, opts: Options{RetryDelay: 5 * time.Millisecond}, run: write, deny: true,
-			commits: 1, aborts: 1, scheduled: []time.Duration{5 * time.Millisecond}},
 		{name: "delegate/commit", role: 1, run: write, outcomes: []string{"→2 commit", "→3 commit"}},
 		{name: "delegate/abort", role: 1, run: write, deny: true,
 			outcomes: []string{"→2 abort", "→3 abort", "→2 commit", "→3 commit"}},
@@ -175,15 +173,17 @@ func TestDecisionRoles(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			sched := &recordingScheduler{}
-			opts := tc.opts
-			opts.Scheduler = sched
-			h, log := newLoggedHarness(t, 3, opts)
+			h, log := newLoggedHarness(t, 3, Options{Scheduler: sched})
 			role := h.site(tc.role)
 			members := []int{1, 2, 3}
 			if tc.run == orphan {
 				members = []int{1, 3} // site 2 hosts nothing: its failure needs no graph repair
 			}
 			x := h.joined(KindInt, "x", int64(0), members...)
+			var y map[int]ObjRef
+			if tc.run == writeBoth {
+				y = h.joined(KindInt, "y", int64(0), 3, 1, 2)
+			}
 			if tc.deny && tc.run != orphan {
 				denied := false // read and written on site 1's event loop only
 				h.site(1).SetAuthorizer(func(req AuthRequest) error {
@@ -219,10 +219,15 @@ func TestDecisionRoles(t *testing.T) {
 			var vt vtime.VT
 			var res Result
 			switch tc.run {
-			case write, add:
+			case write, writeBoth, add:
 				res = h.site(2).Submit(&Txn{Execute: func(tx *Tx) error {
-					if tc.run == add {
+					switch tc.run {
+					case add:
 						return tx.Add(x[2], int64(5))
+					case writeBoth:
+						if err := tx.Write(y[2], int64(5)); err != nil {
+							return err
+						}
 					}
 					return tx.Write(x[2], int64(5))
 				}}).Wait()
@@ -284,8 +289,8 @@ func TestDecisionRoles(t *testing.T) {
 			if got := log.outcomes(vtime.SiteID(tc.role), 2); !slices.Equal(got, tc.outcomes) {
 				t.Errorf("site %d sent Outcomes %v, want %v", tc.role, got, tc.outcomes)
 			}
-			if got := sched.take(); !slices.Equal(got, tc.scheduled) {
-				t.Errorf("scheduled delays %v, want %v", got, tc.scheduled)
+			if got := sched.take(); len(got) != 0 {
+				t.Errorf("scheduled delays %v, want none", got)
 			}
 		})
 	}
@@ -310,8 +315,8 @@ func TestDelegatedGraphCommitRunsGraphHooks(t *testing.T) {
 	var child ObjRef
 	h.eventually(3*time.Second, "child materialized at site 1", func() bool {
 		_ = h.site(1).call(func() {
-			if c, blocked := tree[1].o.resolvePathForApply(wire.Path{{IsKey: true, Key: "b"}}); c != nil && !blocked {
-				child = ObjRef{o: c}
+			if _, ent := tree[1].o.findEntry("b"); ent != nil {
+				child = ObjRef{o: ent.child}
 			}
 		})
 		return child.o != nil

@@ -48,9 +48,9 @@ const (
 	// by member rank so survivors probe in a fixed order instead of
 	// dueling.
 	repairTakeoverDelay = 250 * time.Millisecond
-	// repairRetryDelay is the base backoff before a proposer retries a
+	// repairBackoff is the base backoff before a proposer retries a
 	// stalled or preempted attempt at a higher ballot.
-	repairRetryDelay = 100 * time.Millisecond
+	repairBackoff = 100 * time.Millisecond
 )
 
 // queryState tracks an outstanding commit-query for one orphaned
@@ -382,11 +382,11 @@ func (s *Site) repairTakeoverDelayFor(rs *repairState) time.Duration {
 	return repairTakeoverDelay * time.Duration(1+s.repairRank(rs))
 }
 
-// repairRetryDelayFor backs a proposer off after a stalled or preempted
+// repairBackoffFor backs a proposer off after a stalled or preempted
 // attempt, scaled by both attempt count and rank so two survivors that
 // each believe they lead eventually desynchronize.
-func (s *Site) repairRetryDelayFor(rs *repairState) time.Duration {
-	return repairRetryDelay * time.Duration(1+rs.attempts) * time.Duration(1+s.repairRank(rs))
+func (s *Site) repairBackoffFor(rs *repairState) time.Duration {
+	return repairBackoff * time.Duration(1+rs.attempts) * time.Duration(1+s.repairRank(rs))
 }
 
 // armRepairTimer (re)arms the retry/takeover timer. The callback posts
@@ -438,7 +438,7 @@ func (s *Site) repairPropose(rs *repairState) {
 	}
 	// Self-loopback sends above re-enter the handlers synchronously and
 	// may already have decided a single-member instance.
-	s.armRepairTimer(rs, s.repairRetryDelayFor(rs))
+	s.armRepairTimer(rs, s.repairBackoffFor(rs))
 }
 
 // sendRepairMsg translates one kernel message into its wire form and
@@ -484,7 +484,7 @@ func (s *Site) stepRepair(rs *repairState, st consensus.Step[wire.RepairValue]) 
 		// over. Back off and retry in case the new leader also dies.
 		s.stats.RepairQuorumFailures.Inc()
 		rs.attempts++
-		s.armRepairTimer(rs, s.repairRetryDelayFor(rs))
+		s.armRepairTimer(rs, s.repairBackoffFor(rs))
 		return
 	}
 	if st.PromiseQuorum {

@@ -136,15 +136,23 @@ func TestCascadingCoordinatorFailure(t *testing.T) {
 		default:
 			return 2 * time.Millisecond
 		}
-	}}, Options{DisableDelegation: true})
+	}}, Options{})
 	refs := h.joined(KindInt, "x", int64(0), 1, 2, 3, 4, 5)
 	if p, _ := h.site(2).PrimarySite(refs[2]); p != 1 {
 		t.Fatalf("expected primary at site 1, got %v", p)
 	}
+	// y's primary is site 3, so the transaction below has two remote
+	// primaries: it is not delegated, and its origin broadcasts COMMIT.
+	y := h.joined(KindInt, "y", int64(0), 3, 2)
 
-	// A transaction from site 2 commits (confirmed by primary 1); its
-	// COMMIT reaches site 3 quickly but is still in flight to 4 and 5.
-	hd := h.setInt2Async(2, refs[2], 77)
+	// A transaction from site 2 commits (confirmed by primaries 1 and 3);
+	// its COMMIT reaches site 3 quickly but is still in flight to 4 and 5.
+	hd := h.site(2).Submit(&Txn{Execute: func(tx *Tx) error {
+		if err := tx.Write(y[2], int64(77)); err != nil {
+			return err
+		}
+		return tx.Write(refs[2], int64(77))
+	}})
 	if res := hd.Wait(); !res.Committed {
 		t.Fatalf("txn: %+v", res)
 	}

@@ -187,10 +187,11 @@ func TestFastPathDemotesOpenGuess(t *testing.T) {
 		}
 		return time.Millisecond
 	}
-	h := newHarnessOpts(t, 4, transport.Config{LatencyFn: slowLinks}, Options{DisableDelegation: true})
+	h := newHarness(t, 4, transport.Config{LatencyFn: slowLinks})
 
 	// x: primary at site 1, replicated at 2 and 4. y: primary at the slow
 	// site 3, replicated at 2 — the anchor that keeps site 2's guess open.
+	// With two remote primaries the guess is not delegated: site 2 decides.
 	xs := h.joined(KindInt, "x", int64(0), 1, 2, 4)
 	ys := h.joined(KindInt, "y", int64(0), 3, 2)
 
@@ -262,8 +263,11 @@ func TestFastPathVersionDeniesLaterGuess(t *testing.T) {
 		}
 		return time.Millisecond
 	}
-	h := newHarnessOpts(t, 3, transport.Config{LatencyFn: slow12}, Options{DisableDelegation: true})
+	h := newHarness(t, 3, transport.Config{LatencyFn: slow12})
 	xs := h.joined(KindInt, "x", int64(0), 1, 2, 3)
+	// y's primary is site 3: with two remote primaries the guess is not
+	// delegated, so site 2 decides it.
+	y := h.joined(KindInt, "y", int64(0), 3, 2)[2]
 
 	// Site 2's clock runs ahead so the fast add's VT sits inside the
 	// guess's (tR, tT] interval.
@@ -280,6 +284,9 @@ func TestFastPathVersionDeniesLaterGuess(t *testing.T) {
 	// The fast add reaches the primary in ~1ms; the guess's Write needs
 	// ~50ms, so validation sees the committed fast version first.
 	guess := h.site(2).Submit(&Txn{Name: "rmw", Execute: func(tx *Tx) error {
+		if err := tx.Write(y, int64(1)); err != nil {
+			return err
+		}
 		vx, err := tx.Read(xs[2])
 		if err != nil {
 			return err

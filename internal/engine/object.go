@@ -349,26 +349,13 @@ func (o *object) resolvePath(p wire.Path) (child *object, removed bool, blocked 
 			if cur.kind != KindTuple {
 				return nil, false, false
 			}
-			var ent *tupleEntry
-			if !elem.Tag.VT.IsZero() {
-				// Pinned identity: the exact entry the writer targeted.
-				_, ent = cur.findEntryAt(elem.Key, elem.Tag.VT)
-				if ent == nil {
-					return nil, false, true // entry's set not yet received
-				}
-				if cur.removalEffective(ent.removals, cur.latestVT(), false) {
-					return nil, true, false
-				}
-			} else {
-				_, ent = cur.findEntry(elem.Key)
-				if ent == nil {
-					for i := range cur.entries {
-						if cur.entries[i].key == elem.Key {
-							return nil, true, false
-						}
-					}
-					return nil, false, true
-				}
+			// The pinned entry is the exact one the writer targeted.
+			_, ent := cur.findEntryAt(elem.Key, elem.Tag.VT)
+			if ent == nil {
+				return nil, false, true // entry's set not yet received
+			}
+			if cur.removalEffective(ent.removals, cur.latestVT(), false) {
+				return nil, true, false
 			}
 			cur = ent.child
 		} else {
@@ -400,25 +387,7 @@ func (o *object) resolvePathForApply(p wire.Path) (child *object, blocked bool) 
 			if cur.kind != KindTuple {
 				return nil, false
 			}
-			var ent *tupleEntry
-			if !elem.Tag.VT.IsZero() {
-				_, ent = cur.findEntryAt(elem.Key, elem.Tag.VT)
-			} else {
-				// Legacy unpinned path: latest entry for the key,
-				// tombstoned or not.
-				best := -1
-				for i := range cur.entries {
-					if cur.entries[i].key != elem.Key {
-						continue
-					}
-					if best < 0 || cur.entries[best].insertVT.Less(cur.entries[i].insertVT) {
-						best = i
-					}
-				}
-				if best >= 0 {
-					ent = &cur.entries[best]
-				}
-			}
+			_, ent := cur.findEntryAt(elem.Key, elem.Tag.VT)
 			if ent == nil {
 				return nil, true
 			}

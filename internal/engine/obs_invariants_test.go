@@ -145,17 +145,25 @@ func TestCounterInvariantsQuiescent(t *testing.T) {
 }
 
 // TestCommittedSpansContainConfirms checks the §3 state machine shape of
-// traced spans: with delegation disabled, every committed transaction
-// that propagated a confirmation-requiring write must have received a
+// traced spans: every committed transaction that its origin decided
+// after propagating confirmation-requiring writes must have received a
 // positive confirm from each such peer — and the trace must show it.
 func TestCommittedSpansContainConfirms(t *testing.T) {
-	h, observers := newObsHarness(t, 3, transport.Config{}, Options{DisableDelegation: true})
-	refs := h.joined(KindInt, "x", int64(0), 1, 2, 3)
+	h, observers := newObsHarness(t, 4, transport.Config{}, Options{})
+	xs := h.joined(KindInt, "x", int64(0), 1, 2, 3)
+	ys := h.joined(KindInt, "y", int64(0), 4, 2, 3)
 
-	// Primary copy lives at site 1; all writes originate at sites 2 and 3.
+	// Primary copies live at sites 1 and 4; all writes originate at sites
+	// 2 and 3 and touch both objects, so no transaction is delegated.
 	for k := 0; k < 10; k++ {
 		for _, i := range []int{2, 3} {
-			if res := h.setInt(i, refs[i], int64(k)); !res.Committed {
+			res := h.site(i).Submit(&Txn{Execute: func(tx *Tx) error {
+				if err := tx.Write(xs[i], int64(k)); err != nil {
+					return err
+				}
+				return tx.Write(ys[i], int64(k))
+			}}).Wait()
+			if !res.Committed {
 				t.Fatalf("site %d write %d: %+v", i, k, res)
 			}
 		}

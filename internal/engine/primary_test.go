@@ -69,7 +69,7 @@ func newPCEnv(t *testing.T) *pcEnv {
 	_, ent := tup.findEntry("a")
 	e.objs["child"] = ent.child
 	e.objs["ghost"] = &object{kind: KindInt, site: s, parent: ent.child,
-		parentLink: wire.PathElem{IsKey: true, Key: "z"}}
+		parentLink: wire.PathElem{IsKey: true, Key: "z", Tag: wire.ElemTag{VT: vtime.VT{Time: 3, Site: 1}}}}
 	return e
 }
 

@@ -30,9 +30,8 @@ func buildSharedTree(t *testing.T, h *harness) (tup map[int]ObjRef, child map[in
 		h.eventually(2*time.Second, "child materialized", func() bool {
 			var ok bool
 			_ = h.site(i).call(func() {
-				c, blocked := tup[i].o.resolvePathForApply(wire.Path{{IsKey: true, Key: "b"}})
-				if c != nil && !blocked {
-					child[i] = ObjRef{o: c}
+				if _, ent := tup[i].o.findEntry("b"); ent != nil {
+					child[i] = ObjRef{o: ent.child}
 					ok = true
 				}
 			})

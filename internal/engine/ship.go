@@ -168,7 +168,7 @@ func (s *Site) propagate(st *txnState) {
 	// already denied here: the delegate would commit what the origin
 	// aborts.
 	var delegate vtime.SiteID
-	if !s.opts.DisableDelegation && !st.denied && len(st.waitConfirms) == 1 && len(st.rcDeps) == 0 && st.extraPending == 0 {
+	if !st.denied && len(st.waitConfirms) == 1 && len(st.rcDeps) == 0 && st.extraPending == 0 {
 		for _, m := range out {
 			if m.needsConfirm && len(m.updates) > 0 {
 				delegate = m.site

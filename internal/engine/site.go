@@ -23,19 +23,6 @@ type Options struct {
 	// MaxRetries bounds automatic re-execution after concurrency-control
 	// aborts. 0 means DefaultMaxRetries.
 	MaxRetries int
-	// RetryDelay pauses between a conflict abort and re-execution.
-	// The paper re-executes immediately; a small delay can be used to
-	// damp livelock under extreme contention.
-	RetryDelay time.Duration
-	// DisableDelegation turns off the delegated-commit optimization of
-	// paper §3.1 (ablation: every transaction then commits via the
-	// origin's summary broadcast, costing remote observers 3t even with
-	// a single remote primary).
-	DisableDelegation bool
-	// DisableEagerConfirm turns off the §5.1.2 eager-confirmation
-	// optimization for pessimistic snapshots (ablation: every snapshot
-	// then pays an explicit CONFIRM-READ round trip to each primary).
-	DisableEagerConfirm bool
 	// DisableFastPath turns off the commutative fast path (ablation:
 	// purely commutative transactions then go through the ordinary
 	// guess/confirm protocol like everything else).
@@ -46,12 +33,12 @@ type Options struct {
 	// serves one site; layers of the same site (engine, transport, gvt)
 	// share it so a single scrape covers the whole process.
 	Observer *obs.Observer
-	// Scheduler defers engine work — the RetryDelay pause before a
-	// conflict retry and the OfflineGrace failover deadline. nil selects
-	// transport.WallClock (real timers). The deterministic simulation
-	// harness injects its virtual clock here so retry timing is part of
-	// the explored, replayable schedule; the engine itself constructs no
-	// timers (enforced by the decaf-vet timers analyzer).
+	// Scheduler defers engine work — the OfflineGrace failover deadline
+	// and the graph-repair timers. nil selects transport.WallClock (real
+	// timers). The deterministic simulation harness injects its virtual
+	// clock here so that timing is part of the explored, replayable
+	// schedule; the engine itself constructs no timers (enforced by the
+	// decaf-vet timers analyzer).
 	Scheduler Scheduler
 	// WAL, when set, attaches a durable write-ahead update log
 	// (DESIGN.md §13): every remote Write/FastWrite/Outcome and every
@@ -78,14 +65,6 @@ type Scheduler interface {
 
 // DefaultMaxRetries bounds automatic transaction re-execution.
 const DefaultMaxRetries = 100
-
-// DefaultNotifyQueueLimit bounds the view/abort notification queue. The
-// queue grows on demand (the event loop never blocks on a slow consumer);
-// past the limit new notifications are dropped and counted on
-// decaf_notify_dropped_total. It is deliberately deep: dropping a
-// notification loses a view update for the application, so the limit
-// exists only to keep a wedged consumer from consuming all memory.
-const DefaultNotifyQueueLimit = 1 << 20
 
 // maxBatch bounds how many stimuli (calls + transport events) one event
 // loop wakeup drains before flushing coalesced messages and settling
@@ -136,8 +115,9 @@ type Stats struct {
 	// NotifyDelivered counts user callbacks that ran. After Stop,
 	// NotifyEnqueued == NotifyDelivered + NotifyDropped.
 	NotifyDelivered uint64
-	// NotifyDropped counts user callbacks dropped by the notifier's
-	// overflow policy (queue past NotifyQueueLimit).
+	// NotifyDropped counts user callbacks pushed after Stop closed the
+	// notifier's intake. Only the event loop pushes, and it has exited
+	// by then, so this stays 0: the notifier delivers what it accepts.
 	NotifyDropped uint64
 	// FastpathCommits counts locally originated transactions that
 	// committed on the commutative fast path (no primary round-trip).
@@ -403,7 +383,7 @@ func newSiteMetrics(reg *obs.Registry) siteMetrics {
 		GCFloorReuse:    reg.Counter("decaf_engine_gc_floor_reuse_total", "GC floor computations served from the per-batch cache"),
 		NotifyEnqueued:  reg.Counter("decaf_notify_enqueued_total", "user callbacks accepted by the notifier queue"),
 		NotifyDelivered: reg.Counter("decaf_notify_delivered_total", "user callbacks delivered by the notifier goroutine"),
-		NotifyDropped:   reg.Counter("decaf_notify_dropped_total", "user callbacks dropped by the notifier overflow policy"),
+		NotifyDropped:   reg.Counter("decaf_notify_dropped_total", "user callbacks pushed after the notifier closed"),
 
 		ParkedRetries: reg.Gauge("decaf_engine_parked_retries", "transaction retries parked behind a graph repair"),
 
@@ -473,7 +453,6 @@ func NewSite(ep transport.Endpoint, opts Options) *Site {
 	}
 	s.notifier = &notifyQueue{
 		wake:      make(chan struct{}, 1),
-		limit:     DefaultNotifyQueueLimit,
 		enqueued:  s.stats.NotifyEnqueued,
 		delivered: s.stats.NotifyDelivered,
 		dropped:   s.stats.NotifyDropped,
@@ -832,7 +811,8 @@ func (s *Site) endBatch(n int) {
 // goroutine. It grows on demand so the event loop never blocks on a
 // slow consumer — a full fixed-size buffer used to deadlock the site
 // whenever a callback re-entered the API while the loop was wedged in
-// notify(). Past limit, new callbacks are dropped and counted.
+// notify() — and it drops nothing it accepts (paper §4.2: pessimistic
+// notification is lossless).
 type notifyQueue struct {
 	mu      sync.Mutex
 	queue   []func() // guarded by mu
@@ -840,24 +820,21 @@ type notifyQueue struct {
 	running bool     // guarded by mu; the notifier goroutine is mid-delivery
 	// wake (capacity 1) signals the notifier goroutine; senders never
 	// block.
-	wake  chan struct{}
-	limit int
+	wake chan struct{}
 
 	enqueued  *obs.Counter
 	delivered *obs.Counter
 	dropped   *obs.Counter
 }
 
-// push appends fn unless the queue is closed or full; overflow and
-// post-close pushes are dropped and counted. It reports whether fn was
-// accepted, so callers that coalesce (the view proxies) can re-arm on
-// a later trigger instead of losing their delivery slot.
-func (q *notifyQueue) push(fn func()) bool {
+// push appends fn unless the queue is closed; a post-close push is
+// dropped and counted.
+func (q *notifyQueue) push(fn func()) {
 	q.mu.Lock()
-	if q.closed || len(q.queue) >= q.limit {
+	if q.closed {
 		q.mu.Unlock()
 		q.dropped.Inc()
-		return false
+		return
 	}
 	q.queue = append(q.queue, fn)
 	q.mu.Unlock()
@@ -866,7 +843,6 @@ func (q *notifyQueue) push(fn func()) bool {
 	case q.wake <- struct{}{}:
 	default:
 	}
-	return true
 }
 
 // take removes and returns everything queued, plus whether intake is
@@ -938,10 +914,11 @@ func (s *Site) notifyLoop() {
 	}
 }
 
-// notify queues a user callback and reports whether it was accepted.
-// Only the event loop calls it.
-func (s *Site) notify(fn func()) bool {
-	return s.notifier.push(fn)
+// notify queues a user callback. Only the event loop calls it, and
+// Stop closes the notifier's intake only after the loop has exited, so
+// every callback is accepted.
+func (s *Site) notify(fn func()) {
+	s.notifier.push(fn)
 }
 
 // do posts fn into the event loop without waiting. It reports whether

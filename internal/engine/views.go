@@ -503,16 +503,13 @@ type optPayload struct {
 // armOptDelivery queues at most one delivery closure for this proxy.
 // The closure reads optPending at delivery time, so payloads
 // superseded while queued coalesce into the newest one (paper §4.1:
-// "optimistic views are only notified of the latest update"). If the
-// notify queue rejects the closure (overflow), the arm is released and
-// the next trigger retries — backpressure delays the latest snapshot
-// but cannot lose it.
+// "optimistic views are only notified of the latest update").
 func (p *viewProxy) armOptDelivery() {
 	if !p.optQueued.CompareAndSwap(false, true) {
 		return // a queued closure will pick up the new payload
 	}
 	s := p.site
-	if s.notify(func() {
+	s.notify(func() {
 		p.optQueued.Store(false)
 		d := p.optPending.Load()
 		if d == nil || d.gen == p.optDelivered.Load() || p.latestGen.Load() != d.gen {
@@ -521,10 +518,7 @@ func (p *viewProxy) armOptDelivery() {
 		p.optDelivered.Store(d.gen)
 		s.obs.ObserveSince(s.stats.OptNotifyLatency, d.wall)
 		p.fns.Update(d.data)
-	}) {
-		return
-	}
-	p.optQueued.Store(false)
+	})
 }
 
 // requestOptimisticGuesses registers the snapshot's RC and RL guesses
@@ -734,7 +728,7 @@ func (p *viewProxy) requestPessimisticGuesses(i int) {
 		// reserved the interval: no separate CONFIRM-READ round trip and
 		// full straggler protection. Blind writes (tR = tT) reserve
 		// nothing, so they take the explicit check below.
-		if v, okv := o.hist.Get(snap.ts); !s.opts.DisableEagerConfirm && okv && v.Status == history.Committed &&
+		if v, okv := o.hist.Get(snap.ts); okv && v.Status == history.Committed &&
 			!v.ReadVT.IsZero() && v.ReadVT != v.VT && v.ReadVT.LessEq(prev) {
 			pv, okPrev := o.hist.At(vtime.JustBelow(snap.ts))
 			if !okPrev || pv.VT.LessEq(prev) {

@@ -181,17 +181,20 @@ func TestOptimisticViewRollbackRerun(t *testing.T) {
 	// An optimistic view that saw state from an aborted transaction gets
 	// a superseding notification with the reverted state (paper §4.1).
 	// The primary's denial reaches the origin as the delegate's Outcome,
-	// or, with delegation off, as a Confirm (abortTxn).
-	t.Run("delegate", func(t *testing.T) { testOptimisticViewRollbackRerun(t, Options{MaxRetries: 1}) })
-	t.Run("confirm", func(t *testing.T) {
-		testOptimisticViewRollbackRerun(t, Options{MaxRetries: 1, DisableDelegation: true})
-	})
+	// or, when the transaction also writes y at a second remote primary
+	// and so is not delegated, as a Confirm (abortTxn).
+	t.Run("delegate", func(t *testing.T) { testOptimisticViewRollbackRerun(t, false) })
+	t.Run("confirm", func(t *testing.T) { testOptimisticViewRollbackRerun(t, true) })
 }
 
-func testOptimisticViewRollbackRerun(t *testing.T, opts Options) {
-	h := newHarnessOpts(t, 2, transport.Config{}, opts)
+func testOptimisticViewRollbackRerun(t *testing.T, twoPrimaries bool) {
+	h := newHarnessOpts(t, 3, transport.Config{}, Options{MaxRetries: 1})
 	refs := h.joined(KindInt, "x", int64(1), 1, 2)
 	s1, s2, ref1, ref2 := h.site(1), h.site(2), refs[1], refs[2]
+	var y ObjRef
+	if twoPrimaries {
+		y = h.joined(KindInt, "y", int64(0), 3, 2)[2]
+	}
 
 	rec := &recorder{}
 	if _, err := s2.AttachView([]ObjRef{ref2}, Optimistic, rec.fns()); err != nil {
@@ -204,6 +207,11 @@ func testOptimisticViewRollbackRerun(t *testing.T, opts Options) {
 	})
 
 	res := s2.Submit(&Txn{Execute: func(tx *Tx) error {
+		if twoPrimaries {
+			if err := tx.Write(y, int64(1)); err != nil {
+				return err
+			}
+		}
 		v, _ := tx.Read(ref2)
 		return tx.Write(ref2, v.(int64)+100)
 	}}).Wait()

@@ -172,6 +172,91 @@ func TestWALCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestWALReplayKeepsTuplePin replays an update addressed to a tuple entry
+// that a later set of the same key has hidden. Two sets of key k give
+// entries e1 and e2; an update of e1's child arrives after e2. Recovery
+// decodes the update from its WAL record, so the entry's pin must survive
+// the codec: without it the path names the key's latest entry, e2.
+func TestWALReplayKeepsTuplePin(t *testing.T) {
+	dir := t.TempDir()
+	wl := openTestWAL(t, dir)
+	net1 := transport.NewNetwork(transport.Config{})
+	ep1, err := net1.Endpoint(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSite(ep1, Options{WAL: wl})
+	s.Start()
+	tup, err := s.CreateObject(KindTuple, "t", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cp bytes.Buffer
+	if err := s.Checkpoint(&cp); err != nil {
+		t.Fatal(err)
+	}
+
+	// Site 1 commits three transactions on the tuple.
+	e1, e2, upd := vtime.VT{Time: 10, Site: 1}, vtime.VT{Time: 20, Site: 1}, vtime.VT{Time: 30, Site: 1}
+	var graphVT vtime.VT
+	_ = s.call(func() { graphVT = tup.o.graphVT })
+	commit := func(vt vtime.VT, path wire.Path, op wire.Op) {
+		_ = s.call(func() {
+			s.handleMessage(1, wire.Write{TxnVT: vt, Origin: 1, Updates: []wire.Update{{
+				Target: tup.ID(), Path: path, ReadVT: vt, GraphVT: graphVT, Op: op,
+			}}})
+			s.handleMessage(1, wire.Outcome{TxnVT: vt, Committed: true})
+		})
+	}
+	set := wire.OpTupleSet{Key: "k", Child: wire.ChildDecl{Kind: KindInt, Value: int64(0)}}
+	commit(e1, nil, set)
+	commit(e2, nil, set)
+	commit(upd, wire.Path{{IsKey: true, Key: "k", Tag: wire.ElemTag{VT: e1}}}, wire.OpSet{Value: int64(5)})
+
+	// children reads the committed values of e1's and e2's children.
+	children := func(s *Site, tup ObjRef) [2]any {
+		var out [2]any
+		_ = s.call(func() {
+			for i, vt := range []vtime.VT{e1, e2} {
+				if _, ent := tup.o.findEntryAt("k", vt); ent != nil {
+					v, _ := ent.child.hist.CurrentCommitted()
+					out[i] = v.Value
+				}
+			}
+		})
+		return out
+	}
+	want := [2]any{int64(5), int64(0)}
+	if got := children(s, tup); got != want {
+		t.Fatalf("before the crash, e1 and e2 hold %v, want %v", got, want)
+	}
+
+	s.Stop()
+	net1.Close()
+	if err := wl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	net2 := transport.NewNetwork(transport.Config{})
+	defer net2.Close()
+	ep2, err := net2.Endpoint(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2 := NewSite(ep2, Options{WAL: openTestWAL(t, dir)})
+	s2.Start()
+	defer s2.Stop()
+	if err := s2.Recover(bytes.NewReader(cp.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	tup2, ok := s2.Object(tup.ID())
+	if !ok {
+		t.Fatal("recovered site lost the tuple")
+	}
+	if got := children(s2, tup2); got != want {
+		t.Fatalf("after recovery, e1 and e2 hold %v, want %v", got, want)
+	}
+}
+
 // TestWALRecoverWithoutCheckpoint recovers a site that crashed before
 // ever taking a checkpoint: the whole log replays over an empty site.
 func TestWALRecoverWithoutCheckpoint(t *testing.T) {

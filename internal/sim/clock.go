@@ -1,14 +1,14 @@
 // Package sim is the deterministic simulation harness: a seeded
 // virtual-time scheduler over the simulated transport.Network, a
 // workload/fault driver, an interleaving explorer, and the paper's §5
-// evaluation (E1–E8) in virtual time (paper.go).
+// evaluation (E1–E7) in virtual time (paper.go).
 //
 // The core idea (after "Experiments in Model-Checking Optimistic
 // Replication Algorithms", PAPERS.md) is to make a whole multi-site run
 // a pure function of one RNG seed. Three ingredients:
 //
 //   - Clock, below: an event-queue virtual clock. Every deferred action
-//     — message delivery, failure notification, conflict-retry delay,
+//     — message delivery, failure notification, failover and repair timers,
 //     workload submission, fault injection — is an event on one heap,
 //     ordered by (virtual due time, schedule order). Nothing in the
 //     system sleeps on a real timer.

@@ -175,7 +175,6 @@ func Run(p Profile, seed int64, inspect ...func(sites map[vtime.SiteID]*engine.S
 		}
 		opts := engine.Options{
 			Scheduler:       w.clock,
-			RetryDelay:      p.RetryDelay,
 			MaxRetries:      p.MaxRetries,
 			DisableFastPath: p.DisableFastPath,
 		}

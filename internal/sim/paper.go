@@ -17,7 +17,7 @@ import (
 	"decaf/internal/vtime"
 )
 
-// The paper's §5 evaluation (E1–E8) in virtual time. Every scenario runs
+// The paper's §5 evaluation (E1–E7) in virtual time. Every scenario runs
 // the real engine on a jitter-free network driven by the virtual clock,
 // so a hop costs exactly t and a latency comes out as an exact multiple
 // of t. Each experiment returns a Table whose rows carry their own
@@ -88,10 +88,10 @@ func (t *Table) Fprint(w io.Writer) {
 	tw.Flush()
 }
 
-// PaperTables runs E1–E8 in order.
+// PaperTables runs E1–E7 in order.
 func PaperTables() ([]*Table, error) {
 	var out []*Table
-	for _, run := range []func() (*Table, error){E1, E2, E3, E4, E5, E6, E7, E8} {
+	for _, run := range []func() (*Table, error){E1, E2, E3, E4, E5, E6, E7} {
 		t, err := run()
 		if err != nil {
 			return out, err
@@ -176,17 +176,16 @@ type cluster struct {
 	sites []*engine.Site // sites[i] is site i; sites[0] is unused
 }
 
-func newCluster(n int, t time.Duration, opts engine.Options) (*cluster, error) {
+func newCluster(n int, t time.Duration) (*cluster, error) {
 	c := &cluster{sites: make([]*engine.Site, n+1)}
 	c.lockstep, c.net = newNet(t)
-	opts.Scheduler = c.clock
 	for i := 1; i <= n; i++ {
 		ep, err := c.net.Endpoint(vtime.SiteID(i))
 		if err != nil {
 			c.close()
 			return nil, err
 		}
-		c.sites[i] = engine.NewSite(ep, opts)
+		c.sites[i] = engine.NewSite(ep, engine.Options{Scheduler: c.clock})
 		c.sites[i].Start()
 		c.members = append(c.members, c.sites[i])
 	}
@@ -372,8 +371,8 @@ var e1Cases = []e1Case{
 
 // runE1 measures an e1Case's commit latency at the origin and at the
 // observer.
-func runE1(ec e1Case, t time.Duration, opts engine.Options) ([]lat, error) {
-	c, err := newCluster(4, t, opts)
+func runE1(ec e1Case, t time.Duration) ([]lat, error) {
+	c, err := newCluster(4, t)
 	if err != nil {
 		return nil, err
 	}
@@ -407,7 +406,7 @@ func E1() (*Table, error) {
 		Columns: []string{"scenario", "origin (ms)", "origin", "model", "remote (ms)", "remote", "model"},
 	}
 	for _, ec := range e1Cases {
-		ls, err := runE1(ec, paperT, engine.Options{})
+		ls, err := runE1(ec, paperT)
 		if err != nil {
 			return nil, fmt.Errorf("E1 %s: %w", ec.name, err)
 		}
@@ -420,8 +419,8 @@ func E1() (*Table, error) {
 // with distinct primaries (sites 1 and 3), a read-modify-write of both
 // at site 2, and an optimistic and a pessimistic view of both at the
 // origin and at site 4.
-func runE2(t time.Duration, opts engine.Options) ([]lat, error) {
-	c, err := newCluster(4, t, opts)
+func runE2(t time.Duration) ([]lat, error) {
+	c, err := newCluster(4, t)
 	if err != nil {
 		return nil, err
 	}
@@ -472,7 +471,7 @@ func E2() (*Table, error) {
 		Note:    fmt.Sprintf("t = %s; read-modify-write at site 2 of two objects with distinct remote primaries; views at site 2 and site 4; %d trials", paperT, trials),
 		Columns: []string{"view", "ms", "measured", "model"},
 	}
-	ls, err := runE2(paperT, engine.Options{})
+	ls, err := runE2(paperT)
 	if err != nil {
 		return nil, fmt.Errorf("E2: %w", err)
 	}
@@ -494,7 +493,7 @@ func E3() (*Table, error) {
 	for _, t := range sweepT {
 		var ls []lat
 		for _, ec := range e1Cases {
-			e1, err := runE1(ec, t, engine.Options{})
+			e1, err := runE1(ec, t)
 			if err != nil {
 				return nil, fmt.Errorf("E3 t=%s %s: %w", t, ec.name, err)
 			}
@@ -503,7 +502,7 @@ func E3() (*Table, error) {
 				ls = append(ls, l)
 			}
 		}
-		e2, err := runE2(t, engine.Options{})
+		e2, err := runE2(t)
 		if err != nil {
 			return nil, fmt.Errorf("E3 t=%s: %w", t, err)
 		}
@@ -538,7 +537,7 @@ type load struct {
 // i, n) at the n-th arrival of a Poisson process of rates[i-1] per
 // virtual second, for length.
 func runLoad(t time.Duration, rates [2]float64, length time.Duration, txn func(site int, x engine.ObjRef, n int64) *engine.Txn) (r load, err error) {
-	c, err := newCluster(2, t, engine.Options{})
+	c, err := newCluster(2, t)
 	if err != nil {
 		return r, err
 	}
@@ -709,7 +708,7 @@ func E6() (*Table, error) {
 }
 
 func runE6Decaf(n int) (span, error) {
-	c, err := newCluster(n, paperT, engine.Options{})
+	c, err := newCluster(n, paperT)
 	if err != nil {
 		return span{}, err
 	}
@@ -787,7 +786,7 @@ func E7() (*Table, error) {
 		Note:    fmt.Sprintf("t = %s; DECAF: E2's optimistic view at the writing site; centralized: the writer's echo; %d trials", paperT, trials),
 		Columns: []string{"architecture", "ms", "measured", "model"},
 	}
-	e2, err := runE2(paperT, engine.Options{})
+	e2, err := runE2(paperT)
 	if err != nil {
 		return nil, fmt.Errorf("E7 decaf: %w", err)
 	}
@@ -823,41 +822,4 @@ func runE7Centralized() (span, error) {
 		return span{}, err
 	}
 	return s[0], nil
-}
-
-// E8 ablates the two commit-path optimizations: the delegated commit
-// (§3.1) saves the observer of a single-remote-primary transaction one
-// hop (2t, not 3t), and the eager confirmation (§5.1.2) lets a
-// pessimistic view reuse the transaction's own RL validation instead of
-// a CONFIRM-READ round trip (2t, not 4t, at the origin).
-func E8() (*Table, error) {
-	tab := &Table{
-		Title: "E8: ablation of the delegated commit (3.1) and the eager confirmation (5.1.2)",
-		Note: fmt.Sprintf("t = %s; delegation: E1's single remote primary, commit at origin and observer; "+
-			"eager confirmation: E2, pessimistic view at origin and remote", paperT),
-		Columns: []string{"optimization", "setting", "origin (ms)", "origin", "model", "remote (ms)", "remote", "model"},
-	}
-	for _, off := range []bool{false, true} {
-		setting := "on"
-		if off {
-			setting = "off"
-		}
-		deleg, err := runE1(e1Cases[2], paperT, engine.Options{DisableDelegation: off})
-		if err != nil {
-			return nil, fmt.Errorf("E8 delegation %s: %w", setting, err)
-		}
-		e2, err := runE2(paperT, engine.Options{DisableEagerConfirm: off})
-		if err != nil {
-			return nil, fmt.Errorf("E8 eager confirmation %s: %w", setting, err)
-		}
-		eager := []lat{e2[1], e2[3]}
-		if off {
-			deleg[1].k++ // the observer waits for the origin's summary
-			eager[0].k += 2
-			eager[1].k += 2 // each pays a CONFIRM-READ round trip
-		}
-		tab.latRow(paperT, []string{"delegated commit", setting}, deleg...)
-		tab.latRow(paperT, []string{"eager confirmation", setting}, eager...)
-	}
-	return tab, nil
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // TestPaperSection5 gates the paper's §5 claims in virtual time: every
-// row of E1–E8 must land on its model (exact multiples of t for the
+// row of E1–E7 must land on its model (exact multiples of t for the
 // latency experiments, the paper's thresholds for the load
 // experiments; E5 also gates 0 lost increments).
 func TestPaperSection5(t *testing.T) {
@@ -23,7 +23,6 @@ func TestPaperSection5(t *testing.T) {
 		{"E5", 4 * len(loadT), E5},
 		{"E6", 5, E6},
 		{"E7", 2, E7},
-		{"E8", 4, E8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tab, err := tc.run()

@@ -39,10 +39,8 @@ type Profile struct {
 	Jitter    time.Duration
 	Duplicate float64
 
-	// RetryDelay and MaxRetries configure the engine's conflict-retry
-	// loop. With a virtual clock the delay is free, so nonzero values
-	// cost nothing and spread retries across the schedule.
-	RetryDelay time.Duration
+	// MaxRetries bounds the engine's conflict-retry loop (0 means
+	// engine.DefaultMaxRetries).
 	MaxRetries int
 
 	// Ops transactions are drawn from Mix and scheduled at uniform
@@ -126,16 +124,16 @@ func Profiles() []Profile {
 			// retries, and retry-budget exhaustion.
 			Name: "contend", Sites: 4,
 			Latency: 5 * time.Millisecond, Jitter: 5 * time.Millisecond,
-			RetryDelay: 4 * time.Millisecond, MaxRetries: 6,
-			Ops: 32, Mix: Mix{Write: 6, Add: 1, List: 1},
+			MaxRetries: 6,
+			Ops:        32, Mix: Mix{Write: 6, Add: 1, List: 1},
 		},
 		{
 			// Full fault menu over the mixed workload: crash one site
 			// (repair), latency flap (reordering), duplicates.
 			Name: "faulty", Sites: 4,
 			Latency: 5 * time.Millisecond, Jitter: 5 * time.Millisecond,
-			Duplicate: 0.08, RetryDelay: 3 * time.Millisecond,
-			Ops: 28, Crash: true, Flap: true,
+			Duplicate: 0.08,
+			Ops:       28, Crash: true, Flap: true,
 		},
 		{
 			// Commutative fast path under faults: mostly adds and list
@@ -154,8 +152,7 @@ func Profiles() []Profile {
 			// WALs. Failover must park for the whole outage, never run.
 			Name: "offline", Sites: 3,
 			Latency: 5 * time.Millisecond, Jitter: 4 * time.Millisecond,
-			RetryDelay: 3 * time.Millisecond,
-			Ops:        24, Offline: true,
+			Ops: 24, Offline: true,
 		},
 		{
 			// Cascading failure: the primary dies mid-schedule, then the
@@ -165,16 +162,16 @@ func Profiles() []Profile {
 			// cascade-repair the second failure (DESIGN.md §14).
 			Name: "cascade", Sites: 5,
 			Latency: 5 * time.Millisecond, Jitter: 4 * time.Millisecond,
-			Duplicate: 0.05, RetryDelay: 3 * time.Millisecond,
-			Ops: 28, Cascade: true,
+			Duplicate: 0.05,
+			Ops:       28, Cascade: true,
 		},
 		{
 			// Same fault menu with the fast path ablated: every
 			// commutative op takes the guess/confirm protocol.
 			Name: "nofast", Sites: 3,
 			Latency: 4 * time.Millisecond, Jitter: 6 * time.Millisecond,
-			Duplicate: 0.06, RetryDelay: 2 * time.Millisecond,
-			Ops: 24, Crash: true, Flap: true,
+			Duplicate: 0.06,
+			Ops:       24, Crash: true, Flap: true,
 			DisableFastPath: true,
 		},
 		{
@@ -190,8 +187,8 @@ func Profiles() []Profile {
 			// notification watermark, unheard.
 			Name: "views", Sites: 3,
 			Latency: 5 * time.Millisecond, Jitter: 5 * time.Millisecond,
-			Duplicate: 0.05, RetryDelay: 2 * time.Millisecond,
-			Ops: 30, Flap: true, Views: true,
+			Duplicate: 0.05,
+			Ops:       30, Flap: true, Views: true,
 			DisableFastPath: true,
 		},
 	}

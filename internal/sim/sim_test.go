@@ -44,8 +44,7 @@ func TestSimReplay(t *testing.T) {
 		{"views", 39},
 		{"views", 95},
 		// A delegated denial: S1, deciding S2's 6@s2 as its delegate,
-		// denies it, and S2 re-executes after RetryDelay, a virtual-clock
-		// event like any other (it used to re-execute at once).
+		// denies it, and S2 re-executes at once (paper §2.4).
 		{"contend", 7},
 		// Transactions left undecided (DESIGN.md §12, bug 8): an origin
 		// resubmits its Writes after reconnecting, the primary has

@@ -51,6 +51,9 @@ var sharedObjects = []string{"reg", "ctr", "lst"}
 // attachViews drains set-up traffic (so no set-up commit can reach a
 // view after it attached), then attaches a pessimistic and an
 // optimistic view over all shared objects at every site, in site order.
+// It settles after each site: an attach sends its CONFIRM-READs at the
+// end of the site's batch, and two sites sending at once would schedule
+// their messages in whichever order their goroutines ran.
 func (w *world) attachViews(refs map[string][]engine.ObjRef) error {
 	if err := w.drain(); err != nil {
 		return err
@@ -71,6 +74,9 @@ func (w *world) attachViews(refs map[string][]engine.ObjRef) error {
 			return fmt.Errorf("sim: attach optimistic view at S%d: %w", i, err)
 		}
 		w.views[id] = l
+		if err := w.settle(); err != nil {
+			return err
+		}
 	}
 	w.tracef("VIEWS-ATTACHED sites=%d", w.profile.Sites)
 	return nil

@@ -166,9 +166,8 @@ func appendPath(b []byte, p Path) []byte {
 		b = appendBool(b, e.IsKey)
 		if e.IsKey {
 			b = appendString(b, e.Key)
-		} else {
-			b = appendTag(b, e.Tag)
 		}
+		b = appendTag(b, e.Tag)
 	}
 	return b
 }
@@ -716,11 +715,15 @@ func (r *reader) path() Path {
 	}
 	out := make(Path, n)
 	for i := range out {
-		if r.bool_() {
-			out[i] = PathElem{IsKey: true, Key: r.string_()}
-		} else {
-			out[i] = PathElem{Tag: r.tag()}
+		e := PathElem{IsKey: r.bool_()}
+		if e.IsKey {
+			e.Key = r.string_()
 		}
+		e.Tag = r.tag()
+		if e.IsKey && e.Tag.VT.IsZero() {
+			r.fail(fmt.Errorf("wire: tuple key %q in path carries no insert VT", e.Key))
+		}
+		out[i] = e
 	}
 	return out
 }

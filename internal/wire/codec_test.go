@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -85,7 +86,9 @@ func (g *gen) path() Path {
 	p := make(Path, n)
 	for i := range p {
 		if g.rng.Intn(2) == 0 {
-			p[i] = PathElem{IsKey: true, Key: g.str()}
+			pin := g.vt()
+			pin.Time |= 1 // an entry's insert VT is never zero
+			p[i] = PathElem{IsKey: true, Key: g.str(), Tag: ElemTag{VT: pin}}
 		} else {
 			p[i] = PathElem{Tag: g.tag()}
 		}
@@ -380,7 +383,7 @@ func TestBinaryCodecFixedMessages(t *testing.T) {
 			Floor:  vtime.VT{Time: 90, Site: 2},
 			Updates: []Update{
 				{Target: target, ReadVT: vtime.VT{Time: 40, Site: 1}, Op: OpSet{Value: int64(9)}},
-				{Target: target, Path: Path{{IsKey: true, Key: "john"}, {Tag: ElemTag{VT: vt, N: 1}}}, Op: OpSet{Value: "x"}},
+				{Target: target, Path: Path{{IsKey: true, Key: "john", Tag: ElemTag{VT: vtime.VT{Time: 60, Site: 3}}}, {Tag: ElemTag{VT: vt, N: 1}}}, Op: OpSet{Value: "x"}},
 				{Target: target, Op: OpListInsert{Tag: ElemTag{VT: vt, N: 2}, Child: ChildDecl{Kind: KindString, Value: "v"}}},
 				{Target: target, Op: OpGraph{Graph: sampleGraph()}},
 			},
@@ -412,7 +415,7 @@ func TestBinaryCodecFixedMessages(t *testing.T) {
 			},
 			IsSorted: true,
 		}},
-		PromoteQuery{ReqID: 4, Origin: 2, Target: target, Path: Path{{IsKey: true, Key: "a"}}},
+		PromoteQuery{ReqID: 4, Origin: 2, Target: target, Path: Path{{IsKey: true, Key: "a", Tag: ElemTag{VT: vt}}}},
 		PromoteReply{ReqID: 4, From: 3, OK: true, Child: target},
 		CommitQuery{TxnVT: vt, From: 4},
 		CommitQueryReply{TxnVT: vt, From: 4, Known: true, Committed: false},
@@ -447,6 +450,129 @@ func TestBinaryCodecFixedMessages(t *testing.T) {
 				t.Errorf("round trip mismatch:\n got %#v\nwant %#v", got, want)
 			}
 		})
+	}
+}
+
+// filler sets every exported field reachable from a value to a non-zero
+// value. Each scalar takes the next value of a counter, so a field the
+// codec drops, swaps or duplicates does not round-trip equal. A dynamic
+// value (any) is an int64 and an Op is an OpSet; a pointer to a type
+// already being filled is filled one level deep.
+type filler struct {
+	n       int64
+	filling map[reflect.Type]int
+}
+
+var opType = reflect.TypeOf((*Op)(nil)).Elem()
+
+func (f *filler) next() int64 {
+	f.n++
+	return f.n
+}
+
+func (f *filler) fill(t *testing.T, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(f.next())
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(uint64(f.next()))
+	case reflect.Float64:
+		v.SetFloat(float64(f.next()) + 0.5)
+	case reflect.String:
+		v.SetString(fmt.Sprintf("s%d", f.next()))
+	case reflect.Slice:
+		s := reflect.MakeSlice(v.Type(), 2, 2)
+		for i := 0; i < s.Len(); i++ {
+			f.fill(t, s.Index(i))
+		}
+		v.Set(s)
+	case reflect.Pointer:
+		if f.filling[v.Type().Elem()] > 1 {
+			return
+		}
+		p := reflect.New(v.Type().Elem())
+		f.fill(t, p.Elem())
+		v.Set(p)
+	case reflect.Struct:
+		f.filling[v.Type()]++
+		defer func() { f.filling[v.Type()]-- }()
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				f.fill(t, v.Field(i))
+			}
+		}
+	case reflect.Interface:
+		if v.Type() == opType {
+			v.Set(reflect.ValueOf(filled[OpSet](t, f)))
+		} else {
+			v.Set(reflect.ValueOf(f.next()))
+		}
+	default:
+		t.Fatalf("filler: no rule for %s (%s)", v.Type(), v.Kind())
+	}
+}
+
+// filled returns a T with every exported field set by f.
+func filled[T any](t *testing.T, f *filler) T {
+	var x T
+	f.fill(t, reflect.ValueOf(&x).Elem())
+	return x
+}
+
+// TestCodecKeepsEveryField round-trips every message type, and every Op
+// inside a Write, with every exported field set, and requires the decoded
+// value to equal the original: a field the codec forgets fails here.
+func TestCodecKeepsEveryField(t *testing.T) {
+	f := &filler{filling: map[reflect.Type]int{}}
+	msgs := []Message{
+		filled[Write](t, f), filled[ConfirmRead](t, f), filled[Confirm](t, f),
+		filled[Outcome](t, f), filled[JoinRequest](t, f), filled[JoinReply](t, f),
+		filled[PromoteQuery](t, f), filled[PromoteReply](t, f), filled[CommitQuery](t, f),
+		filled[CommitQueryReply](t, f), filled[GVTUpdate](t, f), filled[GVTAck](t, f),
+		filled[GVTToken](t, f), filled[CenWrite](t, f), filled[CenEcho](t, f),
+		filled[FastWrite](t, f), filled[SyncRequest](t, f), filled[SyncUpdates](t, f),
+		filled[RepairPrepare](t, f), filled[RepairPromise](t, f), filled[RepairAccept](t, f),
+		filled[RepairAccepted](t, f), filled[RepairLearn](t, f),
+	}
+	// The composite members of the dynamic value set.
+	snap := filled[JoinReply](t, f)
+	snap.BValue = filled[CompositeSnapshot](t, f)
+	rels := filled[CenWrite](t, f)
+	rels.Value = filled[[]Relationship](t, f)
+	msgs = append(msgs, snap, rels)
+	ops := []Op{
+		filled[OpSet](t, f), filled[OpListInsert](t, f), filled[OpListRemove](t, f),
+		filled[OpTupleSet](t, f), filled[OpTupleRemove](t, f), filled[OpGraph](t, f),
+		filled[OpAssoc](t, f), filled[OpAdd](t, f), filled[OpListInsertAfter](t, f),
+		filled[OpAssocInsert](t, f),
+	}
+	for _, op := range ops {
+		w := filled[Write](t, f)
+		w.Updates[1].Op = op
+		msgs = append(msgs, w)
+	}
+
+	tags := map[byte]bool{}
+	for i, m := range msgs {
+		b, err := EncodeMessage(m)
+		if err != nil {
+			t.Fatalf("message %d, %T: encode: %v", i, m, err)
+		}
+		tags[b[0]] = true
+		got, _, err := DecodeMessage(b)
+		if err != nil {
+			t.Errorf("message %d, %T: decode: %v", i, m, err)
+		} else if !reflect.DeepEqual(got, m) {
+			t.Errorf("message %d, %T: a field did not survive the codec:\n got %#v\nwant %#v", i, m, got, m)
+		}
+	}
+	if len(tags) != numMessageTypes {
+		t.Errorf("the table covers %d message tags, the codec has %d", len(tags), numMessageTypes)
+	}
+	if len(ops) != int(opTagAssocInsert) {
+		t.Errorf("the table covers %d ops, the codec has %d", len(ops), opTagAssocInsert)
 	}
 }
 

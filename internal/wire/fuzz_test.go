@@ -27,7 +27,7 @@ func fobj(s, q uint64) ids.ObjectID { return ids.ObjectID{Site: vtime.SiteID(s),
 // every optional field populated at least once across the set.
 func seedMessages() []Message {
 	tag := ElemTag{VT: fvt(7, 1), N: 2}
-	path := Path{{IsKey: true, Key: "k"}, {Tag: tag}}
+	path := Path{{IsKey: true, Key: "k", Tag: ElemTag{VT: fvt(5, 1)}}, {Tag: tag}}
 	graph := repgraph.Wire{
 		Nodes:  []repgraph.WireNode{{Obj: fobj(1, 1), Site: 1}, {Obj: fobj(2, 3), Site: 2}},
 		Edges:  []repgraph.WireEdge{{Edge: repgraph.Edge{A: fobj(1, 1), B: fobj(2, 3)}, Count: 2}},
@@ -166,22 +166,56 @@ func FuzzDecodeMessage(f *testing.F) {
 	})
 }
 
-// TestWriteSeedCorpus writes the seed encodings as a committed corpus in
-// the format `go test fuzz v1`. Run with -writecorpus after changing the
-// codec or the seed set.
+// seedCorpusDir holds the committed seed corpus of FuzzDecodeMessage.
+var seedCorpusDir = filepath.Join("testdata", "fuzz", "FuzzDecodeMessage")
+
+// seedCorpus returns the seed corpus files, name to content, in the
+// format `go test fuzz v1`.
+func seedCorpus(fatalf func(format string, args ...any)) map[string]string {
+	files := map[string]string{}
+	for i, b := range seedEncodings(fatalf) {
+		files[fmt.Sprintf("seed-%02d", i)] = fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", b)
+	}
+	return files
+}
+
+// TestWriteSeedCorpus writes the seed corpus. Run with -writecorpus after
+// changing the codec or the seed set.
 func TestWriteSeedCorpus(t *testing.T) {
 	if !*writeCorpus {
 		t.Skip("run with -writecorpus to regenerate the seed corpus")
 	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeMessage")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(seedCorpusDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for i, b := range seedEncodings(t.Fatalf) {
-		content := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", b)
-		name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
-		if err := os.WriteFile(name, []byte(content), 0o644); err != nil {
+	for name, content := range seedCorpus(t.Fatalf) {
+		if err := os.WriteFile(filepath.Join(seedCorpusDir, name), []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestSeedCorpusCurrent fails when the committed seed corpus differs from
+// what TestWriteSeedCorpus would write, so a codec change cannot leave the
+// fuzzer starting from stale bytes.
+func TestSeedCorpusCurrent(t *testing.T) {
+	want := seedCorpus(t.Fatalf)
+	committed, err := filepath.Glob(filepath.Join(seedCorpusDir, "seed-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range committed {
+		if _, ok := want[filepath.Base(path)]; !ok {
+			t.Errorf("%s is not a seed any more", path)
+		}
+	}
+	for name, content := range want {
+		got, err := os.ReadFile(filepath.Join(seedCorpusDir, name))
+		if err != nil || string(got) != content {
+			t.Errorf("seed %s is stale or missing", name)
+		}
+	}
+	if t.Failed() {
+		t.Log("regenerate: go test ./internal/wire -run TestWriteSeedCorpus -writecorpus")
 	}
 }

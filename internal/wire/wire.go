@@ -261,7 +261,9 @@ type PathElem struct {
 	// IsKey selects between tuple (key) and list (tag) addressing.
 	IsKey bool
 	Key   string
-	Tag   ElemTag
+	// Tag names a list element; for a tuple key, Tag.VT pins the entry's
+	// insert VT (a key can be set again). The codec rejects a key without.
+	Tag ElemTag
 }
 
 // String implements fmt.Stringer.
