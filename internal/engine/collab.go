@@ -383,7 +383,7 @@ func (s *Site) handleJoinRequest(from vtime.SiteID, m wire.JoinRequest) {
 		// confirmation message).
 		if v := s.checkAtPrimary(st, m.TxnVT, w.appendUpdates(nil, primary, path), nil); !v.ok {
 			s.undoApplied(st)
-			denyRetryable(v.reason)
+			denyRetryable(v.cause.String())
 			return
 		}
 	}
@@ -478,10 +478,10 @@ func (s *Site) handleJoinReply(m wire.JoinReply) {
 		if m.Retryable {
 			// An ordinary concurrency-control conflict: undo and retry
 			// with a fresh virtual time, like any other transaction.
-			s.decide(st, false, fmt.Sprintf("join conflict: %s", m.Reason))
+			s.decide(st, false, textCause("join conflict: "+m.Reason))
 			return
 		}
-		s.abortJoin(st, fmt.Sprintf("join denied: %s", m.Reason))
+		s.abortJoin(st, "join denied: "+m.Reason)
 		return
 	}
 
@@ -516,7 +516,7 @@ func (s *Site) handleJoinReply(m wire.JoinReply) {
 	s.propagate(st)
 	st.extraPending--
 	if st.denied {
-		s.decide(st, false, st.deniedReason)
+		s.decide(st, false, st.deniedCause)
 		return
 	}
 	s.registerRCDeps(st)
@@ -590,7 +590,7 @@ func lastTag(lst *object) wire.ElemTag {
 // the failure to its caller. A concurrency-control denial retries.
 func (s *Site) abortJoin(st *txnState, reason string) {
 	st.retryFn = nil // suppress automatic retry
-	s.decide(st, false, reason)
+	s.decide(st, false, textCause(reason))
 }
 
 // LeaveRelationship removes obj from its replica relationship: the

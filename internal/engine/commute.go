@@ -123,7 +123,7 @@ func (s *Site) tryFastPath(st *txnState) bool {
 		}
 	}
 	st.fast = true
-	s.decide(st, true, "")
+	s.decide(st, true, nil)
 	return true
 }
 
@@ -168,7 +168,7 @@ func (s *Site) demoteGuessesFor(objs []*object, vt vtime.VT) {
 			reason := fmt.Sprintf("demoted: fast-path commit %s inside reserved interval of %s", vt, owner)
 			s.stats.FastpathDemotions.Add(1)
 			if st2, ok := s.txns[owner]; ok && st2.origin == s.id && st2.status == txnWaiting {
-				s.decide(st2, false, reason)
+				s.decide(st2, false, textCause(reason))
 				continue
 			}
 			if owner.Site != s.id {
@@ -199,7 +199,7 @@ func (s *Site) demoteGuessesFor(objs []*object, vt vtime.VT) {
 				continue
 			}
 			s.stats.FastpathDemotions.Add(1)
-			s.decide(st2, false, fmt.Sprintf("demoted: fast-path commit %s inside read interval of %s", vt, v.VT))
+			s.decide(st2, false, textCause(fmt.Sprintf("demoted: fast-path commit %s inside read interval of %s", vt, v.VT)))
 		}
 	}
 }

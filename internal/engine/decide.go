@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"context"
 	"fmt"
+	"log/slog"
 
 	"decaf/internal/obs"
 	"decaf/internal/vtime"
@@ -21,7 +23,7 @@ import (
 // it: an origin tells every involved site, a delegate the sites the origin
 // named, a fast-path origin ships its FastWrites (they carry the commit),
 // and an orphan resolver tells no one (each survivor resolves for itself).
-func (s *Site) decide(st *txnState, committed bool, reason string) {
+func (s *Site) decide(st *txnState, committed bool, c *cause) {
 	if st.decided() {
 		return
 	}
@@ -30,7 +32,7 @@ func (s *Site) decide(st *txnState, committed bool, reason string) {
 	} else {
 		s.tellOutcome(st, committed)
 	}
-	s.settle(st, committed, reason)
+	s.settle(st, committed, c)
 }
 
 // tellOutcome logs the summary outcome this site decided and sends it.
@@ -63,7 +65,7 @@ func (s *Site) learn(vt vtime.VT, committed bool) {
 	st, ok := s.txns[vt]
 	if ok && !st.decided() {
 		// At an origin, a decision from elsewhere is its delegate's.
-		s.settle(st, committed, "delegate denied")
+		s.settle(st, committed, delegateDenied)
 		return
 	}
 	s.outcomes[vt] = committed
@@ -77,7 +79,7 @@ func (s *Site) learn(vt vtime.VT, committed bool) {
 // continuations waiting on it; the views; the graph-op hooks and GC; stats
 // and trace. At the origin it also logs the origin's own updates and
 // reports to the submitter: the Handle's result, or the retry.
-func (s *Site) settle(st *txnState, committed bool, reason string) {
+func (s *Site) settle(st *txnState, committed bool, c *cause) {
 	origin := st.isOrigin()
 	st.status = txnAborted
 	if committed {
@@ -132,8 +134,10 @@ func (s *Site) settle(st *txnState, committed bool, reason string) {
 	}
 	if !committed {
 		s.stats.ConflictAborts.Add(1)
-		s.trace(obs.EvAbort, st.vt, 0, reason)
-		s.retry(st, reason)
+		if s.obs.TraceEnabled() {
+			s.trace(obs.EvAbort, st.vt, 0, c.String())
+		}
+		s.retry(st, c)
 		return
 	}
 	s.stats.Commits.Add(1)
@@ -158,14 +162,16 @@ func (s *Site) settle(st *txnState, committed bool, reason string) {
 // transaction out of attempts fails; one that depends on a failed
 // primary parks until the graph repair commits (§3.4); any other
 // re-executes at once.
-func (s *Site) retry(st *txnState, reason string) {
+func (s *Site) retry(st *txnState, c *cause) {
 	h := st.handle
 	if h == nil {
 		return
 	}
-	s.log.Debug("abort", "txn", st.vt.String(), "reason", reason)
+	if s.log.Enabled(context.Background(), slog.LevelDebug) {
+		s.log.Debug("abort", "txn", st.vt.String(), "reason", c.String())
+	}
 	if st.txn == nil && st.retryFn == nil {
-		h.finish(Result{Err: fmt.Errorf("%w: %s", ErrAborted, reason), Retries: st.retries, VT: st.vt})
+		h.finish(Result{Err: fmt.Errorf("%w: %s", ErrAborted, c), Retries: st.retries, VT: st.vt})
 		return
 	}
 	if st.retries+1 > s.opts.MaxRetries {

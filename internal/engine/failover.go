@@ -125,7 +125,7 @@ func (s *Site) handleSiteFailure(f vtime.SiteID) {
 		}
 		if st.waitConfirms[f] || st.delegatedTo == f {
 			st.parkOnAbort = true
-			s.decide(st, false, fmt.Sprintf("primary site %s failed", f))
+			s.decide(st, false, textCause(fmt.Sprintf("primary site %s failed", f)))
 		}
 	}
 	// (3) Repair replication graphs containing the failed site.
@@ -216,7 +216,7 @@ func (s *Site) queryLateOrphan(st *txnState) {
 // sees the decision like any other).
 func (s *Site) decideOrphan(st *txnState, committed bool) {
 	delete(s.commitQueries, st.vt)
-	s.decide(st, committed, "orphan")
+	s.decide(st, committed, textCause("orphan"))
 }
 
 // maybeFinishCommitQuery completes a query whose waiting set shrank:

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"context"
 	"fmt"
+	"log/slog"
 	"strconv"
 
 	"decaf/internal/history"
@@ -122,7 +124,7 @@ func (s *Site) checkWrite(t *writeTask) {
 		err = s.authorizeChecks(t.m.Checks, t.st.origin)
 	}
 	if err != nil {
-		t.verdict = verdict{reason: err.Error()}
+		t.verdict = verdict{cause: textCause(err.Error())}
 		return
 	}
 	t.verdict = s.checkAtPrimary(t.st, t.m.TxnVT, t.m.Updates, t.m.Checks)
@@ -166,15 +168,15 @@ func (s *Site) finishWrite(t *writeTask) {
 // primary confirms or denies to the origin.
 func (s *Site) answerWrite(t *writeTask) {
 	st, m, v := t.st, t.m, t.verdict
-	if !v.ok {
-		s.log.Debug("primary denial", "txn", m.TxnVT.String(), "reason", v.reason)
+	if !v.ok && s.log.Enabled(context.Background(), slog.LevelDebug) {
+		s.log.Debug("primary denial", "txn", m.TxnVT.String(), "reason", v.cause.String())
 	}
 	s.traceCheck(m.TxnVT, m.Origin, v, len(st.reservedObjs))
 	if m.Delegate != nil {
-		s.decide(st, v.ok, v.reason)
+		s.decide(st, v.ok, v.cause)
 		return
 	}
-	s.send(m.Origin, wire.Confirm{TxnVT: m.TxnVT, From: s.id, OK: v.ok, Transient: v.transient, Reason: v.reason})
+	s.send(m.Origin, wire.Confirm{TxnVT: m.TxnVT, From: s.id, OK: v.ok, Transient: v.transient, Reason: v.cause.String()})
 }
 
 // traceCheck records a primary's verdict on transaction vt, requested by
@@ -184,7 +186,7 @@ func (s *Site) traceCheck(vt vtime.VT, origin vtime.SiteID, v verdict, reserved 
 		return
 	}
 	if !v.ok {
-		s.trace(obs.EvPrimaryCheck, vt, origin, v.reason)
+		s.trace(obs.EvPrimaryCheck, vt, origin, v.cause.String())
 		return
 	}
 	s.trace(obs.EvPrimaryCheck, vt, origin, "ok")
@@ -223,7 +225,7 @@ func (s *Site) noteApplied(objs []*object, vt vtime.VT, committed bool) {
 func (s *Site) handleConfirmRead(from vtime.SiteID, m wire.ConfirmRead) {
 	var v verdict
 	if err := s.authorizeChecks(m.Checks, m.Origin); err != nil {
-		v.reason = err.Error()
+		v.cause = textCause(err.Error())
 	} else {
 		// Reservations are tracked only where the transaction has state
 		// here (nil for a view snapshot).
@@ -235,7 +237,7 @@ func (s *Site) handleConfirmRead(from vtime.SiteID, m wire.ConfirmRead) {
 		From:      s.id,
 		OK:        v.ok,
 		Transient: v.transient,
-		Reason:    v.reason,
+		Reason:    v.cause.String(),
 	})
 }
 
@@ -274,7 +276,7 @@ func (s *Site) handleConfirm(m wire.Confirm) {
 		s.checkTxnComplete(st)
 		return
 	}
-	s.decide(st, false, fmt.Sprintf("denied by %s: %s", m.From, m.Reason))
+	s.decide(st, false, &cause{kind: causeDeniedBy, site: m.From, text: m.Reason})
 }
 
 // applyUpdate applies one update from a remote transaction. It returns

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
 	"decaf/internal/repgraph"
 	"decaf/internal/vtime"
 	"decaf/internal/wire"
@@ -21,7 +19,7 @@ import (
 type verdict struct {
 	ok        bool
 	transient bool
-	reason    string
+	cause     *cause // nil when ok
 }
 
 // checkAtPrimary validates at this site the updates and read checks of one
@@ -39,7 +37,7 @@ func (s *Site) checkAtPrimary(st *txnState, vt vtime.VT, updates []wire.Update, 
 	for _, u := range updates {
 		root, ok := s.objects[u.Target]
 		if !ok {
-			return verdict{reason: fmt.Sprintf("unknown object %s", u.Target)}
+			return verdict{cause: &cause{kind: causeUnknownObject, obj: u.Target}}
 		}
 		g := guess{groot: root.replicationRoot(), readVT: u.ReadVT, graphVT: u.GraphVT, write: true}
 		if _, isGraph := u.Op.(wire.OpGraph); isGraph {
@@ -67,7 +65,7 @@ func (s *Site) checkAtPrimary(st *txnState, vt vtime.VT, updates []wire.Update, 
 	for _, c := range checks {
 		root, ok := s.objects[c.Target]
 		if !ok {
-			return verdict{reason: fmt.Sprintf("unknown object %s", c.Target)}
+			return verdict{cause: &cause{kind: causeUnknownObject, obj: c.Target}}
 		}
 		target, v := resolveTarget(root, c.Path)
 		if !v.ok {
@@ -91,10 +89,10 @@ func resolveTarget(root *object, path wire.Path) (*object, verdict) {
 	}
 	child, removed, _ := root.resolvePath(path)
 	if removed {
-		return nil, verdict{reason: fmt.Sprintf("path %s removed", path)}
+		return nil, verdict{cause: &cause{kind: causePathRemoved, path: path}}
 	}
 	if child == nil {
-		return nil, verdict{transient: true, reason: fmt.Sprintf("transient: path %s not yet present", path)}
+		return nil, verdict{transient: true, cause: &cause{kind: causePathPending, path: path}}
 	}
 	return child, verdict{ok: true}
 }
@@ -122,26 +120,26 @@ func (s *Site) checkGuess(st *txnState, vt vtime.VT, g guess) verdict {
 	valIv := vtime.Interval{Lo: g.readVT, Hi: vt}
 	if t := g.target; t != nil {
 		if g.committedOnly && t.hist.HasCommittedIn(valIv, vt) {
-			return verdict{reason: fmt.Sprintf("RL: committed update in %s for %s", valIv, t.id)}
+			return verdict{cause: &cause{kind: causeRLCommitted, iv: valIv, obj: t.id}}
 		}
 		if t.hist.HasVersionIn(valIv, vt) {
 			if g.committedOnly {
-				return verdict{transient: true, reason: fmt.Sprintf("transient: pending update in %s for %s", valIv, t.id)}
+				return verdict{transient: true, cause: &cause{kind: causeRLPending, iv: valIv, obj: t.id}}
 			}
-			return verdict{reason: fmt.Sprintf("RL: update in %s for %s", valIv, t.id)}
+			return verdict{cause: &cause{kind: causeRL, iv: valIv, obj: t.id}}
 		}
 	}
 	graphIv := vtime.Interval{Lo: g.graphVT, Hi: vt}
 	if g.groot.graphHist.HasVersionIn(graphIv, vt) {
-		return verdict{reason: fmt.Sprintf("RL: graph change in %s for %s", graphIv, g.groot.id)}
+		return verdict{cause: &cause{kind: causeGraphRL, iv: graphIv, obj: g.groot.id}}
 	}
 	// A value write does not violate a graph reservation, which keeps an
 	// interval free of graph changes only.
 	if g.write && g.target != nil && g.target.res.Conflicts(vt, vt) {
-		return verdict{reason: fmt.Sprintf("NC: write at %s conflicts with reservation on %s", vt, g.target.id)}
+		return verdict{cause: &cause{kind: causeNC, vt: vt, obj: g.target.id}}
 	}
 	if g.write && g.target == nil && g.groot.graphRes.Conflicts(vt, vt) {
-		return verdict{reason: fmt.Sprintf("NC: graph reservation conflict at %s on %s", vt, g.groot.id)}
+		return verdict{cause: &cause{kind: causeGraphNC, vt: vt, obj: g.groot.id}}
 	}
 	if g.noReserve {
 		return verdict{ok: true}

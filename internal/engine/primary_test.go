@@ -184,13 +184,13 @@ var pcColumns = []pcColumn{
 		}
 		st.writes = []*writeRec{w}
 		e.s.propagate(st)
-		return seenReason(!st.denied, st.deniedReason), e.valueReserves(target), func() { e.s.decide(st, false, "abort") }
+		return seenReason(!st.denied, st.deniedCause.String()), e.valueReserves(target), func() { e.s.decide(st, false, textCause("abort")) }
 	}},
 	{"origin-read", func(e *pcEnv, row pcRow, target *object) (seen, []string, func()) {
 		st := e.originTxn()
 		st.reads = []*readRec{{obj: target, readVT: pcRead, graphVT: pcGraph}}
 		e.s.propagate(st)
-		return seenReason(!st.denied, st.deniedReason), e.valueReserves(target), func() { e.s.decide(st, false, "abort") }
+		return seenReason(!st.denied, st.deniedCause.String()), e.valueReserves(target), func() { e.s.decide(st, false, textCause("abort")) }
 	}},
 	{"remote-write", func(e *pcEnv, row pcRow, target *object) (seen, []string, func()) {
 		root := target.replicationRoot()
@@ -214,7 +214,7 @@ var pcColumns = []pcColumn{
 		st := e.originTxn()
 		st.writes = []*writeRec{{obj: target, readVT: pcRead, graphVT: target.graphVT, ops: []wire.Op{wire.OpAssoc{}}}}
 		e.s.propagate(st)
-		return seenReason(!st.denied, st.deniedReason), e.valueReserves(target), func() { e.s.decide(st, false, "abort") }
+		return seenReason(!st.denied, st.deniedCause.String()), e.valueReserves(target), func() { e.s.decide(st, false, textCause("abort")) }
 	}},
 	{"join-invitee", func(e *pcEnv, row pcRow, target *object) (seen, []string, func()) {
 		a := ids.ObjectID{Site: 2, Seq: 99}
@@ -239,7 +239,7 @@ var pcColumns = []pcColumn{
 		if st.status == txnWaiting {
 			// The joined value is a blind write: its interval (tT, tT] is
 			// empty, so only the graph is reserved.
-			return seen{ok: true}, []string{"x.graph"}, func() { e.s.decide(st, false, "abort") }
+			return seen{ok: true}, []string{"x.graph"}, func() { e.s.decide(st, false, textCause("abort")) }
 		}
 		res := <-st.handle.Done()
 		return seenReason(false, res.Err.Error()), nil, func() {}

@@ -107,7 +107,7 @@ func (s *Site) address(st *txnState, w *writeRec, status history.Status, out *fa
 func (s *Site) awaitConfirm(st *txnState, site vtime.SiteID) {
 	if s.failed[site] {
 		st.denied = true
-		st.deniedReason = fmt.Sprintf("primary site %s failed", site)
+		st.deniedCause = textCause(fmt.Sprintf("primary site %s failed", site))
 		st.parkOnAbort = true
 		return
 	}
@@ -153,7 +153,7 @@ func (s *Site) propagate(st *txnState) {
 		s.traceCheck(st.vt, 0, v, len(st.reservedObjs)-reserved)
 		if !v.ok {
 			st.denied = true
-			st.deniedReason = v.reason
+			st.deniedCause = v.cause
 		}
 	}
 	for _, m := range out {

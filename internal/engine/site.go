@@ -98,7 +98,8 @@ type Stats struct {
 	UpdatesApplied uint64
 	// OptNotifications counts optimistic view update notifications.
 	OptNotifications uint64
-	// OptCommits counts optimistic view commit notifications.
+	// OptCommits counts optimistic view commit notifications, made
+	// only for views with a commit() callback.
 	OptCommits uint64
 	// PessNotifications counts pessimistic view update notifications.
 	PessNotifications uint64
@@ -359,7 +360,7 @@ func newSiteMetrics(reg *obs.Registry) siteMetrics {
 		MessagesSent:          reg.Counter("decaf_messages_sent_total", "protocol messages sent by this site"),
 		UpdatesApplied:        reg.Counter("decaf_updates_applied_total", "remote updates applied at this site"),
 		OptNotifications:      reg.Counter("decaf_view_opt_notifications_total", "optimistic view update notifications"),
-		OptCommits:            reg.Counter("decaf_view_opt_commits_total", "optimistic view commit notifications"),
+		OptCommits:            reg.Counter("decaf_view_opt_commits_total", "optimistic view commit notifications (views with a commit callback)"),
 		PessNotifications:     reg.Counter("decaf_view_pess_notifications_total", "pessimistic view update notifications"),
 		LostUpdates:           reg.Counter("decaf_view_lost_updates_total", "straggler updates subsumed by a later optimistic snapshot"),
 		UpdateInconsistencies: reg.Counter("decaf_view_update_inconsistencies_total", "optimistic notifications that exposed rolled-back state"),

@@ -164,7 +164,7 @@ type txnState struct {
 	delegatedTo  vtime.SiteID
 	retries      int
 	denied       bool
-	deniedReason string
+	deniedCause  *cause
 	// extraPending counts additional completion predicates used by the
 	// join protocol (paper §3.3) before the transaction may commit.
 	extraPending int
@@ -497,7 +497,7 @@ func (s *Site) finishExecution(st *txnState) {
 	s.propagate(st)
 
 	if st.denied {
-		s.decide(st, false, st.deniedReason)
+		s.decide(st, false, st.deniedCause)
 		return
 	}
 	s.registerRCDeps(st)
@@ -538,7 +538,7 @@ func (s *Site) registerRCDeps(st *txnState) {
 				delete(st.rcDeps, dep)
 			} else {
 				st.denied = true
-				st.deniedReason = fmt.Sprintf("RC: read value of aborted txn %s", dep)
+				st.deniedCause = &cause{kind: causeRCReadAborted, vt: dep}
 			}
 			continue
 		}
@@ -550,12 +550,12 @@ func (s *Site) registerRCDeps(st *txnState) {
 				delete(st.rcDeps, dep)
 				s.checkTxnComplete(st)
 			} else {
-				s.decide(st, false, fmt.Sprintf("RC: txn %s aborted", dep))
+				s.decide(st, false, &cause{kind: causeRCAborted, vt: dep})
 			}
 		})
 	}
 	if st.denied {
-		s.decide(st, false, st.deniedReason)
+		s.decide(st, false, st.deniedCause)
 	}
 }
 
@@ -570,5 +570,5 @@ func (s *Site) checkTxnComplete(st *txnState) {
 	if len(st.waitConfirms) > 0 || len(st.rcDeps) > 0 || st.extraPending > 0 {
 		return
 	}
-	s.decide(st, true, "")
+	s.decide(st, true, nil)
 }

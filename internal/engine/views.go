@@ -316,7 +316,10 @@ func (snap *snapshot) data(committed bool) SnapshotData {
 }
 
 // minSnapshotVT reports the lowest VT any of the proxy's live snapshots
-// may still read (the GC floor contribution).
+// may still read (the GC floor contribution). The floor bounds what this
+// site will still ask a primary: an optimistic snapshot holds it only
+// while it awaits confirmations for a commit() callback, and a view
+// without one asks nothing.
 func (p *viewProxy) minSnapshotVT() (vtime.VT, bool) {
 	min := vtime.VT{}
 	found := false
@@ -325,7 +328,7 @@ func (p *viewProxy) minSnapshotVT() (vtime.VT, bool) {
 			min, found = v, true
 		}
 	}
-	if p.cur != nil && !p.cur.confirmed {
+	if p.cur != nil && !p.cur.confirmed && p.fns.Commit != nil {
 		consider(p.cur.ts)
 	}
 	for _, sn := range p.snaps {
@@ -522,7 +525,10 @@ func (p *viewProxy) armOptDelivery() {
 }
 
 // requestOptimisticGuesses registers the snapshot's RC and RL guesses
-// (paper §4.1).
+// (paper §4.1). A view without a commit() callback asks no primary: RL
+// confirmations only decide a commit notification it cannot receive. Its
+// RC guesses stay, because an aborted dependency is what counts an
+// update inconsistency.
 func (p *viewProxy) requestOptimisticGuesses(snap *snapshot) {
 	s := p.site
 	// RC guesses: wait for the outcomes of pending transactions whose
@@ -553,9 +559,12 @@ func (p *viewProxy) requestOptimisticGuesses(snap *snapshot) {
 			}
 		})
 	}
+	if p.fns.Commit == nil {
+		return
+	}
 	// RL guesses: for each attached object read below ts, the interval
 	// up to ts must be write-free at the object's primary copy.
-	checksBySite := map[vtime.SiteID][]wire.ReadCheck{}
+	var checksBySite map[vtime.SiteID][]wire.ReadCheck
 	for i, o := range p.attached {
 		v := snap.versions[i]
 		if !v.Less(snap.ts) {
@@ -575,13 +584,16 @@ func (p *viewProxy) requestOptimisticGuesses(snap *snapshot) {
 			// §4.1), so they must not abort writers.
 			continue
 		}
-		checksBySite[primarySite] = append(checksBySite[primarySite], wire.ReadCheck{
+		checksBySite = addReadCheck(checksBySite, primarySite, wire.ReadCheck{
 			Target:    primaryNode,
 			Path:      o.pathFromRoot(),
 			ReadVT:    v,
 			GraphVT:   root.graphVT,
 			NoReserve: true,
-		})
+		}, len(p.attached)-i)
+	}
+	if checksBySite == nil {
+		return // every primary is local: nothing to ask
 	}
 	// Site-sorted: reqID assignment and the outbound message schedule
 	// must be a pure function of protocol state.
@@ -605,10 +617,28 @@ func (p *viewProxy) requestOptimisticGuesses(snap *snapshot) {
 	}
 }
 
+// addReadCheck files c under site in bySite and returns bySite. The map
+// is made on a snapshot's first remote check, and each site's slice with
+// room for the left attached objects not yet examined, so a snapshot
+// allocates one slice per primary site instead of growing it check by
+// check.
+func addReadCheck(bySite map[vtime.SiteID][]wire.ReadCheck, site vtime.SiteID, c wire.ReadCheck, left int) map[vtime.SiteID][]wire.ReadCheck {
+	if bySite == nil {
+		bySite = map[vtime.SiteID][]wire.ReadCheck{}
+	}
+	checks := bySite[site]
+	if checks == nil {
+		checks = make([]wire.ReadCheck, 0, left)
+	}
+	bySite[site] = append(checks, c)
+	return bySite
+}
+
 // checkOptimisticCommit delivers the commit notification once every guess
-// of the proxy's current snapshot is confirmed (paper §4.1).
+// of the proxy's current snapshot is confirmed (paper §4.1). A view
+// without a commit() callback has none to deliver, and none is counted.
 func (p *viewProxy) checkOptimisticCommit(snap *snapshot) {
-	if p.cur != snap || snap.notifiedCommit || p.detached {
+	if p.fns.Commit == nil || p.cur != snap || snap.notifiedCommit || p.detached {
 		return
 	}
 	if snap.pendingChecks > 0 || len(snap.rcDeps) > 0 {
@@ -618,9 +648,6 @@ func (p *viewProxy) checkOptimisticCommit(snap *snapshot) {
 	snap.notifiedCommit = true
 	p.site.stats.OptCommits.Add(1)
 	p.site.trace(obs.EvCommitNotify, snap.ts, 0, "")
-	if p.fns.Commit == nil {
-		return
-	}
 	gen := snap.gen
 	p.site.notify(func() {
 		if p.latestGen.Load() != gen {
@@ -713,8 +740,8 @@ func (p *viewProxy) requestPessimisticGuesses(i int) {
 	prev := p.prevBoundary(i)
 	epoch := snap.checkEpoch
 
-	checksBySite := map[vtime.SiteID][]wire.ReadCheck{}
-	for _, o := range p.attached {
+	var checksBySite map[vtime.SiteID][]wire.ReadCheck
+	for k, o := range p.attached {
 		root := o.replicationRoot()
 		g := root.graph
 		if g == nil || g.NumNodes() <= 1 {
@@ -754,7 +781,10 @@ func (p *viewProxy) requestPessimisticGuesses(i int) {
 			}
 			continue
 		}
-		checksBySite[primarySite] = append(checksBySite[primarySite], c)
+		checksBySite = addReadCheck(checksBySite, primarySite, c, len(p.attached)-k)
+	}
+	if checksBySite == nil {
+		return
 	}
 	// Site-sorted for the same reason as requestOptimisticGuesses.
 	for _, site := range sortedSites(checksBySite) {

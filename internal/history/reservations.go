@@ -1,7 +1,7 @@
 package history
 
 import (
-	"sort"
+	"slices"
 
 	"decaf/internal/vtime"
 )
@@ -20,28 +20,40 @@ type Reservation struct {
 // for one object (or for its replication graph). The zero value is an
 // empty table ready to use. Not safe for concurrent use.
 type Reservations struct {
-	rs []Reservation // sorted by (Interval.Hi, Owner) for GC convenience
+	rs []Reservation // sorted by (Interval.Hi, Owner): GC drops a prefix
 }
 
 // Len returns the number of reservations held.
 func (r *Reservations) Len() int { return len(r.rs) }
 
 // Reserve records a write-free reservation of iv on behalf of owner.
-// Empty intervals (e.g. a blind write's (tT, tT]) are ignored.
+// Empty intervals (e.g. a blind write's (tT, tT]) are ignored. The new
+// reservation goes after every one that does not sort after it, so
+// reservations under one (Hi, Owner) key keep their arrival order.
+//
+// The position is found scanning back from the end: reservations reach
+// up to the rising VTs of transactions and snapshots, so most sort last
+// and are appended, and the rest land a few entries from the end. The
+// scan is never longer than the shift the insertion makes anyway.
 func (r *Reservations) Reserve(iv vtime.Interval, owner vtime.VT) {
 	if iv.Empty() {
 		return
 	}
-	i := sort.Search(len(r.rs), func(i int) bool {
-		hi := r.rs[i].Interval.Hi
-		if hi != iv.Hi {
-			return iv.Hi.Less(hi)
-		}
-		return owner.LessEq(r.rs[i].Owner)
-	})
-	r.rs = append(r.rs, Reservation{})
-	copy(r.rs[i+1:], r.rs[i:])
-	r.rs[i] = Reservation{Interval: iv, Owner: owner}
+	res := Reservation{Interval: iv, Owner: owner}
+	i := len(r.rs)
+	for i > 0 && sortsBefore(res, r.rs[i-1]) {
+		i--
+	}
+	r.rs = slices.Insert(r.rs, i, res)
+}
+
+// sortsBefore reports whether a sorts strictly before b in the table's
+// (Interval.Hi, Owner) order.
+func sortsBefore(a, b Reservation) bool {
+	if a.Interval.Hi != b.Interval.Hi {
+		return a.Interval.Hi.Less(b.Interval.Hi)
+	}
+	return a.Owner.Less(b.Owner)
 }
 
 // Conflicts reports whether a write at vt by the transaction `writer`
@@ -93,21 +105,15 @@ func (r *Reservations) Release(owner vtime.VT) int {
 // the caller must pass a floor below which no check can still arrive: at
 // a primary, the lowest GC floor its replica graph's members have
 // announced, not merely its own. It returns the number discarded.
+//
+// The table is sorted by Hi, so the discarded reservations are a prefix.
 func (r *Reservations) GCBelow(floor vtime.VT) int {
-	if len(r.rs) == 0 {
-		return 0
+	n := 0
+	for n < len(r.rs) && r.rs[n].Interval.Hi.LessEq(floor) {
+		n++
 	}
-	kept := r.rs[:0]
-	removed := 0
-	for _, res := range r.rs {
-		if res.Interval.Hi.LessEq(floor) {
-			removed++
-			continue
-		}
-		kept = append(kept, res)
-	}
-	r.rs = kept
-	return removed
+	r.rs = slices.Delete(r.rs, 0, n)
+	return n
 }
 
 // All returns a copy of the reservations, for inspection and tests.

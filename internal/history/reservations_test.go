@@ -1,6 +1,9 @@
 package history
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"decaf/internal/vtime"
@@ -155,6 +158,122 @@ func TestReserveKeepsSortedOrder(t *testing.T) {
 		}
 		if cur.Interval.Hi == prev.Interval.Hi && cur.Owner.Less(prev.Owner) {
 			t.Fatalf("same-Hi reservations out of Owner order at %d: %v after %v", i, cur, prev)
+		}
+	}
+}
+
+// TestReservationsMatchReference interleaves Reserve (in order, out of
+// order, at an existing Hi under another owner, empty), Release and
+// GCBelow at random, and after every step compares the table with a
+// plain slice kept in (Hi, Owner) order by a stable sort and filtered by
+// brute force: the contents in order (a key's reservations in arrival
+// order), Conflicts and Intersecting at every probe VT, and the counts
+// Release and GCBelow return.
+func TestReservationsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	probes := func(top uint64) []vtime.VT {
+		var out []vtime.VT
+		for tm := uint64(0); tm <= top+1; tm++ {
+			out = append(out, rvt(tm, 1), rvt(tm, 2))
+		}
+		return out
+	}
+	byKey := func(a, b Reservation) int {
+		if c := a.Interval.Hi.Compare(b.Interval.Hi); c != 0 {
+			return c
+		}
+		return a.Owner.Compare(b.Owner)
+	}
+	sortVTs := func(vts []vtime.VT) []vtime.VT {
+		out := slices.Clone(vts)
+		slices.SortFunc(out, vtime.VT.Compare)
+		return out
+	}
+	for round := 0; round < 40; round++ {
+		var r Reservations
+		var ref []Reservation
+		top := uint64(5)
+		for step := 0; step < 150; step++ {
+			what := ""
+			switch op := rng.Intn(10); {
+			case op < 6:
+				var hi vtime.VT
+				switch k := rng.Intn(4); {
+				case k == 0 || len(ref) == 0:
+					top += uint64(1 + rng.Intn(2))
+					hi = rvt(top, vtime.SiteID(1+rng.Intn(2)))
+				case k == 1:
+					hi = rvt(uint64(rng.Intn(int(top)+1)), vtime.SiteID(1+rng.Intn(2)))
+				default:
+					hi = ref[rng.Intn(len(ref))].Interval.Hi
+				}
+				lo := rvt(hi.Time-uint64(rng.Intn(int(hi.Time)+1)), vtime.SiteID(1+rng.Intn(2)))
+				if rng.Intn(8) == 0 {
+					lo = hi // empty: ignored
+				}
+				owner := rvt(hi.Time+uint64(rng.Intn(3)), vtime.SiteID(1+rng.Intn(3)))
+				r.Reserve(riv(lo, hi), owner)
+				if !riv(lo, hi).Empty() {
+					ref = append(ref, Reservation{Interval: riv(lo, hi), Owner: owner})
+					slices.SortStableFunc(ref, byKey)
+				}
+				what = fmt.Sprintf("Reserve(%s, %s)", riv(lo, hi), owner)
+			case op < 8 && len(ref) > 0:
+				owner := ref[rng.Intn(len(ref))].Owner
+				want := 0
+				ref = slices.DeleteFunc(ref, func(res Reservation) bool {
+					if res.Owner == owner {
+						want++
+						return true
+					}
+					return false
+				})
+				what = fmt.Sprintf("Release(%s)", owner)
+				if got := r.Release(owner); got != want {
+					t.Fatalf("round %d step %d %s removed %d, want %d", round, step, what, got, want)
+				}
+			default:
+				floor := rvt(uint64(rng.Intn(int(top)+1)), vtime.SiteID(1+rng.Intn(2)))
+				want := 0
+				ref = slices.DeleteFunc(ref, func(res Reservation) bool {
+					if res.Interval.Hi.LessEq(floor) {
+						want++
+						return true
+					}
+					return false
+				})
+				what = fmt.Sprintf("GCBelow(%s)", floor)
+				if got := r.GCBelow(floor); got != want {
+					t.Fatalf("round %d step %d %s removed %d, want %d", round, step, what, got, want)
+				}
+			}
+
+			if got := r.All(); !slices.Equal(got, ref) {
+				t.Fatalf("round %d step %d after %s: table %v, want %v", round, step, what, got, ref)
+			}
+			if r.Len() != len(ref) {
+				t.Fatalf("round %d step %d after %s: Len %d, want %d", round, step, what, r.Len(), len(ref))
+			}
+			for _, at := range probes(top) {
+				writer := rvt(at.Time+1, 3)
+				if len(ref) > 0 && rng.Intn(2) == 0 {
+					writer = ref[rng.Intn(len(ref))].Owner
+				}
+				var wantConflict bool
+				var wantOwners []vtime.VT
+				for _, res := range ref {
+					if res.Owner != writer && res.Interval.Contains(at) {
+						wantConflict = true
+						wantOwners = append(wantOwners, res.Owner)
+					}
+				}
+				if got := r.Conflicts(at, writer); got != wantConflict {
+					t.Fatalf("round %d step %d after %s: Conflicts(%s, %s) = %v, want %v", round, step, what, at, writer, got, wantConflict)
+				}
+				if got := r.Intersecting(at, writer); !slices.Equal(sortVTs(got), sortVTs(wantOwners)) {
+					t.Fatalf("round %d step %d after %s: Intersecting(%s, %s) = %v, want %v", round, step, what, at, writer, got, wantOwners)
+				}
+			}
 		}
 	}
 }

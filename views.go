@@ -16,7 +16,11 @@ type View interface {
 
 // Committer is optionally implemented by optimistic views to receive the
 // paper's commit() notification: the most recent update notification is
-// known to have shown committed state (§4.1).
+// known to have shown committed state (§4.1). Implementing it has a
+// price: every optimistic snapshot then costs one CONFIRM-READ round trip
+// to each remote site holding the primary copy of an object the snapshot
+// read below its virtual time. A view that does not implement it asks no
+// primary anything.
 type Committer interface {
 	Commit()
 }
