@@ -96,11 +96,8 @@ func (s *Site) settle(st *txnState, committed bool, c *cause) {
 		s.undoApplied(st)
 		s.releaseReservations(st)
 	}
-	if origin && s.wal != nil {
-		if committed {
-			s.walOwnUpdates(st)
-		}
-		s.bumpSelfFloor(st.vt.Time)
+	if origin && committed && s.wal != nil {
+		s.walOwnUpdates(st)
 	}
 	s.resolveRC(st.vt, committed)
 	if committed {

@@ -181,8 +181,8 @@ func TestVTHeapPopsInOrder(t *testing.T) {
 
 // TestGCFloorHeapsMatchScan checks the heap-driven floor against its
 // definition — a scan of every transaction state — while transactions
-// from three sites are in every stage of their life, and that a floor
-// computation leaves no decided state at or below the floor behind.
+// from three sites are in every stage of their life, and that
+// decidedFloor leaves no decided state at or below the floor behind.
 func TestGCFloorHeapsMatchScan(t *testing.T) {
 	h := newHarness(t, 3, transport.Config{Latency: time.Millisecond, Jitter: time.Millisecond})
 	refs := h.joined(KindInt, "x", int64(0), 1, 2, 3)
@@ -199,11 +199,11 @@ func TestGCFloorHeapsMatchScan(t *testing.T) {
 					want = vtime.JustBelow(vt)
 				}
 			}
-			if got := s.decidedFloor(); got != want {
-				t.Errorf("site %d: decidedFloor = %v, a scan of %d states gives %v", i, got, len(s.txns), want)
+			n := len(s.txns)
+			floor := s.decidedFloor()
+			if floor != want {
+				t.Errorf("site %d: decidedFloor = %v, a scan of %d states gives %v", i, floor, n, want)
 			}
-			s.invalidateGCFloor()
-			floor := s.combinedGCFloor()
 			for vt, st := range s.txns {
 				if st.decided() && vt.LessEq(floor) {
 					t.Errorf("site %d: decided %v survived a floor of %v", i, vt, floor)
@@ -248,30 +248,41 @@ func TestGCFloorHeapsMatchScan(t *testing.T) {
 	}
 }
 
-// TestSelfFloorHeapMatchesScan checks bumpSelfFloor's heap against its
-// definition: the own-origin sync floor stops just below the earliest
-// own transaction still executing or waiting.
-func TestSelfFloorHeapMatchesScan(t *testing.T) {
+// TestSelfFloorTracksDecidedFloor checks the own-origin sync floor that
+// floorList reads off decidedFloor, against a scan of every transaction
+// state while transactions from two sites are in flight: it stays below
+// every own transaction still executing or waiting, it never moves back,
+// and at quiescence it reaches the clock minus one.
+func TestSelfFloorTracksDecidedFloor(t *testing.T) {
 	h, _ := walHarness(t, 2, Options{})
 	refs := h.joined(KindInt, "x", int64(0), 1, 2)
 
-	check := func(i int) {
+	prev := map[int]uint64{}
+	open := 0
+	ownFloor := func(i int) (floor uint64, clock vtime.VT) {
 		s := h.site(i)
 		_ = s.call(func() {
-			want := s.maxOwnDecided
-			for vt, st := range s.txns {
-				if st.origin == s.id && (st.status == txnExecuting || st.status == txnWaiting) && vt.Time-1 < want {
-					want = vt.Time - 1
+			for _, f := range s.floorList() {
+				if f.Site == s.id {
+					floor = f.Time
 				}
 			}
-			if prev := s.syncFloors[s.id]; prev > want {
-				want = prev // the floor never moves back
+			for vt, st := range s.txns {
+				if st.origin != s.id || (st.status != txnExecuting && st.status != txnWaiting) {
+					continue
+				}
+				open++
+				if !(vtime.VT{Time: floor, Site: s.id}).Less(vt) {
+					t.Errorf("site %d: own sync floor %d reaches open own transaction %v", i, floor, vt)
+				}
 			}
-			s.bumpSelfFloor(0)
-			if got := s.syncFloors[s.id]; got != want {
-				t.Errorf("site %d: own sync floor = %d, a scan of %d states gives %d", i, got, len(s.txns), want)
-			}
+			clock = s.clock.Now()
 		})
+		if floor < prev[i] {
+			t.Errorf("site %d: own sync floor moved back from %d to %d", i, prev[i], floor)
+		}
+		prev[i] = floor
+		return floor, clock
 	}
 
 	var handles []*Handle
@@ -281,13 +292,21 @@ func TestSelfFloorHeapMatchesScan(t *testing.T) {
 			return tx.Write(refs[i], int64(k))
 		}}))
 		if k%4 == 0 {
-			check(1 + (k/4)%2)
+			ownFloor(1 + (k/4)%2)
 		}
 	}
 	for _, hd := range handles {
 		hd.Wait()
 	}
+	if open == 0 {
+		t.Fatal("no check saw an own transaction in flight")
+	}
+	h.eventually(5*time.Second, "all sites quiescent", func() bool {
+		return h.noPendingTxns(1) && h.noPendingTxns(2)
+	})
 	for i := 1; i <= 2; i++ {
-		check(i)
+		if floor, clock := ownFloor(i); floor+1 != clock.Time {
+			t.Errorf("site %d: own sync floor %d at quiescence, clock %v", i, floor, clock)
+		}
 	}
 }

@@ -176,9 +176,6 @@ func (s *Site) restoreCheckpointState(cp wire.Checkpoint) error {
 			s.syncFloors[f.Site] = f.Time
 		}
 	}
-	if t := s.syncFloors[s.id]; t > s.maxOwnDecided {
-		s.maxOwnDecided = t
-	}
 	for _, oc := range cp.Objects {
 		s.restoreObject(oc)
 	}

@@ -183,17 +183,12 @@ type Site struct {
 	objects map[ids.ObjectID]*object
 	nextSeq uint64
 	txns    map[vtime.VT]*txnState
-	// undecidedVTs and decidedVTs let the GC floor be found without
-	// scanning txns. Every VT entered into txns is pushed on
-	// undecidedVTs (trackTxn); decidedFloor moves the entries below the
-	// first undecided transaction over to decidedVTs, and
-	// combinedGCFloor retires those states once the floor passes them.
-	// Entries are deleted lazily: one whose state is gone is dropped
-	// when it reaches the top. ownOpenVTs holds the own-origin VTs among
-	// them, for bumpSelfFloor.
+	// undecidedVTs lets the decided floor be found without scanning
+	// txns. Every VT entered into txns is pushed on it (trackTxn);
+	// decidedFloor pops the entries below the first undecided
+	// transaction and retires their states. Entries are deleted lazily:
+	// one whose state is gone is dropped when it reaches the top.
 	undecidedVTs vtHeap
-	decidedVTs   vtHeap
-	ownOpenVTs   vtHeap
 	// proxies are the attached view proxies (AttachView adds, Detach
 	// removes), for snapshotFloor.
 	proxies []*viewProxy
@@ -237,14 +232,11 @@ type Site struct {
 	checkpointSeq uint64
 	// syncFloors are the anti-entropy version floors (DESIGN.md §13):
 	// per origin, the highest transaction time this site provably holds
-	// with no gaps below it. Advanced only by local commits (own origin)
-	// and completed sync sessions (peer floors adopted) — never by
-	// direct receipt, which can leave holes under partition.
+	// with no gaps below it. Advanced only by the decided floor (own
+	// origin, floorList) and completed sync sessions (peer floors
+	// adopted) — never by direct receipt, which can leave holes under
+	// partition.
 	syncFloors map[vtime.SiteID]uint64
-	// maxOwnDecided is the highest own-origin transaction time with a
-	// decided (logged) outcome; the self floor is this minus any still
-	// undecided own transaction below it.
-	maxOwnDecided uint64
 	// peerFloors holds the highest GC floor each peer has announced on
 	// a Write, FastWrite or ConfirmRead (hearFloor). A primary prunes an
 	// object only below the floors of its graph's members (gcFloorFor).
@@ -1141,15 +1133,18 @@ func (s *Site) newReqID() uint64 {
 func (s *Site) trackTxn(st *txnState) {
 	s.txns[st.vt] = st
 	s.undecidedVTs.push(st.vt)
-	if st.origin == s.id && s.wal != nil {
-		s.ownOpenVTs.push(st.vt)
-	}
 }
 
 // decidedFloor returns the largest VT below which every transaction known
 // at this site is decided. It bounds what this site can still ask a
 // primary to check, not what its peers can: a lagging peer may still send
 // a Write below it, so a primary prunes lower (gcFloorFor).
+//
+// It is the one place that reads whether a transaction is decided: a
+// decided state popped on the way to the floor is retired from txns.
+// Until then it serves late or duplicate messages, which the outcomes
+// map answers as well; without the retirement s.txns grows with every
+// transaction ever seen.
 func (s *Site) decidedFloor() vtime.VT {
 	floor := s.clock.Now()
 	for len(s.undecidedVTs) > 0 {
@@ -1163,7 +1158,7 @@ func (s *Site) decidedFloor() vtime.VT {
 		}
 		s.undecidedVTs.pop()
 		if ok {
-			s.decidedVTs.push(vt)
+			delete(s.txns, vt)
 		}
 	}
 	return floor
@@ -1197,16 +1192,6 @@ func (s *Site) combinedGCFloor() vtime.VT {
 	}
 	s.gcFloor = floor
 	s.gcFloorValid = true
-	// Retire decided transaction states below the floor. They are kept
-	// only so late/duplicate messages can find them, and the outcomes
-	// map already answers those; without this sweep s.txns grows with
-	// every transaction ever seen.
-	for len(s.decidedVTs) > 0 && s.decidedVTs[0].LessEq(floor) {
-		vt := s.decidedVTs.pop()
-		if st, ok := s.txns[vt]; ok && st.decided() {
-			delete(s.txns, vt)
-		}
-	}
 	return floor
 }
 

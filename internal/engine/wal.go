@@ -115,49 +115,19 @@ func (s *Site) walOwnUpdates(st *txnState) {
 	s.walAppendMsg(st.vt, rec)
 }
 
-// noteOwnDecided records an own-origin decision time observed during
-// log replay. Floors are per-origin time lines — the origin is fixed,
-// so the plain time suffices and no VT tie-break is involved.
-func (s *Site) noteOwnDecided(vt vtime.VT) {
-	if vt.Site != s.id {
-		return
-	}
-	t := vt.Time
-	if t > s.maxOwnDecided {
-		s.maxOwnDecided = t
-	}
-}
-
-// bumpSelfFloor advances the own-origin sync floor after a decision at
-// time t. The floor is the highest time such that every own transaction
-// at or below it is decided — an undecided transaction below a later
-// commit holds the floor down until it too decides (its outcome record
-// must still be shippable to peers that adopted our floor).
-func (s *Site) bumpSelfFloor(t uint64) {
-	if t > s.maxOwnDecided {
-		s.maxOwnDecided = t
-	}
-	cand := s.maxOwnDecided
-	// The earliest own transaction still executing or waiting holds the
-	// floor; entries that have left those states are dropped as they
-	// surface (see trackTxn).
-	for len(s.ownOpenVTs) > 0 {
-		vt := s.ownOpenVTs[0]
-		if st, ok := s.txns[vt]; ok && (st.status == txnExecuting || st.status == txnWaiting) {
-			if vt.Time-1 < cand {
-				cand = vt.Time - 1
-			}
-			break
-		}
-		s.ownOpenVTs.pop()
-	}
-	if cand > s.syncFloors[s.id] {
-		s.syncFloors[s.id] = cand
-	}
-}
-
 // floorList snapshots the sync floors in deterministic (site) order.
+// With a WAL the own-origin floor is first read off decidedFloor: every
+// own transaction below it is decided, and a decided one has its
+// outcome and updates in the log, so all of them can be shipped. Floors
+// are per-origin time lines — the origin is fixed, so the plain time
+// suffices, and Time−1 stays below an undecided own transaction at
+// decidedFloor's Time. The floor never moves back.
 func (s *Site) floorList() []wire.SyncFloor {
+	if s.wal != nil {
+		if t := s.decidedFloor().Time; t > s.syncFloors[s.id]+1 {
+			s.syncFloors[s.id] = t - 1
+		}
+	}
 	out := make([]wire.SyncFloor, 0, len(s.syncFloors))
 	for _, site := range sortedSites(s.syncFloors) {
 		out = append(out, wire.SyncFloor{Site: site, Time: s.syncFloors[site]})
@@ -233,10 +203,8 @@ func (s *Site) replayWAL(cpSeq uint64) error {
 		switch m := msg.(type) {
 		case wire.Outcome:
 			s.outcomes[m.TxnVT] = m.Committed
-			s.noteOwnDecided(m.TxnVT)
 		case wire.FastWrite:
 			s.outcomes[m.TxnVT] = true
-			s.noteOwnDecided(m.TxnVT)
 		}
 		return nil
 	})
@@ -291,7 +259,6 @@ func (s *Site) replayWAL(cpSeq uint64) error {
 		return err
 	}
 	s.checkpointSeq = s.wal.LastMarkSeq()
-	s.bumpSelfFloor(s.maxOwnDecided)
 	return nil
 }
 

@@ -87,6 +87,11 @@ type History struct {
 	// need no entry because a duplicate below the base is shadowed by
 	// it rather than folded in.
 	folded map[vtime.VT]struct{}
+	// shadow is the VT of the latest absolute version GC dropped below
+	// the retained base. In VT order that write overwrote every merge
+	// at or below it, so a committed merge straggler arriving there must
+	// not fold into a materialized base; one above it must.
+	shadow vtime.VT
 }
 
 // Len returns the number of retained versions.
@@ -153,6 +158,9 @@ func (h *History) InsertMerge(vt vtime.VT, st Status, readVT vtime.VT, merge fun
 // (if any) that shadows the version at index i, and propagates the change
 // to the merge run above the base.
 func (h *History) foldIntoMaterialized(i int, merge func(prev any) any) {
+	if h.versions[i].VT.LessEq(h.shadow) {
+		return
+	}
 	j := i
 	for j < len(h.versions) && h.versions[j].merge != nil {
 		j++
@@ -377,14 +385,18 @@ func (h *History) GC(floor vtime.VT) int {
 	// Remember every dropped merge VT (including old materialized bases,
 	// whose own write was a merge): their deltas now live only inside
 	// the base value, and a duplicated message must not fold them in
-	// twice. See the folded field's doc.
+	// twice. See the folded field's doc. The latest dropped absolute
+	// version becomes the shadow.
 	for i := 0; i < keep; i++ {
-		if v := h.versions[i]; v.merge != nil || v.materialized {
-			if h.folded == nil {
-				h.folded = make(map[vtime.VT]struct{})
-			}
-			h.folded[v.VT] = struct{}{}
+		v := h.versions[i]
+		if v.merge == nil && !v.materialized {
+			h.shadow = v.VT
+			continue
 		}
+		if h.folded == nil {
+			h.folded = make(map[vtime.VT]struct{})
+		}
+		h.folded[v.VT] = struct{}{}
 	}
 	h.versions = append(h.versions[:0], h.versions[keep:]...)
 	return dropped

@@ -529,6 +529,46 @@ func TestMergeGCBaseAbsorbsStragglerMerges(t *testing.T) {
 	}
 }
 
+func TestMaterializedBaseRespectsDroppedAbsoluteWrite(t *testing.T) {
+	// A committed merge straggler below the latest absolute write that GC
+	// dropped was overwritten by that write in VT order: the materialized
+	// base must not fold it in. A replica that received the straggler
+	// before GC reads 101, and so must this one.
+	var h History
+	mustInsert(t, &h, 10, int64(100), Committed)
+	mustInsertMerge(t, &h, 20, 1, Committed)
+	h.GC(vt(20)) // base is the merge at 20, value 101; the write at 10 dropped
+	mustInsertMerge(t, &h, 5, 5, Committed)
+	cur, _ := h.Current()
+	if cur.Value != int64(101) {
+		t.Fatalf("current after straggler below the dropped write = %v, want 101", cur.Value)
+	}
+	// A pending straggler there must not fold at commit either.
+	mustInsertMerge(t, &h, 7, 3, Pending)
+	h.Commit(vt(7))
+	cur, _ = h.Current()
+	if cur.Value != int64(101) {
+		t.Fatalf("current after committing a straggler below the dropped write = %v, want 101", cur.Value)
+	}
+	// One above the dropped write still folds, as it would have applied
+	// on top of it.
+	mustInsertMerge(t, &h, 15, 2, Committed)
+	cur, _ = h.Current()
+	if cur.Value != int64(103) {
+		t.Fatalf("current after straggler above the dropped write = %v, want 103", cur.Value)
+	}
+	// The same order in full history, with no GC, agrees.
+	var full History
+	mustInsert(t, &full, 10, int64(100), Committed)
+	mustInsertMerge(t, &full, 20, 1, Committed)
+	mustInsertMerge(t, &full, 5, 5, Committed)
+	mustInsertMerge(t, &full, 7, 3, Committed)
+	mustInsertMerge(t, &full, 15, 2, Committed)
+	if want, _ := full.Current(); cur.Value != want.Value {
+		t.Fatalf("GC'd history reads %v, full history %v", cur.Value, want.Value)
+	}
+}
+
 func TestMergeGCBaseFoldsOnCommitNotInsert(t *testing.T) {
 	// A PENDING merge below a materialized base must not fold on insert:
 	// its transaction may abort. It folds when the commit outcome arrives.
