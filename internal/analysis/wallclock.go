@@ -14,13 +14,6 @@ import (
 // transaction ordering, history pruning, GVT sweeps, or simulated
 // schedules depend on real time, which breaks replay determinism and
 // the paper's correctness argument.
-//
-// internal/sim is in the list even though it legitimately reads the
-// wall clock as a liveness watchdog (a deadline that fails a run whose
-// sites never quiesce): those reads are the exception, not the rule,
-// so each one carries a reasoned //decaf:ignore wallclock directive in
-// place — the analyzer audits them instead of exempting the package
-// wholesale.
 var DefaultDeterministic = []string{
 	"internal/engine",
 	"internal/consensus",

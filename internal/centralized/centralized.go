@@ -7,71 +7,37 @@
 package centralized
 
 import (
-	"sync"
-
 	"decaf/internal/transport"
 	"decaf/internal/vtime"
 	"decaf/internal/wire"
 )
 
-// loop is the event loop a Server and a Client share: it hands every
-// message to handle and runs Quiescent probes, one at a time.
+// loop is the step function a Server and a Client share. Neither runs a
+// goroutine: the driver (internal/sim) calls Step, and every method,
+// from one goroutine.
 type loop struct {
-	ep    transport.Endpoint
-	calls chan func()
-	stop  sync.Once
-	done  chan struct{}
+	ep        transport.Endpoint
+	onMessage func(wire.Message)
 }
 
-// start runs the loop over ep, handing every message to handle.
-func (l *loop) start(ep transport.Endpoint, handle func(wire.Message)) {
-	l.ep, l.calls, l.done = ep, make(chan func()), make(chan struct{})
-	go l.run(handle)
-}
-
-func (l *loop) run(handle func(wire.Message)) {
-	defer close(l.done)
-	events := l.ep.Events()
+// Step hands every message already delivered to onMessage and reports
+// whether there was any.
+func (l *loop) Step() bool {
+	worked := false
 	for {
 		select {
-		case fn := <-l.calls:
-			fn()
-		case ev, ok := <-events:
+		case ev, ok := <-l.ep.Events():
 			if !ok {
-				return
+				return worked
 			}
+			worked = true
 			if ev.Kind == transport.EventMessage {
-				handle(ev.Msg)
+				l.onMessage(ev.Msg)
 			}
+		default:
+			return worked
 		}
 	}
-}
-
-// Quiescent reports whether the event loop is parked over an empty
-// intake queue. Messages still in flight in the transport do not count;
-// the deterministic simulation harness (internal/sim) owns those. The
-// probe round-trips through the loop, so a message is either visibly
-// queued or fully handled. A stopped loop is quiescent.
-func (l *loop) Quiescent() bool {
-	quiet := false
-	ch := make(chan struct{})
-	select {
-	case l.calls <- func() { quiet = len(l.ep.Events()) == 0; close(ch) }:
-	case <-l.done:
-		return true
-	}
-	select {
-	case <-ch:
-		return quiet
-	case <-l.done:
-		return true
-	}
-}
-
-// Stop shuts the loop down.
-func (l *loop) Stop() {
-	l.stop.Do(func() { _ = l.ep.Close() })
-	<-l.done
 }
 
 // Server owns the authoritative state and echoes every update to all
@@ -79,19 +45,16 @@ func (l *loop) Stop() {
 type Server struct {
 	loop
 	clients []vtime.SiteID
-
-	mu    sync.Mutex
-	state map[string]any
+	state   map[string]any
 }
 
-// NewServer creates (and starts) the central server. clients lists every
-// client site.
+// NewServer creates the central server. clients lists every client site.
 func NewServer(ep transport.Endpoint, clients []vtime.SiteID) *Server {
 	s := &Server{
 		clients: append([]vtime.SiteID(nil), clients...),
 		state:   map[string]any{},
 	}
-	s.start(ep, s.handle)
+	s.loop = loop{ep: ep, onMessage: s.handle}
 	return s
 }
 
@@ -100,9 +63,7 @@ func (s *Server) handle(msg wire.Message) {
 	if !ok {
 		return
 	}
-	s.mu.Lock()
 	s.state[m.Name] = m.Value
-	s.mu.Unlock()
 	echo := wire.CenEcho{Seq: m.Seq, Name: m.Name, Value: m.Value}
 	for _, c := range s.clients {
 		_ = s.ep.Send(c, vtime.Zero, echo)
@@ -110,33 +71,27 @@ func (s *Server) handle(msg wire.Message) {
 }
 
 // Get returns the server's authoritative value.
-func (s *Server) Get(name string) any {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state[name]
-}
+func (s *Server) Get(name string) any { return s.state[name] }
 
 // Client is a GUI instance in the non-replicated architecture: it holds
 // no authoritative state and sees its own actions only via server echoes.
 type Client struct {
 	loop
-	server vtime.SiteID
-
-	mu      sync.Mutex
+	server  vtime.SiteID
 	view    map[string]any
 	nextSeq uint64
 	waiters map[uint64]chan struct{}
 	onEcho  func(name string, value any)
 }
 
-// NewClient creates (and starts) a client of the central server.
+// NewClient creates a client of the central server.
 func NewClient(ep transport.Endpoint, server vtime.SiteID) *Client {
 	c := &Client{
 		server:  server,
 		view:    map[string]any{},
 		waiters: map[uint64]chan struct{}{},
 	}
-	c.start(ep, c.handle)
+	c.loop = loop{ep: ep, onMessage: c.handle}
 	return c
 }
 
@@ -145,48 +100,32 @@ func (c *Client) handle(msg wire.Message) {
 	if !ok {
 		return
 	}
-	c.mu.Lock()
 	c.view[m.Name] = m.Value
-	w := c.waiters[m.Seq]
-	delete(c.waiters, m.Seq)
-	cb := c.onEcho
-	c.mu.Unlock()
-	if w != nil {
+	if w := c.waiters[m.Seq]; w != nil {
 		close(w)
+		delete(c.waiters, m.Seq)
 	}
-	if cb != nil {
-		cb(m.Name, m.Value)
+	if c.onEcho != nil {
+		c.onEcho(m.Name, m.Value)
 	}
 }
 
 // OnEcho registers a callback for every state echo (the client's "view").
-func (c *Client) OnEcho(fn func(name string, value any)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.onEcho = fn
-}
+func (c *Client) OnEcho(fn func(name string, value any)) { c.onEcho = fn }
 
 // Write sends an update to the server and returns a channel closed when
 // the client's own view reflects it (the echo round-trip — 2t).
 func (c *Client) Write(name string, value any) <-chan struct{} {
-	c.mu.Lock()
 	c.nextSeq++
 	seq := c.nextSeq
 	ch := make(chan struct{})
 	c.waiters[seq] = ch
-	c.mu.Unlock()
 	if err := c.ep.Send(c.server, vtime.Zero, wire.CenWrite{Seq: seq, From: c.ep.Site(), Name: name, Value: value}); err != nil {
-		c.mu.Lock()
 		delete(c.waiters, seq)
-		c.mu.Unlock()
 		close(ch)
 	}
 	return ch
 }
 
 // Get returns the client's latest echoed value.
-func (c *Client) Get(name string) any {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.view[name]
-}
+func (c *Client) Get(name string) any { return c.view[name] }

@@ -2,15 +2,18 @@ package centralized
 
 import (
 	"testing"
-	"time"
 
 	"decaf/internal/transport"
 	"decaf/internal/vtime"
 )
 
-func setup(t *testing.T, clients int, latency time.Duration) (*Server, []*Client) {
+// setup attaches a server (site 1) and clients (sites 2..) to a
+// zero-latency network, which delivers every send into the destination's
+// inbox at once.
+func setup(t *testing.T, clients int) (*Server, []*Client) {
 	t.Helper()
-	net := transport.NewNetwork(transport.Config{Latency: latency})
+	net := transport.NewNetwork(transport.Config{})
+	t.Cleanup(net.Close)
 	serverID := vtime.SiteID(1)
 	var clientIDs []vtime.SiteID
 	for i := 0; i < clients; i++ {
@@ -29,21 +32,34 @@ func setup(t *testing.T, clients int, latency time.Duration) (*Server, []*Client
 		}
 		cs = append(cs, NewClient(cep, serverID))
 	}
-	t.Cleanup(func() {
-		net.Close()
-		srv.Stop()
-		for _, c := range cs {
-			c.Stop()
-		}
-	})
 	return srv, cs
 }
 
-func TestCentralizedEcho(t *testing.T) {
-	srv, cs := setup(t, 2, time.Millisecond)
+// stepAll steps the server and then every client until a full pass
+// finds no work.
+func stepAll(srv *Server, cs []*Client) {
+	for busy := true; busy; {
+		busy = srv.Step()
+		for _, c := range cs {
+			busy = c.Step() || busy
+		}
+	}
+}
+
+func closed(ch <-chan struct{}) bool {
 	select {
-	case <-cs[0].Write("x", int64(5)):
-	case <-time.After(2 * time.Second):
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}
+
+func TestCentralizedEcho(t *testing.T) {
+	srv, cs := setup(t, 2)
+	echoed := cs[0].Write("x", int64(5))
+	stepAll(srv, cs)
+	if !closed(echoed) {
 		t.Fatal("echo never arrived")
 	}
 	if srv.Get("x") != int64(5) {
@@ -52,69 +68,43 @@ func TestCentralizedEcho(t *testing.T) {
 	if cs[0].Get("x") != int64(5) {
 		t.Fatal("writer view not updated")
 	}
-	// The other client's view also converges.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if cs[1].Get("x") == int64(5) {
-			return
-		}
-		time.Sleep(time.Millisecond)
+	if cs[1].Get("x") != int64(5) {
+		t.Fatal("peer view not updated")
 	}
-	t.Fatal("peer view not updated")
 }
 
+// TestCentralizedRoundTripLatency pins the architecture's defining cost:
+// a client's own action becomes visible to it only after the round trip
+// to the server and back, 2t (paper §1 motivation for replication).
 func TestCentralizedRoundTripLatency(t *testing.T) {
-	// The architecture's defining cost: a client's own action becomes
-	// visible to it only after ~2t (paper §1 motivation for replication).
-	const lat = 15 * time.Millisecond
-	_, cs := setup(t, 1, lat)
-	start := time.Now()
-	select {
-	case <-cs[0].Write("x", int64(1)):
-	case <-time.After(2 * time.Second):
-		t.Fatal("echo never arrived")
+	srv, cs := setup(t, 1)
+	c := cs[0]
+	echoed := c.Write("x", int64(1))
+	if c.Step() || closed(echoed) || c.Get("x") != nil {
+		t.Fatal("the write showed before reaching the server")
 	}
-	elapsed := time.Since(start)
-	if elapsed < 2*lat {
-		t.Fatalf("round trip %v, want >= 2t = %v", elapsed, 2*lat)
+	if !srv.Step() || srv.Get("x") != int64(1) {
+		t.Fatal("the server did not apply the write (hop 1)")
 	}
-	if elapsed > 4*lat {
-		t.Fatalf("round trip %v suspiciously slow", elapsed)
+	if closed(echoed) || c.Get("x") != nil {
+		t.Fatal("the write showed before the echo was handled")
+	}
+	if !c.Step() || !closed(echoed) || c.Get("x") != int64(1) {
+		t.Fatal("the echo did not make the write visible (hop 2)")
 	}
 }
 
 func TestCentralizedEchoCallback(t *testing.T) {
-	_, cs := setup(t, 2, time.Millisecond)
-	got := make(chan any, 1)
+	srv, cs := setup(t, 2)
+	var got []any
 	cs[1].OnEcho(func(name string, value any) {
 		if name == "y" {
-			select {
-			case got <- value:
-			default:
-			}
+			got = append(got, value)
 		}
 	})
-	<-cs[0].Write("y", "hello")
-	select {
-	case v := <-got:
-		if v != "hello" {
-			t.Fatalf("echo value = %v", v)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("peer echo callback never fired")
-	}
-}
-
-// TestQuiescent pins what the virtual-time harness relies on: an idle
-// loop and a stopped one both report quiescent, without blocking.
-func TestQuiescent(t *testing.T) {
-	srv, cs := setup(t, 1, 0)
-	if !srv.Quiescent() || !cs[0].Quiescent() {
-		t.Fatal("idle server or client not quiescent")
-	}
-	srv.Stop()
-	cs[0].Stop()
-	if !srv.Quiescent() || !cs[0].Quiescent() {
-		t.Fatal("stopped server or client not quiescent")
+	cs[0].Write("y", "hello")
+	stepAll(srv, cs)
+	if len(got) != 1 || got[0] != "hello" {
+		t.Fatalf("peer echo callback saw %v, want [hello]", got)
 	}
 }

@@ -199,22 +199,14 @@ func (s *Site) startJoinAttempt(h *Handle, local *object, remoteSite vtime.SiteI
 		// An embedded object must first switch to direct propagation
 		// (paper §3.2.2) before it can join external objects.
 		ph := newHandle()
-		s.startPromote(local, ph)
-		go func() {
-			select {
-			case res := <-ph.Done():
-				if !res.Committed {
-					h.finish(Result{Err: fmt.Errorf("%w: promotion before join failed: %v", ErrAborted, res.Err)})
-					return
-				}
-				s.doOrDrop(
-					func() { s.startJoinAttempt(h, local, remoteSite, remoteObj, assoc, relName, retries) },
-					func() { h.finish(Result{Err: ErrSiteStopped}) },
-				)
-			case <-s.stop:
-				h.finish(Result{Err: ErrSiteStopped})
+		s.onFinish(ph, func(res Result) {
+			if !res.Committed {
+				h.finish(Result{Err: fmt.Errorf("%w: promotion before join failed: %v", ErrAborted, res.Err)})
+				return
 			}
-		}()
+			s.startJoinAttempt(h, local, remoteSite, remoteObj, assoc, relName, retries)
+		}, func() { h.finish(Result{Err: ErrSiteStopped}) })
+		s.startPromote(local, ph)
 		return
 	}
 	vt := s.clock.Next()
@@ -305,25 +297,14 @@ func (s *Site) handleJoinRequest(from vtime.SiteID, m wire.JoinRequest) {
 		// An embedded invitee switches to direct propagation first
 		// (paper §3.2.2), then the join proceeds.
 		ph := newHandle()
-		s.startPromote(b, ph)
-		msg := m
-		origin := from
-		go func() {
-			select {
-			case res := <-ph.Done():
-				if !res.Committed {
-					s.do(func() {
-						s.send(origin, wire.JoinReply{
-							TxnVT: msg.TxnVT, ReqID: msg.ReqID, From: s.id,
-							OK: false, Reason: fmt.Sprintf("promotion failed: %v", res.Err),
-						})
-					})
-					return
-				}
-				s.do(func() { s.handleJoinRequest(origin, msg) })
-			case <-s.stop:
+		s.onFinish(ph, func(res Result) {
+			if !res.Committed {
+				deny(fmt.Sprintf("promotion failed: %v", res.Err))
+				return
 			}
-		}()
+			s.handleJoinRequest(from, m)
+		}, nil)
+		s.startPromote(b, ph)
 		return
 	}
 	gA := repgraph.FromWire(m.GraphA)

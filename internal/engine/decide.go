@@ -190,7 +190,7 @@ func (s *Site) retry(st *txnState, c *cause) {
 	}
 	s.stats.Retries.Add(1)
 	s.trace(obs.EvReExecute, st.vt, 0, "")
-	s.doOrDrop(again, func() { h.finish(Result{Err: ErrSiteStopped}) })
+	s.enqueue(again, func() { h.finish(Result{Err: ErrSiteStopped}) })
 }
 
 // isOrigin reports whether st is this site's own execution of the

@@ -691,6 +691,6 @@ func (s *Site) unparkRetries() {
 	for _, p := range parked {
 		s.stats.Retries.Add(1)
 		h := p.handle
-		s.doOrDrop(p.retry, func() { h.finish(Result{Err: ErrSiteStopped}) })
+		s.enqueue(p.retry, func() { h.finish(Result{Err: ErrSiteStopped}) })
 	}
 }

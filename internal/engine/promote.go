@@ -193,15 +193,11 @@ func (s *Site) adoptDirectGraph(child *object, g *repgraph.Graph, keep *repgraph
 			return nil
 		},
 	}
-	inner := s.Submit(txn)
-	go func() {
-		select {
-		case res := <-inner.Done():
-			h.finish(res)
-		case <-s.stop:
-			h.finish(Result{Err: ErrSiteStopped})
-		}
-	}()
+	// Submitted from the loop, so through its own FIFO, with h as the
+	// transaction's handle.
+	s.stats.Submitted.Add(1)
+	h.submittedWall = s.obs.NowNanos()
+	s.enqueue(func() { s.execute(txn, h, 0) }, func() { h.finish(Result{Err: ErrSiteStopped}) })
 }
 
 // refreshDirectChildren re-collects counterpart sets for direct children

@@ -156,6 +156,39 @@ func TestFig7EmbeddedNodeWithDifferentReplicaSet(t *testing.T) {
 	})
 }
 
+// TestEmbeddedJoinerPromotesFirst is Fig. 7 seen from the other side:
+// the embedded node itself joins an outside object. Its site promotes it
+// first, and the join resumes as a continuation of the promotion.
+func TestEmbeddedJoinerPromotesFirst(t *testing.T) {
+	h := newHarness(t, 3, transport.Config{Latency: time.Millisecond})
+	_, child := buildSharedTree(t, h)
+
+	outside, _ := h.site(3).CreateObject(KindInt, "B''", int64(0))
+	if res := h.site(2).JoinObject(child[2], 3, outside.ID()).Wait(); !res.Committed {
+		t.Fatalf("embedded join: %+v", res)
+	}
+	h.eventually(2*time.Second, "child graph spans 3 sites", func() bool {
+		for _, r := range []struct {
+			site int
+			ref  ObjRef
+		}{{1, child[1]}, {2, child[2]}, {3, outside}} {
+			if sites, err := h.site(r.site).ReplicaSites(r.ref); err != nil || len(sites) != 3 {
+				return false
+			}
+		}
+		return true
+	})
+	if res := h.site(1).Submit(&Txn{Execute: func(tx *Tx) error {
+		return tx.Write(child[1], int64(5))
+	}}).Wait(); !res.Committed {
+		t.Fatalf("tree write: %+v", res)
+	}
+	h.eventually(2*time.Second, "outside member updated", func() bool {
+		v, _ := h.site(3).ReadCommitted(outside)
+		return v == int64(5)
+	})
+}
+
 func TestDirectChildSurvivesTreeGrowth(t *testing.T) {
 	// "The parent node notifies the collaborating embedded node of all
 	// changes to its replica graph": when a NEW site joins the tree, the

@@ -160,7 +160,10 @@ type Stats struct {
 // drives view notifications.
 //
 // All site state is owned by a single event-loop goroutine. Public methods
-// are safe to call from any goroutine.
+// are safe to call from any goroutine. A site that is never Started runs
+// no goroutine of its own: whoever drives it with Step (the simulator)
+// runs its batches and its notifications, and must use it from that one
+// goroutine.
 type Site struct {
 	id    vtime.SiteID
 	clock *vtime.Clock
@@ -169,8 +172,23 @@ type Site struct {
 	log   *slog.Logger
 
 	calls chan loopCall
+	// local is the loop's own FIFO of deferred work (retries, resumed
+	// parked transactions, Handle continuations), drained by batch as
+	// stimuli. The loop never posts to calls: a full buffer would block
+	// it on itself. Loop-confined.
+	local []loopCall
 	stop  chan struct{}
 	done  chan struct{}
+	// doneOnce closes done: at loop exit, when a stepped site's endpoint
+	// closes, or in Stop of a site that was never started.
+	doneOnce sync.Once
+	// received counts the events taken from the endpoint (see Step).
+	// Loop-confined.
+	received uint64
+	// notifying is set while Step delivers notifications; a callback
+	// that steps the site again (a synchronous call on a never-started
+	// site) leaves delivery to the outer Step, so callbacks keep order.
+	notifying bool
 
 	// notifier delivers user callbacks (view update/commit, abort
 	// handlers) outside the event loop, in order. Only the event loop
@@ -577,7 +595,8 @@ func (s *Site) Observer() *obs.Observer { return s.obs }
 // ID returns the site identifier.
 func (s *Site) ID() vtime.SiteID { return s.id }
 
-// Start launches the event loop and the notifier goroutine.
+// Start launches the event loop and the notifier goroutine. A site that
+// is never started is driven with Step instead.
 func (s *Site) Start() {
 	s.startOnce.Do(func() {
 		s.started.Store(true)
@@ -593,13 +612,35 @@ func (s *Site) Start() {
 // notifications — and waits for the notifier to drain in full. After
 // Stop, NotifyEnqueued == NotifyDelivered + NotifyDropped: nothing that
 // was accepted is lost to the shutdown race. In-flight transactions are
-// abandoned.
+// abandoned. On a site that was never started, Stop does the loop's and
+// the notifier's part itself, and a later Start does nothing.
 func (s *Site) Stop() {
+	stepped := false
+	s.startOnce.Do(func() { stepped = true })
 	s.stopOnce.Do(func() { close(s.stop) })
+	if stepped {
+		s.markDone()
+	}
 	<-s.done
 	s.drainCalls()
+	for len(s.local) > 0 {
+		// Drop hooks may finish Handles whose continuations queue more.
+		c := s.local[0]
+		s.local = s.local[1:]
+		if c.onDrop != nil {
+			c.onDrop()
+		}
+	}
 	s.notifier.closeIntake()
+	if stepped {
+		s.notifyLoop()
+	}
 	<-s.notifierDone
+}
+
+// markDone records that the loop has exited for good.
+func (s *Site) markDone() {
+	s.doneOnce.Do(func() { close(s.done) })
 }
 
 // drainCalls settles calls that were accepted but never reached the
@@ -619,13 +660,13 @@ func (s *Site) drainCalls() {
 
 // Quiescent reports whether the site has no runnable work: the event
 // loop is parked over empty intake queues and the notifier is idle.
-// Protocol messages still queued in the transport do not count — under
-// the deterministic simulation those sit in the virtual clock's event
-// queue, and the harness only advances it while every site is
-// quiescent (see internal/sim). The check round-trips through the
-// event loop, so the verdict is exact: a stimulus is either visibly
-// queued or has fully run, never invisibly in between. A stopped or
-// crashed site is quiescent once its notifier has drained.
+// Protocol messages still queued in the transport do not count. Its
+// callers are benchmark/cluster.go and engine tests, which wait for a
+// started cluster to settle; the simulator steps its sites instead
+// (Step). The check round-trips through the event loop, so the verdict
+// is exact: a stimulus is either visibly queued or has fully run, never
+// invisibly in between. A stopped or crashed site is quiescent once its
+// notifier has drained.
 func (s *Site) Quiescent() bool {
 	quiet := false
 	if err := s.call(func() {
@@ -633,7 +674,7 @@ func (s *Site) Quiescent() bool {
 		// into the middle of an active batch: sends and view work queued
 		// by earlier stimuli of that batch only happen at batch end, so
 		// the site is not quiescent until they have.
-		quiet = len(s.calls) == 0 && len(s.ep.Events()) == 0 &&
+		quiet = len(s.calls) == 0 && len(s.local) == 0 && len(s.ep.Events()) == 0 &&
 			len(s.outbox) == 0 && len(s.dirtyViews) == 0
 	}); err != nil {
 		return s.notifier.idle()
@@ -710,43 +751,97 @@ func (s *Site) Stats() Stats {
 }
 
 // loop is the site's event loop: it owns all site state and does all of
-// the site's protocol work on one goroutine. Each wakeup processes a
-// batch: the blocking stimulus plus already-queued ones, then the batch
-// epilogue (endBatch) flushes coalesced outbound messages and settles
-// the views.
+// the site's protocol work on one goroutine. It blocks for a stimulus
+// unless its own FIFO holds work, and hands it to batch.
 func (s *Site) loop() {
-	defer close(s.done)
+	defer s.markDone()
 	events := s.ep.Events()
 	for {
-		select {
-		case <-s.stop:
-			return
-		case c := <-s.calls:
-			s.beginBatch()
-			c.fn()
-			s.drainBatch(events, 1)
-		case ev, ok := <-events:
-			if !ok {
-				// Transport killed this site (fail-stop crash in a
-				// simulation, or endpoint closed).
+		var first func()
+		if len(s.local) > 0 {
+			select {
+			case <-s.stop:
 				return
+			default:
 			}
-			s.beginBatch()
-			s.handleEvent(ev)
-			s.drainBatch(events, 1)
+		} else {
+			select {
+			case <-s.stop:
+				return
+			case c := <-s.calls:
+				first = c.fn
+			case ev, ok := <-events:
+				if !ok {
+					// Transport killed this site (fail-stop crash in a
+					// simulation, or endpoint closed).
+					return
+				}
+				first = func() { s.handleEvent(ev) }
+			}
 		}
+		s.batch(first)
 	}
 }
 
-// drainBatch consumes already-queued stimuli without blocking, then
-// closes out the batch. n counts stimuli handled so far. Each step takes
-// at most one call and then at most one event, each through a
-// single-channel non-blocking receive: unlike a multi-way select, it
-// takes no channel lock when the channel is empty. Stop is not polled
-// here; the loop notices it at the next batch boundary.
-func (s *Site) drainBatch(events <-chan transport.Event, n int) {
+// Step runs one batch on the caller's goroutine, then delivers the
+// notifications it queued. It is how a site that was never started is
+// driven: internal/sim steps every site of a run on its one goroutine.
+// It reports whether it found work; false means the site stays idle
+// until something posts to it or its endpoint delivers. Once the
+// endpoint has closed (a killed site), Step does nothing.
+func (s *Site) Step() bool {
+	select {
+	case <-s.done:
+		return false
+	default:
+	}
+	n, open := s.batch(nil)
+	if a, ok := s.ep.(interface{ Accepted() uint64 }); ok && n == 0 && open && a.Accepted() > s.received {
+		// The inbox pump holds events the channel does not show yet. The
+		// site is not idle: wait for the next one.
+		if ev, ok := <-s.ep.Events(); ok {
+			n, open = s.batch(func() { s.handleEvent(ev) })
+		} else {
+			open = false
+		}
+	}
+	if !open {
+		s.markDone()
+	}
+	if s.notifying {
+		return n > 0
+	}
+	s.notifying = true
+	ran, _ := s.notifier.runAll()
+	s.notifying = false
+	return n > 0 || ran
+}
+
+// batch runs one batch of stimuli: first (when non-nil), then work
+// already queued — the loop's own FIFO, posted calls and transport
+// events, one of each per round — up to maxBatch stimuli, then the
+// epilogue (endBatch), which flushes coalesced outbound messages and
+// settles the views. It returns the number of stimuli handled (0: no
+// batch ran) and whether the endpoint's event channel is still open.
+// Stop is not polled here; the loop notices it at the next batch
+// boundary. Single-channel non-blocking receives, unlike a multi-way
+// select, take no channel lock when the channel is empty.
+func (s *Site) batch(first func()) (n int, open bool) {
+	s.beginBatch()
+	if first != nil {
+		first()
+		n++
+	}
+	events := s.ep.Events()
+	open = true
 	for n < maxBatch {
 		before := n
+		if len(s.local) > 0 {
+			c := s.local[0]
+			s.local = s.local[1:]
+			c.fn()
+			n++
+		}
 		select {
 		case c := <-s.calls:
 			c.fn()
@@ -756,18 +851,21 @@ func (s *Site) drainBatch(events <-chan transport.Event, n int) {
 		select {
 		case ev, ok := <-events:
 			if !ok {
-				s.endBatch(n)
-				return
+				open = false
+				break
 			}
 			s.handleEvent(ev)
 			n++
 		default:
 		}
-		if n == before {
+		if n == before || !open {
 			break
 		}
 	}
-	s.endBatch(n)
+	if n > 0 {
+		s.endBatch(n)
+	}
+	return n, open
 }
 
 // beginBatch resets per-batch state (the GC floor cache; see
@@ -838,24 +936,29 @@ func (q *notifyQueue) push(fn func()) {
 	}
 }
 
-// take removes and returns everything queued, plus whether intake is
-// closed; an empty result with closed=true means the queue is fully
-// drained.
-func (q *notifyQueue) take() ([]func(), bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	fns := q.queue
-	q.queue = nil
-	q.running = len(fns) > 0
-	return fns, q.closed
-}
-
-// settle marks the notifier goroutine idle again after delivering a
-// take()'s batch.
-func (q *notifyQueue) settle() {
-	q.mu.Lock()
-	q.running = false
-	q.mu.Unlock()
+// runAll runs queued callbacks, in order, until it finds the queue
+// empty. It reports whether it ran any, and whether intake was closed
+// when it found the queue empty: then the queue is drained for good.
+func (q *notifyQueue) runAll() (ran, closed bool) {
+	for {
+		q.mu.Lock()
+		fns := q.queue
+		q.queue = nil
+		q.running = len(fns) > 0
+		closed = q.closed
+		q.mu.Unlock()
+		if len(fns) == 0 {
+			return ran, closed
+		}
+		for _, fn := range fns {
+			fn()
+			q.delivered.Inc()
+		}
+		ran = true
+		q.mu.Lock()
+		q.running = false
+		q.mu.Unlock()
+	}
 }
 
 // idle reports whether nothing is queued and no delivery is in flight.
@@ -889,21 +992,11 @@ func (q *notifyQueue) depth() int {
 // accepted notification is delivered.
 func (s *Site) notifyLoop() {
 	defer close(s.notifierDone)
-	q := s.notifier
 	for {
-		fns, closed := q.take()
-		for _, fn := range fns {
-			fn()
-			q.delivered.Inc()
-		}
-		if len(fns) > 0 {
-			q.settle()
-			continue // re-check before sleeping: more may have queued
-		}
-		if closed {
+		if _, closed := s.notifier.runAll(); closed {
 			return
 		}
-		<-q.wake
+		<-s.notifier.wake
 	}
 }
 
@@ -962,16 +1055,39 @@ func (s *Site) post(c loopCall) bool {
 	return true
 }
 
+// enqueue appends work the loop originates to its own FIFO, which the
+// current or next batch drains as a stimulus. Exactly one of fn (on the
+// loop) or onDrop (during Stop; nil for none) runs. Loop-side only; off
+// the loop, Stop calls it while it settles the FIFO.
+func (s *Site) enqueue(fn, onDrop func()) {
+	s.local = append(s.local, loopCall{fn: fn, onDrop: onDrop})
+}
+
+// onFinish makes fn a continuation of h: once h finishes, fn runs on the
+// loop as a stimulus of its own, or onDrop (nil for none) runs if the
+// site stops first. h must be an engine-internal Handle, finished only
+// on the loop or by Stop's drop hooks.
+func (s *Site) onFinish(h *Handle, fn func(Result), onDrop func()) {
+	h.cont = func(r Result) { s.enqueue(func() { fn(r) }, onDrop) }
+}
+
 // call posts fn into the event loop and waits for it to run. It returns
-// an error when the site is stopped.
+// an error when the site is stopped. A never-started site runs on its
+// caller's goroutine, so call steps it until fn has run.
 func (s *Site) call(fn func()) error {
 	ch := make(chan struct{})
+	ran := false
 	wrapped := func() {
 		fn()
+		ran = true
 		close(ch)
 	}
 	if !s.post(loopCall{fn: wrapped, onDrop: func() { close(ch) }}) {
 		return ErrSiteStopped
+	}
+	if !s.started.Load() {
+		for !ran && s.Step() {
+		}
 	}
 	select {
 	case <-ch:
@@ -1031,6 +1147,7 @@ func (s *Site) flushOutbox() {
 
 // handleEvent dispatches one transport event inside the loop.
 func (s *Site) handleEvent(ev transport.Event) {
+	s.received++
 	switch ev.Kind {
 	case transport.EventMessage:
 		s.clock.Observe(ev.SentAt)

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -149,4 +150,116 @@ func TestBatchCoalescingUnderLatency(t *testing.T) {
 	if coalesced == 0 {
 		t.Error("no outbound messages were coalesced across 40 concurrent txns")
 	}
+}
+
+// TestRetryFloodDoesNotWedgeLoop re-executes a transaction while its
+// site's calls queue is full. Site 2's read-modify-write of a shared Int
+// loses to site 3's, and the primary's denial reaches site 2 while site
+// 2 is held inside a transaction and a flood of submissions fills its
+// queue. A retry is work the loop itself originates: had it been posted
+// into that full queue, the loop would block on itself for good.
+func TestRetryFloodDoesNotWedgeLoop(t *testing.T) {
+	const flooders, perFlooder = 4, 500
+	h := newHarness(t, 3, transport.Config{})
+	hot := h.joined(KindInt, "hot", int64(0), 1, 2, 3)
+	own, err := h.site(2).CreateObject(KindInt, "own", int64(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// hold runs fn inside a transaction at site i, holding the site's
+	// loop there until release.
+	hold := func(i int, fn func(tx *Tx) error) (*Handle, func()) {
+		held, release := make(chan struct{}), make(chan struct{})
+		var once sync.Once
+		hd := h.site(i).Submit(&Txn{Name: "hold", Execute: func(tx *Tx) error {
+			err := fn(tx)
+			once.Do(func() {
+				close(held)
+				<-release
+			})
+			return err
+		}})
+		<-held
+		return hd, func() { close(release) }
+	}
+	increment := func(ref ObjRef) func(tx *Tx) error {
+		return func(tx *Tx) error {
+			v, err := tx.Read(ref)
+			if err != nil {
+				return err
+			}
+			c, _ := v.(int64)
+			return tx.Write(ref, c+1)
+		}
+	}
+	noop := func(*Tx) error { return nil }
+	settled := func(i int) func() bool { return h.site(i).Quiescent }
+
+	// Site 2 reads 0 and is held before its write leaves; site 3 then
+	// reads 0 too and commits first.
+	loser, release2 := hold(2, increment(hot[2]))
+	if res := h.site(3).Submit(&Txn{Execute: increment(hot[3])}).Wait(); !res.Committed {
+		t.Fatalf("site 3's increment: %+v", res)
+	}
+	// Hold the primary, let site 2's write reach it, then hold site 2
+	// and fill its queue.
+	_, release1 := hold(1, noop)
+	release2()
+	h.eventually(5*time.Second, "site 2's write sent", settled(2))
+	_, release2 = hold(2, noop)
+	handles := make(chan *Handle, flooders*perFlooder)
+	var wg sync.WaitGroup
+	for range flooders {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := range perFlooder {
+				handles <- h.site(2).Submit(&Txn{Name: "set", Execute: func(tx *Tx) error { return tx.Write(own, int64(n)) }})
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(handles)
+	}()
+	s2 := h.site(2)
+	for len(s2.calls) < cap(s2.calls) {
+		runtime.Gosched()
+	}
+	// Let every flooder block on the full queue, so each call the loop
+	// takes is replaced at once.
+	time.Sleep(20 * time.Millisecond)
+	// The primary denies site 2's increment; its answer waits at site 2.
+	release1()
+	h.eventually(5*time.Second, "the primary's answer sent", settled(1))
+	release2()
+
+	deadline := time.After(30 * time.Second)
+	wait := func(hd *Handle) {
+		t.Helper()
+		select {
+		case res := <-hd.Done():
+			if !res.Committed {
+				t.Fatalf("txn failed: %+v", res)
+			}
+		case <-deadline:
+			st := s2.Stats()
+			t.Fatalf("site 2 wedged: %d submitted, %d committed, %d retries", st.Submitted, st.Commits, st.Retries)
+		}
+	}
+	wait(loser)
+	for hd := range handles {
+		wait(hd)
+	}
+	if st := s2.Stats(); st.Retries == 0 {
+		t.Fatal("site 2's increment never re-executed")
+	}
+	h.eventually(10*time.Second, "every replica at 2", func() bool {
+		for i := 1; i <= 3; i++ {
+			if h.committedInt(i, hot[i]) != 2 {
+				return false
+			}
+		}
+		return true
+	})
 }

@@ -57,6 +57,8 @@ type Handle struct {
 	// with timing disabled); commit latency is measured from it so the
 	// histogram spans retries.
 	submittedWall int64
+	// cont, when set (Site.onFinish), runs once with the first Result.
+	cont func(Result)
 }
 
 func newHandle() *Handle {
@@ -88,6 +90,9 @@ func (h *Handle) finish(r Result) {
 	h.markApplied()
 	select {
 	case h.done <- r:
+		if h.cont != nil {
+			h.cont(r)
+		}
 	default:
 	}
 }

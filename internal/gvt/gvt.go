@@ -13,8 +13,6 @@
 package gvt
 
 import (
-	"sync"
-
 	"decaf/internal/transport"
 	"decaf/internal/vtime"
 	"decaf/internal/wire"
@@ -25,11 +23,8 @@ type Pending struct {
 	done chan vtime.VT
 }
 
-// Wait blocks until the write's updates are committed at the originating
-// site (GVT passed its VT) and returns the commit VT.
-func (p *Pending) Wait() vtime.VT { return <-p.done }
-
-// Done returns the completion channel.
+// Done delivers the write's commit VT once its updates are committed at
+// the originating site (GVT passed its VT).
 func (p *Pending) Done() <-chan vtime.VT { return p.done }
 
 // entry is one uncommitted update.
@@ -42,27 +37,20 @@ type entry struct {
 	pending *Pending
 }
 
-// Site is one member of a GVT-committed replicated register group.
+// Site is one member of a GVT-committed replicated register group. It
+// runs no goroutine: its driver (internal/sim) calls Step, and every
+// method, from one goroutine.
 type Site struct {
 	id    vtime.SiteID
 	clock *vtime.Clock
 	ep    transport.Endpoint
 	ring  []vtime.SiteID // all members in token order
 
-	calls chan func()
-	stop  chan struct{}
-	done  chan struct{}
-
-	// Loop-confined state.
 	committed   map[string]any
 	uncommitted []*entry // sorted by VT
 	gvt         vtime.VT
 	tokenSeen   uint64
-
-	mu        sync.Mutex
-	onCommit  func(name string, value any, vt vtime.VT) // guarded by mu
-	startOnce sync.Once
-	stopOnce  sync.Once
+	onCommit    func(name string, value any, vt vtime.VT)
 }
 
 // NewSite creates a group member. ring lists every member in token order
@@ -73,67 +61,45 @@ func NewSite(ep transport.Endpoint, ring []vtime.SiteID) *Site {
 		clock:     vtime.NewClock(ep.Site()),
 		ep:        ep,
 		ring:      append([]vtime.SiteID(nil), ring...),
-		calls:     make(chan func(), 1024),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
 		committed: map[string]any{},
 	}
 }
 
-// OnCommit registers a callback invoked (on the event loop) whenever an
-// update commits at this site — the analogue of a pessimistic view
-// notification.
+// OnCommit registers a callback invoked whenever an update commits at
+// this site — the analogue of a pessimistic view notification.
 func (s *Site) OnCommit(fn func(name string, value any, vt vtime.VT)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.onCommit = fn
 }
 
-// Start launches the event loop; the ring's first member injects the
-// sweep token.
+// Start injects the sweep token at the ring's first member; call it on
+// every member once all of them are attached.
 func (s *Site) Start() {
-	s.startOnce.Do(func() {
-		go s.loop()
-		if len(s.ring) > 1 && s.ring[0] == s.id {
-			// Inject via handleToken so the head contributes its own
-			// minimum to round 1.
-			s.do(func() { s.handleToken(wire.GVTToken{Round: 1}) })
-		}
-	})
-}
-
-// Stop shuts the site down.
-func (s *Site) Stop() {
-	s.stopOnce.Do(func() { close(s.stop) })
-	<-s.done
-}
-
-func (s *Site) do(fn func()) {
-	select {
-	case s.calls <- fn:
-	case <-s.stop:
-	case <-s.done:
+	if len(s.ring) > 1 && s.ring[0] == s.id {
+		// Inject via handleToken so the head contributes its own
+		// minimum to round 1.
+		s.handleToken(wire.GVTToken{Round: 1})
 	}
 }
 
-func (s *Site) loop() {
-	defer close(s.done)
-	events := s.ep.Events()
+// Step handles every message already delivered to the site and reports
+// whether there was any. A GVT group never goes quiet for long: the
+// sweep token circulates for ever, so a driver bounds its runs by step
+// count rather than by draining the clock.
+func (s *Site) Step() bool {
+	worked := false
 	for {
 		select {
-		case <-s.stop:
-			return
-		case fn := <-s.calls:
-			fn()
-		case ev, ok := <-events:
+		case ev, ok := <-s.ep.Events():
 			if !ok {
-				return
+				return worked
 			}
-			if ev.Kind != transport.EventMessage {
-				continue
+			worked = true
+			if ev.Kind == transport.EventMessage {
+				s.clock.Observe(ev.SentAt)
+				s.handle(ev.Msg)
 			}
-			s.clock.Observe(ev.SentAt)
-			s.handle(ev.Msg)
+		default:
+			return worked
 		}
 	}
 }
@@ -141,77 +107,29 @@ func (s *Site) loop() {
 // Write submits a blind write of a shared register.
 func (s *Site) Write(name string, value any) *Pending {
 	p := &Pending{done: make(chan vtime.VT, 1)}
-	s.do(func() {
-		vt := s.clock.Next()
-		e := &entry{vt: vt, name: name, value: value, origin: s.id, pending: p}
-		for _, peer := range s.ring {
-			if peer == s.id {
-				continue
-			}
-			e.acksDue++
-			_ = s.ep.Send(peer, s.clock.Now(), wire.GVTUpdate{VT: vt, From: s.id, Name: name, Value: value})
+	vt := s.clock.Next()
+	e := &entry{vt: vt, name: name, value: value, origin: s.id, pending: p}
+	for _, peer := range s.ring {
+		if peer == s.id {
+			continue
 		}
-		s.insert(e)
-		if len(s.ring) <= 1 {
-			// Degenerate single-member group: no sweep needed.
-			s.gvt = vt
-		}
-		s.tryCommit()
-	})
+		e.acksDue++
+		_ = s.ep.Send(peer, s.clock.Now(), wire.GVTUpdate{VT: vt, From: s.id, Name: name, Value: value})
+	}
+	s.insert(e)
+	if len(s.ring) <= 1 {
+		// Degenerate single-member group: no sweep needed.
+		s.gvt = vt
+	}
+	s.tryCommit()
 	return p
 }
 
 // ReadCommitted returns the committed value of a register.
-func (s *Site) ReadCommitted(name string) any {
-	var v any
-	ch := make(chan struct{})
-	s.do(func() {
-		v = s.committed[name]
-		close(ch)
-	})
-	select {
-	case <-ch:
-	case <-s.done:
-	}
-	return v
-}
-
-// Quiescent reports whether the site's event loop is parked over empty
-// intake queues. Messages still in flight in the transport do not count
-// — the deterministic simulation harness (internal/sim) owns those. A
-// stopped site is quiescent. Unlike the engine, a gvt group is never
-// globally quiescent for long: the sweep token circulates continuously,
-// so the harness bounds gvt runs by step count rather than by draining
-// the clock.
-func (s *Site) Quiescent() bool {
-	quiet := false
-	ch := make(chan struct{})
-	s.do(func() {
-		quiet = len(s.calls) == 0 && len(s.ep.Events()) == 0
-		close(ch)
-	})
-	select {
-	case <-ch:
-		return quiet
-	case <-s.done:
-		return true
-	}
-}
+func (s *Site) ReadCommitted(name string) any { return s.committed[name] }
 
 // GVT returns the site's current global-virtual-time estimate.
-func (s *Site) GVT() vtime.VT {
-	var v vtime.VT
-	ch := make(chan struct{})
-	s.do(func() {
-		v = s.gvt
-		close(ch)
-	})
-	select {
-	case <-ch:
-	case <-s.done:
-	}
-	return v
-}
+func (s *Site) GVT() vtime.VT { return s.gvt }
 
 // insert keeps the uncommitted list sorted by VT.
 func (s *Site) insert(e *entry) {
@@ -301,10 +219,6 @@ func (s *Site) forwardToken(tok wire.GVTToken) {
 // tryCommit commits every uncommitted entry at or below the GVT, in VT
 // order.
 func (s *Site) tryCommit() {
-	s.mu.Lock()
-	cb := s.onCommit
-	s.mu.Unlock()
-
 	kept := s.uncommitted[:0]
 	for _, e := range s.uncommitted {
 		if !e.vt.LessEq(s.gvt) || (e.origin == s.id && e.acksDue > 0) {
@@ -312,8 +226,8 @@ func (s *Site) tryCommit() {
 			continue
 		}
 		s.committed[e.name] = e.value
-		if cb != nil {
-			cb(e.name, e.value, e.vt)
+		if s.onCommit != nil {
+			s.onCommit(e.name, e.value, e.vt)
 		}
 		if e.pending != nil {
 			select {

@@ -1,17 +1,19 @@
 package gvt
 
 import (
-	"sync"
 	"testing"
-	"time"
 
 	"decaf/internal/transport"
 	"decaf/internal/vtime"
 )
 
-func group(t *testing.T, n int, latency time.Duration) []*Site {
+// group attaches n members to a zero-latency network, which delivers
+// every send into the destination's inbox at once, and injects the
+// token.
+func group(t *testing.T, n int) []*Site {
 	t.Helper()
-	net := transport.NewNetwork(transport.Config{Latency: latency})
+	net := transport.NewNetwork(transport.Config{})
+	t.Cleanup(net.Close)
 	ring := make([]vtime.SiteID, n)
 	for i := range ring {
 		ring[i] = vtime.SiteID(i + 1)
@@ -27,47 +29,47 @@ func group(t *testing.T, n int, latency time.Duration) []*Site {
 	for _, s := range sites {
 		s.Start()
 	}
-	t.Cleanup(func() {
-		for _, s := range sites {
-			s.Stop()
-		}
-		net.Close()
-	})
 	return sites
 }
 
-func TestGVTWriteCommits(t *testing.T) {
-	sites := group(t, 3, time.Millisecond)
-	done := sites[0].Write("x", int64(7))
-	select {
-	case <-done.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("write never committed")
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		ok := true
-		for _, s := range sites {
-			if s.ReadCommitted("x") != int64(7) {
-				ok = false
-			}
-		}
-		if ok {
+// stepUntil steps every site, in ring order, until cond holds. The token
+// never stops circulating, so the loop is bounded by passes.
+func stepUntil(t *testing.T, sites []*Site, what string, cond func() bool) {
+	t.Helper()
+	for pass := 0; pass < 1000; pass++ {
+		if cond() {
 			return
 		}
-		time.Sleep(2 * time.Millisecond)
+		for _, s := range sites {
+			s.Step()
+		}
 	}
-	t.Fatal("replicas did not converge")
+	t.Fatalf("%s: not reached after 1000 passes", what)
+}
+
+// committed reports whether p's write has committed.
+func committed(p *Pending) func() bool {
+	return func() bool { return len(p.Done()) > 0 }
+}
+
+func TestGVTWriteCommits(t *testing.T) {
+	sites := group(t, 3)
+	stepUntil(t, sites, "write committed", committed(sites[0].Write("x", int64(7))))
+	stepUntil(t, sites, "replicas converged", func() bool {
+		for _, s := range sites {
+			if s.ReadCommitted("x") != int64(7) {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 func TestGVTCommitOrderMonotonic(t *testing.T) {
-	sites := group(t, 3, time.Millisecond)
+	sites := group(t, 3)
 
-	var mu sync.Mutex
 	var commits []vtime.VT
 	sites[2].OnCommit(func(name string, value any, vt vtime.VT) {
-		mu.Lock()
-		defer mu.Unlock()
 		commits = append(commits, vt)
 	})
 
@@ -76,28 +78,14 @@ func TestGVTCommitOrderMonotonic(t *testing.T) {
 		pendings = append(pendings, sites[0].Write("a", int64(k)))
 		pendings = append(pendings, sites[1].Write("b", int64(k)))
 	}
-	for _, p := range pendings {
-		select {
-		case <-p.Done():
-		case <-time.After(5 * time.Second):
-			t.Fatal("write never committed")
+	stepUntil(t, sites, "observer saw 10 commits", func() bool {
+		for _, p := range pendings {
+			if !committed(p)() {
+				return false
+			}
 		}
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		mu.Lock()
-		n := len(commits)
-		mu.Unlock()
-		if n >= 10 {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(commits) < 10 {
-		t.Fatalf("observer saw %d commits, want 10", len(commits))
-	}
+		return len(commits) >= 10
+	})
 	for i := 1; i < len(commits); i++ {
 		if !commits[i-1].Less(commits[i]) {
 			t.Fatalf("commit order not monotonic: %v then %v", commits[i-1], commits[i])
@@ -106,11 +94,10 @@ func TestGVTCommitOrderMonotonic(t *testing.T) {
 }
 
 func TestGVTSingleMember(t *testing.T) {
-	sites := group(t, 1, 0)
-	select {
-	case <-sites[0].Write("x", int64(1)).Done():
-	case <-time.After(time.Second):
-		t.Fatal("single-member write never committed")
+	sites := group(t, 1)
+	p := sites[0].Write("x", int64(1))
+	if !committed(p)() {
+		t.Fatal("single-member write did not commit at once")
 	}
 	if sites[0].ReadCommitted("x") != int64(1) {
 		t.Fatal("value not committed")

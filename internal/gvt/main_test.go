@@ -6,6 +6,6 @@ import (
 	"decaf/internal/testutil"
 )
 
-// TestMain fails the package when a test leaks goroutines — the token
-// daemon must stop when its site shuts down.
+// TestMain fails the package when a test leaks goroutines: a site runs
+// none, so any survivor is the network's.
 func TestMain(m *testing.M) { testutil.VerifyTestMain(m) }

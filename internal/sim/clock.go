@@ -12,17 +12,15 @@
 //     workload submission, fault injection — is an event on one heap,
 //     ordered by (virtual due time, schedule order). Nothing in the
 //     system sleeps on a real timer.
-//   - Lock-step execution: the harness fires exactly one event, then
-//     waits until every site is Quiescent() before firing the next, so
-//     sites never race each other and the RNG draw order is fixed.
+//   - Lock-step execution on one goroutine: the harness fires exactly
+//     one event, then steps every site (engine sites are never started;
+//     see engine.Site.Step) until none has work, and only then fires
+//     the next, so sites never race each other and the RNG draw order
+//     is fixed.
 //   - Deterministic protocol code: engine fan-out iterates site/VT maps
 //     in sorted order (see engine's sortedSites/sortedVTs), so the
 //     messages a step emits — and hence the whole delivery schedule —
 //     depend only on state.
-//
-// sim is the second sanctioned wall-clock reader (after internal/obs):
-// it may read real time for watchdogs and pacing of its own harness,
-// never for anything the simulated system observes.
 package sim
 
 import (
@@ -32,8 +30,9 @@ import (
 )
 
 // Clock is a deterministic virtual-time event queue. It implements both
-// transport.Clock (message delivery) and engine.Scheduler (retry
-// delays), so one seeded schedule drives the entire system.
+// transport.Clock (message delivery) and engine.Scheduler (failover,
+// repair and offline-grace timers), so one seeded schedule drives the
+// entire system.
 //
 // Virtual time only advances in Step, which pops the earliest scheduled
 // event and runs it. Events scheduled for the same instant run in

@@ -91,11 +91,6 @@ func RunGVT(p GVTProfile, seed int64) (res Result) {
 	for i := 1; i <= p.Sites; i++ {
 		sites[i].Start()
 	}
-	defer func() {
-		for i := 1; i <= p.Sites; i++ {
-			sites[i].Stop()
-		}
-	}()
 
 	// Schedule the writes at seeded virtual times.
 	rng := rand.New(rand.NewSource(seed ^ 0x5bf03635))

@@ -38,8 +38,7 @@ type Result struct {
 	// counter-identity violation, undecided transaction, stuck run.
 	Err error
 	// Stats is each site's final counter snapshot (diagnostics; not
-	// part of the replay fingerprint because batch-shape counters vary
-	// with harness poll timing).
+	// part of the replay fingerprint).
 	Stats map[vtime.SiteID]engine.Stats
 }
 
@@ -95,9 +94,10 @@ func (p *pendingTxn) poll() bool {
 
 // world is one simulated universe: a virtual clock, a network driven
 // entirely by clock events, and one engine site per member. All of it
-// runs in lock-step — the harness fires exactly one clock event, waits
-// for every site to go quiescent, then fires the next — so the whole
-// run is a deterministic function of (profile, seed).
+// runs in lock-step on one goroutine — the harness fires exactly one
+// clock event, steps every site until none has work, then fires the
+// next — so the whole run is a deterministic function of (profile,
+// seed).
 type world struct {
 	lockstep
 	profile Profile
@@ -145,9 +145,15 @@ func Run(p Profile, seed int64, inspect ...func(sites map[vtime.SiteID]*engine.S
 	}()
 
 	w.net = transport.NewNetwork(transport.Config{
-		Latency:   p.Latency,
-		Jitter:    p.Jitter,
-		Seed:      seed,
+		Latency: p.Latency,
+		Jitter:  p.Jitter,
+		Seed:    seed,
+		// Every site is stepped empty after each clock event, and one
+		// event hands a site at most a few others, so a small channel
+		// suffices: allocating the default 4096 slots per endpoint was
+		// 5% of a sweep's CPU. An overflow waits, in order, in the inbox
+		// backlog.
+		QueueSize: 64,
 		Faults:    w.faults,
 		Clock:     w.clock,
 		Duplicate: p.Duplicate,
@@ -198,7 +204,6 @@ func Run(p Profile, seed int64, inspect ...func(sites map[vtime.SiteID]*engine.S
 			opts.OfflineGrace = p.Span
 		}
 		s := engine.NewSite(ep, opts)
-		s.Start()
 		w.sites[id] = s
 		w.members = append(w.members, s)
 	}

@@ -1,30 +1,24 @@
 package sim
 
-import (
-	"fmt"
-	"runtime"
-	"time"
-)
-
-// settleTimeout bounds (in wall-clock time) how long the driver waits
-// for every member to quiesce between virtual-clock steps. A run that
-// trips it is stuck — a deadlock or an event loop spinning without
-// scheduling clock work — and fails with the current step for replay.
-const settleTimeout = 10 * time.Second
+import "fmt"
 
 // maxSteps bounds the number of virtual-clock events per run, the
 // virtual-time analogue of a watchdog: a retry livelock or a message
-// storm that never drains fails loudly instead of hanging the sweep.
+// storm that never drains fails loudly instead of hanging the sweep. It
+// bounds the member passes after any one event as well.
 const maxSteps = 200_000
 
-// member is one participant the lock-step driver waits on: an engine
-// site, a gvt site, or a centralized server or client.
-type member interface{ Quiescent() bool }
+// member is one participant the lock-step driver steps: an engine site,
+// a gvt site, or a centralized server or client, none of which runs a
+// goroutine of its own. Step runs the member's queued work on the
+// driver's goroutine and reports whether there was any.
+type member interface{ Step() bool }
 
 // lockstep drives a virtual clock in lock-step with its members: it
-// fires exactly one clock event, waits until every member is
-// Quiescent(), then fires the next. Members are polled in the order
-// they were added, so a run never depends on map iteration.
+// fires exactly one clock event, then steps every member, in the order
+// they were added, until a full pass finds no work, and only then fires
+// the next. Everything runs on the caller's goroutine, so a run depends
+// on neither goroutine scheduling nor map iteration.
 type lockstep struct {
 	clock   *Clock
 	members []member
@@ -33,38 +27,29 @@ type lockstep struct {
 	steps int
 }
 
-// settle waits (in wall-clock time) until every member's event loop is
-// parked over empty queues with no work pending. Between two clock
-// events this always terminates: members only regain work when the
-// driver fires the next event.
-func (l *lockstep) settle() error {
-	// The watchdog deadline is a liveness check on the host, not
-	// simulation state: it only decides when a wedged run is declared
-	// dead, never what a live run computes.
-	deadline := time.Now().Add(settleTimeout) //decaf:ignore wallclock liveness watchdog; never feeds simulation state
-	for {
-		quiet := true
+// quiesce steps the members until a full pass finds no work. Between
+// two clock events that is a fixed point: members only regain work when
+// the driver fires the next event.
+func (l *lockstep) quiesce() error {
+	for pass := 0; pass < maxSteps; pass++ {
+		busy := false
 		for _, m := range l.members {
-			if !m.Quiescent() {
-				quiet = false
-				break
+			if m.Step() {
+				busy = true
 			}
 		}
-		if quiet {
+		if !busy {
 			return nil
 		}
-		if time.Now().After(deadline) { //decaf:ignore wallclock liveness watchdog; never feeds simulation state
-			return fmt.Errorf("sim: members never quiesced at step %d (wedged event loop?)", l.steps)
-		}
-		runtime.Gosched()
 	}
+	return fmt.Errorf("sim: members still busy after %d passes at step %d (livelock?)", maxSteps, l.steps)
 }
 
-// until alternates settle and single clock steps until cond holds; cond
-// is evaluated only at quiescent points, first before any step.
+// until alternates quiesce and single clock steps until cond holds;
+// cond is evaluated only at quiescent points, first before any step.
 func (l *lockstep) until(what string, cond func() bool) error {
 	for {
-		if err := l.settle(); err != nil {
+		if err := l.quiesce(); err != nil {
 			return err
 		}
 		if cond() {

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"text/tabwriter"
 	"time"
 
@@ -186,7 +185,6 @@ func newCluster(n int, t time.Duration) (*cluster, error) {
 			return nil, err
 		}
 		c.sites[i] = engine.NewSite(ep, engine.Options{Scheduler: c.clock})
-		c.sites[i].Start()
 		c.members = append(c.members, c.sites[i])
 	}
 	return c, nil
@@ -334,22 +332,22 @@ func increment(refs ...engine.ObjRef) *engine.Txn {
 }
 
 // seenView holds the value of one Int in a view's newest notification.
-// Callbacks run on the site's notifier, which Quiescent covers, so it is
-// current at every quiescent point.
-type seenView struct{ newest atomic.Int64 }
+// Callbacks run at the end of the site's Step, so it is current at every
+// quiescent point.
+type seenView struct{ newest int64 }
 
 // attach attaches a view of refs at site that watches refs[0].
 func (c *cluster) attach(site int, mode engine.ViewMode, refs ...engine.ObjRef) (*seenView, error) {
 	v := &seenView{}
 	_, err := c.sites[site].AttachView(refs, mode, engine.ViewFuncs{Update: func(d engine.SnapshotData) {
 		n, _ := d.Values[refs[0].ID()].(int64)
-		v.newest.Store(n)
+		v.newest = n
 	}})
 	return v, err
 }
 
 func (v *seenView) shows(want int64) func() bool {
-	return func() bool { return v.newest.Load() == want }
+	return func() bool { return v.newest == want }
 }
 
 // e1Case is one primary placement of §5.1.1 with its model, in
@@ -745,11 +743,6 @@ func runE6GVT(n int) (span, error) {
 		ring[i] = vtime.SiteID(i + 1)
 	}
 	var sites []*gvt.Site
-	defer func() {
-		for _, s := range sites {
-			s.Stop()
-		}
-	}()
 	for _, id := range ring {
 		ep, err := net.Endpoint(id)
 		if err != nil {
@@ -807,13 +800,11 @@ func runE7Centralized() (span, error) {
 		return span{}, err
 	}
 	srv := centralized.NewServer(sep, []vtime.SiteID{2})
-	defer srv.Stop()
 	cep, err := net.Endpoint(2)
 	if err != nil {
 		return span{}, err
 	}
 	client := centralized.NewClient(cep, 1)
-	defer client.Stop()
 	l.members = []member{srv, client}
 	s, err := l.measure(true, func(trial int64) []func() bool {
 		return []func() bool{fired(client.Write("x", trial))}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 
 	"decaf/internal/detorder"
 	"decaf/internal/engine"
@@ -10,10 +9,9 @@ import (
 )
 
 // viewLog records the notifications of one site's view pair. The
-// callbacks run on the site's notifier goroutine; the harness reads the
-// log only at quiescence, when every notifier is idle.
+// callbacks run at the end of the site's Step, on the driver goroutine
+// that also reads the log.
 type viewLog struct {
-	mu   sync.Mutex
 	pess []engine.SnapshotData
 	opt  []engine.SnapshotData
 	// optCommitted reports whether a commit notification arrived after
@@ -25,22 +23,14 @@ type viewLog struct {
 
 func (l *viewLog) funcs() (pess, opt engine.ViewFuncs) {
 	pess = engine.ViewFuncs{Update: func(d engine.SnapshotData) {
-		l.mu.Lock()
 		l.pess = append(l.pess, d)
-		l.mu.Unlock()
 	}}
 	opt = engine.ViewFuncs{
 		Update: func(d engine.SnapshotData) {
-			l.mu.Lock()
 			l.opt = append(l.opt, d)
 			l.optCommitted = false
-			l.mu.Unlock()
 		},
-		Commit: func() {
-			l.mu.Lock()
-			l.optCommitted = true
-			l.mu.Unlock()
-		},
+		Commit: func() { l.optCommitted = true },
 	}
 	return pess, opt
 }
@@ -51,9 +41,8 @@ var sharedObjects = []string{"reg", "ctr", "lst"}
 // attachViews drains set-up traffic (so no set-up commit can reach a
 // view after it attached), then attaches a pessimistic and an
 // optimistic view over all shared objects at every site, in site order.
-// It settles after each site: an attach sends its CONFIRM-READs at the
-// end of the site's batch, and two sites sending at once would schedule
-// their messages in whichever order their goroutines ran.
+// Each attach steps its site to the end of the batch that sends its
+// CONFIRM-READs, so the sends are scheduled in attach order.
 func (w *world) attachViews(refs map[string][]engine.ObjRef) error {
 	if err := w.drain(); err != nil {
 		return err
@@ -74,9 +63,6 @@ func (w *world) attachViews(refs map[string][]engine.ObjRef) error {
 			return fmt.Errorf("sim: attach optimistic view at S%d: %w", i, err)
 		}
 		w.views[id] = l
-		if err := w.settle(); err != nil {
-			return err
-		}
 	}
 	w.tracef("VIEWS-ATTACHED sites=%d", w.profile.Sites)
 	return nil
@@ -105,9 +91,7 @@ func (w *world) checkViews(refs map[string][]engine.ObjRef) []string {
 			continue
 		}
 		l := w.views[id]
-		l.mu.Lock()
 		pess, opt, optCommitted := l.pess, l.opt, l.optCommitted
-		l.mu.Unlock()
 		if len(pess) == 0 || len(opt) == 0 {
 			problems = append(problems, fmt.Sprintf("S%d: views heard %d pessimistic, %d optimistic notifications; the attach notification is missing", i, len(pess), len(opt)))
 			continue

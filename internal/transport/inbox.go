@@ -15,10 +15,11 @@ type inbox struct {
 	events chan Event
 	stop   chan struct{} // closed by close: a pump blocked on events returns
 
-	mu      sync.Mutex
-	closed  bool          // guarded by mu
-	backlog []Event       // guarded by mu; events that found events full, oldest first
-	pumping chan struct{} // guarded by mu; non-nil while a pump drains backlog, closed when it exits
+	mu       sync.Mutex
+	closed   bool          // guarded by mu
+	accepted uint64        // guarded by mu; events deliver has accepted
+	backlog  []Event       // guarded by mu; events that found events full, oldest first
+	pumping  chan struct{} // guarded by mu; non-nil while a pump drains backlog, closed when it exits
 }
 
 func newInbox(size int) *inbox {
@@ -33,6 +34,7 @@ func (in *inbox) deliver(ev Event) {
 	if in.closed {
 		return
 	}
+	in.accepted++
 	if len(in.backlog) == 0 {
 		select {
 		case in.events <- ev:
@@ -88,6 +90,14 @@ func (in *inbox) backlogLen() float64 {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return float64(len(in.backlog))
+}
+
+// acceptedCount counts the events deliver has accepted: on the Events
+// channel, in the backlog, or already received.
+func (in *inbox) acceptedCount() uint64 {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.accepted
 }
 
 // close stops the pump, discards the backlog and closes the Events

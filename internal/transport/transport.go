@@ -555,6 +555,11 @@ func (ep *memEndpoint) SendBatch(to vtime.SiteID, sentAt vtime.VT, msgs []wire.M
 
 func (ep *memEndpoint) Events() <-chan Event { return ep.in.events }
 
+// Accepted counts the events the endpoint has accepted for delivery. A
+// consumer that has received fewer has more coming even while the
+// Events channel is empty: the inbox pump is moving them over.
+func (ep *memEndpoint) Accepted() uint64 { return ep.in.acceptedCount() }
+
 // deliver hands ev to the endpoint's inbox, after the OnDeliver hook.
 func (ep *memEndpoint) deliver(ev Event) {
 	if ep.net.cfg.OnDeliver != nil {
