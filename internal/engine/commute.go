@@ -162,7 +162,7 @@ func (s *Site) demoteGuessesFor(objs []*object, vt vtime.VT) {
 		// Primary-side sweep: open reservations whose interval contains
 		// the fast commit.
 		for _, owner := range obj.res.Intersecting(vt, vt) {
-			if _, decided := s.outcomes[owner]; decided {
+			if _, decided := s.outcomes.get(owner); decided {
 				continue
 			}
 			reason := fmt.Sprintf("demoted: fast-path commit %s inside reserved interval of %s", vt, owner)

@@ -68,7 +68,7 @@ func (s *Site) learn(vt vtime.VT, committed bool) {
 		s.settle(st, committed, delegateDenied)
 		return
 	}
-	s.outcomes[vt] = committed
+	s.outcomes.set(vt, committed)
 	if !ok {
 		s.resolveRC(vt, committed)
 	}
@@ -85,7 +85,7 @@ func (s *Site) settle(st *txnState, committed bool, c *cause) {
 	if committed {
 		st.status = txnCommitted
 	}
-	s.outcomes[st.vt] = committed
+	s.outcomes.set(st.vt, committed)
 	st.sentMsgs = nil
 	// Collected before an undo empties st.applied: the views watching
 	// these objects must rerun against the reverted state.

@@ -330,7 +330,7 @@ func TestDelegatedGraphCommitRunsGraphHooks(t *testing.T) {
 	h.eventually(3*time.Second, "the promotion committed everywhere", func() bool {
 		for i := 1; i <= 3; i++ {
 			s, committed := h.site(i), false
-			_ = s.call(func() { committed = s.outcomes[promoted.VT] })
+			_ = s.call(func() { committed, _ = s.outcomes.get(promoted.VT) })
 			if !committed || !s.Quiescent() {
 				return false
 			}

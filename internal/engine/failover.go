@@ -234,7 +234,7 @@ func (s *Site) maybeFinishCommitQuery(vt vtime.VT, q *queryState) {
 
 // handleCommitQuery answers with this site's knowledge of the outcome.
 func (s *Site) handleCommitQuery(from vtime.SiteID, m wire.CommitQuery) {
-	committed, known := s.outcomes[m.TxnVT]
+	committed, known := s.outcomes.get(m.TxnVT)
 	s.send(from, wire.CommitQueryReply{TxnVT: m.TxnVT, From: s.id, Known: known, Committed: committed})
 }
 

@@ -62,9 +62,9 @@ func (s *Site) openWrite(m wire.Write, fast bool) *writeTask {
 		// Committed on arrival. Recorded before anything applies, so an
 		// update that blocks on unseen structure still applies as
 		// committed when drainPending releases it.
-		s.outcomes[m.TxnVT] = true
+		s.outcomes.set(m.TxnVT, true)
 	}
-	committed, decided := s.outcomes[m.TxnVT]
+	committed, decided := s.outcomes.get(m.TxnVT)
 	if decided && !committed {
 		// Answer a confirm request anyway, so a resubmitting origin
 		// un-wedges.
@@ -579,7 +579,7 @@ func (s *Site) drainPending(root *object) {
 		root.pending = nil
 		progress := false
 		for _, p := range pending {
-			if known, ok := s.outcomes[p.txnVT]; ok && !known {
+			if known, ok := s.outcomes.get(p.txnVT); ok && !known {
 				progress = true
 				continue // aborted while blocked
 			}
@@ -590,7 +590,7 @@ func (s *Site) drainPending(root *object) {
 			}
 			st := s.ensureTxn(p.txnVT, p.origin)
 			status := history.Pending
-			if known, ok := s.outcomes[p.txnVT]; ok && known {
+			if known, ok := s.outcomes.get(p.txnVT); ok && known {
 				status = history.Committed
 			}
 			applied0 := len(st.applied)

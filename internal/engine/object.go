@@ -258,22 +258,6 @@ func (o *object) primarySite() vtime.SiteID {
 	return p
 }
 
-// replicaSites returns all sites hosting replicas of o (via its governing
-// graph), excluding this site.
-func (o *object) remoteSites() []vtime.SiteID {
-	g, _ := o.currentGraph()
-	if g == nil {
-		return nil
-	}
-	var out []vtime.SiteID
-	for _, s := range g.Sites() {
-		if s != o.site.id {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // findChildByTag returns the list element with the given tag.
 func (o *object) findChildByTag(tag wire.ElemTag) (int, *listElem) {
 	for i := range o.elems {

@@ -72,16 +72,16 @@ func (s *Site) address(st *txnState, w *writeRec, status history.Status, out *fa
 		g = w.targetGraph
 	}
 	path = w.path()
-	primarySite = s.id
-	primary, ok := g.Primary()
-	if ok {
-		primarySite, _ = g.SiteOf(primary)
+	primary, _ = g.Primary()
+	primarySite, ok := g.PrimarySite()
+	if !ok {
+		primarySite = s.id
 	}
-	for _, node := range g.Nodes() {
+	for i := range g.NumNodes() {
+		node, site := g.NodeAt(i)
 		if node == root.id {
 			continue // applied during execution
 		}
-		site, _ := g.SiteOf(node)
 		if site != s.id {
 			m := out.to(site)
 			m.updates = w.appendUpdates(m.updates, node, path)
@@ -136,7 +136,7 @@ func (s *Site) propagate(st *txnState) {
 			continue // unreplicated object: nothing to confirm
 		}
 		primary, _ := g.Primary()
-		primarySite, _ := g.SiteOf(primary)
+		primarySite, _ := g.PrimarySite()
 		c := wire.ReadCheck{Target: primary, Path: r.obj.pathFromRoot(), ReadVT: r.readVT, GraphVT: r.graphVT}
 		if primarySite == s.id {
 			selfChecks = append(selfChecks, c)

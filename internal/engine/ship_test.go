@@ -380,3 +380,27 @@ func TestDeniedOriginNeverDelegates(t *testing.T) {
 		}
 	}
 }
+
+// TestAddressAllocatesNoNodeList gates the routing facts the replication
+// graph keeps: addressing one write to its replicas walks the graph in
+// place, so with the fanout's buffers already grown it allocates nothing.
+func TestAddressAllocatesNoNodeList(t *testing.T) {
+	e := newPSEnv(t, false)
+	obj, _ := e.replicated(t, KindInt, false, 2)
+	st := &txnState{vt: vtime.VT{Time: 20, Site: 1}, origin: 1}
+	w := &writeRec{obj: obj, readVT: st.vt, graphVT: psGraph, ops: []wire.Op{wire.OpSet{Value: int64(1)}}}
+	var out fanout
+	e.s.address(st, w, history.Pending, &out)
+	if len(out) != 2 || !out[0].needsConfirm || out[1].needsConfirm {
+		t.Fatalf("fanout %+v, want sites 2 (confirming) and 3", out)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := range out {
+			out[i].updates = out[i].updates[:0]
+		}
+		e.s.address(st, w, history.Pending, &out)
+	})
+	if allocs != 0 {
+		t.Errorf("address: %v allocations per write, want 0", allocs)
+	}
+}

@@ -216,7 +216,7 @@ type Site struct {
 	dirtyViews []*viewProxy
 	// outcomes retains summary outcomes so that late update messages are
 	// treated correctly (paper §3.1).
-	outcomes map[vtime.VT]bool
+	outcomes outcomeTable
 	// rcWaiters maps an undecided transaction VT to continuations to run
 	// when its outcome becomes known at this site (RC guesses).
 	rcWaiters map[vtime.VT][]func(committed bool)
@@ -348,6 +348,11 @@ type siteMetrics struct {
 	// a graph repair. Updated at the park and unpark sites (the backing
 	// slice is loop-confined, so a scrape-time GaugeFunc cannot read it).
 	ParkedRetries *obs.Gauge
+	// OutcomesRetained and OutcomePages gauge the outcome table: its
+	// recorded outcomes and its allocated pages. Set at each batch's end,
+	// for the same reason.
+	OutcomesRetained *obs.Gauge
+	OutcomePages     *obs.Gauge
 
 	// Latency histograms (wall seconds unless noted). Samples only
 	// arrive when the observer has timing enabled.
@@ -396,7 +401,9 @@ func newSiteMetrics(reg *obs.Registry) siteMetrics {
 		NotifyDelivered: reg.Counter("decaf_notify_delivered_total", "user callbacks delivered by the notifier goroutine"),
 		NotifyDropped:   reg.Counter("decaf_notify_dropped_total", "user callbacks pushed after the notifier closed"),
 
-		ParkedRetries: reg.Gauge("decaf_engine_parked_retries", "transaction retries parked behind a graph repair"),
+		ParkedRetries:    reg.Gauge("decaf_engine_parked_retries", "transaction retries parked behind a graph repair"),
+		OutcomesRetained: reg.Gauge("decaf_engine_outcomes_retained", "transaction outcomes this site retains for late messages"),
+		OutcomePages:     reg.Gauge("decaf_engine_outcome_pages", "pages allocated by this site's outcome table"),
 
 		CommitLatency:       reg.Histogram("decaf_txn_commit_latency_seconds", "submit-to-commit wall latency of locally originated transactions", obs.WallBuckets),
 		CommitLatencyVT:     reg.Histogram("decaf_txn_commit_latency_vt_ticks", "execute-to-commit Lamport-clock distance of locally originated transactions", obs.VTBuckets),
@@ -439,7 +446,6 @@ func NewSite(ep transport.Endpoint, opts Options) *Site {
 		notifierDone:   make(chan struct{}),
 		objects:        map[ids.ObjectID]*object{},
 		txns:           map[vtime.VT]*txnState{},
-		outcomes:       map[vtime.VT]bool{},
 		rcWaiters:      map[vtime.VT][]func(bool){},
 		confirmWaiters: map[uint64]func(wire.Confirm){},
 		joins:          map[uint64]*joinState{},
@@ -558,7 +564,7 @@ func (s *Site) collectDebugState() map[string]any {
 		"objects":              len(s.objects),
 		"txns_by_status":       byStatus,
 		"reservations":         reservations,
-		"outcomes_retained":    len(s.outcomes),
+		"outcomes_retained":    s.outcomes.len(),
 		"peer_gc_floors":       peerFloors,
 		"rc_waiters":           len(s.rcWaiters),
 		"confirm_waiters":      len(s.confirmWaiters),
@@ -894,6 +900,8 @@ func (s *Site) endBatch(n int) {
 			s.log.Warn("wal sync failed", "err", err)
 		}
 	}
+	s.stats.OutcomesRetained.Set(int64(s.outcomes.len()))
+	s.stats.OutcomePages.Set(int64(s.outcomes.pageCount()))
 	s.stats.Batches.Inc()
 	s.stats.BatchEvents.Add(uint64(n))
 }
@@ -1185,7 +1193,7 @@ func (s *Site) handleMessage(from vtime.SiteID, msg wire.Message) {
 		s.handleWrite(m, false)
 	case wire.FastWrite:
 		s.hearFloor(from, m.Floor)
-		if _, decided := s.outcomes[m.TxnVT]; decided {
+		if _, decided := s.outcomes.get(m.TxnVT); decided {
 			// A fast-path transaction ships exactly one FastWrite per
 			// destination, so a recorded outcome means this copy is a
 			// transport-level duplicate (or the repair protocol already
@@ -1259,8 +1267,8 @@ func (s *Site) trackTxn(st *txnState) {
 //
 // It is the one place that reads whether a transaction is decided: a
 // decided state popped on the way to the floor is retired from txns.
-// Until then it serves late or duplicate messages, which the outcomes
-// map answers as well; without the retirement s.txns grows with every
+// Until then it serves late or duplicate messages, which the outcome
+// table answers as well; without the retirement s.txns grows with every
 // transaction ever seen.
 func (s *Site) decidedFloor() vtime.VT {
 	floor := s.clock.Now()

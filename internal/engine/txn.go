@@ -538,7 +538,7 @@ func (st *txnState) decided() bool {
 func (s *Site) registerRCDeps(st *txnState) {
 	for _, dep := range sortedVTs(st.rcDeps) {
 		dep := dep
-		if known, ok := s.outcomes[dep]; ok {
+		if known, ok := s.outcomes.get(dep); ok {
 			if known {
 				delete(st.rcDeps, dep)
 			} else {

@@ -537,7 +537,7 @@ func (p *viewProxy) requestOptimisticGuesses(snap *snapshot) {
 	// waiters fire) must not vary run to run, and the sorted key slice
 	// also makes the delete-while-iterating below safe.
 	for _, dep := range sortedVTs(snap.rcDeps) {
-		if known, ok := s.outcomes[dep]; ok {
+		if known, ok := s.outcomes.get(dep); ok {
 			if known {
 				delete(snap.rcDeps, dep)
 				continue
@@ -576,7 +576,7 @@ func (p *viewProxy) requestOptimisticGuesses(snap *snapshot) {
 			continue // unreplicated: local state is authoritative
 		}
 		primaryNode, _ := g.Primary()
-		primarySite, _ := g.SiteOf(primaryNode)
+		primarySite, _ := g.PrimarySite()
 		if primarySite == s.id {
 			// Local primary: the current value is by construction the
 			// latest. No reservation is made: optimistic views tolerate
@@ -744,7 +744,7 @@ func (p *viewProxy) requestPessimisticGuesses(i int) {
 	for k, o := range p.attached {
 		root := o.replicationRoot()
 		g := root.graph
-		if g == nil || g.NumNodes() <= 1 {
+		if g == nil {
 			continue
 		}
 		// Eager confirmation (paper §5.1.2): when the object was updated
@@ -762,8 +762,23 @@ func (p *viewProxy) requestPessimisticGuesses(i int) {
 				continue
 			}
 		}
+		// An unreplicated object is its own primary, so it is checked
+		// here like any other: a lower writer still pending holds the
+		// snapshot back.
 		primaryNode, _ := g.Primary()
-		primarySite, _ := g.SiteOf(primaryNode)
+		primarySite, _ := g.PrimarySite()
+		// A permanent local denial holds nothing: a committed update in
+		// the interval has its own snapshot, placed before this one by
+		// settlePessimistic, which revises us; a removed path has nothing
+		// left to check.
+		if primarySite == s.id && o == root && primaryNode == root.id {
+			// The object is the primary copy itself: nothing to resolve.
+			own := guess{target: o, groot: root, readVT: prev, graphVT: root.graphVT, committedOnly: true}
+			if s.checkGuess(nil, snap.ts, own).transient {
+				snap.transientWait = true
+			}
+			continue
+		}
 		c := wire.ReadCheck{
 			Target:        primaryNode,
 			Path:          o.pathFromRoot(),
@@ -772,11 +787,7 @@ func (p *viewProxy) requestPessimisticGuesses(i int) {
 			CommittedOnly: true,
 		}
 		if primarySite == s.id {
-			// A permanent local denial holds nothing: a committed update
-			// in the interval has its own snapshot, placed before this
-			// one by settlePessimistic, which revises us; a removed path
-			// has nothing left to check.
-			if v := s.checkAtPrimary(nil, snap.ts, nil, []wire.ReadCheck{c}); v.transient {
+			if s.checkAtPrimary(nil, snap.ts, nil, []wire.ReadCheck{c}).transient {
 				snap.transientWait = true
 			}
 			continue

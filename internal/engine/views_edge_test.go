@@ -180,3 +180,48 @@ func TestLostUpdateAccounting(t *testing.T) {
 		}
 	}
 }
+
+func TestPessimisticViewUnreplicatedHearsEveryCommit(t *testing.T) {
+	// A pessimistic view on an object that only this site hosts must
+	// still wait for a pending lower writer (paper §4.2, lossless): the
+	// site is that object's primary. Transaction A writes u and the
+	// replicated r, so it waits on r's primary at site 1; B overwrites u
+	// and, touching only u, commits at once. A snapshot for B delivered
+	// before A commits would leave A's snapshot below the watermark.
+	h := newHarness(t, 2, transport.Config{Latency: 20 * time.Millisecond})
+	r := h.joined(KindInt, "r", int64(0), 1, 2)
+	u, err := h.site(2).CreateObject(KindInt, "u", int64(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &recorder{}
+	if _, err := h.site(2).AttachView([]ObjRef{u}, Pessimistic, rec.fns()); err != nil {
+		t.Fatal(err)
+	}
+	a := h.site(2).Submit(&Txn{Execute: func(tx *Tx) error {
+		if err := tx.Write(u, int64(1)); err != nil {
+			return err
+		}
+		return tx.Write(r[2], int64(1))
+	}})
+	<-a.Applied()
+	b := h.setInt2Async(2, u, 2)
+	resA, resB := a.Wait(), b.Wait()
+	if !resA.Committed || !resB.Committed {
+		t.Fatalf("A: %+v, B: %+v", resA, resB)
+	}
+	h.eventually(3*time.Second, "the notification of B", func() bool {
+		v, ok := rec.lastValue(u.ID())
+		return ok && v == int64(2)
+	})
+	ups, _ := rec.snapshot()
+	var seen []vtime.VT
+	heardA := false
+	for _, up := range ups {
+		seen = append(seen, up.TS)
+		heardA = heardA || up.TS == resA.VT && up.Values[u.ID()] == int64(1)
+	}
+	if !heardA {
+		t.Fatalf("view never heard A (%v writing u=1); it heard %v", resA.VT, seen)
+	}
+}

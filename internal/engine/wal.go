@@ -69,7 +69,7 @@ func (s *Site) walLogOutcome(m wire.Outcome) {
 	if s.wal == nil {
 		return
 	}
-	if known, ok := s.outcomes[m.TxnVT]; ok && known == m.Committed {
+	if known, ok := s.outcomes.get(m.TxnVT); ok && known == m.Committed {
 		return
 	}
 	s.walAppendMsg(m.TxnVT, m)
@@ -202,9 +202,9 @@ func (s *Site) replayWAL(cpSeq uint64) error {
 		}
 		switch m := msg.(type) {
 		case wire.Outcome:
-			s.outcomes[m.TxnVT] = m.Committed
+			s.outcomes.set(m.TxnVT, m.Committed)
 		case wire.FastWrite:
-			s.outcomes[m.TxnVT] = true
+			s.outcomes.set(m.TxnVT, true)
 		}
 		return nil
 	})
@@ -231,7 +231,7 @@ func (s *Site) replayWAL(cpSeq uint64) error {
 		}
 		switch m := msg.(type) {
 		case wire.Write:
-			committed, decided := s.outcomes[m.TxnVT]
+			committed, decided := s.outcomes.get(m.TxnVT)
 			if !decided || !committed {
 				// Undecided at the crash (or aborted): do not re-apply.
 				// Undecided updates are recovered from peers, not from a
@@ -400,8 +400,8 @@ func (s *Site) remapUpdates(peer vtime.SiteID, updates []wire.Update) []wire.Upd
 		g, _ := root.currentGraph()
 		var peerNode ids.ObjectID
 		found := false
-		for _, node := range g.Nodes() {
-			if site, ok := g.SiteOf(node); ok && site == peer {
+		for i := range g.NumNodes() {
+			if node, site := g.NodeAt(i); site == peer {
 				peerNode, found = node, true
 				break
 			}

@@ -9,6 +9,7 @@ package repgraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -35,7 +36,8 @@ func (e Edge) normalized() Edge {
 // NewGraph creates a single-node graph. Graphs are value-like: mutating
 // methods operate in place, and Clone produces an independent copy.
 //
-// Graph is not safe for concurrent use.
+// Graph is not safe for concurrent use while it is being mutated; an
+// unchanging graph may be read concurrently.
 type Graph struct {
 	nodes map[ids.ObjectID]vtime.SiteID // node -> site hosting that replica
 	edges map[Edge]int                  // normalized edge -> multiplicity
@@ -46,6 +48,36 @@ type Graph struct {
 	// node is absent (it left or its site failed), the primary falls
 	// back to the minimum node.
 	anchor ids.ObjectID
+
+	// The routing facts, which depend on the nodes and the anchor but not
+	// on the edges. Every mutator that changes either recomputes them
+	// (route); read paths never write them, so concurrent readers of an
+	// unchanging graph stay race-free.
+	order      []WireNode     // nodes in canonical (ObjectID) order
+	sites      []vtime.SiteID // distinct sites hosting nodes, ascending
+	primary    WireNode       // see Primary
+	hasPrimary bool           // false only for an empty graph
+}
+
+// route recomputes the routing facts from the nodes and the anchor.
+func (g *Graph) route() {
+	g.order = g.order[:0]
+	for obj, site := range g.nodes {
+		g.order = append(g.order, WireNode{Obj: obj, Site: site})
+	}
+	sort.Slice(g.order, func(i, j int) bool { return g.order[i].Obj.Less(g.order[j].Obj) })
+	g.sites = g.sites[:0]
+	for _, n := range g.order {
+		g.sites = append(g.sites, n.Site)
+	}
+	slices.Sort(g.sites)
+	g.sites = slices.Compact(g.sites)
+	g.primary, g.hasPrimary = WireNode{}, len(g.order) > 0
+	if site, ok := g.nodes[g.anchor]; ok {
+		g.primary = WireNode{Obj: g.anchor, Site: site}
+	} else if g.hasPrimary {
+		g.primary = g.order[0]
+	}
 }
 
 // NewGraph returns a graph containing the single node obj hosted at site,
@@ -56,13 +88,17 @@ func NewGraph(obj ids.ObjectID, site vtime.SiteID) *Graph {
 		edges:  map[Edge]int{},
 		anchor: obj,
 	}
+	g.route()
 	return g
 }
 
 // SetAnchor designates the primary-copy node. The anchor is replicated as
 // part of the graph value; an anchor not present among the nodes is
 // ignored by Primary.
-func (g *Graph) SetAnchor(obj ids.ObjectID) { g.anchor = obj }
+func (g *Graph) SetAnchor(obj ids.ObjectID) {
+	g.anchor = obj
+	g.route()
+}
 
 // Anchor returns the designated primary-copy node (possibly absent).
 func (g *Graph) Anchor() ids.ObjectID { return g.anchor }
@@ -81,6 +117,7 @@ func (g *Graph) init() {
 func (g *Graph) AddNode(obj ids.ObjectID, site vtime.SiteID) {
 	g.init()
 	g.nodes[obj] = site
+	g.route()
 }
 
 // AddEdge records one replica relation between a and b, adding the nodes
@@ -121,6 +158,15 @@ func (g *Graph) RemoveEdge(a, b ids.ObjectID) bool {
 // a collaboration, or a failed site's replica being dropped). It reports
 // whether the node was present.
 func (g *Graph) RemoveNode(obj ids.ObjectID) bool {
+	if !g.removeNode(obj) {
+		return false
+	}
+	g.route()
+	return true
+}
+
+// removeNode is RemoveNode without recomputing the routing facts.
+func (g *Graph) removeNode(obj ids.ObjectID) bool {
 	if _, ok := g.nodes[obj]; !ok {
 		return false
 	}
@@ -190,8 +236,9 @@ func (g *Graph) RemoveSite(site vtime.SiteID) []ids.ObjectID {
 		}
 	}
 	for _, obj := range removed {
-		g.RemoveNode(obj)
+		g.removeNode(obj)
 	}
+	g.route()
 	sort.Slice(removed, func(i, j int) bool { return removed[i].Less(removed[j]) })
 	return removed
 }
@@ -221,14 +268,21 @@ func (g *Graph) SiteOf(obj ids.ObjectID) (vtime.SiteID, bool) {
 	return s, ok
 }
 
-// Nodes returns the graph's nodes in canonical (ObjectID) order.
+// Nodes returns a copy of the graph's nodes in canonical (ObjectID) order.
 func (g *Graph) Nodes() []ids.ObjectID {
-	out := make([]ids.ObjectID, 0, len(g.nodes))
-	for obj := range g.nodes {
-		out = append(out, obj)
+	out := make([]ids.ObjectID, 0, len(g.order))
+	for _, n := range g.order {
+		out = append(out, n.Obj)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
+}
+
+// NodeAt returns the i-th node in canonical order and its site, for
+// 0 <= i < NumNodes. It lets hot paths walk the nodes without the copy
+// Nodes makes.
+func (g *Graph) NodeAt(i int) (ids.ObjectID, vtime.SiteID) {
+	n := g.order[i]
+	return n.Obj, n.Site
 }
 
 // NumNodes returns the number of nodes.
@@ -243,28 +297,18 @@ func (g *Graph) NumEdges() int {
 	return n
 }
 
-// EachSite calls fn with the site of every node, in no particular order
-// and once per node, so a site hosting several replicas is visited more
-// than once. It suits order-independent folds, such as a minimum, that
-// Sites would make allocate.
+// EachSite calls fn with every distinct site hosting replicas, in
+// ascending order, without the copy Sites makes.
 func (g *Graph) EachSite(fn func(vtime.SiteID)) {
-	for _, s := range g.nodes {
+	for _, s := range g.sites {
 		fn(s)
 	}
 }
 
-// Sites returns the distinct sites hosting replicas, in ascending order.
+// Sites returns a copy of the distinct sites hosting replicas, in
+// ascending order.
 func (g *Graph) Sites() []vtime.SiteID {
-	set := map[vtime.SiteID]bool{}
-	for _, s := range g.nodes {
-		set[s] = true
-	}
-	out := make([]vtime.SiteID, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return append(make([]vtime.SiteID, 0, len(g.sites)), g.sites...)
 }
 
 // Primary returns the primary copy of the graph: the anchor node when it
@@ -273,27 +317,12 @@ func (g *Graph) Sites() []vtime.SiteID {
 // selected node in that graph" — deterministic, with no election phase
 // (§3.3). ok is false for an empty graph.
 func (g *Graph) Primary() (ids.ObjectID, bool) {
-	if _, ok := g.nodes[g.anchor]; ok {
-		return g.anchor, true
-	}
-	var best ids.ObjectID
-	found := false
-	for obj := range g.nodes {
-		if !found || obj.Less(best) {
-			best = obj
-			found = true
-		}
-	}
-	return best, found
+	return g.primary.Obj, g.hasPrimary
 }
 
 // PrimarySite returns the site hosting the primary copy.
 func (g *Graph) PrimarySite() (vtime.SiteID, bool) {
-	p, ok := g.Primary()
-	if !ok {
-		return 0, false
-	}
-	return g.nodes[p], true
+	return g.primary.Site, g.hasPrimary
 }
 
 // Component returns the subgraph reachable from start (including start).
@@ -328,6 +357,7 @@ func (g *Graph) Component(start ids.ObjectID) *Graph {
 			}
 		}
 	}
+	out.route()
 	return out
 }
 
@@ -368,6 +398,7 @@ func (g *Graph) Merge(other *Graph) {
 			g.edges[e] = m
 		}
 	}
+	g.route()
 }
 
 // Clone returns an independent deep copy of the graph.
@@ -383,6 +414,7 @@ func (g *Graph) Clone() *Graph {
 	for k, v := range g.edges {
 		out.edges[k] = v
 	}
+	out.route()
 	return out
 }
 
@@ -415,11 +447,11 @@ func (g *Graph) Equal(other *Graph) bool {
 func (g *Graph) String() string {
 	var b strings.Builder
 	b.WriteString("{")
-	for i, n := range g.Nodes() {
+	for i, n := range g.order {
 		if i > 0 {
 			b.WriteString(" ")
 		}
-		fmt.Fprintf(&b, "%s@%s", n, g.nodes[n])
+		fmt.Fprintf(&b, "%s@%s", n.Obj, n.Site)
 	}
 	b.WriteString(" |")
 	edges := make([]Edge, 0, len(g.edges))
@@ -463,10 +495,7 @@ type WireEdge struct {
 
 // ToWire flattens the graph deterministically for transmission.
 func (g *Graph) ToWire() Wire {
-	w := Wire{Anchor: g.anchor}
-	for _, n := range g.Nodes() {
-		w.Nodes = append(w.Nodes, WireNode{Obj: n, Site: g.nodes[n]})
-	}
+	w := Wire{Anchor: g.anchor, Nodes: slices.Clone(g.order)}
 	edges := make([]Edge, 0, len(g.edges))
 	for e := range g.edges {
 		edges = append(edges, e)
@@ -492,5 +521,6 @@ func FromWire(w Wire) *Graph {
 	for _, e := range w.Edges {
 		g.edges[e.Edge] = e.Count
 	}
+	g.route()
 	return g
 }

@@ -1,7 +1,11 @@
 package repgraph
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -345,4 +349,138 @@ func TestStringDeterministic(t *testing.T) {
 			t.Fatal("String not deterministic")
 		}
 	}
+}
+
+// TestGraphRoutingMatchesRecompute checks the routing facts every mutator
+// keeps (canonical order, primary, sites) against a fresh computation from
+// the nodes and the anchor, over random mutation sequences. Two graphs
+// evolve side by side so that Merge and Clone mix them.
+func TestGraphRoutingMatchesRecompute(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		randObj := func() ids.ObjectID { return obj(uint32(1+rng.Intn(4)), uint64(1+rng.Intn(3))) }
+		gs := [2]*Graph{NewGraph(randObj(), 1), {}}
+		for step := 0; step < 40; step++ {
+			i := rng.Intn(2)
+			g, other := gs[i], gs[1-i]
+			o := randObj()
+			var did string
+			switch rng.Intn(12) {
+			case 0, 1, 2:
+				did = "AddNode"
+				g.AddNode(o, o.Site)
+			case 3:
+				did = "AddEdge"
+				_ = g.AddEdge(o, randObj())
+			case 4:
+				did = "RemoveNode"
+				g.RemoveNode(o)
+			case 5:
+				did = "RemoveNodeContract"
+				g.RemoveNodeContract(o)
+			case 6:
+				did = "RemoveSite"
+				g.RemoveSite(o.Site)
+			case 7:
+				did = "RemoveSiteContract"
+				g.RemoveSiteContract(o.Site)
+			case 8:
+				did = "SetAnchor"
+				g.SetAnchor(o)
+			case 9:
+				did = "Merge"
+				g.Merge(other)
+			case 10:
+				did = "Component"
+				gs[i] = g.Component(o)
+			case 11:
+				if rng.Intn(2) == 0 {
+					did = "FromWire"
+					gs[i] = FromWire(other.ToWire())
+				} else {
+					did = "Clone"
+					gs[i] = other.Clone()
+				}
+			}
+			for k, g := range gs {
+				if msg := routingMismatch(g); msg != "" {
+					t.Fatalf("seed %d step %d (%s on graph %d): graph %d %s: %s", seed, step, did, i, k, g, msg)
+				}
+			}
+		}
+	}
+}
+
+// routingMismatch compares g's routing facts with a recomputation.
+func routingMismatch(g *Graph) string {
+	var order []ids.ObjectID
+	set := map[vtime.SiteID]bool{}
+	for n, s := range g.nodes {
+		order = append(order, n)
+		set[s] = true
+	}
+	sort.Slice(order, func(i, j int) bool { return order[i].Less(order[j]) })
+	var sites []vtime.SiteID
+	for s := range set {
+		sites = append(sites, s)
+	}
+	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
+	primary, hasPrimary := g.anchor, true
+	if _, ok := g.nodes[g.anchor]; !ok {
+		primary, hasPrimary = ids.ObjectID{}, len(order) > 0
+		if hasPrimary {
+			primary = order[0]
+		}
+	}
+
+	if got := g.Nodes(); !slices.Equal(got, order) {
+		return fmt.Sprintf("Nodes() = %v, want %v", got, order)
+	}
+	for i, n := range order {
+		if obj, site := g.NodeAt(i); obj != n || site != g.nodes[n] {
+			return fmt.Sprintf("NodeAt(%d) = %v@%v, want %v@%v", i, obj, site, n, g.nodes[n])
+		}
+	}
+	if got := g.Sites(); !slices.Equal(got, sites) {
+		return fmt.Sprintf("Sites() = %v, want %v", got, sites)
+	}
+	var each []vtime.SiteID
+	g.EachSite(func(s vtime.SiteID) { each = append(each, s) })
+	if !slices.Equal(each, sites) {
+		return fmt.Sprintf("EachSite visits %v, want %v", each, sites)
+	}
+	if p, ok := g.Primary(); p != primary || ok != hasPrimary {
+		return fmt.Sprintf("Primary() = %v, %v, want %v, %v", p, ok, primary, hasPrimary)
+	}
+	if s, ok := g.PrimarySite(); s != g.nodes[primary] || ok != hasPrimary {
+		return fmt.Sprintf("PrimarySite() = %v, %v, want %v, %v", s, ok, g.nodes[primary], hasPrimary)
+	}
+	return ""
+}
+
+// TestGraphConcurrentReaders reads one unchanging graph from several
+// goroutines at once: no read path may write the routing facts, which
+// the race detector would report.
+func TestGraphConcurrentReaders(t *testing.T) {
+	g := triangle(t)
+	g.SetAnchor(obj(2, 1))
+	want := g.String()
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 100; k++ {
+				if msg := routingMismatch(g); msg != "" {
+					t.Error(msg)
+					return
+				}
+				if got := FromWire(g.ToWire()).String(); got != want {
+					t.Errorf("wire round trip %s, want %s", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
