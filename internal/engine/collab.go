@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 
@@ -413,26 +414,17 @@ func snapshotValue(b *object) any {
 // compositeSnapshot serializes a composite's live structure.
 func compositeSnapshot(b *object) wire.CompositeSnapshot {
 	snap := wire.CompositeSnapshot{Kind: b.kind}
-	at := b.latestVT()
-	switch b.kind {
-	case KindList:
-		for _, i := range b.visibleElems(at, false) {
-			e := &b.elems[i]
-			snap.Elems = append(snap.Elems, snapshotElem(e.child, e.tag, ""))
-		}
-	case KindTuple:
-		for _, i := range b.visibleEntries(at, false) {
-			e := &b.entries[i]
-			// The tag carries the entry's original insert identity so
-			// pinned paths resolve at the new replica.
-			snap.Elems = append(snap.Elems, snapshotElem(e.child, wire.ElemTag{VT: e.insertVT}, e.key))
-		}
+	for _, c := range b.visibleChildren(b.latestVT(), false) {
+		snap.Elems = append(snap.Elems, snapshotElem(c))
 	}
 	return snap
 }
 
-func snapshotElem(child *object, tag wire.ElemTag, key string) wire.SnapshotElem {
-	el := wire.SnapshotElem{Tag: tag, Key: key}
+// snapshotElem ships one child under its slot name: a list element's
+// tag, or a tuple key whose tag carries the slot's original insert VT so
+// pinned paths resolve at the new replica.
+func snapshotElem(child *object) wire.SnapshotElem {
+	el := wire.SnapshotElem{Tag: child.parentLink.Tag, Key: child.parentLink.Key}
 	if child.isComposite() {
 		nested := compositeSnapshot(child)
 		el.Child = wire.ChildDecl{Kind: child.kind}
@@ -529,28 +521,19 @@ func valueOpFor(value any) wire.Op {
 func (s *Site) applySnapshot(st *txnState, comp *object, snap wire.CompositeSnapshot) {
 	for _, el := range snap.Elems {
 		var op wire.Op
+		link := wire.PathElem{Tag: el.Tag}
 		switch comp.kind {
 		case KindList:
 			op = wire.OpListInsert{Tag: el.Tag, Child: el.Child, After: lastTag(comp)}
 		case KindTuple:
 			op = wire.OpTupleSet{Key: el.Key, Child: el.Child, At: el.Tag.VT}
+			// An unpinned set takes this transaction's VT.
+			link = keyLink(el.Key, cmp.Or(el.Tag.VT, st.vt))
 		default:
 			continue
 		}
 		s.applyOp(st, comp, nil, op, history.Pending)
-		var child *object
-		if comp.kind == KindList {
-			if _, le := comp.findChildByTag(el.Tag); le != nil {
-				child = le.child
-			}
-		} else {
-			if _, ent := comp.findEntryAt(el.Key, el.Tag.VT); ent != nil {
-				child = ent.child
-			} else if _, ent := comp.findEntry(el.Key); ent != nil {
-				child = ent.child
-			}
-		}
-		if child != nil && el.Nested != nil {
+		if _, child := comp.findChild(link); child != nil && el.Nested != nil {
 			s.applySnapshot(st, child, *el.Nested)
 		}
 	}
@@ -559,11 +542,11 @@ func (s *Site) applySnapshot(st *txnState, comp *object, snap wire.CompositeSnap
 // lastTag returns the tag of the last live element of a list (zero for an
 // empty list).
 func lastTag(lst *object) wire.ElemTag {
-	vis := lst.visibleElems(lst.latestVT(), false)
+	vis := lst.visibleChildren(lst.latestVT(), false)
 	if len(vis) == 0 {
 		return wire.ElemTag{}
 	}
-	return lst.elems[vis[len(vis)-1]].tag
+	return vis[len(vis)-1].parentLink.Tag
 }
 
 // abortJoin fails an in-flight join after a JoinReply no retry can fix (an

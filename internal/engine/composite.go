@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"decaf/internal/history"
-	"decaf/internal/vtime"
 	"decaf/internal/wire"
 )
 
@@ -61,7 +60,7 @@ func (tx *Tx) ListLen(ref ObjRef) (int, error) {
 		return 0, fmt.Errorf("%w: ListLen on %s", ErrWrongKind, l.kind)
 	}
 	tx.recordRead(l)
-	return len(l.visibleElems(l.latestVT(), false)), nil
+	return len(l.visibleChildren(l.latestVT(), false)), nil
 }
 
 // ListGet returns the child at index idx (over live elements), recording a
@@ -75,11 +74,11 @@ func (tx *Tx) ListGet(ref ObjRef, idx int) (ObjRef, error) {
 		return ObjRef{}, fmt.Errorf("%w: ListGet on %s", ErrWrongKind, l.kind)
 	}
 	tx.recordRead(l)
-	vis := l.visibleElems(l.latestVT(), false)
+	vis := l.visibleChildren(l.latestVT(), false)
 	if idx < 0 || idx >= len(vis) {
 		return ObjRef{}, fmt.Errorf("%w: index %d of %d", ErrNoSuchElement, idx, len(vis))
 	}
-	return ObjRef{o: l.elems[vis[idx]].child}, nil
+	return ObjRef{o: vis[idx]}, nil
 }
 
 // ListInsert embeds a new child at index idx (len(list) appends) and
@@ -97,17 +96,17 @@ func (tx *Tx) ListInsert(ref ObjRef, idx int, decl wire.ChildDecl) (ObjRef, erro
 		return ObjRef{}, err
 	}
 	w := tx.ensureCompositeWrite(l)
-	vis := l.visibleElems(l.latestVT(), false)
+	vis := l.visibleChildren(l.latestVT(), false)
 	if idx < 0 || idx > len(vis) {
 		return ObjRef{}, fmt.Errorf("%w: insert index %d of %d", ErrNoSuchElement, idx, len(vis))
 	}
 	var after wire.ElemTag
 	if idx > 0 {
-		after = l.elems[vis[idx-1]].tag
+		after = vis[idx-1].parentLink.Tag
 		// The insert is causally ordered after the element it follows.
 		// Remote replicas block the new element until the earlier one
 		// arrives.
-		tx.dependOnInsert(l, l.elems[vis[idx-1]].insertVT)
+		tx.dependOnInsert(vis[idx-1])
 	}
 	op := wire.OpListInsert{
 		Tag:   wire.ElemTag{VT: tx.st.vt, N: tx.countInsertsBy(w)},
@@ -116,11 +115,17 @@ func (tx *Tx) ListInsert(ref ObjRef, idx int, decl wire.ChildDecl) (ObjRef, erro
 	}
 	w.ops = append(w.ops, op)
 	tx.applyLocalOp(l, op)
-	_, le := l.findChildByTag(op.Tag)
-	if le == nil {
-		return ObjRef{}, fmt.Errorf("engine: insert did not materialize element %s", op.Tag)
+	return materialized(l, op.Tag)
+}
+
+// materialized returns the element a just-applied local insert placed
+// in lst under tag.
+func materialized(lst *object, tag wire.ElemTag) (ObjRef, error) {
+	_, c := lst.findChild(wire.PathElem{Tag: tag})
+	if c == nil {
+		return ObjRef{}, fmt.Errorf("engine: insert did not materialize element %s", tag)
 	}
-	return ObjRef{o: le.child}, nil
+	return ObjRef{o: c}, nil
 }
 
 // ListTagAt returns the stable tag of the element at index idx, for use
@@ -134,11 +139,11 @@ func (tx *Tx) ListTagAt(ref ObjRef, idx int) (wire.ElemTag, error) {
 		return wire.ElemTag{}, fmt.Errorf("%w: ListTagAt on %s", ErrWrongKind, l.kind)
 	}
 	tx.recordRead(l)
-	vis := l.visibleElems(l.latestVT(), false)
+	vis := l.visibleChildren(l.latestVT(), false)
 	if idx < 0 || idx >= len(vis) {
 		return wire.ElemTag{}, fmt.Errorf("%w: index %d of %d", ErrNoSuchElement, idx, len(vis))
 	}
-	return l.elems[vis[idx]].tag, nil
+	return vis[idx].parentLink.Tag, nil
 }
 
 // ListInsertAfter embeds a new child directly after the element tagged
@@ -161,14 +166,14 @@ func (tx *Tx) ListInsertAfter(ref ObjRef, after wire.ElemTag, decl wire.ChildDec
 		return ObjRef{}, err
 	}
 	if after != (wire.ElemTag{}) {
-		_, ale := l.findChildByTag(after)
-		if ale == nil {
+		_, anchor := l.findChild(wire.PathElem{Tag: after})
+		if anchor == nil {
 			return ObjRef{}, fmt.Errorf("%w: no element tagged %s", ErrNoSuchElement, after)
 		}
 		// Causal dependency on a still-pending anchor routes this
 		// transaction through the guessed path; an anchor from committed
 		// state keeps it fast-path eligible.
-		tx.dependOnInsert(l, ale.insertVT)
+		tx.dependOnInsert(anchor)
 	}
 	w := tx.ensureCompositeWrite(l)
 	op := wire.OpListInsertAfter{
@@ -178,11 +183,7 @@ func (tx *Tx) ListInsertAfter(ref ObjRef, after wire.ElemTag, decl wire.ChildDec
 	}
 	w.ops = append(w.ops, op)
 	tx.applyLocalOp(l, op)
-	_, le := l.findChildByTag(op.Tag)
-	if le == nil {
-		return ObjRef{}, fmt.Errorf("engine: insert did not materialize element %s", op.Tag)
-	}
-	return ObjRef{o: le.child}, nil
+	return materialized(l, op.Tag)
 }
 
 // ListAppend embeds a new child at the end of the list.
@@ -195,7 +196,7 @@ func (tx *Tx) ListAppend(ref ObjRef, decl wire.ChildDecl) (ObjRef, error) {
 		return ObjRef{}, fmt.Errorf("%w: ListAppend on %s", ErrWrongKind, l.kind)
 	}
 	tx.recordRead(l)
-	return tx.ListInsert(ref, len(l.visibleElems(l.latestVT(), false)), decl)
+	return tx.ListInsert(ref, len(l.visibleChildren(l.latestVT(), false)), decl)
 }
 
 // ListRemove removes the element at index idx.
@@ -208,13 +209,13 @@ func (tx *Tx) ListRemove(ref ObjRef, idx int) error {
 		return fmt.Errorf("%w: ListRemove on %s", ErrWrongKind, l.kind)
 	}
 	tx.recordRead(l)
-	vis := l.visibleElems(l.latestVT(), false)
+	vis := l.visibleChildren(l.latestVT(), false)
 	if idx < 0 || idx >= len(vis) {
 		return fmt.Errorf("%w: remove index %d of %d", ErrNoSuchElement, idx, len(vis))
 	}
-	tx.dependOnInsert(l, l.elems[vis[idx]].insertVT)
+	tx.dependOnInsert(vis[idx])
 	w := tx.ensureCompositeWrite(l)
-	op := wire.OpListRemove{Tag: l.elems[vis[idx]].tag}
+	op := wire.OpListRemove{Tag: vis[idx].parentLink.Tag}
 	w.ops = append(w.ops, op)
 	tx.applyLocalOp(l, op)
 	return nil
@@ -230,11 +231,11 @@ func (tx *Tx) TupleGet(ref ObjRef, key string) (ObjRef, bool, error) {
 		return ObjRef{}, false, fmt.Errorf("%w: TupleGet on %s", ErrWrongKind, t.kind)
 	}
 	tx.recordRead(t)
-	_, ent := t.findEntry(key)
-	if ent == nil {
+	c := t.liveChild(key)
+	if c == nil {
 		return ObjRef{}, false, nil
 	}
-	return ObjRef{o: ent.child}, true, nil
+	return ObjRef{o: c}, true, nil
 }
 
 // TupleKeys returns the live keys, recording a structural read.
@@ -247,10 +248,10 @@ func (tx *Tx) TupleKeys(ref ObjRef) ([]string, error) {
 		return nil, fmt.Errorf("%w: TupleKeys on %s", ErrWrongKind, t.kind)
 	}
 	tx.recordRead(t)
-	idxs := t.visibleEntries(t.latestVT(), false)
-	out := make([]string, 0, len(idxs))
-	for _, i := range idxs {
-		out = append(out, t.entries[i].key)
+	vis := t.visibleChildren(t.latestVT(), false)
+	out := make([]string, 0, len(vis))
+	for _, c := range vis {
+		out = append(out, c.parentLink.Key)
 	}
 	return out, nil
 }
@@ -271,11 +272,11 @@ func (tx *Tx) TupleSet(ref ObjRef, key string, decl wire.ChildDecl) (ObjRef, err
 	op := wire.OpTupleSet{Key: key, Child: decl}
 	w.ops = append(w.ops, op)
 	tx.applyLocalOp(t, op)
-	_, ent := t.findEntry(key)
-	if ent == nil {
+	c := t.liveChild(key)
+	if c == nil {
 		return ObjRef{}, fmt.Errorf("engine: tuple set did not materialize key %q", key)
 	}
-	return ObjRef{o: ent.child}, nil
+	return ObjRef{o: c}, nil
 }
 
 // TupleRemove removes the child under key.
@@ -288,28 +289,28 @@ func (tx *Tx) TupleRemove(ref ObjRef, key string) error {
 		return fmt.Errorf("%w: TupleRemove on %s", ErrWrongKind, t.kind)
 	}
 	tx.recordRead(t)
-	_, ent := t.findEntry(key)
-	if ent == nil {
+	c := t.liveChild(key)
+	if c == nil {
 		return fmt.Errorf("%w: key %q", ErrNoSuchElement, key)
 	}
-	tx.dependOnInsert(t, ent.insertVT)
+	tx.dependOnInsert(c)
 	w := tx.ensureCompositeWrite(t)
-	// Of pins the exact entry being removed so a concurrent re-set of
+	// Of pins the exact slot being removed so a concurrent re-set of
 	// the key at another site is not clobbered (add-wins).
-	op := wire.OpTupleRemove{Key: key, Of: ent.insertVT}
+	op := wire.OpTupleRemove{Key: key, Of: c.insertVT}
 	w.ops = append(w.ops, op)
 	tx.applyLocalOp(t, op)
 	return nil
 }
 
 // dependOnInsert makes the transaction an RC guess on the one that
-// inserted an element of comp at insertVT, while that insert is pending
-// (paper §3.2.1): an op naming the element must not commit unless the
-// element does. A remove without the guess outlives an aborted insert,
-// and the primary, which no longer has the element, parks the remove
-// for good, so its origin never hears a verdict.
-func (tx *Tx) dependOnInsert(comp *object, insertVT vtime.VT) {
-	if v, ok := comp.hist.Get(insertVT); ok && v.Status == history.Pending && v.VT != tx.st.vt {
+// embedded child, while that insert is pending (paper §3.2.1): an op
+// naming the child must not commit unless the child does. A remove
+// without the guess outlives an aborted insert, and the primary, which
+// no longer has the child, parks the remove for good, so its origin
+// never hears a verdict.
+func (tx *Tx) dependOnInsert(child *object) {
+	if v, ok := child.parent.hist.Get(child.insertVT); ok && v.Status == history.Pending && v.VT != tx.st.vt {
 		tx.st.rcDeps[v.VT] = true
 	}
 }

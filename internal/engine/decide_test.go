@@ -315,8 +315,8 @@ func TestDelegatedGraphCommitRunsGraphHooks(t *testing.T) {
 	var child ObjRef
 	h.eventually(3*time.Second, "child materialized at site 1", func() bool {
 		_ = h.site(1).call(func() {
-			if _, ent := tree[1].o.findEntry("b"); ent != nil {
-				child = ObjRef{o: ent.child}
+			if c := tree[1].o.liveChild("b"); c != nil {
+				child = ObjRef{o: c}
 			}
 		})
 		return child.o != nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"slices"
 	"strconv"
 
 	"decaf/internal/history"
@@ -305,7 +306,7 @@ func (s *Site) applyOpRead(st *txnState, target *object, path wire.Path, op wire
 		// the primary must apply at every replica even where a pending
 		// local removal currently hides the element, so all replicas
 		// converge whichever way the removal resolves.
-		child, blocked := target.resolvePathForApply(path)
+		child, _, blocked := target.resolvePath(path, false)
 		if blocked {
 			return false
 		}
@@ -355,13 +356,13 @@ func (s *Site) applyOpRead(st *txnState, target *object, path wire.Path, op wire
 			return false // the After element's insert not yet received
 		}
 	case wire.OpListRemove:
-		if !s.applyListRemove(st, obj, o, status) {
+		if !s.applyRemove(st, obj, wire.PathElem{Tag: o.Tag}, o, status) {
 			return false // element's insert not yet received: block
 		}
 	case wire.OpTupleSet:
 		s.applyTupleSet(st, obj, o, status)
 	case wire.OpTupleRemove:
-		if !s.applyTupleRemove(st, obj, o, status) {
+		if !s.applyRemove(st, obj, keyLink(o.Key, o.Of), o, status) {
 			return false // entry's insert not yet received: block
 		}
 	default:
@@ -421,37 +422,25 @@ func (s *Site) applyListInsert(st *txnState, lst *object, o wire.OpListInsert, s
 		s.log.Warn("list insert on non-list", "obj", lst.id.String())
 		return true
 	}
-	if i, _ := lst.findChildByTag(o.Tag); i >= 0 {
+	link := wire.PathElem{Tag: o.Tag}
+	if i, _ := lst.findChild(link); i >= 0 {
 		return true // duplicate delivery
 	}
 	pos := 0
 	if !o.After.IsZero() {
-		ai, _ := lst.findChildByTag(o.After)
+		ai, _ := lst.findChild(wire.PathElem{Tag: o.After})
 		if ai < 0 {
 			return false // causal dependency missing: block
 		}
 		pos = ai + 1
 	}
-	child := s.newChildObject(lst, wire.PathElem{Tag: o.Tag}, o.Child)
-	elem := listElem{tag: o.Tag, child: child, insertVT: st.vt}
+	child := s.newChildObject(lst, link, st.vt, o.Child)
 	// Skip over concurrent inserts with greater tags (deterministic
 	// total order regardless of arrival order).
-	for pos < len(lst.elems) && tagLess(o.Tag, lst.elems[pos].tag) {
+	for pos < len(lst.children) && tagLess(o.Tag, lst.children[pos].parentLink.Tag) {
 		pos++
 	}
-	lst.elems = append(lst.elems, listElem{})
-	copy(lst.elems[pos+1:], lst.elems[pos:])
-	lst.elems[pos] = elem
-
-	s.recordCompositeVersion(st, lst, o, status)
-	tag := o.Tag
-	childID := child.id
-	st.applied = append(st.applied, appliedUpdate{obj: lst, undo: func() {
-		if i, _ := lst.findChildByTag(tag); i >= 0 {
-			lst.elems = append(lst.elems[:i], lst.elems[i+1:]...)
-		}
-		delete(s.objects, childID)
-	}})
+	s.embedChild(st, lst, child, pos, o, status)
 	return true
 }
 
@@ -463,39 +452,8 @@ func tagLess(a, b wire.ElemTag) bool {
 	return a.N < b.N
 }
 
-// applyListRemove tombstones a list element. It returns false (blocked)
-// when the element's insert has not yet arrived. Concurrent removals from
-// several sites accumulate independently so an abort of one leaves the
-// others in force at every replica.
-func (s *Site) applyListRemove(st *txnState, lst *object, o wire.OpListRemove, status history.Status) bool {
-	_, le := lst.findChildByTag(o.Tag)
-	if le == nil {
-		return false
-	}
-	for _, r := range le.removals {
-		if r == st.vt {
-			return true // duplicate delivery
-		}
-	}
-	le.removals = append(le.removals, st.vt)
-	s.recordCompositeVersion(st, lst, o, status)
-	tag := o.Tag
-	vt := st.vt
-	st.applied = append(st.applied, appliedUpdate{obj: lst, undo: func() {
-		if _, l := lst.findChildByTag(tag); l != nil {
-			for i, r := range l.removals {
-				if r == vt {
-					l.removals = append(l.removals[:i], l.removals[i+1:]...)
-					break
-				}
-			}
-		}
-	}})
-	return true
-}
-
 // applyTupleSet embeds a child under a key. Concurrent sets of the same
-// key coexist as separate entries; visibility picks the greatest insert
+// key coexist as separate slots; visibility picks the greatest insert
 // VT, so every replica converges on the same winner regardless of
 // arrival order (add-wins).
 func (s *Site) applyTupleSet(st *txnState, tup *object, o wire.OpTupleSet, status history.Status) {
@@ -503,59 +461,53 @@ func (s *Site) applyTupleSet(st *txnState, tup *object, o wire.OpTupleSet, statu
 		s.log.Warn("tuple set on non-tuple", "obj", tup.id.String())
 		return
 	}
-	// At pins the entry identity when a join ships existing structure;
+	// At pins the slot identity when a join ships existing structure;
 	// otherwise the inserting transaction's VT is the identity.
 	insertVT := st.vt
 	if !o.At.IsZero() {
 		insertVT = o.At
 	}
-	// Idempotence: a duplicate delivery inserted this entry already.
-	if _, ent := tup.findEntryAt(o.Key, insertVT); ent != nil {
+	link := keyLink(o.Key, insertVT)
+	// Idempotence: a duplicate delivery inserted this slot already.
+	if i, _ := tup.findChild(link); i >= 0 {
 		return
 	}
-	link := wire.PathElem{IsKey: true, Key: o.Key, Tag: wire.ElemTag{VT: insertVT}}
-	child := s.newChildObject(tup, link, o.Child)
-	tup.entries = append(tup.entries, tupleEntry{key: o.Key, child: child, insertVT: insertVT})
+	child := s.newChildObject(tup, link, insertVT, o.Child)
+	s.embedChild(st, tup, child, len(tup.children), o, status)
+}
 
-	s.recordCompositeVersion(st, tup, o, status)
-	key := o.Key
-	childID := child.id
-	vt := insertVT
-	st.applied = append(st.applied, appliedUpdate{obj: tup, undo: func() {
-		for i := len(tup.entries) - 1; i >= 0; i-- {
-			if tup.entries[i].key == key && tup.entries[i].insertVT == vt {
-				tup.entries = append(tup.entries[:i], tup.entries[i+1:]...)
-				break
-			}
+// embedChild places a new child at slot index pos of comp, recording the
+// structural op in comp's history and an undo that takes the slot out
+// again.
+func (s *Site) embedChild(st *txnState, comp, child *object, pos int, op wire.Op, status history.Status) {
+	comp.children = slices.Insert(comp.children, pos, child)
+	s.recordCompositeVersion(st, comp, op, status)
+	st.applied = append(st.applied, appliedUpdate{obj: comp, undo: func() {
+		if i := slices.Index(comp.children, child); i >= 0 {
+			comp.children = slices.Delete(comp.children, i, i+1)
 		}
-		delete(s.objects, childID)
+		delete(s.objects, child.id)
 	}})
 }
 
-// applyTupleRemove tombstones the specific entry (key, Of). It returns
-// false (blocked) when that entry's insert has not yet arrived.
-func (s *Site) applyTupleRemove(st *txnState, tup *object, o wire.OpTupleRemove, status history.Status) bool {
-	_, ent := tup.findEntryAt(o.Key, o.Of)
-	if ent == nil {
+// applyRemove tombstones the child slot named link. It returns false
+// (blocked) when the child's insert has not yet arrived. Concurrent
+// removals from several sites accumulate independently so an abort of
+// one leaves the others in force at every replica.
+func (s *Site) applyRemove(st *txnState, comp *object, link wire.PathElem, op wire.Op, status history.Status) bool {
+	_, c := comp.findChild(link)
+	if c == nil {
 		return false
 	}
-	for _, r := range ent.removals {
-		if r == st.vt {
-			return true // duplicate delivery
-		}
+	if slices.Contains(c.removals, st.vt) {
+		return true // duplicate delivery
 	}
-	ent.removals = append(ent.removals, st.vt)
-	s.recordCompositeVersion(st, tup, o, status)
+	c.removals = append(c.removals, st.vt)
+	s.recordCompositeVersion(st, comp, op, status)
 	vt := st.vt
-	key, of := o.Key, o.Of
-	st.applied = append(st.applied, appliedUpdate{obj: tup, undo: func() {
-		if _, e := tup.findEntryAt(key, of); e != nil {
-			for i, r := range e.removals {
-				if r == vt {
-					e.removals = append(e.removals[:i], e.removals[i+1:]...)
-					break
-				}
-			}
+	st.applied = append(st.applied, appliedUpdate{obj: comp, undo: func() {
+		if i := slices.Index(c.removals, vt); i >= 0 {
+			c.removals = slices.Delete(c.removals, i, i+1)
 		}
 	}})
 	return true
@@ -583,7 +535,7 @@ func (s *Site) drainPending(root *object) {
 				progress = true
 				continue // aborted while blocked
 			}
-			_, _, blocked := root.resolvePath(p.upd.Path)
+			_, _, blocked := root.resolvePath(p.upd.Path, true)
 			if blocked {
 				root.pending = append(root.pending, p)
 				continue

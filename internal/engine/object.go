@@ -34,30 +34,6 @@ const (
 	KindAssociation = wire.KindAssociation
 )
 
-// listElem is one element slot of a list object. Tombstoned slots are
-// retained so that concurrent inserts converge to the same order at every
-// replica (the element tags give the paper's VT-tagged path indices).
-type listElem struct {
-	tag   wire.ElemTag
-	child *object
-	// insertVT is the transaction that embedded the element; removals are
-	// the transactions that removed it (several sites may remove the same
-	// element concurrently; aborted removals are withdrawn by undo).
-	insertVT vtime.VT
-	removals []vtime.VT
-}
-
-// tupleEntry is one key slot of a tuple object. Concurrent sets of the
-// same key coexist as separate entries; the one with the greatest insert
-// VT is the live value (deterministic at every replica regardless of
-// arrival order).
-type tupleEntry struct {
-	key      string
-	child    *object
-	insertVT vtime.VT
-	removals []vtime.VT
-}
-
 // pendingIndirect is an indirect-propagation update that arrived before
 // the structural operation creating part of its path (paper §3.2.1: "the
 // propagation will block until the earlier update is received").
@@ -95,12 +71,23 @@ type object struct {
 	// proxies are the view proxies attached locally to this object.
 	proxies []*viewProxy
 
-	// Composite linkage.
+	// Composite linkage. An embedded child is one slot of its parent,
+	// whichever kind the parent is: parentLink names it (a list
+	// element's tag, or a tuple key with its pinned insert VT),
+	// insertVT is the transaction that embedded it, and removals are
+	// the transactions that removed it (several sites may remove the
+	// same child concurrently; aborted removals are withdrawn by undo).
+	// Removed children stay as tombstones so that concurrent operations
+	// converge to the same structure at every replica.
 	parent     *object
 	parentLink wire.PathElem
-	elems      []listElem   // list children, ordered, with tombstones
-	entries    []tupleEntry // tuple children with tombstones
-	pending    []pendingIndirect
+	insertVT   vtime.VT
+	removals   []vtime.VT
+	// children are a composite's slots: a list's in RGA position
+	// order, a tuple's in arrival order. Concurrent sets of one tuple
+	// key coexist as separate slots; the greatest insert VT is live.
+	children []*object
+	pending  []pendingIndirect
 }
 
 // An embedded object with a non-nil graph uses DIRECT propagation (paper
@@ -129,18 +116,20 @@ func (s *Site) newObject(kind Kind, desc string, initial any) *object {
 	return o
 }
 
-// newChildObject creates an object embedded in a composite (indirect
-// propagation by default: nil own graph until it collaborates directly).
-func (s *Site) newChildObject(parent *object, link wire.PathElem, decl wire.ChildDecl) *object {
+// newChildObject creates the object that fills parent's slot link,
+// embedded by the transaction at insertVT (indirect propagation by
+// default: nil own graph until it collaborates directly).
+func (s *Site) newChildObject(parent *object, link wire.PathElem, insertVT vtime.VT, decl wire.ChildDecl) *object {
 	s.nextSeq++
 	o := &object{
-		id:     ids.ObjectID{Site: s.id, Seq: s.nextSeq},
-		kind:   decl.Kind,
-		desc:   fmt.Sprintf("%s%s", parent.desc, link),
-		site:   s,
-		parent: parent,
+		id:         ids.ObjectID{Site: s.id, Seq: s.nextSeq},
+		kind:       decl.Kind,
+		desc:       fmt.Sprintf("%s%s", parent.desc, link),
+		site:       s,
+		parent:     parent,
+		parentLink: link,
+		insertVT:   insertVT,
 	}
-	o.parentLink = link
 	initial := decl.Value
 	if initial == nil {
 		initial = defaultValue(decl.Kind)
@@ -258,29 +247,35 @@ func (o *object) primarySite() vtime.SiteID {
 	return p
 }
 
-// findChildByTag returns the list element with the given tag.
-func (o *object) findChildByTag(tag wire.ElemTag) (int, *listElem) {
-	for i := range o.elems {
-		if o.elems[i].tag == tag {
-			return i, &o.elems[i]
+// keyLink names the tuple slot that the transaction at vt set under key.
+func keyLink(key string, vt vtime.VT) wire.PathElem {
+	return wire.PathElem{IsKey: true, Key: key, Tag: wire.ElemTag{VT: vt}}
+}
+
+// findChild returns the index and object of the child slot named link,
+// tombstoned or not.
+func (o *object) findChild(link wire.PathElem) (int, *object) {
+	for i, c := range o.children {
+		if c.parentLink == link {
+			return i, c
 		}
 	}
 	return -1, nil
 }
 
-// removalEffective reports whether any removal at or below `at` applies
-// (for committedOnly, only removals whose transaction committed count;
-// otherwise every present removal counts — aborted ones are withdrawn by
-// undo). A removal whose history version was garbage-collected is by
-// construction committed: pending versions block GC and aborted removals
-// are deleted from the slice.
-func (o *object) removalEffective(removals []vtime.VT, at vtime.VT, committedOnly bool) bool {
-	for _, r := range removals {
+// removedAt reports whether any of the child o's removals at or below
+// `at` applies (for committedOnly, only removals whose transaction
+// committed count; otherwise every present removal counts — aborted ones
+// are withdrawn by undo). A removal whose version in the parent's history
+// was garbage-collected is by construction committed: pending versions
+// block GC and aborted removals are deleted from the slice.
+func (o *object) removedAt(at vtime.VT, committedOnly bool) bool {
+	for _, r := range o.removals {
 		if !r.LessEq(at) {
 			continue
 		}
 		if committedOnly {
-			if v, ok := o.hist.Get(r); ok && v.Status != history.Committed {
+			if v, ok := o.parent.hist.Get(r); ok && v.Status != history.Committed {
 				continue // still pending
 			}
 		}
@@ -289,156 +284,83 @@ func (o *object) removalEffective(removals []vtime.VT, at vtime.VT, committedOnl
 	return false
 }
 
-// findEntry returns the live tuple entry for key: among non-removed
-// entries, the one with the greatest insert VT (the deterministic winner
-// of concurrent sets).
-func (o *object) findEntry(key string) (int, *tupleEntry) {
+// liveChild returns the tuple's live child under key: among non-removed
+// slots, the one with the greatest insert VT (the deterministic winner of
+// concurrent sets).
+func (o *object) liveChild(key string) *object {
 	at := o.latestVT()
-	best := -1
-	for i := range o.entries {
-		e := &o.entries[i]
-		if e.key != key || o.removalEffective(e.removals, at, false) {
+	var best *object
+	for _, c := range o.children {
+		if c.parentLink.Key != key || c.removedAt(at, false) {
 			continue
 		}
-		if best < 0 || o.entries[best].insertVT.Less(e.insertVT) {
-			best = i
+		if best == nil || best.insertVT.Less(c.insertVT) {
+			best = c
 		}
 	}
-	if best < 0 {
-		return -1, nil
-	}
-	return best, &o.entries[best]
+	return best
 }
 
-// findEntryAt returns the exact entry for key inserted at `of`.
-func (o *object) findEntryAt(key string, of vtime.VT) (int, *tupleEntry) {
-	for i := range o.entries {
-		if o.entries[i].key == key && o.entries[i].insertVT == of {
-			return i, &o.entries[i]
-		}
-	}
-	return -1, nil
-}
-
-// resolvePath walks a VT-tagged path from o down to the addressed child,
-// for primary-copy CHECKS: it reports removed components (an RL path
-// guess failure — any removal, committed or pending, conservatively
-// denies; a wrongly denied transaction simply retries). blocked reports a
-// component whose structural op has not yet arrived (indirect propagation
-// must block, §3.2.1).
-func (o *object) resolvePath(p wire.Path) (child *object, removed bool, blocked bool) {
+// resolvePath walks a VT-tagged path from o down to the addressed child.
+// blocked reports a component whose structural op has not yet arrived
+// (indirect propagation must block, §3.2.1). With deny set — for
+// primary-copy CHECKS — a removed component reports removed (an RL path
+// guess failure: any removal, committed or pending, conservatively
+// denies; a wrongly denied transaction simply retries). Without it — for
+// UPDATE APPLICATION — tombstoned components are traversed: the
+// transaction's fate was decided at the primary, and a replica with a
+// pending local removal must still apply the update so all replicas
+// converge whichever way the removal resolves.
+func (o *object) resolvePath(p wire.Path, deny bool) (child *object, removed bool, blocked bool) {
 	cur := o
 	for _, elem := range p {
+		holder := KindList
 		if elem.IsKey {
-			if cur.kind != KindTuple {
-				return nil, false, false
-			}
-			// The pinned entry is the exact one the writer targeted.
-			_, ent := cur.findEntryAt(elem.Key, elem.Tag.VT)
-			if ent == nil {
-				return nil, false, true // entry's set not yet received
-			}
-			if cur.removalEffective(ent.removals, cur.latestVT(), false) {
-				return nil, true, false
-			}
-			cur = ent.child
-		} else {
-			if cur.kind != KindList {
-				return nil, false, false
-			}
-			_, le := cur.findChildByTag(elem.Tag)
-			if le == nil {
-				return nil, false, true // structural op not yet received
-			}
-			if cur.removalEffective(le.removals, cur.latestVT(), false) {
-				return nil, true, false
-			}
-			cur = le.child
+			holder = KindTuple
 		}
+		if cur.kind != holder {
+			return nil, false, false
+		}
+		_, c := cur.findChild(elem)
+		if c == nil {
+			return nil, false, true // structural op not yet received
+		}
+		if deny && c.removedAt(cur.latestVT(), false) {
+			return nil, true, false
+		}
+		cur = c
 	}
 	return cur, false, false
 }
 
-// resolvePathForApply walks a path for UPDATE APPLICATION: tombstoned
-// components are traversed (the transaction's fate was decided at the
-// primary; a replica with a pending local removal must still apply the
-// update so all replicas converge whichever way the removal resolves).
-// blocked reports a component whose structural op has not yet arrived.
-func (o *object) resolvePathForApply(p wire.Path) (child *object, blocked bool) {
-	cur := o
-	for _, elem := range p {
-		if elem.IsKey {
-			if cur.kind != KindTuple {
-				return nil, false
-			}
-			_, ent := cur.findEntryAt(elem.Key, elem.Tag.VT)
-			if ent == nil {
-				return nil, true
-			}
-			cur = ent.child
-		} else {
-			if cur.kind != KindList {
-				return nil, false
-			}
-			_, le := cur.findChildByTag(elem.Tag)
-			if le == nil {
-				return nil, true
-			}
-			cur = le.child
-		}
-	}
-	return cur, false
-}
-
-// visibleElems returns the indices of live (non-tombstoned) list elements,
-// in order. When committedOnly is set, elements whose insert is not yet
-// committed are excluded and only committed removals hide an element.
-func (o *object) visibleElems(at vtime.VT, committedOnly bool) []int {
-	var out []int
-	for i := range o.elems {
-		e := &o.elems[i]
-		if !e.insertVT.LessEq(at) {
+// visibleChildren returns the live (non-tombstoned) children in slot
+// order; for a tuple, per key only the live slot with the greatest insert
+// VT. When committedOnly is set, children whose insert is not yet
+// committed are excluded and only committed removals hide a child.
+func (o *object) visibleChildren(at vtime.VT, committedOnly bool) []*object {
+	var out []*object
+	for _, c := range o.children {
+		if !c.insertVT.LessEq(at) {
 			continue
 		}
 		if committedOnly {
-			if v, ok := o.hist.Get(e.insertVT); ok && v.Status != history.Committed {
+			if v, ok := o.hist.Get(c.insertVT); ok && v.Status != history.Committed {
 				continue
 			}
 		}
-		if o.removalEffective(e.removals, at, committedOnly) {
+		if c.removedAt(at, committedOnly) {
 			continue
 		}
-		out = append(out, i)
+		out = append(out, c)
 	}
-	return out
-}
-
-// visibleEntries returns the live tuple entries: per key, the non-removed
-// entry with the greatest insert VT at or below `at`.
-func (o *object) visibleEntries(at vtime.VT, committedOnly bool) []int {
-	bestByKey := map[string]int{}
-	for i := range o.entries {
-		e := &o.entries[i]
-		if !e.insertVT.LessEq(at) {
-			continue
-		}
-		if committedOnly {
-			if v, ok := o.hist.Get(e.insertVT); ok && v.Status != history.Committed {
-				continue
+	if o.kind == KindTuple {
+		best := make(map[string]*object, len(out))
+		for _, c := range out {
+			if b, ok := best[c.parentLink.Key]; !ok || b.insertVT.Less(c.insertVT) {
+				best[c.parentLink.Key] = c
 			}
 		}
-		if o.removalEffective(e.removals, at, committedOnly) {
-			continue
-		}
-		if prev, ok := bestByKey[e.key]; !ok || o.entries[prev].insertVT.Less(e.insertVT) {
-			bestByKey[e.key] = i
-		}
-	}
-	out := make([]int, 0, len(bestByKey))
-	for i := range o.entries {
-		if best, ok := bestByKey[o.entries[i].key]; ok && best == i {
-			out = append(out, i)
-		}
+		out = slices.DeleteFunc(out, func(c *object) bool { return best[c.parentLink.Key] != c })
 	}
 	return out
 }
@@ -449,18 +371,17 @@ func (o *object) visibleEntries(at vtime.VT, committedOnly bool) []int {
 func (o *object) readValue(at vtime.VT, committedOnly bool) any {
 	switch o.kind {
 	case KindList:
-		idxs := o.visibleElems(at, committedOnly)
-		out := make([]any, 0, len(idxs))
-		for _, i := range idxs {
-			out = append(out, o.elems[i].child.readValue(at, committedOnly))
+		vis := o.visibleChildren(at, committedOnly)
+		out := make([]any, 0, len(vis))
+		for _, c := range vis {
+			out = append(out, c.readValue(at, committedOnly))
 		}
 		return out
 	case KindTuple:
-		idxs := o.visibleEntries(at, committedOnly)
-		out := make(map[string]any, len(idxs))
-		for _, i := range idxs {
-			e := &o.entries[i]
-			out[e.key] = e.child.readValue(at, committedOnly)
+		vis := o.visibleChildren(at, committedOnly)
+		out := make(map[string]any, len(vis))
+		for _, c := range vis {
+			out[c.parentLink.Key] = c.readValue(at, committedOnly)
 		}
 		return out
 	default:
@@ -486,22 +407,10 @@ func (o *object) latestVT() vtime.VT {
 	if cur, ok := o.hist.Current(); ok {
 		v = cur.VT
 	}
-	switch o.kind {
-	case KindList:
-		for i := range o.elems {
-			e := &o.elems[i]
-			v = v.Max(e.child.latestVT())
-			for _, r := range e.removals {
-				v = v.Max(r)
-			}
-		}
-	case KindTuple:
-		for i := range o.entries {
-			e := &o.entries[i]
-			v = v.Max(e.child.latestVT())
-			for _, r := range e.removals {
-				v = v.Max(r)
-			}
+	for _, c := range o.children {
+		v = v.Max(c.latestVT())
+		for _, r := range c.removals {
+			v = v.Max(r)
 		}
 	}
 	return v
@@ -510,11 +419,8 @@ func (o *object) latestVT() vtime.VT {
 // forEachDescendant visits o and every embedded child.
 func (o *object) forEachDescendant(fn func(*object)) {
 	fn(o)
-	for i := range o.elems {
-		o.elems[i].child.forEachDescendant(fn)
-	}
-	for i := range o.entries {
-		o.entries[i].child.forEachDescendant(fn)
+	for _, c := range o.children {
+		c.forEachDescendant(fn)
 	}
 }
 

@@ -113,29 +113,19 @@ func (s *Site) checkpointObject(o *object) wire.CheckpointObject {
 
 // checkpointChildren captures a composite's live committed structure.
 func checkpointChildren(o *object) []wire.CheckpointChild {
-	at := o.latestCommittedVT()
 	var out []wire.CheckpointChild
-	appendChild := func(child *object, tag wire.ElemTag, key string, insertVT vtime.VT) {
-		cc := wire.CheckpointChild{Tag: tag, Key: key, InsertVT: insertVT, Kind: child.kind}
-		if v, ok := child.hist.CurrentCommitted(); ok && !child.isComposite() {
+	for _, c := range o.visibleChildren(o.latestCommittedVT(), true) {
+		cc := wire.CheckpointChild{Key: c.parentLink.Key, InsertVT: c.insertVT, Kind: c.kind}
+		if !c.parentLink.IsKey {
+			cc.Tag = c.parentLink.Tag // a tuple child's pin travels as InsertVT
+		}
+		if v, ok := c.hist.CurrentCommitted(); ok && !c.isComposite() {
 			cc.Value, cc.ValueVT = v.Value, v.VT
 		}
-		if child.isComposite() {
-			cc.Children = checkpointChildren(child)
+		if c.isComposite() {
+			cc.Children = checkpointChildren(c)
 		}
 		out = append(out, cc)
-	}
-	switch o.kind {
-	case KindList:
-		for _, i := range o.visibleElems(at, true) {
-			e := &o.elems[i]
-			appendChild(e.child, e.tag, "", e.insertVT)
-		}
-	case KindTuple:
-		for _, i := range o.visibleEntries(at, true) {
-			e := &o.entries[i]
-			appendChild(e.child, wire.ElemTag{}, e.key, e.insertVT)
-		}
 	}
 	return out
 }
@@ -219,21 +209,18 @@ func (s *Site) restoreObject(oc wire.CheckpointObject) {
 // restoreChildren rebuilds composite structure with the original tags.
 func (s *Site) restoreChildren(parent *object, children []wire.CheckpointChild) {
 	for _, cc := range children {
+		// The parent's kind, not the key, tells the slot kinds apart:
+		// the empty string is a valid tuple key.
 		link := wire.PathElem{Tag: cc.Tag}
-		if cc.Key != "" {
-			link = wire.PathElem{IsKey: true, Key: cc.Key, Tag: wire.ElemTag{VT: cc.InsertVT}}
+		if parent.kind == KindTuple {
+			link = keyLink(cc.Key, cc.InsertVT)
 		}
 		decl := wire.ChildDecl{Kind: cc.Kind, Value: cc.Value}
-		child := s.newChildObject(parent, link, decl)
+		child := s.newChildObject(parent, link, cc.InsertVT, decl)
 		if !cc.ValueVT.IsZero() && !child.isComposite() {
 			_ = child.hist.Insert(cc.ValueVT, cc.Value, history.Committed)
 		}
-		switch parent.kind {
-		case KindList:
-			parent.elems = append(parent.elems, listElem{tag: cc.Tag, child: child, insertVT: cc.InsertVT})
-		case KindTuple:
-			parent.entries = append(parent.entries, tupleEntry{key: cc.Key, child: child, insertVT: cc.InsertVT})
-		}
+		parent.children = append(parent.children, child)
 		// Structural facts are part of the composite's committed history.
 		if !cc.InsertVT.IsZero() {
 			if _, ok := parent.hist.Get(cc.InsertVT); !ok {

@@ -342,3 +342,48 @@ func TestCheckpointRoundTripStable(t *testing.T) {
 		t.Fatal("object section changed across checkpoint/restore round trip")
 	}
 }
+
+// TestRestoreKeepsEmptyTupleKeyPath restores a tuple child under the
+// empty key. A restore that reads the slot kind from the key instead of
+// the parent gives the child a list element's name, which its own tuple
+// parent cannot resolve, so replicas would drop its updates.
+func TestRestoreKeepsEmptyTupleKeyPath(t *testing.T) {
+	h := newHarness(t, 1, transport.Config{})
+	s := h.site(1)
+	tup, _ := s.CreateObject(KindTuple, "t", nil)
+	var child ObjRef
+	if res := s.Submit(&Txn{Execute: func(tx *Tx) error {
+		var err error
+		child, err = tx.TupleSet(tup, "", wire.ChildDecl{Kind: KindInt, Value: int64(3)})
+		return err
+	}}).Wait(); !res.Committed {
+		t.Fatalf("set: %+v", res)
+	}
+	var want wire.PathElem
+	_ = s.call(func() { want = child.o.parentLink })
+
+	var buf bytes.Buffer
+	if err := s.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	s2 := freshSite(t, 1, Options{})
+	if err := s2.Restore(&buf); err != nil {
+		t.Fatal(err)
+	}
+	tup2, _ := s2.Object(tup.ID())
+	var links []wire.PathElem
+	var resolves bool
+	_ = s2.call(func() {
+		for _, c := range tup2.o.children {
+			links = append(links, c.parentLink)
+			got, _, _ := tup2.o.resolvePath(c.pathFromRoot(), false)
+			resolves = got == c
+		}
+	})
+	if len(links) != 1 || links[0] != want || !resolves {
+		t.Fatalf("restored slots %v (own path resolves: %v), want [%+v]", links, resolves, want)
+	}
+	if v, _ := s2.ReadCommitted(tup2); !reflect.DeepEqual(v, map[string]any{"": int64(3)}) {
+		t.Fatalf("restored tuple = %v", v)
+	}
+}

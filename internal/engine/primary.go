@@ -87,7 +87,7 @@ func resolveTarget(root *object, path wire.Path) (*object, verdict) {
 	if len(path) == 0 {
 		return root, verdict{ok: true}
 	}
-	child, removed, _ := root.resolvePath(path)
+	child, removed, _ := root.resolvePath(path, true)
 	if removed {
 		return nil, verdict{cause: &cause{kind: causePathRemoved, path: path}}
 	}

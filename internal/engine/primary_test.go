@@ -66,9 +66,9 @@ func newPCEnv(t *testing.T) *pcEnv {
 	tup := e.objs["tup"]
 	s.applyTupleSet(&txnState{vt: vtime.VT{Time: 2, Site: 1}}, tup,
 		wire.OpTupleSet{Key: "a", Child: wire.ChildDecl{Kind: KindInt, Value: int64(0)}}, history.Committed)
-	_, ent := tup.findEntry("a")
-	e.objs["child"] = ent.child
-	e.objs["ghost"] = &object{kind: KindInt, site: s, parent: ent.child,
+	child := tup.liveChild("a")
+	e.objs["child"] = child
+	e.objs["ghost"] = &object{kind: KindInt, site: s, parent: child,
 		parentLink: wire.PathElem{IsKey: true, Key: "z", Tag: wire.ElemTag{VT: vtime.VT{Time: 3, Site: 1}}}}
 	return e
 }
@@ -293,8 +293,8 @@ func TestPrimaryCheckSites(t *testing.T) {
 		}, want: [8]string{"ok", "ok", "ok", "ok", "ok", "P", "P", "ok"}},
 		{name: "removed-path", target: "child", plant: func(e *pcEnv, o *object) {
 			tup, at := e.objs["tup"], vtime.VT{Time: 3, Site: 1}
-			_, ent := tup.findEntry("a")
-			ent.removals = append(ent.removals, at)
+			c := tup.liveChild("a")
+			c.removals = append(c.removals, at)
 			if err := tup.hist.Insert(at, nil, history.Committed); err != nil {
 				t.Fatal(err)
 			}

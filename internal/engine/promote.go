@@ -113,7 +113,7 @@ func (s *Site) queryCounterparts(child *object, g, keep *repgraph.Graph, h *Hand
 func (s *Site) handlePromoteQuery(m wire.PromoteQuery) {
 	reply := wire.PromoteReply{ReqID: m.ReqID, From: s.id}
 	if root, ok := s.objects[m.Target]; ok {
-		if child, blocked := root.resolvePathForApply(m.Path); !blocked && child != nil {
+		if child, _, blocked := root.resolvePath(m.Path, false); !blocked && child != nil {
 			reply.OK = true
 			reply.Child = child.id
 		}

@@ -30,8 +30,8 @@ func buildSharedTree(t *testing.T, h *harness) (tup map[int]ObjRef, child map[in
 		h.eventually(2*time.Second, "child materialized", func() bool {
 			var ok bool
 			_ = h.site(i).call(func() {
-				if _, ent := tup[i].o.findEntry("b"); ent != nil {
-					child[i] = ObjRef{o: ent.child}
+				if c := tup[i].o.liveChild("b"); c != nil {
+					child[i] = ObjRef{o: c}
 					ok = true
 				}
 			})

@@ -299,25 +299,7 @@ func (tx *Tx) recordRead(obj *object) history.Version {
 // transactions that embedded obj's ancestors.
 func (tx *Tx) recordPathDeps(obj *object) {
 	for cur := obj; cur.parent != nil; cur = cur.parent {
-		parent := cur.parent
-		var insertVT vtime.VT
-		if cur.parentLink.IsKey {
-			for i := range parent.entries {
-				if parent.entries[i].child == cur {
-					insertVT = parent.entries[i].insertVT
-				}
-			}
-		} else {
-			if _, le := parent.findChildByTag(cur.parentLink.Tag); le != nil {
-				insertVT = le.insertVT
-			}
-		}
-		if insertVT.IsZero() {
-			continue
-		}
-		if v, ok := parent.hist.Get(insertVT); ok && v.Status == history.Pending && insertVT != tx.st.vt {
-			tx.st.rcDeps[insertVT] = true
-		}
+		tx.dependOnInsert(cur)
 	}
 }
 

@@ -218,8 +218,8 @@ func TestWALReplayKeepsTuplePin(t *testing.T) {
 		var out [2]any
 		_ = s.call(func() {
 			for i, vt := range []vtime.VT{e1, e2} {
-				if _, ent := tup.o.findEntryAt("k", vt); ent != nil {
-					v, _ := ent.child.hist.CurrentCommitted()
+				if _, c := tup.o.findChild(keyLink("k", vt)); c != nil {
+					v, _ := c.hist.CurrentCommitted()
 					out[i] = v.Value
 				}
 			}

@@ -129,7 +129,7 @@ func TestAckOneWayFlowDrains(t *testing.T) {
 	}
 
 	sa, sb := a.Stats(), b.Stats()
-	if sb.Reconnects != 0 || sb.Retransmits != 0 || sb.SendQueueDrops != 0 || sb.FailureEvents != 0 {
+	if sb.Reconnects != 0 || sb.Retransmits != 0 || sb.Abandoned != 0 || sb.Unencodable != 0 || sb.FailureEvents != 0 {
 		t.Errorf("sender: a one-way flow disturbed the link: %+v", sb)
 	}
 	if sa.AckFrames == 0 {
