@@ -214,14 +214,15 @@ func ListenTCP(site SiteID, addr string, peers map[SiteID]string) (*transport.TC
 }
 
 // TCPOptions tunes a TCP endpoint: retransmit window and batch sizes,
-// the suspicion policy governing reconnect backoff and failure
-// escalation, keepalive probing, and fault injection. Queues are
-// unbounded: nothing a live peer accepted is dropped. See
-// transport.TCPOptions.
+// the suspicion policy governing failure escalation, keepalive probing,
+// and fault injection. Reconnect backoff (25ms doubling to 400ms) and
+// the 10s bound on one frame flush are fixed. Queues are unbounded:
+// nothing a live peer accepted is dropped. See transport.TCPOptions.
 type TCPOptions = transport.TCPOptions
 
 // SuspicionPolicy controls when connection trouble with a peer escalates
-// into a fail-stop verdict. See transport.SuspicionPolicy.
+// into a fail-stop verdict: a dial-attempt budget and a downtime window.
+// See transport.SuspicionPolicy.
 type SuspicionPolicy = transport.SuspicionPolicy
 
 // Faults injects network faults (refused dials, killed connections,

@@ -1,8 +1,8 @@
 package engine
 
 import (
-	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"decaf/internal/history"
@@ -399,10 +399,11 @@ func (s *Site) handleJoinRequest(from vtime.SiteID, m wire.JoinRequest) {
 	})
 }
 
-// snapshotValue captures b's current value for shipment to the joiner.
+// snapshotValue captures b's current value for shipment to the joiner:
+// a composite's state image, or a scalar's or association's value.
 func snapshotValue(b *object) any {
 	if b.isComposite() {
-		return compositeSnapshot(b)
+		return captureImage(b, false)
 	}
 	cur, ok := b.hist.Current()
 	if !ok {
@@ -411,29 +412,88 @@ func snapshotValue(b *object) any {
 	return cur.Value
 }
 
-// compositeSnapshot serializes a composite's live structure.
-func compositeSnapshot(b *object) wire.CompositeSnapshot {
-	snap := wire.CompositeSnapshot{Kind: b.kind}
-	for _, c := range b.visibleChildren(b.latestVT(), false) {
-		snap.Elems = append(snap.Elems, snapshotElem(c))
+// captureImage returns comp's state image: every child slot, removed ones
+// included (an insert may anchor on a removed element), with its insert
+// VT, removals, kind, latest scalar value and its own slots. committed
+// selects the cut read: the committed state, leaving out uncommitted
+// inserts, removals and values (a checkpoint), or the current state (a
+// join reply).
+func captureImage(comp *object, committed bool) []wire.ChildImage {
+	var img []wire.ChildImage
+	for _, c := range comp.children {
+		if committed && !comp.isCommitted(c.insertVT) {
+			continue
+		}
+		ci := wire.ChildImage{Slot: c.parentLink, InsertVT: c.insertVT, Kind: c.kind}
+		for _, r := range c.removals {
+			if !committed || comp.isCommitted(r) {
+				ci.Removals = append(ci.Removals, r)
+			}
+		}
+		if c.isComposite() {
+			ci.Children = captureImage(c, committed)
+		} else {
+			cur, _ := c.hist.Current()
+			if committed {
+				cur, _ = c.hist.CurrentCommitted()
+			}
+			ci.Value, ci.ValueVT = cur.Value, cur.VT
+		}
+		img = append(img, ci)
 	}
-	return snap
+	return img
 }
 
-// snapshotElem ships one child under its slot name: a list element's
-// tag, or a tuple key whose tag carries the slot's original insert VT so
-// pinned paths resolve at the new replica.
-func snapshotElem(child *object) wire.SnapshotElem {
-	el := wire.SnapshotElem{Tag: child.parentLink.Tag, Key: child.parentLink.Key}
-	if child.isComposite() {
-		nested := compositeSnapshot(child)
-		el.Child = wire.ChildDecl{Kind: child.kind}
-		el.Nested = &nested
-		return el
+// installImage builds img's slots under comp. A scalar child takes the
+// image's value as committed at its VT, as in the history it was
+// captured from. Under a transaction (a join: at the joiner, and at the
+// joiner's other replicas through the join's value write) st embeds
+// every slot: its insert VT is raised to st.vt, so the copy is visible,
+// commits and aborts with the join, and undo takes it out. The join
+// copies B's value over A's, as it would a scalar's, so A's own slots
+// are removed by st, except a slot the image also names (A rejoining
+// structure it shared), which stays as A has it. With st nil the image
+// is committed state (Restore, Recover) for a fresh comp: slots keep
+// their insert VTs, and each insert and removal becomes a committed
+// version of comp, as it was in the captured history.
+func (s *Site) installImage(st *txnState, comp *object, img []wire.ChildImage, status history.Status) {
+	op := wire.OpSet{Value: img}
+	own := comp.children
+	if st != nil {
+		if _, ok := comp.hist.Get(st.vt); ok {
+			return // a duplicate delivery: installed already
+		}
+		for _, c := range own {
+			if !slices.ContainsFunc(img, func(ci wire.ChildImage) bool { return ci.Slot == c.parentLink }) {
+				s.applyRemove(st, comp, c.parentLink, op, status)
+			}
+		}
 	}
-	cur, _ := child.hist.Current()
-	el.Child = wire.ChildDecl{Kind: child.kind, Value: cur.Value}
-	return el
+	for _, ci := range img {
+		if slices.ContainsFunc(own, func(c *object) bool { return c.parentLink == ci.Slot }) {
+			continue
+		}
+		insertVT := ci.InsertVT
+		if st != nil {
+			insertVT = insertVT.Max(st.vt)
+		}
+		child := s.newChildObject(comp, ci.Slot, insertVT, wire.ChildDecl{Kind: ci.Kind, Value: ci.Value})
+		child.removals = slices.Clone(ci.Removals)
+		if !ci.ValueVT.IsZero() {
+			_ = child.hist.Insert(ci.ValueVT, ci.Value, history.Committed)
+		}
+		if st != nil {
+			s.embedChild(st, comp, child, len(comp.children), op, status)
+		} else {
+			comp.children = append(comp.children, child)
+			for _, vt := range append([]vtime.VT{insertVT}, ci.Removals...) {
+				if _, ok := comp.hist.Get(vt); !ok {
+					_ = comp.hist.Insert(vt, []wire.Op(nil), history.Committed)
+				}
+			}
+		}
+		s.installImage(st, child, ci.Children, status)
+	}
 }
 
 // handleJoinReply completes the join at the joining site.
@@ -463,11 +523,12 @@ func (s *Site) handleJoinReply(m wire.JoinReply) {
 	local := js.local
 	gA, gAVT := local.graph, local.graphVT
 	graphOp := wire.OpGraph{Graph: m.GraphB}
+	valueOp := valueOpFor(m.BValue)
 	s.applyOp(st, local, nil, graphOp, history.Pending)
-	s.applyJoinedValue(st, local, m.BValue)
+	s.applyOp(st, local, nil, valueOp, history.Pending)
 	st.writes = append(st.writes,
 		&writeRec{obj: local, readVT: gAVT, graphVT: gAVT, ops: []wire.Op{graphOp}, targetGraph: gA},
-		&writeRec{obj: local, readVT: st.vt, graphVT: gAVT, ops: []wire.Op{valueOpFor(m.BValue)}, targetGraph: gA})
+		&writeRec{obj: local, readVT: st.vt, graphVT: gAVT, ops: []wire.Op{valueOp}, targetGraph: gA})
 
 	// Every member of the merged graph is involved in the outcome.
 	for _, site := range repgraph.FromWire(m.GraphB).Sites() {
@@ -496,57 +557,14 @@ func (s *Site) handleJoinReply(m wire.JoinReply) {
 	s.checkTxnComplete(st)
 }
 
-// applyJoinedValue installs B's shipped value into the local replica.
-func (s *Site) applyJoinedValue(st *txnState, local *object, value any) {
-	switch v := value.(type) {
-	case wire.CompositeSnapshot:
-		s.applySnapshot(st, local, v)
-	case []wire.Relationship:
-		s.applyOp(st, local, nil, wire.OpAssoc{Relationships: v}, history.Pending)
-	default:
-		s.applyOp(st, local, nil, wire.OpSet{Value: v}, history.Pending)
-	}
-}
-
-// valueOpFor wraps a joined value in the right op for further propagation.
+// valueOpFor wraps a joined value in the op that installs it, at the
+// joiner and at its other replicas: OpAssoc for an association, else
+// OpSet (whose applier installs a composite's state image).
 func valueOpFor(value any) wire.Op {
 	if rels, ok := value.([]wire.Relationship); ok {
 		return wire.OpAssoc{Relationships: rels}
 	}
 	return wire.OpSet{Value: value}
-}
-
-// applySnapshot reconstructs a composite's structure from a shipped
-// snapshot, reusing the original element tags so paths stay global.
-func (s *Site) applySnapshot(st *txnState, comp *object, snap wire.CompositeSnapshot) {
-	for _, el := range snap.Elems {
-		var op wire.Op
-		link := wire.PathElem{Tag: el.Tag}
-		switch comp.kind {
-		case KindList:
-			op = wire.OpListInsert{Tag: el.Tag, Child: el.Child, After: lastTag(comp)}
-		case KindTuple:
-			op = wire.OpTupleSet{Key: el.Key, Child: el.Child, At: el.Tag.VT}
-			// An unpinned set takes this transaction's VT.
-			link = keyLink(el.Key, cmp.Or(el.Tag.VT, st.vt))
-		default:
-			continue
-		}
-		s.applyOp(st, comp, nil, op, history.Pending)
-		if _, child := comp.findChild(link); child != nil && el.Nested != nil {
-			s.applySnapshot(st, child, *el.Nested)
-		}
-	}
-}
-
-// lastTag returns the tag of the last live element of a list (zero for an
-// empty list).
-func lastTag(lst *object) wire.ElemTag {
-	vis := lst.visibleChildren(lst.latestVT(), false)
-	if len(vis) == 0 {
-		return wire.ElemTag{}
-	}
-	return vis[len(vis)-1].parentLink.Tag
 }
 
 // abortJoin fails an in-flight join after a JoinReply no retry can fix (an

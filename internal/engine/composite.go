@@ -297,7 +297,7 @@ func (tx *Tx) TupleRemove(ref ObjRef, key string) error {
 	w := tx.ensureCompositeWrite(t)
 	// Of pins the exact slot being removed so a concurrent re-set of
 	// the key at another site is not clobbered (add-wins).
-	op := wire.OpTupleRemove{Key: key, Of: c.insertVT}
+	op := wire.OpTupleRemove{Key: key, Of: c.parentLink.Tag.VT}
 	w.ops = append(w.ops, op)
 	tx.applyLocalOp(t, op)
 	return nil

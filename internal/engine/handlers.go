@@ -319,6 +319,13 @@ func (s *Site) applyOpRead(st *txnState, target *object, path wire.Path, op wire
 	vt := st.vt
 	switch o := op.(type) {
 	case wire.OpSet:
+		if obj.isComposite() {
+			// A composite's value is its structure: the value a join
+			// copies into it is a state image.
+			img, _ := o.Value.([]wire.ChildImage)
+			s.installImage(st, obj, img, status)
+			break
+		}
 		if err := obj.hist.InsertRead(vt, o.Value, status, readVT); err != nil {
 			s.log.Debug("duplicate update ignored", "obj", obj.id.String(), "vt", vt.String())
 			return true
@@ -453,26 +460,20 @@ func tagLess(a, b wire.ElemTag) bool {
 }
 
 // applyTupleSet embeds a child under a key. Concurrent sets of the same
-// key coexist as separate slots; visibility picks the greatest insert
-// VT, so every replica converges on the same winner regardless of
-// arrival order (add-wins).
+// key coexist as separate slots; visibility picks the greatest pin, so
+// every replica converges on the same winner regardless of arrival order
+// (add-wins).
 func (s *Site) applyTupleSet(st *txnState, tup *object, o wire.OpTupleSet, status history.Status) {
 	if tup.kind != KindTuple {
 		s.log.Warn("tuple set on non-tuple", "obj", tup.id.String())
 		return
 	}
-	// At pins the slot identity when a join ships existing structure;
-	// otherwise the inserting transaction's VT is the identity.
-	insertVT := st.vt
-	if !o.At.IsZero() {
-		insertVT = o.At
-	}
-	link := keyLink(o.Key, insertVT)
+	link := keyLink(o.Key, st.vt)
 	// Idempotence: a duplicate delivery inserted this slot already.
 	if i, _ := tup.findChild(link); i >= 0 {
 		return
 	}
-	child := s.newChildObject(tup, link, insertVT, o.Child)
+	child := s.newChildObject(tup, link, st.vt, o.Child)
 	s.embedChild(st, tup, child, len(tup.children), o, status)
 }
 

@@ -50,17 +50,19 @@ func DescribeCheckpoint(r io.Reader) (string, error) {
 	return b.String(), nil
 }
 
-func describeChildren(b *strings.Builder, children []wire.CheckpointChild, indent string) {
-	for _, cc := range children {
-		label := cc.Key
-		if label == "" {
-			label = cc.Tag.String()
+// describeChildren renders a state image one slot per line, removed
+// slots marked with their removals.
+func describeChildren(b *strings.Builder, img []wire.ChildImage, indent string) {
+	for _, ci := range img {
+		fmt.Fprintf(b, "%s%s %s", indent, ci.Slot, ci.Kind)
+		if ci.Value != nil {
+			fmt.Fprintf(b, " = %v", ci.Value)
 		}
-		fmt.Fprintf(b, "%s[%s] %s", indent, label, cc.Kind)
-		if cc.Value != nil {
-			fmt.Fprintf(b, " = %v", cc.Value)
+		fmt.Fprintf(b, " (embedded at %s", ci.InsertVT)
+		if len(ci.Removals) > 0 {
+			fmt.Fprintf(b, ", removed at %v", ci.Removals)
 		}
-		fmt.Fprintf(b, " (embedded at %s)\n", cc.InsertVT)
-		describeChildren(b, cc.Children, indent+"  ")
+		b.WriteString(")\n")
+		describeChildren(b, ci.Children, indent+"  ")
 	}
 }

@@ -16,11 +16,18 @@ func TestDescribeCheckpoint(t *testing.T) {
 		t.Fatal("write failed")
 	}
 	lst, _ := h.site(1).CreateObject(KindList, "log", nil)
-	if res := h.site(1).Submit(&Txn{Execute: func(tx *Tx) error {
-		_, err := tx.ListAppend(lst, wire.ChildDecl{Kind: KindString, Value: "entry"})
-		return err
-	}}).Wait(); !res.Committed {
-		t.Fatal("append failed")
+	var added Result
+	for _, v := range []string{"entry", "dropped"} {
+		if added = h.site(1).Submit(&Txn{Execute: func(tx *Tx) error {
+			_, err := tx.ListAppend(lst, wire.ChildDecl{Kind: KindString, Value: v})
+			return err
+		}}).Wait(); !added.Committed {
+			t.Fatal("append failed")
+		}
+	}
+	remove := h.site(1).Submit(&Txn{Execute: func(tx *Tx) error { return tx.ListRemove(lst, 1) }}).Wait()
+	if !remove.Committed {
+		t.Fatal("remove failed")
 	}
 
 	var buf bytes.Buffer
@@ -31,7 +38,8 @@ func TestDescribeCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"checkpoint of site s1", "balance", "42", "replicas [s1 s2]", "log", "entry"} {
+	for _, want := range []string{"checkpoint of site s1", "balance", "42", "replicas [s1 s2]", "log", "entry",
+		"= dropped (embedded at " + added.VT.String() + ", removed at [" + remove.VT.String() + "])"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("description missing %q:\n%s", want, out)
 		}

@@ -78,7 +78,8 @@ type object struct {
 	// the transactions that removed it (several sites may remove the
 	// same child concurrently; aborted removals are withdrawn by undo).
 	// Removed children stay as tombstones so that concurrent operations
-	// converge to the same structure at every replica.
+	// converge to the same structure at every replica; a state image
+	// carries them too (installImage).
 	parent     *object
 	parentLink wire.PathElem
 	insertVT   vtime.VT
@@ -263,30 +264,39 @@ func (o *object) findChild(link wire.PathElem) (int, *object) {
 	return -1, nil
 }
 
+// isCommitted reports whether the structural change the transaction at
+// vt made to the composite o is committed. A change with no version in
+// o's history counts as committed: its version was garbage-collected,
+// which pending versions block, or a join copied the change from another
+// replica's state image, which records no version for it (installImage).
+func (o *object) isCommitted(vt vtime.VT) bool {
+	v, ok := o.hist.Get(vt)
+	return !ok || v.Status == history.Committed
+}
+
 // removedAt reports whether any of the child o's removals at or below
 // `at` applies (for committedOnly, only removals whose transaction
 // committed count; otherwise every present removal counts — aborted ones
-// are withdrawn by undo). A removal whose version in the parent's history
-// was garbage-collected is by construction committed: pending versions
-// block GC and aborted removals are deleted from the slice.
+// are withdrawn by undo).
 func (o *object) removedAt(at vtime.VT, committedOnly bool) bool {
 	for _, r := range o.removals {
-		if !r.LessEq(at) {
-			continue
+		if r.LessEq(at) && (!committedOnly || o.parent.isCommitted(r)) {
+			return true
 		}
-		if committedOnly {
-			if v, ok := o.parent.hist.Get(r); ok && v.Status != history.Committed {
-				continue // still pending
-			}
-		}
-		return true
 	}
 	return false
 }
 
+// supersedes reports whether tuple slot c wins its key over slot b:
+// the greater pin, which is the setting transaction's VT, wins, so
+// concurrent sets resolve alike everywhere. The pin, not the insert VT,
+// decides because a join's install raises insert VTs (installImage).
+func supersedes(c, b *object) bool {
+	return b.parentLink.Tag.VT.Less(c.parentLink.Tag.VT)
+}
+
 // liveChild returns the tuple's live child under key: among non-removed
-// slots, the one with the greatest insert VT (the deterministic winner of
-// concurrent sets).
+// slots, the one that supersedes the others.
 func (o *object) liveChild(key string) *object {
 	at := o.latestVT()
 	var best *object
@@ -294,7 +304,7 @@ func (o *object) liveChild(key string) *object {
 		if c.parentLink.Key != key || c.removedAt(at, false) {
 			continue
 		}
-		if best == nil || best.insertVT.Less(c.insertVT) {
+		if best == nil || supersedes(c, best) {
 			best = c
 		}
 	}
@@ -334,19 +344,14 @@ func (o *object) resolvePath(p wire.Path, deny bool) (child *object, removed boo
 }
 
 // visibleChildren returns the live (non-tombstoned) children in slot
-// order; for a tuple, per key only the live slot with the greatest insert
-// VT. When committedOnly is set, children whose insert is not yet
+// order; for a tuple, per key only the live slot that supersedes the
+// others. When committedOnly is set, children whose insert is not yet
 // committed are excluded and only committed removals hide a child.
 func (o *object) visibleChildren(at vtime.VT, committedOnly bool) []*object {
 	var out []*object
 	for _, c := range o.children {
-		if !c.insertVT.LessEq(at) {
+		if !c.insertVT.LessEq(at) || committedOnly && !o.isCommitted(c.insertVT) {
 			continue
-		}
-		if committedOnly {
-			if v, ok := o.hist.Get(c.insertVT); ok && v.Status != history.Committed {
-				continue
-			}
 		}
 		if c.removedAt(at, committedOnly) {
 			continue
@@ -356,7 +361,7 @@ func (o *object) visibleChildren(at vtime.VT, committedOnly bool) []*object {
 	if o.kind == KindTuple {
 		best := make(map[string]*object, len(out))
 		for _, c := range out {
-			if b, ok := best[c.parentLink.Key]; !ok || b.insertVT.Less(c.insertVT) {
+			if b, ok := best[c.parentLink.Key]; !ok || supersedes(c, b) {
 				best[c.parentLink.Key] = c
 			}
 		}

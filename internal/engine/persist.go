@@ -14,10 +14,11 @@ import (
 // store and recovery ... into the algorithms of DECAF").
 //
 // Checkpoint serializes a site's committed state: every top-level model
-// object with its latest committed value (composites recursively, keeping
-// their VT element tags so cross-site paths stay valid), its replication
-// graph, and the site's clock and sequence counters. Restore loads a
-// checkpoint into a fresh site with the same site ID.
+// object with its latest committed value (a composite as its committed
+// state image, tombstones and VT element tags included, so cross-site
+// paths and inserts anchored on removed elements stay valid), its
+// replication graph, and the site's clock and sequence counters. Restore
+// loads a checkpoint into a fresh site with the same site ID.
 //
 // Format: the internal/wire checkpoint codec (deterministic bytes behind
 // a magic + version prefix; anything else is rejected with an error).
@@ -98,36 +99,16 @@ func (s *Site) buildCheckpoint() wire.Checkpoint {
 // checkpointObject captures one top-level object.
 func (s *Site) checkpointObject(o *object) wire.CheckpointObject {
 	oc := wire.CheckpointObject{ID: o.id, Kind: o.kind, Desc: o.desc}
-	if v, ok := o.hist.CurrentCommitted(); ok && !o.isComposite() {
+	if o.isComposite() {
+		oc.Children = captureImage(o, true)
+	} else if v, ok := o.hist.CurrentCommitted(); ok {
 		oc.Value, oc.ValueVT = v.Value, v.VT
 	}
 	if o.graph != nil {
 		oc.Graph = o.graph.ToWire()
 		oc.GraphVT = o.graphVT
 	}
-	if o.isComposite() {
-		oc.Children = checkpointChildren(o)
-	}
 	return oc
-}
-
-// checkpointChildren captures a composite's live committed structure.
-func checkpointChildren(o *object) []wire.CheckpointChild {
-	var out []wire.CheckpointChild
-	for _, c := range o.visibleChildren(o.latestCommittedVT(), true) {
-		cc := wire.CheckpointChild{Key: c.parentLink.Key, InsertVT: c.insertVT, Kind: c.kind}
-		if !c.parentLink.IsKey {
-			cc.Tag = c.parentLink.Tag // a tuple child's pin travels as InsertVT
-		}
-		if v, ok := c.hist.CurrentCommitted(); ok && !c.isComposite() {
-			cc.Value, cc.ValueVT = v.Value, v.VT
-		}
-		if c.isComposite() {
-			cc.Children = checkpointChildren(c)
-		}
-		out = append(out, cc)
-	}
-	return out
 }
 
 // Restore loads a checkpoint into this (fresh, same-ID) site.
@@ -203,32 +184,7 @@ func (s *Site) restoreObject(oc wire.CheckpointObject) {
 		panic(fmt.Sprintf("engine: restore graph insert: %v", err))
 	}
 	s.objects[o.id] = o
-	s.restoreChildren(o, oc.Children)
-}
-
-// restoreChildren rebuilds composite structure with the original tags.
-func (s *Site) restoreChildren(parent *object, children []wire.CheckpointChild) {
-	for _, cc := range children {
-		// The parent's kind, not the key, tells the slot kinds apart:
-		// the empty string is a valid tuple key.
-		link := wire.PathElem{Tag: cc.Tag}
-		if parent.kind == KindTuple {
-			link = keyLink(cc.Key, cc.InsertVT)
-		}
-		decl := wire.ChildDecl{Kind: cc.Kind, Value: cc.Value}
-		child := s.newChildObject(parent, link, cc.InsertVT, decl)
-		if !cc.ValueVT.IsZero() && !child.isComposite() {
-			_ = child.hist.Insert(cc.ValueVT, cc.Value, history.Committed)
-		}
-		parent.children = append(parent.children, child)
-		// Structural facts are part of the composite's committed history.
-		if !cc.InsertVT.IsZero() {
-			if _, ok := parent.hist.Get(cc.InsertVT); !ok {
-				_ = parent.hist.Insert(cc.InsertVT, []wire.Op(nil), history.Committed)
-			}
-		}
-		s.restoreChildren(child, cc.Children)
-	}
+	s.installImage(nil, o, oc.Children, history.Committed)
 }
 
 // Objects returns the refs of all top-level objects, for post-restore

@@ -88,9 +88,19 @@ const defaultRetainLimit = 32768
 // dialTimeout bounds a single connection attempt.
 const dialTimeout = 10 * time.Second
 
-// defaultWriteTimeout bounds one frame flush; a peer that accepted the
+// writeTimeout bounds one frame flush; a peer that accepted the
 // connection but stopped reading looks like a broken link after this.
-const defaultWriteTimeout = 10 * time.Second
+// The socket deadline is re-armed only when less than half of it
+// remains, so a wedged flush fails after between writeTimeout/2 and
+// writeTimeout.
+const writeTimeout = 10 * time.Second
+
+// Reconnect backoff: the first redial waits about backoffBase, each
+// later one twice the last, up to backoffMax (backoff).
+const (
+	backoffBase = 25 * time.Millisecond
+	backoffMax  = 400 * time.Millisecond
+)
 
 // Frame payload kinds.
 const (
@@ -101,9 +111,10 @@ const (
 
 // SuspicionPolicy controls when a run of connection trouble with a peer
 // escalates into an EventSiteFailed (the paper's §3.4 fail-stop verdict).
-// Until then the writer keeps redialing with exponential backoff and the
-// peer's accepted envelopes stay queued. For every field, zero selects
-// the default and a negative value disables that bound.
+// Until then the writer keeps redialing with exponential backoff
+// (backoff) and the peer's accepted envelopes stay queued. For every
+// field, zero selects the default and a negative value disables that
+// bound.
 type SuspicionPolicy struct {
 	// MaxAttempts is the dial-attempt budget per outage: after this many
 	// consecutive failed dials the peer is declared failed (default 6;
@@ -114,10 +125,6 @@ type SuspicionPolicy struct {
 	// Window is the maximum continuous downtime before the peer is
 	// declared failed (default 1s; negative: unlimited).
 	Window time.Duration
-	// BaseDelay is the first reconnect backoff (default 25ms).
-	BaseDelay time.Duration
-	// MaxDelay caps the exponential backoff (default 400ms).
-	MaxDelay time.Duration
 }
 
 func (p SuspicionPolicy) withDefaults() SuspicionPolicy {
@@ -127,27 +134,19 @@ func (p SuspicionPolicy) withDefaults() SuspicionPolicy {
 	if p.Window == 0 {
 		p.Window = time.Second
 	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 25 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 400 * time.Millisecond
-	}
 	return p
 }
 
 // backoff returns the jittered delay before dial attempt attempt+1.
-func (p SuspicionPolicy) backoff(attempt int) time.Duration {
-	d := p.BaseDelay
+func backoff(attempt int) time.Duration {
+	d := backoffBase
 	for i := 1; i < attempt; i++ {
 		d *= 2
-		if d >= p.MaxDelay {
+		if d >= backoffMax {
 			break
 		}
 	}
-	if d > p.MaxDelay {
-		d = p.MaxDelay
-	}
+	d = min(d, backoffMax)
 	// Uniform jitter in [d/2, d] decorrelates reconnect storms.
 	if half := d / 2; half > 0 {
 		d = half + time.Duration(rand.Int63n(int64(half)+1))
@@ -182,11 +181,6 @@ type TCPOptions struct {
 	// AckTimeout/8 (125ms when the stale check is disabled), so both ends
 	// of a connection should agree on it.
 	AckTimeout time.Duration
-	// WriteTimeout bounds one frame flush (default 10s; negative: none).
-	// The socket deadline is re-armed only when less than half of it
-	// remains, so a wedged flush fails after between WriteTimeout/2 and
-	// WriteTimeout.
-	WriteTimeout time.Duration
 	// Faults, when non-nil, injects faults for tests and benchmarks:
 	// refused dials, killed connections, dropped or delayed frames.
 	Faults *Faults
@@ -208,9 +202,6 @@ func (o TCPOptions) withDefaults() TCPOptions {
 		o.RetainLimit = o.MaxBatch
 	}
 	o.Suspicion = o.Suspicion.withDefaults()
-	if o.WriteTimeout == 0 {
-		o.WriteTimeout = defaultWriteTimeout
-	}
 	if o.AckTimeout == 0 {
 		o.AckTimeout = time.Second
 	}
@@ -1115,7 +1106,7 @@ func (p *tcpPeer) establish() (net.Conn, bool) {
 				return nil, false
 			}
 		}
-		delay := pol.backoff(attempt)
+		delay := backoff(attempt)
 		if pol.Window >= 0 {
 			remain := pol.Window - time.Since(downSince)
 			if remain <= 0 {
@@ -1301,17 +1292,15 @@ func (p *tcpPeer) writeLoop() {
 
 	// flush pushes the buffered frames to the socket. The write deadline
 	// is re-armed only when less than half of it remains, so a wedged
-	// flush still fails within WriteTimeout without a deadline update per
+	// flush still fails within writeTimeout without a deadline update per
 	// flush.
 	flush := func() bool {
 		if bw.Buffered() == 0 {
 			return true // an injected drop took the only frame
 		}
-		if opts.WriteTimeout > 0 {
-			if now := time.Now(); deadline.Sub(now) < opts.WriteTimeout/2 {
-				deadline = now.Add(opts.WriteTimeout)
-				conn.SetWriteDeadline(deadline)
-			}
+		if now := time.Now(); deadline.Sub(now) < writeTimeout/2 {
+			deadline = now.Add(writeTimeout)
+			conn.SetWriteDeadline(deadline)
 		}
 		t.stats.flushes.Add(1)
 		return bw.Flush() == nil

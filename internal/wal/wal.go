@@ -82,8 +82,11 @@ const (
 	maxRecordBytes      = 1 << 26 // sanity bound on a single record
 )
 
-// segMagic begins every segment file: "DCAFWAL" + format version 1.
-var segMagic = [headerSize]byte{'D', 'C', 'A', 'F', 'W', 'A', 'L', 1}
+// segMagic begins every segment file: "DCAFWAL" + format version 2.
+// The version covers the records' wire-encoded payloads too, so a log
+// written with another payload encoding fails to open instead of being
+// misread (version 2: composite values as state images).
+var segMagic = [headerSize]byte{'D', 'C', 'A', 'F', 'W', 'A', 'L', 2}
 
 type segment struct {
 	index   uint64 // from the file name

@@ -88,6 +88,38 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOlderSegmentVersionRefused opens a log whose segment carries the
+// previous format version: it must fail with an error, since its records'
+// payloads use wire encodings that changed.
+func TestOlderSegmentVersionRefused(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range testRecords(3) {
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, segName(1))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[headerSize-1] = 1
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if l2, err := Open(dir, Options{}); err == nil {
+		l2.Close()
+		t.Fatal("a version-1 segment opened")
+	}
+}
+
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments force rotation every couple of records.

@@ -12,10 +12,13 @@ import (
 // Checkpoint codec (paper §5.3, DESIGN.md §13): the hand codec behind a
 // magic + version prefix. The magic starts with 0x00, which no gob stream
 // can (gob's leading message-length uvarint is nonzero), so a version-1
-// checkpoint, which was a gob stream, fails the magic check with an error.
+// checkpoint, which was a gob stream, fails the magic check with an error,
+// and so does a checkpoint of any other version, by its version byte.
 
 // CheckpointVersion is the current on-disk checkpoint format version.
-const CheckpointVersion = 2
+// Version 3 stores a composite as its state image ([]ChildImage),
+// removed slots included.
+const CheckpointVersion = 3
 
 // checkpointMagic prefixes a checkpoint: 0x00, "DCAFCP", then the format
 // version byte.
@@ -45,19 +48,8 @@ type CheckpointObject struct {
 	ValueVT vtime.VT
 	Graph   repgraph.Wire
 	GraphVT vtime.VT
-	// Children carries composite structure, recursively.
-	Children []CheckpointChild
-}
-
-// CheckpointChild is one embedded composite child with its identity tags.
-type CheckpointChild struct {
-	Tag      ElemTag // list element tag (zero for tuple entries)
-	Key      string  // tuple key (empty for list elements)
-	InsertVT vtime.VT
-	Kind     ChildKind
-	Value    any
-	ValueVT  vtime.VT
-	Children []CheckpointChild
+	// Children is a composite's committed state image.
+	Children []ChildImage
 }
 
 // AppendCheckpoint encodes cp onto b.
@@ -89,26 +81,7 @@ func appendCheckpointObject(b []byte, oc CheckpointObject) ([]byte, error) {
 	b = appendVT(b, oc.ValueVT)
 	b = appendGraph(b, oc.Graph)
 	b = appendVT(b, oc.GraphVT)
-	return appendCheckpointChildren(b, oc.Children)
-}
-
-func appendCheckpointChildren(b []byte, children []CheckpointChild) ([]byte, error) {
-	var err error
-	b = binary.AppendUvarint(b, uint64(len(children)))
-	for _, cc := range children {
-		b = appendTag(b, cc.Tag)
-		b = appendString(b, cc.Key)
-		b = appendVT(b, cc.InsertVT)
-		b = binary.AppendUvarint(b, uint64(cc.Kind))
-		if b, err = appendValue(b, cc.Value); err != nil {
-			return b, err
-		}
-		b = appendVT(b, cc.ValueVT)
-		if b, err = appendCheckpointChildren(b, cc.Children); err != nil {
-			return b, err
-		}
-	}
-	return b, nil
+	return appendImage(b, oc.Children)
 }
 
 // EncodeCheckpoint is AppendCheckpoint into a fresh buffer.
@@ -116,7 +89,8 @@ func EncodeCheckpoint(cp Checkpoint) ([]byte, error) {
 	return AppendCheckpoint(make([]byte, 0, 1024), cp)
 }
 
-// DecodeCheckpoint decodes a v2 checkpoint from b (the whole buffer).
+// DecodeCheckpoint decodes a checkpoint of the current version from b
+// (the whole buffer).
 func DecodeCheckpoint(b []byte) (Checkpoint, error) {
 	if len(b) < len(checkpointMagic) || [8]byte(b[:8]) != checkpointMagic {
 		return Checkpoint{}, fmt.Errorf("wire: not a v%d checkpoint", CheckpointVersion)
@@ -151,29 +125,6 @@ func (r *reader) checkpointObject() CheckpointObject {
 	oc.ValueVT = r.vt()
 	oc.Graph = r.graph()
 	oc.GraphVT = r.vt()
-	oc.Children = r.checkpointChildren()
+	oc.Children = r.image()
 	return oc
-}
-
-func (r *reader) checkpointChildren() []CheckpointChild {
-	n := r.count()
-	if n == 0 {
-		return nil
-	}
-	out := make([]CheckpointChild, n)
-	for i := range out {
-		out[i] = CheckpointChild{
-			Tag:      r.tag(),
-			Key:      r.string_(),
-			InsertVT: r.vt(),
-			Kind:     ChildKind(r.uvarint()),
-		}
-		out[i].Value = r.value()
-		out[i].ValueVT = r.vt()
-		out[i].Children = r.checkpointChildren()
-		if r.err != nil {
-			return nil
-		}
-	}
-	return out
 }

@@ -12,6 +12,7 @@ import (
 
 func sampleCheckpoint() Checkpoint {
 	vt := vtime.VT{Time: 42, Site: 3}
+	removed := vtime.VT{Time: 43, Site: 1}
 	return Checkpoint{
 		Site:    3,
 		NextSeq: 17,
@@ -32,10 +33,11 @@ func sampleCheckpoint() Checkpoint {
 				ID:   ids.ObjectID{Site: 1, Seq: 2},
 				Kind: KindTuple,
 				Desc: "tup",
-				Children: []CheckpointChild{
-					{Key: "name", InsertVT: vt, Kind: KindString, Value: "x", ValueVT: vt},
-					{Key: "inner", InsertVT: vt, Kind: KindList, Children: []CheckpointChild{
-						{Tag: ElemTag{VT: vt, N: 1}, InsertVT: vt, Kind: KindInt, Value: int64(1), ValueVT: vt},
+				Children: []ChildImage{
+					{Slot: PathElem{IsKey: true, Key: "name", Tag: ElemTag{VT: vt}}, InsertVT: vt, Kind: KindString, Value: "x", ValueVT: vt},
+					{Slot: PathElem{IsKey: true, Key: "inner", Tag: ElemTag{VT: vt}}, InsertVT: vt, Kind: KindList, Children: []ChildImage{
+						{Slot: PathElem{Tag: ElemTag{VT: vt, N: 1}}, InsertVT: vt, Kind: KindInt, Value: int64(1), ValueVT: vt},
+						{Slot: PathElem{Tag: ElemTag{VT: vt, N: 2}}, InsertVT: vt, Removals: []vtime.VT{removed}, Kind: KindInt},
 					}},
 				},
 			},
@@ -76,7 +78,9 @@ func TestCheckpointCodecDeterministic(t *testing.T) {
 // TestCheckpointMagicDisjointFromGob pins why the magic starts with 0x00:
 // a gob stream never does (its leading message-length uvarint is nonzero),
 // so a version-1 checkpoint, which was a gob stream, is rejected with an
-// error rather than misread.
+// error rather than misread. A checkpoint of an older hand-codec version
+// (2: live children only, in a layout of its own) is rejected the same
+// way, by the version byte.
 func TestCheckpointMagicDisjointFromGob(t *testing.T) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(struct{ X int }{1}); err != nil {
@@ -90,6 +94,14 @@ func TestCheckpointMagicDisjointFromGob(t *testing.T) {
 	}
 	if _, err := DecodeCheckpoint(nil); err == nil {
 		t.Fatal("DecodeCheckpoint(nil) should fail")
+	}
+	v2, err := EncodeCheckpoint(sampleCheckpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2[len(checkpointMagic)-1] = 2
+	if _, err := DecodeCheckpoint(v2); err == nil {
+		t.Fatal("version-2 checkpoint decoded")
 	}
 }
 

@@ -89,7 +89,7 @@ const (
 	valString
 	valFalse
 	valTrue
-	valSnapshot
+	valImage
 	valRelationships
 	// 0xFF: retired (gob-encoded value escape); decodes as an unknown tag.
 )
@@ -163,13 +163,17 @@ func appendTag(b []byte, t ElemTag) []byte {
 func appendPath(b []byte, p Path) []byte {
 	b = binary.AppendUvarint(b, uint64(len(p)))
 	for _, e := range p {
-		b = appendBool(b, e.IsKey)
-		if e.IsKey {
-			b = appendString(b, e.Key)
-		}
-		b = appendTag(b, e.Tag)
+		b = appendPathElem(b, e)
 	}
 	return b
+}
+
+func appendPathElem(b []byte, e PathElem) []byte {
+	b = appendBool(b, e.IsKey)
+	if e.IsKey {
+		b = appendString(b, e.Key)
+	}
+	return appendTag(b, e.Tag)
 }
 
 func appendGraph(b []byte, g repgraph.Wire) []byte {
@@ -187,24 +191,23 @@ func appendGraph(b []byte, g repgraph.Wire) []byte {
 	return appendObj(b, g.Anchor)
 }
 
-func appendSnapshot(b []byte, s CompositeSnapshot) ([]byte, error) {
+func appendImage(b []byte, img []ChildImage) ([]byte, error) {
 	var err error
-	b = binary.AppendUvarint(b, uint64(s.Kind))
-	b = appendBool(b, s.IsSorted)
-	b = binary.AppendUvarint(b, uint64(len(s.Elems)))
-	for _, e := range s.Elems {
-		b = appendTag(b, e.Tag)
-		b = appendString(b, e.Key)
-		if b, err = appendChildDecl(b, e.Child); err != nil {
+	b = binary.AppendUvarint(b, uint64(len(img)))
+	for _, c := range img {
+		b = appendPathElem(b, c.Slot)
+		b = appendVT(b, c.InsertVT)
+		b = binary.AppendUvarint(b, uint64(len(c.Removals)))
+		for _, vt := range c.Removals {
+			b = appendVT(b, vt)
+		}
+		b = binary.AppendUvarint(b, uint64(c.Kind))
+		if b, err = appendValue(b, c.Value); err != nil {
 			return b, err
 		}
-		if e.Nested != nil {
-			b = appendBool(b, true)
-			if b, err = appendSnapshot(b, *e.Nested); err != nil {
-				return b, err
-			}
-		} else {
-			b = appendBool(b, false)
+		b = appendVT(b, c.ValueVT)
+		if b, err = appendImage(b, c.Children); err != nil {
+			return b, err
 		}
 	}
 	return b, nil
@@ -245,9 +248,9 @@ func appendValue(b []byte, v any) ([]byte, error) {
 			return append(b, valTrue), nil
 		}
 		return append(b, valFalse), nil
-	case CompositeSnapshot:
-		b = append(b, valSnapshot)
-		return appendSnapshot(b, v)
+	case []ChildImage:
+		b = append(b, valImage)
+		return appendImage(b, v)
 	case []Relationship:
 		b = append(b, valRelationships)
 		return appendRelationships(b, v), nil
@@ -290,12 +293,7 @@ func appendOp(b []byte, op Op) ([]byte, error) {
 	case OpTupleSet:
 		b = append(b, opTagTupleSet)
 		b = appendString(b, op.Key)
-		var err error
-		b, err = appendChildDecl(b, op.Child)
-		if err != nil {
-			return b, err
-		}
-		return appendVT(b, op.At), nil
+		return appendChildDecl(b, op.Child)
 	case OpTupleRemove:
 		b = append(b, opTagTupleRemove)
 		b = appendString(b, op.Key)
@@ -715,17 +713,21 @@ func (r *reader) path() Path {
 	}
 	out := make(Path, n)
 	for i := range out {
-		e := PathElem{IsKey: r.bool_()}
-		if e.IsKey {
-			e.Key = r.string_()
-		}
-		e.Tag = r.tag()
-		if e.IsKey && e.Tag.VT.IsZero() {
-			r.fail(fmt.Errorf("wire: tuple key %q in path carries no insert VT", e.Key))
-		}
-		out[i] = e
+		out[i] = r.pathElem()
 	}
 	return out
+}
+
+func (r *reader) pathElem() PathElem {
+	e := PathElem{IsKey: r.bool_()}
+	if e.IsKey {
+		e.Key = r.string_()
+	}
+	e.Tag = r.tag()
+	if e.IsKey && e.Tag.VT.IsZero() {
+		r.fail(fmt.Errorf("wire: tuple key %q carries no insert VT", e.Key))
+	}
+	return e
 }
 
 func (r *reader) graph() repgraph.Wire {
@@ -748,22 +750,31 @@ func (r *reader) graph() repgraph.Wire {
 	return g
 }
 
-func (r *reader) snapshot() CompositeSnapshot {
-	var s CompositeSnapshot
-	s.Kind = ChildKind(r.uvarint())
-	s.IsSorted = r.bool_()
-	if n := r.count(); n > 0 {
-		s.Elems = make([]SnapshotElem, n)
-		for i := range s.Elems {
-			e := SnapshotElem{Tag: r.tag(), Key: r.string_(), Child: r.childDecl()}
-			if r.bool_() {
-				nested := r.snapshot()
-				e.Nested = &nested
+func (r *reader) image() []ChildImage {
+	n := r.count()
+	if n == 0 {
+		return nil
+	}
+	out := make([]ChildImage, n)
+	for i := range out {
+		c := &out[i]
+		c.Slot = r.pathElem()
+		c.InsertVT = r.vt()
+		if m := r.count(); m > 0 {
+			c.Removals = make([]vtime.VT, m)
+			for j := range c.Removals {
+				c.Removals[j] = r.vt()
 			}
-			s.Elems[i] = e
+		}
+		c.Kind = ChildKind(r.uvarint())
+		c.Value = r.value()
+		c.ValueVT = r.vt()
+		c.Children = r.image()
+		if r.err != nil {
+			return nil
 		}
 	}
-	return s
+	return out
 }
 
 func (r *reader) relationships() []Relationship {
@@ -798,8 +809,8 @@ func (r *reader) value() any {
 		return false
 	case valTrue:
 		return true
-	case valSnapshot:
-		return r.snapshot()
+	case valImage:
+		return r.image()
 	case valRelationships:
 		return r.relationships()
 	default:
@@ -849,7 +860,7 @@ func (r *reader) op() Op {
 	case opTagListRemove:
 		return OpListRemove{Tag: r.tag()}
 	case opTagTupleSet:
-		return OpTupleSet{Key: r.string_(), Child: r.childDecl(), At: r.vt()}
+		return OpTupleSet{Key: r.string_(), Child: r.childDecl()}
 	case opTagTupleRemove:
 		return OpTupleRemove{Key: r.string_(), Of: r.vt()}
 	case opTagGraph:

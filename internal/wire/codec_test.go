@@ -85,15 +85,18 @@ func (g *gen) path() Path {
 	}
 	p := make(Path, n)
 	for i := range p {
-		if g.rng.Intn(2) == 0 {
-			pin := g.vt()
-			pin.Time |= 1 // an entry's insert VT is never zero
-			p[i] = PathElem{IsKey: true, Key: g.str(), Tag: ElemTag{VT: pin}}
-		} else {
-			p[i] = PathElem{Tag: g.tag()}
-		}
+		p[i] = g.pathElem()
 	}
 	return p
+}
+
+func (g *gen) pathElem() PathElem {
+	if g.rng.Intn(2) == 0 {
+		pin := g.vt()
+		pin.Time |= 1 // an entry's insert VT is never zero
+		return PathElem{IsKey: true, Key: g.str(), Tag: ElemTag{VT: pin}}
+	}
+	return PathElem{Tag: g.tag()}
 }
 
 func (g *gen) sites() []vtime.SiteID {
@@ -140,21 +143,22 @@ func (g *gen) childDecl() ChildDecl {
 	return ChildDecl{Kind: ChildKind(1 + g.rng.Intn(7)), Value: g.scalar()}
 }
 
-func (g *gen) snapshot(depth int) CompositeSnapshot {
-	s := CompositeSnapshot{
-		Kind:     ChildKind(1 + g.rng.Intn(7)),
-		IsSorted: g.rng.Intn(2) == 0,
-	}
-	n := g.rng.Intn(4)
-	for i := 0; i < n; i++ {
-		e := SnapshotElem{Tag: g.tag(), Key: g.str(), Child: g.childDecl()}
-		if depth > 0 && g.rng.Intn(3) == 0 {
-			nested := g.snapshot(depth - 1)
-			e.Nested = &nested
+func (g *gen) image(depth int) []ChildImage {
+	var img []ChildImage
+	for n := g.rng.Intn(4); n > 0; n-- {
+		c := ChildImage{
+			Slot: g.pathElem(), InsertVT: g.vt(), Kind: ChildKind(1 + g.rng.Intn(7)),
+			Value: g.scalar(), ValueVT: g.vt(),
 		}
-		s.Elems = append(s.Elems, e)
+		for r := g.rng.Intn(3); r > 0; r-- {
+			c.Removals = append(c.Removals, g.vt())
+		}
+		if depth > 0 && g.rng.Intn(3) == 0 {
+			c.Children = g.image(depth - 1)
+		}
+		img = append(img, c)
 	}
-	return s
+	return img
 }
 
 func (g *gen) relationships() []Relationship {
@@ -173,7 +177,7 @@ func (g *gen) relationships() []Relationship {
 func (g *gen) value() any {
 	switch g.rng.Intn(7) {
 	case 5:
-		return g.snapshot(2)
+		return g.image(2)
 	case 6:
 		return g.relationships()
 	default:
@@ -190,7 +194,7 @@ func (g *gen) op() Op {
 	case 2:
 		return OpListRemove{Tag: g.tag()}
 	case 3:
-		return OpTupleSet{Key: g.str(), Child: g.childDecl(), At: g.vt()}
+		return OpTupleSet{Key: g.str(), Child: g.childDecl()}
 	case 4:
 		return OpTupleRemove{Key: g.str(), Of: g.vt()}
 	case 5:
@@ -407,13 +411,10 @@ func TestBinaryCodecFixedMessages(t *testing.T) {
 		Outcome{TxnVT: vt, Committed: true},
 		JoinRequest{TxnVT: vt, Origin: 2, ReqID: 1, AObj: target, BObj: ids.ObjectID{Site: 1, Seq: 2}, GraphA: sampleGraph()},
 		JoinReply{TxnVT: vt, ReqID: 1, From: 1, OK: true, BValue: "hello", GraphB: sampleGraph(), PendingGraphTxn: vt},
-		JoinReply{TxnVT: vt, ReqID: 2, From: 1, OK: true, BValue: CompositeSnapshot{
-			Kind: KindTuple,
-			Elems: []SnapshotElem{
-				{Key: "k", Child: ChildDecl{Kind: KindInt, Value: int64(3)}},
-				{Key: "nested", Child: ChildDecl{Kind: KindList}, Nested: &CompositeSnapshot{Kind: KindList}},
-			},
-			IsSorted: true,
+		JoinReply{TxnVT: vt, ReqID: 2, From: 1, OK: true, BValue: []ChildImage{
+			{Slot: PathElem{IsKey: true, Key: "k", Tag: ElemTag{VT: vt}}, InsertVT: vt, Kind: KindInt, Value: int64(3), ValueVT: vt},
+			{Slot: PathElem{IsKey: true, Key: "nested", Tag: ElemTag{VT: vt}}, InsertVT: vt, Removals: []vtime.VT{vt}, Kind: KindList,
+				Children: []ChildImage{{Slot: PathElem{Tag: ElemTag{VT: vt, N: 1}}, InsertVT: vt, Kind: KindString, Value: "s"}}},
 		}},
 		PromoteQuery{ReqID: 4, Origin: 2, Target: target, Path: Path{{IsKey: true, Key: "a", Tag: ElemTag{VT: vt}}}},
 		PromoteReply{ReqID: 4, From: 3, OK: true, Child: target},
@@ -456,8 +457,8 @@ func TestBinaryCodecFixedMessages(t *testing.T) {
 // filler sets every exported field reachable from a value to a non-zero
 // value. Each scalar takes the next value of a counter, so a field the
 // codec drops, swaps or duplicates does not round-trip equal. A dynamic
-// value (any) is an int64 and an Op is an OpSet; a pointer to a type
-// already being filled is filled one level deep.
+// value (any) is an int64 and an Op is an OpSet; a pointer to, or a
+// slice of, a type already being filled is filled one level deep.
 type filler struct {
 	n       int64
 	filling map[reflect.Type]int
@@ -483,6 +484,9 @@ func (f *filler) fill(t *testing.T, v reflect.Value) {
 	case reflect.String:
 		v.SetString(fmt.Sprintf("s%d", f.next()))
 	case reflect.Slice:
+		if f.filling[v.Type().Elem()] > 1 {
+			return
+		}
 		s := reflect.MakeSlice(v.Type(), 2, 2)
 		for i := 0; i < s.Len(); i++ {
 			f.fill(t, s.Index(i))
@@ -538,7 +542,7 @@ func TestCodecKeepsEveryField(t *testing.T) {
 	}
 	// The composite members of the dynamic value set.
 	snap := filled[JoinReply](t, f)
-	snap.BValue = filled[CompositeSnapshot](t, f)
+	snap.BValue = filled[[]ChildImage](t, f)
 	rels := filled[CenWrite](t, f)
 	rels.Value = filled[[]Relationship](t, f)
 	msgs = append(msgs, snap, rels)
@@ -686,10 +690,8 @@ func TestBinaryCodecRejectsUnsupportedValue(t *testing.T) {
 	for _, m := range []Message{
 		GVTUpdate{VT: vt, From: 1, Name: "m", Value: bad},
 		Write{TxnVT: vt, Origin: 1, Updates: []Update{{Op: OpSet{Value: int(3)}}}},
-		JoinReply{TxnVT: vt, BValue: CompositeSnapshot{Kind: KindList, Elems: []SnapshotElem{
-			{Child: ChildDecl{Kind: KindList}, Nested: &CompositeSnapshot{Kind: KindList,
-				Elems: []SnapshotElem{{Child: ChildDecl{Kind: KindInt, Value: bad}}}}},
-		}}},
+		JoinReply{TxnVT: vt, BValue: []ChildImage{{Kind: KindList,
+			Children: []ChildImage{{Kind: KindInt, Value: bad}}}}},
 	} {
 		if b, err := EncodeMessage(m); err == nil {
 			t.Errorf("%s with an unsupported value encoded to %x", m.Kind(), b)

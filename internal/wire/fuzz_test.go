@@ -33,16 +33,11 @@ func seedMessages() []Message {
 		Edges:  []repgraph.WireEdge{{Edge: repgraph.Edge{A: fobj(1, 1), B: fobj(2, 3)}, Count: 2}},
 		Anchor: fobj(1, 1),
 	}
-	snap := CompositeSnapshot{
-		Kind: KindTuple,
-		Elems: []SnapshotElem{
-			{Key: "x", Child: ChildDecl{Kind: KindInt, Value: int64(4)}},
-			{Key: "l", Child: ChildDecl{Kind: KindList}, Nested: &CompositeSnapshot{
-				Kind:  KindList,
-				Elems: []SnapshotElem{{Tag: tag, Child: ChildDecl{Kind: KindString, Value: "s"}}},
-			}},
-		},
-		IsSorted: true,
+	image := []ChildImage{
+		{Slot: PathElem{IsKey: true, Key: "x", Tag: ElemTag{VT: fvt(4, 1)}}, InsertVT: fvt(4, 1), Kind: KindInt, Value: int64(4), ValueVT: fvt(5, 2)},
+		{Slot: PathElem{IsKey: true, Key: "l", Tag: ElemTag{VT: fvt(4, 1)}}, InsertVT: fvt(4, 1), Kind: KindList, Children: []ChildImage{
+			{Slot: PathElem{Tag: tag}, InsertVT: fvt(7, 1), Removals: []vtime.VT{fvt(8, 2)}, Kind: KindString, Value: "s"},
+		}},
 	}
 	return []Message{
 		Write{
@@ -63,7 +58,7 @@ func seedMessages() []Message {
 			Updates: []Update{
 				{Target: fobj(1, 1), Op: OpListInsert{Tag: tag, Child: ChildDecl{Kind: KindFloat, Value: float64(1.5)}, After: tag}},
 				{Target: fobj(1, 1), Op: OpListRemove{Tag: tag}},
-				{Target: fobj(1, 1), Op: OpTupleSet{Key: "k", Child: ChildDecl{Kind: KindBool, Value: true}, At: fvt(8, 2)}},
+				{Target: fobj(1, 1), Op: OpTupleSet{Key: "k", Child: ChildDecl{Kind: KindBool, Value: true}}},
 				{Target: fobj(1, 1), Op: OpTupleRemove{Key: "k", Of: fvt(5, 1)}},
 				{Target: fobj(1, 1), Op: OpGraph{Graph: graph}},
 				{Target: fobj(1, 1), Op: OpAssoc{Relationships: []Relationship{
@@ -78,7 +73,7 @@ func seedMessages() []Message {
 		JoinRequest{TxnVT: fvt(6, 3), Origin: 3, ReqID: 9, AObj: fobj(3, 1), BObj: fobj(1, 1), GraphA: graph},
 		JoinReply{
 			TxnVT: fvt(6, 3), ReqID: 9, From: 1, OK: true,
-			BObj: fobj(1, 1), BValue: snap, GraphB: graph,
+			BObj: fobj(1, 1), BValue: image, GraphB: graph,
 			PendingGraphTxn: fvt(5, 2), ConfirmSites: []vtime.SiteID{1, 2},
 		},
 		JoinReply{TxnVT: fvt(6, 3), ReqID: 10, From: 1, OK: false, Reason: "busy", Retryable: true},

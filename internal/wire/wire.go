@@ -5,7 +5,7 @@
 //
 // Message and Op are sealed interfaces and dynamically typed payload
 // values come from a closed set (nil, int64, float64, string, bool,
-// CompositeSnapshot, []Relationship), so the hand-written binary codec in
+// []ChildImage, []Relationship), so the hand-written binary codec in
 // codec.go covers everything a site can send; the in-memory simulated
 // network passes the same values by reference.
 package wire
@@ -153,13 +153,10 @@ func (OpListRemove) isOp() {}
 func (o OpListRemove) Describe() string { return fmt.Sprintf("list-remove(%v)", o.Tag) }
 
 // OpTupleSet embeds (or replaces) the child under Key in a tuple object.
-// At, when nonzero, pins the entry's insert identity (used when a join
-// ships an existing structure: the joiner's copy must carry the ORIGINAL
-// insert VT so paths pinned to it resolve at the new replica).
+// The setting transaction's VT pins the new entry's slot.
 type OpTupleSet struct {
 	Key   string
 	Child ChildDecl
-	At    vtime.VT
 }
 
 func (OpTupleSet) isOp() {}
@@ -168,9 +165,10 @@ func (OpTupleSet) isOp() {}
 func (o OpTupleSet) Describe() string { return fmt.Sprintf("tuple-set(%s)", o.Key) }
 
 // OpTupleRemove removes one specific child under Key from a tuple
-// object. Of is the insert VT of the entry being removed, so concurrent
-// re-sets of the same key are not clobbered by a remove that targeted
-// their predecessor (add-wins), and all replicas remove the same entry.
+// object. Of is the pin of the entry being removed (the VT of the set
+// that created it), so concurrent re-sets of the same key are not
+// clobbered by a remove that targeted their predecessor (add-wins), and
+// all replicas remove the same entry.
 type OpTupleRemove struct {
 	Key string
 	Of  vtime.VT
@@ -689,19 +687,23 @@ func (RepairLearn) isMessage() {}
 // Kind implements Message.
 func (RepairLearn) Kind() string { return "REPAIR-LEARN" }
 
-// CompositeSnapshot is the structured value of a composite object shipped
-// in JoinReply: enough to reconstruct the composite and its children.
-type CompositeSnapshot struct {
+// ChildImage is one child slot of a composite in a state image, live or
+// removed: the structure a join reply and the join's propagated value
+// write ship to a new member, and a checkpoint persists (DESIGN.md §4).
+// A composite's image is the []ChildImage of its slots in slot order.
+// Removed slots stay in the image because an insert may anchor on a
+// removed element.
+type ChildImage struct {
+	// Slot names the child in its parent: a list element's tag, or a
+	// tuple key pinned with its insert VT.
+	Slot     PathElem
+	InsertVT vtime.VT
+	Removals []vtime.VT
 	Kind     ChildKind
-	Elems    []SnapshotElem // list elements in order, or tuple entries
-	IsSorted bool           // tuples ship entries sorted by key
-}
-
-// SnapshotElem is one child in a CompositeSnapshot.
-type SnapshotElem struct {
-	Tag   ElemTag // list element tag
-	Key   string  // tuple key
-	Child ChildDecl
-	// Nested holds the snapshot of a composite child.
-	Nested *CompositeSnapshot
+	// Value is a scalar child's latest value at the captured cut, written
+	// at ValueVT (zero when it still holds its embedded value); nil for
+	// composites, whose structure is in Children.
+	Value    any
+	ValueVT  vtime.VT
+	Children []ChildImage
 }

@@ -54,7 +54,7 @@ func init() {
 	gob.Register(float64(0))
 	gob.Register("")
 	gob.Register(false)
-	gob.Register(CompositeSnapshot{})
+	gob.Register([]ChildImage(nil))
 	gob.Register([]Relationship(nil))
 }
 
