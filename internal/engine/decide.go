@@ -78,7 +78,8 @@ func (s *Site) learn(vt vtime.VT, committed bool) {
 // updates committed, or undone with their reservations released; the RC
 // continuations waiting on it; the views; the graph-op hooks and GC; stats
 // and trace. At the origin it also logs the origin's own updates and
-// reports to the submitter: the Handle's result, or the retry.
+// reports to the submitter: the Handle's result (held for the batch's
+// write-ahead step), or the retry.
 func (s *Site) settle(st *txnState, committed bool, c *cause) {
 	origin := st.isOrigin()
 	st.status = txnAborted
@@ -149,8 +150,8 @@ func (s *Site) settle(st *txnState, committed bool, c *cause) {
 	s.trace(obs.EvCommit, st.vt, 0, detail)
 	s.stats.CommitLatencyVT.Observe(float64(s.clock.Now().Time - st.vt.Time))
 	if st.handle != nil {
-		s.obs.ObserveSince(s.stats.CommitLatency, st.handle.submittedWall)
-		st.handle.finish(Result{Committed: true, Retries: st.retries, VT: st.vt})
+		// Released by writeAhead once the batch's log records are written.
+		s.results = append(s.results, heldResult{st.handle, Result{Committed: true, Retries: st.retries, VT: st.vt}})
 	}
 }
 

@@ -245,6 +245,9 @@ type Site struct {
 	failed map[vtime.SiteID]bool
 	// wal is the site's durable update log (nil: durability off).
 	wal *wal.Log
+	// walBuf is walAppendMsg's encoding scratch; the log copies each
+	// record out of it. Loop-confined.
+	walBuf []byte
 	// checkpointSeq numbers checkpoint markers in the WAL; the next
 	// Checkpoint writes seq checkpointSeq+1.
 	checkpointSeq uint64
@@ -274,6 +277,10 @@ type Site struct {
 	// Loop-confined.
 	outbox      map[vtime.SiteID][]wire.Message
 	outboxOrder []vtime.SiteID
+	// results holds the commit results decided in the current loop
+	// batch; writeAhead releases them once the batch's log records are
+	// written. Loop-confined.
+	results []heldResult
 
 	// gcFloor caches the combined decided/snapshot GC floor for the
 	// current loop batch (the quadratic-floors fix: one O(txns+objects)
@@ -491,6 +498,7 @@ func (s *Site) registerObs() {
 		reg.GaugeFunc("decaf_wal_bytes", "bytes in the write-ahead log", func() float64 { return float64(s.wal.Stats().Bytes) })
 		reg.GaugeFunc("decaf_wal_segments", "segment files in the write-ahead log", func() float64 { return float64(s.wal.Stats().Segments) })
 		reg.GaugeFunc("decaf_wal_syncs", "fsyncs issued by the write-ahead log", func() float64 { return float64(s.wal.Stats().Syncs) })
+		reg.GaugeFunc("decaf_wal_writes", "writes that handed buffered records to the write-ahead log's files", func() float64 { return float64(s.wal.Stats().Writes) })
 	}
 	s.obs.RegisterStateSource("engine", s.debugState)
 }
@@ -880,30 +888,51 @@ func (s *Site) beginBatch() {
 	s.gcFloorValid = false
 }
 
-// endBatch runs the batch epilogue: the coalesced outbox, which carries
-// the batch's decisions (Confirms, Outcomes); the view work the batch
-// queued; the CONFIRM-READs that view work sent; the WAL sync. Decisions
-// leave before the views are settled because view notification is local
-// to the viewing site (paper §4) and nothing a peer waits for depends on
-// it (DESIGN.md §10).
+// endBatch runs the batch epilogue: the write-ahead step, then the
+// coalesced outbox, which carries the batch's decisions (Confirms,
+// Outcomes); the view work the batch queued; the CONFIRM-READs that view
+// work sent, again behind a write-ahead step. Decisions leave before the
+// views are settled because view notification is local to the viewing
+// site (paper §4) and nothing a peer waits for depends on it (DESIGN.md
+// §10).
 func (s *Site) endBatch(n int) {
+	s.writeAhead()
 	s.flushOutbox()
 	if len(s.dirtyViews) > 0 {
 		s.settleViews()
+		s.writeAhead()
 		s.flushOutbox()
-	}
-	if s.wal != nil {
-		// Under SyncBatch the WAL amortizes one fsync per event batch;
-		// SyncAlways/SyncNever make this a no-op.
-		if err := s.wal.Sync(); err != nil {
-			s.stats.WALAppendErrors.Inc()
-			s.log.Warn("wal sync failed", "err", err)
-		}
 	}
 	s.stats.OutcomesRetained.Set(int64(s.outcomes.len()))
 	s.stats.OutcomePages.Set(int64(s.outcomes.pageCount()))
 	s.stats.Batches.Inc()
 	s.stats.BatchEvents.Add(uint64(n))
+}
+
+// heldResult is a commit result waiting for its batch's log write.
+type heldResult struct {
+	h *Handle
+	r Result
+}
+
+// writeAhead is group commit (DESIGN.md §13): the log records the batch
+// appended so far go to the WAL in one write, fsynced under SyncBatch,
+// and only then are the batch's commit results released to their
+// submitters. The caller flushes the outbox after it, so no message and
+// no commit result leaves before the records it depends on.
+func (s *Site) writeAhead() {
+	if s.wal != nil {
+		if err := s.wal.Sync(); err != nil {
+			s.stats.WALAppendErrors.Inc()
+			s.log.Warn("wal sync failed", "err", err)
+		}
+	}
+	for i, held := range s.results {
+		s.obs.ObserveSince(s.stats.CommitLatency, held.h.submittedWall)
+		held.h.finish(held.r)
+		s.results[i] = heldResult{}
+	}
+	s.results = s.results[:0]
 }
 
 // notifyQueue delivers user callbacks in order on the notifier

@@ -15,10 +15,12 @@ import (
 // When Options.WAL is set, the site appends every protocol message that
 // can change committed state — received Writes and FastWrites, received
 // Outcomes, and its own local commit/abort decisions — to the write-ahead
-// log before the event-loop batch ends. Checkpoint() writes a covering
-// RecordMark; Recover() replays the log tail over the newest checkpoint;
-// the SyncRequest/SyncUpdates exchange ships missing records to a
-// reconnecting peer.
+// log before the batch's messages and results leave: the log buffers the
+// appends, and endBatch's writeAhead writes them in one go (group commit)
+// before it releases the batch's commit results and flushes its outbox.
+// Checkpoint() writes a covering RecordMark; Recover() replays the log
+// tail over the newest checkpoint; the SyncRequest/SyncUpdates exchange
+// ships missing records to a reconnecting peer.
 //
 // Concurrency contract: every function in this file that touches s.wal
 // runs on the event loop (the WAL's single-writer contract) and never
@@ -26,14 +28,17 @@ import (
 // analyzer rejects.
 
 // walAppendMsg appends one wire-encoded message to the log, stamped with
-// the transaction VT so floor queries need not decode payloads. Append
-// failures degrade durability, not availability: they are counted and
-// logged, and the site keeps running.
+// the transaction VT so floor queries need not decode payloads. The
+// message is encoded into the site's scratch buffer, which the log copies
+// from, so a steady-state append allocates nothing. Append failures
+// degrade durability, not availability: they are counted and logged, and
+// the site keeps running.
 func (s *Site) walAppendMsg(vt vtime.VT, msg wire.Message) {
 	if s.wal == nil {
 		return
 	}
-	b, err := wire.EncodeMessage(msg)
+	b, err := wire.AppendMessage(s.walBuf[:0], msg)
+	s.walBuf = b
 	if err != nil {
 		s.stats.WALAppendErrors.Inc()
 		s.log.Warn("wal encode failed", "txn", vt.String(), "err", err)

@@ -1,8 +1,14 @@
 // Package wal implements the durable write-ahead update log from
 // DESIGN.md §13: an append-only, segmented, CRC-framed log of
 // wire-encoded updates (Write/FastWrite/Outcome) plus checkpoint
-// markers, with a configurable fsync policy, GVT-floor-based
-// truncation, and torn-tail recovery.
+// markers, with group commit, GVT-floor-based truncation, and torn-tail
+// recovery.
+//
+// Group commit: Append frames a record into an in-memory buffer and
+// makes no syscall; Sync hands every record appended since the last
+// Sync to the file in one write and then fsyncs it (unless the policy
+// is SyncNever). The engine calls Sync once per event-loop batch,
+// before any of the batch's messages or commit results leave.
 //
 // Concurrency contract: the log is SINGLE-WRITER. All mutating calls
 // (Append, Mark, Sync, TruncateBelow, Close) and Replay must come from
@@ -39,16 +45,14 @@ const (
 	RecordMark = byte(2)
 )
 
-// SyncPolicy selects when appended records are fsynced to disk.
+// SyncPolicy selects whether Sync fsyncs what it writes.
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs after every append. Safest, slowest.
-	SyncAlways SyncPolicy = iota
-	// SyncBatch fsyncs only on explicit Sync() calls; the engine
-	// calls Sync once per event-loop batch, amortizing the fsync
-	// over every message handled in the batch.
-	SyncBatch
+	// SyncBatch fsyncs at every Sync that wrote something; the engine
+	// calls Sync once per event-loop batch, amortizing one write and
+	// one fsync over every record the batch appended.
+	SyncBatch SyncPolicy = iota
 	// SyncNever leaves flushing to the OS. Crash recovery still
 	// works up to whatever the kernel persisted (the torn tail is
 	// detected and truncated); used by the deterministic simulator
@@ -66,12 +70,12 @@ type Record struct {
 	Payload []byte
 }
 
-// Options tunes a Log. Zero value = 4 MiB segments, SyncAlways.
+// Options tunes a Log. Zero value = 4 MiB segments, SyncBatch.
 type Options struct {
 	// SegmentBytes rotates to a new segment file once the active one
 	// exceeds this size. Default 4 MiB.
 	SegmentBytes int64
-	// Sync selects the fsync policy. Default SyncAlways.
+	// Sync selects the fsync policy. Default SyncBatch.
 	Sync SyncPolicy
 }
 
@@ -106,6 +110,13 @@ type Log struct {
 	segments []segment // closed segments + the active one, ascending index
 	active   *os.File  // file backing segments[len-1]
 
+	// pending holds the frames appended since the last write, all of
+	// them for the active segment; write hands it to the file in one
+	// call and reuses its storage.
+	pending []byte
+	// unsynced is set by a write and cleared by the fsync after it.
+	unsynced bool
+
 	lastMarkSeq uint64 // newest checkpoint marker sequence (0 = none)
 	markSegIdx  uint64 // segment index holding that marker
 
@@ -114,14 +125,20 @@ type Log struct {
 	statBytes   atomic.Int64
 	statSegs    atomic.Int64
 	statSyncs   atomic.Int64
+	statWrites  atomic.Int64
 }
 
-// Stats is a point-in-time snapshot of log gauges.
+// Stats is a point-in-time snapshot of log gauges. Records and Bytes
+// count at Append, buffered records included.
 type Stats struct {
 	Records  int64
 	Bytes    int64
 	Segments int64
 	Syncs    int64
+	// Writes counts the writes that handed buffered records to a
+	// segment file; Sync, Replay, Close and a rotation each make one
+	// when the buffer is non-empty.
+	Writes int64
 }
 
 // Open opens (or creates) the log in dir. It scans every segment,
@@ -300,15 +317,12 @@ func decodePayload(p []byte) (Record, error) {
 	return rec, nil
 }
 
-// rotate closes the active segment (if any) and opens a new one with
-// the given index.
+// rotate writes and fsyncs (per policy) the active segment, closes it
+// (if any), and opens a new one with the given index.
 func (l *Log) rotate(index uint64) error {
 	if l.active != nil {
-		if l.opts.Sync != SyncNever {
-			if err := l.active.Sync(); err != nil {
-				return fmt.Errorf("wal: sync before rotate: %w", err)
-			}
-			l.statSyncs.Add(1)
+		if err := l.Sync(); err != nil {
+			return err
 		}
 		if err := l.active.Close(); err != nil {
 			return fmt.Errorf("wal: close segment: %w", err)
@@ -327,12 +341,15 @@ func (l *Log) rotate(index uint64) error {
 	l.active = f
 	l.segments = append(l.segments, segment{index: index, path: path, bytes: headerSize})
 	l.statSegs.Store(int64(len(l.segments)))
+	l.statBytes.Add(headerSize)
 	return nil
 }
 
-// Append frames rec and writes it to the active segment, rotating
-// first if the segment is full. Under SyncAlways the record is fsynced
-// before Append returns.
+// Append frames rec into the pending buffer, rotating first if the
+// active segment is full. It makes no syscall (except to rotate) and,
+// once the buffer has grown to a batch's size, no allocation: the record
+// reaches the file at the next Sync. Segment sizes, marks and Stats
+// count it at once.
 func (l *Log) Append(rec Record) error {
 	if l.active == nil {
 		return fmt.Errorf("wal: log closed")
@@ -344,14 +361,12 @@ func (l *Log) Append(rec Record) error {
 		}
 		cur = &l.segments[len(l.segments)-1]
 	}
-	payload := appendPayload(make([]byte, 0, len(rec.Payload)+16), rec)
-	frame := make([]byte, frameHeader, frameHeader+len(payload))
+	start := len(l.pending)
+	l.pending = appendPayload(append(l.pending, make([]byte, frameHeader)...), rec)
+	frame := l.pending[start:]
+	payload := frame[frameHeader:]
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	frame = append(frame, payload...)
-	if _, err := l.active.Write(frame); err != nil {
-		return fmt.Errorf("wal: append: %w", err)
-	}
 	cur.bytes += int64(len(frame))
 	cur.records++
 	if rec.Time > cur.maxTime {
@@ -367,27 +382,18 @@ func (l *Log) Append(rec Record) error {
 	}
 	l.statRecords.Add(1)
 	l.statBytes.Add(int64(len(frame)))
-	if l.opts.Sync == SyncAlways {
-		if err := l.active.Sync(); err != nil {
-			return fmt.Errorf("wal: fsync: %w", err)
-		}
-		l.statSyncs.Add(1)
-	}
 	return nil
 }
 
-// Mark appends a checkpoint marker with the given sequence number.
-// Markers are always fsynced (unless SyncNever): a checkpoint must not
+// Mark appends a checkpoint marker with the given sequence number and
+// syncs it with everything appended before it: a checkpoint must not
 // claim coverage the log cannot prove.
 func (l *Log) Mark(seq uint64) error {
-	payload := binary.AppendUvarint(nil, seq)
-	if err := l.Append(Record{Kind: RecordMark, Payload: payload}); err != nil {
+	var buf [binary.MaxVarintLen64]byte
+	if err := l.Append(Record{Kind: RecordMark, Payload: binary.AppendUvarint(buf[:0], seq)}); err != nil {
 		return err
 	}
-	if l.opts.Sync == SyncBatch {
-		return l.Sync()
-	}
-	return nil
+	return l.Sync()
 }
 
 // MarkSeq extracts the checkpoint sequence number carried by a
@@ -404,16 +410,42 @@ func MarkSeq(rec Record) (uint64, bool) {
 	return seq, true
 }
 
-// Sync fsyncs the active segment. Used by the engine once per
-// event-loop batch under SyncBatch.
+// Sync writes the pending records to the active segment in one write
+// and, unless the policy is SyncNever, fsyncs them. A Sync with nothing
+// written since the last fsync does nothing. The engine calls it once
+// per event-loop batch.
 func (l *Log) Sync() error {
-	if l.active == nil || l.opts.Sync == SyncNever {
+	if l.active == nil {
+		return nil
+	}
+	if err := l.write(); err != nil {
+		return err
+	}
+	if !l.unsynced || l.opts.Sync == SyncNever {
 		return nil
 	}
 	if err := l.active.Sync(); err != nil {
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
+	l.unsynced = false
 	l.statSyncs.Add(1)
+	return nil
+}
+
+// write hands the pending frames to the active segment. Bytes a failed
+// write left behind stay pending, so the next write resumes where it
+// stopped and the file never holds a frame twice.
+func (l *Log) write() error {
+	if len(l.pending) == 0 {
+		return nil
+	}
+	n, err := l.active.Write(l.pending)
+	l.statWrites.Add(1)
+	l.unsynced = l.unsynced || n > 0
+	l.pending = l.pending[:copy(l.pending, l.pending[n:])]
+	if err != nil {
+		return fmt.Errorf("wal: write: %w", err)
+	}
 	return nil
 }
 
@@ -421,10 +453,16 @@ func (l *Log) Sync() error {
 // log, or 0 if no marker has been written.
 func (l *Log) LastMarkSeq() uint64 { return l.lastMarkSeq }
 
-// Replay streams every record in log order through fn. Replay must not
-// be interleaved with Append from another goroutine (single-writer
+// Replay streams every record in log order through fn, pending ones
+// included: it writes them (without an fsync) first. Replay must not be
+// interleaved with Append from another goroutine (single-writer
 // contract). Returning a non-nil error from fn stops the replay.
 func (l *Log) Replay(fn func(Record) error) error {
+	if l.active != nil {
+		if err := l.write(); err != nil {
+			return err
+		}
+	}
 	for i := range l.segments {
 		seg := &l.segments[i]
 		data, err := os.ReadFile(seg.path)
@@ -485,15 +523,13 @@ func (l *Log) TruncateBelow(floor uint64) error {
 	return nil
 }
 
-// Close syncs (per policy) and closes the active segment.
+// Close syncs the pending records (fsyncing per policy) and closes the
+// active segment.
 func (l *Log) Close() error {
 	if l.active == nil {
 		return nil
 	}
-	var err error
-	if l.opts.Sync != SyncNever {
-		err = l.active.Sync()
-	}
+	err := l.Sync()
 	if cerr := l.active.Close(); err == nil {
 		err = cerr
 	}
@@ -511,6 +547,7 @@ func (l *Log) Stats() Stats {
 		Bytes:    l.statBytes.Load(),
 		Segments: l.statSegs.Load(),
 		Syncs:    l.statSyncs.Load(),
+		Writes:   l.statWrites.Load(),
 	}
 }
 

@@ -456,3 +456,217 @@ func TestMarkVarintRoundTrip(t *testing.T) {
 		t.Fatal("uvarint round trip broken")
 	}
 }
+
+// segmentFilesSize sums the sizes of the segment files in dir.
+func segmentFilesSize(t *testing.T, dir string) int64 {
+	t.Helper()
+	var n int64
+	for _, name := range walFiles(t, dir) {
+		n += fileSize(t, name)
+	}
+	return n
+}
+
+// fileSize returns the size of the file at path.
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// TestReplaySeesPendingRecords: records appended but not yet synced are
+// replayed, because Replay writes them first.
+func TestReplaySeesPendingRecords(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	want := testRecords(10)
+	for _, r := range want[:4] {
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range want[4:] {
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := collect(t, l); !sameRecords(got, want) {
+		t.Fatalf("replay saw %d of %d records", len(got), len(want))
+	}
+	if st := l.Stats(); st.Writes != 2 || st.Syncs != 1 {
+		t.Fatalf("writes=%d syncs=%d, want 2 writes (Sync, Replay) and 1 fsync", st.Writes, st.Syncs)
+	}
+}
+
+// TestSyncAndCloseWritePending: Append leaves the file alone; Sync
+// writes every pending record in one write and fsyncs it, a Sync with
+// nothing new does nothing, and Close writes what is still pending.
+func TestSyncAndCloseWritePending(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, segName(1))
+	want := testRecords(12)
+	for _, r := range want[:8] {
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fileSize(t, path); got != headerSize {
+		t.Fatalf("file holds %d bytes before Sync, want the %d-byte header", got, headerSize)
+	}
+	for i := 0; i < 2; i++ {
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := fileSize(t, path), l.segments[0].bytes; got != want {
+		t.Fatalf("file holds %d bytes after Sync, want %d", got, want)
+	}
+	if st := l.Stats(); st.Writes != 1 || st.Syncs != 1 {
+		t.Fatalf("writes=%d syncs=%d after two Syncs of one batch, want 1 and 1", st.Writes, st.Syncs)
+	}
+	for _, r := range want[8:] {
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if got := collect(t, l2); !sameRecords(got, want) {
+		t.Fatalf("reopened log holds %d of %d records", len(got), len(want))
+	}
+}
+
+// TestUnflushedWriterLeavesWholeRecords: a writer that stops with records
+// still pending (a crash between Append and Sync) leaves a log that
+// reopens to exactly the records it had synced.
+func TestUnflushedWriterLeavesWholeRecords(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := testRecords(9)
+	for i, r := range want {
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+		if i == 5 {
+			if err := l.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// The first writer is abandoned here, its last three records pending.
+	l2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := collect(t, l2); !sameRecords(got, want[:6]) {
+		t.Fatalf("reopened log holds %d records, want the 6 synced ones", len(got))
+	}
+	l2.Close()
+}
+
+// TestRotationWithPendingKeepsAccounting: rotation writes the pending
+// frames to the segment they were counted in, so every segment's bytes,
+// records and maxTime match its file.
+func TestRotationWithPendingKeepsAccounting(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{SegmentBytes: 100, Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	want := testRecords(30)
+	// Times out of order within segments, so maxTime is not the last.
+	for i := range want {
+		want[i].Time = uint64(100 + (i*7)%30)
+	}
+	for _, r := range want {
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(l.segments) < 3 {
+		t.Fatalf("expected rotation, got %d segments", len(l.segments))
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for _, seg := range l.segments {
+		data, err := os.ReadFile(seg.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var records int64
+		var maxTime uint64
+		for off := headerSize; off < len(data); {
+			rec, n, err := parseFrame(data[off:])
+			if err != nil {
+				t.Fatalf("%s at %d: %v", seg.path, off, err)
+			}
+			records++
+			maxTime = max(maxTime, rec.Time)
+			off += n
+		}
+		if seg.bytes != int64(len(data)) || seg.records != records || seg.maxTime != maxTime {
+			t.Fatalf("%s: accounted bytes=%d records=%d maxTime=%d, file has %d, %d, %d",
+				seg.path, seg.bytes, seg.records, seg.maxTime, len(data), records, maxTime)
+		}
+		total += records
+	}
+	if total != int64(len(want)) {
+		t.Fatalf("segments hold %d records, want %d", total, len(want))
+	}
+	if st, size := l.Stats(), segmentFilesSize(t, dir); st.Bytes != size {
+		t.Fatalf("Stats().Bytes = %d, segment files hold %d", st.Bytes, size)
+	}
+	if got := collect(t, l); !sameRecords(got, want) {
+		t.Fatal("replay mismatch across segments")
+	}
+}
+
+// TestAppendAllocatesNothing: once the pending buffer has grown to a
+// batch's size, Append allocates nothing.
+func TestAppendAllocatesNothing(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	rec := testRecords(1)[0]
+	appendOne := func() {
+		if err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 256 {
+		appendOne()
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(64, appendOne); n != 0 {
+		t.Fatalf("Append: %v allocations", n)
+	}
+}

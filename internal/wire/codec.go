@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"reflect"
 
 	"decaf/internal/consensus"
 	"decaf/internal/ids"
@@ -525,7 +526,9 @@ func AppendMessage(b []byte, m Message) ([]byte, error) {
 	default:
 		// Message is sealed (isMessage) and every implementation has an arm
 		// above: reaching here is a missing arm, i.e. a bug, or a nil message.
-		return b, fmt.Errorf("wire: unsupported message type %T", m)
+		// The error names m's type without holding m, so m does not escape
+		// and a caller's message need not be boxed on the heap.
+		return b, fmt.Errorf("wire: unsupported message type %v", reflect.TypeOf(m))
 	}
 }
 
