@@ -20,12 +20,14 @@
 //
 // The cost is one O(n log n) sort per walk, paid off the per-message
 // hot path (fan-outs, snapshots, GC sweeps happen per batch or per
-// protocol round, not per message).
+// protocol round, not per message). The sorts are the generic ones of
+// package slices: no reflection, and no allocation beyond the returned
+// key slice.
 package detorder
 
 import (
 	"cmp"
-	"sort"
+	"slices"
 )
 
 // Sorted returns the keys of m in ascending natural order.
@@ -34,7 +36,7 @@ func Sorted[K cmp.Ordered, V any](m map[K]V) []K {
 	for k := range m {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -47,6 +49,14 @@ func SortedFunc[K comparable, V any](m map[K]V, less func(a, b K) bool) []K {
 	for k := range m {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return less(out[i], out[j]) })
+	slices.SortFunc(out, func(a, b K) int {
+		switch {
+		case less(a, b):
+			return -1
+		case less(b, a):
+			return 1
+		}
+		return 0
+	})
 	return out
 }

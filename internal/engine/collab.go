@@ -212,15 +212,13 @@ func (s *Site) startJoinAttempt(h *Handle, local *object, remoteSite vtime.SiteI
 	}
 	vt := s.clock.Next()
 	st := &txnState{
-		vt:           vt,
-		origin:       s.id,
-		status:       txnWaiting,
-		handle:       h,
-		rcDeps:       map[vtime.VT]bool{},
-		waitConfirms: map[vtime.SiteID]bool{},
-		involved:     map[vtime.SiteID]bool{s.id: true},
-		retries:      retries,
+		vt:      vt,
+		origin:  s.id,
+		status:  txnWaiting,
+		handle:  h,
+		retries: retries,
 	}
+	st.involved.add(s.id)
 	st.retryFn = func(r int) {
 		s.startJoinAttempt(h, local, remoteSite, remoteObj, assoc, relName, r)
 	}
@@ -242,7 +240,7 @@ func (s *Site) startJoinAttempt(h *Handle, local *object, remoteSite vtime.SiteI
 		if ok {
 			readVT = cur.VT
 			if cur.Status == history.Pending {
-				st.rcDeps[cur.VT] = true
+				st.addRCDep(cur.VT)
 			}
 		}
 		rels := cloneRels(assocValue(assoc))
@@ -251,8 +249,7 @@ func (s *Site) startJoinAttempt(h *Handle, local *object, remoteSite vtime.SiteI
 				rels[i].Members = append(rels[i].Members, wire.Member{Site: s.id, Obj: local.id, Desc: local.desc})
 			}
 		}
-		w := &writeRec{obj: assoc, readVT: readVT, graphVT: assoc.graphVT, ops: []wire.Op{wire.OpAssoc{Relationships: rels}}}
-		st.writes = append(st.writes, w)
+		w := st.addWrite(writeRec{obj: assoc, readVT: readVT, graphVT: assoc.graphVT, ops: []wire.Op{wire.OpAssoc{Relationships: rels}}})
 		s.applyOpRead(st, assoc, nil, w.ops[0], history.Pending, readVT)
 	}
 
@@ -268,7 +265,7 @@ func (s *Site) startJoinAttempt(h *Handle, local *object, remoteSite vtime.SiteI
 		BObj:   remoteObj,
 		GraphA: local.graph.ToWire(),
 	})
-	st.involved[remoteSite] = true
+	st.involved.add(remoteSite)
 }
 
 // handleJoinRequest runs B's side of the join (paper §3.3): merge gA and
@@ -370,7 +367,7 @@ func (s *Site) handleJoinRequest(from vtime.SiteID, m wire.JoinRequest) {
 		}
 	}
 	var confirmSites []vtime.SiteID
-	for _, sm := range out {
+	for _, sm := range out.all() {
 		if sm.site == m.Origin {
 			continue // it would land on the joiner's own transaction
 		}
@@ -526,13 +523,12 @@ func (s *Site) handleJoinReply(m wire.JoinReply) {
 	valueOp := valueOpFor(m.BValue)
 	s.applyOp(st, local, nil, graphOp, history.Pending)
 	s.applyOp(st, local, nil, valueOp, history.Pending)
-	st.writes = append(st.writes,
-		&writeRec{obj: local, readVT: gAVT, graphVT: gAVT, ops: []wire.Op{graphOp}, targetGraph: gA},
-		&writeRec{obj: local, readVT: st.vt, graphVT: gAVT, ops: []wire.Op{valueOp}, targetGraph: gA})
+	st.addWrite(writeRec{obj: local, readVT: gAVT, graphVT: gAVT, ops: []wire.Op{graphOp}, targetGraph: gA})
+	st.addWrite(writeRec{obj: local, readVT: st.vt, graphVT: gAVT, ops: []wire.Op{valueOp}, targetGraph: gA})
 
 	// Every member of the merged graph is involved in the outcome.
 	for _, site := range repgraph.FromWire(m.GraphB).Sites() {
-		st.involved[site] = true
+		st.involved.add(site)
 	}
 	// Wait for the confirmations B requested on our behalf, unless they
 	// raced ahead of the reply.
@@ -543,7 +539,7 @@ func (s *Site) handleJoinReply(m wire.JoinReply) {
 	}
 	// RC guess on B's uncommitted graph (paper §3.3).
 	if !m.PendingGraphTxn.IsZero() {
-		st.rcDeps[m.PendingGraphTxn] = true
+		st.addRCDep(m.PendingGraphTxn)
 	}
 	// Shipped while extraPending still counts the reply, so a join is
 	// never delegated.

@@ -137,7 +137,7 @@ func (s *Site) shipFastWrites(st *txnState) {
 	for _, w := range st.writes {
 		s.address(st, w, history.Committed, &out)
 	}
-	for _, m := range out {
+	for _, m := range out.all() {
 		s.trace(obs.EvPropagate, st.vt, m.site, "fastpath")
 		s.send(m.site, wire.FastWrite{TxnVT: st.vt, Origin: s.id, Floor: s.combinedGCFloor(), Updates: m.updates})
 	}
@@ -186,20 +186,16 @@ func (s *Site) demoteGuessesFor(objs []*object, vt vtime.VT) {
 		// guess whose read the fast write just invalidated. If that guess
 		// originated here and is still waiting, abort it before a stale
 		// confirmation can commit it.
-		for _, v := range obj.hist.Versions() {
-			if v.Status != history.Pending || v.VT == vt || v.ReadVT == v.VT {
-				continue
-			}
-			iv := vtime.Interval{Lo: v.ReadVT, Hi: v.VT}
-			if !iv.Contains(vt) {
-				continue
-			}
-			st2, ok := s.txns[v.VT]
+		// The guesses are collected first: deciding one changes the
+		// history.
+		var buf [4]vtime.VT
+		for _, gvt := range obj.hist.AppendPendingReadsAcross(buf[:0], vt) {
+			st2, ok := s.txns[gvt]
 			if !ok || st2.origin != s.id || st2.status != txnWaiting {
 				continue
 			}
 			s.stats.FastpathDemotions.Add(1)
-			s.decide(st2, false, textCause(fmt.Sprintf("demoted: fast-path commit %s inside read interval of %s", vt, v.VT)))
+			s.decide(st2, false, textCause(fmt.Sprintf("demoted: fast-path commit %s inside read interval of %s", vt, gvt)))
 		}
 	}
 }

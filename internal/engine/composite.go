@@ -24,8 +24,7 @@ func (tx *Tx) ensureCompositeWrite(comp *object) *writeRec {
 		r.absorbed = true
 	}
 	root := comp.replicationRoot()
-	w := &writeRec{obj: comp, readVT: readVT, graphVT: root.graphVT}
-	tx.st.writes = append(tx.st.writes, w)
+	w := tx.st.addWrite(writeRec{obj: comp, readVT: readVT, graphVT: root.graphVT})
 	tx.recordPathDeps(comp)
 	return w
 }
@@ -311,7 +310,7 @@ func (tx *Tx) TupleRemove(ref ObjRef, key string) error {
 // never hears a verdict.
 func (tx *Tx) dependOnInsert(child *object) {
 	if v, ok := child.parent.hist.Get(child.insertVT); ok && v.Status == history.Pending && v.VT != tx.st.vt {
-		tx.st.rcDeps[v.VT] = true
+		tx.st.addRCDep(v.VT)
 	}
 }
 

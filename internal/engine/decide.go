@@ -36,13 +36,15 @@ func (s *Site) decide(st *txnState, committed bool, c *cause) {
 }
 
 // tellOutcome logs the summary outcome this site decided and sends it.
+// One boxed Outcome serves the log and every destination.
 func (s *Site) tellOutcome(st *txnState, committed bool) {
+	var out wire.Message = wire.Outcome{TxnVT: st.vt, Committed: committed}
 	if s.wal != nil {
-		s.walAppendMsg(st.vt, wire.Outcome{TxnVT: st.vt, Committed: committed})
+		s.walAppendMsg(st.vt, out)
 	}
 	to := st.informs
 	if st.isOrigin() {
-		to = sortedSites(st.involved)
+		to = st.involved.sites
 	} else if to != nil && s.obs.TraceEnabled() {
 		detail := "commit"
 		if !committed {
@@ -52,7 +54,7 @@ func (s *Site) tellOutcome(st *txnState, committed bool) {
 	}
 	for _, site := range to {
 		if site != s.id {
-			s.send(site, wire.Outcome{TxnVT: st.vt, Committed: committed})
+			s.send(site, out)
 		}
 	}
 }
@@ -90,7 +92,8 @@ func (s *Site) settle(st *txnState, committed bool, c *cause) {
 	st.sentMsgs = nil
 	// Collected before an undo empties st.applied: the views watching
 	// these objects must rerun against the reverted state.
-	objs := st.appliedObjects()
+	var buf objBuf
+	objs := st.appliedObjects(&buf)
 	if committed {
 		st.commitApplied()
 	} else {
@@ -217,7 +220,7 @@ func (s *Site) afterGraphCommit(st *txnState) {
 // undoApplied rolls back locally applied updates in reverse order.
 func (s *Site) undoApplied(st *txnState) {
 	for i := len(st.applied) - 1; i >= 0; i-- {
-		st.applied[i].undo()
+		st.applied[i].undo(s, st.vt)
 	}
 	st.applied = nil
 }

@@ -123,7 +123,7 @@ func (s *Site) handleSiteFailure(f vtime.SiteID) {
 		if !ok || st.origin != s.id || st.status != txnWaiting {
 			continue
 		}
-		if st.waitConfirms[f] || st.delegatedTo == f {
+		if st.waitConfirms.has(f) || st.delegatedTo == f {
 			st.parkOnAbort = true
 			s.decide(st, false, textCause(fmt.Sprintf("primary site %s failed", f)))
 		}
@@ -177,7 +177,8 @@ func (s *Site) startCommitQuery(vt vtime.VT, st *txnState) {
 	// Survivors: every site hosting a replica of an object this
 	// transaction updated here.
 	waiting := map[vtime.SiteID]bool{}
-	for _, o := range st.appliedObjects() {
+	var buf objBuf
+	for _, o := range st.appliedObjects(&buf) {
 		g, _ := o.currentGraph()
 		if g == nil {
 			continue
@@ -670,15 +671,14 @@ func (tx *Tx) writeGraphUpdateTargets(o *object, ng, targets *repgraph.Graph) {
 	// the local apply: adopting the new graph may change o's replication
 	// root (a promotion), which would change what pathFromRoot computes.
 	path := o.pathFromRoot()
-	w := &writeRec{
+	tx.st.addWrite(writeRec{
 		obj:          o,
 		readVT:       root.graphVT,
 		graphVT:      root.graphVT,
 		ops:          []wire.Op{op},
 		targetGraph:  targets,
 		pathOverride: &path,
-	}
-	tx.st.writes = append(tx.st.writes, w)
+	})
 	tx.s.applyOp(tx.st, o, nil, op, history.Pending)
 	tx.st.hasGraphOp = true
 }

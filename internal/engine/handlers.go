@@ -26,8 +26,9 @@ func (s *Site) ensureTxn(vt vtime.VT, origin vtime.SiteID) *txnState {
 }
 
 // writeTask is one arriving Write (or FastWrite) on its way through
-// handleWrite. A Write whose updates block on structure not yet received
-// keeps it in the deferred check (finishWrite).
+// handleWrite, on handleWrite's stack. A Write whose updates block on
+// structure not yet received keeps a copy in the deferred check
+// (finishWrite).
 type writeTask struct {
 	m  wire.Write
 	st *txnState
@@ -48,17 +49,18 @@ type writeTask struct {
 // primary copy it also validates the RL/NC guesses and confirms (or, as
 // delegate, decides the whole transaction).
 func (s *Site) handleWrite(m wire.Write, fast bool) {
-	if t := s.openWrite(m, fast); t != nil {
-		s.runWriteTask(t)
-		s.finishWrite(t)
+	var t writeTask
+	if s.openWrite(m, fast, &t) {
+		s.runWriteTask(&t)
+		s.finishWrite(&t)
 	}
 }
 
 // openWrite is the prologue of every arriving Write and FastWrite: it
 // drops the late updates of an aborted transaction (paper §3.1), finds or
-// creates the transaction's state here and notes what the message asks of
-// this site. It returns nil when there is nothing to apply.
-func (s *Site) openWrite(m wire.Write, fast bool) *writeTask {
+// creates the transaction's state here and notes in t what the message
+// asks of this site. It returns false when there is nothing to apply.
+func (s *Site) openWrite(m wire.Write, fast bool, t *writeTask) bool {
 	if fast {
 		// Committed on arrival. Recorded before anything applies, so an
 		// update that blocks on unseen structure still applies as
@@ -72,7 +74,7 @@ func (s *Site) openWrite(m wire.Write, fast bool) *writeTask {
 		if m.NeedsConfirm {
 			s.resendOutcome(m, false)
 		}
-		return nil
+		return false
 	}
 	st := s.ensureTxn(m.TxnVT, m.Origin)
 	if st.appliedWall == 0 {
@@ -87,11 +89,11 @@ func (s *Site) openWrite(m wire.Write, fast bool) *writeTask {
 	if m.Delegate != nil {
 		st.informs = m.Delegate.Sites
 	}
-	t := &writeTask{m: m, st: st, status: history.Pending, applied0: len(st.applied)}
+	*t = writeTask{m: m, st: st, status: history.Pending, applied0: len(st.applied)}
 	if decided {
 		t.status = history.Committed // late updates of a committed transaction
 	}
-	return t
+	return true
 }
 
 // runWriteTask applies a write's updates and, unless one of them blocked,
@@ -137,7 +139,8 @@ func (s *Site) checkWrite(t *writeTask) {
 func (s *Site) finishWrite(t *writeTask) {
 	st, m := t.st, t.m
 	committed := t.status == history.Committed
-	s.noteApplied(st.appliedSince(t.applied0), m.TxnVT, committed)
+	var buf objBuf
+	s.noteApplied(st.appliedSince(t.applied0, &buf), m.TxnVT, committed)
 	if committed {
 		s.learn(m.TxnVT, true)
 		if m.NeedsConfirm {
@@ -151,9 +154,10 @@ func (s *Site) finishWrite(t *writeTask) {
 			// (and any delegation) must wait until propagation unblocks
 			// (paper §3.2.1).
 			st.blockedRemaining = t.blocked
+			held := *t // t lives on handleWrite's stack
 			st.onUnblocked = func() {
-				s.checkWrite(t)
-				s.answerWrite(t)
+				s.checkWrite(&held)
+				s.answerWrite(&held)
 			}
 		}
 		return // drainPending queries a late orphan once it applies
@@ -264,7 +268,7 @@ func (s *Site) handleConfirm(m wire.Confirm) {
 		s.trace(obs.EvConfirm, m.TxnVT, m.From, verdict)
 	}
 	if m.OK {
-		if _, expected := st.waitConfirms[m.From]; !expected && st.extraPending > 0 {
+		if !st.waitConfirms.has(m.From) && st.extraPending > 0 {
 			// A confirmation raced ahead of the join reply that will
 			// register it (paper §3.3 flow).
 			if st.earlyConfirms == nil {
@@ -273,7 +277,7 @@ func (s *Site) handleConfirm(m wire.Confirm) {
 			st.earlyConfirms[m.From] = true
 			return
 		}
-		delete(st.waitConfirms, m.From)
+		st.waitConfirms.remove(m.From)
 		s.checkTxnComplete(st)
 		return
 	}
@@ -330,23 +334,23 @@ func (s *Site) applyOpRead(st *txnState, target *object, path wire.Path, op wire
 			s.log.Debug("duplicate update ignored", "obj", obj.id.String(), "vt", vt.String())
 			return true
 		}
-		st.applied = append(st.applied, appliedUpdate{obj: obj, undo: func() { obj.hist.Abort(vt) }})
+		st.addApplied(appliedUpdate{obj: obj})
 	case wire.OpAssoc:
 		if err := obj.hist.InsertRead(vt, o.Relationships, status, readVT); err != nil {
 			return true
 		}
-		st.applied = append(st.applied, appliedUpdate{obj: obj, undo: func() { obj.hist.Abort(vt) }})
+		st.addApplied(appliedUpdate{obj: obj})
 	case wire.OpAdd:
 		if err := obj.hist.InsertMerge(vt, status, readVT, mergeAdd(o.Delta)); err != nil {
 			s.log.Debug("duplicate update ignored", "obj", obj.id.String(), "vt", vt.String())
 			return true
 		}
-		st.applied = append(st.applied, appliedUpdate{obj: obj, undo: func() { obj.hist.Abort(vt) }})
+		st.addApplied(appliedUpdate{obj: obj})
 	case wire.OpAssocInsert:
 		if err := obj.hist.InsertMerge(vt, status, readVT, mergeRel(o.Rel)); err != nil {
 			return true
 		}
-		st.applied = append(st.applied, appliedUpdate{obj: obj, undo: func() { obj.hist.Abort(vt) }})
+		st.addApplied(appliedUpdate{obj: obj})
 	case wire.OpListInsertAfter:
 		// Position comes solely from the After anchor and tag order, as
 		// for the index op, so receivers reuse its applier.
@@ -395,12 +399,7 @@ func (s *Site) applyGraphOp(st *txnState, obj *object, o wire.OpGraph, status hi
 	// version, so out-of-order arrivals and rollbacks both resolve to
 	// the latest surviving graph.
 	obj.refreshGraph()
-	vt := st.vt
-	st.applied = append(st.applied, appliedUpdate{
-		obj:    obj,
-		undo:   func() { obj.graphHist.Abort(vt); obj.refreshGraph() },
-		commit: func() { obj.graphHist.Commit(vt) },
-	})
+	st.addApplied(appliedUpdate{obj: obj, kind: undoGraph})
 }
 
 // recordCompositeVersion notes a structural change in the composite's own
@@ -411,11 +410,10 @@ func (s *Site) recordCompositeVersion(st *txnState, comp *object, op wire.Op, st
 		comp.hist.SetValue(st.vt, append(ops, op))
 		return
 	}
-	vt := st.vt
-	if err := comp.hist.Insert(vt, []wire.Op{op}, status); err != nil {
+	if err := comp.hist.Insert(st.vt, []wire.Op{op}, status); err != nil {
 		return
 	}
-	st.applied = append(st.applied, appliedUpdate{obj: comp, undo: func() { comp.hist.Abort(vt) }})
+	st.addApplied(appliedUpdate{obj: comp})
 }
 
 // applyListInsert embeds a new child element into a list, positioning it
@@ -483,12 +481,7 @@ func (s *Site) applyTupleSet(st *txnState, tup *object, o wire.OpTupleSet, statu
 func (s *Site) embedChild(st *txnState, comp, child *object, pos int, op wire.Op, status history.Status) {
 	comp.children = slices.Insert(comp.children, pos, child)
 	s.recordCompositeVersion(st, comp, op, status)
-	st.applied = append(st.applied, appliedUpdate{obj: comp, undo: func() {
-		if i := slices.Index(comp.children, child); i >= 0 {
-			comp.children = slices.Delete(comp.children, i, i+1)
-		}
-		delete(s.objects, child.id)
-	}})
+	st.addApplied(appliedUpdate{obj: comp, kind: undoEmbed, child: child})
 }
 
 // applyRemove tombstones the child slot named link. It returns false
@@ -505,12 +498,7 @@ func (s *Site) applyRemove(st *txnState, comp *object, link wire.PathElem, op wi
 	}
 	c.removals = append(c.removals, st.vt)
 	s.recordCompositeVersion(st, comp, op, status)
-	vt := st.vt
-	st.applied = append(st.applied, appliedUpdate{obj: comp, undo: func() {
-		if i := slices.Index(c.removals, vt); i >= 0 {
-			c.removals = slices.Delete(c.removals, i, i+1)
-		}
-	}})
+	st.addApplied(appliedUpdate{obj: comp, kind: undoRemoval, child: c})
 	return true
 }
 
@@ -555,7 +543,8 @@ func (s *Site) drainPending(root *object) {
 				root.pending = append(root.pending, p)
 				continue
 			}
-			s.noteApplied(st.appliedSince(applied0), p.txnVT, status == history.Committed)
+			var buf objBuf
+			s.noteApplied(st.appliedSince(applied0, &buf), p.txnVT, status == history.Committed)
 			if st.blockedRemaining > 0 {
 				st.blockedRemaining--
 				if st.blockedRemaining == 0 && st.onUnblocked != nil {

@@ -151,7 +151,7 @@ func (s *Site) checkGuess(st *txnState, vt vtime.VT, g guess) verdict {
 	}
 	g.groot.graphRes.Reserve(graphIv, vt)
 	if st != nil {
-		st.reservedObjs = append(st.reservedObjs, held)
+		st.reservedObjs = appendInline(st.reservedObjs, st.reservedInline[:], held)
 	}
 	return verdict{ok: true}
 }

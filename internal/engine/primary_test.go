@@ -97,8 +97,8 @@ func (e *pcEnv) held(vt vtime.VT) []string {
 
 // originTxn is a transaction this site originated, waiting on its guesses.
 func (e *pcEnv) originTxn() *txnState {
-	st := &txnState{vt: pcVT, origin: 1, status: txnWaiting, rcDeps: map[vtime.VT]bool{},
-		waitConfirms: map[vtime.SiteID]bool{}, involved: map[vtime.SiteID]bool{1: true}, handle: newHandle()}
+	st := &txnState{vt: pcVT, origin: 1, status: txnWaiting, handle: newHandle()}
+	st.involved.add(1)
 	e.s.trackTxn(st)
 	return st
 }
@@ -188,7 +188,7 @@ var pcColumns = []pcColumn{
 	}},
 	{"origin-read", func(e *pcEnv, row pcRow, target *object) (seen, []string, func()) {
 		st := e.originTxn()
-		st.reads = []*readRec{{obj: target, readVT: pcRead, graphVT: pcGraph}}
+		st.reads = []readRec{{obj: target, readVT: pcRead, graphVT: pcGraph}}
 		e.s.propagate(st)
 		return seenReason(!st.denied, st.deniedCause.String()), e.valueReserves(target), func() { e.s.decide(st, false, textCause("abort")) }
 	}},

@@ -30,15 +30,39 @@ type siteMsg struct {
 
 // fanout holds a transaction's siteMsgs in site order, so the sends leave
 // in an order that is a function of state, not of map iteration (order.go).
-type fanout []siteMsg
+// A write reaches a few sites, so the first four entries live inline and a
+// fanout on the caller's stack allocates nothing of its own.
+type fanout struct {
+	n     int
+	small [4]siteMsg
+	large []siteMsg // every entry, once there are more than len(small)
+}
+
+// all returns the entries in site order.
+func (f *fanout) all() []siteMsg {
+	if f.large != nil {
+		return f.large
+	}
+	return f.small[:f.n]
+}
 
 // to returns site's entry, adding an empty one in order.
 func (f *fanout) to(site vtime.SiteID) *siteMsg {
-	i, found := slices.BinarySearchFunc(*f, site, func(m siteMsg, site vtime.SiteID) int { return cmp.Compare(m.site, site) })
-	if !found {
-		*f = slices.Insert(*f, i, siteMsg{site: site})
+	all := f.all()
+	i, found := slices.BinarySearchFunc(all, site, func(m siteMsg, site vtime.SiteID) int { return cmp.Compare(m.site, site) })
+	switch {
+	case found:
+		return &all[i]
+	case f.large == nil && f.n < len(f.small):
+		copy(f.small[i+1:f.n+1], f.small[i:f.n])
+		f.small[i] = siteMsg{site: site}
+		f.n++
+		return &f.small[i]
+	case f.large == nil:
+		f.large = slices.Clone(all)
 	}
-	return &(*f)[i]
+	f.large = slices.Insert(f.large, i, siteMsg{site: site})
+	return &f.large[i]
 }
 
 // path is the write's addressing path below its replication root.
@@ -111,7 +135,7 @@ func (s *Site) awaitConfirm(st *txnState, site vtime.SiteID) {
 		st.parkOnAbort = true
 		return
 	}
-	st.waitConfirms[site] = true
+	st.waitConfirms.add(site)
 }
 
 // propagate ships an origin's transaction: its writes, addressed, and its
@@ -156,8 +180,8 @@ func (s *Site) propagate(st *txnState) {
 			st.deniedCause = v.cause
 		}
 	}
-	for _, m := range out {
-		st.involved[m.site] = true
+	for _, m := range out.all() {
+		st.involved.add(m.site)
 		if m.needsConfirm {
 			s.awaitConfirm(st, m.site)
 		}
@@ -168,27 +192,22 @@ func (s *Site) propagate(st *txnState) {
 	// already denied here: the delegate would commit what the origin
 	// aborts.
 	var delegate vtime.SiteID
-	if !st.denied && len(st.waitConfirms) == 1 && len(st.rcDeps) == 0 && st.extraPending == 0 {
-		for _, m := range out {
+	if !st.denied && st.waitConfirms.len() == 1 && len(st.rcDeps) == 0 && st.extraPending == 0 {
+		for _, m := range out.all() {
 			if m.needsConfirm && len(m.updates) > 0 {
 				delegate = m.site
 			}
 		}
 	}
 
-	record := func(site vtime.SiteID, msg wire.Message) {
-		if s.wal == nil {
-			return
-		}
-		if st.sentMsgs == nil {
-			st.sentMsgs = map[vtime.SiteID][]wire.Message{}
-		}
-		st.sentMsgs[site] = append(st.sentMsgs[site], msg)
-	}
-	for _, m := range out {
+	for _, m := range out.all() {
 		site := m.site
-		if len(m.updates) > 0 {
-			msg := wire.Write{
+		// Each message is boxed once, for the outbox and the resend
+		// record alike.
+		var msg wire.Message
+		switch {
+		case len(m.updates) > 0:
+			w := wire.Write{
 				TxnVT:        st.vt,
 				Origin:       s.id,
 				Floor:        s.combinedGCFloor(),
@@ -198,14 +217,14 @@ func (s *Site) propagate(st *txnState) {
 			}
 			if site == delegate {
 				var others []vtime.SiteID
-				for _, inv := range sortedSites(st.involved) {
+				for _, inv := range st.involved.sites {
 					if inv != site {
 						others = append(others, inv)
 					}
 				}
-				msg.Delegate = &wire.Delegation{Sites: others}
+				w.Delegate = &wire.Delegation{Sites: others}
 				st.delegatedTo = site
-				delete(st.waitConfirms, site)
+				st.waitConfirms.remove(site)
 			}
 			if s.obs.TraceEnabled() {
 				detail := ""
@@ -217,13 +236,25 @@ func (s *Site) propagate(st *txnState) {
 				}
 				s.trace(obs.EvPropagate, st.vt, site, detail)
 			}
-			record(site, msg)
-			s.send(site, msg)
-		} else if len(m.checks) > 0 {
+			msg = w
+		case len(m.checks) > 0:
 			s.trace(obs.EvPropagate, st.vt, site, "confirm")
-			cr := wire.ConfirmRead{TxnVT: st.vt, Origin: s.id, Floor: s.combinedGCFloor(), Checks: m.checks}
-			record(site, cr)
-			s.send(site, cr)
+			msg = wire.ConfirmRead{TxnVT: st.vt, Origin: s.id, Floor: s.combinedGCFloor(), Checks: m.checks}
+		default:
+			continue
 		}
+		if s.wal != nil {
+			st.recordSent(site, msg)
+		}
+		s.send(site, msg)
 	}
+}
+
+// recordSent retains msg, sent to site, for anti-entropy resends (see
+// txnState.sentMsgs).
+func (st *txnState) recordSent(site vtime.SiteID, msg wire.Message) {
+	if st.sentMsgs == nil {
+		st.sentMsgs = map[vtime.SiteID][]wire.Message{}
+	}
+	st.sentMsgs[site] = append(st.sentMsgs[site], msg)
 }

@@ -296,7 +296,7 @@ func TestPropagationSites(t *testing.T) {
 				}
 				if st.status != txnAborted || len(e.s.parked) != 1 {
 					t.Errorf("status %v, %d parked retries: want aborted and parked (waiting on %v)",
-						st.status, len(e.s.parked), st.waitConfirms)
+						st.status, len(e.s.parked), st.waitConfirms.sites)
 				}
 			})
 		}
@@ -391,12 +391,13 @@ func TestAddressAllocatesNoNodeList(t *testing.T) {
 	w := &writeRec{obj: obj, readVT: st.vt, graphVT: psGraph, ops: []wire.Op{wire.OpSet{Value: int64(1)}}}
 	var out fanout
 	e.s.address(st, w, history.Pending, &out)
-	if len(out) != 2 || !out[0].needsConfirm || out[1].needsConfirm {
-		t.Fatalf("fanout %+v, want sites 2 (confirming) and 3", out)
+	if ms := out.all(); len(ms) != 2 || !ms[0].needsConfirm || ms[1].needsConfirm {
+		t.Fatalf("fanout %+v, want sites 2 (confirming) and 3", ms)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		for i := range out {
-			out[i].updates = out[i].updates[:0]
+		ms := out.all()
+		for i := range ms {
+			ms[i].updates = ms[i].updates[:0]
 		}
 		e.s.address(st, w, history.Pending, &out)
 	})

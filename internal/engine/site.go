@@ -273,8 +273,10 @@ type Site struct {
 	authorizer Authorizer
 
 	// outbox coalesces outbound protocol messages per peer for the
-	// current loop batch; flushOutbox transmits them at batch end.
-	// Loop-confined.
+	// current loop batch; flushOutbox transmits them at batch end and
+	// keeps each peer's emptied slice for the next batch. outboxOrder
+	// lists the peers with messages queued, in first-send order: it is
+	// empty exactly when nothing waits to leave. Loop-confined.
 	outbox      map[vtime.SiteID][]wire.Message
 	outboxOrder []vtime.SiteID
 	// results holds the commit results decided in the current loop
@@ -303,11 +305,34 @@ type Site struct {
 }
 
 // loopCall is one posted event-loop closure. onDrop, when set, runs if
-// the site shuts down without running fn — the hook that lets Submit
-// and the retry paths settle their Handles instead of leaking waiters.
+// the site shuts down without running fn — the hook that lets the retry
+// and protocol paths settle their Handles instead of leaking waiters. A
+// call with exec set is a submitted transaction's first execution
+// instead, data rather than closures: it runs exec.txn, and its drop
+// finishes exec with ErrSiteStopped.
 type loopCall struct {
 	fn     func()
 	onDrop func()
+	exec   *Handle
+}
+
+// run runs the call on the loop.
+func (c loopCall) run(s *Site) {
+	if c.exec != nil {
+		s.execute(c.exec.txn, c.exec, 0)
+		return
+	}
+	c.fn()
+}
+
+// drop settles a call the loop will never run.
+func (c loopCall) drop() {
+	switch {
+	case c.exec != nil:
+		c.exec.finish(Result{Err: ErrSiteStopped})
+	case c.onDrop != nil:
+		c.onDrop()
+	}
 }
 
 // siteMetrics holds the site's registered metric handles. The counter
@@ -641,9 +666,7 @@ func (s *Site) Stop() {
 		// Drop hooks may finish Handles whose continuations queue more.
 		c := s.local[0]
 		s.local = s.local[1:]
-		if c.onDrop != nil {
-			c.onDrop()
-		}
+		c.drop()
 	}
 	s.notifier.closeIntake()
 	if stepped {
@@ -663,9 +686,7 @@ func (s *Site) drainCalls() {
 	for {
 		select {
 		case c := <-s.calls:
-			if c.onDrop != nil {
-				c.onDrop()
-			}
+			c.drop()
 		default:
 			return
 		}
@@ -689,7 +710,7 @@ func (s *Site) Quiescent() bool {
 		// by earlier stimuli of that batch only happen at batch end, so
 		// the site is not quiescent until they have.
 		quiet = len(s.calls) == 0 && len(s.local) == 0 && len(s.ep.Events()) == 0 &&
-			len(s.outbox) == 0 && len(s.dirtyViews) == 0
+			len(s.outboxOrder) == 0 && len(s.dirtyViews) == 0
 	}); err != nil {
 		return s.notifier.idle()
 	}
@@ -771,7 +792,7 @@ func (s *Site) loop() {
 	defer s.markDone()
 	events := s.ep.Events()
 	for {
-		var first func()
+		var first stimulus
 		if len(s.local) > 0 {
 			select {
 			case <-s.stop:
@@ -783,14 +804,14 @@ func (s *Site) loop() {
 			case <-s.stop:
 				return
 			case c := <-s.calls:
-				first = c.fn
+				first.call = c
 			case ev, ok := <-events:
 				if !ok {
 					// Transport killed this site (fail-stop crash in a
 					// simulation, or endpoint closed).
 					return
 				}
-				first = func() { s.handleEvent(ev) }
+				first.ev, first.isEvent = ev, true
 			}
 		}
 		s.batch(first)
@@ -809,12 +830,12 @@ func (s *Site) Step() bool {
 		return false
 	default:
 	}
-	n, open := s.batch(nil)
+	n, open := s.batch(stimulus{})
 	if a, ok := s.ep.(interface{ Accepted() uint64 }); ok && n == 0 && open && a.Accepted() > s.received {
 		// The inbox pump holds events the channel does not show yet. The
 		// site is not idle: wait for the next one.
 		if ev, ok := <-s.ep.Events(); ok {
-			n, open = s.batch(func() { s.handleEvent(ev) })
+			n, open = s.batch(stimulus{ev: ev, isEvent: true})
 		} else {
 			open = false
 		}
@@ -831,7 +852,28 @@ func (s *Site) Step() bool {
 	return n > 0 || ran
 }
 
-// batch runs one batch of stimuli: first (when non-nil), then work
+// stimulus is the one a batch starts with when the loop woke up for it:
+// a posted call, or a transport event. The zero stimulus is none.
+type stimulus struct {
+	call    loopCall
+	ev      transport.Event
+	isEvent bool
+}
+
+// run handles the stimulus and reports whether there was one.
+func (st stimulus) run(s *Site) bool {
+	switch {
+	case st.isEvent:
+		s.handleEvent(st.ev)
+	case st.call.fn != nil || st.call.exec != nil:
+		st.call.run(s)
+	default:
+		return false
+	}
+	return true
+}
+
+// batch runs one batch of stimuli: first (when there is one), then work
 // already queued — the loop's own FIFO, posted calls and transport
 // events, one of each per round — up to maxBatch stimuli, then the
 // epilogue (endBatch), which flushes coalesced outbound messages and
@@ -840,10 +882,9 @@ func (s *Site) Step() bool {
 // Stop is not polled here; the loop notices it at the next batch
 // boundary. Single-channel non-blocking receives, unlike a multi-way
 // select, take no channel lock when the channel is empty.
-func (s *Site) batch(first func()) (n int, open bool) {
+func (s *Site) batch(first stimulus) (n int, open bool) {
 	s.beginBatch()
-	if first != nil {
-		first()
+	if first.run(s) {
 		n++
 	}
 	events := s.ep.Events()
@@ -853,12 +894,12 @@ func (s *Site) batch(first func()) (n int, open bool) {
 		if len(s.local) > 0 {
 			c := s.local[0]
 			s.local = s.local[1:]
-			c.fn()
+			c.run(s)
 			n++
 		}
 		select {
 		case c := <-s.calls:
-			c.fn()
+			c.run(s)
 			n++
 		default:
 		}
@@ -942,8 +983,11 @@ func (s *Site) writeAhead() {
 // notify() — and it drops nothing it accepts (paper §4.2: pessimistic
 // notification is lossless).
 type notifyQueue struct {
-	mu      sync.Mutex
-	queue   []func() // guarded by mu
+	mu    sync.Mutex
+	queue []func() // guarded by mu
+	// spare is the emptied slice of the last delivery, which becomes the
+	// next queue: the two swap, so steady delivery allocates nothing.
+	spare   []func() // guarded by mu
 	closed  bool     // guarded by mu
 	running bool     // guarded by mu; the notifier goroutine is mid-delivery
 	// wake (capacity 1) signals the notifier goroutine; senders never
@@ -980,20 +1024,23 @@ func (q *notifyQueue) runAll() (ran, closed bool) {
 	for {
 		q.mu.Lock()
 		fns := q.queue
-		q.queue = nil
-		q.running = len(fns) > 0
 		closed = q.closed
-		q.mu.Unlock()
 		if len(fns) == 0 {
+			q.mu.Unlock()
 			return ran, closed
 		}
+		q.queue, q.spare = q.spare, nil
+		q.running = true
+		q.mu.Unlock()
 		for _, fn := range fns {
 			fn()
 			q.delivered.Inc()
 		}
 		ran = true
+		clear(fns)
 		q.mu.Lock()
 		q.running = false
+		q.spare = fns[:0]
 		q.mu.Unlock()
 	}
 }
@@ -1151,14 +1198,16 @@ func (s *Site) send(to vtime.SiteID, msg wire.Message) {
 	if s.failed[to] {
 		return
 	}
-	if _, ok := s.outbox[to]; !ok {
+	q := s.outbox[to]
+	if len(q) == 0 {
 		s.outboxOrder = append(s.outboxOrder, to)
 	}
-	s.outbox[to] = append(s.outbox[to], msg)
+	s.outbox[to] = append(q, msg)
 }
 
 // flushOutbox transmits the batch's coalesced messages, one transport
-// handoff per peer.
+// handoff per peer. Each peer's slice is emptied and kept for the next
+// batch; a transport copies what it keeps of a batch (BatchSender).
 func (s *Site) flushOutbox() {
 	if len(s.outboxOrder) == 0 {
 		return
@@ -1166,20 +1215,25 @@ func (s *Site) flushOutbox() {
 	now := s.clock.Now()
 	for _, to := range s.outboxOrder {
 		msgs := s.outbox[to]
-		delete(s.outbox, to)
-		if len(msgs) == 0 || s.failed[to] {
-			continue
+		s.outbox[to] = msgs[:0]
+		if !s.failed[to] {
+			s.sendBatch(to, now, msgs)
 		}
-		if err := s.ep.SendBatch(to, now, msgs); err != nil {
-			s.log.Debug("send failed", "to", to.String(), "batch", len(msgs), "err", err)
-			continue
-		}
-		s.stats.MessagesSent.Add(uint64(len(msgs)))
-		if len(msgs) > 1 {
-			s.stats.CoalescedSends.Add(uint64(len(msgs) - 1))
-		}
+		clear(msgs) // the sent messages are the transport's now
 	}
 	s.outboxOrder = s.outboxOrder[:0]
+}
+
+// sendBatch hands one peer's share of the outbox to the transport.
+func (s *Site) sendBatch(to vtime.SiteID, now vtime.VT, msgs []wire.Message) {
+	if err := s.ep.SendBatch(to, now, msgs); err != nil {
+		s.log.Debug("send failed", "to", to.String(), "batch", len(msgs), "err", err)
+		return
+	}
+	s.stats.MessagesSent.Add(uint64(len(msgs)))
+	if len(msgs) > 1 {
+		s.stats.CoalescedSends.Add(uint64(len(msgs) - 1))
+	}
 }
 
 // handleEvent dispatches one transport event inside the loop.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"sync"
 
 	"decaf/internal/history"
 	"decaf/internal/obs"
@@ -51,26 +52,51 @@ type Result struct {
 
 // Handle tracks a submitted transaction.
 type Handle struct {
-	applied chan struct{}
-	done    chan Result
+	// mu guards applied and isApplied: the loop marks the transaction
+	// applied while a submitter may be asking for the channel.
+	mu sync.Mutex
+	// applied is made by the first Applied call, as most submitters
+	// never ask; isApplied records the moment when nobody had asked yet.
+	applied   chan struct{}
+	isApplied bool
+	done      chan Result
 	// submittedWall is the Observer.NowNanos stamp taken at Submit (0
 	// with timing disabled); commit latency is measured from it so the
 	// histogram spans retries.
 	submittedWall int64
 	// cont, when set (Site.onFinish), runs once with the first Result.
 	cont func(Result)
+	// txn is the transaction Submit was given (nil for a Handle the
+	// engine made for itself), run by the loopCall that carries the
+	// Handle.
+	txn *Txn
 }
 
 func newHandle() *Handle {
-	return &Handle{
-		applied: make(chan struct{}),
-		done:    make(chan Result, 1),
-	}
+	return &Handle{done: make(chan Result, 1)}
 }
+
+// closedChan is the Applied channel of every transaction applied before
+// anyone asked for it.
+var closedChan = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
 
 // Applied is closed when the transaction's updates have been applied
 // locally at the originating site (the moment optimistic views see them).
-func (h *Handle) Applied() <-chan struct{} { return h.applied }
+func (h *Handle) Applied() <-chan struct{} {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.applied == nil {
+		if h.isApplied {
+			return closedChan
+		}
+		h.applied = make(chan struct{})
+	}
+	return h.applied
+}
 
 // Done delivers the final Result exactly once.
 func (h *Handle) Done() <-chan Result { return h.done }
@@ -79,11 +105,14 @@ func (h *Handle) Done() <-chan Result { return h.done }
 func (h *Handle) Wait() Result { return <-h.done }
 
 func (h *Handle) markApplied() {
-	select {
-	case <-h.applied:
-	default:
-		close(h.applied)
+	h.mu.Lock()
+	if !h.isApplied {
+		h.isApplied = true
+		if h.applied != nil {
+			close(h.applied)
+		}
 	}
+	h.mu.Unlock()
 }
 
 func (h *Handle) finish(r Result) {
@@ -128,25 +157,106 @@ type writeRec struct {
 	// write time (a promotion changes the object's replication root
 	// mid-transaction, which would otherwise change the computed path).
 	pathOverride *wire.Path
+	// opInline holds a scalar write's one op (setOp).
+	opInline [1]wire.Op
 }
 
-// appliedUpdate is one locally applied modification with its undo and
-// (optional) commit action. A nil commit defaults to committing the
-// object's value-history version at the transaction's VT.
+// setOp makes op the write's only op, held in the record itself.
+func (w *writeRec) setOp(op wire.Op) {
+	w.opInline[0] = op
+	w.ops = w.opInline[:1]
+}
+
+// undoKind says what one applied modification changed, and so how it is
+// undone and committed. Undo data, not closures: an applied update costs
+// no allocation beyond its slot in txnState.applied.
+type undoKind uint8
+
+const (
+	// undoVersion: a version of obj's value history at the transaction's
+	// VT. Undo aborts it, commit commits it.
+	undoVersion undoKind = iota
+	// undoGraph: a version of obj's graph history. Undo aborts it and
+	// refreshes the cached graph, commit commits it.
+	undoGraph
+	// undoEmbed: child was embedded as a new slot of the composite obj.
+	// Undo takes the slot out again and forgets the child; commit commits
+	// obj's value-history version.
+	undoEmbed
+	// undoRemoval: the transaction tombstoned child, a slot of obj. Undo
+	// withdraws the tombstone; commit commits obj's value-history version.
+	undoRemoval
+)
+
+// appliedUpdate is one locally applied modification: what it changed,
+// which says how it is undone and committed.
 type appliedUpdate struct {
-	obj    *object
-	undo   func()
-	commit func()
+	obj   *object
+	kind  undoKind
+	child *object // undoEmbed, undoRemoval
+}
+
+// commit finalizes the modification at vt.
+func (a appliedUpdate) commit(vt vtime.VT) {
+	if a.kind == undoGraph {
+		a.obj.graphHist.Commit(vt)
+		return
+	}
+	a.obj.hist.Commit(vt)
+}
+
+// undo reverts the modification made at vt by a transaction at s.
+func (a appliedUpdate) undo(s *Site, vt vtime.VT) {
+	switch a.kind {
+	case undoVersion:
+		a.obj.hist.Abort(vt)
+	case undoGraph:
+		a.obj.graphHist.Abort(vt)
+		a.obj.refreshGraph()
+	case undoEmbed:
+		comp := a.obj
+		if i := slices.Index(comp.children, a.child); i >= 0 {
+			comp.children = slices.Delete(comp.children, i, i+1)
+		}
+		delete(s.objects, a.child.id)
+	case undoRemoval:
+		c := a.child
+		if i := slices.Index(c.removals, vt); i >= 0 {
+			c.removals = slices.Delete(c.removals, i, i+1)
+		}
+	}
+}
+
+// appendInline appends v to list, which starts on inline while nil: the
+// first entries of a transaction's lists live in its txnState (which is
+// never copied), so the common transaction allocates no list at all.
+func appendInline[T any](list, inline []T, v T) []T {
+	if list == nil {
+		list = inline[:0]
+	}
+	return append(list, v)
+}
+
+// addWrite adds w to the transaction's writes and returns its record.
+func (st *txnState) addWrite(w writeRec) *writeRec {
+	rec := &st.writeInline
+	if len(st.writes) > 0 {
+		rec = new(writeRec)
+	}
+	*rec = w
+	st.writes = appendInline(st.writes, st.writesInline[:], rec)
+	return rec
+}
+
+// addApplied records one applied modification.
+func (st *txnState) addApplied(a appliedUpdate) {
+	st.applied = appendInline(st.applied, st.appliedInline[:], a)
 }
 
 // commitApplied finalizes every applied modification.
 func (st *txnState) commitApplied() {
 	for _, a := range st.applied {
-		if a.commit != nil {
-			a.commit()
-			continue
-		}
-		a.obj.hist.Commit(st.vt)
+		a.commit(st.vt)
 	}
 }
 
@@ -158,14 +268,22 @@ type txnState struct {
 	origin vtime.SiteID
 	status txnStatus
 
-	// Originating-site state.
+	// Originating-site state. Most transactions read and write one
+	// object: the first read, the first write record and the first slot
+	// of writes are held inline (appendInline, addWrite).
 	txn          *Txn
 	handle       *Handle
-	reads        []*readRec
+	reads        []readRec
+	readsInline  [1]readRec
 	writes       []*writeRec
-	rcDeps       map[vtime.VT]bool
-	waitConfirms map[vtime.SiteID]bool
-	involved     map[vtime.SiteID]bool
+	writeInline  writeRec
+	writesInline [1]*writeRec
+	// rcDeps are the RC guesses still open (nil until the first).
+	rcDeps map[vtime.VT]bool
+	// waitConfirms are the primary sites whose confirmation is awaited,
+	// involved every site that must hear the outcome (the origin too).
+	waitConfirms siteSet
+	involved     siteSet
 	delegatedTo  vtime.SiteID
 	retries      int
 	denied       bool
@@ -196,20 +314,29 @@ type txnState struct {
 	// tell the decision (paper §3.1 delegated commit).
 	informs []vtime.SiteID
 
-	// State kept at every site that applied updates.
-	applied []appliedUpdate
+	// State kept at every site that applied updates. A transaction
+	// applies one or two updates per site, so applied starts on
+	// appliedInline.
+	applied       []appliedUpdate
+	appliedInline [2]appliedUpdate
 	// blockedRemaining counts this transaction's indirect updates still
 	// blocked on unseen structural ops at this site; onUnblocked runs
 	// when the count reaches zero (deferred primary validation).
 	blockedRemaining int
 	onUnblocked      func()
 	// reservedObjs are objects at this site on which this transaction
-	// holds primary-copy reservations (released on abort).
-	reservedObjs []*object
+	// holds primary-copy reservations (released on abort); the first is
+	// held inline.
+	reservedObjs   []*object
+	reservedInline [1]*object
 	// appliedWall is the Observer.NowNanos stamp of the first remote
 	// update application (0 with timing disabled); remote commit latency
 	// is measured from it.
 	appliedWall int64
+
+	// tx is the execution context of an origin's execution, kept here so
+	// it costs no allocation of its own.
+	tx Tx
 
 	// sentMsgs retains the propagation messages sent per destination
 	// while the transaction waits (WAL-attached sites only): an
@@ -218,6 +345,51 @@ type txnState struct {
 	// decision. Cleared once the transaction decides.
 	sentMsgs map[vtime.SiteID][]wire.Message
 }
+
+// addRCDep makes the transaction an RC guess on dep's commit.
+func (st *txnState) addRCDep(dep vtime.VT) {
+	if st.rcDeps == nil {
+		st.rcDeps = map[vtime.VT]bool{}
+	}
+	st.rcDeps[dep] = true
+}
+
+// siteSet is a set of sites in ascending order. A transaction involves,
+// and waits on, a handful of sites, so the set lives inline up to four
+// members: it costs no allocation where a map costs several, and it
+// iterates in order without a sort. A siteSet must not be copied.
+type siteSet struct {
+	inline [4]vtime.SiteID
+	sites  []vtime.SiteID // the members; backed by inline until it outgrows it
+}
+
+// add inserts site.
+func (ss *siteSet) add(site vtime.SiteID) {
+	i, found := slices.BinarySearch(ss.sites, site)
+	if found {
+		return
+	}
+	if ss.sites == nil {
+		ss.sites = ss.inline[:0]
+	}
+	ss.sites = slices.Insert(ss.sites, i, site)
+}
+
+// has reports whether site is a member.
+func (ss *siteSet) has(site vtime.SiteID) bool {
+	_, found := slices.BinarySearch(ss.sites, site)
+	return found
+}
+
+// remove deletes site.
+func (ss *siteSet) remove(site vtime.SiteID) {
+	if i, found := slices.BinarySearch(ss.sites, site); found {
+		ss.sites = slices.Delete(ss.sites, i, i+1)
+	}
+}
+
+// len returns the number of members.
+func (ss *siteSet) len() int { return len(ss.sites) }
 
 // Tx is the execution context handed to Txn.Execute. Model-object
 // accessors on the facade types funnel through it so reads and writes are
@@ -245,8 +417,8 @@ func (tx *Tx) fail(err error) {
 
 // findRead returns the read record for obj, if any.
 func (tx *Tx) findRead(obj *object) *readRec {
-	for _, r := range tx.st.reads {
-		if r.obj == obj {
+	for i := range tx.st.reads {
+		if r := &tx.st.reads[i]; r.obj == obj {
 			return r
 		}
 	}
@@ -280,14 +452,13 @@ func (tx *Tx) recordRead(obj *object) history.Version {
 		return cur
 	}
 	root := obj.replicationRoot()
-	r := &readRec{obj: obj, readVT: cur.VT, graphVT: root.graphVT}
-	tx.st.reads = append(tx.st.reads, r)
+	tx.st.reads = appendInline(tx.st.reads, tx.st.readsInline[:], readRec{obj: obj, readVT: cur.VT, graphVT: root.graphVT})
 	if cur.Status == history.Pending && cur.VT != tx.st.vt {
-		tx.st.rcDeps[cur.VT] = true
+		tx.st.addRCDep(cur.VT)
 	}
 	// RC guess on the replication graph value, if it is uncommitted.
 	if gcur, ok := root.graphHist.Current(); ok && gcur.Status == history.Pending && gcur.VT != tx.st.vt {
-		tx.st.rcDeps[gcur.VT] = true
+		tx.st.addRCDep(gcur.VT)
 	}
 	// Path RC guesses (paper §3.2.1): transactions that created the path
 	// components must commit.
@@ -318,7 +489,7 @@ func (tx *Tx) WriteScalar(obj *object, value any) {
 			tx.fail(fmt.Errorf("engine: lost own version of %s at %s", obj.id, vt))
 			return
 		}
-		w.ops = []wire.Op{wire.OpSet{Value: value}}
+		w.setOp(wire.OpSet{Value: value})
 		return
 	}
 	readVT := vt // blind write: tR = tT (paper §3.1)
@@ -327,16 +498,13 @@ func (tx *Tx) WriteScalar(obj *object, value any) {
 		r.absorbed = true // the RL check rides the update message
 	}
 	root := obj.replicationRoot()
-	w := &writeRec{obj: obj, readVT: readVT, graphVT: root.graphVT, ops: []wire.Op{wire.OpSet{Value: value}}}
-	tx.st.writes = append(tx.st.writes, w)
+	w := tx.st.addWrite(writeRec{obj: obj, readVT: readVT, graphVT: root.graphVT})
+	w.setOp(wire.OpSet{Value: value})
 	if err := obj.hist.InsertRead(vt, value, history.Pending, readVT); err != nil {
 		tx.fail(fmt.Errorf("engine: apply write: %w", err))
 		return
 	}
-	tx.st.applied = append(tx.st.applied, appliedUpdate{
-		obj:  obj,
-		undo: func() { obj.hist.Abort(vt) },
-	})
+	tx.st.addApplied(appliedUpdate{obj: obj})
 	tx.recordPathDeps(obj)
 }
 
@@ -353,7 +521,7 @@ func (tx *Tx) AddScalar(obj *object, delta any) {
 			switch prev := w.ops[0].(type) {
 			case wire.OpAdd:
 				combined := addDelta(prev.Delta, delta)
-				w.ops = []wire.Op{wire.OpAdd{Delta: combined}}
+				w.setOp(wire.OpAdd{Delta: combined})
 				obj.hist.Abort(vt)
 				if err := obj.hist.InsertMerge(vt, history.Pending, w.readVT, mergeAdd(combined)); err != nil {
 					tx.fail(fmt.Errorf("engine: apply add: %w", err))
@@ -367,7 +535,7 @@ func (tx *Tx) AddScalar(obj *object, delta any) {
 					tx.fail(fmt.Errorf("engine: lost own version of %s at %s", obj.id, vt))
 					return
 				}
-				w.ops = []wire.Op{wire.OpSet{Value: nv}}
+				w.setOp(wire.OpSet{Value: nv})
 				return
 			}
 		}
@@ -380,28 +548,25 @@ func (tx *Tx) AddScalar(obj *object, delta any) {
 		r.absorbed = true // the RL check rides the update message
 	}
 	root := obj.replicationRoot()
-	w := &writeRec{obj: obj, readVT: readVT, graphVT: root.graphVT, ops: []wire.Op{wire.OpAdd{Delta: delta}}}
-	tx.st.writes = append(tx.st.writes, w)
+	w := tx.st.addWrite(writeRec{obj: obj, readVT: readVT, graphVT: root.graphVT})
+	w.setOp(wire.OpAdd{Delta: delta})
 	if err := obj.hist.InsertMerge(vt, history.Pending, readVT, mergeAdd(delta)); err != nil {
 		tx.fail(fmt.Errorf("engine: apply add: %w", err))
 		return
 	}
-	tx.st.applied = append(tx.st.applied, appliedUpdate{
-		obj:  obj,
-		undo: func() { obj.hist.Abort(vt) },
-	})
+	tx.st.addApplied(appliedUpdate{obj: obj})
 	tx.recordPathDeps(obj)
 }
 
 // Submit schedules txn for execution at this site and returns its handle.
 func (s *Site) Submit(txn *Txn) *Handle {
 	h := newHandle()
+	h.txn = txn
 	h.submittedWall = s.obs.NowNanos()
 	s.stats.Submitted.Add(1)
-	s.doOrDrop(
-		func() { s.execute(txn, h, 0) },
-		func() { h.finish(Result{Err: ErrSiteStopped}) },
-	)
+	if !s.post(loopCall{exec: h}) {
+		h.finish(Result{Err: ErrSiteStopped})
+	}
 	return h
 }
 
@@ -409,16 +574,14 @@ func (s *Site) Submit(txn *Txn) *Handle {
 func (s *Site) execute(txn *Txn, h *Handle, retries int) {
 	vt := s.clock.Next()
 	st := &txnState{
-		vt:           vt,
-		origin:       s.id,
-		status:       txnExecuting,
-		txn:          txn,
-		handle:       h,
-		rcDeps:       map[vtime.VT]bool{},
-		waitConfirms: map[vtime.SiteID]bool{},
-		involved:     map[vtime.SiteID]bool{s.id: true},
-		retries:      retries,
+		vt:      vt,
+		origin:  s.id,
+		status:  txnExecuting,
+		txn:     txn,
+		handle:  h,
+		retries: retries,
 	}
+	st.involved.add(s.id)
 	s.trackTxn(st)
 
 	if s.obs.TraceEnabled() {
@@ -428,7 +591,8 @@ func (s *Site) execute(txn *Txn, h *Handle, retries int) {
 		s.trace(obs.EvExecute, vt, 0, "attempt "+strconv.Itoa(retries+1))
 	}
 
-	tx := &Tx{s: s, st: st}
+	tx := &st.tx
+	tx.s, tx.st = s, st
 	err := runUserExecute(txn, tx)
 	if err == nil {
 		err = tx.err
@@ -473,7 +637,8 @@ func (s *Site) finishExecution(st *txnState) {
 
 	// Optimistic views see the update as soon as it executes locally
 	// (paper §4.1).
-	s.scheduleOptimistic(st.appliedObjects(), st.vt)
+	var buf objBuf
+	s.scheduleOptimistic(st.appliedObjects(&buf), st.vt)
 
 	// A transaction made purely of commutative ops commits here and now —
 	// no guess, no reservation, no confirm round-trip.
@@ -491,17 +656,22 @@ func (s *Site) finishExecution(st *txnState) {
 	s.checkTxnComplete(st)
 }
 
+// objBuf is inline storage for a set of applied objects: a transaction
+// modifies one or two objects, so the scans below collect into a caller's
+// stack array and allocate only for more than four.
+type objBuf [4]*object
+
 // appliedObjects returns the distinct objects this transaction modified
-// locally. (One or two, several times per decision: a scan of the result
-// beats a map per call.)
-func (st *txnState) appliedObjects() []*object {
-	return st.appliedSince(0)
+// locally, appended to buf[:0]. (One or two, several times per decision:
+// a scan beats a map per call.)
+func (st *txnState) appliedObjects(buf *objBuf) []*object {
+	return st.appliedSince(0, buf)
 }
 
 // appliedSince is appliedObjects over st.applied[from:]: what one
 // message (or one drained indirect update) newly applied.
-func (st *txnState) appliedSince(from int) []*object {
-	var out []*object
+func (st *txnState) appliedSince(from int, buf *objBuf) []*object {
+	out := buf[:0]
 	for _, a := range st.applied[from:] {
 		if !slices.Contains(out, a.obj) {
 			out = append(out, a.obj)
@@ -518,6 +688,9 @@ func (st *txnState) decided() bool {
 // registerRCDeps wires the transaction's RC guesses to this site's
 // outcome notifications.
 func (s *Site) registerRCDeps(st *txnState) {
+	if len(st.rcDeps) == 0 {
+		return
+	}
 	for _, dep := range sortedVTs(st.rcDeps) {
 		dep := dep
 		if known, ok := s.outcomes.get(dep); ok {
@@ -554,7 +727,7 @@ func (s *Site) checkTxnComplete(st *txnState) {
 	if st.delegatedTo != 0 {
 		return // the delegate decides
 	}
-	if len(st.waitConfirms) > 0 || len(st.rcDeps) > 0 || st.extraPending > 0 {
+	if st.waitConfirms.len() > 0 || len(st.rcDeps) > 0 || st.extraPending > 0 {
 		return
 	}
 	s.decide(st, true, nil)

@@ -250,14 +250,19 @@ func (o *object) latestCommittedVT() vtime.VT {
 	return tok
 }
 
-// collectPendingAt gathers the uncommitted transactions contributing to
-// o's state at `at` (the snapshot's RC guesses).
-func (o *object) collectPendingAt(at vtime.VT, into map[vtime.VT]bool) {
+// collectPendingAt adds to into the uncommitted transactions contributing
+// to o's state at `at` (the snapshot's RC guesses), and returns it; into
+// may be nil, and stays so when there are none.
+func (o *object) collectPendingAt(at vtime.VT, into map[vtime.VT]bool) map[vtime.VT]bool {
 	o.forEachDescendant(func(d *object) {
 		if v, ok := d.hist.At(at); ok && v.Status == history.Pending {
+			if into == nil {
+				into = map[vtime.VT]bool{}
+			}
 			into[v.VT] = true
 		}
 	})
+	return into
 }
 
 // buildSnapshot materializes a snapshot of the proxy's attached objects at
@@ -296,14 +301,12 @@ func sameValue(a, b any) bool {
 func (p *viewProxy) materialize(snap *snapshot, committedOnly bool) {
 	snap.values = make(map[ids.ObjectID]any, len(p.attached))
 	snap.versions = make([]vtime.VT, len(p.attached))
-	if !committedOnly {
-		snap.rcDeps = map[vtime.VT]bool{}
-	}
+	snap.rcDeps = nil
 	for i, o := range p.attached {
 		snap.values[o.id] = o.readValue(snap.ts, committedOnly)
 		snap.versions[i] = o.stateTokenAt(snap.ts, committedOnly)
 		if !committedOnly {
-			o.collectPendingAt(snap.ts, snap.rcDeps)
+			snap.rcDeps = o.collectPendingAt(snap.ts, snap.rcDeps)
 		}
 	}
 }
@@ -847,7 +850,7 @@ func (p *viewProxy) tryDeliver() {
 		if snap.pendingChecks > 0 || snap.transientWait {
 			return
 		}
-		p.snaps = p.snaps[1:]
+		p.snaps = slices.Delete(p.snaps, 0, 1) // keeps the capacity
 		p.deliverPessimistic(snap)
 	}
 }

@@ -332,6 +332,23 @@ func (h *History) HasCommittedIn(iv vtime.Interval, owner vtime.VT) bool {
 	return false
 }
 
+// AppendPendingReadsAcross appends to dst, in VT order, the VTs of the
+// pending versions other than one at vt whose write-free interval
+// (ReadVT, VT] contains vt, and returns the result. A blind write
+// (ReadVT = VT) has no such interval. It copies nothing else, so a caller
+// that acts on the versions it names is free to change the history.
+func (h *History) AppendPendingReadsAcross(dst []vtime.VT, vt vtime.VT) []vtime.VT {
+	for _, v := range h.versions {
+		if v.Status != Pending || v.VT == vt || v.ReadVT == v.VT {
+			continue
+		}
+		if (vtime.Interval{Lo: v.ReadVT, Hi: v.VT}).Contains(vt) {
+			dst = append(dst, v.VT)
+		}
+	}
+	return dst
+}
+
 // Versions returns a copy of the retained versions in VT order, for
 // inspection and tests.
 func (h *History) Versions() []Version {

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -75,6 +76,10 @@ const maxFrame = 64 << 20
 // data frame, leaving headroom for the kind byte and firstSeq varint so
 // the payload never reaches the receiver's maxFrame kill threshold.
 const maxDataBytes = maxFrame - 16
+
+// envChunk is the size of the chunks a peer's writer carves retained
+// envelopes from; an envelope over a quarter of it is allocated alone.
+const envChunk = 32 << 10
 
 // defaultMaxBatch bounds how many envelopes coalesce into one frame.
 const defaultMaxBatch = 512
@@ -1221,13 +1226,34 @@ func (p *tcpPeer) writeLoop() {
 	// be transmitted (the receiver kills any connection carrying a frame
 	// over maxFrame, and a retained record would be resent verbatim
 	// after every reconnect — a livelock), so it counts as unencodable.
+	//
+	// An envelope is encoded into the reused scratch enc, then carved out
+	// of the current chunk: retained records are subslices of a few large
+	// allocations rather than one allocation each. A chunk is never
+	// written again once full, so the GC frees it when every record
+	// carved from it has been acked and pruned.
+	var enc, chunk []byte
+	carve := func(b []byte) []byte {
+		if len(b) > envChunk/4 {
+			return bytes.Clone(b) // a large envelope gets its own array
+		}
+		if cap(chunk)-len(chunk) < len(b) {
+			chunk = make([]byte, 0, envChunk)
+		}
+		start := len(chunk)
+		chunk = append(chunk, b...)
+		return chunk[start:len(chunk):len(chunk)]
+	}
 	enqueueOut := func(e tcpOut) {
-		data, err := appendEnvelope(nil, t.site, e.sentAt, e.msg)
-		if err != nil || len(data) > maxDataBytes {
+		b, err := appendEnvelope(enc[:0], t.site, e.sentAt, e.msg)
+		if cap(b) <= envChunk {
+			enc = b // a scratch grown past a chunk is not kept
+		}
+		if err != nil || len(b) > maxDataBytes {
 			t.stats.unencodable.Add(1)
 			return
 		}
-		retained = append(retained, outRec{seq: nextSeq, data: data})
+		retained = append(retained, outRec{seq: nextSeq, data: carve(b)})
 		p.lastSeq.Store(nextSeq)
 		nextSeq++
 		p.retainedCount.Store(int64(len(retained)))
@@ -1313,6 +1339,7 @@ func (p *tcpPeer) writeLoop() {
 	}
 
 	var scratch [16]byte
+	var parts [][]byte // the data frame's part list, reused
 	for {
 		if conn == nil || isBroken() {
 			dropConn()
@@ -1432,7 +1459,9 @@ func (p *tcpPeer) writeLoop() {
 			} else {
 				head := append(scratch[:0], frameData)
 				head = binary.AppendUvarint(head, retained[sentIdx].seq)
-				ok = writeFrame(buildParts(head, retained[sentIdx:end])...)
+				parts = buildParts(parts[:0], head, retained[sentIdx:end])
+				ok = writeFrame(parts...)
+				clear(parts) // hold no acked record's chunk
 			}
 		}
 		if ok && sendProbe && sentIdx == end && !ackDue {
@@ -1471,9 +1500,9 @@ func batchEnd(retained []outRec, sentIdx, maxBatch, maxBytes int) int {
 	return end
 }
 
-// buildParts assembles the writev-style part list for one data frame.
-func buildParts(head []byte, recs []outRec) [][]byte {
-	parts := make([][]byte, 0, len(recs)+1)
+// buildParts appends the writev-style part list of one data frame to
+// parts.
+func buildParts(parts [][]byte, head []byte, recs []outRec) [][]byte {
 	parts = append(parts, head)
 	for _, r := range recs {
 		parts = append(parts, r.data)

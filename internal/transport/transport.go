@@ -96,7 +96,9 @@ type Endpoint interface {
 // coalesce the outbound messages of one event-loop batch per peer.
 // Semantics match len(msgs) sequential Send calls: per-message fault
 // injection and latency jitter still apply, and FIFO delivery order is
-// preserved.
+// preserved. The slice is the caller's again once SendBatch returns (the
+// engine reuses it for its next batch): an implementation keeps the
+// messages, not the slice.
 type BatchSender interface {
 	SendBatch(to vtime.SiteID, sentAt vtime.VT, msgs []wire.Message) error
 }
