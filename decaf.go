@@ -214,7 +214,7 @@ func ListenTCP(site SiteID, addr string, peers map[SiteID]string) (*transport.TC
 }
 
 // TCPOptions tunes a TCP endpoint: retransmit window and batch sizes,
-// the suspicion policy governing failure escalation, keepalive probing,
+// the suspicion policy governing failure escalation, the ack timeout,
 // and fault injection. Reconnect backoff (25ms doubling to 400ms) and
 // the 10s bound on one frame flush are fixed. Queues are unbounded:
 // nothing a live peer accepted is dropped. See transport.TCPOptions.

@@ -17,15 +17,15 @@ const (
 	// budgetDelegatedRMW: a read-modify-write at site 2 of an Int whose
 	// primary is site 1, replicated at site 3. The origin delegates the
 	// decision to the primary, which tells the replica and the origin.
-	budgetDelegatedRMW = 14
+	budgetDelegatedRMW = 13
 	// budgetFastAdd: a commutative Add at site 2, committed there and
 	// shipped as FastWrites.
-	budgetFastAdd = 14
+	budgetFastAdd = 11
 	// budgetPessimisticView: budgetDelegatedRMW on an object that carries
 	// a pessimistic view at its primary site.
-	budgetPessimisticView = 20
+	budgetPessimisticView = 19
 	// budgetOptimisticView: the same under an optimistic view.
-	budgetOptimisticView = 21
+	budgetOptimisticView = 20
 )
 
 // steppedCluster is n never-started sites over a zero-latency in-memory

@@ -37,8 +37,8 @@ import (
 )
 
 // addDelta adds an OpAdd delta to a previous numeric value (nil reads as
-// the kind's zero).
-func addDelta(prev any, delta any) any {
+// the kind's zero). It is also the history-layer fold of a counter add.
+func addDelta(prev, delta any) any {
 	switch d := delta.(type) {
 	case int64:
 		n, _ := prev.(int64)
@@ -50,17 +50,11 @@ func addDelta(prev any, delta any) any {
 	return prev
 }
 
-// mergeAdd builds the history-layer merge function of one counter add.
-func mergeAdd(delta any) func(prev any) any {
-	return func(prev any) any { return addDelta(prev, delta) }
-}
-
-// mergeRel builds the merge function of one add-wins relationship insert.
-func mergeRel(rel wire.Relationship) func(prev any) any {
-	return func(prev any) any {
-		rels, _ := prev.([]wire.Relationship)
-		return mergeRelationships(rels, rel)
-	}
+// foldRel is the history-layer fold of one add-wins relationship insert:
+// delta is the wire.OpAssocInsert, which the update already boxes.
+func foldRel(prev, delta any) any {
+	rels, _ := prev.([]wire.Relationship)
+	return mergeRelationships(rels, delta.(wire.OpAssocInsert).Rel)
 }
 
 // mergeRelationships inserts rel into rels, replacing a same-name entry

@@ -87,7 +87,7 @@ func (s *Site) openWrite(m wire.Write, fast bool, t *writeTask) bool {
 		s.trace(obs.EvApply, m.TxnVT, m.Origin, "")
 	}
 	if m.Delegate != nil {
-		st.informs = m.Delegate.Sites
+		st.informs = m.Delegate
 	}
 	*t = writeTask{m: m, st: st, status: history.Pending, applied0: len(st.applied)}
 	if decided {
@@ -208,7 +208,7 @@ func (s *Site) traceCheck(vt vtime.VT, origin vtime.SiteID, v verdict, reserved 
 func (s *Site) resendOutcome(m wire.Write, committed bool) {
 	to := []vtime.SiteID{m.Origin}
 	if m.Delegate != nil {
-		to = m.Delegate.Sites
+		to = m.Delegate
 	}
 	for _, site := range to {
 		s.send(site, wire.Outcome{TxnVT: m.TxnVT, Committed: committed})
@@ -341,13 +341,13 @@ func (s *Site) applyOpRead(st *txnState, target *object, path wire.Path, op wire
 		}
 		st.addApplied(appliedUpdate{obj: obj})
 	case wire.OpAdd:
-		if err := obj.hist.InsertMerge(vt, status, readVT, mergeAdd(o.Delta)); err != nil {
+		if err := obj.hist.InsertFold(vt, status, readVT, addDelta, o.Delta); err != nil {
 			s.log.Debug("duplicate update ignored", "obj", obj.id.String(), "vt", vt.String())
 			return true
 		}
 		st.addApplied(appliedUpdate{obj: obj})
 	case wire.OpAssocInsert:
-		if err := obj.hist.InsertMerge(vt, status, readVT, mergeRel(o.Rel)); err != nil {
+		if err := obj.hist.InsertFold(vt, status, readVT, foldRel, op); err != nil {
 			return true
 		}
 		st.addApplied(appliedUpdate{obj: obj})

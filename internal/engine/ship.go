@@ -222,7 +222,7 @@ func (s *Site) propagate(st *txnState) {
 						others = append(others, inv)
 					}
 				}
-				w.Delegate = &wire.Delegation{Sites: others}
+				w.Delegate = others
 				st.delegatedTo = site
 				st.waitConfirms.remove(site)
 			}

@@ -523,7 +523,7 @@ func (tx *Tx) AddScalar(obj *object, delta any) {
 				combined := addDelta(prev.Delta, delta)
 				w.setOp(wire.OpAdd{Delta: combined})
 				obj.hist.Abort(vt)
-				if err := obj.hist.InsertMerge(vt, history.Pending, w.readVT, mergeAdd(combined)); err != nil {
+				if err := obj.hist.InsertFold(vt, history.Pending, w.readVT, addDelta, combined); err != nil {
 					tx.fail(fmt.Errorf("engine: apply add: %w", err))
 				}
 				return
@@ -550,7 +550,7 @@ func (tx *Tx) AddScalar(obj *object, delta any) {
 	root := obj.replicationRoot()
 	w := tx.st.addWrite(writeRec{obj: obj, readVT: readVT, graphVT: root.graphVT})
 	w.setOp(wire.OpAdd{Delta: delta})
-	if err := obj.hist.InsertMerge(vt, history.Pending, readVT, mergeAdd(delta)); err != nil {
+	if err := obj.hist.InsertFold(vt, history.Pending, readVT, addDelta, delta); err != nil {
 		tx.fail(fmt.Errorf("engine: apply add: %w", err))
 		return
 	}

@@ -417,7 +417,7 @@ func remoteWrite(s *Site, ref ObjRef, vt vtime.VT, op wire.Op, delegated bool) w
 	}}}
 	if delegated {
 		w.NeedsConfirm = true
-		w.Delegate = &wire.Delegation{Sites: []vtime.SiteID{2}}
+		w.Delegate = []vtime.SiteID{2}
 	}
 	return w
 }

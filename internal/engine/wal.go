@@ -317,12 +317,7 @@ func (s *Site) handleSyncUpdates(from vtime.SiteID, m wire.SyncUpdates) {
 	if s.wal == nil {
 		return
 	}
-	for _, b := range m.Records {
-		msg, _, err := wire.DecodeMessage(b)
-		if err != nil {
-			s.log.Warn("sync record undecodable", "from", m.From.String(), "err", err)
-			continue
-		}
+	for _, msg := range m.Records {
 		s.stats.SyncRecordsApplied.Inc()
 		s.handleMessage(m.From, msg)
 	}
@@ -342,25 +337,17 @@ func (s *Site) handleSyncUpdates(from vtime.SiteID, m wire.SyncUpdates) {
 	s.resubmitWaiting()
 }
 
-// buildSyncRecords collects the wire-encoded log records peer is missing
-// — everything above its advertised floors, excluding records the peer
+// buildSyncRecords collects the logged updates peer is missing —
+// everything above its advertised floors, excluding records the peer
 // itself originated — remapped into the peer's object-ID namespace.
 // Outcomes ship first, then data records in log order, so the receiver
 // applies every update with its decision already recorded.
-func (s *Site) buildSyncRecords(peer vtime.SiteID, floors []wire.SyncFloor) [][]byte {
+func (s *Site) buildSyncRecords(peer vtime.SiteID, floors []wire.SyncFloor) []wire.Message {
 	floor := map[vtime.SiteID]uint64{}
 	for _, f := range floors {
 		floor[f.Site] = f.Time
 	}
-	var outcomes, data [][]byte
-	appendMsg := func(dst *[][]byte, msg wire.Message) {
-		b, err := wire.EncodeMessage(msg)
-		if err != nil {
-			s.log.Warn("sync record encode failed", "err", err)
-			return
-		}
-		*dst = append(*dst, b)
-	}
+	var outcomes, data []wire.Message
 	err := s.wal.Replay(func(rec wal.Record) error {
 		if rec.Kind != wal.RecordMessage || rec.Origin == peer || rec.Time <= floor[rec.Origin] {
 			return nil
@@ -371,16 +358,16 @@ func (s *Site) buildSyncRecords(peer vtime.SiteID, floors []wire.SyncFloor) [][]
 		}
 		switch m := msg.(type) {
 		case wire.Outcome:
-			appendMsg(&outcomes, m)
+			outcomes = append(outcomes, m)
 		case wire.Write:
 			if upd := s.remapUpdates(peer, m.Updates); len(upd) > 0 {
 				// Checks/NeedsConfirm/Delegate are origin-session state;
 				// a relayed update is pure data.
-				appendMsg(&data, wire.Write{TxnVT: m.TxnVT, Origin: m.Origin, Updates: upd})
+				data = append(data, wire.Write{TxnVT: m.TxnVT, Origin: m.Origin, Updates: upd})
 			}
 		case wire.FastWrite:
 			if upd := s.remapUpdates(peer, m.Updates); len(upd) > 0 {
-				appendMsg(&data, wire.FastWrite{TxnVT: m.TxnVT, Origin: m.Origin, Updates: upd})
+				data = append(data, wire.FastWrite{TxnVT: m.TxnVT, Origin: m.Origin, Updates: upd})
 			}
 		}
 		return nil

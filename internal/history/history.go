@@ -53,19 +53,25 @@ type Version struct {
 	// view engine uses it to tell whether the writer's own RL
 	// reservation covers a snapshot interval (paper §5.1.2).
 	ReadVT vtime.VT
-	// merge, when non-nil, marks a commutative version: its Value is
-	// derived from the predecessor's value via this function rather than
-	// being absolute. Value is kept eagerly recomputed, so reads never
-	// consult merge; it is re-invoked only when predecessors change
-	// (out-of-order insert, abort, overwrite).
-	merge func(prev any) any
+	// fold, when non-nil, marks a commutative (merge) version: its Value
+	// is fold(predecessor's value, delta) rather than absolute. Value is
+	// kept eagerly recomputed, so reads never consult fold; it is
+	// re-invoked only when predecessors change (out-of-order insert,
+	// abort, overwrite).
+	fold  Fold
+	delta any
 	// materialized marks a merge version whose dropped predecessors were
-	// folded into Value by GC. It is no longer recomputable (merge is
+	// folded into Value by GC. It is no longer recomputable (fold is
 	// nil), but unlike a genuine absolute write it must still absorb
 	// commutative versions that arrive below it: their deltas fold
 	// directly into Value (legal precisely because merges commute).
 	materialized bool
 }
+
+// Fold derives a merge version's value from its predecessor's value (nil
+// when it has none) and the version's delta, e.g. a counter add. Merges
+// commute: folding the same deltas in any order gives the same value.
+type Fold func(prev, delta any) any
 
 // History is a virtual-time-indexed set of versions of a single model
 // object. The zero value is an empty history ready to use.
@@ -126,13 +132,26 @@ func (h *History) InsertRead(vt vtime.VT, value any, st Status, readVT vtime.VT)
 	return nil
 }
 
-// InsertMerge records a commutative version at vt whose value is derived
-// from its predecessor via merge (e.g. a counter increment). The version's
-// value stays correct under out-of-order arrival: whenever a predecessor
-// changes, the chain of merge versions above it is recomputed.
+// InsertMerge records a commutative version at vt whose value is
+// merge(predecessor's value). It is InsertFold with merge as the delta,
+// for a caller whose merge is a closure.
 func (h *History) InsertMerge(vt vtime.VT, st Status, readVT vtime.VT, merge func(prev any) any) error {
 	if merge == nil {
 		return fmt.Errorf("history: nil merge for version at %s", vt)
+	}
+	return h.InsertFold(vt, st, readVT, callMerge, merge)
+}
+
+// callMerge is the Fold of a version inserted by InsertMerge.
+func callMerge(prev, merge any) any { return merge.(func(prev any) any)(prev) }
+
+// InsertFold records a commutative version at vt whose value is
+// fold(predecessor's value, delta) (e.g. a counter increment). The
+// version's value stays correct under out-of-order arrival: whenever a
+// predecessor changes, the chain of merge versions above it is recomputed.
+func (h *History) InsertFold(vt vtime.VT, st Status, readVT vtime.VT, fold Fold, delta any) error {
+	if fold == nil {
+		return fmt.Errorf("history: nil fold for version at %s", vt)
 	}
 	if _, dup := h.folded[vt]; dup {
 		return fmt.Errorf("history: duplicate version at %s (already folded into materialized base)", vt)
@@ -143,48 +162,50 @@ func (h *History) InsertMerge(vt vtime.VT, st Status, readVT vtime.VT, merge fun
 	}
 	h.versions = append(h.versions, Version{})
 	copy(h.versions[i+1:], h.versions[i:])
-	h.versions[i] = Version{VT: vt, Status: st, ReadVT: readVT, merge: merge}
+	h.versions[i] = Version{VT: vt, Status: st, ReadVT: readVT, fold: fold, delta: delta}
 	h.recomputeFrom(i)
 	// A committed merge landing below a GC-materialized base would be
 	// shadowed by it; fold the delta in instead. Pending merges fold at
 	// Commit time (an abort must leave the base untouched).
 	if st == Committed {
-		h.foldIntoMaterialized(i, merge)
+		h.foldIntoMaterialized(i)
 	}
 	return nil
 }
 
-// foldIntoMaterialized folds one merge delta into the materialized base
-// (if any) that shadows the version at index i, and propagates the change
-// to the merge run above the base.
-func (h *History) foldIntoMaterialized(i int, merge func(prev any) any) {
-	if h.versions[i].VT.LessEq(h.shadow) {
+// foldIntoMaterialized folds the delta of the merge version at index i
+// into the materialized base (if any) that shadows it, and propagates the
+// change to the merge run above the base.
+func (h *History) foldIntoMaterialized(i int) {
+	v := &h.versions[i]
+	if v.VT.LessEq(h.shadow) {
 		return
 	}
 	j := i
-	for j < len(h.versions) && h.versions[j].merge != nil {
+	for j < len(h.versions) && h.versions[j].fold != nil {
 		j++
 	}
 	if j >= len(h.versions) || !h.versions[j].materialized {
 		return
 	}
-	h.versions[j].Value = merge(h.versions[j].Value)
+	h.versions[j].Value = v.fold(h.versions[j].Value, v.delta)
 	h.recomputeFrom(j + 1)
 }
 
 // recomputeFrom re-derives the values of the run of merge versions starting
-// at index i. The run ends at the first absolute (nil-merge) version, whose
+// at index i. The run ends at the first absolute (nil-fold) version, whose
 // value does not depend on its predecessors.
 func (h *History) recomputeFrom(i int) {
 	for ; i < len(h.versions); i++ {
-		if h.versions[i].merge == nil {
+		v := &h.versions[i]
+		if v.fold == nil {
 			return
 		}
 		var prev any
 		if i > 0 {
 			prev = h.versions[i-1].Value
 		}
-		h.versions[i].Value = h.versions[i].merge(prev)
+		v.Value = v.fold(prev, v.delta)
 	}
 }
 
@@ -257,7 +278,7 @@ func (h *History) SetValue(vt vtime.VT, value any) bool {
 		h.versions[i].Value = value
 		// An overwrite is absolute even if the original write was a
 		// merge; and it changes what merge versions above derive from.
-		h.versions[i].merge = nil
+		h.versions[i].fold, h.versions[i].delta = nil, nil
 		h.versions[i].materialized = false
 		h.recomputeFrom(i + 1)
 		return true
@@ -275,9 +296,9 @@ func (h *History) Commit(vt vtime.VT) bool {
 		}
 		h.versions[i].Status = Committed
 		// A merge version deciding below a materialized base folds its
-		// delta in now (see InsertMerge).
-		if h.versions[i].merge != nil {
-			h.foldIntoMaterialized(i, h.versions[i].merge)
+		// delta in now (see InsertFold).
+		if h.versions[i].fold != nil {
+			h.foldIntoMaterialized(i)
 		}
 		return true
 	}
@@ -395,8 +416,8 @@ func (h *History) GC(floor vtime.VT) int {
 	// merge stragglers that arrive below it (foldIntoMaterialized); a
 	// genuine absolute base shadows them, exactly as the full history
 	// would have.
-	if h.versions[keep].merge != nil {
-		h.versions[keep].merge = nil
+	if h.versions[keep].fold != nil {
+		h.versions[keep].fold, h.versions[keep].delta = nil, nil
 		h.versions[keep].materialized = true
 	}
 	// Remember every dropped merge VT (including old materialized bases,
@@ -406,7 +427,7 @@ func (h *History) GC(floor vtime.VT) int {
 	// version becomes the shadow.
 	for i := 0; i < keep; i++ {
 		v := h.versions[i]
-		if v.merge == nil && !v.materialized {
+		if v.fold == nil && !v.materialized {
 			h.shadow = v.VT
 			continue
 		}

@@ -372,18 +372,34 @@ func TestInsertReadCarriesReadVT(t *testing.T) {
 	}
 }
 
-// addMerge returns a counter-increment merge function: prev (nil = 0) + d.
-func addMerge(d int64) func(any) any {
-	return func(prev any) any {
-		n, _ := prev.(int64)
-		return n + d
-	}
+// addFold is a counter-increment fold: prev (nil = 0) + delta.
+func addFold(prev, delta any) any {
+	n, _ := prev.(int64)
+	return n + delta.(int64)
 }
 
 func mustInsertMerge(t *testing.T, h *History, at uint64, d int64, st Status) {
 	t.Helper()
-	if err := h.InsertMerge(vt(at), st, vt(at), addMerge(d)); err != nil {
-		t.Fatalf("InsertMerge(%d): %v", at, err)
+	if err := h.InsertFold(vt(at), st, vt(at), addFold, d); err != nil {
+		t.Fatalf("InsertFold(%d): %v", at, err)
+	}
+}
+
+// TestInsertMergeClosure checks the closure form of a merge version: its
+// value is the closure applied to the predecessor's, recomputed when the
+// predecessor changes.
+func TestInsertMergeClosure(t *testing.T) {
+	var h History
+	mustInsert(t, &h, 10, int64(100), Committed)
+	if err := h.InsertMerge(vt(20), Pending, vt(20), func(prev any) any { return prev.(int64) + 5 }); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.InsertMerge(vt(30), Pending, vt(30), nil); err == nil {
+		t.Fatal("a nil merge was accepted")
+	}
+	mustInsert(t, &h, 15, int64(200), Committed)
+	if cur, _ := h.Current(); cur.Value != int64(205) {
+		t.Fatalf("current = %v, want 205", cur.Value)
 	}
 }
 
@@ -629,7 +645,7 @@ func TestMergeDuplicateRejectedAfterGCFold(t *testing.T) {
 	mustInsertMerge(t, &h, 20, 5, Committed)
 	mustInsertMerge(t, &h, 30, 7, Committed)
 	h.GC(vt(30)) // base is the merge at 30, value 112; 10 and 20 dropped
-	if err := h.InsertMerge(vt(20), Committed, vt(20), addMerge(5)); err == nil {
+	if err := h.InsertFold(vt(20), Committed, vt(20), addFold, int64(5)); err == nil {
 		t.Fatal("duplicate of a GC-folded merge was accepted")
 	}
 	cur, _ := h.Current()
@@ -641,10 +657,10 @@ func TestMergeDuplicateRejectedAfterGCFold(t *testing.T) {
 	mustInsertMerge(t, &h, 15, 3, Committed) // folds into base: 115
 	mustInsertMerge(t, &h, 40, 1, Committed)
 	h.GC(vt(40)) // drops the shadowed straggler record and the old base
-	if err := h.InsertMerge(vt(15), Committed, vt(15), addMerge(3)); err == nil {
+	if err := h.InsertFold(vt(15), Committed, vt(15), addFold, int64(3)); err == nil {
 		t.Fatal("duplicate of a post-materialization straggler was accepted")
 	}
-	if err := h.InsertMerge(vt(30), Committed, vt(30), addMerge(7)); err == nil {
+	if err := h.InsertFold(vt(30), Committed, vt(30), addFold, int64(7)); err == nil {
 		t.Fatal("duplicate of a dropped materialized base was accepted")
 	}
 	cur, _ = h.Current()

@@ -44,13 +44,13 @@ func waitAcked(t *testing.T, ep *TCP, site vtime.SiteID, timeout time.Duration) 
 }
 
 // checkFlushIdentity checks that every flush carried a frame: flushes
-// <= data frames + standalone acks + keepalives + hellos. The endpoint
+// <= data frames + standalone acks + hellos. The endpoint
 // must have sent sent envelopes to one peer; a data frame holds at least
 // one envelope (again after a reconnect), and every connection opens
 // with one hello.
 func checkFlushIdentity(t *testing.T, name string, st TCPStats, sent uint64) {
 	t.Helper()
-	frames := sent + st.Retransmits + st.AckFrames + st.Keepalives + 1 + st.Reconnects
+	frames := sent + st.Retransmits + st.AckFrames + 1 + st.Reconnects
 	if st.Flushes > frames {
 		t.Errorf("%s: %d flushes for at most %d frames (%d envelopes, stats %+v)", name, st.Flushes, frames, sent, st)
 	}

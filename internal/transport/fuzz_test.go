@@ -38,7 +38,7 @@ func seedEnvelopes(fatalf func(format string, args ...any)) [][]byte {
 	}
 	var out [][]byte
 	for i, m := range msgs {
-		b, err := appendEnvelope(nil, vtime.SiteID(i+1), vt(uint64(10+i), uint64(i+1)), m)
+		b, err := appendEnvelope(nil, uint64(10+i), m)
 		if err != nil {
 			fatalf("encode seed envelope %d (%s): %v", i, m.Kind(), err)
 		}
@@ -57,31 +57,31 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		from, sentAt, msg, used, err := decodeEnvelope(data)
+		sentAt, msg, used, err := decodeEnvelope(data)
 		if err != nil {
 			return
 		}
 		if used < 1 || used > len(data) {
 			t.Fatalf("decodeEnvelope used %d of %d bytes", used, len(data))
 		}
-		re, err := appendEnvelope(nil, from, sentAt, msg)
+		re, err := appendEnvelope(nil, sentAt, msg)
 		if err != nil {
 			t.Fatalf("decoded envelope does not re-encode: %v", err)
 		}
-		from2, sentAt2, msg2, used2, err := decodeEnvelope(re)
+		sentAt2, msg2, used2, err := decodeEnvelope(re)
 		if err != nil {
 			t.Fatalf("re-encoded envelope does not decode: %v", err)
 		}
 		if used2 != len(re) {
 			t.Fatalf("re-decode consumed %d of %d bytes", used2, len(re))
 		}
-		if from2 != from || sentAt2 != sentAt {
-			t.Fatalf("round trip changed the header: (%v,%v) -> (%v,%v)", from, sentAt, from2, sentAt2)
+		if sentAt2 != sentAt {
+			t.Fatalf("round trip changed the header: %d -> %d", sentAt, sentAt2)
 		}
 		// NaN payloads make DeepEqual lie; byte-identical re-encodings
 		// also pass.
 		if !reflect.DeepEqual(msg, msg2) {
-			re2, err := appendEnvelope(nil, from2, sentAt2, msg2)
+			re2, err := appendEnvelope(nil, sentAt2, msg2)
 			if err != nil || !bytes.Equal(re, re2) {
 				t.Fatalf("round trip changed the message:\n first: %#v\nsecond: %#v", msg, msg2)
 			}

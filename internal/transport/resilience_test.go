@@ -308,31 +308,6 @@ func TestResilienceDroppedFramesRetransmitOnReconnect(t *testing.T) {
 	}
 }
 
-func TestResilienceKeepaliveProbes(t *testing.T) {
-	a, b := tcpPair(t, TCPOptions{}, TCPOptions{ProbeInterval: 20 * time.Millisecond})
-
-	if err := b.Send(1, vtime.Zero, msg(1)); err != nil {
-		t.Fatal(err)
-	}
-	recvOne(t, a, 2*time.Second)
-
-	// Idle long enough for several probes; the link must stay healthy.
-	time.Sleep(150 * time.Millisecond)
-	st := b.Stats()
-	if st.Keepalives == 0 {
-		t.Fatalf("stats = %+v, want Keepalives > 0 after idle period", st)
-	}
-	if st.FailureEvents != 0 || st.Reconnects != 0 {
-		t.Fatalf("idle probing disturbed the link: %+v", st)
-	}
-	if err := b.Send(1, vtime.Zero, msg(2)); err != nil {
-		t.Fatal(err)
-	}
-	if ev := recvOne(t, a, 2*time.Second); ev.Msg.(wire.Outcome).TxnVT.Time != 2 {
-		t.Fatalf("event = %+v", ev)
-	}
-}
-
 func TestChaosFlapExactlyOnceFIFO(t *testing.T) {
 	faults := NewFaults()
 	a, b := tcpPair(t, TCPOptions{}, TCPOptions{Faults: faults})

@@ -21,12 +21,16 @@ import (
 // The TCP transport frames the binary wire codec:
 //
 //	frame   := u32 big-endian payload length | payload
-//	payload := kind byte | body          (empty payload = keepalive probe)
+//	payload := kind byte | body
 //	hello   := 0x01 | site uvarint | incarnation uvarint   (first frame)
 //	data    := 0x02 | firstSeq uvarint | envelope+
 //	ack     := 0x03 | incarnation uvarint | cumulative seq uvarint
-//	envelope:= from uvarint | sentAt.Time uvarint | sentAt.Site uvarint
-//	           | message (self-delimiting, wire.AppendMessage)
+//	envelope:= sentAt.Time uvarint | message (self-delimiting, wire.AppendMessage)
+//
+// The hello alone names the sender: every envelope on the connection is
+// from the hello's site, and its sentAt stamp is (sentAt.Time, that
+// site). A connection whose first frame is not a hello, or that carries
+// an empty or oversized frame, is a protocol error and is closed.
 //
 // Each peer has an unbounded outbound queue drained by a dedicated
 // writer goroutine: Send never blocks on a dial or a socket write, and
@@ -170,11 +174,6 @@ type TCPOptions struct {
 	MaxBatch int
 	// Suspicion controls reconnect backoff and failure escalation.
 	Suspicion SuspicionPolicy
-	// ProbeInterval, when positive, makes each peer writer send an empty
-	// keepalive frame after that much idle time, so a dead link is
-	// noticed (and the suspicion clock started) without waiting for the
-	// next protocol message. 0 disables probing.
-	ProbeInterval time.Duration
 	// AckTimeout is the period of the writer's stale check: a connection
 	// on which envelopes sit unacknowledged and the peer's cumulative ack
 	// has not advanced for a whole period is presumed to have died
@@ -247,8 +246,6 @@ type TCPStats struct {
 	// Retransmits counts unacknowledged envelopes re-sent after a
 	// reconnect.
 	Retransmits uint64
-	// Keepalives counts idle-probe frames sent.
-	Keepalives uint64
 	// AckFrames counts standalone ack frames: acks flushed without a data
 	// frame behind them (acks that ride a data frame are not counted).
 	AckFrames uint64
@@ -266,7 +263,6 @@ type tcpStatCounters struct {
 	abandoned      *obs.Counter
 	reconnects     *obs.Counter
 	retransmits    *obs.Counter
-	keepalives     *obs.Counter
 	ackFrames      *obs.Counter
 	flushes        *obs.Counter
 	failureEvents  *obs.Counter
@@ -280,7 +276,6 @@ func newTCPMetrics(reg *obs.Registry) tcpStatCounters {
 		abandoned:      reg.Counter("decaf_transport_abandoned_total", "accepted envelopes discarded when a peer was declared failed"),
 		reconnects:     reg.Counter("decaf_transport_reconnects_total", "connections re-established to previously connected peers"),
 		retransmits:    reg.Counter("decaf_transport_retransmits_total", "unacknowledged envelopes re-sent after a reconnect"),
-		keepalives:     reg.Counter("decaf_transport_keepalives_total", "idle-probe frames sent"),
 		ackFrames:      reg.Counter("decaf_transport_ack_frames_total", "standalone ack frames sent (acks riding a data frame excluded)"),
 		flushes:        reg.Counter("decaf_transport_flushes_total", "socket flushes"),
 		failureEvents:  reg.Counter("decaf_transport_failure_events_total", "EventSiteFailed control events emitted"),
@@ -288,9 +283,10 @@ func newTCPMetrics(reg *obs.Registry) tcpStatCounters {
 	}
 }
 
-// tcpOut is one queued outbound message.
+// tcpOut is one queued outbound message. sentAt is the time of the
+// sender's Lamport stamp; the stamp's site is the endpoint's own.
 type tcpOut struct {
-	sentAt vtime.VT
+	sentAt uint64
 	msg    wire.Message
 }
 
@@ -516,7 +512,6 @@ func (t *TCP) Stats() TCPStats {
 		Abandoned:      t.stats.abandoned.Value(),
 		Reconnects:     t.stats.reconnects.Value(),
 		Retransmits:    t.stats.retransmits.Value(),
-		Keepalives:     t.stats.keepalives.Value(),
 		AckFrames:      t.stats.ackFrames.Value(),
 		Flushes:        t.stats.flushes.Value(),
 		FailureEvents:  t.stats.failureEvents.Value(),
@@ -562,19 +557,21 @@ var framePool = sync.Pool{
 	},
 }
 
-// readLoop decodes frames from one connection until error. The hello
-// frame (or, failing that, the first envelope) identifies the peer; the
-// connection is then registered for outbound sends, so a site can reply
-// to peers that are not in its static address book (invitees dial the
-// inviter; replies reuse the same connection). A read error is reported
-// to the peer's writer, which owns the reconnect/suspicion decision.
+// readLoop decodes frames from one connection until error. The first
+// frame must be a hello, which identifies the peer; the connection is
+// then registered for outbound sends, so a site can reply to peers that
+// are not in its static address book (invitees dial the inviter; replies
+// reuse the same connection). Any frame before the hello, a second hello,
+// an empty frame or an oversized one is a protocol error that closes the
+// connection. A read error is reported to the peer's writer, which owns
+// the reconnect/suspicion decision.
 func (t *TCP) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer conn.Close()
 	var from vtime.SiteID
 	var peer *tcpPeer
 	var connInc uint64 // peer incarnation announced on this connection
-	seen := false
+	seen := false      // the hello arrived
 	defer func() {
 		if !seen {
 			return
@@ -584,14 +581,6 @@ func (t *TCP) readLoop(conn net.Conn) {
 			peer.noteBroken(conn)
 		}
 	}()
-	identify := func(site vtime.SiteID) {
-		if seen {
-			return
-		}
-		from, seen = site, true
-		peer = t.adoptConn(site, conn)
-		t.opts.Faults.track(site, conn)
-	}
 
 	br := bufio.NewReaderSize(conn, 64<<10)
 	var hdr [4]byte
@@ -602,10 +591,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 			return
 		}
 		n := binary.BigEndian.Uint32(hdr[:])
-		if n == 0 {
-			continue // keepalive probe
-		}
-		if n > maxFrame {
+		if n == 0 || n > maxFrame {
 			return
 		}
 		if cap(*bufp) < int(n) {
@@ -616,6 +602,9 @@ func (t *TCP) readLoop(conn net.Conn) {
 			return
 		}
 		kind, body := payload[0], payload[1:]
+		if seen == (kind == frameHello) {
+			return // the hello comes first, and only once
+		}
 		switch kind {
 		case frameHello:
 			site, used := binary.Uvarint(body)
@@ -626,8 +615,9 @@ func (t *TCP) readLoop(conn net.Conn) {
 			if used2 <= 0 {
 				return
 			}
-			connInc = inc
-			identify(vtime.SiteID(site))
+			from, connInc, seen = vtime.SiteID(site), inc, true
+			peer = t.adoptConn(from, conn)
+			t.opts.Faults.track(from, conn)
 			if peer != nil {
 				peer.observeIncarnation(connInc)
 			}
@@ -637,7 +627,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 				return
 			}
 			cum, used2 := binary.Uvarint(body[used:])
-			if used2 <= 0 || !seen {
+			if used2 <= 0 {
 				return
 			}
 			if peer != nil && inc == peer.inc {
@@ -652,17 +642,16 @@ func (t *TCP) readLoop(conn net.Conn) {
 			i := uint64(0)
 			delivered := uint64(0) // highest sequence this frame delivered
 			for len(rest) > 0 {
-				envFrom, sentAt, msg, used, err := decodeEnvelope(rest)
+				sentAt, msg, used, err := decodeEnvelope(rest)
 				if err != nil {
 					return
 				}
 				rest = rest[used:]
-				identify(envFrom)
 				seq := firstSeq + i
 				i++
 				if peer != nil {
-					if peer.acceptAndDeliver(connInc, seq,
-						Event{Kind: EventMessage, From: envFrom, SentAt: sentAt, Msg: msg}) {
+					ev := Event{Kind: EventMessage, From: from, SentAt: vtime.VT{Time: sentAt, Site: from}, Msg: msg}
+					if peer.acceptAndDeliver(connInc, seq, ev) {
 						delivered = seq
 					}
 				}
@@ -676,40 +665,24 @@ func (t *TCP) readLoop(conn net.Conn) {
 	}
 }
 
-// appendEnvelope encodes one envelope onto the frame buffer.
-func appendEnvelope(b []byte, from vtime.SiteID, sentAt vtime.VT, msg wire.Message) ([]byte, error) {
-	b = binary.AppendUvarint(b, uint64(from))
-	b = binary.AppendUvarint(b, sentAt.Time)
-	b = binary.AppendUvarint(b, uint64(sentAt.Site))
+// appendEnvelope encodes one envelope onto the frame buffer: the time of
+// the sender's Lamport stamp, then the message.
+func appendEnvelope(b []byte, sentAt uint64, msg wire.Message) ([]byte, error) {
+	b = binary.AppendUvarint(b, sentAt)
 	return wire.AppendMessage(b, msg)
 }
 
 // decodeEnvelope decodes one envelope from the front of b.
-func decodeEnvelope(b []byte) (from vtime.SiteID, sentAt vtime.VT, msg wire.Message, used int, err error) {
-	off := 0
-	next := func() uint64 {
-		if err != nil {
-			return 0
-		}
-		v, n := binary.Uvarint(b[off:])
-		if n <= 0 {
-			err = errors.New("transport: truncated envelope")
-			return 0
-		}
-		off += n
-		return v
-	}
-	from = vtime.SiteID(next())
-	sentAt.Time = next()
-	sentAt.Site = vtime.SiteID(next())
-	if err != nil {
-		return 0, vtime.VT{}, nil, 0, err
+func decodeEnvelope(b []byte) (sentAt uint64, msg wire.Message, used int, err error) {
+	sentAt, off := binary.Uvarint(b)
+	if off <= 0 {
+		return 0, nil, 0, errors.New("transport: truncated envelope")
 	}
 	msg, n, err := wire.DecodeMessage(b[off:])
 	if err != nil {
-		return 0, vtime.VT{}, nil, 0, err
+		return 0, nil, 0, err
 	}
-	return from, sentAt, msg, off + n, nil
+	return sentAt, msg, off + n, nil
 }
 
 // adoptConn registers an inbound connection from a now-identified peer:
@@ -1012,7 +985,7 @@ func (t *TCP) SendBatch(to vtime.SiteID, sentAt vtime.VT, msgs []wire.Message) e
 	}
 	wake := len(p.queue) == 0
 	for _, msg := range msgs {
-		p.queue = append(p.queue, tcpOut{sentAt: sentAt, msg: msg})
+		p.queue = append(p.queue, tcpOut{sentAt: sentAt.Time, msg: msg})
 	}
 	p.mu.Unlock()
 	if wake {
@@ -1165,29 +1138,10 @@ func (p *tcpPeer) writeLoop() {
 		bw            *bufio.Writer
 		everConnected bool
 		hdr           [4]byte
-		// Why the last idle wait ended; consumed by the flush that follows.
-		ackFired, sendProbe bool
+		// The ack timer ended the last idle wait; consumed by the flush
+		// that follows.
+		ackFired bool
 	)
-
-	var probeCh <-chan time.Time
-	var probeTimer *time.Timer
-	if opts.ProbeInterval > 0 {
-		probeTimer = time.NewTimer(opts.ProbeInterval)
-		defer probeTimer.Stop()
-		probeCh = probeTimer.C
-	}
-	resetProbe := func() {
-		if probeTimer == nil {
-			return
-		}
-		if !probeTimer.Stop() {
-			select {
-			case <-probeTimer.C:
-			default:
-			}
-		}
-		probeTimer.Reset(opts.ProbeInterval)
-	}
 
 	// dropConn discards the current connection after an error.
 	dropConn := func() {
@@ -1245,7 +1199,7 @@ func (p *tcpPeer) writeLoop() {
 		return chunk[start:len(chunk):len(chunk)]
 	}
 	enqueueOut := func(e tcpOut) {
-		b, err := appendEnvelope(enc[:0], t.site, e.sentAt, e.msg)
+		b, err := appendEnvelope(enc[:0], e.sentAt, e.msg)
 		if cap(b) <= envChunk {
 			enc = b // a scratch grown past a chunk is not kept
 		}
@@ -1375,7 +1329,6 @@ func (p *tcpPeer) writeLoop() {
 				dropConn()
 				continue
 			}
-			resetProbe()
 		}
 
 		pruneAcked()
@@ -1388,7 +1341,7 @@ func (p *tcpPeer) writeLoop() {
 		ackSent := p.ackSent.Load() // only this goroutine stores it
 		ackDue := rInc != 0 && (rInc != ackInc || recv > ackSent)
 		ackNow := ackDue && (rInc != ackInc || ackFired || recv-ackSent >= ackBatch)
-		if sentIdx == len(retained) && !ackNow && !sendProbe {
+		if sentIdx == len(retained) && !ackNow {
 			// Idle: block until there is something to do.
 			ackFired = false
 			if ackDue {
@@ -1419,8 +1372,6 @@ func (p *tcpPeer) writeLoop() {
 			select {
 			case <-p.queued:
 			case <-p.kick:
-			case <-probeCh:
-				sendProbe = true
 			case <-p.ackTimer.C():
 				p.ackTimer.fired()
 				ackFired = true
@@ -1464,10 +1415,6 @@ func (p *tcpPeer) writeLoop() {
 				clear(parts) // hold no acked record's chunk
 			}
 		}
-		if ok && sendProbe && sentIdx == end && !ackDue {
-			ok = writeFrame() // empty keepalive frame
-			t.stats.keepalives.Add(1)
-		}
 		if !ok || !flush() {
 			dropConn()
 			continue // retained is intact; establish retransmits it
@@ -1477,8 +1424,7 @@ func (p *tcpPeer) writeLoop() {
 			p.ackSent.Store(recv)
 		}
 		sentIdx = end
-		ackFired, sendProbe = false, false
-		resetProbe()
+		ackFired = false
 	}
 }
 

@@ -62,7 +62,9 @@ type Event struct {
 	// From is the sending site (EventMessage).
 	From vtime.SiteID
 	// SentAt is the sender's Lamport stamp at send time, merged into the
-	// receiver's clock (EventMessage).
+	// receiver's clock (EventMessage). Over TCP its site is From: the
+	// engines stamp with their own site, so the envelope carries only
+	// the time.
 	SentAt vtime.VT
 	// Msg is the protocol message (EventMessage).
 	Msg wire.Message

@@ -12,6 +12,13 @@ import "decaf/internal/vtime"
 //   - Cen* messages implement the non-replicated (centralized)
 //     architecture of paper §1: a single server owns the state and every
 //     client action round-trips to it.
+//
+// Both baselines run only over the in-memory network (internal/sim), so
+// these messages have no binary encoding: AppendMessage refuses them, and
+// their former tags (14–18) decode as unknown. They stay in this package
+// because Message is a closed set (isMessage is unexported), and the
+// simulator's GVT traces name each message by its Go type (%T), which a
+// move to another package would change.
 
 // GVTUpdate propagates a baseline write to all sites of the group.
 type GVTUpdate struct {

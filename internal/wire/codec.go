@@ -21,7 +21,9 @@ package wire
 //   - slices are a uvarint count followed by the elements; a zero count
 //     decodes as a nil slice
 //   - dynamically typed values (OpSet.Value, ChildDecl.Value,
-//     JoinReply.BValue, baseline payloads) carry a one-byte value tag
+//     JoinReply.BValue) carry a one-byte value tag
+//   - a message nested in another (SyncUpdates.Records) is its own
+//     self-delimiting encoding, tag byte first
 
 import (
 	"encoding/binary"
@@ -52,11 +54,11 @@ const (
 	_ // 11: retired with the epoch repair protocol (REPAIR-PROPOSE)
 	_ // 12: retired (REPAIR-ACK)
 	_ // 13: retired (REPAIR-DECIDE)
-	tagGVTUpdate
-	tagGVTAck
-	tagGVTToken
-	tagCenWrite
-	tagCenEcho
+	_ // 14: retired (GVT-UPDATE); the baseline messages are in-memory only
+	_ // 15: retired (GVT-ACK)
+	_ // 16: retired (GVT-TOKEN)
+	_ // 17: retired (CEN-WRITE)
+	_ // 18: retired (CEN-ECHO)
 	tagFastWrite
 	tagSyncRequest
 	tagSyncUpdates
@@ -356,13 +358,14 @@ func AppendMessage(b []byte, m Message) ([]byte, error) {
 			b = appendCheck(b, c)
 		}
 		b = appendBool(b, m.NeedsConfirm)
-		if m.Delegate != nil {
-			b = appendBool(b, true)
-			b = appendSites(b, m.Delegate.Sites)
-		} else {
-			b = appendBool(b, false)
+		if m.Delegate == nil {
+			return appendBool(b, false), nil
 		}
-		return b, nil
+		if len(m.Delegate) == 0 {
+			return b, errEmptyDelegation
+		}
+		b = appendBool(b, true)
+		return appendSites(b, m.Delegate), nil
 	case FastWrite:
 		b = append(b, tagFastWrite)
 		b = appendVT(b, m.TxnVT)
@@ -388,8 +391,14 @@ func AppendMessage(b []byte, m Message) ([]byte, error) {
 		b = appendSyncFloors(b, m.Floors)
 		b = binary.AppendUvarint(b, uint64(len(m.Records)))
 		for _, rec := range m.Records {
-			b = binary.AppendUvarint(b, uint64(len(rec)))
-			b = append(b, rec...)
+			switch rec.(type) {
+			case Write, FastWrite, Outcome:
+			default:
+				return b, fmt.Errorf("wire: sync record of type %v", reflect.TypeOf(rec))
+			}
+			if b, err = AppendMessage(b, rec); err != nil {
+				return b, err
+			}
 		}
 		return b, nil
 	case ConfirmRead:
@@ -496,36 +505,11 @@ func AppendMessage(b []byte, m Message) ([]byte, error) {
 		b = appendSite(b, m.From)
 		b = appendBallot(b, m.Ballot)
 		return appendRepairValue(b, m.Value), nil
-	case GVTUpdate:
-		b = append(b, tagGVTUpdate)
-		b = appendVT(b, m.VT)
-		b = appendSite(b, m.From)
-		b = appendString(b, m.Name)
-		return appendValue(b, m.Value)
-	case GVTAck:
-		b = append(b, tagGVTAck)
-		b = appendVT(b, m.VT)
-		return appendSite(b, m.From), nil
-	case GVTToken:
-		b = append(b, tagGVTToken)
-		b = binary.AppendUvarint(b, m.Round)
-		b = appendVT(b, m.Min)
-		b = appendBool(b, m.MinValid)
-		return appendVT(b, m.GVT), nil
-	case CenWrite:
-		b = append(b, tagCenWrite)
-		b = binary.AppendUvarint(b, m.Seq)
-		b = appendSite(b, m.From)
-		b = appendString(b, m.Name)
-		return appendValue(b, m.Value)
-	case CenEcho:
-		b = append(b, tagCenEcho)
-		b = binary.AppendUvarint(b, m.Seq)
-		b = appendString(b, m.Name)
-		return appendValue(b, m.Value)
 	default:
-		// Message is sealed (isMessage) and every implementation has an arm
-		// above: reaching here is a missing arm, i.e. a bug, or a nil message.
+		// Message is sealed (isMessage). Every implementation the engine
+		// sends has an arm above; the baseline messages (baseline.go) are
+		// in-memory only and have none. Reaching here for anything else is a
+		// missing arm, i.e. a bug, or a nil message.
 		// The error names m's type without holding m, so m does not escape
 		// and a caller's message need not be boxed on the heap.
 		return b, fmt.Errorf("wire: unsupported message type %v", reflect.TypeOf(m))
@@ -551,6 +535,10 @@ func (r *reader) fail(err error) {
 }
 
 var errShortBuffer = fmt.Errorf("wire: truncated message")
+
+// errEmptyDelegation refuses a delegation that names no site: it always
+// names at least the origin.
+var errEmptyDelegation = fmt.Errorf("wire: delegation names no site")
 
 func (r *reader) uvarint() uint64 {
 	if r.err != nil {
@@ -674,21 +662,34 @@ func (r *reader) syncFloors() []SyncFloor {
 	return out
 }
 
-// byteSlices reads a count-prefixed list of length-prefixed byte blobs
-// (anti-entropy record transfer). Each blob copies out of the input.
-func (r *reader) byteSlices() [][]byte {
+// syncRecords reads SyncUpdates.Records: a count, then that many nested
+// messages. The record's tag is checked before it is decoded, so a nested
+// SyncUpdates is refused without recursing.
+func (r *reader) syncRecords() []Message {
 	n := r.count()
 	if n == 0 {
 		return nil
 	}
-	out := make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
-		ln := r.count()
-		blob := r.bytes_(ln)
+	out := make([]Message, n)
+	for i := range out {
 		if r.err != nil {
 			return nil
 		}
-		out = append(out, append([]byte(nil), blob...))
+		if r.off < len(r.b) {
+			switch t := r.b[r.off]; t {
+			case tagWrite, tagFastWrite, tagOutcome:
+			default:
+				r.fail(fmt.Errorf("wire: sync record with message tag %d", t))
+				return nil
+			}
+		}
+		m, used, err := DecodeMessage(r.b[r.off:])
+		if err != nil {
+			r.fail(err)
+			return nil
+		}
+		r.off += used
+		out[i] = m
 	}
 	return out
 }
@@ -918,7 +919,9 @@ func DecodeMessage(b []byte) (Message, int, error) {
 		w.Checks = r.checks()
 		w.NeedsConfirm = r.bool_()
 		if r.bool_() {
-			w.Delegate = &Delegation{Sites: r.sites()}
+			if w.Delegate = r.sites(); w.Delegate == nil {
+				r.fail(errEmptyDelegation)
+			}
 		}
 		m = w
 	case tagFastWrite:
@@ -935,7 +938,7 @@ func DecodeMessage(b []byte) (Message, int, error) {
 	case tagSyncUpdates:
 		m = SyncUpdates{
 			From: r.site(), ReqID: r.uvarint(), WantReply: r.bool_(),
-			Floors: r.syncFloors(), Records: r.byteSlices(),
+			Floors: r.syncFloors(), Records: r.syncRecords(),
 		}
 	case tagConfirmRead:
 		m = ConfirmRead{TxnVT: r.vt(), Origin: r.site(), Floor: r.vt(), ReqID: r.uvarint(), Checks: r.checks()}
@@ -992,16 +995,6 @@ func DecodeMessage(b []byte) (Message, int, error) {
 			FailedSite: r.site(), From: r.site(), Ballot: r.ballot(),
 			Value: r.repairValue(),
 		}
-	case tagGVTUpdate:
-		m = GVTUpdate{VT: r.vt(), From: r.site(), Name: r.string_(), Value: r.value()}
-	case tagGVTAck:
-		m = GVTAck{VT: r.vt(), From: r.site()}
-	case tagGVTToken:
-		m = GVTToken{Round: r.uvarint(), Min: r.vt(), MinValid: r.bool_(), GVT: r.vt()}
-	case tagCenWrite:
-		m = CenWrite{Seq: r.uvarint(), From: r.site(), Name: r.string_(), Value: r.value()}
-	case tagCenEcho:
-		m = CenEcho{Seq: r.uvarint(), Name: r.string_(), Value: r.value()}
 	default:
 		return nil, 0, fmt.Errorf("wire: unknown message tag %d", t)
 	}
@@ -1009,9 +1002,4 @@ func DecodeMessage(b []byte) (Message, int, error) {
 		return nil, 0, r.err
 	}
 	return m, r.off, nil
-}
-
-// EncodeMessage is AppendMessage into a fresh buffer.
-func EncodeMessage(m Message) ([]byte, error) {
-	return AppendMessage(make([]byte, 0, 128), m)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"decaf/internal/consensus"
@@ -35,7 +36,7 @@ func gobRoundTrip(t *testing.T, m Message) Message {
 // binRoundTrip pushes m through the binary codec.
 func binRoundTrip(t *testing.T, m Message) Message {
 	t.Helper()
-	b, err := EncodeMessage(m)
+	b, err := AppendMessage(nil, m)
 	if err != nil {
 		t.Fatalf("binary encode %T: %v", m, err)
 	}
@@ -240,8 +241,9 @@ func (g *gen) update() Update {
 	return Update{Target: g.obj(), Path: g.path(), ReadVT: g.vt(), GraphVT: g.vt(), Op: g.op()}
 }
 
-// numMessageTypes is the number of message types gen.message cycles over.
-const numMessageTypes = 23
+// numMessageTypes is the number of message types gen.message cycles over:
+// every type the codec encodes.
+const numMessageTypes = 18
 
 // message produces a random instance of the i-th message type.
 func (g *gen) message(i int) Message {
@@ -252,7 +254,7 @@ func (g *gen) message(i int) Message {
 			w.Updates = append(w.Updates, g.update())
 		}
 		if g.rng.Intn(2) == 0 {
-			w.Delegate = &Delegation{Sites: g.sites()}
+			w.Delegate = append(g.sites(), g.site()) // never empty
 		}
 		return w
 	case 1:
@@ -280,35 +282,25 @@ func (g *gen) message(i int) Message {
 		return CommitQueryReply{TxnVT: g.vt(), From: g.site(),
 			Known: g.rng.Intn(2) == 0, Committed: g.rng.Intn(2) == 0}
 	case 10:
-		return GVTUpdate{VT: g.vt(), From: g.site(), Name: g.str(), Value: g.scalar()}
-	case 11:
-		return GVTAck{VT: g.vt(), From: g.site()}
-	case 12:
-		return GVTToken{Round: g.rng.Uint64(), Min: g.vt(), MinValid: g.rng.Intn(2) == 0, GVT: g.vt()}
-	case 13:
-		return CenWrite{Seq: g.rng.Uint64(), From: g.site(), Name: g.str(), Value: g.scalar()}
-	case 14:
-		return CenEcho{Seq: g.rng.Uint64(), Name: g.str(), Value: g.scalar()}
-	case 15:
 		return SyncRequest{From: g.site(), ReqID: g.rng.Uint64(), Floors: g.syncFloors()}
-	case 16:
+	case 11:
 		return SyncUpdates{From: g.site(), ReqID: g.rng.Uint64(),
-			WantReply: g.rng.Intn(2) == 0, Floors: g.syncFloors(), Records: g.blobs()}
-	case 17:
+			WantReply: g.rng.Intn(2) == 0, Floors: g.syncFloors(), Records: g.syncRecords()}
+	case 12:
 		return RepairPrepare{FailedSite: g.site(), From: g.site(),
 			Ballot: g.ballot(), Members: g.sites()}
-	case 18:
+	case 13:
 		return RepairPromise{FailedSite: g.site(), From: g.site(),
 			Ballot: g.ballot(), OK: g.rng.Intn(2) == 0, Promised: g.ballot(),
 			HasAccepted: g.rng.Intn(2) == 0, AcceptedBallot: g.ballot(),
 			Accepted: g.repairValue()}
-	case 19:
+	case 14:
 		return RepairAccept{FailedSite: g.site(), From: g.site(),
 			Ballot: g.ballot(), Value: g.repairValue(), Members: g.sites()}
-	case 20:
+	case 15:
 		return RepairAccepted{FailedSite: g.site(), From: g.site(),
 			Ballot: g.ballot(), OK: g.rng.Intn(2) == 0, Promised: g.ballot()}
-	case 21:
+	case 16:
 		return RepairLearn{FailedSite: g.site(), From: g.site(),
 			Ballot: g.ballot(), Value: g.repairValue()}
 	default:
@@ -340,17 +332,17 @@ func (g *gen) syncFloors() []SyncFloor {
 	return out
 }
 
-func (g *gen) blobs() [][]byte {
+// syncRecords returns up to three anti-entropy records: Writes, FastWrites
+// and Outcomes, the only messages a SyncUpdates carries.
+func (g *gen) syncRecords() []Message {
 	n := g.rng.Intn(4)
 	if n == 0 {
 		return nil
 	}
-	out := make([][]byte, n)
+	kinds := []int{0, 3, numMessageTypes - 1} // Write, Outcome, FastWrite
+	out := make([]Message, n)
 	for i := range out {
-		// Records are wire-encoded messages, never empty in practice.
-		blob := make([]byte, 1+g.rng.Intn(31))
-		g.rng.Read(blob)
-		out[i] = blob
+		out[i] = g.message(kinds[g.rng.Intn(len(kinds))])
 	}
 	return out
 }
@@ -376,7 +368,8 @@ func TestBinaryCodecDifferential(t *testing.T) {
 
 // TestBinaryCodecFixedMessages round-trips the same hand-picked message
 // set the gob tests use, so a representative instance of every field is
-// covered deterministically.
+// covered deterministically. The baseline messages, which run only over
+// the in-memory network, must be refused by the encoder instead.
 func TestBinaryCodecFixedMessages(t *testing.T) {
 	vt := vtime.VT{Time: 100, Site: 2}
 	target := ids.ObjectID{Site: 3, Seq: 7}
@@ -393,7 +386,7 @@ func TestBinaryCodecFixedMessages(t *testing.T) {
 			},
 			Checks:       []ReadCheck{{Target: target, ReadVT: vt, CommittedOnly: true, NoReserve: true}},
 			NeedsConfirm: true,
-			Delegate:     &Delegation{Sites: []vtime.SiteID{1, 4}},
+			Delegate:     []vtime.SiteID{1, 4},
 		},
 		FastWrite{
 			TxnVT:  vt,
@@ -433,15 +426,14 @@ func TestBinaryCodecFixedMessages(t *testing.T) {
 		RepairAccepted{FailedSite: 9, From: 3, Ballot: consensus.Ballot{Round: 2, Site: 1}, OK: true},
 		RepairLearn{FailedSite: 9, From: 1, Ballot: consensus.Ballot{Round: 2, Site: 1},
 			Value: RepairValue{FailedSite: 9, GraphVT: vt}},
-		GVTUpdate{VT: vt, From: 2, Name: "x", Value: int64(5)},
-		GVTAck{VT: vt, From: 2},
-		GVTToken{Round: 8, Min: vt, MinValid: true, GVT: vtime.VT{Time: 90, Site: 1}},
-		CenWrite{Seq: 11, From: 2, Name: "y", Value: 2.5},
-		CenEcho{Seq: 11, Name: "y", Value: 2.5},
 		SyncRequest{From: 4, ReqID: 12, Floors: []SyncFloor{{Site: 1, Time: 50}, {Site: 2, Time: 0}}},
 		SyncUpdates{From: 1, ReqID: 12, WantReply: true,
-			Floors:  []SyncFloor{{Site: 4, Time: 9}},
-			Records: [][]byte{{1, 2, 3}, {0xFF}}},
+			Floors: []SyncFloor{{Site: 4, Time: 9}},
+			Records: []Message{
+				Outcome{TxnVT: vt, Committed: true},
+				Write{TxnVT: vt, Origin: 2, Updates: []Update{{Target: target, Op: OpSet{Value: 2.5}}}},
+				FastWrite{TxnVT: vt, Origin: 2, Updates: []Update{{Target: target, Op: OpAdd{Delta: int64(1)}}}},
+			}},
 	}
 	for _, m := range msgs {
 		t.Run(m.Kind()+"/"+reflect.TypeOf(m).Name(), func(t *testing.T) {
@@ -452,19 +444,36 @@ func TestBinaryCodecFixedMessages(t *testing.T) {
 			}
 		})
 	}
+	for _, m := range []Message{
+		GVTUpdate{VT: vt, From: 2, Name: "x", Value: int64(5)},
+		GVTAck{VT: vt, From: 2},
+		GVTToken{Round: 8, Min: vt, MinValid: true, GVT: vtime.VT{Time: 90, Site: 1}},
+		CenWrite{Seq: 11, From: 2, Name: "y", Value: 2.5},
+		CenEcho{Seq: 11, Name: "y", Value: 2.5},
+	} {
+		t.Run(m.Kind()+"/"+reflect.TypeOf(m).Name(), func(t *testing.T) {
+			if b, err := AppendMessage(nil, m); err == nil {
+				t.Errorf("an in-memory-only message encoded to %x", b)
+			}
+		})
+	}
 }
 
 // filler sets every exported field reachable from a value to a non-zero
 // value. Each scalar takes the next value of a counter, so a field the
 // codec drops, swaps or duplicates does not round-trip equal. A dynamic
-// value (any) is an int64 and an Op is an OpSet; a pointer to, or a
+// value (any) is an int64, an Op is an OpSet and a Message (a sync
+// record) is an Outcome; a pointer to, or a
 // slice of, a type already being filled is filled one level deep.
 type filler struct {
 	n       int64
 	filling map[reflect.Type]int
 }
 
-var opType = reflect.TypeOf((*Op)(nil)).Elem()
+var (
+	opType      = reflect.TypeOf((*Op)(nil)).Elem()
+	messageType = reflect.TypeOf((*Message)(nil)).Elem()
+)
 
 func (f *filler) next() int64 {
 	f.n++
@@ -508,9 +517,12 @@ func (f *filler) fill(t *testing.T, v reflect.Value) {
 			}
 		}
 	case reflect.Interface:
-		if v.Type() == opType {
+		switch v.Type() {
+		case opType:
 			v.Set(reflect.ValueOf(filled[OpSet](t, f)))
-		} else {
+		case messageType:
+			v.Set(reflect.ValueOf(filled[Outcome](t, f)))
+		default:
 			v.Set(reflect.ValueOf(f.next()))
 		}
 	default:
@@ -534,18 +546,19 @@ func TestCodecKeepsEveryField(t *testing.T) {
 		filled[Write](t, f), filled[ConfirmRead](t, f), filled[Confirm](t, f),
 		filled[Outcome](t, f), filled[JoinRequest](t, f), filled[JoinReply](t, f),
 		filled[PromoteQuery](t, f), filled[PromoteReply](t, f), filled[CommitQuery](t, f),
-		filled[CommitQueryReply](t, f), filled[GVTUpdate](t, f), filled[GVTAck](t, f),
-		filled[GVTToken](t, f), filled[CenWrite](t, f), filled[CenEcho](t, f),
-		filled[FastWrite](t, f), filled[SyncRequest](t, f), filled[SyncUpdates](t, f),
+		filled[CommitQueryReply](t, f), filled[FastWrite](t, f), filled[SyncRequest](t, f),
 		filled[RepairPrepare](t, f), filled[RepairPromise](t, f), filled[RepairAccept](t, f),
 		filled[RepairAccepted](t, f), filled[RepairLearn](t, f),
 	}
+	// A SyncUpdates carries records of the three types it may carry.
+	sync := filled[SyncUpdates](t, f)
+	sync.Records = []Message{filled[Write](t, f), filled[FastWrite](t, f), filled[Outcome](t, f)}
 	// The composite members of the dynamic value set.
 	snap := filled[JoinReply](t, f)
 	snap.BValue = filled[[]ChildImage](t, f)
-	rels := filled[CenWrite](t, f)
-	rels.Value = filled[[]Relationship](t, f)
-	msgs = append(msgs, snap, rels)
+	rels := filled[JoinReply](t, f)
+	rels.BValue = filled[[]Relationship](t, f)
+	msgs = append(msgs, sync, snap, rels)
 	ops := []Op{
 		filled[OpSet](t, f), filled[OpListInsert](t, f), filled[OpListRemove](t, f),
 		filled[OpTupleSet](t, f), filled[OpTupleRemove](t, f), filled[OpGraph](t, f),
@@ -560,7 +573,7 @@ func TestCodecKeepsEveryField(t *testing.T) {
 
 	tags := map[byte]bool{}
 	for i, m := range msgs {
-		b, err := EncodeMessage(m)
+		b, err := AppendMessage(nil, m)
 		if err != nil {
 			t.Fatalf("message %d, %T: encode: %v", i, m, err)
 		}
@@ -617,7 +630,7 @@ func TestBinaryCodecTruncation(t *testing.T) {
 	g := &gen{rng: rand.New(rand.NewSource(3))}
 	for i := 0; i < 36; i++ {
 		m := g.message(i)
-		b, err := EncodeMessage(m)
+		b, err := AppendMessage(nil, m)
 		if err != nil {
 			t.Fatalf("encode %T: %v", m, err)
 		}
@@ -644,7 +657,8 @@ func TestBinaryCodecCorruptInput(t *testing.T) {
 			t.Fatalf("decode of junk %x returned m=%v n=%d without error", b, m, n)
 		}
 	}
-	gobValue, err := AppendMessage(nil, GVTUpdate{VT: vtime.VT{Time: 1, Site: 1}, From: 1, Name: "m"})
+	gobValue, err := AppendMessage(nil, FastWrite{TxnVT: vtime.VT{Time: 1, Site: 1}, Origin: 1,
+		Updates: []Update{{Op: OpSet{}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -667,7 +681,6 @@ func TestMessageTagsStable(t *testing.T) {
 		tagWrite: 1, tagConfirmRead: 2, tagConfirm: 3, tagOutcome: 4,
 		tagJoinRequest: 5, tagJoinReply: 6, tagPromoteQuery: 7, tagPromoteReply: 8,
 		tagCommitQuery: 9, tagCommitQueryReply: 10,
-		tagGVTUpdate: 14, tagGVTAck: 15, tagGVTToken: 16, tagCenWrite: 17, tagCenEcho: 18,
 		tagFastWrite: 19, tagSyncRequest: 20, tagSyncUpdates: 21,
 		tagRepairPrepare: 22, tagRepairPromise: 23, tagRepairAccept: 24,
 		tagRepairAccepted: 25, tagRepairLearn: 26,
@@ -688,13 +701,79 @@ func TestBinaryCodecRejectsUnsupportedValue(t *testing.T) {
 	bad := map[string]int64{"a": 1}
 	vt := vtime.VT{Time: 1, Site: 1}
 	for _, m := range []Message{
-		GVTUpdate{VT: vt, From: 1, Name: "m", Value: bad},
+		Write{TxnVT: vt, Origin: 1, Updates: []Update{{Op: OpSet{Value: bad}}}},
 		Write{TxnVT: vt, Origin: 1, Updates: []Update{{Op: OpSet{Value: int(3)}}}},
 		JoinReply{TxnVT: vt, BValue: []ChildImage{{Kind: KindList,
 			Children: []ChildImage{{Kind: KindInt, Value: bad}}}}},
 	} {
-		if b, err := EncodeMessage(m); err == nil {
+		if b, err := AppendMessage(nil, m); err == nil {
 			t.Errorf("%s with an unsupported value encoded to %x", m.Kind(), b)
+		}
+	}
+}
+
+// TestCodecBaselineTagsUnknown checks that the baseline messages' former
+// tags 14-18 decode as unknown: the messages run only over the in-memory
+// network and have no encoding (TestBinaryCodecFixedMessages checks that
+// the encoder refuses them).
+func TestCodecBaselineTagsUnknown(t *testing.T) {
+	for _, b := range retiredBaselineEncodings() {
+		m, _, err := DecodeMessage(b)
+		if err == nil || !strings.Contains(err.Error(), "unknown message tag") {
+			t.Errorf("decode of %x = %#v, %v; want an unknown-tag error", b, m, err)
+		}
+	}
+}
+
+// TestCodecRejectsEmptyDelegation checks that a delegation names at least
+// one site: it always includes the origin, so a set delegation flag
+// followed by zero sites is corrupt input, and an empty non-nil Delegate
+// does not encode.
+func TestCodecRejectsEmptyDelegation(t *testing.T) {
+	w := Write{TxnVT: vtime.VT{Time: 5, Site: 2}, Origin: 2, NeedsConfirm: true}
+	b, err := AppendMessage(nil, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The delegation flag is the last byte; set it and add a zero count.
+	b = append(b[:len(b)-1], 1, 0)
+	if m, _, err := DecodeMessage(b); err == nil {
+		t.Errorf("a delegation of zero sites decoded as %#v", m)
+	}
+	w.Delegate = []vtime.SiteID{}
+	if b, err := AppendMessage(nil, w); err == nil {
+		t.Errorf("an empty delegation encoded to %x", b)
+	}
+	w.Delegate = []vtime.SiteID{2, 3}
+	if got := binRoundTrip(t, w); !reflect.DeepEqual(got, w) {
+		t.Errorf("delegated Write round trip: got %#v, want %#v", got, w)
+	}
+}
+
+// TestCodecRejectsForeignSyncRecords checks that a SyncUpdates record is
+// a Write, FastWrite or Outcome: any other message, a nested SyncUpdates
+// included, is refused by the encoder and by the decoder.
+func TestCodecRejectsForeignSyncRecords(t *testing.T) {
+	vt := vtime.VT{Time: 5, Site: 2}
+	head, err := AppendMessage(nil, SyncUpdates{From: 1, ReqID: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []Message{
+		Confirm{TxnVT: vt, From: 3, OK: true},
+		SyncUpdates{From: 3, ReqID: 8, Records: []Message{Outcome{TxnVT: vt}}},
+	} {
+		m := SyncUpdates{From: 1, ReqID: 7, Records: []Message{Outcome{TxnVT: vt}, rec}}
+		if b, err := AppendMessage(nil, m); err == nil {
+			t.Errorf("a %s record encoded to %x", rec.Kind(), b)
+		}
+		// The record count is the last byte of an empty SyncUpdates.
+		b := append(head[:len(head)-1:len(head)-1], 1)
+		if b, err = AppendMessage(b, rec); err != nil {
+			t.Fatal(err)
+		}
+		if got, _, err := DecodeMessage(b); err == nil {
+			t.Errorf("a %s record decoded as %#v", rec.Kind(), got)
 		}
 	}
 }

@@ -51,7 +51,7 @@ func seedMessages() []Message {
 			}},
 			Checks:       []ReadCheck{{Target: fobj(2, 5), ReadVT: fvt(1, 1), CommittedOnly: true, NoReserve: true}},
 			NeedsConfirm: true,
-			Delegate:     &Delegation{Sites: []vtime.SiteID{2, 3}},
+			Delegate:     []vtime.SiteID{2, 3},
 		},
 		Write{
 			TxnVT: fvt(9, 2), Origin: 2,
@@ -94,18 +94,38 @@ func seedMessages() []Message {
 		RepairAccepted{FailedSite: 1, From: 4, Ballot: consensus.Ballot{Round: 1, Site: 2}, OK: true},
 		RepairLearn{FailedSite: 1, From: 2, Ballot: consensus.Ballot{Round: 1, Site: 2},
 			Value: RepairValue{FailedSite: 1, GraphVT: fvt(20, 2)}},
+		SyncRequest{From: 2, ReqID: 13, Floors: []SyncFloor{{Site: 1, Time: 4}, {Site: 3, Time: 0}}},
+		SyncUpdates{From: 1, ReqID: 13, WantReply: true, Floors: []SyncFloor{{Site: 2, Time: 9}},
+			Records: []Message{
+				Outcome{TxnVT: fvt(3, 1), Committed: true},
+				Write{TxnVT: fvt(3, 1), Origin: 1, Updates: []Update{{Target: fobj(2, 5), Op: OpSet{Value: "v"}}}},
+				FastWrite{TxnVT: fvt(10, 2), Origin: 2, Updates: []Update{{Target: fobj(1, 1), Op: OpAdd{Delta: 1.5}}}},
+			}},
 	}
 }
 
 // retiredEncodings are REPAIR-PROPOSE, REPAIR-ACK and REPAIR-DECIDE (tags
 // 11-13) as the codec encoded them before the epoch repair protocol was
-// retired: bytes an old peer or an old log can still present, which the
-// decoder must reject.
+// retired, then the baseline messages (retiredBaselineEncodings): bytes an
+// old peer or an old log can still present, which the decoder must reject.
 func retiredEncodings() [][]byte {
-	return [][]byte{
+	return append([][]byte{
 		[]byte("\v\x02\x01\x02\x14\x02\x02\x02\x03"),
 		[]byte("\f\x02\x01\x03\x02\x12\x01\x13\x03"),
 		[]byte("\r\x02\x01\x02\x14\x02\x01\x12\x01"),
+	}, retiredBaselineEncodings()...)
+}
+
+// retiredBaselineEncodings are GVT-UPDATE, GVT-ACK, GVT-TOKEN, CEN-WRITE
+// and CEN-ECHO (tags 14-18) as the codec encoded them before the baseline
+// messages lost their binary encoding.
+func retiredBaselineEncodings() [][]byte {
+	return [][]byte{
+		[]byte("\x0e\x02\x01\x01\x01x\x01\n"),
+		[]byte("\x0f\x02\x01\x02"),
+		[]byte("\x10\x03\x02\x01\x01\x01\x02"),
+		[]byte("\x11\x04\x02\x01y\x03\x01v"),
+		[]byte("\x12\x04\x01y\x03\x01v"),
 	}
 }
 

@@ -321,16 +321,6 @@ type ReadCheck struct {
 	NoReserve bool
 }
 
-// Delegation requests the single remote primary site to commit the whole
-// transaction on the origin's behalf (paper §3.1 optimization): the
-// message carries the identifiers of all sites affected by the
-// transaction so the delegate can send the summary outcome everywhere.
-type Delegation struct {
-	// Sites to which the delegate must send the Outcome (excluding the
-	// delegate itself; including the origin).
-	Sites []vtime.SiteID
-}
-
 // Write propagates a transaction's modifications to a replica site. The
 // primary site additionally performs the RL and NC guess checks and
 // responds with a Confirm (paper §3.1). Non-primary sites simply apply.
@@ -350,8 +340,12 @@ type Write struct {
 	// must validate and reply with Confirm.
 	NeedsConfirm bool
 	// Delegate, when non-nil, transfers commit responsibility to the
-	// destination (which must be the single remote primary site).
-	Delegate *Delegation
+	// destination, which must be the single remote primary site (paper
+	// §3.1 optimization). It carries the identifiers of all sites
+	// affected by the transaction, so the delegate can send the summary
+	// outcome everywhere: every involved site except the delegate itself,
+	// the origin included, so a delegation is never empty.
+	Delegate []vtime.SiteID
 }
 
 func (Write) isMessage() {}
@@ -402,16 +396,17 @@ func (SyncRequest) isMessage() {}
 func (SyncRequest) Kind() string { return "SYNC-REQUEST" }
 
 // SyncUpdates ships the missing updates of an anti-entropy session:
-// wire-encoded Write/FastWrite/Outcome messages (already remapped into the
+// Write, FastWrite and Outcome messages (already remapped into the
 // receiver's object-ID namespace), in shipping order — outcomes first, then
-// data records in log order. Floors are the sender's own floors so the
+// data records in log order. The codec refuses any other message type as a
+// record. Floors are the sender's own floors so the
 // receiver can reply with the reverse leg when WantReply is set.
 type SyncUpdates struct {
 	From      vtime.SiteID
 	ReqID     uint64
 	WantReply bool
 	Floors    []SyncFloor
-	Records   [][]byte
+	Records   []Message
 }
 
 func (SyncUpdates) isMessage() {}

@@ -32,11 +32,6 @@ func init() {
 	gob.Register(RepairLearn{})
 	gob.Register(SyncRequest{})
 	gob.Register(SyncUpdates{})
-	gob.Register(GVTUpdate{})
-	gob.Register(GVTAck{})
-	gob.Register(GVTToken{})
-	gob.Register(CenWrite{})
-	gob.Register(CenEcho{})
 
 	gob.Register(OpSet{})
 	gob.Register(OpAdd{})
@@ -95,7 +90,7 @@ func TestGobRoundTripAllMessages(t *testing.T) {
 			},
 			Checks:       []ReadCheck{{Target: target, ReadVT: vt, CommittedOnly: true}},
 			NeedsConfirm: true,
-			Delegate:     &Delegation{Sites: []vtime.SiteID{1, 4}},
+			Delegate:     []vtime.SiteID{1, 4},
 		},
 		ConfirmRead{TxnVT: vt, Origin: 2, ReqID: 9, Checks: []ReadCheck{{Target: target, ReadVT: vt}}},
 		Confirm{TxnVT: vt, ReqID: 9, From: 3, OK: false, Transient: true, Reason: "pending straggler"},
