@@ -120,7 +120,7 @@ func (c *Client) Write(name string, value any) <-chan struct{} {
 	seq := c.nextSeq
 	ch := make(chan struct{})
 	c.waiters[seq] = ch
-	if err := c.ep.Send(c.server, vtime.Zero, wire.CenWrite{Seq: seq, From: c.ep.Site(), Name: name, Value: value}); err != nil {
+	if err := c.ep.Send(c.server, vtime.Zero, wire.CenWrite{Seq: seq, Name: name, Value: value}); err != nil {
 		delete(c.waiters, seq)
 		close(ch)
 	}

@@ -3,10 +3,16 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"decaf/internal/ids"
+	"decaf/internal/repgraph"
 	"decaf/internal/transport"
+	"decaf/internal/vtime"
+	"decaf/internal/wire"
 )
 
 func TestAuthorizerDeniesJoin(t *testing.T) {
@@ -131,5 +137,47 @@ func TestAuthorizerErrorCarriesContext(t *testing.T) {
 	}
 	if !errors.Is(res.Err, ErrAborted) {
 		t.Fatalf("err = %v, want ErrAborted wrap", res.Err)
+	}
+}
+
+// TestAuthorizerJudgesTheTransportSender delivers a CONFIRM-READ and a
+// JOIN-REQUEST from remote site 2 to a site whose authorizer denies site 2.
+// Both are denied: the requester the authorizer judges is the sender as
+// the transport names it, so nothing in a message can pass it off as the
+// receiver itself, whose own requests skip the authorizer.
+func TestAuthorizerJudgesTheTransportSender(t *testing.T) {
+	e := newPCEnv(t)
+	s, x := e.s, e.objs["x"]
+	var asked []AuthRequest
+	s.authorizer = func(req AuthRequest) error {
+		asked = append(asked, req)
+		if req.Requester == 2 {
+			return errors.New("site 2 is not trusted")
+		}
+		return nil
+	}
+	vt := vtime.VT{Time: 100, Site: 2}
+	deliver := func(m wire.Message) {
+		s.beginBatch()
+		s.handleEvent(transport.Event{Kind: transport.EventMessage, From: 2, SentAt: vt, Msg: m})
+	}
+
+	deliver(wire.ConfirmRead{TxnVT: vt, ReqID: 7, Checks: []wire.ReadCheck{{Target: x.id, ReadVT: pcRead, GraphVT: pcGraph}}})
+	if c := lastSent[wire.Confirm](e, 2); c.ReqID != 7 || c.OK || !strings.Contains(c.Reason, ErrUnauthorized.Error()) {
+		t.Errorf("CONFIRM-READ from site 2 answered %+v, want an unauthorized denial", c)
+	}
+
+	a := ids.ObjectID{Site: 2, Seq: 99}
+	deliver(wire.JoinRequest{TxnVT: vt, ReqID: 8, AObj: a, BObj: x.id, GraphA: repgraph.NewGraph(a, 2).ToWire()})
+	if r := lastSent[wire.JoinReply](e, 2); r.ReqID != 8 || r.OK || !strings.Contains(r.Reason, ErrUnauthorized.Error()) {
+		t.Errorf("JOIN-REQUEST from site 2 answered %+v, want an unauthorized denial", r)
+	}
+
+	want := []AuthRequest{
+		{Kind: AuthRead, Object: x.id, Desc: x.desc, Requester: 2},
+		{Kind: AuthJoin, Object: x.id, Desc: x.desc, Requester: 2},
+	}
+	if !slices.Equal(asked, want) {
+		t.Errorf("authorizer asked %+v, want %+v", asked, want)
 	}
 }

@@ -76,7 +76,7 @@ func TestUnreadCausesFormatNothing(t *testing.T) {
 	v = verdict{cause: textCause("NC: write conflicts")}
 	task := &writeTask{m: wire.Write{TxnVT: pcVT, Origin: 2, NeedsConfirm: true}, st: &txnState{vt: pcVT, origin: 2}, verdict: v}
 	send := testing.AllocsPerRun(100, func() {
-		s.send(2, wire.Confirm{TxnVT: pcVT, From: s.id, Reason: v.cause.String()})
+		s.send(2, wire.Confirm{TxnVT: pcVT, Reason: v.cause.String()})
 		s.outbox[2] = s.outbox[2][:0]
 	})
 	answer := testing.AllocsPerRun(100, func() {

@@ -259,7 +259,6 @@ func (s *Site) startJoinAttempt(h *Handle, local *object, remoteSite vtime.SiteI
 	st.extraPending++ // the JoinReply itself
 	s.send(remoteSite, wire.JoinRequest{
 		TxnVT:  vt,
-		Origin: s.id,
 		ReqID:  reqID,
 		AObj:   local.id,
 		BObj:   remoteObj,
@@ -273,17 +272,17 @@ func (s *Site) startJoinAttempt(h *Handle, local *object, remoteSite vtime.SiteI
 // gB's primary on A's behalf), and return B's value and graph to A.
 func (s *Site) handleJoinRequest(from vtime.SiteID, m wire.JoinRequest) {
 	deny := func(reason string) {
-		s.send(from, wire.JoinReply{TxnVT: m.TxnVT, ReqID: m.ReqID, From: s.id, OK: false, Reason: reason})
+		s.send(from, wire.JoinReply{ReqID: m.ReqID, OK: false, Reason: reason})
 	}
 	denyRetryable := func(reason string) {
-		s.send(from, wire.JoinReply{TxnVT: m.TxnVT, ReqID: m.ReqID, From: s.id, OK: false, Reason: reason, Retryable: true})
+		s.send(from, wire.JoinReply{ReqID: m.ReqID, OK: false, Reason: reason, Retryable: true})
 	}
 	b, ok := s.objects[m.BObj]
 	if !ok {
 		deny(fmt.Sprintf("object %s unknown at %s", m.BObj, s.id))
 		return
 	}
-	if err := s.authorize(AuthJoin, b, m.Origin); err != nil {
+	if err := s.authorize(AuthJoin, b, from); err != nil {
 		deny(err.Error())
 		return
 	}
@@ -325,7 +324,7 @@ func (s *Site) handleJoinRequest(from vtime.SiteID, m wire.JoinRequest) {
 		return
 	}
 
-	st := s.ensureTxn(m.TxnVT, m.Origin)
+	st := s.ensureTxn(m.TxnVT, from)
 
 	oldGraph := b.graph
 	oldGraphVT := b.graphVT
@@ -335,9 +334,9 @@ func (s *Site) handleJoinRequest(from vtime.SiteID, m wire.JoinRequest) {
 		// (paper §3.3: "this fact is remembered at B"). A was not an
 		// involved site of that transaction, so B forwards its outcome.
 		pendingGraphTxn = gcur.VT
-		dep, joiner := gcur.VT, m.Origin
+		dep := gcur.VT
 		s.rcWaiters[dep] = append(s.rcWaiters[dep], func(committed bool) {
-			s.send(joiner, wire.Outcome{TxnVT: dep, Committed: committed})
+			s.send(from, wire.Outcome{TxnVT: dep, Committed: committed})
 		})
 	}
 
@@ -368,12 +367,12 @@ func (s *Site) handleJoinRequest(from vtime.SiteID, m wire.JoinRequest) {
 	}
 	var confirmSites []vtime.SiteID
 	for _, sm := range out.all() {
-		if sm.site == m.Origin {
+		if sm.site == from {
 			continue // it would land on the joiner's own transaction
 		}
 		s.send(sm.site, wire.Write{
 			TxnVT:        m.TxnVT,
-			Origin:       m.Origin, // confirmations flow to the joiner
+			Origin:       from, // confirmations flow to the joiner
 			Floor:        s.combinedGCFloor(),
 			Updates:      sm.updates,
 			NeedsConfirm: sm.needsConfirm,
@@ -384,11 +383,8 @@ func (s *Site) handleJoinRequest(from vtime.SiteID, m wire.JoinRequest) {
 	}
 
 	s.send(from, wire.JoinReply{
-		TxnVT:           m.TxnVT,
 		ReqID:           m.ReqID,
-		From:            s.id,
 		OK:              true,
-		BObj:            m.BObj,
 		BValue:          snapshotValue(b),
 		GraphB:          op.Graph,
 		PendingGraphTxn: pendingGraphTxn,

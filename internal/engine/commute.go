@@ -171,7 +171,7 @@ func (s *Site) demoteGuessesFor(objs []*object, vt vtime.VT) {
 				// merged deterministically everywhere; the demotion only
 				// closes the window for still-undecided guesses.
 				s.send(owner.Site, wire.Confirm{
-					TxnVT: owner, From: s.id, OK: false, Transient: true, Reason: reason,
+					TxnVT: owner, OK: false, Transient: true, Reason: reason,
 				})
 			}
 		}

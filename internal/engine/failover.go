@@ -197,7 +197,7 @@ func (s *Site) startCommitQuery(vt vtime.VT, st *txnState) {
 	}
 	s.commitQueries[vt] = &queryState{st: st, waiting: waiting}
 	for _, site := range sortedSites(waiting) {
-		s.send(site, wire.CommitQuery{TxnVT: vt, From: s.id})
+		s.send(site, wire.CommitQuery{TxnVT: vt})
 	}
 }
 
@@ -236,17 +236,18 @@ func (s *Site) maybeFinishCommitQuery(vt vtime.VT, q *queryState) {
 // handleCommitQuery answers with this site's knowledge of the outcome.
 func (s *Site) handleCommitQuery(from vtime.SiteID, m wire.CommitQuery) {
 	committed, known := s.outcomes.get(m.TxnVT)
-	s.send(from, wire.CommitQueryReply{TxnVT: m.TxnVT, From: s.id, Known: known, Committed: committed})
+	s.send(from, wire.CommitQueryReply{TxnVT: m.TxnVT, Known: known, Committed: committed})
 }
 
-// handleCommitQueryReply collects survivor knowledge; when every survivor
-// answered, the transaction commits if anyone saw a COMMIT, else aborts.
-func (s *Site) handleCommitQueryReply(m wire.CommitQueryReply) {
+// handleCommitQueryReply collects survivor from's knowledge; when every
+// survivor answered, the transaction commits if anyone saw a COMMIT, else
+// aborts.
+func (s *Site) handleCommitQueryReply(from vtime.SiteID, m wire.CommitQueryReply) {
 	q, ok := s.commitQueries[m.TxnVT]
 	if !ok {
 		return
 	}
-	delete(q.waiting, m.From)
+	delete(q.waiting, from)
 	if m.Known && !m.Committed {
 		// A known abort decides immediately.
 		s.decideOrphan(q.st, false)
@@ -449,11 +450,10 @@ func (s *Site) sendRepairMsg(rs *repairState, to vtime.SiteID, m consensus.Msg[w
 	f := rs.failed
 	switch m.Kind {
 	case consensus.Prepare:
-		s.send(to, wire.RepairPrepare{FailedSite: f, From: s.id, Ballot: m.Ballot, Members: rs.inst.Members()})
+		s.send(to, wire.RepairPrepare{FailedSite: f, Ballot: m.Ballot, Members: rs.inst.Members()})
 	case consensus.Promise:
 		s.send(to, wire.RepairPromise{
 			FailedSite:     f,
-			From:           s.id,
 			Ballot:         m.Ballot,
 			OK:             m.OK,
 			Promised:       m.Promised,
@@ -462,11 +462,11 @@ func (s *Site) sendRepairMsg(rs *repairState, to vtime.SiteID, m consensus.Msg[w
 			Accepted:       m.Value,
 		})
 	case consensus.Accept:
-		s.send(to, wire.RepairAccept{FailedSite: f, From: s.id, Ballot: m.Ballot, Value: m.Value, Members: rs.inst.Members()})
+		s.send(to, wire.RepairAccept{FailedSite: f, Ballot: m.Ballot, Value: m.Value, Members: rs.inst.Members()})
 	case consensus.Accepted:
-		s.send(to, wire.RepairAccepted{FailedSite: f, From: s.id, Ballot: m.Ballot, OK: m.OK, Promised: m.Promised})
+		s.send(to, wire.RepairAccepted{FailedSite: f, Ballot: m.Ballot, OK: m.OK, Promised: m.Promised})
 	case consensus.Learn:
-		s.send(to, wire.RepairLearn{FailedSite: f, From: s.id, Ballot: m.Ballot, Value: m.Value})
+		s.send(to, wire.RepairLearn{FailedSite: f, Ballot: m.Ballot, Value: m.Value})
 	}
 }
 
@@ -505,26 +505,26 @@ func (s *Site) repairAccept(rs *repairState) {
 }
 
 // handleRepairPrepare is consensus phase 1a at an acceptor.
-func (s *Site) handleRepairPrepare(m wire.RepairPrepare) {
+func (s *Site) handleRepairPrepare(from vtime.SiteID, m wire.RepairPrepare) {
 	if v, ok := s.repairDecided[m.FailedSite]; ok {
 		// Already decided here: short-circuit the late proposer.
-		s.send(m.From, wire.RepairLearn{FailedSite: m.FailedSite, From: s.id, Value: v})
+		s.send(from, wire.RepairLearn{FailedSite: m.FailedSite, Value: v})
 		return
 	}
 	rs := s.ensureRepair(m.FailedSite, m.Members)
-	s.stepRepair(rs, rs.inst.Handle(m.From, consensus.Msg[wire.RepairValue]{
+	s.stepRepair(rs, rs.inst.Handle(from, consensus.Msg[wire.RepairValue]{
 		Kind:   consensus.Prepare,
 		Ballot: m.Ballot,
 	}))
 }
 
 // handleRepairPromise is consensus phase 1b at the proposer.
-func (s *Site) handleRepairPromise(m wire.RepairPromise) {
+func (s *Site) handleRepairPromise(from vtime.SiteID, m wire.RepairPromise) {
 	rs := s.repairs[m.FailedSite]
 	if rs == nil {
 		return
 	}
-	s.stepRepair(rs, rs.inst.Handle(m.From, consensus.Msg[wire.RepairValue]{
+	s.stepRepair(rs, rs.inst.Handle(from, consensus.Msg[wire.RepairValue]{
 		Kind:           consensus.Promise,
 		Ballot:         m.Ballot,
 		OK:             m.OK,
@@ -536,13 +536,13 @@ func (s *Site) handleRepairPromise(m wire.RepairPromise) {
 }
 
 // handleRepairAccept is consensus phase 2a at an acceptor.
-func (s *Site) handleRepairAccept(m wire.RepairAccept) {
+func (s *Site) handleRepairAccept(from vtime.SiteID, m wire.RepairAccept) {
 	if v, ok := s.repairDecided[m.FailedSite]; ok {
-		s.send(m.From, wire.RepairLearn{FailedSite: m.FailedSite, From: s.id, Value: v})
+		s.send(from, wire.RepairLearn{FailedSite: m.FailedSite, Value: v})
 		return
 	}
 	rs := s.ensureRepair(m.FailedSite, m.Members)
-	s.stepRepair(rs, rs.inst.Handle(m.From, consensus.Msg[wire.RepairValue]{
+	s.stepRepair(rs, rs.inst.Handle(from, consensus.Msg[wire.RepairValue]{
 		Kind:   consensus.Accept,
 		Ballot: m.Ballot,
 		Value:  m.Value,
@@ -550,12 +550,12 @@ func (s *Site) handleRepairAccept(m wire.RepairAccept) {
 }
 
 // handleRepairAccepted is consensus phase 2b at the proposer.
-func (s *Site) handleRepairAccepted(m wire.RepairAccepted) {
+func (s *Site) handleRepairAccepted(from vtime.SiteID, m wire.RepairAccepted) {
 	rs := s.repairs[m.FailedSite]
 	if rs == nil {
 		return
 	}
-	s.stepRepair(rs, rs.inst.Handle(m.From, consensus.Msg[wire.RepairValue]{
+	s.stepRepair(rs, rs.inst.Handle(from, consensus.Msg[wire.RepairValue]{
 		Kind:     consensus.Accepted,
 		Ballot:   m.Ballot,
 		OK:       m.OK,
@@ -565,7 +565,7 @@ func (s *Site) handleRepairAccepted(m wire.RepairAccepted) {
 
 // handleRepairLearn installs a decided repair broadcast by whichever
 // member first saw the phase-2 quorum.
-func (s *Site) handleRepairLearn(m wire.RepairLearn) {
+func (s *Site) handleRepairLearn(from vtime.SiteID, m wire.RepairLearn) {
 	if _, ok := s.repairDecided[m.FailedSite]; ok {
 		return // duplicate
 	}
@@ -576,7 +576,7 @@ func (s *Site) handleRepairLearn(m wire.RepairLearn) {
 		s.recordRepairDecision(m.Value)
 		return
 	}
-	s.stepRepair(rs, rs.inst.Handle(m.From, consensus.Msg[wire.RepairValue]{
+	s.stepRepair(rs, rs.inst.Handle(from, consensus.Msg[wire.RepairValue]{
 		Kind:   consensus.Learn,
 		Ballot: m.Ballot,
 		Value:  m.Value,

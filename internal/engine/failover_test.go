@@ -237,7 +237,7 @@ func TestLateOrphanFromFailedOriginIsQueried(t *testing.T) {
 
 	// Site 2 never saw a COMMIT: the orphan aborts.
 	deliver(transport.Event{Kind: transport.EventMessage, From: 2, SentAt: vtime.VT{Time: 60, Site: 2},
-		Msg: wire.CommitQueryReply{TxnVT: vt, From: 2}})
+		Msg: wire.CommitQueryReply{TxnVT: vt}})
 	if committed, decided := s.outcomes.get(vt); !decided || committed {
 		t.Fatalf("late orphan %s: outcome (committed %v, decided %v), want an abort", vt, committed, decided)
 	}

@@ -181,7 +181,7 @@ func (s *Site) answerWrite(t *writeTask) {
 		s.decide(st, v.ok, v.cause)
 		return
 	}
-	s.send(m.Origin, wire.Confirm{TxnVT: m.TxnVT, From: s.id, OK: v.ok, Transient: v.transient, Reason: v.cause.String()})
+	s.send(m.Origin, wire.Confirm{TxnVT: m.TxnVT, OK: v.ok, Transient: v.transient, Reason: v.cause.String()})
 }
 
 // traceCheck records a primary's verdict on transaction vt, requested by
@@ -229,26 +229,25 @@ func (s *Site) noteApplied(objs []*object, vt vtime.VT, committed bool) {
 // (a transaction's read set, a view snapshot, or a join step).
 func (s *Site) handleConfirmRead(from vtime.SiteID, m wire.ConfirmRead) {
 	var v verdict
-	if err := s.authorizeChecks(m.Checks, m.Origin); err != nil {
+	if err := s.authorizeChecks(m.Checks, from); err != nil {
 		v.cause = textCause(err.Error())
 	} else {
 		// Reservations are tracked only where the transaction has state
 		// here (nil for a view snapshot).
 		v = s.checkAtPrimary(s.txns[m.TxnVT], m.TxnVT, nil, m.Checks)
 	}
-	s.send(m.Origin, wire.Confirm{
+	s.send(from, wire.Confirm{
 		TxnVT:     m.TxnVT,
 		ReqID:     m.ReqID,
-		From:      s.id,
 		OK:        v.ok,
 		Transient: v.transient,
 		Reason:    v.cause.String(),
 	})
 }
 
-// handleConfirm routes a primary site's verdict to the waiting
+// handleConfirm routes the verdict of primary site from to the waiting
 // transaction or snapshot request.
-func (s *Site) handleConfirm(m wire.Confirm) {
+func (s *Site) handleConfirm(from vtime.SiteID, m wire.Confirm) {
 	if m.ReqID != 0 {
 		if w, ok := s.confirmWaiters[m.ReqID]; ok {
 			delete(s.confirmWaiters, m.ReqID)
@@ -265,23 +264,23 @@ func (s *Site) handleConfirm(m wire.Confirm) {
 		if !m.OK {
 			verdict = m.Reason
 		}
-		s.trace(obs.EvConfirm, m.TxnVT, m.From, verdict)
+		s.trace(obs.EvConfirm, m.TxnVT, from, verdict)
 	}
 	if m.OK {
-		if !st.waitConfirms.has(m.From) && st.extraPending > 0 {
+		if !st.waitConfirms.has(from) && st.extraPending > 0 {
 			// A confirmation raced ahead of the join reply that will
 			// register it (paper §3.3 flow).
 			if st.earlyConfirms == nil {
 				st.earlyConfirms = map[vtime.SiteID]bool{}
 			}
-			st.earlyConfirms[m.From] = true
+			st.earlyConfirms[from] = true
 			return
 		}
-		st.waitConfirms.remove(m.From)
+		st.waitConfirms.remove(from)
 		s.checkTxnComplete(st)
 		return
 	}
-	s.decide(st, false, &cause{kind: causeDeniedBy, site: m.From, text: m.Reason})
+	s.decide(st, false, &cause{kind: causeDeniedBy, site: from, text: m.Reason})
 }
 
 // applyUpdate applies one update from a remote transaction. It returns

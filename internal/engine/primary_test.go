@@ -203,7 +203,7 @@ var pcColumns = []pcColumn{
 		// A pessimistic view's CONFIRM-READ from a viewer whose graph
 		// lags: only committed updates conflict.
 		root := target.replicationRoot()
-		e.s.handleConfirmRead(2, wire.ConfirmRead{TxnVT: pcVT, Origin: 2, ReqID: 1, Checks: []wire.ReadCheck{{
+		e.s.handleConfirmRead(2, wire.ConfirmRead{TxnVT: pcVT, ReqID: 1, Checks: []wire.ReadCheck{{
 			Target: root.id, Path: target.pathFromRoot(), ReadVT: pcRead, GraphVT: pcGraph, CommittedOnly: true,
 		}}})
 		c := lastSent[wire.Confirm](e, 2)
@@ -218,7 +218,7 @@ var pcColumns = []pcColumn{
 	}},
 	{"join-invitee", func(e *pcEnv, row pcRow, target *object) (seen, []string, func()) {
 		a := ids.ObjectID{Site: 2, Seq: 99}
-		e.s.handleJoinRequest(2, wire.JoinRequest{TxnVT: pcVT, Origin: 2, ReqID: 1, AObj: a, BObj: target.id,
+		e.s.handleJoinRequest(2, wire.JoinRequest{TxnVT: pcVT, ReqID: 1, AObj: a, BObj: target.id,
 			GraphA: repgraph.NewGraph(a, 2).ToWire()})
 		r := lastSent[wire.JoinReply](e, 2)
 		return seenReason(r.OK, r.Reason), []string{"x.graph"}, func() { e.s.learn(pcVT, false) }
@@ -234,7 +234,7 @@ var pcColumns = []pcColumn{
 			panic(err)
 		}
 		// ConfirmSites keeps the join waiting after an ok verdict.
-		e.s.handleJoinReply(wire.JoinReply{TxnVT: pcVT, ReqID: 1, From: 3, OK: true, BObj: b, BValue: int64(5),
+		e.s.handleMessage(3, wire.JoinReply{ReqID: 1, OK: true, BValue: int64(5),
 			GraphB: merged.ToWire(), ConfirmSites: []vtime.SiteID{3}})
 		if st.status == txnWaiting {
 			// The joined value is a blind write: its interval (tT, tT] is

@@ -102,27 +102,27 @@ func (s *Site) queryCounterparts(child *object, g, keep *repgraph.Graph, h *Hand
 		reqID := s.newReqID()
 		ps.waiting[nodeSite] = true
 		s.promotes[reqID] = ps
-		s.send(nodeSite, wire.PromoteQuery{ReqID: reqID, Origin: s.id, Target: node, Path: path})
+		s.send(nodeSite, wire.PromoteQuery{ReqID: reqID, Target: node, Path: path})
 	}
 	if len(ps.waiting) == 0 {
 		s.finishPromote(ps)
 	}
 }
 
-// handlePromoteQuery reveals the counterpart child's identity.
-func (s *Site) handlePromoteQuery(m wire.PromoteQuery) {
-	reply := wire.PromoteReply{ReqID: m.ReqID, From: s.id}
+// handlePromoteQuery reveals the counterpart child's identity to from.
+func (s *Site) handlePromoteQuery(from vtime.SiteID, m wire.PromoteQuery) {
+	reply := wire.PromoteReply{ReqID: m.ReqID}
 	if root, ok := s.objects[m.Target]; ok {
 		if child, _, blocked := root.resolvePath(m.Path, false); !blocked && child != nil {
 			reply.OK = true
 			reply.Child = child.id
 		}
 	}
-	s.send(m.Origin, reply)
+	s.send(from, reply)
 }
 
-// handlePromoteReply collects counterpart identities.
-func (s *Site) handlePromoteReply(m wire.PromoteReply) {
+// handlePromoteReply collects the counterpart identity from reports.
+func (s *Site) handlePromoteReply(from vtime.SiteID, m wire.PromoteReply) {
 	ps, ok := s.promotes[m.ReqID]
 	if !ok {
 		return
@@ -131,15 +131,15 @@ func (s *Site) handlePromoteReply(m wire.PromoteReply) {
 	if ps.failed {
 		return
 	}
-	delete(ps.waiting, m.From)
+	delete(ps.waiting, from)
 	if !m.OK {
 		// The counterpart has not materialized there yet (structural op
 		// in flight); the caller may retry.
 		ps.failed = true
-		ps.handle.finish(Result{Err: fmt.Errorf("%w: counterpart not resolvable at %s", ErrAborted, m.From)})
+		ps.handle.finish(Result{Err: fmt.Errorf("%w: counterpart not resolvable at %s", ErrAborted, from)})
 		return
 	}
-	ps.collected[m.From] = m.Child
+	ps.collected[from] = m.Child
 	if len(ps.waiting) == 0 {
 		s.finishPromote(ps)
 	}

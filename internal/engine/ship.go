@@ -239,7 +239,7 @@ func (s *Site) propagate(st *txnState) {
 			msg = w
 		case len(m.checks) > 0:
 			s.trace(obs.EvPropagate, st.vt, site, "confirm")
-			msg = wire.ConfirmRead{TxnVT: st.vt, Origin: s.id, Floor: s.combinedGCFloor(), Checks: m.checks}
+			msg = wire.ConfirmRead{TxnVT: st.vt, Floor: s.combinedGCFloor(), Checks: m.checks}
 		default:
 			continue
 		}

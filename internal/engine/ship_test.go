@@ -120,8 +120,8 @@ func (e *psEnv) join(t *testing.T, local, assoc *object, confirm []vtime.SiteID)
 	if err := merged.AddEdge(local.id, b); err != nil {
 		t.Fatal(err)
 	}
-	e.s.handleJoinReply(wire.JoinReply{TxnVT: js.st.vt, ReqID: reqID, From: 3, OK: true, BObj: b,
-		BValue: int64(5), GraphB: merged.ToWire(), ConfirmSites: confirm})
+	e.s.handleMessage(3, wire.JoinReply{ReqID: reqID, OK: true, BValue: int64(5),
+		GraphB: merged.ToWire(), ConfirmSites: confirm})
 	return js.st
 }
 
@@ -168,7 +168,7 @@ var psSenders = []psSender{
 		graph: true, entries: 1, failed: 2,
 		run: func(t *testing.T, e *psEnv, b *object, _ vtime.SiteID) *txnState {
 			a := ids.ObjectID{Site: 3, Seq: 99}
-			e.s.handleJoinRequest(3, wire.JoinRequest{TxnVT: psJoin, Origin: 3, ReqID: 1, AObj: a, BObj: b.id,
+			e.s.handleJoinRequest(3, wire.JoinRequest{TxnVT: psJoin, ReqID: 1, AObj: a, BObj: b.id,
 				GraphA: repgraph.NewGraph(a, 3).ToWire()})
 			return e.s.txns[psJoin]
 		}},

@@ -1296,7 +1296,7 @@ func (s *Site) handleMessage(from vtime.SiteID, msg wire.Message) {
 		s.hearFloor(from, m.Floor)
 		s.handleConfirmRead(from, m)
 	case wire.Confirm:
-		s.handleConfirm(m)
+		s.handleConfirm(from, m)
 	case wire.Outcome:
 		s.walLogOutcome(m)
 		s.learn(m.TxnVT, m.Committed)
@@ -1307,25 +1307,25 @@ func (s *Site) handleMessage(from vtime.SiteID, msg wire.Message) {
 	case wire.JoinRequest:
 		s.handleJoinRequest(from, m)
 	case wire.PromoteQuery:
-		s.handlePromoteQuery(m)
+		s.handlePromoteQuery(from, m)
 	case wire.PromoteReply:
-		s.handlePromoteReply(m)
+		s.handlePromoteReply(from, m)
 	case wire.JoinReply:
 		s.handleJoinReply(m)
 	case wire.CommitQuery:
 		s.handleCommitQuery(from, m)
 	case wire.CommitQueryReply:
-		s.handleCommitQueryReply(m)
+		s.handleCommitQueryReply(from, m)
 	case wire.RepairPrepare:
-		s.handleRepairPrepare(m)
+		s.handleRepairPrepare(from, m)
 	case wire.RepairPromise:
-		s.handleRepairPromise(m)
+		s.handleRepairPromise(from, m)
 	case wire.RepairAccept:
-		s.handleRepairAccept(m)
+		s.handleRepairAccept(from, m)
 	case wire.RepairAccepted:
-		s.handleRepairAccepted(m)
+		s.handleRepairAccepted(from, m)
 	case wire.RepairLearn:
-		s.handleRepairLearn(m)
+		s.handleRepairLearn(from, m)
 	default:
 		s.log.Warn("unknown message", "from", from.String(), "type", fmt.Sprintf("%T", msg))
 	}

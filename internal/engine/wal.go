@@ -89,7 +89,7 @@ func (s *Site) walLogRepair(v wire.RepairValue) {
 	if s.wal == nil {
 		return
 	}
-	s.walAppendMsg(v.GraphVT, wire.RepairLearn{FailedSite: v.FailedSite, From: s.id, Value: v})
+	s.walAppendMsg(v.GraphVT, wire.RepairLearn{FailedSite: v.FailedSite, Value: v})
 }
 
 // walOwnUpdates logs the updates a transaction committed at its origin
@@ -286,7 +286,7 @@ func (s *Site) startSync(peer vtime.SiteID) {
 		return
 	}
 	s.stats.SyncSessions.Inc()
-	s.send(peer, wire.SyncRequest{From: s.id, ReqID: s.newReqID(), Floors: s.floorList()})
+	s.send(peer, wire.SyncRequest{ReqID: s.newReqID(), Floors: s.floorList()})
 }
 
 // handleSyncRequest answers a peer's floor exchange with every logged
@@ -297,12 +297,11 @@ func (s *Site) handleSyncRequest(from vtime.SiteID, m wire.SyncRequest) {
 		return
 	}
 	s.stats.SyncSessions.Inc()
-	s.send(m.From, wire.SyncUpdates{
-		From:      s.id,
+	s.send(from, wire.SyncUpdates{
 		ReqID:     m.ReqID,
 		WantReply: true,
 		Floors:    s.floorList(),
-		Records:   s.buildSyncRecords(m.From, m.Floors),
+		Records:   s.buildSyncRecords(from, m.Floors),
 	})
 }
 
@@ -319,7 +318,7 @@ func (s *Site) handleSyncUpdates(from vtime.SiteID, m wire.SyncUpdates) {
 	}
 	for _, msg := range m.Records {
 		s.stats.SyncRecordsApplied.Inc()
-		s.handleMessage(m.From, msg)
+		s.handleMessage(from, msg)
 	}
 	for _, f := range m.Floors {
 		if f.Time > s.syncFloors[f.Site] {
@@ -327,11 +326,10 @@ func (s *Site) handleSyncUpdates(from vtime.SiteID, m wire.SyncUpdates) {
 		}
 	}
 	if m.WantReply {
-		s.send(m.From, wire.SyncUpdates{
-			From:    s.id,
+		s.send(from, wire.SyncUpdates{
 			ReqID:   m.ReqID,
 			Floors:  s.floorList(),
-			Records: s.buildSyncRecords(m.From, m.Floors),
+			Records: s.buildSyncRecords(from, m.Floors),
 		})
 	}
 	s.resubmitWaiting()

@@ -96,7 +96,7 @@ func (s *Site) Step() bool {
 			worked = true
 			if ev.Kind == transport.EventMessage {
 				s.clock.Observe(ev.SentAt)
-				s.handle(ev.Msg)
+				s.handle(ev.From, ev.Msg)
 			}
 		default:
 			return worked
@@ -114,7 +114,7 @@ func (s *Site) Write(name string, value any) *Pending {
 			continue
 		}
 		e.acksDue++
-		_ = s.ep.Send(peer, s.clock.Now(), wire.GVTUpdate{VT: vt, From: s.id, Name: name, Value: value})
+		_ = s.ep.Send(peer, s.clock.Now(), wire.GVTUpdate{VT: vt, Name: name, Value: value})
 	}
 	s.insert(e)
 	if len(s.ring) <= 1 {
@@ -142,11 +142,11 @@ func (s *Site) insert(e *entry) {
 	s.uncommitted[i] = e
 }
 
-func (s *Site) handle(msg wire.Message) {
+func (s *Site) handle(from vtime.SiteID, msg wire.Message) {
 	switch m := msg.(type) {
 	case wire.GVTUpdate:
-		s.insert(&entry{vt: m.VT, name: m.Name, value: m.Value, origin: m.From})
-		_ = s.ep.Send(m.From, s.clock.Now(), wire.GVTAck{VT: m.VT, From: s.id})
+		s.insert(&entry{vt: m.VT, name: m.Name, value: m.Value, origin: from})
+		_ = s.ep.Send(from, s.clock.Now(), wire.GVTAck{VT: m.VT})
 		s.tryCommit()
 	case wire.GVTAck:
 		for _, e := range s.uncommitted {

@@ -37,7 +37,7 @@ func TestStepDrainsInboxBacklog(t *testing.T) {
 	sentAt := vtime.VT{Time: 1, Site: 2}
 	msgs := make([]wire.Message, n)
 	for i := range msgs {
-		msgs[i] = wire.ConfirmRead{TxnVT: sentAt, Origin: 2, ReqID: uint64(i + 1)}
+		msgs[i] = wire.ConfirmRead{TxnVT: sentAt, ReqID: uint64(i + 1)}
 	}
 	l.clock.AfterFunc(0, func() {
 		if err := peer.SendBatch(1, sentAt, msgs); err != nil {

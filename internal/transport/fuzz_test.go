@@ -24,7 +24,7 @@ func seedEnvelopes(fatalf func(format string, args ...any)) [][]byte {
 	vt := func(t, s uint64) vtime.VT { return vtime.VT{Time: t, Site: vtime.SiteID(s)} }
 	msgs := []wire.Message{
 		wire.Outcome{TxnVT: vt(4, 1), Committed: true},
-		wire.Confirm{TxnVT: vt(4, 1), ReqID: 7, From: 2, OK: false, Transient: true, Reason: "pending"},
+		wire.Confirm{TxnVT: vt(4, 1), ReqID: 7, OK: false, Transient: true, Reason: "pending"},
 		wire.Write{
 			TxnVT: vt(3, 1), Origin: 1,
 			Updates: []wire.Update{{
@@ -34,7 +34,7 @@ func seedEnvelopes(fatalf func(format string, args ...any)) [][]byte {
 			}},
 			NeedsConfirm: true,
 		},
-		wire.CommitQuery{TxnVT: vt(9, 3), From: 2},
+		wire.CommitQuery{TxnVT: vt(9, 3)},
 	}
 	var out [][]byte
 	for i, m := range msgs {

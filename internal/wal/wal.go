@@ -86,11 +86,12 @@ const (
 	maxRecordBytes      = 1 << 26 // sanity bound on a single record
 )
 
-// segMagic begins every segment file: "DCAFWAL" + format version 2.
+// segMagic begins every segment file: "DCAFWAL" + format version 3.
 // The version covers the records' wire-encoded payloads too, so a log
 // written with another payload encoding fails to open instead of being
-// misread (version 2: composite values as state images).
-var segMagic = [headerSize]byte{'D', 'C', 'A', 'F', 'W', 'A', 'L', 2}
+// misread (version 2: composite values as state images; version 3: a
+// logged REPAIR-LEARN no longer names its sender).
+var segMagic = [headerSize]byte{'D', 'C', 'A', 'F', 'W', 'A', 'L', 3}
 
 type segment struct {
 	index   uint64 // from the file name

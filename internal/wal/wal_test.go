@@ -89,8 +89,8 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 }
 
 // TestOlderSegmentVersionRefused opens a log whose segment carries the
-// previous format version: it must fail with an error, since its records'
-// payloads use wire encodings that changed.
+// previous format version (2): it must fail with an error, since its
+// records' payloads use wire encodings that changed.
 func TestOlderSegmentVersionRefused(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{Sync: SyncNever})
@@ -110,13 +110,16 @@ func TestOlderSegmentVersionRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[headerSize-1] = 1
+	if data[headerSize-1] != 3 {
+		t.Fatalf("segment written at version %d, want 3", data[headerSize-1])
+	}
+	data[headerSize-1] = 2
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if l2, err := Open(dir, Options{}); err == nil {
 		l2.Close()
-		t.Fatal("a version-1 segment opened")
+		t.Fatal("a version-2 segment opened")
 	}
 }
 

@@ -23,7 +23,6 @@ import "decaf/internal/vtime"
 // GVTUpdate propagates a baseline write to all sites of the group.
 type GVTUpdate struct {
 	VT    vtime.VT
-	From  vtime.SiteID
 	Name  string
 	Value any
 }
@@ -37,8 +36,7 @@ func (GVTUpdate) Kind() string { return "GVT-UPDATE" }
 // transaction in its uncommitted set until every peer acknowledged, which
 // makes the token sweep sound with respect to in-transit messages.
 type GVTAck struct {
-	VT   vtime.VT
-	From vtime.SiteID
+	VT vtime.VT
 }
 
 func (GVTAck) isMessage() {}
@@ -67,7 +65,6 @@ func (GVTToken) Kind() string { return "GVT-TOKEN" }
 // CenWrite asks the central server to apply an update.
 type CenWrite struct {
 	Seq   uint64
-	From  vtime.SiteID
 	Name  string
 	Value any
 }

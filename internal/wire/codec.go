@@ -380,12 +380,10 @@ func AppendMessage(b []byte, m Message) ([]byte, error) {
 		return b, nil
 	case SyncRequest:
 		b = append(b, tagSyncRequest)
-		b = appendSite(b, m.From)
 		b = binary.AppendUvarint(b, m.ReqID)
 		return appendSyncFloors(b, m.Floors), nil
 	case SyncUpdates:
 		b = append(b, tagSyncUpdates)
-		b = appendSite(b, m.From)
 		b = binary.AppendUvarint(b, m.ReqID)
 		b = appendBool(b, m.WantReply)
 		b = appendSyncFloors(b, m.Floors)
@@ -404,7 +402,6 @@ func AppendMessage(b []byte, m Message) ([]byte, error) {
 	case ConfirmRead:
 		b = append(b, tagConfirmRead)
 		b = appendVT(b, m.TxnVT)
-		b = appendSite(b, m.Origin)
 		b = appendVT(b, m.Floor)
 		b = binary.AppendUvarint(b, m.ReqID)
 		b = binary.AppendUvarint(b, uint64(len(m.Checks)))
@@ -416,7 +413,6 @@ func AppendMessage(b []byte, m Message) ([]byte, error) {
 		b = append(b, tagConfirm)
 		b = appendVT(b, m.TxnVT)
 		b = binary.AppendUvarint(b, m.ReqID)
-		b = appendSite(b, m.From)
 		b = appendBool(b, m.OK)
 		b = appendBool(b, m.Transient)
 		return appendString(b, m.Reason), nil
@@ -427,20 +423,16 @@ func AppendMessage(b []byte, m Message) ([]byte, error) {
 	case JoinRequest:
 		b = append(b, tagJoinRequest)
 		b = appendVT(b, m.TxnVT)
-		b = appendSite(b, m.Origin)
 		b = binary.AppendUvarint(b, m.ReqID)
 		b = appendObj(b, m.AObj)
 		b = appendObj(b, m.BObj)
 		return appendGraph(b, m.GraphA), nil
 	case JoinReply:
 		b = append(b, tagJoinReply)
-		b = appendVT(b, m.TxnVT)
 		b = binary.AppendUvarint(b, m.ReqID)
-		b = appendSite(b, m.From)
 		b = appendBool(b, m.OK)
 		b = appendString(b, m.Reason)
 		b = appendBool(b, m.Retryable)
-		b = appendObj(b, m.BObj)
 		if b, err = appendValue(b, m.BValue); err != nil {
 			return b, err
 		}
@@ -450,35 +442,29 @@ func AppendMessage(b []byte, m Message) ([]byte, error) {
 	case PromoteQuery:
 		b = append(b, tagPromoteQuery)
 		b = binary.AppendUvarint(b, m.ReqID)
-		b = appendSite(b, m.Origin)
 		b = appendObj(b, m.Target)
 		return appendPath(b, m.Path), nil
 	case PromoteReply:
 		b = append(b, tagPromoteReply)
 		b = binary.AppendUvarint(b, m.ReqID)
-		b = appendSite(b, m.From)
 		b = appendBool(b, m.OK)
 		return appendObj(b, m.Child), nil
 	case CommitQuery:
 		b = append(b, tagCommitQuery)
-		b = appendVT(b, m.TxnVT)
-		return appendSite(b, m.From), nil
+		return appendVT(b, m.TxnVT), nil
 	case CommitQueryReply:
 		b = append(b, tagCommitQueryReply)
 		b = appendVT(b, m.TxnVT)
-		b = appendSite(b, m.From)
 		b = appendBool(b, m.Known)
 		return appendBool(b, m.Committed), nil
 	case RepairPrepare:
 		b = append(b, tagRepairPrepare)
 		b = appendSite(b, m.FailedSite)
-		b = appendSite(b, m.From)
 		b = appendBallot(b, m.Ballot)
 		return appendSites(b, m.Members), nil
 	case RepairPromise:
 		b = append(b, tagRepairPromise)
 		b = appendSite(b, m.FailedSite)
-		b = appendSite(b, m.From)
 		b = appendBallot(b, m.Ballot)
 		b = appendBool(b, m.OK)
 		b = appendBallot(b, m.Promised)
@@ -488,21 +474,18 @@ func AppendMessage(b []byte, m Message) ([]byte, error) {
 	case RepairAccept:
 		b = append(b, tagRepairAccept)
 		b = appendSite(b, m.FailedSite)
-		b = appendSite(b, m.From)
 		b = appendBallot(b, m.Ballot)
 		b = appendRepairValue(b, m.Value)
 		return appendSites(b, m.Members), nil
 	case RepairAccepted:
 		b = append(b, tagRepairAccepted)
 		b = appendSite(b, m.FailedSite)
-		b = appendSite(b, m.From)
 		b = appendBallot(b, m.Ballot)
 		b = appendBool(b, m.OK)
 		return appendBallot(b, m.Promised), nil
 	case RepairLearn:
 		b = append(b, tagRepairLearn)
 		b = appendSite(b, m.FailedSite)
-		b = appendSite(b, m.From)
 		b = appendBallot(b, m.Ballot)
 		return appendRepairValue(b, m.Value), nil
 	default:
@@ -934,67 +917,44 @@ func DecodeMessage(b []byte) (Message, int, error) {
 		}
 		m = w
 	case tagSyncRequest:
-		m = SyncRequest{From: r.site(), ReqID: r.uvarint(), Floors: r.syncFloors()}
+		m = SyncRequest{ReqID: r.uvarint(), Floors: r.syncFloors()}
 	case tagSyncUpdates:
-		m = SyncUpdates{
-			From: r.site(), ReqID: r.uvarint(), WantReply: r.bool_(),
-			Floors: r.syncFloors(), Records: r.syncRecords(),
-		}
+		m = SyncUpdates{ReqID: r.uvarint(), WantReply: r.bool_(), Floors: r.syncFloors(), Records: r.syncRecords()}
 	case tagConfirmRead:
-		m = ConfirmRead{TxnVT: r.vt(), Origin: r.site(), Floor: r.vt(), ReqID: r.uvarint(), Checks: r.checks()}
+		m = ConfirmRead{TxnVT: r.vt(), Floor: r.vt(), ReqID: r.uvarint(), Checks: r.checks()}
 	case tagConfirm:
-		m = Confirm{
-			TxnVT: r.vt(), ReqID: r.uvarint(), From: r.site(),
-			OK: r.bool_(), Transient: r.bool_(), Reason: r.string_(),
-		}
+		m = Confirm{TxnVT: r.vt(), ReqID: r.uvarint(), OK: r.bool_(), Transient: r.bool_(), Reason: r.string_()}
 	case tagOutcome:
 		m = Outcome{TxnVT: r.vt(), Committed: r.bool_()}
 	case tagJoinRequest:
-		m = JoinRequest{
-			TxnVT: r.vt(), Origin: r.site(), ReqID: r.uvarint(),
-			AObj: r.obj(), BObj: r.obj(), GraphA: r.graph(),
-		}
+		m = JoinRequest{TxnVT: r.vt(), ReqID: r.uvarint(), AObj: r.obj(), BObj: r.obj(), GraphA: r.graph()}
 	case tagJoinReply:
 		m = JoinReply{
-			TxnVT: r.vt(), ReqID: r.uvarint(), From: r.site(),
-			OK: r.bool_(), Reason: r.string_(), Retryable: r.bool_(),
-			BObj: r.obj(), BValue: r.value(), GraphB: r.graph(),
-			PendingGraphTxn: r.vt(), ConfirmSites: r.sites(),
+			ReqID: r.uvarint(), OK: r.bool_(), Reason: r.string_(), Retryable: r.bool_(),
+			BValue: r.value(), GraphB: r.graph(), PendingGraphTxn: r.vt(), ConfirmSites: r.sites(),
 		}
 	case tagPromoteQuery:
-		m = PromoteQuery{ReqID: r.uvarint(), Origin: r.site(), Target: r.obj(), Path: r.path()}
+		m = PromoteQuery{ReqID: r.uvarint(), Target: r.obj(), Path: r.path()}
 	case tagPromoteReply:
-		m = PromoteReply{ReqID: r.uvarint(), From: r.site(), OK: r.bool_(), Child: r.obj()}
+		m = PromoteReply{ReqID: r.uvarint(), OK: r.bool_(), Child: r.obj()}
 	case tagCommitQuery:
-		m = CommitQuery{TxnVT: r.vt(), From: r.site()}
+		m = CommitQuery{TxnVT: r.vt()}
 	case tagCommitQueryReply:
-		m = CommitQueryReply{TxnVT: r.vt(), From: r.site(), Known: r.bool_(), Committed: r.bool_()}
+		m = CommitQueryReply{TxnVT: r.vt(), Known: r.bool_(), Committed: r.bool_()}
 	case tagRepairPrepare:
-		m = RepairPrepare{
-			FailedSite: r.site(), From: r.site(), Ballot: r.ballot(),
-			Members: r.sites(),
-		}
+		m = RepairPrepare{FailedSite: r.site(), Ballot: r.ballot(), Members: r.sites()}
 	case tagRepairPromise:
 		m = RepairPromise{
-			FailedSite: r.site(), From: r.site(), Ballot: r.ballot(),
+			FailedSite: r.site(), Ballot: r.ballot(),
 			OK: r.bool_(), Promised: r.ballot(), HasAccepted: r.bool_(),
 			AcceptedBallot: r.ballot(), Accepted: r.repairValue(),
 		}
 	case tagRepairAccept:
-		m = RepairAccept{
-			FailedSite: r.site(), From: r.site(), Ballot: r.ballot(),
-			Value: r.repairValue(), Members: r.sites(),
-		}
+		m = RepairAccept{FailedSite: r.site(), Ballot: r.ballot(), Value: r.repairValue(), Members: r.sites()}
 	case tagRepairAccepted:
-		m = RepairAccepted{
-			FailedSite: r.site(), From: r.site(), Ballot: r.ballot(),
-			OK: r.bool_(), Promised: r.ballot(),
-		}
+		m = RepairAccepted{FailedSite: r.site(), Ballot: r.ballot(), OK: r.bool_(), Promised: r.ballot()}
 	case tagRepairLearn:
-		m = RepairLearn{
-			FailedSite: r.site(), From: r.site(), Ballot: r.ballot(),
-			Value: r.repairValue(),
-		}
+		m = RepairLearn{FailedSite: r.site(), Ballot: r.ballot(), Value: r.repairValue()}
 	default:
 		return nil, 0, fmt.Errorf("wire: unknown message tag %d", t)
 	}

@@ -25,9 +25,9 @@ func benchMessages() []Message {
 			Checks:       []ReadCheck{{Target: target, ReadVT: vt, GraphVT: vt}},
 			NeedsConfirm: true,
 		},
-		Confirm{TxnVT: vt, From: 3, OK: true},
+		Confirm{TxnVT: vt, OK: true},
 		Outcome{TxnVT: vt, Committed: true},
-		ConfirmRead{TxnVT: vt, Origin: 2, ReqID: 77, Checks: []ReadCheck{{Target: target, ReadVT: vt}}},
+		ConfirmRead{TxnVT: vt, ReqID: 77, Checks: []ReadCheck{{Target: target, ReadVT: vt}}},
 	}
 }
 

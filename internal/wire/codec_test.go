@@ -258,51 +258,47 @@ func (g *gen) message(i int) Message {
 		}
 		return w
 	case 1:
-		return ConfirmRead{TxnVT: g.vt(), Origin: g.site(), Floor: g.vt(), ReqID: g.rng.Uint64(), Checks: g.checks()}
+		return ConfirmRead{TxnVT: g.vt(), Floor: g.vt(), ReqID: g.rng.Uint64(), Checks: g.checks()}
 	case 2:
-		return Confirm{TxnVT: g.vt(), ReqID: g.rng.Uint64(), From: g.site(),
-			OK: g.rng.Intn(2) == 0, Transient: g.rng.Intn(2) == 0, Reason: g.str()}
+		return Confirm{TxnVT: g.vt(), ReqID: g.rng.Uint64(), OK: g.rng.Intn(2) == 0,
+			Transient: g.rng.Intn(2) == 0, Reason: g.str()}
 	case 3:
 		return Outcome{TxnVT: g.vt(), Committed: g.rng.Intn(2) == 0}
 	case 4:
-		return JoinRequest{TxnVT: g.vt(), Origin: g.site(), ReqID: g.rng.Uint64(),
+		return JoinRequest{TxnVT: g.vt(), ReqID: g.rng.Uint64(),
 			AObj: g.obj(), BObj: g.obj(), GraphA: g.graph()}
 	case 5:
-		return JoinReply{TxnVT: g.vt(), ReqID: g.rng.Uint64(), From: g.site(),
+		return JoinReply{ReqID: g.rng.Uint64(),
 			OK: g.rng.Intn(2) == 0, Reason: g.str(), Retryable: g.rng.Intn(2) == 0,
-			BObj: g.obj(), BValue: g.value(), GraphB: g.graph(),
+			BValue: g.value(), GraphB: g.graph(),
 			PendingGraphTxn: g.vt(), ConfirmSites: g.sites()}
 	case 6:
-		return PromoteQuery{ReqID: g.rng.Uint64(), Origin: g.site(), Target: g.obj(), Path: g.path()}
+		return PromoteQuery{ReqID: g.rng.Uint64(), Target: g.obj(), Path: g.path()}
 	case 7:
-		return PromoteReply{ReqID: g.rng.Uint64(), From: g.site(), OK: g.rng.Intn(2) == 0, Child: g.obj()}
+		return PromoteReply{ReqID: g.rng.Uint64(), OK: g.rng.Intn(2) == 0, Child: g.obj()}
 	case 8:
-		return CommitQuery{TxnVT: g.vt(), From: g.site()}
+		return CommitQuery{TxnVT: g.vt()}
 	case 9:
-		return CommitQueryReply{TxnVT: g.vt(), From: g.site(),
-			Known: g.rng.Intn(2) == 0, Committed: g.rng.Intn(2) == 0}
+		return CommitQueryReply{TxnVT: g.vt(), Known: g.rng.Intn(2) == 0, Committed: g.rng.Intn(2) == 0}
 	case 10:
-		return SyncRequest{From: g.site(), ReqID: g.rng.Uint64(), Floors: g.syncFloors()}
+		return SyncRequest{ReqID: g.rng.Uint64(), Floors: g.syncFloors()}
 	case 11:
-		return SyncUpdates{From: g.site(), ReqID: g.rng.Uint64(),
+		return SyncUpdates{ReqID: g.rng.Uint64(),
 			WantReply: g.rng.Intn(2) == 0, Floors: g.syncFloors(), Records: g.syncRecords()}
 	case 12:
-		return RepairPrepare{FailedSite: g.site(), From: g.site(),
-			Ballot: g.ballot(), Members: g.sites()}
+		return RepairPrepare{FailedSite: g.site(), Ballot: g.ballot(), Members: g.sites()}
 	case 13:
-		return RepairPromise{FailedSite: g.site(), From: g.site(),
-			Ballot: g.ballot(), OK: g.rng.Intn(2) == 0, Promised: g.ballot(),
+		return RepairPromise{FailedSite: g.site(), Ballot: g.ballot(),
+			OK: g.rng.Intn(2) == 0, Promised: g.ballot(),
 			HasAccepted: g.rng.Intn(2) == 0, AcceptedBallot: g.ballot(),
 			Accepted: g.repairValue()}
 	case 14:
-		return RepairAccept{FailedSite: g.site(), From: g.site(),
-			Ballot: g.ballot(), Value: g.repairValue(), Members: g.sites()}
+		return RepairAccept{FailedSite: g.site(), Ballot: g.ballot(), Value: g.repairValue(), Members: g.sites()}
 	case 15:
-		return RepairAccepted{FailedSite: g.site(), From: g.site(),
-			Ballot: g.ballot(), OK: g.rng.Intn(2) == 0, Promised: g.ballot()}
+		return RepairAccepted{FailedSite: g.site(), Ballot: g.ballot(),
+			OK: g.rng.Intn(2) == 0, Promised: g.ballot()}
 	case 16:
-		return RepairLearn{FailedSite: g.site(), From: g.site(),
-			Ballot: g.ballot(), Value: g.repairValue()}
+		return RepairLearn{FailedSite: g.site(), Ballot: g.ballot(), Value: g.repairValue()}
 	default:
 		w := FastWrite{TxnVT: g.vt(), Origin: g.site(), Floor: g.vt()}
 		for j := 0; j < 1+g.rng.Intn(4); j++ {
@@ -399,35 +395,35 @@ func TestBinaryCodecFixedMessages(t *testing.T) {
 				{Target: target, Op: OpAssocInsert{Rel: Relationship{Name: "r", Members: []Member{{Site: 1, Obj: target, Desc: "d"}}}}},
 			},
 		},
-		ConfirmRead{TxnVT: vt, Origin: 2, Floor: vtime.VT{Time: 90, Site: 2}, ReqID: 9, Checks: []ReadCheck{{Target: target, ReadVT: vt}}},
-		Confirm{TxnVT: vt, ReqID: 9, From: 3, OK: false, Transient: true, Reason: "pending straggler"},
+		ConfirmRead{TxnVT: vt, Floor: vtime.VT{Time: 90, Site: 2}, ReqID: 9, Checks: []ReadCheck{{Target: target, ReadVT: vt}}},
+		Confirm{TxnVT: vt, ReqID: 9, OK: false, Transient: true, Reason: "pending straggler"},
 		Outcome{TxnVT: vt, Committed: true},
-		JoinRequest{TxnVT: vt, Origin: 2, ReqID: 1, AObj: target, BObj: ids.ObjectID{Site: 1, Seq: 2}, GraphA: sampleGraph()},
-		JoinReply{TxnVT: vt, ReqID: 1, From: 1, OK: true, BValue: "hello", GraphB: sampleGraph(), PendingGraphTxn: vt},
-		JoinReply{TxnVT: vt, ReqID: 2, From: 1, OK: true, BValue: []ChildImage{
+		JoinRequest{TxnVT: vt, ReqID: 1, AObj: target, BObj: ids.ObjectID{Site: 1, Seq: 2}, GraphA: sampleGraph()},
+		JoinReply{ReqID: 1, OK: true, BValue: "hello", GraphB: sampleGraph(), PendingGraphTxn: vt},
+		JoinReply{ReqID: 2, OK: true, BValue: []ChildImage{
 			{Slot: PathElem{IsKey: true, Key: "k", Tag: ElemTag{VT: vt}}, InsertVT: vt, Kind: KindInt, Value: int64(3), ValueVT: vt},
 			{Slot: PathElem{IsKey: true, Key: "nested", Tag: ElemTag{VT: vt}}, InsertVT: vt, Removals: []vtime.VT{vt}, Kind: KindList,
 				Children: []ChildImage{{Slot: PathElem{Tag: ElemTag{VT: vt, N: 1}}, InsertVT: vt, Kind: KindString, Value: "s"}}},
 		}},
-		PromoteQuery{ReqID: 4, Origin: 2, Target: target, Path: Path{{IsKey: true, Key: "a", Tag: ElemTag{VT: vt}}}},
-		PromoteReply{ReqID: 4, From: 3, OK: true, Child: target},
-		CommitQuery{TxnVT: vt, From: 4},
-		CommitQueryReply{TxnVT: vt, From: 4, Known: true, Committed: false},
-		RepairPrepare{FailedSite: 9, From: 1, Ballot: consensus.Ballot{Round: 2, Site: 1},
+		PromoteQuery{ReqID: 4, Target: target, Path: Path{{IsKey: true, Key: "a", Tag: ElemTag{VT: vt}}}},
+		PromoteReply{ReqID: 4, OK: true, Child: target},
+		CommitQuery{TxnVT: vt},
+		CommitQueryReply{TxnVT: vt, Known: true, Committed: false},
+		RepairPrepare{FailedSite: 9, Ballot: consensus.Ballot{Round: 2, Site: 1},
 			Members: []vtime.SiteID{1, 2, 3}},
-		RepairPromise{FailedSite: 9, From: 2, Ballot: consensus.Ballot{Round: 2, Site: 1},
+		RepairPromise{FailedSite: 9, Ballot: consensus.Ballot{Round: 2, Site: 1},
 			OK: true, HasAccepted: true, AcceptedBallot: consensus.Ballot{Round: 1, Site: 2},
 			Accepted: RepairValue{FailedSite: 9, GraphVT: vt}},
-		RepairPromise{FailedSite: 9, From: 2, Ballot: consensus.Ballot{Round: 1, Site: 1},
+		RepairPromise{FailedSite: 9, Ballot: consensus.Ballot{Round: 1, Site: 1},
 			OK: false, Promised: consensus.Ballot{Round: 3, Site: 2}},
-		RepairAccept{FailedSite: 9, From: 1, Ballot: consensus.Ballot{Round: 2, Site: 1},
+		RepairAccept{FailedSite: 9, Ballot: consensus.Ballot{Round: 2, Site: 1},
 			Value:   RepairValue{FailedSite: 9, GraphVT: vt},
 			Members: []vtime.SiteID{1, 2, 3}},
-		RepairAccepted{FailedSite: 9, From: 3, Ballot: consensus.Ballot{Round: 2, Site: 1}, OK: true},
-		RepairLearn{FailedSite: 9, From: 1, Ballot: consensus.Ballot{Round: 2, Site: 1},
+		RepairAccepted{FailedSite: 9, Ballot: consensus.Ballot{Round: 2, Site: 1}, OK: true},
+		RepairLearn{FailedSite: 9, Ballot: consensus.Ballot{Round: 2, Site: 1},
 			Value: RepairValue{FailedSite: 9, GraphVT: vt}},
-		SyncRequest{From: 4, ReqID: 12, Floors: []SyncFloor{{Site: 1, Time: 50}, {Site: 2, Time: 0}}},
-		SyncUpdates{From: 1, ReqID: 12, WantReply: true,
+		SyncRequest{ReqID: 12, Floors: []SyncFloor{{Site: 1, Time: 50}, {Site: 2, Time: 0}}},
+		SyncUpdates{ReqID: 12, WantReply: true,
 			Floors: []SyncFloor{{Site: 4, Time: 9}},
 			Records: []Message{
 				Outcome{TxnVT: vt, Committed: true},
@@ -445,10 +441,10 @@ func TestBinaryCodecFixedMessages(t *testing.T) {
 		})
 	}
 	for _, m := range []Message{
-		GVTUpdate{VT: vt, From: 2, Name: "x", Value: int64(5)},
-		GVTAck{VT: vt, From: 2},
+		GVTUpdate{VT: vt, Name: "x", Value: int64(5)},
+		GVTAck{VT: vt},
 		GVTToken{Round: 8, Min: vt, MinValid: true, GVT: vtime.VT{Time: 90, Site: 1}},
-		CenWrite{Seq: 11, From: 2, Name: "y", Value: 2.5},
+		CenWrite{Seq: 11, Name: "y", Value: 2.5},
 		CenEcho{Seq: 11, Name: "y", Value: 2.5},
 	} {
 		t.Run(m.Kind()+"/"+reflect.TypeOf(m).Name(), func(t *testing.T) {
@@ -703,7 +699,7 @@ func TestBinaryCodecRejectsUnsupportedValue(t *testing.T) {
 	for _, m := range []Message{
 		Write{TxnVT: vt, Origin: 1, Updates: []Update{{Op: OpSet{Value: bad}}}},
 		Write{TxnVT: vt, Origin: 1, Updates: []Update{{Op: OpSet{Value: int(3)}}}},
-		JoinReply{TxnVT: vt, BValue: []ChildImage{{Kind: KindList,
+		JoinReply{BValue: []ChildImage{{Kind: KindList,
 			Children: []ChildImage{{Kind: KindInt, Value: bad}}}}},
 	} {
 		if b, err := AppendMessage(nil, m); err == nil {
@@ -755,15 +751,15 @@ func TestCodecRejectsEmptyDelegation(t *testing.T) {
 // included, is refused by the encoder and by the decoder.
 func TestCodecRejectsForeignSyncRecords(t *testing.T) {
 	vt := vtime.VT{Time: 5, Site: 2}
-	head, err := AppendMessage(nil, SyncUpdates{From: 1, ReqID: 7})
+	head, err := AppendMessage(nil, SyncUpdates{ReqID: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, rec := range []Message{
-		Confirm{TxnVT: vt, From: 3, OK: true},
-		SyncUpdates{From: 3, ReqID: 8, Records: []Message{Outcome{TxnVT: vt}}},
+		Confirm{TxnVT: vt, OK: true},
+		SyncUpdates{ReqID: 8, Records: []Message{Outcome{TxnVT: vt}}},
 	} {
-		m := SyncUpdates{From: 1, ReqID: 7, Records: []Message{Outcome{TxnVT: vt}, rec}}
+		m := SyncUpdates{ReqID: 7, Records: []Message{Outcome{TxnVT: vt}, rec}}
 		if b, err := AppendMessage(nil, m); err == nil {
 			t.Errorf("a %s record encoded to %x", rec.Kind(), b)
 		}

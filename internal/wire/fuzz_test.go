@@ -67,35 +67,34 @@ func seedMessages() []Message {
 			},
 		},
 		FastWrite{TxnVT: fvt(10, 2), Origin: 2, Floor: fvt(8, 2), Updates: []Update{{Target: fobj(1, 1), Op: OpAdd{Delta: int64(3)}}}},
-		ConfirmRead{TxnVT: fvt(4, 1), Origin: 1, Floor: fvt(3, 1), ReqID: 77, Checks: []ReadCheck{{Target: fobj(2, 5), Path: path, ReadVT: fvt(2, 2), GraphVT: fvt(1, 1)}}},
-		Confirm{TxnVT: fvt(4, 1), ReqID: 77, From: 2, OK: false, Transient: true, Reason: "pending version in interval"},
+		ConfirmRead{TxnVT: fvt(4, 1), Floor: fvt(3, 1), ReqID: 77, Checks: []ReadCheck{{Target: fobj(2, 5), Path: path, ReadVT: fvt(2, 2), GraphVT: fvt(1, 1)}}},
+		Confirm{TxnVT: fvt(4, 1), ReqID: 77, OK: false, Transient: true, Reason: "pending version in interval"},
 		Outcome{TxnVT: fvt(4, 1), Committed: true},
-		JoinRequest{TxnVT: fvt(6, 3), Origin: 3, ReqID: 9, AObj: fobj(3, 1), BObj: fobj(1, 1), GraphA: graph},
+		JoinRequest{TxnVT: fvt(6, 3), ReqID: 9, AObj: fobj(3, 1), BObj: fobj(1, 1), GraphA: graph},
 		JoinReply{
-			TxnVT: fvt(6, 3), ReqID: 9, From: 1, OK: true,
-			BObj: fobj(1, 1), BValue: image, GraphB: graph,
+			ReqID: 9, OK: true, BValue: image, GraphB: graph,
 			PendingGraphTxn: fvt(5, 2), ConfirmSites: []vtime.SiteID{1, 2},
 		},
-		JoinReply{TxnVT: fvt(6, 3), ReqID: 10, From: 1, OK: false, Reason: "busy", Retryable: true},
-		PromoteQuery{ReqID: 11, Origin: 2, Target: fobj(1, 1), Path: path},
-		PromoteReply{ReqID: 11, From: 1, OK: true, Child: fobj(1, 9)},
-		CommitQuery{TxnVT: fvt(12, 1), From: 2},
-		CommitQueryReply{TxnVT: fvt(12, 1), From: 3, Known: true, Committed: true},
-		RepairPrepare{FailedSite: 1, From: 2, Ballot: consensus.Ballot{Round: 1, Site: 2},
+		JoinReply{ReqID: 10, OK: false, Reason: "busy", Retryable: true},
+		PromoteQuery{ReqID: 11, Target: fobj(1, 1), Path: path},
+		PromoteReply{ReqID: 11, OK: true, Child: fobj(1, 9)},
+		CommitQuery{TxnVT: fvt(12, 1)},
+		CommitQueryReply{TxnVT: fvt(12, 1), Known: true, Committed: true},
+		RepairPrepare{FailedSite: 1, Ballot: consensus.Ballot{Round: 1, Site: 2},
 			Members: []vtime.SiteID{2, 3, 4}},
-		RepairPromise{FailedSite: 1, From: 3, Ballot: consensus.Ballot{Round: 1, Site: 2},
+		RepairPromise{FailedSite: 1, Ballot: consensus.Ballot{Round: 1, Site: 2},
 			OK: true, HasAccepted: true, AcceptedBallot: consensus.Ballot{Round: 1, Site: 3},
 			Accepted: RepairValue{FailedSite: 1, GraphVT: fvt(20, 3)}},
-		RepairPromise{FailedSite: 1, From: 3, Ballot: consensus.Ballot{Round: 1, Site: 2},
+		RepairPromise{FailedSite: 1, Ballot: consensus.Ballot{Round: 1, Site: 2},
 			OK: false, Promised: consensus.Ballot{Round: 2, Site: 4}},
-		RepairAccept{FailedSite: 1, From: 2, Ballot: consensus.Ballot{Round: 1, Site: 2},
+		RepairAccept{FailedSite: 1, Ballot: consensus.Ballot{Round: 1, Site: 2},
 			Value:   RepairValue{FailedSite: 1, GraphVT: fvt(20, 2)},
 			Members: []vtime.SiteID{2, 3, 4}},
-		RepairAccepted{FailedSite: 1, From: 4, Ballot: consensus.Ballot{Round: 1, Site: 2}, OK: true},
-		RepairLearn{FailedSite: 1, From: 2, Ballot: consensus.Ballot{Round: 1, Site: 2},
+		RepairAccepted{FailedSite: 1, Ballot: consensus.Ballot{Round: 1, Site: 2}, OK: true},
+		RepairLearn{FailedSite: 1, Ballot: consensus.Ballot{Round: 1, Site: 2},
 			Value: RepairValue{FailedSite: 1, GraphVT: fvt(20, 2)}},
-		SyncRequest{From: 2, ReqID: 13, Floors: []SyncFloor{{Site: 1, Time: 4}, {Site: 3, Time: 0}}},
-		SyncUpdates{From: 1, ReqID: 13, WantReply: true, Floors: []SyncFloor{{Site: 2, Time: 9}},
+		SyncRequest{ReqID: 13, Floors: []SyncFloor{{Site: 1, Time: 4}, {Site: 3, Time: 0}}},
+		SyncUpdates{ReqID: 13, WantReply: true, Floors: []SyncFloor{{Site: 2, Time: 9}},
 			Records: []Message{
 				Outcome{TxnVT: fvt(3, 1), Committed: true},
 				Write{TxnVT: fvt(3, 1), Origin: 1, Updates: []Update{{Target: fobj(2, 5), Op: OpSet{Value: "v"}}}},

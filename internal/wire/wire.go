@@ -19,7 +19,12 @@ import (
 	"decaf/internal/vtime"
 )
 
-// Message is implemented by every DECAF protocol message.
+// Message is implemented by every DECAF protocol message. A message does
+// not name its own sender: the receiver learns it from the transport
+// (transport.Event.From). The site fields a message does carry name other
+// sites — Write.Origin and FastWrite.Origin name the transaction's origin
+// even when another site sends the message (a join's write on the
+// joiner's behalf, a record relayed by anti-entropy).
 type Message interface {
 	isMessage()
 	// Kind returns a short human-readable message kind for logs.
@@ -385,7 +390,6 @@ type SyncFloor struct {
 // requester advertises its version floors and asks the peer for every
 // logged update above them.
 type SyncRequest struct {
-	From   vtime.SiteID
 	ReqID  uint64
 	Floors []SyncFloor
 }
@@ -402,7 +406,6 @@ func (SyncRequest) Kind() string { return "SYNC-REQUEST" }
 // record. Floors are the sender's own floors so the
 // receiver can reply with the reverse leg when WantReply is set.
 type SyncUpdates struct {
-	From      vtime.SiteID
 	ReqID     uint64
 	WantReply bool
 	Floors    []SyncFloor
@@ -419,7 +422,6 @@ func (SyncUpdates) Kind() string { return "SYNC-UPDATES" }
 // snapshot (paper §4). ReqID routes the Confirm back to the right waiter.
 type ConfirmRead struct {
 	TxnVT  vtime.VT
-	Origin vtime.SiteID
 	ReqID  uint64
 	Checks []ReadCheck
 	// Floor is the sender's GC floor, as in Write.
@@ -436,7 +438,6 @@ func (ConfirmRead) Kind() string { return "CONFIRM-READ" }
 type Confirm struct {
 	TxnVT vtime.VT
 	ReqID uint64 // echoes ConfirmRead.ReqID; 0 for Write confirmations
-	From  vtime.SiteID
 	OK    bool
 	// Transient marks a denial that may succeed after in-flight
 	// transactions settle (a pending version in a committed-only check
@@ -475,7 +476,6 @@ func (o Outcome) Kind() string {
 // to join BObj's replica relationship".
 type JoinRequest struct {
 	TxnVT  vtime.VT
-	Origin vtime.SiteID
 	ReqID  uint64
 	AObj   ids.ObjectID
 	BObj   ids.ObjectID
@@ -491,16 +491,15 @@ func (JoinRequest) Kind() string { return "JOIN-REQUEST" }
 // current graph value is uncommitted, PendingGraphTxn carries the
 // transaction A must additionally wait for (an RC guess).
 type JoinReply struct {
-	TxnVT  vtime.VT
+	// ReqID echoes JoinRequest.ReqID; the joiner finds its join (the
+	// transaction and the joining object) by it.
 	ReqID  uint64
-	From   vtime.SiteID
 	OK     bool
 	Reason string
 	// Retryable marks a denial caused by a transient concurrency-control
 	// conflict; the joiner re-executes with a fresh virtual time, like
 	// any other conflicted transaction.
 	Retryable bool
-	BObj      ids.ObjectID
 	// BValue is B's current value, shipped so A's replica starts
 	// mirrored. For composites this is a structured snapshot.
 	BValue any
@@ -530,7 +529,6 @@ func (JoinReply) Kind() string { return "JOIN-REPLY" }
 // propagation graph is sent to all replicas").
 type PromoteQuery struct {
 	ReqID  uint64
-	Origin vtime.SiteID
 	Target ids.ObjectID
 	Path   Path
 }
@@ -543,7 +541,6 @@ func (PromoteQuery) Kind() string { return "PROMOTE-QUERY" }
 // PromoteReply carries the counterpart child's identity.
 type PromoteReply struct {
 	ReqID uint64
-	From  vtime.SiteID
 	OK    bool
 	Child ids.ObjectID
 }
@@ -561,7 +558,6 @@ func (PromoteReply) Kind() string { return "PROMOTE-REPLY" }
 // whose originating site failed before broadcasting a summary outcome.
 type CommitQuery struct {
 	TxnVT vtime.VT
-	From  vtime.SiteID
 }
 
 func (CommitQuery) isMessage() {}
@@ -572,7 +568,6 @@ func (CommitQuery) Kind() string { return "COMMIT-QUERY" }
 // CommitQueryReply reports what the receiver knows about the transaction.
 type CommitQueryReply struct {
 	TxnVT vtime.VT
-	From  vtime.SiteID
 	// Known is true when the receiver saw a summary outcome for TxnVT.
 	Known     bool
 	Committed bool
@@ -608,7 +603,6 @@ type RepairValue struct {
 // acceptor.
 type RepairPrepare struct {
 	FailedSite vtime.SiteID
-	From       vtime.SiteID
 	Ballot     consensus.Ballot
 	Members    []vtime.SiteID
 }
@@ -623,7 +617,6 @@ func (RepairPrepare) Kind() string { return "REPAIR-PREPARE" }
 // reports Promised, the ballot the acceptor is bound to.
 type RepairPromise struct {
 	FailedSite     vtime.SiteID
-	From           vtime.SiteID
 	Ballot         consensus.Ballot
 	OK             bool
 	Promised       consensus.Ballot
@@ -641,7 +634,6 @@ func (RepairPromise) Kind() string { return "REPAIR-PROMISE" }
 // accept Value under Ballot.
 type RepairAccept struct {
 	FailedSite vtime.SiteID
-	From       vtime.SiteID
 	Ballot     consensus.Ballot
 	Value      RepairValue
 	Members    []vtime.SiteID
@@ -656,7 +648,6 @@ func (RepairAccept) Kind() string { return "REPAIR-ACCEPT" }
 // RepairAccept.
 type RepairAccepted struct {
 	FailedSite vtime.SiteID
-	From       vtime.SiteID
 	Ballot     consensus.Ballot
 	OK         bool
 	Promised   consensus.Ballot
@@ -672,7 +663,6 @@ func (RepairAccepted) Kind() string { return "REPAIR-ACCEPTED" }
 // that already decided.
 type RepairLearn struct {
 	FailedSite vtime.SiteID
-	From       vtime.SiteID
 	Ballot     consensus.Ballot
 	Value      RepairValue
 }

@@ -92,13 +92,13 @@ func TestGobRoundTripAllMessages(t *testing.T) {
 			NeedsConfirm: true,
 			Delegate:     []vtime.SiteID{1, 4},
 		},
-		ConfirmRead{TxnVT: vt, Origin: 2, ReqID: 9, Checks: []ReadCheck{{Target: target, ReadVT: vt}}},
-		Confirm{TxnVT: vt, ReqID: 9, From: 3, OK: false, Transient: true, Reason: "pending straggler"},
+		ConfirmRead{TxnVT: vt, ReqID: 9, Checks: []ReadCheck{{Target: target, ReadVT: vt}}},
+		Confirm{TxnVT: vt, ReqID: 9, OK: false, Transient: true, Reason: "pending straggler"},
 		Outcome{TxnVT: vt, Committed: true},
-		JoinRequest{TxnVT: vt, Origin: 2, ReqID: 1, AObj: target, BObj: ids.ObjectID{Site: 1, Seq: 2}, GraphA: sampleGraph()},
-		JoinReply{TxnVT: vt, ReqID: 1, From: 1, OK: true, BValue: "hello", GraphB: sampleGraph(), PendingGraphTxn: vt},
-		CommitQuery{TxnVT: vt, From: 4},
-		CommitQueryReply{TxnVT: vt, From: 4, Known: true, Committed: false},
+		JoinRequest{TxnVT: vt, ReqID: 1, AObj: target, BObj: ids.ObjectID{Site: 1, Seq: 2}, GraphA: sampleGraph()},
+		JoinReply{ReqID: 1, OK: true, BValue: "hello", GraphB: sampleGraph(), PendingGraphTxn: vt},
+		CommitQuery{TxnVT: vt},
+		CommitQueryReply{TxnVT: vt, Known: true, Committed: false},
 	}
 	for _, m := range msgs {
 		t.Run(m.Kind()+"/"+reflect.TypeOf(m).Name(), func(t *testing.T) {
